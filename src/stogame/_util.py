@@ -1,10 +1,8 @@
-"""Shared tolerances, thread-cap handling and JSON helpers."""
+"""Shared tolerances and JSON helpers."""
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 # Probability mass accounting (distribution rows).
 DIST_TOL = 1e-12
@@ -14,25 +12,6 @@ SOLVE_TOL = 1e-9
 VALUE_SPREAD_TOL = 1e-4
 # Margin tolerance for the one-shot value inequality.
 VALUE_INEQ_TOL = 1e-6
-
-
-def thread_cap() -> int:
-    """Worker-thread cap, controlled by the AP_THREADS environment variable."""
-    raw = os.environ.get("AP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Map `fn` over `items`, using up to AP_THREADS worker threads."""
-    items = list(items)
-    cap = thread_cap()
-    if cap <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def dump_json(obj, path) -> None:

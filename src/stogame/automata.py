@@ -18,11 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import DIST_TOL, json_ready
-from .chains import (
-    absorption_probabilities,
-    recurrent_classes,
-    stationary_distribution,
-)
+from .chains import limit_average_values, limit_occupation
 from .game import StochasticGame, as_correlated_table
 
 
@@ -244,28 +240,15 @@ def discounted_value(model: ProductModel, lam: float) -> np.ndarray:
 
 def limit_value(model: ProductModel) -> np.ndarray:
     """Cesaro-limit payoffs per node, shape (N, I)."""
-    classes, transient = recurrent_classes(model.P)
-    absorb = absorption_probabilities(model.P, classes, transient)
-    class_pay = np.zeros((len(classes), model.r.shape[1]))
-    for j, cls in enumerate(classes):
-        pi = stationary_distribution(model.P, cls)
-        class_pay[j] = pi @ model.r[cls]
-    return absorb @ class_pay
+    return limit_average_values(model.P, model.r)
 
 
 def node_frequency(model: ProductModel, node: int) -> np.ndarray:
     """Long-run (game state, profile) frequency from a start node."""
-    classes, transient = recurrent_classes(model.P)
-    absorb = absorption_probabilities(model.P, classes, transient)
+    occ = limit_occupation(model.P, node)
     rho = np.zeros((model.game.n_states, model.game.n_profiles))
-    for j, cls in enumerate(classes):
-        w = absorb[node, j]
-        if w <= 0.0:
-            continue
-        pi = stationary_distribution(model.P, cls)
-        for pos, n in enumerate(cls):
-            s, _ = model.nodes[n]
-            rho[s] += w * pi[pos] * model.alpha[n]
+    for n in np.nonzero(occ)[0]:
+        rho[model.nodes[n][0]] += occ[n] * model.alpha[n]
     return rho
 
 

@@ -36,7 +36,7 @@ from .frequencies import (
 )
 from .game import StationaryCorrelated, StochasticGame, mixes_to_correlated_row
 from .oneshot import continuation_values
-from .structure import CLOSED_TOL, Decomposition, travel_strategy
+from .structure import Decomposition, safe_profiles, travel_strategy
 
 EXIT_SCALE_DEFAULT = 0.1
 DELTA_FLOOR = 1e-6
@@ -47,19 +47,14 @@ DELTA_FLOOR = 1e-6
 
 
 def exit_options(game: StochasticGame, region):
-    """All (state, profile) pairs that may leave `region`, and the minimal
-    exit mass among them (None when the region is fully closed)."""
+    """All (state, profile) pairs that may leave `region` (the complement of
+    its safe profiles), and the minimal exit mass among them (None when the
+    region is fully closed)."""
     region = sorted(region)
     stay = game.stay_mass(region)
-    exits = []
-    masses = []
-    for s in region:
-        for a in range(game.n_profiles):
-            leak = 1.0 - stay[s, a]
-            if leak > 1e-12:
-                exits.append((s, a))
-                masses.append(leak)
-    q_min = float(min(masses)) if masses else None
+    safe = safe_profiles(game, region)
+    exits = [(s, a) for s in region for a in range(game.n_profiles) if a not in safe[s]]
+    q_min = float(min(1.0 - stay[s, a] for s, a in exits)) if exits else None
     return exits, q_min
 
 
@@ -69,8 +64,7 @@ def companion_action(game: StochasticGame, region, s: int, a: int):
     Returns (profile index, switching player) for the lexicographically first
     (player, action) switch, or None when every switch also exits.
     """
-    region = sorted(region)
-    stay = game.stay_mass(region)
+    safe = safe_profiles(game, region)[s]
     profile = list(game.profile_of_index(a))
     for i in range(game.n_players):
         original = profile[i]
@@ -79,7 +73,7 @@ def companion_action(game: StochasticGame, region, s: int, a: int):
                 continue
             profile[i] = b
             cand = game.profile_index(profile)
-            if stay[s, cand] >= 1.0 - CLOSED_TOL:
+            if cand in safe:
                 profile[i] = original
                 return cand, i
         profile[i] = original
@@ -692,11 +686,8 @@ def assemble_profile(game: StochasticGame, decomposition: Decomposition,
 
 def _safe_profile_rows(game: StochasticGame, region):
     """Uniform mixture over region-preserving profiles, per region state."""
-    region = sorted(region)
-    stay = game.stay_mass(region)
     rows = {}
-    for s in region:
-        safe = [a for a in range(game.n_profiles) if stay[s, a] >= 1.0 - CLOSED_TOL]
+    for s, safe in safe_profiles(game, region).items():
         row = np.zeros(game.n_profiles)
         row[safe] = 1.0 / len(safe)
         rows[s] = row

@@ -18,9 +18,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ._util import DIST_TOL, json_ready
-from .chains import absorption_probabilities, recurrent_classes, stationary_distribution
+from .chains import limit_occupation, recurrent_classes, stationary_distribution
 from .game import StochasticGame, as_correlated_table, induced_chain
-from .structure import CLOSED_TOL
+from .structure import safe_profiles
 
 ENUMERATION_GUARD = 10**6
 
@@ -42,18 +42,7 @@ def stationary_frequency(game: StochasticGame, strategy, s1: int) -> FrequencyVe
     """Exact long-run state-action frequency of a stationary strategy."""
     table = as_correlated_table(game, strategy)
     P, _ = induced_chain(game, table)
-    classes, transient = recurrent_classes(P)
-    absorb = absorption_probabilities(P, classes, transient)
-    occupation = np.zeros(game.n_states)
-    for j, cls in enumerate(classes):
-        w = absorb[s1, j]
-        if w <= 0.0:
-            continue
-        pi = stationary_distribution(P, cls)
-        for pos, s in enumerate(cls):
-            occupation[s] += w * pi[pos]
-    rho = occupation[:, None] * table
-    return FrequencyVector(rho)
+    return FrequencyVector(limit_occupation(P, s1)[:, None] * table)
 
 
 def payoff_of_frequency(game: StochasticGame, freq) -> np.ndarray:
@@ -97,11 +86,7 @@ def enumerate_recurrent_points(game: StochasticGame, region) -> list:
     per state over the preserving actions only; the product count is guarded.
     """
     region = sorted(region)
-    stay = game.stay_mass(region)
-    allowed = {
-        s: [a for a in range(game.n_profiles) if stay[s, a] >= 1.0 - CLOSED_TOL]
-        for s in region
-    }
+    allowed = safe_profiles(game, region)
     live = [s for s in region if allowed[s]]
     if not live:
         return []

@@ -264,11 +264,6 @@ def solve_uniform_minmax(game: StochasticGame, schedule=None, tol: float = 1e-9
         mode = ("coalition-correlated (lower bound on the independent min-max "
                 "for 3+ players)")
     report = MinMaxReport(adversary_mode=mode)
-    from ._util import parallel_map
-
-    curves = parallel_map(
-        lambda i: uniform_minmax(game, i, schedule=schedule, tol=tol),
-        range(game.n_players),
-    )
-    report.curves = list(curves)
+    report.curves = [uniform_minmax(game, i, schedule=schedule, tol=tol)
+                     for i in range(game.n_players)]
     return report

@@ -3,24 +3,24 @@
 A set C is communicating (relative to the enumerated per-state equilibrium
 lists E) when it is closed under every listed equilibrium, every state can be
 led to every other state without leaving C, and the per-player uniform
-min-max values agree across C.  Maximal communicating sets partition part of
-the state space; the remaining states are transient and carry a stationary
-equilibrium profile that reaches the union of the maximal sets almost surely.
+min-max values agree across C.  Maximal communicating sets are found exactly,
+at every size, by end-component refinement of the value classes (de Alfaro
+1997; Chatterjee & Henzinger 2011); the remaining states are transient and
+carry a stationary equilibrium profile that reaches the union of the maximal
+sets almost surely.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._util import DIST_TOL, VALUE_SPREAD_TOL, json_ready
-from .chains import reach_probability, recurrent_classes
+from .chains import reach_probability, recurrent_classes, strongly_connected_components
 from .game import StochasticGame, as_correlated_table, induced_chain
 
 CLOSED_TOL = 1e-9
-EXHAUSTIVE_LIMIT = 12
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def equilibrium_support_chain(game: StochasticGame, eq_sets) -> list:
         mass = np.zeros(game.n_states)
         for eq in eq_sets[s].items:
             mass += eq.correlated_row() @ game.transitions[s]
-        adj.append(list(np.nonzero(mass > DIST_TOL)[0]))
+        adj.append(np.nonzero(mass > DIST_TOL)[0].tolist())
     return adj
 
 
@@ -180,8 +180,6 @@ def minimal_closed_sets_under_E(game: StochasticGame, eq_sets) -> list:
     """Minimal closed sets of the equilibrium support chain (its bottom
     strongly connected components)."""
     adj = equilibrium_support_chain(game, eq_sets)
-    from .chains import strongly_connected_components
-
     comps = strongly_connected_components(adj)
     out = []
     for comp in comps:
@@ -192,14 +190,15 @@ def minimal_closed_sets_under_E(game: StochasticGame, eq_sets) -> list:
     return out
 
 
-def closed_under_E(game: StochasticGame, eq_sets, states) -> bool:
+def states_closed_under_E(game: StochasticGame, eq_sets, states) -> list:
+    """The states of `states` at which no listed equilibrium leaves it."""
     idx = sorted(states)
     stay = game.stay_mass(idx)
-    for s in idx:
-        for eq in eq_sets[s].items:
-            if float(eq.correlated_row() @ stay[s]) < 1.0 - CLOSED_TOL:
-                return False
-    return True
+    return [
+        s for s in idx
+        if all(float(eq.correlated_row() @ stay[s]) >= 1.0 - CLOSED_TOL
+               for eq in eq_sets[s].items)
+    ]
 
 
 def value_spread(v1: np.ndarray, states) -> float:
@@ -220,19 +219,6 @@ def mutually_leading(game: StochasticGame, states):
             return False, {}
         witnesses[target] = policy
     return True, witnesses
-
-
-def is_communicating(game: StochasticGame, eq_sets, v1, states,
-                     tol_v: float = VALUE_SPREAD_TOL):
-    """All three communicating-set conditions; returns (ok, witnesses)."""
-    if not states:
-        return False, {}
-    if not closed_under_E(game, eq_sets, states):
-        return False, {}
-    if value_spread(v1, states) > tol_v:
-        return False, {}
-    ok, witnesses = mutually_leading(game, states)
-    return ok, witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +248,6 @@ class Decomposition:
     transient: tuple
     transient_profile: dict      # state -> chosen Equilibrium
     transient_reach: float       # min absorption probability into the union
-    method: str = "greedy+exhaustive"
     notes: list = field(default_factory=list)
 
     @property
@@ -283,121 +268,59 @@ class Decomposition:
                 str(s): [m for m in eq.mixes] for s, eq in self.transient_profile.items()
             },
             "transient_reach": self.transient_reach,
-            "method": self.method,
             "notes": self.notes,
         })
 
 
-def _closure_under_E(game, eq_sets, seed) -> tuple:
-    adj = equilibrium_support_chain(game, eq_sets)
-    seen = set(seed)
-    stack = list(seed)
-    while stack:
-        s = stack.pop()
-        for t in adj[s]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return tuple(sorted(seen))
+def value_classes(v1: np.ndarray, tol_v: float) -> list:
+    """States grouped by single linkage: two states share a class when a
+    chain of states joins them, each step within `tol_v` for every player."""
+    near = np.max(np.abs(v1[:, None, :] - v1[None, :, :]), axis=2) <= tol_v
+    return strongly_connected_components([np.nonzero(row)[0].tolist() for row in near])
 
 
-def _greedy_maximal(game, eq_sets, v1, tol_v):
-    seeds = minimal_closed_sets_under_E(game, eq_sets)
-    sets = []
-    for seed in seeds:
-        ok, wit = is_communicating(game, eq_sets, v1, seed, tol_v)
-        if ok:
-            sets.append((seed, wit))
-    changed = True
-    while changed:
-        changed = False
-        # Try absorbing extra states, then pairwise merges; keep closures only.
-        for idx, (cur, _) in enumerate(list(sets)):
-            value = v1[cur[0]]
-            for t in range(game.n_states):
-                if t in cur:
-                    continue
-                if np.max(np.abs(v1[t] - value)) > tol_v:
-                    continue
-                cand = _closure_under_E(game, eq_sets, set(cur) | {t})
-                if cand == cur:
-                    continue
-                ok, wit = is_communicating(game, eq_sets, v1, cand, tol_v)
-                if ok and len(cand) > len(cur):
-                    sets[idx] = (cand, wit)
-                    changed = True
-                    break
-            if changed:
-                break
-        if changed:
-            continue
-        for i, j in itertools.combinations(range(len(sets)), 2):
-            cand = _closure_under_E(game, eq_sets, set(sets[i][0]) | set(sets[j][0]))
-            ok, wit = is_communicating(game, eq_sets, v1, cand, tol_v)
-            if ok:
-                keep = [sets[k] for k in range(len(sets)) if k not in (i, j)]
-                keep.append((cand, wit))
-                sets = keep
-                changed = True
-                break
-    # Deduplicate and drop strict subsets.
-    uniq = {}
-    for cur, wit in sets:
-        uniq[cur] = wit
-    final = []
-    for cur in sorted(uniq):
-        if not any(set(cur) < set(other) for other in uniq if other != cur):
-            final.append((cur, uniq[cur]))
-    return final
-
-
-def _exhaustive_maximal(game, eq_sets, v1, tol_v):
-    n = game.n_states
-    communicating = []
-    for mask in range(1, 1 << n):
-        states = tuple(s for s in range(n) if mask >> s & 1)
-        if value_spread(v1, states) > tol_v:
-            continue
-        if not closed_under_E(game, eq_sets, states):
-            continue
-        ok, wit = mutually_leading(game, states)
-        if ok:
-            communicating.append((states, wit))
-    maximal = []
-    for states, wit in communicating:
-        if not any(set(states) < set(other) for other, _ in communicating):
-            maximal.append((states, wit))
-    maximal.sort()
-    return maximal
+def _safe_support_graph(game: StochasticGame, region: list) -> list:
+    """Adjacency over positions in `region`: k -> m when a profile keeping
+    play in `region` at region[k] moves to region[m] with positive probability."""
+    allowed = safe_profiles(game, region)
+    return [
+        np.nonzero((game.transitions[s, allowed[s]][:, region] > DIST_TOL).any(axis=0))[0].tolist()
+        for s in region
+    ]
 
 
 def maximal_communicating_sets(game: StochasticGame, eq_sets, v1,
                                tol_v: float = VALUE_SPREAD_TOL):
-    """Maximal communicating sets, greedy merge with exhaustive verification
-    at desk scale (exact for up to 12 states)."""
-    greedy = _greedy_maximal(game, eq_sets, v1, tol_v)
-    notes = []
-    if game.n_states <= EXHAUSTIVE_LIMIT:
-        exact = _exhaustive_maximal(game, eq_sets, v1, tol_v)
-        if [c for c, _ in greedy] != [c for c, _ in exact]:
-            notes.append("greedy merge differed from exhaustive scan; using exhaustive result")
-        chosen = exact
-    else:
-        notes.append(f"more than {EXHAUSTIVE_LIMIT} states: greedy merge only")
-        chosen = greedy
-    # Overlaps should not survive maximality; resolve deterministically if
-    # numerics produce them.
-    cleaned = []
-    used = set()
-    for states, wit in chosen:
-        if used & set(states):
-            notes.append(f"dropped overlapping candidate {list(states)}")
-            continue
-        used |= set(states)
-        cleaned.append((states, wit))
+    """Maximal communicating sets by end-component refinement.
+
+    Starting from the value classes, repeat until no candidate changes: drop
+    the states where a listed equilibrium leaves the candidate, then split it
+    into the strongly connected components of its safe-profile support graph.
+    Every communicating set survives inside one candidate, and every fixpoint
+    is closed under E and strongly connected under its own safe profiles,
+    hence mutually leading: the fixpoints are exactly the maximal sets.
+    Single linkage can chain a value class wider than `tol_v`; each such
+    class is reported in the returned notes.
+    """
+    work = value_classes(v1, tol_v)
+    notes = [
+        f"value class {cls} spreads {value_spread(v1, cls):.3g} > tol_v {tol_v:g}"
+        for cls in work if value_spread(v1, cls) > tol_v
+    ]
+    found = []
+    while work:
+        cand = work.pop()
+        kept = states_closed_under_E(game, eq_sets, cand)
+        parts = [[kept[k] for k in comp]
+                 for comp in strongly_connected_components(_safe_support_graph(game, kept))]
+        if parts == [cand]:
+            found.append(tuple(cand))
+        else:
+            work.extend(parts)
+    found.sort()
     out = [
-        CommunicatingSet(states, v1[states[0]].copy(), wit)
-        for states, wit in cleaned
+        CommunicatingSet(states, v1[states[0]].copy(), mutually_leading(game, states)[1])
+        for states in found
     ]
     return out, notes
 

@@ -7,6 +7,7 @@ game values by grid search, and set structure by direct subset scans.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 import numpy as np
@@ -204,16 +205,20 @@ def optimal_average_values(game) -> np.ndarray:
 
 
 def empirical_frequency(game, table, s1: int, steps: int, seed: int) -> np.ndarray:
-    """Single long trajectory frequency of (state, profile) pairs."""
+    """Single long trajectory frequency of (state, profile) pairs.
+
+    Two uniforms per step, drawn in blocks (the same stream as one draw per
+    call); each draw is inverted against a cumulative row with `bisect`."""
     rng = np.random.default_rng(seed)
-    counts = np.zeros((game.n_states, game.n_profiles))
-    cum_table = np.cumsum(table, axis=1)
-    cum_q = np.cumsum(game.transitions, axis=2)
+    counts = [[0] * game.n_profiles for _ in range(game.n_states)]
+    cum_table = np.cumsum(table, axis=1).tolist()
+    cum_q = np.cumsum(game.transitions, axis=2).tolist()
+    last_a, last_s = game.n_profiles - 1, game.n_states - 1
     s = s1
-    for _ in range(steps):
-        a = int(np.searchsorted(cum_table[s], rng.random()))
-        a = min(a, game.n_profiles - 1)
-        counts[s, a] += 1.0
-        t = int(np.searchsorted(cum_q[s, a], rng.random()))
-        s = min(t, game.n_states - 1)
-    return counts / steps
+    for start in range(0, steps, 1 << 16):
+        u = rng.random(2 * min(1 << 16, steps - start)).tolist()
+        for k in range(0, len(u), 2):
+            a = min(bisect.bisect_left(cum_table[s], u[k]), last_a)
+            counts[s][a] += 1
+            s = min(bisect.bisect_left(cum_q[s][a], u[k + 1]), last_s)
+    return np.array(counts, dtype=float) / steps

@@ -52,6 +52,20 @@ def test_exits_sorin_core(sorin_ctx):
     assert q_min == pytest.approx(1.0)
 
 
+def test_exits_skip_leak_within_closed_tolerance():
+    # Profile (0, 0) leaks 1e-10 from the singleton region, inside the
+    # tolerance at which it counts as safe: it is a companion, not an exit.
+    payoffs = np.zeros((2, 4, 2))
+    transitions = np.zeros((2, 4, 2))
+    transitions[0, :, 1] = 1.0
+    transitions[0, 0] = [1.0 - 1e-10, 1e-10]
+    transitions[1, :, 1] = 1.0
+    g = StochasticGame(("a", "b"), (("x", "y"), ("u", "v")), payoffs, transitions)
+    exits, q_min = exit_options(g, [0])
+    assert exits == [(0, 1), (0, 2), (0, 3)] and q_min == pytest.approx(1.0)
+    assert companion_action(g, [0], 0, 1) == (0, 1)
+
+
 def test_companion_single_switch(sorin_ctx):
     g = sorin_ctx[0]
     # (B, L) -> switch player 1 back to T

@@ -267,3 +267,25 @@ def test_six_state_nested_decomposition_matches_brute_force():
     assert [c.states for c in d.sets] == list(expected)
     # the two blocks carry genuinely different values and never merge
     assert abs(d.sets[0].value[0] - d.sets[1].value[0]) > 0.2
+
+
+def test_decomposition_members_are_plain_ints():
+    g = random_dense_game(5016, n_states=16)
+    v1 = solve_uniform_minmax(g).uniform_values
+    eq_sets = enumerate_all_states(g, v1)
+    d = decompose(g, eq_sets, v1)
+    assert d.sets
+    assert all(type(s) is int for c in d.sets for s in c.states)
+    assert all(type(s) is int for c in minimal_closed_sets_under_E(g, eq_sets) for s in c)
+
+
+def test_value_class_spread_beyond_tolerance_is_noted():
+    # A deterministic 3-cycle whose values chain within 1e-4 step by step
+    # but spread 1.6e-4 end to end: single linkage keeps one class and the
+    # decomposition reports the spread instead of hiding it.
+    g = single_action_chain([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    v1 = np.array([[0.0], [0.8e-4], [1.6e-4]])
+    eq_sets = enumerate_all_states(g, v1)
+    sets, notes = maximal_communicating_sets(g, eq_sets, v1)
+    assert [c.states for c in sets] == [(0, 1, 2)]
+    assert len(notes) == 1 and "spreads" in notes[0]
