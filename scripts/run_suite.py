@@ -2,6 +2,11 @@
 """Run the full pipeline over the fixed acceptance suite and print a table.
 
 Usage: python scripts/run_suite.py [--eps 0.05] [--depth 24] [--json out.json]
+
+Per game the table shows the set kinds, the transient-state count, the
+recurrent points priced by the sustainability test's column generation over
+all sets (cols=), the worst individual-rationality gain, the submartingale
+drift and the wall time.  The --json rows are `PipelineResult.summary()`.
 """
 
 import argparse
@@ -31,8 +36,9 @@ def main() -> int:
         summ["seconds"] = round(time.monotonic() - t0, 3)
         rows.append(summ)
         flag = "ok " if summ["ok"] else "FAIL"
+        cols = sum(c.diagnostics.get("sustain_columns", 0) for c in res.classifications)
         print(f"{flag} {summ['game']:22s} sets={''.join(summ['kinds']):6s} "
-              f"tr={len(summ['transient'])} "
+              f"tr={len(summ['transient'])} cols={cols:<3d} "
               f"ir={summ['ir_worst_gain']:.4f} "
               f"drift={summ['submartingale_min_drift']:+.2e} "
               f"t={summ['seconds']:.2f}s")

@@ -27,9 +27,11 @@ from .frequencies import (
     FrequencyVector,
     RecurrentPoint,
     SustainPlan,
+    best_recurrent_point,
     enumerate_recurrent_points,
     payoff_of_frequency,
     stationary_frequency,
+    sustain_by_columns,
     type_a_feasibility,
 )
 from .game import (

@@ -27,13 +27,9 @@ import numpy as np
 from ._util import DIST_TOL, json_ready
 from .automata import JointAutomaton, JointAutomatonProfile
 from .chains import limit_average_values, recurrent_classes
-from .frequencies import (
-    EnumerationSizeError,
-    SustainPlan,
-    enumerate_recurrent_points,
-    max_slack_mixture,
-    type_a_feasibility,
-)
+from .frequencies import SustainPlan, max_slack_mixture, sustain_by_columns
+# Not called here: perfbench/tracer.py hooks the name in this module.
+from .frequencies import enumerate_recurrent_points  # noqa: F401
 from .game import StationaryCorrelated, StochasticGame, mixes_to_correlated_row
 from .oneshot import continuation_values
 from .structure import Decomposition, safe_profiles, travel_strategy
@@ -187,7 +183,7 @@ def type_b_feasibility(game: StochasticGame, region, value, eps: float,
         return None
     target = np.asarray(value, dtype=float) - eps
     payoffs = np.stack([u_star[s, a] for s, a, _, _ in admissible])
-    beta, slack = max_slack_mixture(payoffs, target)
+    beta, slack, _ = max_slack_mixture(payoffs, target)
     if slack < -1e-9:
         return None
     support = [l for l in range(len(admissible)) if beta[l] > 1e-12]
@@ -234,17 +230,9 @@ def classify_set(game: StochasticGame, cset, v1: np.ndarray, eps: float,
     tried; a sustain plan with thinner slack is kept as a last resort (the
     verifier decides its fate) before declaring the set unclassifiable.
     """
-    diagnostics = {}
-    points = None
-    try:
-        points = enumerate_recurrent_points(game, cset.states)
-        diagnostics["recurrent_points"] = len(points)
-    except EnumerationSizeError as exc:
-        diagnostics["recurrent_points_error"] = str(exc)
-    plan_a = None
-    if points:
-        plan_a = type_a_feasibility(game, cset.states, cset.value, eps=eps,
-                                    points=points)
+    plan_a, columns = sustain_by_columns(game, cset.states, cset.value - eps)
+    diagnostics = {"sustain_columns": columns}
+    if columns:
         diagnostics["sustain_slack"] = None if plan_a is None else plan_a.slack
         if plan_a is not None and np.all(plan_a.achieved >= cset.value - eps / 2.0):
             return Classification("A", sustain=plan_a, diagnostics=diagnostics)

@@ -2,7 +2,9 @@
 
 The row player maximizes, the column player minimizes.  Degenerate shapes
 and 2x2 games are solved in closed form; everything else goes through two
-linear programs (one per side), solved with HiGHS.
+linear programs (one per side), solved with HiGHS.  A pair that fails the
+duality-gap or minimax check is solved once more on the matrix rescaled onto
+[0, 1], where the solver's absolute tolerances fit the entries' spread.
 """
 
 from __future__ import annotations
@@ -72,6 +74,13 @@ def _lp_row(M):
     return x / x.sum(), float(res.x[-1])
 
 
+def _lp_pair(M):
+    """Both sides' LP strategies, the midpoint value and the duality gap."""
+    x, v_row = _lp_row(M)
+    y, v_col_neg = _lp_row(-M.T)
+    return x, y, 0.5 * (v_row - v_col_neg), v_row + v_col_neg
+
+
 def solve_matrix_game(M) -> MatrixGameSolution:
     """Value and optimal mixed strategies of a finite zero-sum matrix game."""
     M = np.asarray(M, dtype=float)
@@ -95,12 +104,23 @@ def solve_matrix_game(M) -> MatrixGameSolution:
             return MatrixGameSolution(value, x, y, "closed-form")
         # Degenerate 2x2 falls through to the LP.
 
-    x, v_row = _lp_row(M)
-    y, v_col_neg = _lp_row(-M.T)
-    value = 0.5 * (v_row - v_col_neg)
-    if abs(v_row + v_col_neg) > 1e-7:
+    x, y, value, gap = _lp_pair(M)
+    if abs(gap) <= 1e-7 and _verify(M, value, x, y, tol=1e-7):
+        return MatrixGameSolution(value, x, y, "lp")
+    # HiGHS's absolute tolerances can exceed the span of a near-constant
+    # matrix; solve once more with the entries rescaled onto [0, 1].
+    lo = float(M.min())
+    span = float(M.max()) - lo
+    if span == 0.0:
+        x = np.zeros(m)
+        y = np.zeros(n)
+        x[0] = y[0] = 1.0
+        return MatrixGameSolution(lo, x, y, "pure")
+    x, y, value, gap = _lp_pair((M - lo) / span)
+    value = lo + span * value
+    if abs(gap) > 1e-7:
         raise RuntimeError(
-            f"matrix game LP duality gap {v_row + v_col_neg:.3e} exceeds tolerance"
+            f"matrix game LP duality gap {gap:.3e} exceeds tolerance"
         )
     if not _verify(M, value, x, y, tol=1e-7):
         raise RuntimeError("matrix game solution failed the minimax check")

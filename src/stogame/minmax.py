@@ -187,6 +187,10 @@ class PlayerValueCurve:
     extrapolated: np.ndarray
     diffs: list           # successive sup-norm differences
     converged: bool
+    rounds: list          # strategy-iteration rounds per schedule point
+    certified_gaps: list  # certificate of each schedule point's solve
+    stalled: list         # whether each solve stopped on a stalled gap
+    extrapolation_points: tuple | None  # schedule indices fed to Aitken
 
     def to_dict(self) -> dict:
         return json_ready({
@@ -196,6 +200,10 @@ class PlayerValueCurve:
             "extrapolated": self.extrapolated,
             "successive_diffs": self.diffs,
             "converged": self.converged,
+            "rounds": self.rounds,
+            "certified_gaps": self.certified_gaps,
+            "stalled": self.stalled,
+            "extrapolation_points": self.extrapolation_points,
         })
 
 
@@ -228,11 +236,15 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None, tol: float = 1e-
     schedule = list(schedule) if schedule is not None else default_schedule()
     values = []
     certs = []
+    rounds = []
+    stalled = []
     v = None
     for lam in schedule:
         v, info = discounted_minmax(game, i, lam, tol=tol, v0=v)
         values.append(v.copy())
         certs.append(float(info.get("certified_gap", 0.0)))
+        rounds.append(info["rounds"])
+        stalled.append(bool(info.get("stalled", False)))
     diffs = [float(np.max(np.abs(values[k + 1] - values[k])))
              for k in range(len(values) - 1)]
     cert_cap = max(10.0 * tol, 1e-8)
@@ -240,11 +252,15 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None, tol: float = 1e-
     while last >= 2 and certs[last] > cert_cap:
         last -= 1
     if last >= 2 and all(c <= cert_cap for c in certs[last - 2:last + 1]):
-        extrap = aitken_extrapolate(values[last - 2], values[last - 1], values[last])
+        triple = (last - 2, last - 1, last)
     elif len(values) >= 3:
-        extrap = aitken_extrapolate(values[-3], values[-2], values[-1])
+        triple = (len(values) - 3, len(values) - 2, len(values) - 1)
     else:
+        triple = None
+    if triple is None:
         extrap = values[-1].copy()
+    else:
+        extrap = aitken_extrapolate(*(values[k] for k in triple))
     bound = game.payoff_bound
     extrap = np.clip(extrap, -bound, bound)
     tail = diffs[-4:]
@@ -253,7 +269,8 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None, tol: float = 1e-
     converged = all(b <= max(a * 1.05, noise) for a, b in zip(tail, tail[1:]))
     if diffs and diffs[-1] > 1e-2:
         converged = False
-    return PlayerValueCurve(i, schedule, values, extrap, diffs, converged)
+    return PlayerValueCurve(i, schedule, values, extrap, diffs, converged,
+                            rounds, certs, stalled, triple)
 
 
 def solve_uniform_minmax(game: StochasticGame, schedule=None, tol: float = 1e-9

@@ -100,3 +100,14 @@ def test_lambda_grid_flag_validation(tmp_path):
     # strictly increasing grids parse; decreasing must be rejected by verify
     assert run(["verify", "--game", "builtin:mdp3", "--out", str(tmp_path),
                 "--lambda-grid", "0.9,0.5"]) == 2
+
+
+def test_solve_artifact_keeps_solver_facts_and_is_byte_identical(tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run(["solve", "--game", "builtin:random2p_b", "--out", str(out)]) == 0
+    assert (outs[0] / "solve.json").read_bytes() == (outs[1] / "solve.json").read_bytes()
+    player = json.loads((outs[0] / "solve.json").read_text())["players"][0]
+    n = len(player["schedule"])
+    assert len(player["rounds"]) == len(player["certified_gaps"]) == len(player["stalled"]) == n
+    assert len(player["extrapolation_points"]) == 3

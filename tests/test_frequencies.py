@@ -4,6 +4,7 @@ import pytest
 from oracles import empirical_frequency, recurrent_points_oracle
 from stogame.frequencies import (
     EnumerationSizeError,
+    best_recurrent_point,
     enumerate_recurrent_points,
     payoff_of_frequency,
     stationary_frequency,
@@ -16,6 +17,8 @@ from stogame.game import (
     pure_profile,
 )
 from stogame.generators import random_dense_game, sorin_game
+from stogame.minmax import default_schedule
+from stogame.pipeline import run_pipeline
 
 
 def test_two_cycle_uniform_frequency():
@@ -149,3 +152,68 @@ def test_plan_support_is_small():
     assert len(plan.atoms) <= g.n_players + 1
     assert np.all(plan.weights > 0)
     assert plan.weights.sum() == pytest.approx(1.0)
+
+
+def test_priced_point_is_the_best_enumerated_point():
+    g = random_dense_game(71, n_states=4)
+    points = enumerate_recurrent_points(g, range(4))
+    rng = np.random.default_rng(71)
+    for _ in range(10):
+        y = rng.dirichlet(np.ones(2))
+        best = best_recurrent_point(g, range(4), y)
+        keys = [(p.states, p.actions) for p in points]
+        assert (best.states, best.actions) in keys
+        assert y @ best.payoff == pytest.approx(max(y @ p.payoff for p in points),
+                                                abs=1e-12)
+
+
+def test_pricing_skips_classes_leaking_into_dead_states():
+    # Region {0, 1}: state 1 always moves to state 2, so it has no
+    # region-preserving profile.  The paying action at state 0 leads there
+    # and is excluded, as in the enumeration.
+    payoffs = np.array([[[0.0], [1.0]], [[1.0], [1.0]], [[0.0], [0.0]]])
+    transitions = np.zeros((3, 2, 3))
+    transitions[0, 0, 0] = 1.0
+    transitions[0, 1, 1] = 1.0
+    transitions[1, :, 2] = 1.0
+    transitions[2, :, 2] = 1.0
+    g = StochasticGame(("a", "b", "c"), (("stay", "go"),), payoffs, transitions)
+    best = best_recurrent_point(g, [0, 1], np.array([1.0]))
+    points = enumerate_recurrent_points(g, [0, 1])
+    assert [(p.states, p.actions) for p in points] == [((0,), {0: 0})]
+    assert (best.states, best.actions) == ((0,), {0: 0})
+    assert best_recurrent_point(g, [1], np.array([1.0])) is None
+
+
+def _assert_columns_match_enumeration(game, result, eps=0.05):
+    """Column generation and the full enumeration give the same type-A
+    verdict, slack and A/B kind on every communicating set."""
+    for cset, cls in zip(result.decomposition.sets, result.classifications):
+        target = cset.value - eps
+        points = enumerate_recurrent_points(game, cset.states)
+        want = type_a_feasibility(game, cset.states, target, points=points)
+        got = type_a_feasibility(game, cset.states, target)
+        assert (got is None) == (want is None), f"{game.name} {cset.states}"
+        if want is None:
+            continue
+        assert got.slack == pytest.approx(want.slack, abs=1e-9)
+        floor = cset.value - eps / 2.0
+        sustained = bool(np.all(want.achieved >= floor))
+        assert bool(np.all(got.achieved >= floor)) == sustained
+        if sustained:
+            assert cls.kind == "A"
+        else:
+            assert cls.kind == "B" or cls.diagnostics.get("note", "").startswith("sustain")
+
+
+def test_columns_match_enumeration_on_suite(suite_results):
+    _, results = suite_results
+    for game, res in results:
+        _assert_columns_match_enumeration(game, res)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_columns_match_enumeration_on_dense_games(n):
+    g = random_dense_game(5000 + n, n_states=n)
+    _assert_columns_match_enumeration(g, run_pipeline(g, eps=0.05,
+                                                      schedule=default_schedule(24)))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import grid_matrix_value
-from stogame.matrixgame import solve_matrix_game
+from stogame.matrixgame import _verify, solve_matrix_game
 
 
 def test_matching_pennies():
@@ -45,3 +45,16 @@ def test_minimax_inequalities(M):
     assert float(np.max(M @ sol.col_strategy)) <= sol.value + 1e-7
     np.testing.assert_allclose(sol.row_strategy.sum(), 1.0, atol=1e-9)
     np.testing.assert_allclose(sol.col_strategy.sum(), 1.0, atol=1e-9)
+
+
+def test_near_constant_matrix_solved_on_rescaled_entries():
+    # The entries spread over 1.1e-7, below HiGHS's absolute tolerances: the
+    # raw LP pair reports a duality gap of -1.1e-7.
+    M = np.array([
+        [0.5272882505219256, 0.5272883014254396, 0.5272882494240854],
+        [0.5272881895398908, 0.5272882076585059, 0.5272882495536748],
+        [0.527288255191621, 0.5272882489602788, 0.527288292654472],
+    ])
+    sol = solve_matrix_game(M)
+    assert sol.method == "lp"
+    assert _verify(M, sol.value, sol.row_strategy, sol.col_strategy, tol=1e-9)

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import optimal_average_values
 from stogame.game import StochasticGame
-from stogame.generators import random_dense_game, random_mdp, sorin_game
+from stogame.generators import random_banded_exit_game, random_dense_game, random_mdp, sorin_game
 from stogame.matrixgame import solve_matrix_game
 from stogame.minmax import (
     default_schedule,
@@ -139,3 +139,18 @@ def test_three_player_mode_flag():
 
     rep = solve_uniform_minmax(three_player_game(), schedule=default_schedule(8))
     assert "lower bound" in rep.adversary_mode
+
+
+def test_curve_keeps_solver_facts():
+    g = random_banded_exit_game(4001)
+    curve = uniform_minmax(g, 0, schedule=default_schedule(30))
+    assert len(curve.rounds) == len(curve.certified_gaps) == len(curve.stalled) == 30
+    assert all(r >= 1 for r in curve.rounds)
+    # Close to discount 1 the gap stops shrinking and the solve is cut short.
+    stalled_at = [k for k, flag in enumerate(curve.stalled) if flag]
+    assert stalled_at and min(stalled_at) >= 20
+    first, mid, last = curve.extrapolation_points
+    assert (mid, last) == (first + 1, first + 2) and last <= 29
+    doc = curve.to_dict()
+    assert [k for k, flag in enumerate(doc["stalled"]) if flag] == stalled_at
+    assert doc["extrapolation_points"] == [first, mid, last]

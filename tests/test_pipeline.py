@@ -60,3 +60,15 @@ def test_pipeline_eps_sensitivity(eps):
         assert not res.errors, res.errors
         assert res.acceptability.ok
         assert res.correlated_acceptability.ok
+
+
+@pytest.mark.parametrize("seed, n_states", [(5010, 10), (5012, 12)])
+def test_pipeline_dense_games_beyond_enumeration_reach(seed, n_states):
+    # 4^10 and 4^12 pure profiles: classification prices recurrent points
+    # instead of enumerating them.
+    from stogame.generators import random_dense_game
+
+    res = run_pipeline(random_dense_game(seed, n_states=n_states), eps=0.05,
+                       schedule=default_schedule(24))
+    assert res.ok
+    assert [c.kind for c in res.classifications] == ["A"]
