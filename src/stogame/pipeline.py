@@ -13,7 +13,7 @@ from .builder import (
     build_correlated_stationary,
     classify_set,
 )
-from .game import StochasticGame
+from .game import StochasticGame, validate_game
 from .minmax import MinMaxReport, default_schedule, solve_uniform_minmax
 from .oneshot import continuation_values, enumerate_all_states
 from .structure import Decomposition, decompose
@@ -83,15 +83,24 @@ def run_pipeline(game: StochasticGame, eps: float = 0.05, schedule=None,
     """Run the full chain on one game.
 
     Build or verification failures are collected in `errors` rather than
-    raised, so callers can report partial results.
+    raised, so callers can report partial results.  A game that fails
+    `validate_game` (say, a negative transition probability) gets its values
+    and decomposition but no classification, profile or verdict: its product
+    chain would not be a Markov chain, and no check on it would mean anything.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
+    problems = validate_game(game)
     schedule = default_schedule() if schedule is None else list(schedule)
     minmax = solve_uniform_minmax(game, schedule=schedule, tol=solver_tol)
     v1 = minmax.uniform_values
     eq_sets = enumerate_all_states(game, v1, exact_tol=eq_tol)
     decomposition = decompose(game, eq_sets, v1, tol_v=tol_v)
+    if problems:
+        result = PipelineResult(game, eps, minmax, v1, eq_sets, decomposition, [])
+        result.errors.append(f"invalid game: {len(problems)} violations, "
+                             f"first {problems[0]}")
+        return result
     u_star = continuation_values(game, v1)
     classifications = [
         classify_set(game, cset, v1, eps, u_star)

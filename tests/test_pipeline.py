@@ -72,3 +72,20 @@ def test_pipeline_dense_games_beyond_enumeration_reach(seed, n_states):
                        schedule=default_schedule(24))
     assert res.ok
     assert [c.kind for c in res.classifications] == ["A"]
+
+
+def test_pipeline_gives_no_verdict_on_an_invalid_game():
+    # A negative transition probability: the product chain of any profile
+    # would have rows that are not distributions, so nothing is verified.
+    from stogame.generators import random_dense_game
+
+    base = random_dense_game(1003, n_states=3)
+    transitions = base.transitions.copy()
+    transitions[0, 0] = [1.05, -0.05, 0.0]
+    game = StochasticGame(base.state_names, base.action_names, base.payoffs,
+                          transitions, name="negative-probability")
+    res = run_pipeline(game, eps=0.05, schedule=default_schedule(18))
+    assert not res.ok
+    assert res.classifications == [] and res.profile is None
+    assert len(res.errors) == 1 and res.errors[0].startswith("invalid game: 1 violations")
+    assert res.v1.shape == (3, 2)
