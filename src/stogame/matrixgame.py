@@ -1,10 +1,11 @@
 """Zero-sum matrix game values and optimal mixed strategies.
 
 The row player maximizes, the column player minimizes.  Degenerate shapes
-and 2x2 games are solved in closed form; everything else goes through two
-linear programs (one per side), solved with HiGHS.  A pair that fails the
-duality-gap or minimax check is solved once more on the matrix rescaled onto
-[0, 1], where the solver's absolute tolerances fit the entries' spread.
+and 2x2 games are solved in closed form (`closed_form_2x2` takes a whole
+stack of 2x2 games at once); everything else goes through two linear
+programs (one per side), solved with HiGHS.  A pair that fails, or fails the
+duality-gap or minimax check, is solved once more on the matrix rescaled
+onto [0, 1], where the solver's absolute tolerances fit the entries' spread.
 """
 
 from __future__ import annotations
@@ -25,34 +26,41 @@ class MatrixGameSolution:
     method: str
 
 
-def _verify(M, value, x, y, tol=MINIMAX_TOL) -> bool:
-    guarantee_row = float(np.min(x @ M))
-    guarantee_col = float(np.max(M @ y))
-    return guarantee_row >= value - tol and guarantee_col <= value + tol
+def _verify(M, value, x, y, tol=MINIMAX_TOL):
+    """Minimax check of (value, x, y).  M may be a stack (..., m, n) with
+    matching stacks of values and mixes; the result is then a mask."""
+    guarantee_row = (x[..., None, :] @ M).min(axis=(-2, -1))
+    guarantee_col = (M @ y[..., None]).max(axis=(-2, -1))
+    return (guarantee_row >= value - tol) & (guarantee_col <= value + tol)
 
 
-def _solve_2x2(M):
-    # Saddle point scan first.
-    row_mins = M.min(axis=1)
-    col_maxs = M.max(axis=0)
-    maximin = row_mins.max()
-    minimax = col_maxs.min()
-    if maximin >= minimax - 1e-15:
-        i = int(np.argmax(row_mins))
-        j = int(np.argmin(col_maxs))
-        x = np.zeros(2)
-        y = np.zeros(2)
-        x[i] = 1.0
-        y[j] = 1.0
-        return float(M[i, j]), x, y
-    a, b = M[0]
-    c, d = M[1]
-    denom = a + d - b - c
-    x1 = (d - c) / denom
-    y1 = (d - b) / denom
-    x = np.array([x1, 1.0 - x1])
-    y = np.array([y1, 1.0 - y1])
-    return float((a * d - b * c) / denom), x, y
+def closed_form_2x2(M):
+    """Closed form of a stack of 2x2 games, M of shape (S, 2, 2).
+
+    Each game is scanned for a saddle point first; the others get the
+    equalizing mixes.  Returns (values, row mixes, column mixes, ok), where
+    ok marks the games whose closed form passes the minimax check; the
+    others (nearly constant mixed games, whose closed form loses its digits
+    to cancellation) need the LP.
+    """
+    states = np.arange(M.shape[0])
+    row_mins = M.min(axis=2)
+    col_maxs = M.max(axis=1)
+    i = row_mins.argmax(axis=1)
+    j = col_maxs.argmin(axis=1)
+    saddle = row_mins[states, i] >= col_maxs[states, j] - 1e-15
+    a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = a + d - b - c
+        x1 = (d - c) / denom
+        y1 = (d - b) / denom
+        mixed = (a * d - b * c) / denom
+    value = np.where(saddle, M[states, i, j], mixed)
+    x = np.where(saddle[:, None], np.eye(2)[i], np.stack([x1, 1.0 - x1], axis=1))
+    y = np.where(saddle[:, None], np.eye(2)[j], np.stack([y1, 1.0 - y1], axis=1))
+    with np.errstate(invalid="ignore"):
+        ok = _verify(M, value, x, y)
+    return value, x, y, ok
 
 
 def _lp_row(M):
@@ -99,16 +107,21 @@ def solve_matrix_game(M) -> MatrixGameSolution:
         y[j] = 1.0
         return MatrixGameSolution(float(M[0, j]), np.ones(1), y, "pure")
     if (m, n) == (2, 2):
-        value, x, y = _solve_2x2(M)
-        if _verify(M, value, x, y):
-            return MatrixGameSolution(value, x, y, "closed-form")
+        value, x, y, ok = closed_form_2x2(M[None])
+        if ok[0]:
+            return MatrixGameSolution(float(value[0]), x[0], y[0], "closed-form")
         # Degenerate 2x2 falls through to the LP.
 
-    x, y, value, gap = _lp_pair(M)
-    if abs(gap) <= 1e-7 and _verify(M, value, x, y, tol=1e-7):
-        return MatrixGameSolution(value, x, y, "lp")
+    try:
+        x, y, value, gap = _lp_pair(M)
+    except RuntimeError:
+        pass  # HiGHS gave up on the raw entries; the rescaled retry may not
+    else:
+        if abs(gap) <= 1e-7 and _verify(M, value, x, y, tol=1e-7):
+            return MatrixGameSolution(value, x, y, "lp")
     # HiGHS's absolute tolerances can exceed the span of a near-constant
-    # matrix; solve once more with the entries rescaled onto [0, 1].
+    # matrix, or its status can come back unknown; solve once more with the
+    # entries rescaled onto [0, 1].
     lo = float(M.min())
     span = float(M.max()) - lo
     if span == 0.0:

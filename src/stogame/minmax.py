@@ -12,6 +12,16 @@ strategies; exact best-response MDP solves (policy iteration) then produce a
 certified upper bound (protected player responds) and lower bound (coalition
 responds), and the loop stops once the sandwich closes.  This keeps the cost
 independent of the discount factor, which matters close to 1.
+
+Each round is batched over states: the 2x2 one-shot games are solved as one
+stack (`closed_form_2x2`), one einsum builds each best-response MDP's
+transitions, and one policy iteration solves both sides' MDPs together when
+they have the same shape.  The stage payoffs stay one matrix-vector product
+per state, built in `view.index`'s memory order exactly as the per-state
+solve built them: a batched product may round the last bit differently, and
+the Aitken step of `uniform_minmax` magnifies one bit into shifts of the
+uniform value of up to 6e-9.  The batched solve is bit-identical to the
+per-state one (`tests/oracles.py` keeps that one as the reference).
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import numpy as np
 
 from ._util import json_ready
 from .game import StochasticGame
-from .matrixgame import solve_matrix_game
+from .matrixgame import closed_form_2x2, solve_matrix_game
 
 ITERATION_CAP = 10**6
 
@@ -55,66 +65,97 @@ def shapley_operator(game: StochasticGame, i: int, lam: float, v: np.ndarray,
     """One application of the min-max dynamic-programming operator.
 
     Returns (Tv, row strategies, column strategies), where row strategies are
-    the protected player's per-state optimal mixes and column strategies the
-    coalition's, both for the one-shot games at v.
+    the protected player's per-state optimal mixes (S, own) and column
+    strategies the coalition's (S, other), both for the one-shot games at v.
+    2x2 games are solved as one stack; a state whose closed form fails the
+    minimax check, and every larger game, goes through `solve_matrix_game`.
     """
     view = view or player_view(game, i)
     q_flat = (1.0 - lam) * game.payoffs[:, :, i] + lam * (game.transitions @ v)
-    Tv = np.empty(game.n_states)
-    rows = []
-    cols = []
-    for s in range(game.n_states):
-        sol = solve_matrix_game(q_flat[s][view.index])
+    Q = q_flat[:, view.index]
+    if Q.shape[1:] == (2, 2):
+        Tv, rows, cols, ok = closed_form_2x2(Q)
+    else:
+        Tv = np.empty(game.n_states)
+        rows = np.empty((game.n_states, view.own))
+        cols = np.empty((game.n_states, view.other))
+        ok = np.zeros(game.n_states, dtype=bool)
+    for s in np.flatnonzero(~ok):
+        sol = solve_matrix_game(Q[s])
         Tv[s] = sol.value
-        rows.append(sol.row_strategy)
-        cols.append(sol.col_strategy)
+        rows[s] = sol.row_strategy
+        cols[s] = sol.col_strategy
     return Tv, rows, cols
 
 
-def _policy_iteration(R: np.ndarray, P: np.ndarray, lam: float, maximize: bool,
+def _policy_iteration(R: np.ndarray, P: np.ndarray, lam: float,
                       cap: int = 10_000) -> np.ndarray:
-    """Exact discounted MDP solve.  R is (S, A), P is (S, A, S)."""
-    n_states, n_actions = R.shape
-    sign = 1.0 if maximize else -1.0
-    policy = np.argmax(sign * R, axis=1)
+    """Exact discounted solve of a stack of maximizing MDPs.
+
+    R is (B, S, A) and P is (B, S, A, S); returns the (B, S) optimal values.
+    Every MDP improves its own policy; one that has converged keeps its policy
+    and so its value while the others go on.
+    """
+    n_mdps, n_states, _ = R.shape
+    mdps = np.arange(n_mdps)[:, None]
+    states = np.arange(n_states)
+    policy = np.argmax(R, axis=2)
     eye = np.eye(n_states)
-    value = None
     for _ in range(cap):
-        P_pi = P[np.arange(n_states), policy]
-        r_pi = R[np.arange(n_states), policy]
-        value = np.linalg.solve(eye - lam * P_pi, r_pi)
-        q = R + lam * (P @ value)
-        improved = np.argmax(sign * q, axis=1)
-        gains = sign * (q[np.arange(n_states), improved] - q[np.arange(n_states), policy])
+        P_pi = P[mdps, states, policy]
+        r_pi = R[mdps, states, policy]
+        value = np.linalg.solve(eye - lam * P_pi, r_pi[..., None])[..., 0]
+        q = R + lam * (P @ value[:, None, :, None])[..., 0]
+        improved = np.argmax(q, axis=2)
+        gains = q[mdps, states, improved] - q[mdps, states, policy]
         if np.all(gains <= 1e-13):
             return value
         policy = np.where(gains > 1e-13, improved, policy)
     raise RuntimeError("policy iteration did not terminate")
 
 
-def _response_mdp(game: StochasticGame, view: _PlayerView, lam: float,
-                  fixed, fix_rows: bool):
-    """Stage data of the best-response MDP when one side plays `fixed`.
+def _stage_data(game: StochasticGame, view: _PlayerView, lam: float):
+    """Stage payoffs and transitions of player view.player's one-shot games
+    at discount lam: a list of per-state (own, other) payoff matrices and the
+    (S, own, other, S) transition stack.
+
+    Each payoff matrix is built on its own, so it keeps the memory order of
+    `view.index` (transposed for player 1): BLAS rounds a matrix-vector
+    product differently in the other order."""
+    i = view.player
+    U = [(1.0 - lam) * game.payoffs[s, :, i][view.index] for s in range(game.n_states)]
+    return U, np.ascontiguousarray(game.transitions[:, view.index])
+
+
+def _response_mdp(U: list, T: np.ndarray, fixed: np.ndarray, fix_rows: bool):
+    """Stage data (R, P) of the best-response MDP when one side plays `fixed`.
 
     fix_rows=True freezes the protected player's mixes (coalition decides);
     otherwise the coalition mixes are frozen and the protected player decides.
+    The payoff products stay one per state (see the module docstring).
     """
-    i = view.player
-    n_states = game.n_states
-    n_act = view.other if fix_rows else view.own
-    R = np.empty((n_states, n_act))
-    P = np.empty((n_states, n_act, n_states))
-    for s in range(n_states):
-        u_mat = (1.0 - lam) * game.payoffs[s, :, i][view.index]
-        t_mat = game.transitions[s][view.index]
-        w = np.asarray(fixed[s])
-        if fix_rows:
-            R[s] = w @ u_mat
-            P[s] = np.einsum("r,rct->ct", w, t_mat)
-        else:
-            R[s] = u_mat @ w
-            P[s] = np.einsum("rct,c->rt", t_mat, w)
+    if fix_rows:
+        R = np.stack([w @ u for u, w in zip(U, fixed)])
+        P = np.einsum("sr,srct->sct", fixed, T)
+    else:
+        R = np.stack([u @ w for u, w in zip(U, fixed)])
+        P = np.einsum("srct,sc->srt", T, fixed)
     return R, P
+
+
+def _response_values(U, T, lam, rows, cols):
+    """Exact best-response values (upper, lower): the protected player's
+    against the coalition's mixes `cols`, and the coalition's against `rows`.
+    The coalition minimizes, so its MDP is solved as a maximization of -R."""
+    R_up, P_up = _response_mdp(U, T, cols, fix_rows=False)
+    R_lo, P_lo = _response_mdp(U, T, rows, fix_rows=True)
+    if R_up.shape == R_lo.shape:
+        v_up, v_lo = _policy_iteration(np.stack([R_up, -R_lo]),
+                                       np.stack([P_up, P_lo]), lam)
+    else:
+        v_up = _policy_iteration(R_up[None], P_up[None], lam)[0]
+        v_lo = _policy_iteration(-R_lo[None], P_lo[None], lam)[0]
+    return v_up, -v_lo
 
 
 def discounted_minmax(game: StochasticGame, i: int, lam: float, tol: float = 1e-9,
@@ -130,6 +171,7 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float, tol: float = 1e-
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"discount factor {lam} outside [0, 1)")
     view = player_view(game, i)
+    U, T = _stage_data(game, view, lam)
     v = np.zeros(game.n_states) if v0 is None else np.array(v0, dtype=float)
     ops = 0
     rounds = 0
@@ -139,10 +181,7 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float, tol: float = 1e-
     while True:
         Tv, rows, cols = shapley_operator(game, i, lam, v, view)
         rounds += 1
-        R_up, P_up = _response_mdp(game, view, lam, cols, fix_rows=False)
-        v_up = _policy_iteration(R_up, P_up, lam, maximize=True)
-        R_lo, P_lo = _response_mdp(game, view, lam, rows, fix_rows=True)
-        v_lo = _policy_iteration(R_lo, P_lo, lam, maximize=False)
+        v_up, v_lo = _response_values(U, T, lam, rows, cols)
         gap = float(np.max(np.abs(v_up - v_lo)))
         if gap < best_gap * 0.9:
             best_gap = gap

@@ -222,3 +222,75 @@ def empirical_frequency(game, table, s1: int, steps: int, seed: int) -> np.ndarr
             counts[s][a] += 1
             s = min(bisect.bisect_left(cum_q[s][a], u[k + 1]), last_s)
     return np.array(counts, dtype=float) / steps
+
+
+# Per-state reference forms of the min-max stage's batched numerics.  They
+# keep the loop-per-state arithmetic, so the batched code must match them bit
+# for bit.
+
+def solve_2x2_oracle(M: np.ndarray):
+    """Closed form of one 2x2 game: (value, x, y, passes the minimax check)."""
+    row_mins = M.min(axis=1)
+    col_maxs = M.max(axis=0)
+    if row_mins.max() >= col_maxs.min() - 1e-15:
+        i = int(np.argmax(row_mins))
+        j = int(np.argmin(col_maxs))
+        x = np.zeros(2)
+        y = np.zeros(2)
+        x[i] = 1.0
+        y[j] = 1.0
+        value = float(M[i, j])
+    else:
+        a, b = M[0]
+        c, d = M[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            denom = a + d - b - c
+            x1 = (d - c) / denom
+            y1 = (d - b) / denom
+            value = float((a * d - b * c) / denom)
+        x = np.array([x1, 1.0 - x1])
+        y = np.array([y1, 1.0 - y1])
+    with np.errstate(invalid="ignore"):
+        ok = (float(np.min(x @ M)) >= value - 1e-9
+              and float(np.max(M @ y)) <= value + 1e-9)
+    return value, x, y, ok
+
+
+def response_mdp_oracle(game, view, lam: float, fixed, fix_rows: bool):
+    """Best-response MDP (R, P) built one state at a time."""
+    i = view.player
+    n_states = game.n_states
+    n_act = view.other if fix_rows else view.own
+    R = np.empty((n_states, n_act))
+    P = np.empty((n_states, n_act, n_states))
+    for s in range(n_states):
+        u_mat = (1.0 - lam) * game.payoffs[s, :, i][view.index]
+        t_mat = game.transitions[s][view.index]
+        w = np.asarray(fixed[s])
+        if fix_rows:
+            R[s] = w @ u_mat
+            P[s] = np.einsum("r,rct->ct", w, t_mat)
+        else:
+            R[s] = u_mat @ w
+            P[s] = np.einsum("rct,c->rt", t_mat, w)
+    return R, P
+
+
+def policy_iteration_oracle(R: np.ndarray, P: np.ndarray, lam: float,
+                            maximize: bool, cap: int = 10_000) -> np.ndarray:
+    """Discounted solve of one MDP, R (S, A) and P (S, A, S), maximizing or
+    minimizing."""
+    n_states = R.shape[0]
+    states = np.arange(n_states)
+    sign = 1.0 if maximize else -1.0
+    policy = np.argmax(sign * R, axis=1)
+    eye = np.eye(n_states)
+    for _ in range(cap):
+        value = np.linalg.solve(eye - lam * P[states, policy], R[states, policy])
+        q = R + lam * (P @ value)
+        improved = np.argmax(sign * q, axis=1)
+        gains = sign * (q[states, improved] - q[states, policy])
+        if np.all(gains <= 1e-13):
+            return value
+        policy = np.where(gains > 1e-13, improved, policy)
+    raise RuntimeError("policy iteration did not terminate")

@@ -1,11 +1,22 @@
 import numpy as np
 import pytest
 
-from oracles import optimal_average_values
+from oracles import optimal_average_values, policy_iteration_oracle, response_mdp_oracle
 from stogame.game import StochasticGame
-from stogame.generators import random_banded_exit_game, random_dense_game, random_mdp, sorin_game
+from stogame.generators import (
+    acceptance_suite,
+    random_banded_exit_game,
+    random_dense_game,
+    random_mdp,
+    sorin_game,
+    three_player_game,
+)
 from stogame.matrixgame import solve_matrix_game
 from stogame.minmax import (
+    _policy_iteration,
+    _response_mdp,
+    _response_values,
+    _stage_data,
     default_schedule,
     discounted_minmax,
     player_view,
@@ -154,3 +165,51 @@ def test_curve_keeps_solver_facts():
     doc = curve.to_dict()
     assert [k for k, flag in enumerate(doc["stalled"]) if flag] == stalled_at
     assert doc["extrapolation_points"] == [first, mid, last]
+
+
+def _assert_batched_stage_matches_per_state(game, rng):
+    for i in range(game.n_players):
+        view = player_view(game, i)
+        for lam in (0.5, 0.99, 1.0 - 2.0**-20):
+            U, T = _stage_data(game, view, lam)
+            v = rng.uniform(-1.0, 1.0, game.n_states)
+            _, rows, cols = shapley_operator(game, i, lam, v, view)
+            R_up, P_up = response_mdp_oracle(game, view, lam, cols, fix_rows=False)
+            R_lo, P_lo = response_mdp_oracle(game, view, lam, rows, fix_rows=True)
+            for got, want in ((_response_mdp(U, T, cols, fix_rows=False), (R_up, P_up)),
+                              (_response_mdp(U, T, rows, fix_rows=True), (R_lo, P_lo))):
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+            v_up, v_lo = _response_values(U, T, lam, rows, cols)
+            assert np.array_equal(v_up, policy_iteration_oracle(R_up, P_up, lam, maximize=True))
+            assert np.array_equal(v_lo, policy_iteration_oracle(R_lo, P_lo, lam, maximize=False))
+
+
+def test_batched_response_mdps_match_per_state_oracle_on_suite():
+    rng = np.random.default_rng(0)
+    for game in acceptance_suite():
+        _assert_batched_stage_matches_per_state(game, rng)
+
+
+@pytest.mark.parametrize("game", [
+    random_dense_game(6003, n_states=4, n_actions=3),
+    random_dense_game(5020, n_states=20),
+    three_player_game(),  # own and coalition sides differ in size
+], ids=["3x3", "20-state", "three-player"])
+def test_batched_response_mdps_match_per_state_oracle(game):
+    _assert_batched_stage_matches_per_state(game, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_policy_iteration_matches_single_mdp_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n_states, n_actions = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+    R = rng.uniform(-1.0, 1.0, (2, n_states, n_actions))
+    P = rng.dirichlet(np.ones(n_states), (2, n_states, n_actions))
+    for lam in (0.3, 0.9, 0.9999):
+        maxed = _policy_iteration(R, P, lam)
+        mined = -_policy_iteration(-R, P, lam)
+        for b in range(2):
+            assert np.array_equal(maxed[b], policy_iteration_oracle(R[b], P[b], lam, True))
+            assert np.array_equal(mined[b], policy_iteration_oracle(R[b], P[b], lam, False))
+            assert np.array_equal(_policy_iteration(R[b:b + 1], P[b:b + 1], lam)[0], maxed[b])
