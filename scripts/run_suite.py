@@ -5,8 +5,10 @@ Usage: python scripts/run_suite.py [--eps 0.05] [--depth 24] [--json out.json]
 
 Per game the table shows the set kinds, the transient-state count, the
 recurrent points priced by the sustainability test's column generation over
-all sets (cols=), the worst individual-rationality gain, the submartingale
-drift and the wall time.  The --json rows are `PipelineResult.summary()`.
+all sets (cols=), the min-max strategy-iteration rounds over all players and
+discounts (rounds=), the worst individual-rationality gain, the submartingale
+drift and the wall time; the last line adds the suite's total rounds.  The
+--json rows are `PipelineResult.summary()`.
 """
 
 import argparse
@@ -28,6 +30,7 @@ def main() -> int:
 
     schedule = default_schedule(args.depth)
     rows = []
+    total_rounds = 0
     start = time.monotonic()
     for game in acceptance_suite():
         t0 = time.monotonic()
@@ -37,14 +40,16 @@ def main() -> int:
         rows.append(summ)
         flag = "ok " if summ["ok"] else "FAIL"
         cols = sum(c.diagnostics.get("sustain_columns", 0) for c in res.classifications)
+        rounds = sum(sum(curve.rounds) for curve in res.minmax.curves)
+        total_rounds += rounds
         print(f"{flag} {summ['game']:22s} sets={''.join(summ['kinds']):6s} "
-              f"tr={len(summ['transient'])} cols={cols:<3d} "
+              f"tr={len(summ['transient'])} cols={cols:<3d} rounds={rounds:<4d} "
               f"ir={summ['ir_worst_gain']:.4f} "
               f"drift={summ['submartingale_min_drift']:+.2e} "
               f"t={summ['seconds']:.2f}s")
     total = time.monotonic() - start
     n_ok = sum(1 for r in rows if r["ok"])
-    print(f"\n{n_ok}/{len(rows)} games ok in {total:.1f}s")
+    print(f"\n{n_ok}/{len(rows)} games ok in {total:.1f}s, {total_rounds} min-max rounds")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(json_ready(rows), fh, indent=2, sort_keys=True)

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 failed verdicts (validation violations, acceptability
-failures, unclassifiable sets), 2 file or parse errors.  Every command writes
-a deterministic JSON artifact into the output directory.
+failures, unclassifiable sets, pipeline errors), 2 file or parse errors.
+Every command writes a deterministic JSON artifact into the output directory.
 """
 
 from __future__ import annotations
@@ -119,14 +119,17 @@ def cmd_decompose(args) -> int:
         "uniform_values": json_ready(res.v1),
         "decomposition": res.decomposition.to_dict(),
         "classifications": [c.to_dict() for c in res.classifications],
+        "errors": res.errors,
     }
     dump_json(doc, os.path.join(_outdir(args), "decompose.json"))
     for cset, cls in zip(res.decomposition.sets, res.classifications):
         names = [game.state_names[s] for s in cset.states]
         print(f"set {names}: value {np.round(cset.value, 6).tolist()}, kind {cls.kind}")
     print(f"transient: {[game.state_names[s] for s in res.decomposition.transient]}")
+    for err in res.errors:
+        print(f"error: {err}")
     bad = [k for k, c in enumerate(res.classifications) if c.kind == "unclassifiable"]
-    return 1 if bad else 0
+    return 1 if bad or res.errors else 0
 
 
 def cmd_build(args) -> int:

@@ -29,8 +29,8 @@ class MatrixGameSolution:
 def _verify(M, value, x, y, tol=MINIMAX_TOL):
     """Minimax check of (value, x, y).  M may be a stack (..., m, n) with
     matching stacks of values and mixes; the result is then a mask."""
-    guarantee_row = (x[..., None, :] @ M).min(axis=(-2, -1))
-    guarantee_col = (M @ y[..., None]).max(axis=(-2, -1))
+    guarantee_row = (x[..., None, :] @ M)[..., 0, :].min(axis=-1)
+    guarantee_col = (M @ y[..., None])[..., 0].max(axis=-1)
     return (guarantee_row >= value - tol) & (guarantee_col <= value + tol)
 
 
@@ -41,26 +41,31 @@ def closed_form_2x2(M):
     equalizing mixes.  Returns (values, row mixes, column mixes, ok), where
     ok marks the games whose closed form passes the minimax check; the
     others (nearly constant mixed games, whose closed form loses its digits
-    to cancellation) need the LP.
+    to cancellation) need the LP.  Both sides' mixes are built as one
+    (2, S, 2) array: a mix's second entry is always one minus its first.
     """
-    states = np.arange(M.shape[0])
-    row_mins = M.min(axis=2)
-    col_maxs = M.max(axis=1)
-    i = row_mins.argmax(axis=1)
-    j = col_maxs.argmin(axis=1)
-    saddle = row_mins[states, i] >= col_maxs[states, j] - 1e-15
-    a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
+    n = len(M)
+    entries = M.reshape(n, 4).T
+    a, b, c, d = entries
+    # Row minima and negated column maxima, the two sides' security levels
+    # per action: one argmax gives both pure candidates (i, j).
+    levels = np.empty((2, 2, n))
+    np.minimum(entries[0::2], entries[1::2], out=levels[0])
+    np.maximum(entries[:2], entries[2:], out=levels[1])
+    np.negative(levels[1], out=levels[1])
+    i, j = pure = levels.argmax(axis=1)
+    best = np.maximum(levels[:, 0], levels[:, 1])
+    saddle = best[0] >= -1e-15 - best[1]
+    mixes = np.empty((2, n, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = a + d - b - c
-        x1 = (d - c) / denom
-        y1 = (d - b) / denom
-        mixed = (a * d - b * c) / denom
-    value = np.where(saddle, M[states, i, j], mixed)
-    x = np.where(saddle[:, None], np.eye(2)[i], np.stack([x1, 1.0 - x1], axis=1))
-    y = np.where(saddle[:, None], np.eye(2)[j], np.stack([y1, 1.0 - y1], axis=1))
-    with np.errstate(invalid="ignore"):
-        ok = _verify(M, value, x, y)
-    return value, x, y, ok
+        value = np.where(saddle, M[np.arange(n), i, j], (a * d - b * c) / denom)
+        # First entries: the pure actions' indicators, or (d - c, d - b) / denom.
+        first = np.where(saddle, pure == 0, (d - entries[2:0:-1]) / denom)
+        mixes[:, :, 0] = first
+        np.subtract(1.0, first, out=mixes[:, :, 1])
+        ok = _verify(M, value, mixes[0], mixes[1])
+    return value, mixes[0], mixes[1], ok
 
 
 def _lp_row(M):

@@ -16,16 +16,25 @@ independent of the discount factor, which matters close to 1.
 Each round is batched over states: the 2x2 one-shot games are solved as one
 stack (`closed_form_2x2`), one einsum builds each best-response MDP's
 transitions, and one policy iteration solves both sides' MDPs together when
-they have the same shape.  The stage payoffs stay one matrix-vector product
-per state, built in `view.index`'s memory order exactly as the per-state
-solve built them: a batched product may round the last bit differently, and
-the Aitken step of `uniform_minmax` magnifies one bit into shifts of the
-uniform value of up to 6e-9.  The batched solve is bit-identical to the
-per-state one (`tests/oracles.py` keeps that one as the reference).
+they have the same shape.  What depends only on the game, the player and the
+discount is built once per discounted solve (`_Stage`): the scaled stage
+payoffs, their per-state matrices, the transition stack and policy
+iteration's identity and row-start arrays.  Each round writes its two
+best-response MDPs in place into one reward and one transition stack.
+
+The stage-payoff products stay one BLAS matrix-vector product per state, on
+a matrix in `view.index`'s memory order (transposed for player 1), exactly
+as the per-state solve computed them; a stacked matmul of matrix-by-vector
+items hands each item to BLAS on its own, so it keeps that rounding.  An
+einsum or a C-ordered stack rounds the last bit differently, and the Aitken
+step of `uniform_minmax` magnifies one bit into shifts of the uniform value
+of up to 3e-6.  The batched solve is bit-identical to the per-state one
+(`tests/oracles.py` keeps that one as the reference).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,9 +64,33 @@ class _PlayerView:
 
 def player_view(game: StochasticGame, i: int) -> _PlayerView:
     counts = game.action_counts
-    grid = np.arange(game.n_profiles).reshape(counts)
-    mat = np.moveaxis(grid, i, 0).reshape(counts[i], -1)
+    grid = np.arange(math.prod(counts)).reshape(counts)
+    # Player i's axis first, the others in order (np.moveaxis(grid, i, 0)).
+    order = [i] + [k for k in range(len(counts)) if k != i]
+    mat = grid.transpose(order).reshape(counts[i], -1)
     return _PlayerView(i, counts[i], mat.shape[1], mat)
+
+
+def _one_shot(payoff, transitions, index, lam, v):
+    """Tv and both sides' one-shot mixes at v; payoff is the scaled stage
+    payoff (1 - lam) * payoffs[:, :, i] over flat profiles."""
+    Q = (payoff + lam * (transitions @ v))[:, index]
+    if Q.shape[1:] == (2, 2):
+        Tv, rows, cols, ok = closed_form_2x2(Q)
+        if ok.all():
+            return Tv, rows, cols
+    else:
+        n_states, own, other = Q.shape
+        Tv = np.empty(n_states)
+        rows = np.empty((n_states, own))
+        cols = np.empty((n_states, other))
+        ok = np.zeros(n_states, dtype=bool)
+    for s in np.flatnonzero(~ok):
+        sol = solve_matrix_game(Q[s])
+        Tv[s] = sol.value
+        rows[s] = sol.row_strategy
+        cols[s] = sol.col_strategy
+    return Tv, rows, cols
 
 
 def shapley_operator(game: StochasticGame, i: int, lam: float, v: np.ndarray,
@@ -71,91 +104,100 @@ def shapley_operator(game: StochasticGame, i: int, lam: float, v: np.ndarray,
     minimax check, and every larger game, goes through `solve_matrix_game`.
     """
     view = view or player_view(game, i)
-    q_flat = (1.0 - lam) * game.payoffs[:, :, i] + lam * (game.transitions @ v)
-    Q = q_flat[:, view.index]
-    if Q.shape[1:] == (2, 2):
-        Tv, rows, cols, ok = closed_form_2x2(Q)
-    else:
-        Tv = np.empty(game.n_states)
-        rows = np.empty((game.n_states, view.own))
-        cols = np.empty((game.n_states, view.other))
-        ok = np.zeros(game.n_states, dtype=bool)
-    for s in np.flatnonzero(~ok):
-        sol = solve_matrix_game(Q[s])
-        Tv[s] = sol.value
-        rows[s] = sol.row_strategy
-        cols[s] = sol.col_strategy
-    return Tv, rows, cols
+    return _one_shot((1.0 - lam) * game.payoffs[:, :, i], game.transitions,
+                     view.index, lam, v)
 
 
-def _policy_iteration(R: np.ndarray, P: np.ndarray, lam: float,
-                      cap: int = 10_000) -> np.ndarray:
+def _policy_iteration(R: np.ndarray, P: np.ndarray, lam: float, eye: np.ndarray,
+                      starts: np.ndarray, cap: int = 10_000) -> np.ndarray:
     """Exact discounted solve of a stack of maximizing MDPs.
 
-    R is (B, S, A) and P is (B, S, A, S); returns the (B, S) optimal values.
-    Every MDP improves its own policy; one that has converged keeps its policy
-    and so its value while the others go on.
+    R is (B, S, A) and P is (B, S, A, S); eye is the (S, S) identity and
+    starts the (B, S) flat index in R of each state's first action (see
+    `_solver_arrays`).  Returns the (B, S) optimal values.  Every MDP
+    improves its own policy; one that has converged keeps its policy and so
+    its value while the others go on.
     """
-    n_mdps, n_states, _ = R.shape
-    mdps = np.arange(n_mdps)[:, None]
-    states = np.arange(n_states)
-    policy = np.argmax(R, axis=2)
-    eye = np.eye(n_states)
+    R_flat = R.reshape(-1)
+    P_rows = P.reshape(-1, P.shape[-1])
+    picked = starts + R.argmax(axis=2)  # flat index of each state's action
     for _ in range(cap):
-        P_pi = P[mdps, states, policy]
-        r_pi = R[mdps, states, policy]
-        value = np.linalg.solve(eye - lam * P_pi, r_pi[..., None])[..., 0]
-        q = R + lam * (P @ value[:, None, :, None])[..., 0]
-        improved = np.argmax(q, axis=2)
-        gains = q[mdps, states, improved] - q[mdps, states, policy]
-        if np.all(gains <= 1e-13):
+        value = np.linalg.solve(eye - lam * P_rows.take(picked, axis=0),
+                                R_flat.take(picked)[..., None])[..., 0]
+        q = lam * (P @ value[:, None, :, None])[..., 0]
+        q += R
+        gains = q.max(axis=2) - q.reshape(-1).take(picked)
+        if (gains <= 1e-13).all():
             return value
-        policy = np.where(gains > 1e-13, improved, policy)
+        picked = np.where(gains > 1e-13, starts + q.argmax(axis=2), picked)
     raise RuntimeError("policy iteration did not terminate")
 
 
-def _stage_data(game: StochasticGame, view: _PlayerView, lam: float):
-    """Stage payoffs and transitions of player view.player's one-shot games
-    at discount lam: a list of per-state (own, other) payoff matrices and the
-    (S, own, other, S) transition stack.
-
-    Each payoff matrix is built on its own, so it keeps the memory order of
-    `view.index` (transposed for player 1): BLAS rounds a matrix-vector
-    product differently in the other order."""
-    i = view.player
-    U = [(1.0 - lam) * game.payoffs[s, :, i][view.index] for s in range(game.n_states)]
-    return U, np.ascontiguousarray(game.transitions[:, view.index])
+def _solver_arrays(R: np.ndarray):
+    """The identity and row-start arrays `_policy_iteration` takes for a
+    reward stack shaped like R."""
+    n_mdps, n_states, n_actions = R.shape
+    return np.eye(n_states), np.arange(0, R.size, n_actions).reshape(n_mdps, n_states)
 
 
-def _response_mdp(U: list, T: np.ndarray, fixed: np.ndarray, fix_rows: bool):
-    """Stage data (R, P) of the best-response MDP when one side plays `fixed`.
+class _Stage:
+    """Player view.player's stage games at discount lam.
 
-    fix_rows=True freezes the protected player's mixes (coalition decides);
-    otherwise the coalition mixes are frozen and the protected player decides.
-    The payoff products stay one per state (see the module docstring).
+    Built once per discounted solve: the scaled stage payoffs, their
+    per-state (own, other) matrices U, the (S, own, other, S) transition
+    stack T and policy iteration's arrays.  Each round writes its two
+    best-response MDPs into the same buffers: the upper one (R_up, P_up),
+    where the coalition's mixes are fixed and the protected player decides,
+    and the lower one (R_lo, P_lo), where the protected player's mixes are
+    fixed and the coalition decides.  Both form one (2, S, A) reward and one
+    (2, S, A, S) transition stack when the two sides have the same number
+    of actions, otherwise a stack of one each.
     """
-    if fix_rows:
-        R = np.stack([w @ u for u, w in zip(U, fixed)])
-        P = np.einsum("sr,srct->sct", fixed, T)
-    else:
-        R = np.stack([u @ w for u, w in zip(U, fixed)])
-        P = np.einsum("srct,sc->srt", T, fixed)
-    return R, P
 
+    def __init__(self, game: StochasticGame, view: _PlayerView, lam: float):
+        n = game.n_states
+        self.lam = lam
+        self.payoff = (1.0 - lam) * game.payoffs[:, :, view.player]
+        # Every state's matrix in view.index's memory order, as
+        # payoff[s][view.index] has it (Fortran order for a transposed view):
+        # BLAS rounds a matrix-vector product differently in the other order.
+        if view.index.flags.c_contiguous:
+            self.U = np.ascontiguousarray(self.payoff[:, view.index])
+        else:
+            self.U = np.ascontiguousarray(self.payoff[:, view.index.T]).transpose(0, 2, 1)
+        self.T = np.ascontiguousarray(game.transitions[:, view.index])
+        if view.own == view.other:
+            stacks = [(np.empty((2, n, view.own)), np.empty((2, n, view.own, n)))]
+            (self.R_up, self.R_lo), (self.P_up, self.P_lo) = stacks[0]
+        else:
+            stacks = [(np.empty((1, n, a)), np.empty((1, n, a, n)))
+                      for a in (view.own, view.other)]
+            (self.R_up,), (self.P_up,) = stacks[0]
+            (self.R_lo,), (self.P_lo,) = stacks[1]
+        self.stacks = [(R, P) + _solver_arrays(R) for R, P in stacks]
 
-def _response_values(U, T, lam, rows, cols):
-    """Exact best-response values (upper, lower): the protected player's
-    against the coalition's mixes `cols`, and the coalition's against `rows`.
-    The coalition minimizes, so its MDP is solved as a maximization of -R."""
-    R_up, P_up = _response_mdp(U, T, cols, fix_rows=False)
-    R_lo, P_lo = _response_mdp(U, T, rows, fix_rows=True)
-    if R_up.shape == R_lo.shape:
-        v_up, v_lo = _policy_iteration(np.stack([R_up, -R_lo]),
-                                       np.stack([P_up, P_lo]), lam)
-    else:
-        v_up = _policy_iteration(R_up[None], P_up[None], lam)[0]
-        v_lo = _policy_iteration(-R_lo[None], P_lo[None], lam)[0]
-    return v_up, -v_lo
+    def response_mdps(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Write both best-response MDPs against the mixes (rows, cols).
+
+        The stacked matmuls hand each state's matrix-vector product to BLAS
+        on its own, in U's memory order, exactly as `U[s] @ cols[s]` would
+        (see the module docstring)."""
+        np.matmul(self.U, cols[:, :, None], out=self.R_up[:, :, None])
+        np.matmul(rows[:, None, :], self.U, out=self.R_lo[:, None, :])
+        np.einsum("srct,sc->srt", self.T, cols, out=self.P_up)
+        np.einsum("sr,srct->sct", rows, self.T, out=self.P_lo)
+
+    def response_values(self, rows: np.ndarray, cols: np.ndarray):
+        """Exact best-response values (upper, lower): the protected player's
+        against the coalition's mixes `cols`, and the coalition's against
+        `rows`.  The coalition minimizes, so its MDP is solved as a
+        maximization of -R_lo."""
+        self.response_mdps(rows, cols)
+        np.negative(self.R_lo, out=self.R_lo)
+        values = [_policy_iteration(R, P, self.lam, eye, starts)
+                  for R, P, eye, starts in self.stacks]
+        v_up, v_lo = values[0] if len(values) == 1 else (values[0][0], values[1][0])
+        return v_up, -v_lo
 
 
 def discounted_minmax(game: StochasticGame, i: int, lam: float, tol: float = 1e-9,
@@ -171,7 +213,7 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float, tol: float = 1e-
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"discount factor {lam} outside [0, 1)")
     view = player_view(game, i)
-    U, T = _stage_data(game, view, lam)
+    stage = _Stage(game, view, lam)
     v = np.zeros(game.n_states) if v0 is None else np.array(v0, dtype=float)
     ops = 0
     rounds = 0
@@ -179,10 +221,10 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float, tol: float = 1e-
     best_mid = None
     since_improved = 0
     while True:
-        Tv, rows, cols = shapley_operator(game, i, lam, v, view)
+        Tv, rows, cols = _one_shot(stage.payoff, game.transitions, view.index, lam, v)
         rounds += 1
-        v_up, v_lo = _response_values(U, T, lam, rows, cols)
-        gap = float(np.max(np.abs(v_up - v_lo)))
+        v_up, v_lo = stage.response_values(rows, cols)
+        gap = float(abs(v_up - v_lo).max())
         if gap < best_gap * 0.9:
             best_gap = gap
             best_mid = 0.5 * (v_up + v_lo)
@@ -191,7 +233,7 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float, tol: float = 1e-
             since_improved += 1
         if gap <= 2.0 * tol:
             return 0.5 * (v_up + v_lo), {"rounds": rounds, "certified_gap": gap}
-        residual = float(np.max(np.abs(Tv - v)))
+        residual = float(abs(Tv - v).max())
         if residual * lam / (1.0 - lam) <= tol:
             return Tv, {"rounds": rounds,
                         "certified_gap": residual * lam / (1.0 - lam)}

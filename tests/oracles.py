@@ -2,7 +2,10 @@
 
 Everything here deliberately avoids the library's own algorithms: reachability
 is by policy enumeration, long-run averages by matrix power doubling, matrix
-game values by grid search, and set structure by direct subset scans.
+game values by grid search, and set structure by direct subset scans.  The
+min-max references redo the batched solve one state at a time; only games
+larger than 2x2 (and 2x2 games whose closed form fails its check) borrow the
+library's LP, `solve_matrix_game`.
 """
 
 from __future__ import annotations
@@ -11,6 +14,9 @@ import bisect
 import itertools
 
 import numpy as np
+
+from stogame.matrixgame import solve_matrix_game
+from stogame.minmax import ITERATION_CAP, player_view
 
 
 def cesaro_doubling(P: np.ndarray, doublings: int = 30) -> np.ndarray:
@@ -294,3 +300,61 @@ def policy_iteration_oracle(R: np.ndarray, P: np.ndarray, lam: float,
             return value
         policy = np.where(gains > 1e-13, improved, policy)
     raise RuntimeError("policy iteration did not terminate")
+
+
+def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=None):
+    """Per-state reference of `minmax.discounted_minmax`: the same rounds,
+    stop rules and stall bookkeeping, with every one-shot game solved on its
+    own (`solve_2x2_oracle`, or `solve_matrix_game` where that fails or the
+    game is not 2x2), every response MDP built one state at a time and each
+    side's MDP solved on its own."""
+    if not 0.0 <= lam < 1.0:
+        raise ValueError(f"discount factor {lam} outside [0, 1)")
+    view = player_view(game, i)
+    v = np.zeros(game.n_states) if v0 is None else np.array(v0, dtype=float)
+    ops = 0
+    rounds = 0
+    best_gap = np.inf
+    best_mid = None
+    since_improved = 0
+    while True:
+        q_flat = (1.0 - lam) * game.payoffs[:, :, i] + lam * (game.transitions @ v)
+        Tv = np.empty(game.n_states)
+        rows, cols = [], []
+        for s in range(game.n_states):
+            M = q_flat[s][view.index]
+            ok = False
+            if M.shape == (2, 2):
+                value, x, y, ok = solve_2x2_oracle(M)
+            if not ok:
+                sol = solve_matrix_game(M)
+                value, x, y = sol.value, sol.row_strategy, sol.col_strategy
+            Tv[s] = value
+            rows.append(x)
+            cols.append(y)
+        rounds += 1
+        R_up, P_up = response_mdp_oracle(game, view, lam, cols, fix_rows=False)
+        v_up = policy_iteration_oracle(R_up, P_up, lam, maximize=True)
+        R_lo, P_lo = response_mdp_oracle(game, view, lam, rows, fix_rows=True)
+        v_lo = policy_iteration_oracle(R_lo, P_lo, lam, maximize=False)
+        gap = float(np.max(np.abs(v_up - v_lo)))
+        if gap < best_gap * 0.9:
+            best_gap = gap
+            best_mid = 0.5 * (v_up + v_lo)
+            since_improved = 0
+        else:
+            since_improved += 1
+        if gap <= 2.0 * tol:
+            return 0.5 * (v_up + v_lo), {"rounds": rounds, "certified_gap": gap}
+        residual = float(np.max(np.abs(Tv - v)))
+        if residual * lam / (1.0 - lam) <= tol:
+            return Tv, {"rounds": rounds,
+                        "certified_gap": residual * lam / (1.0 - lam)}
+        if since_improved >= 8 or rounds >= 200:
+            return best_mid, {"rounds": rounds, "certified_gap": best_gap,
+                              "stalled": True}
+        ops += game.n_states
+        if ops > ITERATION_CAP:
+            raise RuntimeError(
+                f"min-max solve for player {i} at discount {lam} hit the iteration cap")
+        v = v_up

@@ -53,6 +53,19 @@ def test_decompose_and_build(tmp_path):
     assert (tmp_path / "automaton.json").exists()
 
 
+def test_decompose_reports_an_invalid_game(tmp_path, capsys):
+    doc = game_to_dict(sorin_game())
+    doc["payoffs"]["s0"]["T/L"][0] = 5.0  # beyond the declared bound 2.0
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    assert run(["decompose", "--game", str(broken), "--out", str(tmp_path)]) == 1
+    out = json.loads((tmp_path / "decompose.json").read_text())
+    assert out["classifications"] == []
+    assert len(out["errors"]) == 1 and out["errors"][0].startswith("invalid game")
+    assert f"error: {out['errors'][0]}" in capsys.readouterr().out
+    assert run(["build", "--game", str(broken), "--out", str(tmp_path)]) == 1
+
+
 def test_build_correlated(tmp_path):
     assert run(["build-correlated", "--game", "builtin:sorin",
                 "--out", str(tmp_path)]) == 0

@@ -1,7 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
-from oracles import optimal_average_values, policy_iteration_oracle, response_mdp_oracle
+import stogame.minmax
+from oracles import (
+    discounted_minmax_oracle,
+    optimal_average_values,
+    policy_iteration_oracle,
+    response_mdp_oracle,
+)
 from stogame.game import StochasticGame
 from stogame.generators import (
     acceptance_suite,
@@ -14,9 +22,8 @@ from stogame.generators import (
 from stogame.matrixgame import solve_matrix_game
 from stogame.minmax import (
     _policy_iteration,
-    _response_mdp,
-    _response_values,
-    _stage_data,
+    _solver_arrays,
+    _Stage,
     default_schedule,
     discounted_minmax,
     player_view,
@@ -171,16 +178,17 @@ def _assert_batched_stage_matches_per_state(game, rng):
     for i in range(game.n_players):
         view = player_view(game, i)
         for lam in (0.5, 0.99, 1.0 - 2.0**-20):
-            U, T = _stage_data(game, view, lam)
+            stage = _Stage(game, view, lam)
             v = rng.uniform(-1.0, 1.0, game.n_states)
             _, rows, cols = shapley_operator(game, i, lam, v, view)
             R_up, P_up = response_mdp_oracle(game, view, lam, cols, fix_rows=False)
             R_lo, P_lo = response_mdp_oracle(game, view, lam, rows, fix_rows=True)
-            for got, want in ((_response_mdp(U, T, cols, fix_rows=False), (R_up, P_up)),
-                              (_response_mdp(U, T, rows, fix_rows=True), (R_lo, P_lo))):
+            stage.response_mdps(rows, cols)
+            for got, want in (((stage.R_up, stage.P_up), (R_up, P_up)),
+                              ((stage.R_lo, stage.P_lo), (R_lo, P_lo))):
                 assert np.array_equal(got[0], want[0])
                 assert np.array_equal(got[1], want[1])
-            v_up, v_lo = _response_values(U, T, lam, rows, cols)
+            v_up, v_lo = stage.response_values(rows, cols)
             assert np.array_equal(v_up, policy_iteration_oracle(R_up, P_up, lam, maximize=True))
             assert np.array_equal(v_lo, policy_iteration_oracle(R_lo, P_lo, lam, maximize=False))
 
@@ -207,9 +215,27 @@ def test_stacked_policy_iteration_matches_single_mdp_oracle(seed):
     R = rng.uniform(-1.0, 1.0, (2, n_states, n_actions))
     P = rng.dirichlet(np.ones(n_states), (2, n_states, n_actions))
     for lam in (0.3, 0.9, 0.9999):
-        maxed = _policy_iteration(R, P, lam)
-        mined = -_policy_iteration(-R, P, lam)
+        maxed = _policy_iteration(R, P, lam, *_solver_arrays(R))
+        mined = -_policy_iteration(-R, P, lam, *_solver_arrays(R))
         for b in range(2):
             assert np.array_equal(maxed[b], policy_iteration_oracle(R[b], P[b], lam, True))
             assert np.array_equal(mined[b], policy_iteration_oracle(R[b], P[b], lam, False))
-            assert np.array_equal(_policy_iteration(R[b:b + 1], P[b:b + 1], lam)[0], maxed[b])
+            one = R[b:b + 1]
+            assert np.array_equal(
+                _policy_iteration(one, P[b:b + 1], lam, *_solver_arrays(one))[0], maxed[b])
+
+
+# Each one-shot LP costs about 4 ms, so the games on the LP path run a
+# shorter schedule: at depth 24 the 3x3 game alone takes 5.6 s per solve.
+@pytest.mark.parametrize("game, depth", [(g, 24) for g in acceptance_suite()[::7]] + [
+    (random_dense_game(381011, n_states=5), 24),  # Aitken denominator 3.3e-11
+    (random_dense_game(5012, n_states=12), 24),
+    (random_banded_exit_game(4001), 30),  # stalls from schedule point 20 on
+    (random_dense_game(6003, n_states=4, n_actions=3), 4),
+    (three_player_game(), 4),  # own and coalition sides differ in size
+], ids=lambda p: getattr(p, "name", None))
+def test_whole_solve_matches_per_state_oracle(game, depth, monkeypatch):
+    schedule = default_schedule(depth)
+    batched = json.dumps(solve_uniform_minmax(game, schedule).to_dict())
+    monkeypatch.setattr(stogame.minmax, "discounted_minmax", discounted_minmax_oracle)
+    assert json.dumps(solve_uniform_minmax(game, schedule).to_dict()) == batched
