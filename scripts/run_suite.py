@@ -5,10 +5,12 @@ Usage: python scripts/run_suite.py [--eps 0.05] [--depth 24] [--json out.json]
 
 Per game the table shows the set kinds, the transient-state count, the
 recurrent points priced by the sustainability test's column generation over
-all sets (cols=), the min-max strategy-iteration rounds over all players and
-discounts (rounds=), the worst individual-rationality gain, the submartingale
-drift and the wall time; the last line adds the suite's total rounds.  The
---json rows are `PipelineResult.summary()`.
+all sets (cols=), the classification masters that fell back to an LP
+(master_lp=, expected 0: kernels solve them), the min-max strategy-iteration
+rounds over all players and discounts (rounds=), the worst
+individual-rationality gain, the submartingale drift and the wall time; the
+last line adds the suite's total rounds and master LPs.  The --json rows are
+`PipelineResult.summary()`.
 """
 
 import argparse
@@ -31,6 +33,7 @@ def main() -> int:
     schedule = default_schedule(args.depth)
     rows = []
     total_rounds = 0
+    total_lp = 0
     start = time.monotonic()
     for game in acceptance_suite():
         t0 = time.monotonic()
@@ -40,16 +43,20 @@ def main() -> int:
         rows.append(summ)
         flag = "ok " if summ["ok"] else "FAIL"
         cols = sum(c.diagnostics.get("sustain_columns", 0) for c in res.classifications)
+        master_lp = sum(c.diagnostics.get("master_lp", 0) for c in res.classifications)
         rounds = sum(sum(curve.rounds) for curve in res.minmax.curves)
         total_rounds += rounds
+        total_lp += master_lp
         print(f"{flag} {summ['game']:22s} sets={''.join(summ['kinds']):6s} "
-              f"tr={len(summ['transient'])} cols={cols:<3d} rounds={rounds:<4d} "
+              f"tr={len(summ['transient'])} cols={cols:<3d} master_lp={master_lp} "
+              f"rounds={rounds:<4d} "
               f"ir={summ['ir_worst_gain']:.4f} "
               f"drift={summ['submartingale_min_drift']:+.2e} "
               f"t={summ['seconds']:.2f}s")
     total = time.monotonic() - start
     n_ok = sum(1 for r in rows if r["ok"])
-    print(f"\n{n_ok}/{len(rows)} games ok in {total:.1f}s, {total_rounds} min-max rounds")
+    print(f"\n{n_ok}/{len(rows)} games ok in {total:.1f}s, {total_rounds} min-max rounds, "
+          f"master_lp={total_lp}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(json_ready(rows), fh, indent=2, sort_keys=True)

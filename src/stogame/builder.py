@@ -27,7 +27,7 @@ import numpy as np
 from ._util import DIST_TOL, json_ready
 from .automata import JointAutomaton, JointAutomatonProfile
 from .chains import limit_average_values, recurrent_classes
-from .frequencies import SustainPlan, max_slack_mixture, sustain_by_columns
+from .frequencies import SustainPlan, max_slack_mixture, plan_support, sustain_by_columns
 # Not called here: perfbench/tracer.py hooks the name in this module.
 from .frequencies import enumerate_recurrent_points  # noqa: F401
 from .game import StationaryCorrelated, StochasticGame, mixes_to_correlated_row
@@ -169,10 +169,12 @@ class ExitPlan:
 
 
 def type_b_feasibility(game: StochasticGame, region, value, eps: float,
-                       u_star: np.ndarray, scale: float = EXIT_SCALE_DEFAULT
-                       ) -> ExitPlan | None:
+                       u_star: np.ndarray, scale: float = EXIT_SCALE_DEFAULT,
+                       counts: dict | None = None) -> ExitPlan | None:
     """Departure plan meeting value - eps in expected continuation value, or
-    None.  Only exits admitting a companion switch are eligible."""
+    None.  Only exits admitting a companion switch are eligible.  The exit
+    mixture is `max_slack_mixture`'s; when `counts` is given, its
+    "master_lp" entry is raised if that solve fell back to the LP."""
     exits, _ = exit_options(game, region)
     admissible = []
     for s, a in exits:
@@ -183,14 +185,14 @@ def type_b_feasibility(game: StochasticGame, region, value, eps: float,
         return None
     target = np.asarray(value, dtype=float) - eps
     payoffs = np.stack([u_star[s, a] for s, a, _, _ in admissible])
-    beta, slack, _ = max_slack_mixture(payoffs, target)
-    if slack < -1e-9:
+    sol = max_slack_mixture(payoffs, target)
+    if counts is not None:
+        counts["master_lp"] += sol.method != "kernel"
+    found = plan_support(sol.row_strategy, payoffs, sol.value)
+    if found is None:
         return None
-    support = [l for l in range(len(admissible)) if beta[l] > 1e-12]
+    support, weights, achieved = found
     chosen = [admissible[l] for l in support]
-    weights = beta[support]
-    weights = weights / weights.sum()
-    achieved = weights @ np.stack([u_star[s, a] for s, a, _, _ in chosen])
     return ExitPlan(
         exits=[(s, a) for s, a, _, _ in chosen],
         companions=[c for _, _, c, _ in chosen],
@@ -200,7 +202,7 @@ def type_b_feasibility(game: StochasticGame, region, value, eps: float,
         scale=scale,
         target=target,
         achieved=achieved,
-        slack=slack,
+        slack=sol.value,
     )
 
 
@@ -229,16 +231,20 @@ def classify_set(game: StochasticGame, cset, v1: np.ndarray, eps: float,
     leaves the v(C) - eps guarantee intact.  Otherwise the departure test is
     tried; a sustain plan with thinner slack is kept as a last resort (the
     verifier decides its fate) before declaring the set unclassifiable.
+    The diagnostics count the generated columns (`sustain_columns`) and the
+    mixture solves of both tests that fell back to an LP (`master_lp`).
     """
-    plan_a, columns = sustain_by_columns(game, cset.states, cset.value - eps)
-    diagnostics = {"sustain_columns": columns}
+    diagnostics = {"master_lp": 0}
+    plan_a, columns = sustain_by_columns(game, cset.states, cset.value - eps, diagnostics)
+    diagnostics["sustain_columns"] = columns
     if columns:
         diagnostics["sustain_slack"] = None if plan_a is None else plan_a.slack
         if plan_a is not None and np.all(plan_a.achieved >= cset.value - eps / 2.0):
             return Classification("A", sustain=plan_a, diagnostics=diagnostics)
     if u_star is None:
         u_star = continuation_values(game, v1)
-    plan_b = type_b_feasibility(game, cset.states, cset.value, eps, u_star)
+    plan_b = type_b_feasibility(game, cset.states, cset.value, eps, u_star,
+                                counts=diagnostics)
     if plan_b is not None:
         diagnostics["exit_slack"] = plan_b.slack
         return Classification("B", exit_plan=plan_b, diagnostics=diagnostics)

@@ -1,4 +1,4 @@
-"""State-action frequencies, long-run payoffs, and the sustainable-payoff LP.
+"""State-action frequencies, long-run payoffs, and the sustainable mixture.
 
 The frequency vector of a stationary strategy is the Cesaro-limit fraction of
 time spent in each (state, action profile) pair: the absorption-weighted
@@ -6,18 +6,23 @@ mixture of the invariant laws of the recurrent classes, times the per-state
 action weights.  For a communicating set, the frequency vectors supported by
 in-set recurrent classes of pure stationary profiles generate (by convex
 combination) everything a correlated strategy can sustain inside the set;
-feasibility of a payoff target over that polytope is a small LP.
+sustaining a payoff target means finding a mixture of them that meets it.
 
 Those recurrent points are exactly the vertices of the invariant frequency
 polytope of the set's safe sub-MDP: rho >= 0 on the (state, safe profile)
 pairs, flow balance sum_a rho(t, a) = sum_{s,a} rho(s, a) P(t | s, a) at
 every set state, and sum rho = 1 (Derman 1970; Puterman, Markov Decision
-Processes, ch. 8-9).  A vertex plays one profile per support state, and its
-support is a recurrent class of that pure profile.  So the mixture LP is
-solved by column generation: the master mixes the points found so far, and
-the pricing LP maximizes the master's dual weights y . u over the polytope,
-whose simplex vertex is the next point.  Nothing enumerates the |A|^|C| pure
-profiles; `enumerate_recurrent_points` remains as the tests' reference.
+Processes, ch. 8-9).  So the mixture is found by column generation.  The
+master mixes the points found so far; it is the zero-sum game of points
+against players, solved on its Shapley-Snow kernels (`max_slack_mixture`).
+Its column strategy weighs the players, and pricing finds the point that
+maximizes that weighted payoff.  Over the polytope that is the largest
+optimal long-run average reward of the safe sub-MDP, which Howard's
+multichain policy iteration reaches at a pure profile; the point is that
+profile's best recurrent class (`best_recurrent_point`).  Nothing
+enumerates the |A|^|C| pure profiles, and an LP solves only a master too
+large for kernels; `enumerate_recurrent_points` remains as the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -26,14 +31,19 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._util import DIST_TOL, json_ready
 from .chains import limit_occupation, recurrent_classes, stationary_distribution
 from .game import StochasticGame, as_correlated_table, induced_chain
+from .matrixgame import MatrixGameSolution, kernel_solution, solve_matrix_game
 from .structure import safe_profiles
 
 ENUMERATION_GUARD = 10**6
+# Policy iteration's cap on policy evaluations per pricing call, and the
+# margin, times the rewards' and biases' scale, by which a profile must beat
+# the current one to replace it.
+PRICING_CAP = 100
+IMPROVE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -152,46 +162,106 @@ def enumerate_recurrent_points(game: StochasticGame, region) -> list:
     return sorted(uniq.values(), key=lambda p: (p.states, sorted(p.actions.items())))
 
 
+def _safe_sub_mdp(game: StochasticGame, region: list):
+    """Live states and their profiles in the safe sub-MDP of `region`.
+
+    A state is live while it has a region-preserving profile.  Flow balance
+    forces zero frequency on a profile that leaks into a region state
+    without one, so every profile leaking more than DIST_TOL there is
+    removed, until nothing changes.  Returns (live states, profiles per
+    live state).
+    """
+    allowed = safe_profiles(game, region)
+    while True:
+        dead = [s for s in region if not allowed[s]]
+        leak = game.transitions[:, :, dead].sum(axis=2)
+        kept = {s: [a for a in acts if leak[s, a] <= DIST_TOL] for s, acts in allowed.items()}
+        if kept == allowed:
+            break
+        allowed = kept
+    live = [s for s in region if allowed[s]]
+    return live, {s: allowed[s] for s in live}
+
+
+def _evaluate(P: np.ndarray, r: np.ndarray):
+    """Gain g and bias h of a fixed policy: g is each recurrent class's
+    average reward, carried to transient states by absorption, and h solves
+    g + (I - P) h = r, zero at each class's first state (Puterman 1994,
+    ch. 8-9).  P may leak mass out of its states; that mass earns nothing."""
+    n = len(r)
+    g = np.zeros(n)
+    h = np.zeros(n)
+    classes, transient = recurrent_classes(P)
+    for cls in classes:
+        g[cls] = stationary_distribution(P, cls) @ r[cls]
+        A = np.eye(len(cls)) - P[np.ix_(cls, cls)]
+        b = r[cls] - g[cls]
+        A[0] = 0.0
+        A[0, 0] = 1.0
+        b[0] = 0.0
+        h[cls] = np.linalg.solve(A, b)
+    if transient:
+        recurrent = [s for cls in classes for s in cls]
+        A = np.eye(len(transient)) - P[np.ix_(transient, transient)]
+        into = P[np.ix_(transient, recurrent)]
+        g[transient] = np.linalg.solve(A, into @ g[recurrent])
+        h[transient] = np.linalg.solve(A, r[transient] - g[transient] + into @ h[recurrent])
+    return g, h
+
+
+def _improve(q: np.ndarray, choice: np.ndarray, mask: np.ndarray, tol: float):
+    """Per state, the masked action with the largest q when it beats the
+    current choice by more than tol; the current choice otherwise."""
+    q = np.where(mask, q, -np.inf)
+    rows = np.arange(len(choice))
+    better = q.max(axis=1) > q[rows, choice] + tol
+    return np.where(better, q.argmax(axis=1), choice)
+
+
 def best_recurrent_point(game: StochasticGame, region,
                          weights: np.ndarray) -> RecurrentPoint | None:
     """The recurrent point of `region` maximizing weights . payoff, or None
     when the region has none.
 
-    Solves the pricing LP over the invariant frequency polytope of the safe
-    sub-MDP with dual simplex, so the optimum is a vertex: one action per
-    support state, the support a recurrent class of that pure profile.
+    The best point's value is the largest optimal long-run average reward
+    of the safe sub-MDP with rewards weights . u, found by Howard's
+    multichain policy iteration (Puterman 1994, ch. 9).  It starts from the
+    greedy profile; each iteration improves the gain, or, where no state's
+    gain can improve, the bias among the gain-optimal profiles.  A tie keeps
+    the current profile.  The point is the best recurrent class of the final
+    pure profile.
     """
     region = sorted(region)
-    allowed = safe_profiles(game, region)
-    live = [s for s in region if allowed[s]]
+    live, allowed = _safe_sub_mdp(game, region)
     if not live:
         return None
-    states = [s for s in live for _ in allowed[s]]
-    profiles = [a for s in live for a in allowed[s]]
-    # Flow balance on every region state: outflow minus inflow is zero.  A
-    # dead state has no outflow variables, so its inflow is forced to zero.
-    row = {s: k for k, s in enumerate(region)}
-    A_eq = np.zeros((len(region) + 1, len(states)))
-    A_eq[:-1] = -game.transitions[states, profiles][:, region].T
-    A_eq[[row[s] for s in states], np.arange(len(states))] += 1.0
-    A_eq[-1] = 1.0
-    b_eq = np.zeros(len(region) + 1)
-    b_eq[-1] = 1.0
-    gain = game.payoffs[states, profiles] @ weights
-    res = linprog(-gain, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds")
-    if res.status == 2:  # infeasible: every class leaves the region
-        return None
-    if not res.success:
-        raise RuntimeError(f"pricing LP failed on region {region}: {res.message}")
-    rho = np.zeros((game.n_states, game.n_profiles))
-    rho[states, profiles] = res.x
-    # Off the support any preserving action will do: the support's class is
-    # the same whatever the other states play.
-    acts = [int(np.argmax(rho[s])) if rho[s].sum() > 0.0 else allowed[s][0]
-            for s in live]
-    points = _profile_points(game, region, live, acts)
+    width = max(len(acts) for acts in allowed.values())
+    # Profiles per live state, padded with the first one and masked.
+    acts = np.array([allowed[s] + allowed[s][:1] * (width - len(allowed[s])) for s in live])
+    valid = np.arange(width) < np.array([len(allowed[s]) for s in live])[:, None]
+    states = np.array(live)[:, None]
+    R = game.payoffs[states, acts] @ weights
+    P = game.transitions[states, acts][:, :, live]
+    rows = np.arange(len(live))
+    choice = np.where(valid, R, -np.inf).argmax(axis=1)
+    for _ in range(PRICING_CAP):
+        g, h = _evaluate(P[rows, choice], R[rows, choice])
+        tol = IMPROVE_TOL * (1.0 + np.abs(R).max() + np.abs(h).max())
+        q = P @ g
+        new = _improve(q, choice, valid, tol)
+        if np.array_equal(new, choice):
+            best = np.where(valid, q, -np.inf).max(axis=1, keepdims=True)
+            gain_optimal = valid & (q >= best - tol)
+            new = _improve(R + P @ h, choice, gain_optimal, tol)
+            if np.array_equal(new, choice):
+                break
+        choice = new
+    else:
+        raise RuntimeError(f"policy iteration on region {region} did not settle "
+                           f"in {PRICING_CAP} iterations")
+    points = _profile_points(game, region, live, [int(a) for a in acts[rows, choice]])
     if not points:
-        raise RuntimeError(f"pricing LP vertex on region {region} holds no recurrent class")
+        raise RuntimeError(f"priced profile on region {region} holds no recurrent class")
     return max(points, key=lambda p: float(weights @ p.payoff))
 
 
@@ -223,57 +293,58 @@ class SustainPlan:
         })
 
 
-def max_slack_mixture(payoffs: np.ndarray, target: np.ndarray):
+def max_slack_mixture(payoffs: np.ndarray, target: np.ndarray) -> MatrixGameSolution:
     """maximize t s.t. sum_l beta_l payoff_l >= target + t, beta in simplex.
 
-    Returns (beta, t, y), y being the dual weights of the target rows
-    (nonnegative, summing to 1).  Solved with dual simplex so the optimum is
-    a vertex; with I inequality rows, one simplex row and a free slack
-    variable the support of beta never exceeds the number of players.
+    That is the zero-sum game payoffs - target, rows the points and columns
+    the players: its row strategy is beta, its value t and its column
+    strategy the target rows' dual weights y.  `kernel_solution` solves it,
+    so the support of beta never exceeds the number of players;
+    `solve_matrix_game`'s LP takes the game only when no kernel does, and the
+    result's `method` then says so.
     """
-    L, n_i = payoffs.shape
-    c = np.zeros(L + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-payoffs.T, np.ones((n_i, 1))])
-    b_ub = -target
-    A_eq = np.zeros((1, L + 1))
-    A_eq[0, :L] = 1.0
-    bounds = [(0, None)] * L + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
-                  bounds=bounds, method="highs-ds")
-    if not res.success:
-        raise RuntimeError(f"mixture LP failed: {res.message}")
-    beta = np.clip(res.x[:L], 0.0, None)
-    beta /= beta.sum()
-    return beta, float(res.x[-1]), -res.ineqlin.marginals
+    game = payoffs - target
+    sol = kernel_solution(game)
+    return sol if sol is not None else solve_matrix_game(game)
+
+
+def plan_support(beta: np.ndarray, payoffs: np.ndarray, slack: float):
+    """The mixture a master solution supports: (support indices, their
+    renormalized weights, the payoff they achieve), or None when the slack
+    is negative."""
+    if slack < -1e-9:
+        return None
+    support = [l for l in range(len(beta)) if beta[l] > 1e-12]
+    weights = beta[support]
+    weights = weights / weights.sum()
+    return support, weights, weights @ payoffs[support]
 
 
 def _mixture_plan(points: list, beta: np.ndarray, slack: float,
                   target: np.ndarray) -> SustainPlan | None:
-    if slack < -1e-9:
+    found = plan_support(beta, np.stack([p.payoff for p in points]), slack)
+    if found is None:
         return None
-    support = [l for l in range(len(points)) if beta[l] > 1e-12]
-    atoms = [points[l] for l in support]
-    weights = beta[support]
-    weights = weights / weights.sum()
-    achieved = weights @ np.stack([p.payoff for p in atoms])
-    return SustainPlan(atoms, weights, target, achieved, slack)
+    support, weights, achieved = found
+    return SustainPlan([points[l] for l in support], weights, target, achieved, slack)
 
 
-def sustain_by_columns(game: StochasticGame, region, target) -> tuple:
-    """The type-A mixture LP by column generation.
+def sustain_by_columns(game: StochasticGame, region, target,
+                       counts: dict | None = None) -> tuple:
+    """The type-A mixture by column generation.
 
     The master is `max_slack_mixture` over the recurrent points found so
     far; its dual weights y price the next point with
     `best_recurrent_point`.  Generation stops once the priced point is
     already a column or does not beat the columns' best y . payoff, which is
     the master's optimality condition over all recurrent points.  Returns
-    (plan or None, number of columns generated).
+    (plan or None, number of columns generated).  When `counts` is given,
+    its "master_lp" entry is raised by each master solve that fell back to
+    the LP.
     """
     target = np.asarray(target, dtype=float)
     columns = []
     y = np.full(game.n_players, 1.0 / game.n_players)
-    beta = slack = None
     while True:
         point = best_recurrent_point(game, region, y)
         if point is None or any(point.states == p.states and point.actions == p.actions
@@ -282,13 +353,17 @@ def sustain_by_columns(game: StochasticGame, region, target) -> tuple:
         if columns and y @ point.payoff <= max(y @ p.payoff for p in columns) + 1e-12:
             break
         columns.append(point)
-        beta, slack, y = max_slack_mixture(np.stack([p.payoff for p in columns]), target)
+        sol = max_slack_mixture(np.stack([p.payoff for p in columns]), target)
+        y = sol.col_strategy
+        if counts is not None:
+            counts["master_lp"] += sol.method != "kernel"
     if not columns:
         return None, 0
     # Atoms in the enumeration's order, whatever order pricing found them in.
     order = sorted(range(len(columns)),
                    key=lambda k: (columns[k].states, sorted(columns[k].actions.items())))
-    plan = _mixture_plan([columns[k] for k in order], beta[order], slack, target)
+    plan = _mixture_plan([columns[k] for k in order], sol.row_strategy[order], sol.value,
+                         target)
     return plan, len(columns)
 
 
@@ -308,5 +383,5 @@ def type_a_feasibility(game: StochasticGame, region, target, eps: float | None =
         return sustain_by_columns(game, region, target)[0]
     if not points:
         return None
-    beta, slack, _ = max_slack_mixture(np.stack([p.payoff for p in points]), target)
-    return _mixture_plan(points, beta, slack, target)
+    sol = max_slack_mixture(np.stack([p.payoff for p in points]), target)
+    return _mixture_plan(points, sol.row_strategy, sol.value, target)

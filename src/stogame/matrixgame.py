@@ -1,21 +1,38 @@
 """Zero-sum matrix game values and optimal mixed strategies.
 
-The row player maximizes, the column player minimizes.  Degenerate shapes
-and 2x2 games are solved in closed form (`closed_form_2x2` takes a whole
-stack of 2x2 games at once); everything else goes through two linear
-programs (one per side), solved with HiGHS.  A pair that fails, or fails the
-duality-gap or minimax check, is solved once more on the matrix rescaled
-onto [0, 1], where the solver's absolute tolerances fit the entries' spread.
+The row player maximizes, the column player minimizes.  `solve_matrix_game`
+solves degenerate shapes and 2x2 games in closed form (`closed_form_2x2`
+takes a whole stack of 2x2 games at once); everything else goes through two
+linear programs (one per side), solved with HiGHS.  A pair that fails, or
+fails the duality-gap or minimax check, is solved once more on the matrix
+rescaled onto [0, 1], where the solver's absolute tolerances fit the
+entries' spread.
+
+`kernel_solution` solves a small game of any shape without an LP: every
+matrix game has an optimal pair supported on a square submatrix, a kernel,
+whose equalizing strategies solve two small linear systems (Shapley & Snow
+1950).  It tries all kernels, smallest first, and keeps the first pair that
+passes the minimax check on the whole matrix.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 from scipy.optimize import linprog
 
 MINIMAX_TOL = 1e-9
+# A kernel pair must pass the minimax check to this tolerance, times the
+# entries' scale: an exact solve of a well-conditioned kernel is off by a few
+# ulps, while a pair that only nearly verifies would move the value.
+KERNEL_TOL = 1e-12
+# Matrices with more square submatrices than this (4x4 has 69, 12x2 has 90)
+# are left to the LP.
+KERNEL_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -68,6 +85,92 @@ def closed_form_2x2(M):
     return value, mixes[0], mixes[1], ok
 
 
+def _game_matrix(M) -> np.ndarray:
+    """M as a float array, checked to be a nonempty finite matrix."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.size == 0:
+        raise ValueError(f"expected a nonempty 2-d matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix game entries must be finite (no NaN or inf)")
+    return M
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_index(m: int, n: int, k: int):
+    """Row and column index sets of every k x k submatrix of an m x n
+    matrix: rows in lexicographic order, then columns."""
+    rows = np.array(list(itertools.combinations(range(m), k)))
+    cols = np.array(list(itertools.combinations(range(n), k)))
+    rows = np.repeat(rows, len(cols), axis=0)
+    cols = np.tile(cols, (len(rows) // len(cols), 1))
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def _bordered(K):
+    """[K, -1; 1, 0] for a stack of k x k matrices K."""
+    N, k, _ = K.shape
+    A = np.zeros((N, k + 1, k + 1))
+    A[:, :k, :k] = K
+    A[:, :k, k] = -1.0
+    A[:, k, :k] = 1.0
+    return A
+
+
+def _equalizers(A):
+    """Solve A [p; v] = [0; 1] for a stack of bordered matrices: the mix p
+    making every row of K p equal to v.  Returns (p, v)."""
+    rhs = np.zeros(A.shape[:2] + (1,))
+    rhs[:, -1] = 1.0
+    out = np.linalg.solve(A, rhs)[..., 0]
+    return out[:, :-1], out[:, -1]
+
+
+def kernel_solution(M) -> MatrixGameSolution | None:
+    """Value and optimal strategies of a matrix game from its Shapley-Snow
+    kernels, or None.
+
+    Kernels are tried by size, then rows, then columns, each size as one
+    stack: per square submatrix K, the row mix equalizing K's columns and
+    the column mix equalizing K's rows, kept when both are nonnegative and
+    the pair, extended by zeros, passes the minimax check on all of M.  The
+    first that passes wins, so the support of each side is at most
+    min(m, n).  None when no kernel passes, or when M has more than
+    KERNEL_LIMIT square submatrices.
+    """
+    M = _game_matrix(M)
+    m, n = M.shape
+    if comb(m + n, m) - 1 > KERNEL_LIMIT:
+        return None
+    tol = KERNEL_TOL * max(1.0, float(np.abs(M).max()))
+    for k in range(1, min(m, n) + 1):
+        rows, cols = _kernel_index(m, n, k)
+        K = M[rows[:, :, None], cols[:, None, :]]
+        A_col = _bordered(K)
+        A_row = _bordered(K.transpose(0, 2, 1))
+        # A zero determinant is an exact zero pivot, the one case in which
+        # the solve would raise.
+        keep = np.flatnonzero((np.linalg.det(A_col) != 0.0) & (np.linalg.det(A_row) != 0.0))
+        if not len(keep):
+            continue
+        with np.errstate(all="ignore"):
+            x, v = _equalizers(A_row[keep])
+            y, _ = _equalizers(A_col[keep])
+            signs = (x >= -1e-12).all(axis=1) & (y >= -1e-12).all(axis=1)
+            X = np.zeros((len(keep), m))
+            Y = np.zeros((len(keep), n))
+            np.put_along_axis(X, rows[keep], np.clip(x, 0.0, None), axis=1)
+            np.put_along_axis(Y, cols[keep], np.clip(y, 0.0, None), axis=1)
+            X /= X.sum(axis=1, keepdims=True)
+            Y /= Y.sum(axis=1, keepdims=True)
+            ok = signs & _verify(M, v, X, Y, tol=tol)
+        if ok.any():
+            first = int(np.argmax(ok))
+            return MatrixGameSolution(float(v[first]), X[first], Y[first], "kernel")
+    return None
+
+
 def _lp_row(M):
     """max v s.t. (x^T M)_j >= v, sum x = 1, x >= 0."""
     m, n = M.shape
@@ -96,9 +199,7 @@ def _lp_pair(M):
 
 def solve_matrix_game(M) -> MatrixGameSolution:
     """Value and optimal mixed strategies of a finite zero-sum matrix game."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.size == 0:
-        raise ValueError(f"expected a nonempty 2-d matrix, got shape {M.shape}")
+    M = _game_matrix(M)
     m, n = M.shape
 
     if n == 1:

@@ -5,7 +5,10 @@ is by policy enumeration, long-run averages by matrix power doubling, matrix
 game values by grid search, and set structure by direct subset scans.  The
 min-max references redo the batched solve one state at a time; only games
 larger than 2x2 (and 2x2 games whose closed form fails its check) borrow the
-library's LP, `solve_matrix_game`.
+library's LP, `solve_matrix_game`.  Classification's two references are
+linear programs solved by HiGHS: `pricing_lp_oracle` over the invariant
+frequency polytope of a region's safe sub-MDP, and `mixture_lp_oracle` for
+the column-generation master.  The library solves both without an LP.
 """
 
 from __future__ import annotations
@@ -14,9 +17,12 @@ import bisect
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
 
+from stogame.frequencies import _profile_points
 from stogame.matrixgame import solve_matrix_game
 from stogame.minmax import ITERATION_CAP, player_view
+from stogame.structure import safe_profiles
 
 
 def cesaro_doubling(P: np.ndarray, doublings: int = 30) -> np.ndarray:
@@ -194,6 +200,67 @@ def recurrent_points_oracle(game, region) -> set:
             if okay and abs(rho.sum() - 1.0) <= 1e-8:
                 found.add(tuple(np.round(rho, 8).ravel()))
     return found
+
+
+def pricing_lp_oracle(game, region, weights: np.ndarray):
+    """The recurrent point of `region` maximizing weights . payoff, or None,
+    by the pricing LP over the invariant frequency polytope of the safe
+    sub-MDP, solved with dual simplex so the optimum is a vertex: one action
+    per support state, the support a recurrent class of that pure profile.
+    """
+    region = sorted(region)
+    allowed = safe_profiles(game, region)
+    live = [s for s in region if allowed[s]]
+    if not live:
+        return None
+    states = [s for s in live for _ in allowed[s]]
+    profiles = [a for s in live for a in allowed[s]]
+    # Flow balance on every region state: outflow minus inflow is zero.  A
+    # dead state has no outflow variables, so its inflow is forced to zero.
+    row = {s: k for k, s in enumerate(region)}
+    A_eq = np.zeros((len(region) + 1, len(states)))
+    A_eq[:-1] = -game.transitions[states, profiles][:, region].T
+    A_eq[[row[s] for s in states], np.arange(len(states))] += 1.0
+    A_eq[-1] = 1.0
+    b_eq = np.zeros(len(region) + 1)
+    b_eq[-1] = 1.0
+    gain = game.payoffs[states, profiles] @ weights
+    res = linprog(-gain, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds")
+    if res.status == 2:  # infeasible: every class leaves the region
+        return None
+    if not res.success:
+        raise RuntimeError(f"pricing LP failed on region {region}: {res.message}")
+    rho = np.zeros((game.n_states, game.n_profiles))
+    rho[states, profiles] = res.x
+    # Off the support any preserving action will do: the support's class is
+    # the same whatever the other states play.
+    acts = [int(np.argmax(rho[s])) if rho[s].sum() > 0.0 else allowed[s][0]
+            for s in live]
+    points = _profile_points(game, region, live, acts)
+    if not points:
+        raise RuntimeError(f"pricing LP vertex on region {region} holds no recurrent class")
+    return max(points, key=lambda p: float(weights @ p.payoff))
+
+
+def mixture_lp_oracle(payoffs: np.ndarray, target: np.ndarray):
+    """maximize t s.t. sum_l beta_l payoff_l >= target + t, beta in simplex,
+    as one LP.  Returns (beta, t, y), y being the dual weights of the target
+    rows.  Solved with dual simplex so the optimum is a vertex."""
+    L, n_i = payoffs.shape
+    c = np.zeros(L + 1)
+    c[-1] = -1.0
+    A_ub = np.hstack([-payoffs.T, np.ones((n_i, 1))])
+    b_ub = -target
+    A_eq = np.zeros((1, L + 1))
+    A_eq[0, :L] = 1.0
+    bounds = [(0, None)] * L + [(None, None)]
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
+                  bounds=bounds, method="highs-ds")
+    if not res.success:
+        raise RuntimeError(f"mixture LP failed: {res.message}")
+    beta = np.clip(res.x[:L], 0.0, None)
+    beta /= beta.sum()
+    return beta, float(res.x[-1]), -res.ineqlin.marginals
 
 
 def optimal_average_values(game) -> np.ndarray:

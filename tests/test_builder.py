@@ -390,3 +390,20 @@ def test_opposed_cycles_correlated_multichain_tuner():
     assert check_minmax_acceptable(g, StationaryCorrelated(table), v1, 0.05).ok
     # both states keep most mass on staying home, with a small travel blend
     assert table[0, 0] > 0.9 and table[1, 0] > 0.9
+
+
+def test_classification_makes_no_lp_call(suite_results, monkeypatch):
+    # Every master is a matrix game its kernels solve, and pricing is policy
+    # iteration, so classifying the suite's sets never reaches linprog.
+    def no_lp(*args, **kwargs):
+        raise AssertionError("classification called linprog")
+
+    monkeypatch.setattr("stogame.matrixgame.linprog", no_lp)
+    monkeypatch.setattr("stogame.frequencies.linprog", no_lp, raising=False)
+    _, results = suite_results
+    for game, res in results:
+        u_star = continuation_values(game, res.v1)
+        for cset, cls in zip(res.decomposition.sets, res.classifications):
+            again = classify_set(game, cset, res.v1, res.eps, u_star)
+            assert again.diagnostics["master_lp"] == 0
+            assert again.to_dict() == cls.to_dict()

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import empirical_frequency, recurrent_points_oracle
+from oracles import (
+    empirical_frequency,
+    mixture_lp_oracle,
+    pricing_lp_oracle,
+    recurrent_points_oracle,
+)
 from stogame.frequencies import (
     EnumerationSizeError,
     best_recurrent_point,
     enumerate_recurrent_points,
+    max_slack_mixture,
     payoff_of_frequency,
     stationary_frequency,
     type_a_feasibility,
@@ -17,6 +25,7 @@ from stogame.game import (
     pure_profile,
 )
 from stogame.generators import random_dense_game, sorin_game
+from stogame.matrixgame import _verify
 from stogame.minmax import default_schedule
 from stogame.pipeline import run_pipeline
 
@@ -217,3 +226,87 @@ def test_columns_match_enumeration_on_dense_games(n):
     g = random_dense_game(5000 + n, n_states=n)
     _assert_columns_match_enumeration(g, run_pipeline(g, eps=0.05,
                                                       schedule=default_schedule(24)))
+
+
+@st.composite
+def _priced_regions(draw):
+    """A small game, a region of it and pricing weights.  Payoffs come from a
+    few levels, so ties are common; transition rows are deterministic or
+    small integer mixes, and states outside the region make some region
+    states dead (no profile stays inside)."""
+    n_players = draw(st.integers(1, 2))
+    n_actions = draw(st.lists(st.integers(1, 3), min_size=n_players, max_size=n_players))
+    n_profiles = int(np.prod(n_actions))
+    n_states = draw(st.integers(1, 5))
+    levels = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-1, 1, allow_subnormal=False)
+    payoffs = np.array(draw(st.lists(levels, min_size=n_states * n_profiles * n_players,
+                                     max_size=n_states * n_profiles * n_players)))
+    rows = []
+    for _ in range(n_states * n_profiles):
+        if draw(st.booleans()):
+            row = np.zeros(n_states)
+            row[draw(st.integers(0, n_states - 1))] = 1.0
+        else:
+            row = np.array(draw(st.lists(st.integers(0, 3), min_size=n_states,
+                                         max_size=n_states)), dtype=float)
+            row[draw(st.integers(0, n_states - 1))] += 1.0
+            row /= row.sum()
+        rows.append(row)
+    game = StochasticGame(
+        tuple(f"s{k}" for k in range(n_states)),
+        tuple(tuple(f"p{i}a{j}" for j in range(n)) for i, n in enumerate(n_actions)),
+        payoffs.reshape(n_states, n_profiles, n_players),
+        np.array(rows).reshape(n_states, n_profiles, n_states),
+    )
+    region = draw(st.lists(st.integers(0, n_states - 1), min_size=1, unique=True))
+    if draw(st.booleans()):
+        weights = np.zeros(n_players)
+        weights[draw(st.integers(0, n_players - 1))] = 1.0
+    else:
+        weights = np.array(draw(st.lists(st.integers(1, 4), min_size=n_players,
+                                         max_size=n_players)), dtype=float)
+        weights /= weights.sum()
+    return game, sorted(region), weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(_priced_regions())
+def test_policy_iteration_prices_like_the_lp(case):
+    game, region, weights = case
+    got = best_recurrent_point(game, region, weights)
+    want = pricing_lp_oracle(game, region, weights)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    points = enumerate_recurrent_points(game, region)
+    value = weights @ got.payoff
+    assert abs(value - max(weights @ p.payoff for p in points)) <= 1e-12
+    assert (got.states, got.actions) in [(p.states, p.actions) for p in points]
+    # HiGHS may stop short of the optimum by up to its dual feasibility
+    # tolerance (1e-7): payoffs 0.5 and 0.5 - 3e-8 on two self-loops give it
+    # the worse loop.  It is never better than the optimum.
+    assert -1e-12 <= value - weights @ want.payoff <= 1e-7
+
+
+_masters = st.tuples(st.integers(1, 6), st.integers(1, 3)).flatmap(
+    lambda shape: st.tuples(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-1, 1, allow_subnormal=False),
+                 min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+        .map(lambda v: np.reshape(v, shape)),
+        st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=shape[1],
+                 max_size=shape[1]).map(np.array)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_masters)
+def test_master_matches_the_mixture_lp(case):
+    payoffs, target = case
+    sol = max_slack_mixture(payoffs, target)
+    beta, t, y = sol.row_strategy, sol.value, sol.col_strategy
+    # (beta, y) certifies t to 1e-12: beta guarantees it, y caps it.
+    assert _verify(payoffs - target, t, beta, y, tol=1e-12)
+    assert np.all(y >= 0.0) and y.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.count_nonzero(beta > 1e-12) <= payoffs.shape[1]
+    # HiGHS's answer is only as exact as its feasibility tolerances (1e-7):
+    # it reads a single point paying 2.7e-11 over the target as slack 0.
+    assert abs(t - mixture_lp_oracle(payoffs, target)[1]) <= 1e-7

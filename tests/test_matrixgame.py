@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import grid_matrix_value, solve_2x2_oracle
-from stogame.matrixgame import _verify, closed_form_2x2, solve_matrix_game
+from stogame.matrixgame import (
+    KERNEL_LIMIT,
+    _verify,
+    closed_form_2x2,
+    kernel_solution,
+    solve_matrix_game,
+)
 
 
 def test_matching_pennies():
@@ -115,3 +123,59 @@ def test_stacked_closed_form_matches_one_game_at_a_time(stack):
             assert np.array_equal(sol.row_strategy, rows[k])
             assert np.array_equal(sol.col_strategy, cols[k])
             assert np.array_equal(x, rows[k]) and np.array_equal(y, cols[k])
+
+
+@pytest.mark.parametrize("solver", [solve_matrix_game, kernel_solution])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_rejected(solver, bad):
+    M = np.array([[0.3, -0.2, 0.5], [0.1, bad, -0.4]])
+    with pytest.raises(ValueError, match="entries must be finite"):
+        solver(M)
+
+
+_KERNEL_SHAPES = [(2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (4, 4)] + [(L, 2) for L in range(1, 13)]
+
+
+def _degenerate_game(kind, M):
+    m, n = M.shape
+    if kind == "duplicate rows":
+        return M[np.arange(m) // 2]
+    if kind == "duplicate columns":
+        return M[:, np.arange(n) // 2]
+    if kind == "constant":
+        return np.full((m, n), M[0, 0])
+    if kind == "rank one":
+        return np.outer(M[:, 0], M[0])
+    return M
+
+
+_kernel_games = st.sampled_from(_KERNEL_SHAPES).flatmap(
+    lambda shape: st.builds(
+        _degenerate_game,
+        st.sampled_from(["random", "duplicate rows", "duplicate columns", "constant",
+                         "rank one"]),
+        arrays(np.float64, shape, elements=st.floats(-1, 1, allow_subnormal=False))
+        | arrays(np.float64, shape, elements=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_games)
+def test_kernel_solution_matches_the_lp(M):
+    sol = kernel_solution(M)
+    assert sol is not None and sol.method == "kernel"
+    assert abs(sol.value - solve_matrix_game(M).value) <= 1e-9
+    assert _verify(M, sol.value, sol.row_strategy, sol.col_strategy)
+    bound = min(M.shape)
+    assert np.count_nonzero(sol.row_strategy) <= bound
+    assert np.count_nonzero(sol.col_strategy) <= bound
+    assert sol.row_strategy.sum() == pytest.approx(1.0, abs=1e-12)
+    assert sol.col_strategy.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(13, 2), (2, 13), (7, 3), (5, 5), (300, 2)])
+def test_kernel_solution_declines_above_the_limit(shape):
+    m, n = shape
+    # 13x2 has 104 square submatrices, 7x3 has 119 and 5x5 has 251.
+    assert math.comb(m + n, m) - 1 > KERNEL_LIMIT
+    M = np.random.default_rng(m * n).uniform(-1, 1, size=shape)
+    assert kernel_solution(M) is None
