@@ -7,9 +7,12 @@ Per game the table shows the set kinds, the transient-state count, the
 recurrent points priced by the sustainability test's column generation over
 all sets (cols=), the classification masters that fell back to an LP
 (master_lp=, expected 0: kernels solve them), the min-max strategy-iteration
-rounds over all players and discounts (rounds=), the worst
-individual-rationality gain, the submartingale drift and the wall time; the
-last line adds the suite's total rounds and master LPs.  The --json rows are
+rounds over all players and discounts (rounds=), the min-max one-shot games
+that left the stacked closed form for `solve_matrix_game` (lp=, expected 0
+on the suite), the min-max warnings, one per player with an unconverged
+curve or a stalled solve (warn=), the worst individual-rationality gain, the
+submartingale drift and the wall time; the last line adds the suite's total
+rounds, master LPs, one-shot LPs and warnings.  The --json rows are
 `PipelineResult.summary()`.
 """
 
@@ -34,6 +37,8 @@ def main() -> int:
     rows = []
     total_rounds = 0
     total_lp = 0
+    total_oneshot_lp = 0
+    total_warn = 0
     start = time.monotonic()
     for game in acceptance_suite():
         t0 = time.monotonic()
@@ -45,18 +50,21 @@ def main() -> int:
         cols = sum(c.diagnostics.get("sustain_columns", 0) for c in res.classifications)
         master_lp = sum(c.diagnostics.get("master_lp", 0) for c in res.classifications)
         rounds = sum(sum(curve.rounds) for curve in res.minmax.curves)
+        oneshot_lp = sum(sum(curve.matrix_solves) for curve in res.minmax.curves)
         total_rounds += rounds
         total_lp += master_lp
+        total_oneshot_lp += oneshot_lp
+        total_warn += len(summ["warnings"])
         print(f"{flag} {summ['game']:22s} sets={''.join(summ['kinds']):6s} "
               f"tr={len(summ['transient'])} cols={cols:<3d} master_lp={master_lp} "
-              f"rounds={rounds:<4d} "
+              f"rounds={rounds:<4d} lp={oneshot_lp} warn={len(summ['warnings'])} "
               f"ir={summ['ir_worst_gain']:.4f} "
               f"drift={summ['submartingale_min_drift']:+.2e} "
               f"t={summ['seconds']:.2f}s")
     total = time.monotonic() - start
     n_ok = sum(1 for r in rows if r["ok"])
     print(f"\n{n_ok}/{len(rows)} games ok in {total:.1f}s, {total_rounds} min-max rounds, "
-          f"master_lp={total_lp}")
+          f"master_lp={total_lp}, lp={total_oneshot_lp}, warn={total_warn}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(json_ready(rows), fh, indent=2, sort_keys=True)

@@ -83,12 +83,10 @@ from .structure import (
 from .verify import (
     AcceptabilityReport,
     automaton_size_audit,
-    check_average_limit_acceptable,
     check_individual_rationality,
     check_minmax_acceptable,
     check_submartingale,
     check_w_acceptable,
-    exact_discounted_payoff_automaton,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import DIST_TOL, json_ready
-from .chains import limit_average_values, limit_occupation
+from .chains import limit_average_values
 from .game import StochasticGame, as_correlated_table
 
 
@@ -241,15 +241,6 @@ def discounted_value(model: ProductModel, lam: float) -> np.ndarray:
 def limit_value(model: ProductModel) -> np.ndarray:
     """Cesaro-limit payoffs per node, shape (N, I)."""
     return limit_average_values(model.P, model.r)
-
-
-def node_frequency(model: ProductModel, node: int) -> np.ndarray:
-    """Long-run (game state, profile) frequency from a start node."""
-    occ = limit_occupation(model.P, node)
-    rho = np.zeros((model.game.n_states, model.game.n_profiles))
-    for n in np.nonzero(occ)[0]:
-        rho[model.nodes[n][0]] += occ[n] * model.alpha[n]
-    return rho
 
 
 def reachable_nodes(model: ProductModel, from_states=None) -> list:

@@ -112,30 +112,6 @@ def first_exit_distribution(eta) -> np.ndarray:
     return mass / (1.0 - silent[-1])
 
 
-def simulate_first_exit(eta, trials: int, seed: int) -> np.ndarray:
-    """Empirical first-exit frequencies of the cyclic scheme.
-
-    Simulated cycle by cycle: each pending trial draws the cycle outcome
-    (fire at phase l, or a silent cycle) from the coin process's per-cycle
-    law; silent trials go around again.
-    """
-    rng = np.random.default_rng(seed)
-    eta = np.asarray(eta, dtype=float)
-    silent = np.cumprod(1.0 - eta)
-    before = np.concatenate([[1.0], silent[:-1]])
-    per_cycle = np.concatenate([before * eta, [silent[-1]]])
-    cum = np.cumsum(per_cycle)
-    L = eta.size
-    counts = np.zeros(L)
-    pending = trials
-    while pending:
-        draws = np.searchsorted(cum, rng.random(pending))
-        fired = np.bincount(draws[draws < L], minlength=L)
-        counts += fired
-        pending = int((draws == L).sum())
-    return counts / trials
-
-
 # ---------------------------------------------------------------------------
 # Plans
 

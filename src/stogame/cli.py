@@ -120,6 +120,7 @@ def cmd_decompose(args) -> int:
         "decomposition": res.decomposition.to_dict(),
         "classifications": [c.to_dict() for c in res.classifications],
         "errors": res.errors,
+        "warnings": res.warnings,
     }
     dump_json(doc, os.path.join(_outdir(args), "decompose.json"))
     for cset, cls in zip(res.decomposition.sets, res.classifications):
@@ -128,6 +129,8 @@ def cmd_decompose(args) -> int:
     print(f"transient: {[game.state_names[s] for s in res.decomposition.transient]}")
     for err in res.errors:
         print(f"error: {err}")
+    for warning in res.warnings:
+        print(f"warning: {warning}")
     bad = [k for k, c in enumerate(res.classifications) if c.kind == "unclassifiable"]
     return 1 if bad or res.errors else 0
 
@@ -189,6 +192,8 @@ def cmd_verify(args) -> int:
           f"min_drift={summ['submartingale_min_drift']}")
     if res.errors:
         print("errors:", "; ".join(res.errors))
+    for warning in res.warnings:
+        print(f"warning: {warning}")
     return 0 if res.ok else 1
 
 

@@ -6,7 +6,8 @@ takes a whole stack of 2x2 games at once); everything else goes through two
 linear programs (one per side), solved with HiGHS.  A pair that fails, or
 fails the duality-gap or minimax check, is solved once more on the matrix
 rescaled onto [0, 1], where the solver's absolute tolerances fit the
-entries' spread.
+entries' spread.  scipy is imported by `linprog`, at the first LP, so a run
+that solves no LP never loads it.
 
 `kernel_solution` solves a small game of any shape without an LP: every
 matrix game has an optimal pair supported on a square submatrix, a kernel,
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.optimize import linprog
 
 MINIMAX_TOL = 1e-9
 # A kernel pair must pass the minimax check to this tolerance, times the
@@ -169,6 +169,14 @@ def kernel_solution(M) -> MatrixGameSolution | None:
             first = int(np.argmax(ok))
             return MatrixGameSolution(float(v[first]), X[first], Y[first], "kernel")
     return None
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on first use: loading scipy costs
+    more start-up time and memory than most runs spend on their LPs."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _lp_row(M):

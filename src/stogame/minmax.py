@@ -72,25 +72,27 @@ def player_view(game: StochasticGame, i: int) -> _PlayerView:
 
 
 def _one_shot(payoff, transitions, index, lam, v):
-    """Tv and both sides' one-shot mixes at v; payoff is the scaled stage
-    payoff (1 - lam) * payoffs[:, :, i] over flat profiles."""
+    """Tv, both sides' one-shot mixes at v and the number of games solved by
+    `solve_matrix_game` instead of the stacked closed form; payoff is the
+    scaled stage payoff (1 - lam) * payoffs[:, :, i] over flat profiles."""
     Q = (payoff + lam * (transitions @ v))[:, index]
     if Q.shape[1:] == (2, 2):
         Tv, rows, cols, ok = closed_form_2x2(Q)
         if ok.all():
-            return Tv, rows, cols
+            return Tv, rows, cols, 0
     else:
         n_states, own, other = Q.shape
         Tv = np.empty(n_states)
         rows = np.empty((n_states, own))
         cols = np.empty((n_states, other))
         ok = np.zeros(n_states, dtype=bool)
-    for s in np.flatnonzero(~ok):
+    unsolved = np.flatnonzero(~ok)
+    for s in unsolved:
         sol = solve_matrix_game(Q[s])
         Tv[s] = sol.value
         rows[s] = sol.row_strategy
         cols[s] = sol.col_strategy
-    return Tv, rows, cols
+    return Tv, rows, cols, len(unsolved)
 
 
 def shapley_operator(game: StochasticGame, i: int, lam: float, v: np.ndarray,
@@ -105,7 +107,7 @@ def shapley_operator(game: StochasticGame, i: int, lam: float, v: np.ndarray,
     """
     view = view or player_view(game, i)
     return _one_shot((1.0 - lam) * game.payoffs[:, :, i], game.transitions,
-                     view.index, lam, v)
+                     view.index, lam, v)[:3]
 
 
 def _policy_iteration(R: np.ndarray, P: np.ndarray, lam: float, eye: np.ndarray,
@@ -208,7 +210,10 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float, tol: float = 1e-
     the exact best-response values on both sides of the candidate strategies;
     close to discount 1 the achievable gap is limited by the one-shot
     strategies' floating-point accuracy amplified by 1/(1-lam), so a stalled
-    gap is accepted and reported rather than iterated forever.
+    gap is accepted and reported rather than iterated forever.  The info
+    holds the rounds, `matrix_solves` (one-shot games solved by
+    `solve_matrix_game` rather than the stacked closed form), the
+    certificate and, on a stall, `stalled`.
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"discount factor {lam} outside [0, 1)")
@@ -217,12 +222,14 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float, tol: float = 1e-
     v = np.zeros(game.n_states) if v0 is None else np.array(v0, dtype=float)
     ops = 0
     rounds = 0
+    matrix_solves = 0
     best_gap = np.inf
     best_mid = None
     since_improved = 0
     while True:
-        Tv, rows, cols = _one_shot(stage.payoff, game.transitions, view.index, lam, v)
+        Tv, rows, cols, solved = _one_shot(stage.payoff, game.transitions, view.index, lam, v)
         rounds += 1
+        matrix_solves += solved
         v_up, v_lo = stage.response_values(rows, cols)
         gap = float(abs(v_up - v_lo).max())
         if gap < best_gap * 0.9:
@@ -232,14 +239,15 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float, tol: float = 1e-
         else:
             since_improved += 1
         if gap <= 2.0 * tol:
-            return 0.5 * (v_up + v_lo), {"rounds": rounds, "certified_gap": gap}
+            return 0.5 * (v_up + v_lo), {"rounds": rounds, "matrix_solves": matrix_solves,
+                                         "certified_gap": gap}
         residual = float(abs(Tv - v).max())
         if residual * lam / (1.0 - lam) <= tol:
-            return Tv, {"rounds": rounds,
+            return Tv, {"rounds": rounds, "matrix_solves": matrix_solves,
                         "certified_gap": residual * lam / (1.0 - lam)}
         if since_improved >= 8 or rounds >= 200:
-            return best_mid, {"rounds": rounds, "certified_gap": best_gap,
-                              "stalled": True}
+            return best_mid, {"rounds": rounds, "matrix_solves": matrix_solves,
+                              "certified_gap": best_gap, "stalled": True}
         ops += game.n_states
         if ops > ITERATION_CAP:
             raise RuntimeError(
@@ -271,6 +279,7 @@ class PlayerValueCurve:
     rounds: list          # strategy-iteration rounds per schedule point
     certified_gaps: list  # certificate of each schedule point's solve
     stalled: list         # whether each solve stopped on a stalled gap
+    matrix_solves: list   # one-shot games sent to solve_matrix_game per point
     extrapolation_points: tuple | None  # schedule indices fed to Aitken
 
     def to_dict(self) -> dict:
@@ -284,6 +293,7 @@ class PlayerValueCurve:
             "rounds": self.rounds,
             "certified_gaps": self.certified_gaps,
             "stalled": self.stalled,
+            "matrix_solves": self.matrix_solves,
             "extrapolation_points": self.extrapolation_points,
         })
 
@@ -319,6 +329,7 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None, tol: float = 1e-
     certs = []
     rounds = []
     stalled = []
+    matrix_solves = []
     v = None
     for lam in schedule:
         v, info = discounted_minmax(game, i, lam, tol=tol, v0=v)
@@ -326,6 +337,7 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None, tol: float = 1e-
         certs.append(float(info.get("certified_gap", 0.0)))
         rounds.append(info["rounds"])
         stalled.append(bool(info.get("stalled", False)))
+        matrix_solves.append(info["matrix_solves"])
     diffs = [float(np.max(np.abs(values[k + 1] - values[k])))
              for k in range(len(values) - 1)]
     cert_cap = max(10.0 * tol, 1e-8)
@@ -351,7 +363,7 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None, tol: float = 1e-
     if diffs and diffs[-1] > 1e-2:
         converged = False
     return PlayerValueCurve(i, schedule, values, extrap, diffs, converged,
-                            rounds, certs, stalled, triple)
+                            rounds, certs, stalled, matrix_solves, triple)
 
 
 def solve_uniform_minmax(game: StochasticGame, schedule=None, tol: float = 1e-9

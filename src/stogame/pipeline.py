@@ -55,6 +55,21 @@ class PipelineResult:
             return False
         return all(c.ok for c in checks)
 
+    @property
+    def warnings(self) -> list:
+        """One line per player whose min-max curve did not converge or has a
+        stalled discounted solve: that player's `v1` rests on an
+        extrapolation without a clean certificate.  Reported, not gated."""
+        lines = []
+        for curve in self.minmax.curves:
+            stalled = sum(curve.stalled)
+            problems = [] if curve.converged else ["did not converge"]
+            if stalled:
+                problems.append(f"has {stalled} of {len(curve.stalled)} discounted solves stalled")
+            if problems:
+                lines.append(f"player {curve.player}: min-max curve " + " and ".join(problems))
+        return lines
+
     def summary(self) -> dict:
         return json_ready({
             "game": self.game.name,
@@ -72,6 +87,7 @@ class PipelineResult:
             else self.submartingale.min_drift,
             "machine_sizes": None if self.size_audit is None else self.size_audit.sizes,
             "errors": self.errors,
+            "warnings": self.warnings,
             "ok": self.ok,
         })
 

@@ -29,13 +29,6 @@ DEFAULT_LAMBDA_GRID = (0.9, 0.99, 0.999, 0.9999, 0.99999)
 MARGIN_TOL = 1e-9
 
 
-def exact_discounted_payoff_automaton(game: StochasticGame, profile, s1: int,
-                                      lam: float) -> np.ndarray:
-    """Exact discounted payoff of an automaton (or stationary) strategy."""
-    model = build_product_model(game, as_automaton(game, profile))
-    return discounted_value(model, lam)[model.node_of(s1)]
-
-
 # ---------------------------------------------------------------------------
 # Acceptability
 
@@ -128,88 +121,6 @@ def check_minmax_acceptable(game: StochasticGame, profile, v1: np.ndarray,
     """Acceptability against the uniform min-max values lowered by eps."""
     return check_w_acceptable(game, profile, v1 - eps, lam_grid,
                               subgame_perfect=subgame_perfect)
-
-
-# ---------------------------------------------------------------------------
-# Average and limit acceptability
-
-
-@dataclass
-class AverageLimitReport:
-    average_ok: bool
-    limit_ok: bool
-    discounted_ok: bool
-    uniform_ok: bool
-    average_threshold: dict        # per state, first stage count passing onward
-    horizon: int
-    details: dict
-
-    def to_dict(self) -> dict:
-        return json_ready({
-            "average_ok": self.average_ok,
-            "limit_ok": self.limit_ok,
-            "discounted_ok": self.discounted_ok,
-            "uniform_ok": self.uniform_ok,
-            "average_threshold": self.average_threshold,
-            "horizon": self.horizon,
-            "details": self.details,
-        })
-
-
-def check_average_limit_acceptable(game: StochasticGame, profile, w: np.ndarray,
-                                   horizon: int = 4000,
-                                   lam_grid=DEFAULT_LAMBDA_GRID
-                                   ) -> AverageLimitReport:
-    """Finite-horizon average and limit-average acceptability.
-
-    Expected k-stage averages are computed by exact transient analysis on the
-    product chain for k up to `horizon`; the limit uses the recurrent-class
-    decomposition.  The two must agree at the horizon for the average
-    criterion to conclude.
-    """
-    model = build_product_model(game, as_automaton(game, profile))
-    lim = limit_value(model)
-    thresholds = {}
-    average_ok = True
-    stage_gap = 0.0
-    for s in range(game.n_states):
-        node = model.node_of(s)
-        dist = np.zeros(model.n_nodes)
-        dist[node] = 1.0
-        cum = np.zeros(game.n_players)
-        margins_ok_from = None
-        for k in range(1, horizon + 1):
-            cum += dist @ model.r
-            avg = cum / k
-            if np.all(avg - w[s] >= -MARGIN_TOL):
-                if margins_ok_from is None:
-                    margins_ok_from = k
-            else:
-                margins_ok_from = None
-            dist = dist @ model.P
-        thresholds[str(s)] = margins_ok_from
-        if margins_ok_from is None:
-            average_ok = False
-        # Stage payoffs converge geometrically; once they sit on the limit,
-        # averages beyond the horizon are mixtures of the verified horizon
-        # average and the (separately checked) limit.
-        stage_gap = max(stage_gap, float(np.max(np.abs(dist @ model.r - lim[node]))))
-    converged = stage_gap <= 1e-6
-    limit_ok = all(
-        np.all(lim[model.node_of(s)] - w[s] >= -MARGIN_TOL)
-        for s in range(game.n_states)
-    )
-    disc = check_w_acceptable(game, profile, w, lam_grid)
-    average_ok = average_ok and converged and limit_ok
-    return AverageLimitReport(
-        average_ok=average_ok,
-        limit_ok=limit_ok,
-        discounted_ok=disc.ok,
-        uniform_ok=bool(average_ok and limit_ok and disc.ok),
-        average_threshold=thresholds,
-        horizon=horizon,
-        details={"tail_converged": converged, "stage_gap_at_horizon": stage_gap},
-    )
 
 
 # ---------------------------------------------------------------------------

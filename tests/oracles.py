@@ -9,20 +9,30 @@ library's LP, `solve_matrix_game`.  Classification's two references are
 linear programs solved by HiGHS: `pricing_lp_oracle` over the invariant
 frequency polytope of a region's safe sub-MDP, and `mixture_lp_oracle` for
 the column-generation master.  The library solves both without an LP.
+
+The last section holds helpers only the tests call, built on the library's
+own product chain: exact payoffs of an automaton profile, finite-horizon
+average acceptability, long-run node frequencies and a simulation of the
+exit-cycling scheme.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
+from stogame.automata import ProductModel, build_product_model, discounted_value, limit_value
+from stogame.chains import limit_occupation
 from stogame.frequencies import _profile_points
 from stogame.matrixgame import solve_matrix_game
 from stogame.minmax import ITERATION_CAP, player_view
+from stogame.simulate import as_automaton
 from stogame.structure import safe_profiles
+from stogame.verify import DEFAULT_LAMBDA_GRID, MARGIN_TOL, check_w_acceptable
 
 
 def cesaro_doubling(P: np.ndarray, doublings: int = 30) -> np.ndarray:
@@ -371,16 +381,18 @@ def policy_iteration_oracle(R: np.ndarray, P: np.ndarray, lam: float,
 
 def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=None):
     """Per-state reference of `minmax.discounted_minmax`: the same rounds,
-    stop rules and stall bookkeeping, with every one-shot game solved on its
-    own (`solve_2x2_oracle`, or `solve_matrix_game` where that fails or the
-    game is not 2x2), every response MDP built one state at a time and each
-    side's MDP solved on its own."""
+    stop rules, stall bookkeeping and `matrix_solves` count, with every
+    one-shot game solved on its own (`solve_2x2_oracle`, or
+    `solve_matrix_game` where that fails or the game is not 2x2), every
+    response MDP built one state at a time and each side's MDP solved on its
+    own."""
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"discount factor {lam} outside [0, 1)")
     view = player_view(game, i)
     v = np.zeros(game.n_states) if v0 is None else np.array(v0, dtype=float)
     ops = 0
     rounds = 0
+    matrix_solves = 0
     best_gap = np.inf
     best_mid = None
     since_improved = 0
@@ -394,6 +406,7 @@ def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=Non
             if M.shape == (2, 2):
                 value, x, y, ok = solve_2x2_oracle(M)
             if not ok:
+                matrix_solves += 1
                 sol = solve_matrix_game(M)
                 value, x, y = sol.value, sol.row_strategy, sol.col_strategy
             Tv[s] = value
@@ -412,16 +425,123 @@ def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=Non
         else:
             since_improved += 1
         if gap <= 2.0 * tol:
-            return 0.5 * (v_up + v_lo), {"rounds": rounds, "certified_gap": gap}
+            return 0.5 * (v_up + v_lo), {"rounds": rounds, "matrix_solves": matrix_solves,
+                                         "certified_gap": gap}
         residual = float(np.max(np.abs(Tv - v)))
         if residual * lam / (1.0 - lam) <= tol:
-            return Tv, {"rounds": rounds,
+            return Tv, {"rounds": rounds, "matrix_solves": matrix_solves,
                         "certified_gap": residual * lam / (1.0 - lam)}
         if since_improved >= 8 or rounds >= 200:
-            return best_mid, {"rounds": rounds, "certified_gap": best_gap,
-                              "stalled": True}
+            return best_mid, {"rounds": rounds, "matrix_solves": matrix_solves,
+                              "certified_gap": best_gap, "stalled": True}
         ops += game.n_states
         if ops > ITERATION_CAP:
             raise RuntimeError(
                 f"min-max solve for player {i} at discount {lam} hit the iteration cap")
         v = v_up
+
+
+# Test-only helpers on the library's product chain and exit scheme.
+
+def exact_discounted_payoff_automaton(game, profile, s1: int, lam: float) -> np.ndarray:
+    """Exact discounted payoff of an automaton (or stationary) strategy."""
+    model = build_product_model(game, as_automaton(game, profile))
+    return discounted_value(model, lam)[model.node_of(s1)]
+
+
+def node_frequency(model: ProductModel, node: int) -> np.ndarray:
+    """Long-run (game state, profile) frequency from a start node."""
+    occ = limit_occupation(model.P, node)
+    rho = np.zeros((model.game.n_states, model.game.n_profiles))
+    for n in np.nonzero(occ)[0]:
+        rho[model.nodes[n][0]] += occ[n] * model.alpha[n]
+    return rho
+
+
+@dataclass
+class AverageLimitReport:
+    average_ok: bool
+    limit_ok: bool
+    discounted_ok: bool
+    uniform_ok: bool
+    average_threshold: dict        # per state, first stage count passing onward
+    horizon: int
+    details: dict
+
+
+def check_average_limit_acceptable(game, profile, w: np.ndarray, horizon: int = 4000,
+                                   lam_grid=DEFAULT_LAMBDA_GRID) -> AverageLimitReport:
+    """Finite-horizon average and limit-average acceptability.
+
+    Expected k-stage averages are computed by exact transient analysis on the
+    product chain for k up to `horizon`; the limit uses the recurrent-class
+    decomposition.  The two must agree at the horizon for the average
+    criterion to conclude.
+    """
+    model = build_product_model(game, as_automaton(game, profile))
+    lim = limit_value(model)
+    thresholds = {}
+    average_ok = True
+    stage_gap = 0.0
+    for s in range(game.n_states):
+        node = model.node_of(s)
+        dist = np.zeros(model.n_nodes)
+        dist[node] = 1.0
+        cum = np.zeros(game.n_players)
+        margins_ok_from = None
+        for k in range(1, horizon + 1):
+            cum += dist @ model.r
+            avg = cum / k
+            if np.all(avg - w[s] >= -MARGIN_TOL):
+                if margins_ok_from is None:
+                    margins_ok_from = k
+            else:
+                margins_ok_from = None
+            dist = dist @ model.P
+        thresholds[str(s)] = margins_ok_from
+        if margins_ok_from is None:
+            average_ok = False
+        # Stage payoffs converge geometrically; once they sit on the limit,
+        # averages beyond the horizon are mixtures of the verified horizon
+        # average and the (separately checked) limit.
+        stage_gap = max(stage_gap, float(np.max(np.abs(dist @ model.r - lim[node]))))
+    converged = stage_gap <= 1e-6
+    limit_ok = all(
+        np.all(lim[model.node_of(s)] - w[s] >= -MARGIN_TOL)
+        for s in range(game.n_states)
+    )
+    disc = check_w_acceptable(game, profile, w, lam_grid)
+    average_ok = average_ok and converged and limit_ok
+    return AverageLimitReport(
+        average_ok=average_ok,
+        limit_ok=limit_ok,
+        discounted_ok=disc.ok,
+        uniform_ok=bool(average_ok and limit_ok and disc.ok),
+        average_threshold=thresholds,
+        horizon=horizon,
+        details={"tail_converged": converged, "stage_gap_at_horizon": stage_gap},
+    )
+
+
+def simulate_first_exit(eta, trials: int, seed: int) -> np.ndarray:
+    """Empirical first-exit frequencies of the cyclic scheme.
+
+    Simulated cycle by cycle: each pending trial draws the cycle outcome
+    (fire at phase l, or a silent cycle) from the coin process's per-cycle
+    law; silent trials go around again.
+    """
+    rng = np.random.default_rng(seed)
+    eta = np.asarray(eta, dtype=float)
+    silent = np.cumprod(1.0 - eta)
+    before = np.concatenate([[1.0], silent[:-1]])
+    per_cycle = np.concatenate([before * eta, [silent[-1]]])
+    cum = np.cumsum(per_cycle)
+    L = eta.size
+    counts = np.zeros(L)
+    pending = trials
+    while pending:
+        draws = np.searchsorted(cum, rng.random(pending))
+        fired = np.bincount(draws[draws < L], minlength=L)
+        counts += fired
+        pending = int((draws == L).sum())
+    return counts / trials

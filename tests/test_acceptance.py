@@ -15,8 +15,9 @@ from oracles import (
     minimal_closed_sets_of_chain,
     optimal_average_values,
     recurrent_points_oracle,
+    simulate_first_exit,
 )
-from stogame.builder import first_exit_distribution, simulate_first_exit, solve_eta
+from stogame.builder import first_exit_distribution, solve_eta
 from stogame.frequencies import (
     enumerate_recurrent_points,
     payoff_of_frequency,

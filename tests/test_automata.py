@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import node_frequency
 from stogame.automata import (
     build_product_model,
     discounted_value,
     limit_value,
-    node_frequency,
     reachable_nodes,
     stationary_automaton,
 )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import simulate_first_exit
 from stogame.builder import (
     assemble_profile,
     build_correlated_stationary,
@@ -12,7 +13,6 @@ from stogame.builder import (
     exit_options,
     exit_play_law,
     first_exit_distribution,
-    simulate_first_exit,
     solve_eta,
     sustain_payoff,
     tune_type_a_delta,

@@ -124,3 +124,19 @@ def test_solve_artifact_keeps_solver_facts_and_is_byte_identical(tmp_path):
     n = len(player["schedule"])
     assert len(player["rounds"]) == len(player["certified_gaps"]) == len(player["stalled"]) == n
     assert len(player["extrapolation_points"]) == 3
+
+
+def test_decompose_and_verify_print_and_write_minmax_warnings(tmp_path, capsys):
+    from stogame.generators import random_banded_exit_game
+
+    path = tmp_path / "banded.json"
+    save_game(random_banded_exit_game(4001), str(path))
+    common = ["--game", str(path), "--schedule-depth", "30", "--out", str(tmp_path)]
+    assert run(["decompose", *common]) == 0
+    warnings = json.loads((tmp_path / "decompose.json").read_text())["warnings"]
+    assert len(warnings) == 2 and all("stalled" in w for w in warnings)
+    assert run(["verify", *common]) == 0
+    assert json.loads((tmp_path / "verify.json").read_text())["summary"]["warnings"] == warnings
+    out = capsys.readouterr().out
+    for w in warnings:
+        assert out.count(f"warning: {w}") == 2

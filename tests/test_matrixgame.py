@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import stogame
+import stogame.matrixgame
 from oracles import grid_matrix_value, solve_2x2_oracle
 from stogame.matrixgame import (
     KERNEL_LIMIT,
@@ -179,3 +186,59 @@ def test_kernel_solution_declines_above_the_limit(shape):
     assert math.comb(m + n, m) - 1 > KERNEL_LIMIT
     M = np.random.default_rng(m * n).uniform(-1, 1, size=shape)
     assert kernel_solution(M) is None
+
+
+# scipy is imported at the first LP, so a run that solves none never loads it.
+
+ROCK_PAPER_SCISSORS = [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]
+
+
+def _fresh_interpreter(script: str, *args: str) -> str:
+    """Last line printed by `script` run in a new interpreter that imports
+    stogame from the same sources as this one."""
+    src = str(Path(stogame.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, check=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    return done.stdout.splitlines()[-1]
+
+
+def test_lp_free_runs_never_import_scipy(tmp_path):
+    script = """
+import json, sys
+import stogame
+from stogame.cli import main
+from stogame.generators import acceptance_suite, sorin_game
+from stogame.minmax import default_schedule
+from stogame.pipeline import run_pipeline
+
+for game in (sorin_game(), acceptance_suite()[0]):
+    assert run_pipeline(game, schedule=default_schedule(24)).ok
+assert main(["solve", "--game", "builtin:sorin", "--out", sys.argv[1]]) == 0
+print(json.dumps([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]))
+"""
+    assert json.loads(_fresh_interpreter(script, str(tmp_path))) == []
+
+
+def test_first_lp_imports_scipy():
+    script = f"""
+import sys
+from stogame.matrixgame import solve_matrix_game
+
+before = "scipy.optimize" in sys.modules
+sol = solve_matrix_game({ROCK_PAPER_SCISSORS})
+print(before, sol.method, abs(sol.value) <= 1e-9, "scipy.optimize" in sys.modules)
+"""
+    assert _fresh_interpreter(script) == "False lp True True"
+
+
+def test_one_shot_lp_goes_through_the_module_linprog(monkeypatch):
+    class Called(Exception):
+        pass
+
+    def no_lp(*args, **kwargs):
+        raise Called
+
+    monkeypatch.setattr(stogame.matrixgame, "linprog", no_lp)
+    with pytest.raises(Called):
+        solve_matrix_game(ROCK_PAPER_SCISSORS)

@@ -53,6 +53,17 @@ def test_single_player_matches_discounted_mdp_value_iteration():
     np.testing.assert_allclose(v, w, atol=1e-6)
 
 
+def test_matrix_solves_counts_one_shot_games_off_the_closed_form(sorin):
+    # A 3x3 game sends every state to solve_matrix_game in every round; the
+    # 2x2 closed form solves all of Sorin's.
+    g = random_dense_game(6003, n_states=4, n_actions=3)
+    _, info = discounted_minmax(g, 0, 0.5)
+    assert info["matrix_solves"] == info["rounds"] * g.n_states
+    curve = uniform_minmax(sorin, 0, default_schedule(8))
+    assert curve.matrix_solves == [0] * 8
+    assert curve.to_dict()["matrix_solves"] == curve.matrix_solves
+
+
 def test_absorbing_state_value_is_its_payoff(sorin):
     for lam in (0.3, 0.9, 0.999):
         v1, _ = discounted_minmax(sorin, 0, lam)

@@ -89,3 +89,21 @@ def test_pipeline_gives_no_verdict_on_an_invalid_game():
     assert res.classifications == [] and res.profile is None
     assert len(res.errors) == 1 and res.errors[0].startswith("invalid game: 1 violations")
     assert res.v1.shape == (3, 2)
+
+
+def test_stalled_minmax_solves_are_warned_not_gated():
+    from stogame.generators import random_banded_exit_game
+
+    res = run_pipeline(random_banded_exit_game(4001), eps=0.05, schedule=default_schedule(30))
+    assert [sum(c.stalled) for c in res.minmax.curves] == [1, 2]
+    assert res.warnings == [
+        "player 0: min-max curve has 1 of 30 discounted solves stalled",
+        "player 1: min-max curve has 2 of 30 discounted solves stalled",
+    ]
+    assert res.summary()["warnings"] == res.warnings
+    assert res.ok and not res.errors
+
+
+def test_converged_clean_curves_give_no_warnings(sorin_result):
+    assert sorin_result.warnings == []
+    assert sorin_result.summary()["warnings"] == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import check_average_limit_acceptable, exact_discounted_payoff_automaton
 from stogame.automata import stationary_automaton
 from stogame.builder import assemble_profile, classify_set
 from stogame.game import StationaryProfile, StochasticGame, pure_profile
@@ -11,12 +12,10 @@ from stogame.simulate import simulate
 from stogame.structure import decompose
 from stogame.verify import (
     automaton_size_audit,
-    check_average_limit_acceptable,
     check_individual_rationality,
     check_minmax_acceptable,
     check_submartingale,
     check_w_acceptable,
-    exact_discounted_payoff_automaton,
 )
 
 
