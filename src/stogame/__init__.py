@@ -73,10 +73,7 @@ from .structure import (
     Decomposition,
     TravelStrategy,
     decompose,
-    irreducible_sets,
-    leads_in_set,
     maximal_communicating_sets,
-    minimal_closed_sets_under_E,
     transient_profile,
     travel_strategy,
 )

@@ -69,6 +69,13 @@ def _grid(args):
     return grid
 
 
+def _schedule(args) -> list:
+    if args.schedule_depth < 1:
+        raise GameFormatError(
+            f"--schedule-depth must be at least 1, got {args.schedule_depth}")
+    return default_schedule(args.schedule_depth)
+
+
 def _outdir(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -81,7 +88,7 @@ def _run(args, with_correlated=True):
     return game, run_pipeline(
         game,
         eps=args.epsilon,
-        schedule=default_schedule(args.schedule_depth),
+        schedule=_schedule(args),
         tol_v=args.tol_v,
         lam_grid=_grid(args),
         with_correlated=with_correlated,
@@ -102,7 +109,7 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     game = _load(args)
-    report = solve_uniform_minmax(game, schedule=default_schedule(args.schedule_depth))
+    report = solve_uniform_minmax(game, schedule=_schedule(args))
     dump_json(report.to_dict(), os.path.join(_outdir(args), "solve.json"))
     print(f"adversary mode: {report.adversary_mode}")
     for curve in report.curves:
@@ -198,11 +205,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    lam = 0.99 if args.lam is None else args.lam
+    if not 0.0 <= lam < 1.0:
+        raise GameFormatError(f"--lam must lie in [0, 1), got {lam}")
     game, res = _run(args, with_correlated=False)
     if res.profile is None:
         print("build failed:", "; ".join(res.errors))
         return 1
-    lam = 0.99 if args.lam is None else args.lam
     results = {}
     for s in range(game.n_states):
         sim = simulate(game, s, res.profile, lam, seed=args.seed,
@@ -222,7 +231,7 @@ def cmd_demo_sorin(args) -> int:
     equilibrium limit, and a passing synthesized profile."""
     game = sorin_game()
     res = run_pipeline(game, eps=args.epsilon,
-                       schedule=default_schedule(args.schedule_depth),
+                       schedule=_schedule(args),
                        lam_grid=_grid(args))
     v0 = res.v1[0]
     print(f"uniform min-max values at {game.state_names[0]}: "

@@ -13,8 +13,10 @@ certified upper bound (protected player responds) and lower bound (coalition
 responds), and the loop stops once the sandwich closes.  This keeps the cost
 independent of the discount factor, which matters close to 1.
 
-Each round is batched over states: the 2x2 one-shot games are solved as one
-stack (`closed_form_2x2`), one einsum builds each best-response MDP's
+Each round is batched over states: the 2x2 one-shot games of all states go
+to one `closed_form_2x2` call, which solves them in one scalar pass (numpy
+array operations on a stack of a few games cost more in call overhead than
+the loop does in arithmetic), one einsum builds each best-response MDP's
 transitions, and one policy iteration solves both sides' MDPs together when
 they have the same shape.  What depends only on the game, the player and the
 discount is built once per discounted solve (`_Stage`): the scaled stage
@@ -42,8 +44,6 @@ import numpy as np
 from ._util import json_ready
 from .game import StochasticGame
 from .matrixgame import closed_form_2x2, solve_matrix_game
-
-ITERATION_CAP = 10**6
 
 
 def default_schedule(k_max: int = 20) -> list:
@@ -102,8 +102,9 @@ def shapley_operator(game: StochasticGame, i: int, lam: float, v: np.ndarray,
     Returns (Tv, row strategies, column strategies), where row strategies are
     the protected player's per-state optimal mixes (S, own) and column
     strategies the coalition's (S, other), both for the one-shot games at v.
-    2x2 games are solved as one stack; a state whose closed form fails the
-    minimax check, and every larger game, goes through `solve_matrix_game`.
+    All states' 2x2 games go to one `closed_form_2x2` call, a scalar pass
+    over the games; a state whose closed form fails the minimax check, and
+    every larger game, goes through `solve_matrix_game`.
     """
     view = view or player_view(game, i)
     return _one_shot((1.0 - lam) * game.payoffs[:, :, i], game.transitions,
@@ -220,7 +221,6 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float, tol: float = 1e-
     view = player_view(game, i)
     stage = _Stage(game, view, lam)
     v = np.zeros(game.n_states) if v0 is None else np.array(v0, dtype=float)
-    ops = 0
     rounds = 0
     matrix_solves = 0
     best_gap = np.inf
@@ -248,11 +248,6 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float, tol: float = 1e-
         if since_improved >= 8 or rounds >= 200:
             return best_mid, {"rounds": rounds, "matrix_solves": matrix_solves,
                               "certified_gap": best_gap, "stalled": True}
-        ops += game.n_states
-        if ops > ITERATION_CAP:
-            raise RuntimeError(
-                f"min-max solve for player {i} at discount {lam} hit the iteration cap"
-            )
         v = v_up
 
 
@@ -322,9 +317,11 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None, tol: float = 1e-
     The estimate is the geometric extrapolation of the last three schedule
     points whose solves carry clean certificates (stalled, noise-floor points
     are skipped); non-convergence (increasing tail differences) is flagged,
-    not raised.
+    not raised.  An empty schedule raises ValueError.
     """
     schedule = list(schedule) if schedule is not None else default_schedule()
+    if not schedule:
+        raise ValueError("the discount schedule is empty")
     values = []
     certs = []
     rounds = []

@@ -1,4 +1,4 @@
-"""State-space structure: irreducible sets, communicating sets, transient states.
+"""State-space structure: communicating sets, travel strategies, transient states.
 
 A set C is communicating (relative to the enumerated per-state equilibrium
 lists E) when it is closed under every listed equilibrium, every state can be
@@ -17,27 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import DIST_TOL, VALUE_SPREAD_TOL, json_ready
-from .chains import reach_probability, recurrent_classes, strongly_connected_components
-from .game import StochasticGame, as_correlated_table, induced_chain
+from .chains import reach_probability, strongly_connected_components
+from .game import StochasticGame
 
 CLOSED_TOL = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Irreducible sets of a stationary strategy
-
-
-@dataclass(frozen=True)
-class IrreducibleSet:
-    states: tuple
-
-
-def irreducible_sets(game: StochasticGame, strategy) -> list:
-    """Minimal closed sets (recurrent classes) of the induced state chain."""
-    table = as_correlated_table(game, strategy)
-    P, _ = induced_chain(game, table)
-    classes, _ = recurrent_classes(P)
-    return [IrreducibleSet(tuple(c)) for c in classes]
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +90,6 @@ def almost_sure_reach(game: StochasticGame, region, targets):
     return reachable, policy
 
 
-def leads_in_set(game: StochasticGame, region, s: int, target: int):
-    """Whether `s` leads to `target` inside `region`, with a pure witness."""
-    if s == target:
-        return True, {}
-    reachable, policy = almost_sure_reach(game, region, {target})
-    return (s in reachable), policy
-
-
 @dataclass(frozen=True)
 class TravelStrategy:
     """Pure stationary profile driving play into `targets` without leaving
@@ -142,52 +117,8 @@ def travel_strategy(game: StochasticGame, region, targets) -> TravelStrategy:
     return TravelStrategy(region, targets, policy)
 
 
-def verify_travel(game: StochasticGame, travel: TravelStrategy) -> float:
-    """Minimum probability, over source states, of hitting the targets before
-    leaving the region (should be 1)."""
-    n = game.n_states
-    P = np.zeros((n, n))
-    outside = [s for s in range(n) if s not in travel.region]
-    for s in travel.region:
-        if s in travel.targets:
-            P[s, s] = 1.0
-        else:
-            P[s] = game.transitions[s, travel.policy[s]]
-    for s in outside:
-        P[s, s] = 1.0
-    h = reach_probability(P, set(travel.targets))
-    sources = [s for s in travel.region if s not in travel.targets]
-    return float(min((h[s] for s in sources), default=1.0))
-
-
 # ---------------------------------------------------------------------------
 # Closedness and communication under the enumerated equilibrium lists
-
-
-def equilibrium_support_chain(game: StochasticGame, eq_sets) -> list:
-    """Adjacency list: edge s -> s' iff some listed equilibrium at s moves
-    there with positive probability."""
-    adj = []
-    for s in range(game.n_states):
-        mass = np.zeros(game.n_states)
-        for eq in eq_sets[s].items:
-            mass += eq.correlated_row() @ game.transitions[s]
-        adj.append(np.nonzero(mass > DIST_TOL)[0].tolist())
-    return adj
-
-
-def minimal_closed_sets_under_E(game: StochasticGame, eq_sets) -> list:
-    """Minimal closed sets of the equilibrium support chain (its bottom
-    strongly connected components)."""
-    adj = equilibrium_support_chain(game, eq_sets)
-    comps = strongly_connected_components(adj)
-    out = []
-    for comp in comps:
-        members = set(comp)
-        if all(all(t in members for t in adj[s]) for s in comp):
-            out.append(tuple(sorted(comp)))
-    out.sort()
-    return out
 
 
 def states_closed_under_E(game: StochasticGame, eq_sets, states) -> list:

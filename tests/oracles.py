@@ -10,10 +10,13 @@ linear programs solved by HiGHS: `pricing_lp_oracle` over the invariant
 frequency polytope of a region's safe sub-MDP, and `mixture_lp_oracle` for
 the column-generation master.  The library solves both without an LP.
 
-The last section holds helpers only the tests call, built on the library's
-own product chain: exact payoffs of an automaton profile, finite-horizon
-average acceptability, long-run node frequencies and a simulation of the
-exit-cycling scheme.
+The last two sections hold helpers only the tests call.  The first is
+built on the library's own product chain: exact payoffs of an automaton
+profile, finite-horizon average acceptability, long-run node frequencies and
+a simulation of the exit-cycling scheme.  The second is built on the
+library's chain and reachability routines: the irreducible sets of a
+stationary strategy, the leads-to test, the hitting probability of a travel
+strategy and the minimal closed sets of the equilibrium support chain.
 """
 
 from __future__ import annotations
@@ -25,13 +28,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from stogame._util import DIST_TOL
 from stogame.automata import ProductModel, build_product_model, discounted_value, limit_value
-from stogame.chains import limit_occupation
+from stogame.chains import (
+    limit_occupation,
+    reach_probability,
+    recurrent_classes,
+    strongly_connected_components,
+)
 from stogame.frequencies import _profile_points
+from stogame.game import as_correlated_table, induced_chain
 from stogame.matrixgame import solve_matrix_game
-from stogame.minmax import ITERATION_CAP, player_view
+from stogame.minmax import player_view
 from stogame.simulate import as_automaton
-from stogame.structure import safe_profiles
+from stogame.structure import TravelStrategy, almost_sure_reach, safe_profiles
 from stogame.verify import DEFAULT_LAMBDA_GRID, MARGIN_TOL, check_w_acceptable
 
 
@@ -390,7 +400,6 @@ def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=Non
         raise ValueError(f"discount factor {lam} outside [0, 1)")
     view = player_view(game, i)
     v = np.zeros(game.n_states) if v0 is None else np.array(v0, dtype=float)
-    ops = 0
     rounds = 0
     matrix_solves = 0
     best_gap = np.inf
@@ -434,10 +443,6 @@ def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=Non
         if since_improved >= 8 or rounds >= 200:
             return best_mid, {"rounds": rounds, "matrix_solves": matrix_solves,
                               "certified_gap": best_gap, "stalled": True}
-        ops += game.n_states
-        if ops > ITERATION_CAP:
-            raise RuntimeError(
-                f"min-max solve for player {i} at discount {lam} hit the iteration cap")
         v = v_up
 
 
@@ -545,3 +550,70 @@ def simulate_first_exit(eta, trials: int, seed: int) -> np.ndarray:
         counts += fired
         pending = int((draws == L).sum())
     return counts / trials
+
+
+# Test-only helpers on the library's chain and reachability routines.
+
+@dataclass(frozen=True)
+class IrreducibleSet:
+    states: tuple
+
+
+def irreducible_sets(game, strategy) -> list:
+    """Minimal closed sets (recurrent classes) of the induced state chain."""
+    table = as_correlated_table(game, strategy)
+    P, _ = induced_chain(game, table)
+    classes, _ = recurrent_classes(P)
+    return [IrreducibleSet(tuple(c)) for c in classes]
+
+
+def leads_in_set(game, region, s: int, target: int):
+    """Whether `s` leads to `target` inside `region`, with a pure witness."""
+    if s == target:
+        return True, {}
+    reachable, policy = almost_sure_reach(game, region, {target})
+    return (s in reachable), policy
+
+
+def verify_travel(game, travel: TravelStrategy) -> float:
+    """Minimum probability, over source states, of hitting the targets before
+    leaving the region (should be 1)."""
+    n = game.n_states
+    P = np.zeros((n, n))
+    outside = [s for s in range(n) if s not in travel.region]
+    for s in travel.region:
+        if s in travel.targets:
+            P[s, s] = 1.0
+        else:
+            P[s] = game.transitions[s, travel.policy[s]]
+    for s in outside:
+        P[s, s] = 1.0
+    h = reach_probability(P, set(travel.targets))
+    sources = [s for s in travel.region if s not in travel.targets]
+    return float(min((h[s] for s in sources), default=1.0))
+
+
+def equilibrium_support_chain(game, eq_sets) -> list:
+    """Adjacency list: edge s -> s' iff some listed equilibrium at s moves
+    there with positive probability."""
+    adj = []
+    for s in range(game.n_states):
+        mass = np.zeros(game.n_states)
+        for eq in eq_sets[s].items:
+            mass += eq.correlated_row() @ game.transitions[s]
+        adj.append(np.nonzero(mass > DIST_TOL)[0].tolist())
+    return adj
+
+
+def minimal_closed_sets_under_E(game, eq_sets) -> list:
+    """Minimal closed sets of the equilibrium support chain (its bottom
+    strongly connected components)."""
+    adj = equilibrium_support_chain(game, eq_sets)
+    comps = strongly_connected_components(adj)
+    out = []
+    for comp in comps:
+        members = set(comp)
+        if all(all(t in members for t in adj[s]) for s in comp):
+            out.append(tuple(sorted(comp)))
+    out.sort()
+    return out

@@ -11,6 +11,7 @@ import pytest
 
 from oracles import (
     chain_under,
+    irreducible_sets,
     maximal_communicating_oracle,
     minimal_closed_sets_of_chain,
     optimal_average_values,
@@ -35,7 +36,6 @@ from stogame.generators import (
     sorin_game,
 )
 from stogame.minmax import shapley_operator, solve_uniform_minmax
-from stogame.structure import irreducible_sets
 from stogame.verify import check_minmax_acceptable
 
 

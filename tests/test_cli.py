@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import stogame.cli
 from stogame.cli import main
 from stogame.game import game_to_dict, save_game
 from stogame.generators import sorin_game
@@ -113,6 +114,23 @@ def test_lambda_grid_flag_validation(tmp_path):
     # strictly increasing grids parse; decreasing must be rejected by verify
     assert run(["verify", "--game", "builtin:mdp3", "--out", str(tmp_path),
                 "--lambda-grid", "0.9,0.5"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--schedule-depth", "0"],
+    ["decompose", "--schedule-depth", "-3"],
+    ["demo-sorin", "--schedule-depth", "0"],
+    ["simulate", "--lam", "1.5"],
+    ["simulate", "--lam", "-0.1"],
+])
+def test_degenerate_solver_flags_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, argv):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the flags were checked")
+
+    monkeypatch.setattr(stogame.cli, "run_pipeline", no_solve)
+    monkeypatch.setattr(stogame.cli, "solve_uniform_minmax", no_solve)
+    assert run([*argv, "--game", "builtin:sorin", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {argv[1]} must")
 
 
 def test_solve_artifact_keeps_solver_facts_and_is_byte_identical(tmp_path):

@@ -105,7 +105,7 @@ def _degenerate_2x2(kind, a, b):
 
 
 _entries = st.floats(-1, 1, allow_subnormal=False)
-_stacks = st.integers(1, 6).flatmap(
+_stacks = st.integers(1, 24).flatmap(
     lambda n: arrays(np.float64, (n, 2, 2), elements=_entries))
 _degenerate = st.lists(
     st.builds(_degenerate_2x2,

@@ -31,6 +31,7 @@ from stogame.minmax import (
     solve_uniform_minmax,
     uniform_minmax,
 )
+from stogame.pipeline import run_pipeline
 
 
 def test_default_schedule():
@@ -154,6 +155,13 @@ def test_values_within_payoff_bound():
 def test_rejects_bad_discount(sorin):
     with pytest.raises(ValueError):
         discounted_minmax(sorin, 0, 1.0)
+
+
+def test_empty_schedule_is_rejected(sorin):
+    with pytest.raises(ValueError, match="schedule is empty"):
+        uniform_minmax(sorin, 0, schedule=[])
+    with pytest.raises(ValueError, match="schedule is empty"):
+        run_pipeline(sorin, schedule=[])
 
 
 def test_mdp_uniform_value_matches_average_oracle():

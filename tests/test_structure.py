@@ -4,9 +4,14 @@ import pytest
 from oracles import (
     chain_under,
     communicating_oracle,
+    equilibrium_support_chain,
+    irreducible_sets,
+    leads_in_set,
     leads_oracle,
     maximal_communicating_oracle,
     minimal_closed_sets_of_chain,
+    minimal_closed_sets_under_E,
+    verify_travel,
 )
 from stogame.game import StochasticGame, pure_profile
 from stogame.generators import random_banded_exit_game, random_dense_game, sorin_game
@@ -14,15 +19,10 @@ from stogame.minmax import solve_uniform_minmax
 from stogame.oneshot import enumerate_all_states
 from stogame.structure import (
     decompose,
-    equilibrium_support_chain,
-    irreducible_sets,
-    leads_in_set,
-    minimal_closed_sets_under_E,
     maximal_communicating_sets,
     transient_profile,
     transient_reach_probability,
     travel_strategy,
-    verify_travel,
 )
 
 
