@@ -11,12 +11,17 @@ rounds over all players and discounts (rounds=), the min-max one-shot games
 that left the stacked closed form for `solve_matrix_game` (lp=, expected 0
 on the suite), the min-max warnings, one per player with an unconverged
 curve or a stalled solve (warn=), the worst individual-rationality gain, the
-submartingale drift and the wall time; the last line adds the suite's total
-rounds, master LPs, one-shot LPs and warnings.  The --json rows are
+submartingale drift and the wall time; the summary line adds the suite's
+total rounds, master LPs, one-shot LPs and warnings.  The --json rows are
 `PipelineResult.summary()`.
+
+The last line is one sha256 over every game's `profile.to_dict()` and
+correlated table, in suite order.  Two checkouts that print the same digest
+built bit-identical machines and stationary correlated strategies.
 """
 
 import argparse
+import hashlib
 import json
 import time
 
@@ -39,6 +44,7 @@ def main() -> int:
     total_lp = 0
     total_oneshot_lp = 0
     total_warn = 0
+    digest = hashlib.sha256()
     start = time.monotonic()
     for game in acceptance_suite():
         t0 = time.monotonic()
@@ -46,6 +52,10 @@ def main() -> int:
         summ = res.summary()
         summ["seconds"] = round(time.monotonic() - t0, 3)
         rows.append(summ)
+        digest.update(json.dumps(json_ready({
+            "profile": None if res.profile is None else res.profile.to_dict(),
+            "correlated": None if res.correlated is None else res.correlated.table,
+        })).encode())
         flag = "ok " if summ["ok"] else "FAIL"
         cols = sum(c.diagnostics.get("sustain_columns", 0) for c in res.classifications)
         master_lp = sum(c.diagnostics.get("master_lp", 0) for c in res.classifications)
@@ -69,6 +79,7 @@ def main() -> int:
         with open(args.json, "w") as fh:
             json.dump(json_ready(rows), fh, indent=2, sort_keys=True)
         print(f"wrote {args.json}")
+    print(digest.hexdigest())
     return 0 if n_ok == len(rows) else 1
 
 

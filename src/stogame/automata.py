@@ -114,9 +114,6 @@ class JointAutomatonProfile:
         n = len(self.joint.factors[0])
         return [PlayerAutomaton(self.joint, i) for i in range(n)]
 
-    def player_sizes(self, n_players: int) -> list:
-        return [self.joint.size] * n_players
-
     def to_dict(self) -> dict:
         return json_ready({"joint": self.joint.to_dict(), "meta": self.meta})
 
@@ -241,6 +238,24 @@ def discounted_value(model: ProductModel, lam: float) -> np.ndarray:
 def limit_value(model: ProductModel) -> np.ndarray:
     """Cesaro-limit payoffs per node, shape (N, I)."""
     return limit_average_values(model.P, model.r)
+
+
+def exit_values(model: ProductModel, inside, values: np.ndarray) -> np.ndarray:
+    """Expected `values` at the game state of the first node outside the node
+    set `inside`, per node of `inside` (rows in its order); play must leave
+    `inside` almost surely."""
+    pos = {n: j for j, n in enumerate(inside)}
+    T = np.zeros((len(inside), len(inside)))
+    b = np.zeros((len(inside),) + values.shape[1:])
+    for n in inside:
+        for n2 in np.nonzero(model.P[n] > 0)[0]:
+            n2 = int(n2)
+            p = model.P[n, n2]
+            if n2 in pos:
+                T[pos[n], pos[n2]] += p
+            else:
+                b[pos[n]] += p * values[model.nodes[n2][0]]
+    return np.linalg.solve(np.eye(len(inside)) - T, b)
 
 
 def reachable_nodes(model: ProductModel, from_states=None) -> list:

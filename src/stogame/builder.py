@@ -12,6 +12,13 @@ its common value v(C) lowered by the accepted loss eps:
   exits, travelling to each exit state and playing the exit profile with a
   tuned probability so the first exit played has exactly the planned law.
 
+Each set's machine is written once, as a fragment: output factors and a
+transition table in local (phase, state) labels.  Tuning and the per-set
+analysis (entry payoffs, first-played-exit law, departure values) read the
+product chain of the fragment's standalone machine through
+`automata.build_product_model`, the evaluator the verifiers use, and the
+assembly ships the very fragment that was tuned.
+
 The global machine plays a stationary equilibrium selection on transient
 states and dispatches into set machines as play enters them; every machine
 state is a (mode, game state) pair, so each player's automaton has at most
@@ -25,7 +32,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import DIST_TOL, json_ready
-from .automata import JointAutomaton, JointAutomatonProfile
+from .automata import (
+    JointAutomaton,
+    JointAutomatonProfile,
+    build_product_model,
+    exit_values,
+)
 from .chains import limit_average_values, recurrent_classes
 from .frequencies import SustainPlan, max_slack_mixture, plan_support, sustain_by_columns
 # Not called here: perfbench/tracer.py hooks the name in this module.
@@ -239,9 +251,15 @@ def classify_set(game: StochasticGame, cset, v1: np.ndarray, eps: float,
 # ---------------------------------------------------------------------------
 # Set machine fragments
 #
-# A fragment is a list of (phase, state) machine states for one communicating
-# set together with output factors and a transition emitter.  The same
-# fragment backs both the standalone per-set machine and the global assembly.
+# A fragment is one communicating set's machine in local (phase, state)
+# labels: the output factors of every label and a transition table keyed by
+# (label, profile, next state).  A table entry whose target is REDISPATCH
+# re-enters whatever machine holds the fragment at the next game state's
+# initial machine state; in a departing set it marks an exit play.  The same
+# fragment backs the standalone per-set machine, the per-set analysis read
+# off that machine's product chain, and the global assembly.
+
+REDISPATCH = None
 
 
 def _pure_factors(game: StochasticGame, a: int):
@@ -272,16 +290,25 @@ def _mixed_exit_factors(game: StochasticGame, companion: int, exit_profile: int,
     return tuple(mixes)
 
 
+def _successors(game: StochasticGame, s: int, a: int) -> list:
+    return [int(t) for t in np.nonzero(game.transitions[s, a] > DIST_TOL)[0]]
+
+
 @dataclass
 class SetFragment:
     region: tuple
-    phases: int
     local_states: list           # (phase, state) pairs, deterministic order
     factors: dict                # (phase, state) -> per-player mixes
-    kind: str
+    table: dict                  # ((phase, state), a, s_next) -> ((label, prob), ...)
 
-    def machine_states(self):
-        return self.local_states
+    def place(self, transitions: dict, index: dict, init: dict, key: tuple = ()):
+        """Store the table in a machine whose state ids are index[key + label]
+        and whose initial states are init; REDISPATCH targets go to
+        init[s_next]."""
+        for (lab, a, s_next), dist in self.table.items():
+            transitions[(index[key + lab], a, s_next)] = tuple(
+                (init[s_next] if to is REDISPATCH else index[key + to], p)
+                for to, p in dist)
 
 
 def _travels_to_targets(game, region, target_sets):
@@ -289,8 +316,8 @@ def _travels_to_targets(game, region, target_sets):
 
 
 def build_type_a_fragment(game: StochasticGame, region, plan: SustainPlan,
-                          delta: float) -> tuple:
-    """Fragment plus transition emitter for a sustainable set.
+                          delta: float) -> SetFragment:
+    """Machine fragment of a sustainable set.
 
     In phase l the machine travels to the atom's class and plays its profile;
     while inside the class it advances the phase with probability
@@ -300,39 +327,26 @@ def build_type_a_fragment(game: StochasticGame, region, plan: SustainPlan,
     region = tuple(sorted(region))
     L = len(plan.atoms)
     travels = _travels_to_targets(game, region, [p.states for p in plan.atoms])
-    local = [(l, s) for l in range(L) for s in region]
     factors = {}
-    action_of = {}
+    table = {}
     for l, atom in enumerate(plan.atoms):
+        advance = 0.0 if L == 1 else delta / float(plan.weights[l])
         for s in region:
-            if s in atom.actions:
-                a = atom.actions[s]
-            else:
-                a = travels[l].policy[s]
-            action_of[(l, s)] = a
+            in_class = s in atom.actions
+            a = atom.actions[s] if in_class else travels[l].policy[s]
             factors[(l, s)] = _pure_factors(game, a)
-
-    def emit(transitions: dict, index_of, dispatch):
-        for l, atom in enumerate(plan.atoms):
-            advance = 0.0 if L == 1 else delta / float(plan.weights[l])
-            for s in region:
-                a = action_of[(l, s)]
-                in_class = s in atom.actions
-                for s_next in np.nonzero(game.transitions[s, a] > DIST_TOL)[0]:
-                    s_next = int(s_next)
-                    stay = index_of((l, s_next))
-                    if in_class and advance > 0.0:
-                        nxt = index_of(((l + 1) % L, s_next))
-                        transitions[(index_of((l, s)), a, s_next)] = (
-                            (stay, 1.0 - advance), (nxt, advance))
-                    else:
-                        transitions[(index_of((l, s)), a, s_next)] = ((stay, 1.0),)
-
-    return SetFragment(region, L, local, factors, "A"), emit
+            for s_next in _successors(game, s, a):
+                if in_class and advance > 0.0:
+                    table[((l, s), a, s_next)] = (
+                        ((l, s_next), 1.0 - advance), (((l + 1) % L, s_next), advance))
+                else:
+                    table[((l, s), a, s_next)] = (((l, s_next), 1.0),)
+    local = [(l, s) for l in range(L) for s in region]
+    return SetFragment(region, local, factors, table)
 
 
-def build_type_b_fragment(game: StochasticGame, region, plan: ExitPlan) -> tuple:
-    """Fragment plus transition emitter for a departing set.
+def build_type_b_fragment(game: StochasticGame, region, plan: ExitPlan) -> SetFragment:
+    """Machine fragment of a departing set.
 
     In phase l the machine travels to the exit state and plays the companion
     profile tilted toward the exit profile with probability eta_l.  Once the
@@ -343,145 +357,90 @@ def build_type_b_fragment(game: StochasticGame, region, plan: ExitPlan) -> tuple
     region = tuple(sorted(region))
     L = len(plan.exits)
     travels = _travels_to_targets(game, region, [{s} for s, _ in plan.exits])
-    local = [(l, s) for l in range(L) for s in region]
     factors = {}
-    for l in range(L):
-        exit_state, exit_profile = plan.exits[l]
+    table = {}
+    for l, (exit_state, exit_profile) in enumerate(plan.exits):
+        companion = plan.companions[l]
         for s in region:
-            if s == exit_state:
-                factors[(l, s)] = _mixed_exit_factors(
-                    game, plan.companions[l], exit_profile, plan.deviators[l],
-                    float(plan.eta[l]))
-            else:
-                factors[(l, s)] = _pure_factors(game, travels[l].policy[s])
-
-    def emit(transitions: dict, index_of, dispatch):
-        for l in range(L):
-            exit_state, exit_profile = plan.exits[l]
-            companion = plan.companions[l]
-            for s in region:
-                q = index_of((l, s))
-                if s != exit_state:
-                    a = travels[l].policy[s]
-                    for s_next in np.nonzero(game.transitions[s, a] > DIST_TOL)[0]:
-                        transitions[(q, a, int(s_next))] = ((index_of((l, int(s_next))), 1.0),)
-                    continue
-                # Companion keeps play inside; advance the phase.
-                nxt_phase = (l + 1) % L
-                for s_next in np.nonzero(game.transitions[s, companion] > DIST_TOL)[0]:
-                    transitions[(q, companion, int(s_next))] = (
-                        (index_of((nxt_phase, int(s_next))), 1.0),)
-                # The exit profile ends the block: re-dispatch wherever play
-                # lands (inside the set this restarts at phase 1).
-                for s_next in np.nonzero(game.transitions[s, exit_profile] > DIST_TOL)[0]:
-                    transitions[(q, exit_profile, int(s_next))] = (
-                        (dispatch(int(s_next)), 1.0),)
-
-    return SetFragment(region, L, local, factors, "B"), emit
+            if s != exit_state:
+                a = travels[l].policy[s]
+                factors[(l, s)] = _pure_factors(game, a)
+                for s_next in _successors(game, s, a):
+                    table[((l, s), a, s_next)] = (((l, s_next), 1.0),)
+                continue
+            factors[(l, s)] = _mixed_exit_factors(
+                game, companion, exit_profile, plan.deviators[l], float(plan.eta[l]))
+            # Companion keeps play inside; advance the phase.
+            for s_next in _successors(game, s, companion):
+                table[((l, s), companion, s_next)] = ((((l + 1) % L, s_next), 1.0),)
+            # The exit profile ends the block: re-dispatch wherever play
+            # lands (inside the set this restarts at phase 1).
+            for s_next in _successors(game, s, exit_profile):
+                table[((l, s), exit_profile, s_next)] = ((REDISPATCH, 1.0),)
+    local = [(l, s) for l in range(L) for s in region]
+    return SetFragment(region, local, factors, table)
 
 
 # ---------------------------------------------------------------------------
-# Exact per-set analysis (first-exit law, departure values, sustain payoff)
+# Exact per-set analysis on the standalone machine's product chain
 
 
-def _type_b_system(game: StochasticGame, region, plan: ExitPlan):
-    """Transient system of the departing machine restricted to the set."""
-    region = tuple(sorted(region))
-    L = len(plan.exits)
-    travels = _travels_to_targets(game, region, [{s} for s, _ in plan.exits])
-    idx = {(l, s): k for k, (l, s) in enumerate(
-        (l, s) for l in range(L) for s in region)}
-    n = len(idx)
-    in_region = set(region)
-    M = np.zeros((n, n))            # strictly pre-exit-play dynamics
-    exit_mass = np.zeros((n, L))    # probability of playing exit l now
-    restart = np.zeros((n, n))      # exit played but play stayed inside
-    depart = np.zeros((n, game.n_states))  # exit played and play left
-    for l in range(L):
-        exit_state, exit_profile = plan.exits[l]
-        companion = plan.companions[l]
-        eta = float(plan.eta[l])
-        for s in region:
-            k = idx[(l, s)]
-            if s != exit_state:
-                a = travels[l].policy[s]
-                for s_next, p in enumerate(game.transitions[s, a]):
-                    if p > DIST_TOL:
-                        M[k, idx[(l, s_next)]] += p
-                continue
-            exit_mass[k, l] = eta
-            for s_next, p in enumerate(game.transitions[s, companion]):
-                if p > DIST_TOL:
-                    M[k, idx[((l + 1) % L, s_next)]] += (1.0 - eta) * p
-            for s_next, p in enumerate(game.transitions[s, exit_profile]):
-                if p <= DIST_TOL:
-                    continue
-                if s_next in in_region:
-                    restart[k, idx[(0, s_next)]] += eta * p
-                else:
-                    depart[k, s_next] += eta * p
-    return idx, M, exit_mass, restart, depart
+def _set_model(game: StochasticGame, fragment: SetFragment):
+    """Product chain of the fragment's standalone machine, and the node ids
+    of the fragment's labels in label order (every label is a node, and the
+    entry labels (0, s) come first)."""
+    joint = _standalone(game, fragment, {}).joint
+    local = [(s, q) for q, (_, s) in enumerate(fragment.local_states)]
+    model = build_product_model(game, joint, extra_nodes=local)
+    return model, [model.index[node] for node in local]
+
+
+def _entry_payoffs(game: StochasticGame, fragment: SetFragment) -> np.ndarray:
+    """Long-run payoffs from the entry nodes of a sustainable set's machine.
+    The set is closed under its machine, so the limit is that of the
+    sub-chain on the fragment's nodes."""
+    model, inside = _set_model(game, fragment)
+    vals = limit_average_values(model.P[np.ix_(inside, inside)], model.r[inside])
+    return vals[:len(fragment.region)]
 
 
 def exit_play_law(game: StochasticGame, region, plan: ExitPlan) -> np.ndarray:
     """Exact first-played-exit law per entry state (rows, one per region
-    state) by absorption analysis; every row should equal plan.beta."""
-    region = tuple(sorted(region))
-    idx, M, exit_mass, restart, _ = _type_b_system(game, region, plan)
-    Q = M  # exit plays absorb for first-play accounting
-    B = np.linalg.solve(np.eye(len(idx)) - Q, exit_mass)
-    return np.stack([B[idx[(0, s)]] for s in region])
+    state), with exit plays absorbing; every row should equal plan.beta."""
+    fragment = build_type_b_fragment(game, region, plan)
+    model, inside = _set_model(game, fragment)
+    exit_plays = {(lab, a) for (lab, a, _), dist in fragment.table.items()
+                  if dist[0][0] is REDISPATCH}
+    K = model.action_kernel()
+    M = np.zeros((len(inside), len(inside)))   # strictly pre-exit-play dynamics
+    R = np.zeros((len(inside), len(plan.exits)))
+    for j, (n, lab) in enumerate(zip(inside, fragment.local_states)):
+        for a in np.nonzero(model.alpha[n] > DIST_TOL)[0]:
+            a = int(a)
+            if (lab, a) in exit_plays:
+                R[j, lab[0]] += model.alpha[n, a]
+            else:
+                M[j] += model.alpha[n, a] * K[n, a, inside]
+    B = np.linalg.solve(np.eye(len(inside)) - M, R)
+    return B[:len(fragment.region)]
 
 
 def departure_values(game: StochasticGame, region, plan: ExitPlan,
                      v1: np.ndarray):
     """Expected uniform min-max value at the first state outside the set,
     per entry state, plus the probability of never leaving."""
-    region = tuple(sorted(region))
-    idx, M, _, restart, depart = _type_b_system(game, region, plan)
-    n = len(idx)
-    T = M + restart
-    b_val = depart @ v1
-    W = np.linalg.solve(np.eye(n) - T, b_val)
-    leave = np.linalg.solve(np.eye(n) - T, depart.sum(axis=1))
-    rows = [idx[(0, s)] for s in region]
-    return np.stack([W[k] for k in rows]), float(1.0 - min(leave[k] for k in rows))
-
-
-def _type_a_chain(game: StochasticGame, region, plan: SustainPlan, delta: float):
-    region = tuple(sorted(region))
-    L = len(plan.atoms)
-    travels = _travels_to_targets(game, region, [p.states for p in plan.atoms])
-    idx = {(l, s): k for k, (l, s) in enumerate(
-        (l, s) for l in range(L) for s in region)}
-    n = len(idx)
-    P = np.zeros((n, n))
-    r = np.zeros((n, game.n_players))
-    for l, atom in enumerate(plan.atoms):
-        advance = 0.0 if L == 1 else delta / float(plan.weights[l])
-        for s in region:
-            k = idx[(l, s)]
-            a = atom.actions.get(s, travels[l].policy.get(s))
-            r[k] = game.payoffs[s, a]
-            in_class = s in atom.actions
-            for s_next, p in enumerate(game.transitions[s, a]):
-                if p <= DIST_TOL:
-                    continue
-                if in_class and advance > 0.0:
-                    P[k, idx[(l, s_next)]] += p * (1.0 - advance)
-                    P[k, idx[((l + 1) % L, s_next)]] += p * advance
-                else:
-                    P[k, idx[(l, s_next)]] += p
-    return idx, P, r
+    fragment = build_type_b_fragment(game, region, plan)
+    model, inside = _set_model(game, fragment)
+    entry = len(fragment.region)
+    W = exit_values(model, inside, v1)
+    leave = exit_values(model, inside, np.ones(game.n_states))
+    return W[:entry], float(1.0 - min(leave[:entry]))
 
 
 def sustain_payoff(game: StochasticGame, region, plan: SustainPlan,
                    delta: float) -> np.ndarray:
     """Exact long-run payoff of the sustainable machine, per entry state."""
-    region = tuple(sorted(region))
-    idx, P, r = _type_a_chain(game, region, plan, delta)
-    vals = limit_average_values(P, r)
-    return np.stack([vals[idx[(0, s)]] for s in region])
+    return _entry_payoffs(game, build_type_a_fragment(game, region, plan, delta))
 
 
 def sustain_target(value, plan: SustainPlan, eps: float) -> np.ndarray:
@@ -492,19 +451,21 @@ def sustain_target(value, plan: SustainPlan, eps: float) -> np.ndarray:
     return np.minimum(target, plan.achieved - 1e-4)
 
 
-def tune_type_a_delta(game: StochasticGame, region, plan: SustainPlan,
-                      eps: float, value=None, floor: float = DELTA_FLOOR):
+def _tune_type_a(game: StochasticGame, region, plan: SustainPlan, eps: float,
+                 value=None, floor: float = DELTA_FLOOR):
     """Halve delta from weight/2 until every entry payoff clears the sustain
-    target."""
+    target: (delta, entry payoffs, the fragment that earned them)."""
     if len(plan.atoms) == 1:
-        return 0.0, sustain_payoff(game, region, plan, 0.0)
+        fragment = build_type_a_fragment(game, region, plan, 0.0)
+        return 0.0, _entry_payoffs(game, fragment), fragment
     value = plan.target + eps if value is None else value
     target = sustain_target(value, plan, eps)
     delta = float(plan.weights.min()) / 2.0
     while True:
-        payoff = sustain_payoff(game, region, plan, delta)
+        fragment = build_type_a_fragment(game, region, plan, delta)
+        payoff = _entry_payoffs(game, fragment)
         if np.all(payoff >= target - 1e-9):
-            return delta, payoff
+            return delta, payoff, fragment
         delta /= 2.0
         if delta < floor:
             raise RuntimeError(
@@ -513,12 +474,15 @@ def tune_type_a_delta(game: StochasticGame, region, plan: SustainPlan,
             )
 
 
+def tune_type_a_delta(game: StochasticGame, region, plan: SustainPlan,
+                      eps: float, value=None, floor: float = DELTA_FLOOR):
+    """Halve delta from weight/2 until every entry payoff clears the sustain
+    target: (delta, entry payoffs)."""
+    return _tune_type_a(game, region, plan, eps, value, floor)[:2]
+
+
 # ---------------------------------------------------------------------------
 # Standalone per-set machines and the global assembly
-
-
-def _uniform_factors(game: StochasticGame):
-    return tuple(np.full(k, 1.0 / k) for k in game.action_counts)
 
 
 def _finish_machine(game, labels, factors_list, transitions, init, meta,
@@ -536,7 +500,7 @@ def _finish_machine(game, labels, factors_list, transitions, init, meta,
     return JointAutomatonProfile(joint, meta=meta)
 
 
-def _standalone(game: StochasticGame, fragment: SetFragment, emit, meta
+def _standalone(game: StochasticGame, fragment: SetFragment, meta
                 ) -> JointAutomatonProfile:
     """Wrap one set fragment into a total machine: outside states track the
     game state and play uniformly (off-set behavior is not part of the set's
@@ -548,14 +512,10 @@ def _standalone(game: StochasticGame, fragment: SetFragment, emit, meta
     init = {}
     for s in range(game.n_states):
         init[s] = index[(0, s)] if s in fragment.region else index[("outside", s)]
-    factors_list = []
-    for lab in labels:
-        if lab in fragment.factors:
-            factors_list.append(fragment.factors[lab])
-        else:
-            factors_list.append(_uniform_factors(game))
+    uniform = tuple(np.full(k, 1.0 / k) for k in game.action_counts)
+    factors_list = [fragment.factors.get(lab, uniform) for lab in labels]
     transitions = {}
-    emit(transitions, lambda lab: index[lab], lambda s: init[s])
+    fragment.place(transitions, index, init)
     coin = ("phase coins are public and shared; exit tilts are the deviating "
             "player's private action randomization")
     return _finish_machine(game, labels, factors_list, transitions, init, meta, coin)
@@ -564,9 +524,9 @@ def _standalone(game: StochasticGame, fragment: SetFragment, emit, meta
 def build_type_b_automaton(game: StochasticGame, cset, plan: ExitPlan,
                            v1: np.ndarray | None = None) -> JointAutomatonProfile:
     """Standalone departing machine for one communicating set."""
-    fragment, emit = build_type_b_fragment(game, cset.states, plan)
+    fragment = build_type_b_fragment(game, cset.states, plan)
     meta = {"kind": "B", "region": list(cset.states), "plan": plan.to_dict()}
-    profile = _standalone(game, fragment, emit, meta)
+    profile = _standalone(game, fragment, meta)
     law = exit_play_law(game, cset.states, plan)
     profile.meta["exit_law_error"] = float(np.max(np.abs(law - plan.beta)))
     if v1 is not None:
@@ -579,15 +539,14 @@ def build_type_b_automaton(game: StochasticGame, cset, plan: ExitPlan,
 def build_type_a_automaton(game: StochasticGame, cset, plan: SustainPlan,
                            eps: float) -> JointAutomatonProfile:
     """Standalone sustainable machine for one communicating set."""
-    delta, payoff = tune_type_a_delta(game, cset.states, plan, eps, value=cset.value)
-    fragment, emit = build_type_a_fragment(game, cset.states, plan, delta)
+    delta, payoff, fragment = _tune_type_a(game, cset.states, plan, eps, value=cset.value)
     meta = {
         "kind": "A",
         "region": list(cset.states),
         "delta": delta,
         "entry_payoffs": json_ready(payoff),
     }
-    return _standalone(game, fragment, emit, meta)
+    return _standalone(game, fragment, meta)
 
 
 def assemble_profile(game: StochasticGame, decomposition: Decomposition,
@@ -606,14 +565,13 @@ def assemble_profile(game: StochasticGame, decomposition: Decomposition,
     fragments = []
     for k, (cset, cls) in enumerate(zip(decomposition.sets, classifications)):
         if cls.kind == "A":
-            delta, payoff = tune_type_a_delta(game, cset.states, cls.sustain, eps,
-                                              value=cset.value)
-            fragment, emit = build_type_a_fragment(game, cset.states, cls.sustain, delta)
+            delta, payoff, fragment = _tune_type_a(game, cset.states, cls.sustain, eps,
+                                                   value=cset.value)
             extra = {"delta": delta, "entry_payoffs": json_ready(payoff)}
         else:
-            fragment, emit = build_type_b_fragment(game, cset.states, cls.exit_plan)
+            fragment = build_type_b_fragment(game, cset.states, cls.exit_plan)
             extra = {}
-        fragments.append((k, fragment, emit, extra))
+        fragments.append((fragment, extra))
         labels.extend((k, l, s) for l, s in fragment.local_states)
     index = {lab: pos for pos, lab in enumerate(labels)}
 
@@ -628,13 +586,11 @@ def assemble_profile(game: StochasticGame, decomposition: Decomposition,
             factors_list.append(decomposition.transient_profile[lab[1]].mixes)
         else:
             k, l, s = lab
-            factors_list.append(fragments[k][1].factors[(l, s)])
+            factors_list.append(fragments[k][0].factors[(l, s)])
 
     transitions = {}
-    for k, fragment, emit, _ in fragments:
-        emit(transitions,
-             lambda lab, _k=k: index[(_k,) + lab],
-             lambda s: init[s])
+    for k, (fragment, _) in enumerate(fragments):
+        fragment.place(transitions, index, init, key=(k,))
     # Transient machine states carry no stored transitions: every input
     # re-dispatches through the initial-state map (the machine fallback).
 
@@ -643,7 +599,7 @@ def assemble_profile(game: StochasticGame, decomposition: Decomposition,
         "kinds": [c.kind for c in classifications],
         "regions": [list(c.states) for c in decomposition.sets],
         "transient": list(decomposition.transient),
-        "set_meta": [extra for _, _, _, extra in fragments],
+        "set_meta": [extra for _, extra in fragments],
     }
     coin = ("phase-advance and phase-cycling coins are public and shared by "
             "all players' machines; action mixes are private randomizations")

@@ -52,9 +52,6 @@ class FrequencyVector:
 
     rho: np.ndarray
 
-    def state_marginal(self) -> np.ndarray:
-        return self.rho.sum(axis=1)
-
     def total(self) -> float:
         return float(self.rho.sum())
 

@@ -59,10 +59,6 @@ class StochasticGame:
     def n_profiles(self) -> int:
         return int(np.prod(self.action_counts))
 
-    def profile_tuples(self):
-        """All action profiles as index tuples, in flat order."""
-        return list(itertools.product(*[range(k) for k in self.action_counts]))
-
     def profile_index(self, profile) -> int:
         return int(np.ravel_multi_index(tuple(profile), self.action_counts))
 
@@ -76,9 +72,6 @@ class StochasticGame:
 
     def state_index(self, name: str) -> int:
         return self.state_names.index(name)
-
-    def is_absorbing(self, s: int) -> bool:
-        return bool(np.all(np.abs(self.transitions[s, :, s] - 1.0) <= DIST_TOL))
 
     def stay_mass(self, states) -> np.ndarray:
         """q(states | s, a) for every (s, a), shape (S, A)."""

@@ -19,7 +19,7 @@ from .automata import (
     build_product_model,
     stationary_automaton,
 )
-from .game import StationaryCorrelated, StationaryProfile, StochasticGame
+from .game import StochasticGame
 
 
 def as_automaton(game: StochasticGame, strategy) -> JointAutomaton:
@@ -27,8 +27,6 @@ def as_automaton(game: StochasticGame, strategy) -> JointAutomaton:
         return strategy
     if isinstance(strategy, JointAutomatonProfile):
         return strategy.joint
-    if isinstance(strategy, (StationaryProfile, StationaryCorrelated)):
-        return stationary_automaton(game, strategy)
     return stationary_automaton(game, strategy)
 
 

@@ -100,9 +100,6 @@ class TravelStrategy:
     targets: tuple
     policy: dict
 
-    def action_at(self, s: int) -> int:
-        return self.policy[s]
-
 
 def travel_strategy(game: StochasticGame, region, targets) -> TravelStrategy:
     region = tuple(sorted(region))

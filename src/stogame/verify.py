@@ -17,6 +17,7 @@ from .automata import (
     JointAutomatonProfile,
     build_product_model,
     discounted_value,
+    exit_values,
     limit_value,
     reachable_nodes,
 )
@@ -244,6 +245,7 @@ def check_submartingale(game: StochasticGame, profile: JointAutomatonProfile,
     set ends the process, so no constraint applies there.
     """
     model = build_product_model(game, as_automaton(game, profile))
+    labels = model.automaton.labels
     entries = []
     for s in decomposition.transient:
         row = decomposition.transient_profile[s].correlated_row()
@@ -256,25 +258,12 @@ def check_submartingale(game: StochasticGame, profile: JointAutomatonProfile,
         if cls.kind != "B":
             continue
         region = set(cset.states)
-        mode_nodes = [n for n, (s, q) in enumerate(model.nodes)
-                      if isinstance(model.automaton.labels[q], tuple)
-                      and model.automaton.labels[q][0] == k]
-        inside = [n for n in mode_nodes if model.nodes[n][0] in region]
+        inside = [n for n, (s, q) in enumerate(model.nodes) if s in region
+                  and isinstance(labels[q], tuple) and labels[q][0] == k]
         if not inside:
             continue
         pos = {n: j for j, n in enumerate(inside)}
-        T = np.zeros((len(inside), len(inside)))
-        b = np.zeros((len(inside), game.n_players))
-        for n in inside:
-            for n2 in np.nonzero(model.P[n] > 0)[0]:
-                n2 = int(n2)
-                p = model.P[n, n2]
-                s2 = model.nodes[n2][0]
-                if s2 in region and n2 in pos:
-                    T[pos[n], pos[n2]] += p
-                else:
-                    b[pos[n]] += p * v1[s2]
-        W = np.linalg.solve(np.eye(len(inside)) - T, b)
+        W = exit_values(model, inside, v1)
         for s in cset.states:
             node = model.index.get((s, model.automaton.init[s]))
             if node is None or node not in pos:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import simulate_first_exit
+from stogame._util import DIST_TOL
+from stogame.automata import build_product_model, limit_value
 from stogame.builder import (
     assemble_profile,
     build_correlated_stationary,
@@ -407,3 +409,45 @@ def test_classification_makes_no_lp_call(suite_results, monkeypatch):
             again = classify_set(game, cset, res.v1, res.eps, u_star)
             assert again.diagnostics["master_lp"] == 0
             assert again.to_dict() == cls.to_dict()
+
+
+def test_tuning_certifies_the_shipped_machine(suite_results):
+    # The per-set analysis runs on each set's standalone machine; the
+    # verifiers read the assembled machine.  Both must see the same numbers:
+    # the tuned entry payoffs of every sustainable set are the assembled
+    # chain's limit payoffs, and the departure values of every departing set
+    # are the submartingale check's.
+    _, results = suite_results
+    seen = {"A": 0, "B": 0}
+    for game, res in results:
+        model = build_product_model(game, res.profile.joint)
+        lim = limit_value(model)
+        at_departure = {(e.detail["set"], e.state): e.detail["expected_at_departure"]
+                        for e in res.submartingale.entries if e.kind == "departing-set"}
+        for k, (cset, cls) in enumerate(zip(res.decomposition.sets, res.classifications)):
+            seen[cls.kind] += 1
+            if cls.kind == "A":
+                shipped = [lim[model.node_of(s)] for s in cset.states]
+                np.testing.assert_allclose(res.profile.meta["set_meta"][k]["entry_payoffs"],
+                                           shipped, rtol=0, atol=1e-12)
+            else:
+                W, _ = departure_values(game, cset.states, cls.exit_plan, res.v1)
+                checked = [at_departure[(k, s)] for s in cset.states]
+                np.testing.assert_allclose(W, checked, rtol=0, atol=1e-12)
+    assert seen["A"] and seen["B"]
+
+
+def test_set_machines_never_fall_back_inside_their_set(suite_results):
+    # Every input a set machine can meet while play stays in its set has a
+    # stored transition; only transient states re-dispatch by fallback.
+    _, results = suite_results
+    for game, res in results:
+        joint = res.profile.joint
+        regions = res.profile.meta["regions"]
+        for s, q in build_product_model(game, joint).nodes:
+            label = joint.labels[q]
+            if label[0] == "tr" or s not in regions[label[0]]:
+                continue
+            for a in np.nonzero(joint.outputs[q] > DIST_TOL)[0]:
+                for s_next in np.nonzero(game.transitions[s, a] > DIST_TOL)[0]:
+                    assert (q, int(a), int(s_next)) in joint.transitions, (game.name, label)
