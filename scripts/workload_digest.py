@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Two sha256 digests over the pipeline runs of a benchmark workload's games.
+
+Usage, from the repository root:
+
+    python3 scripts/workload_digest.py --workload suite52 --slots 0-63
+
+For every slot in the inclusive range, in order, the workload's games are
+generated exactly as `perfbench/run.py` generates them, and each game goes
+through one `run_pipeline` call with the benchmark's eps and schedule.  The
+script prints two digests, each over all games in order:
+
+* min-max: over `json.dumps(result.minmax.to_dict())`.  Equal digests mean
+  bit-identical min-max reports (values, rounds, certificates, stalls and
+  the one-shot games sent to `solve_matrix_game`) on every game.
+* build: over each game's `profile.to_dict()` and stationary correlated
+  table, as in the last line of `scripts/run_suite.py`.  Equal digests mean
+  bit-identical machines and correlated strategies.
+
+The script only imports `perfbench/env.py` and `perfbench/workloads.py`; it
+pins the same threads as the benchmark and runs the `src/` of its own
+checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from env import pin_environment  # noqa: E402
+
+pin_environment()
+
+from stogame._util import json_ready  # noqa: E402
+from stogame.pipeline import run_pipeline  # noqa: E402
+from workloads import EPS, WORKLOADS, schedule  # noqa: E402
+
+
+def slot_range(text: str) -> range:
+    """`A-B`, both ends included."""
+    try:
+        lo, hi = (int(end) for end in text.split("-"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A-B, got {text!r}") from None
+    if not 0 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"expected 0 <= A <= B, got {text!r}")
+    return range(lo, hi + 1)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    ap.add_argument("--slots", type=slot_range, required=True)
+    args = ap.parse_args(argv)
+
+    minmax_digest = hashlib.sha256()
+    build_digest = hashlib.sha256()
+    n_games = 0
+    start = time.monotonic()
+    for slot in args.slots:
+        for game in WORKLOADS[args.workload](slot):
+            res = run_pipeline(game, eps=EPS, schedule=schedule())
+            minmax_digest.update(json.dumps(res.minmax.to_dict()).encode())
+            build_digest.update(json.dumps(json_ready({
+                "profile": None if res.profile is None else res.profile.to_dict(),
+                "correlated": None if res.correlated is None else res.correlated.table,
+            })).encode())
+            n_games += 1
+    print(f"{args.workload} slots {args.slots.start}-{args.slots.stop - 1}: "
+          f"{n_games} games in {time.monotonic() - start:.1f}s")
+    print(f"min-max {minmax_digest.hexdigest()}")
+    print(f"build {build_digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._util import DIST_TOL, json_ready
 from .chains import limit_average_values
-from .game import StochasticGame, as_correlated_table
+from .game import StationaryProfile, StochasticGame, as_correlated_table
 
 
 @dataclass(eq=False)
@@ -118,25 +118,16 @@ class JointAutomatonProfile:
         return json_ready({"joint": self.joint.to_dict(), "meta": self.meta})
 
 
-def stationary_automaton(game: StochasticGame, strategy,
-                         factors_by_state=None) -> JointAutomaton:
+def stationary_automaton(game: StochasticGame, strategy) -> JointAutomaton:
     """Wrap a stationary strategy as a state-tracking machine of size |S|."""
     table = as_correlated_table(game, strategy)
     n = game.n_states
-    transitions = {}
-    for q in range(n):
-        row = table[q]
-        for a in np.nonzero(row > DIST_TOL)[0]:
-            for s_next in np.nonzero(game.transitions[q, a] > DIST_TOL)[0]:
-                transitions[(q, int(a), int(s_next))] = ((int(s_next), 1.0),)
+    played = (table[:, :, None] > DIST_TOL) & (game.transitions > DIST_TOL)
+    transitions = {(q, a, s_next): ((s_next, 1.0),)
+                   for q, a, s_next in np.argwhere(played).tolist()}
     factors = None
-    if factors_by_state is not None:
-        factors = [tuple(np.asarray(m) for m in factors_by_state[s]) for s in range(n)]
-    else:
-        from .game import StationaryProfile
-
-        if isinstance(strategy, StationaryProfile):
-            factors = [tuple(m[s] for m in strategy.mixes) for s in range(n)]
+    if isinstance(strategy, StationaryProfile):
+        factors = [tuple(m[s] for m in strategy.mixes) for s in range(n)]
     return JointAutomaton(
         labels=[("state", game.state_names[s]) for s in range(n)],
         outputs=table.copy(),
@@ -197,17 +188,20 @@ def build_product_model(game: StochasticGame, automaton: JointAutomaton,
         if node not in index:
             index[node] = len(nodes)
             nodes.append(node)
+    plays = {}      # q -> [(profile, weight)] on the output's support
+    moves = {}      # (s, a) -> [(next state, prob)] on the transition's support
     edges = []
     k = 0
     while k < len(nodes):
         s, q = nodes[k]
-        row = automaton.output_row(q)
-        for a in np.nonzero(row > DIST_TOL)[0]:
-            a = int(a)
-            w_a = row[a]
-            for s_next in np.nonzero(game.transitions[s, a] > DIST_TOL)[0]:
-                s_next = int(s_next)
-                p_s = game.transitions[s, a, s_next]
+        if q not in plays:
+            plays[q] = [(a, w) for a, w in enumerate(automaton.output_row(q).tolist())
+                        if w > DIST_TOL]
+        for a, w_a in plays[q]:
+            if (s, a) not in moves:
+                moves[(s, a)] = [(t, p) for t, p in enumerate(game.transitions[s, a].tolist())
+                                 if p > DIST_TOL]
+            for s_next, p_s in moves[(s, a)]:
                 for q2, p_q in automaton.step_dist(q, a, s_next):
                     node2 = (s_next, q2)
                     if node2 not in index:
@@ -256,6 +250,26 @@ def exit_values(model: ProductModel, inside, values: np.ndarray) -> np.ndarray:
             else:
                 b[pos[n]] += p * values[model.nodes[n2][0]]
     return np.linalg.solve(np.eye(len(inside)) - T, b)
+
+
+def first_play_law(model: ProductModel, inside, marked: dict,
+                   n_outcomes: int) -> np.ndarray:
+    """Law of the first marked play from each node of the node set `inside`
+    (rows in its order).  `marked` maps (node, profile) to an outcome column;
+    every other play moves on through the action kernel, and mass that leaves
+    `inside` unmarked is lost."""
+    K = model.action_kernel()
+    M = np.zeros((len(inside), len(inside)))   # strictly pre-marked dynamics
+    R = np.zeros((len(inside), n_outcomes))
+    for j, n in enumerate(inside):
+        for a in np.nonzero(model.alpha[n] > DIST_TOL)[0]:
+            a = int(a)
+            col = marked.get((n, a))
+            if col is None:
+                M[j] += model.alpha[n, a] * K[n, a, inside]
+            else:
+                R[j, col] += model.alpha[n, a]
+    return np.linalg.solve(np.eye(len(inside)) - M, R)
 
 
 def reachable_nodes(model: ProductModel, from_states=None) -> list:

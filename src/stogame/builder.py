@@ -19,6 +19,11 @@ product chain of the fragment's standalone machine through
 `automata.build_product_model`, the evaluator the verifiers use, and the
 assembly ships the very fragment that was tuned.
 
+The stationary correlated variant is tuned the same way, on the product
+chain of `automata.stationary_automaton` over its table: a sustainable set's
+rows by the limit payoffs of the set's closed sub-chain, a departing set's by
+`automata.first_play_law`, the solve that also gives the machines' exit law.
+
 The global machine plays a stationary equilibrium selection on transient
 states and dispatches into set machines as play enters them; every machine
 state is a (mode, game state) pair, so each player's automaton has at most
@@ -37,6 +42,8 @@ from .automata import (
     JointAutomatonProfile,
     build_product_model,
     exit_values,
+    first_play_law,
+    stationary_automaton,
 )
 from .chains import limit_average_values, recurrent_classes
 from .frequencies import SustainPlan, max_slack_mixture, plan_support, sustain_by_columns
@@ -395,13 +402,18 @@ def _set_model(game: StochasticGame, fragment: SetFragment):
     return model, [model.index[node] for node in local]
 
 
+def _closed_limit(model, inside):
+    """Sub-chain on a node set that play never leaves, and the long-run
+    payoffs per node of the set (rows in its order)."""
+    P = model.P[np.ix_(inside, inside)]
+    return P, limit_average_values(P, model.r[inside])
+
+
 def _entry_payoffs(game: StochasticGame, fragment: SetFragment) -> np.ndarray:
-    """Long-run payoffs from the entry nodes of a sustainable set's machine.
-    The set is closed under its machine, so the limit is that of the
-    sub-chain on the fragment's nodes."""
+    """Long-run payoffs from the entry nodes of a sustainable set's machine,
+    which is closed on the fragment's nodes."""
     model, inside = _set_model(game, fragment)
-    vals = limit_average_values(model.P[np.ix_(inside, inside)], model.r[inside])
-    return vals[:len(fragment.region)]
+    return _closed_limit(model, inside)[1][:len(fragment.region)]
 
 
 def exit_play_law(game: StochasticGame, region, plan: ExitPlan) -> np.ndarray:
@@ -409,20 +421,10 @@ def exit_play_law(game: StochasticGame, region, plan: ExitPlan) -> np.ndarray:
     state), with exit plays absorbing; every row should equal plan.beta."""
     fragment = build_type_b_fragment(game, region, plan)
     model, inside = _set_model(game, fragment)
-    exit_plays = {(lab, a) for (lab, a, _), dist in fragment.table.items()
-                  if dist[0][0] is REDISPATCH}
-    K = model.action_kernel()
-    M = np.zeros((len(inside), len(inside)))   # strictly pre-exit-play dynamics
-    R = np.zeros((len(inside), len(plan.exits)))
-    for j, (n, lab) in enumerate(zip(inside, fragment.local_states)):
-        for a in np.nonzero(model.alpha[n] > DIST_TOL)[0]:
-            a = int(a)
-            if (lab, a) in exit_plays:
-                R[j, lab[0]] += model.alpha[n, a]
-            else:
-                M[j] += model.alpha[n, a] * K[n, a, inside]
-    B = np.linalg.solve(np.eye(len(inside)) - M, R)
-    return B[:len(fragment.region)]
+    node = dict(zip(fragment.local_states, inside))
+    marked = {(node[lab], a): lab[0] for (lab, a, _), dist in fragment.table.items()
+              if dist[0][0] is REDISPATCH}
+    return first_play_law(model, inside, marked, len(plan.exits))[:len(fragment.region)]
 
 
 def departure_values(game: StochasticGame, region, plan: ExitPlan,
@@ -452,7 +454,7 @@ def sustain_target(value, plan: SustainPlan, eps: float) -> np.ndarray:
 
 
 def _tune_type_a(game: StochasticGame, region, plan: SustainPlan, eps: float,
-                 value=None, floor: float = DELTA_FLOOR):
+                 value=None):
     """Halve delta from weight/2 until every entry payoff clears the sustain
     target: (delta, entry payoffs, the fragment that earned them)."""
     if len(plan.atoms) == 1:
@@ -467,7 +469,7 @@ def _tune_type_a(game: StochasticGame, region, plan: SustainPlan, eps: float,
         if np.all(payoff >= target - 1e-9):
             return delta, payoff, fragment
         delta /= 2.0
-        if delta < floor:
+        if delta < DELTA_FLOOR:
             raise RuntimeError(
                 f"sustainable-set tuning failed on region {list(region)}: "
                 f"payoff {payoff.min(axis=0)} below target {target} at the delta floor"
@@ -475,10 +477,10 @@ def _tune_type_a(game: StochasticGame, region, plan: SustainPlan, eps: float,
 
 
 def tune_type_a_delta(game: StochasticGame, region, plan: SustainPlan,
-                      eps: float, value=None, floor: float = DELTA_FLOOR):
+                      eps: float, value=None):
     """Halve delta from weight/2 until every entry payoff clears the sustain
     target: (delta, entry payoffs)."""
-    return _tune_type_a(game, region, plan, eps, value, floor)[:2]
+    return _tune_type_a(game, region, plan, eps, value)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -620,23 +622,19 @@ def _safe_profile_rows(game: StochasticGame, region):
     return rows
 
 
-def _region_limit_payoff(game, region, rows):
-    region = sorted(region)
-    P = np.zeros((len(region), len(region)))
-    r = np.zeros((len(region), game.n_players))
-    pos = {s: k for k, s in enumerate(region)}
-    for s in region:
-        row = rows[s]
-        r[pos[s]] = row @ game.payoffs[s]
-        trans = row @ game.transitions[s]
-        for t in region:
-            P[pos[s], pos[t]] = trans[t]
-    vals = limit_average_values(P, r)
-    return {s: vals[pos[s]] for s in region}, P, pos
+def _correlated_model(game: StochasticGame, region, rows: dict):
+    """Product chain of the stationary machine that plays `rows` on the
+    region and the uniform row elsewhere, and the region's node ids in
+    region order."""
+    table = np.full((game.n_states, game.n_profiles), 1.0 / game.n_profiles)
+    for s, row in rows.items():
+        table[s] = row
+    model = build_product_model(game, stationary_automaton(game, table))
+    return model, [model.node_of(s) for s in region]
 
 
 def _correlated_type_a_rows(game: StochasticGame, region, plan: SustainPlan,
-                            eps: float, value=None, floor: float = DELTA_FLOOR) -> dict:
+                            eps: float, value=None) -> dict:
     """Stationary correlated rows sustaining the plan payoff inside the set.
 
     The plan's mixed frequency is itself invariant for its conditional kernel;
@@ -665,19 +663,17 @@ def _correlated_type_a_rows(game: StochasticGame, region, plan: SustainPlan,
     target = sustain_target(plan.target + eps if value is None else value,
                             plan, eps)
 
-    def meets(payoff):
-        return all(np.all(payoff[s] >= target - 1e-9) for s in region)
-
-    payoff, P, pos = _region_limit_payoff(game, region, base)
-    if meets(payoff):
+    # The region is closed under every candidate, as under a sustainable
+    # set's machine.
+    P, payoff = _closed_limit(*_correlated_model(game, region, base))
+    if np.all(payoff >= target - 1e-9):
         return base
 
     # The conditional kernel of the mixed frequency splits into several
     # recurrent classes: blend a per-class travel rate and steer the class
     # occupations toward the plan's class masses.
     classes, _ = recurrent_classes(P)
-    ordered = sorted(region)
-    class_states = [[ordered[k] for k in cls] for cls in classes]
+    class_states = [[region[k] for k in cls] for cls in classes]
     goal = np.array([sum(marginal[s] for s in cls) for cls in class_states])
     goal = goal / goal.sum() if goal.sum() > 0 else np.full(len(classes), 1.0 / len(classes))
     kappa = np.ones(len(classes))
@@ -688,32 +684,30 @@ def _correlated_type_a_rows(game: StochasticGame, region, plan: SustainPlan,
             blend = min(0.5, theta * kappa[j])
             for s in cls:
                 rows[s] = (1.0 - blend) * base[s] + blend * travel_rows[s]
-        payoff, P2, pos = _region_limit_payoff(game, region, rows)
-        if meets(payoff):
+        P, payoff = _closed_limit(*_correlated_model(game, region, rows))
+        if np.all(payoff >= target - 1e-9):
             return rows
-        occ = limit_average_values(P2, np.eye(len(pos)))
-        weights = np.array([
-            occ[:, [pos[s] for s in cls]].sum(axis=1).mean()
-            for cls in class_states
-        ])
+        occ = limit_average_values(P, np.eye(len(region)))
+        weights = np.array([occ[:, cls].sum(axis=1).mean() for cls in classes])
         weights = np.clip(weights, 1e-12, None)
         kappa *= np.clip(weights / goal, 0.25, 4.0)
         theta *= 0.8
-        if theta < floor:
+        if theta < DELTA_FLOOR:
             break
     raise RuntimeError(
         f"stationary-correlated tuning failed on region {list(region)}"
     )
 
 
-def _correlated_type_b_rows(game: StochasticGame, region, plan: ExitPlan,
-                            eps: float) -> dict:
+def _correlated_type_b_rows(game: StochasticGame, region, plan: ExitPlan) -> dict:
     """Stationary correlated rows reproducing the planned exit law.
 
     Non-exit states play the uniform mixture of the plan's travel profiles;
     exit states blend that mixture with the exit profiles.  Iterative scaling
     matches the first-played-exit law to the plan; entry dependence is driven
-    out by shrinking the total exit weight.
+    out by shrinking the total exit weight.  The scaling stops early once no
+    exit weight registers in the law or the weights are pinned at their
+    clip, and the best rows seen are kept.
     """
     region = tuple(sorted(region))
     L = len(plan.exits)
@@ -729,7 +723,6 @@ def _correlated_type_b_rows(game: StochasticGame, region, plan: ExitPlan,
                 hits += 1
         z_rows[s] = row / hits if hits else safe_rows[s]
 
-    pos = {s: k for k, s in enumerate(region)}
     exit_index = {}
     for l, (s, a) in enumerate(plan.exits):
         exit_index.setdefault(s, []).append(l)
@@ -745,43 +738,34 @@ def _correlated_type_b_rows(game: StochasticGame, region, plan: ExitPlan,
             rows[s] = row
         return rows
 
-    def first_exit_law(rows):
-        n = len(region)
-        M = np.zeros((n, n))
-        R = np.zeros((n, L))
-        lookup = {(s, a): l for l, (s, a) in enumerate(plan.exits)}
-        for s in region:
-            row = rows[s]
-            for a in np.nonzero(row > DIST_TOL)[0]:
-                a = int(a)
-                if (s, a) in lookup:
-                    R[pos[s], lookup[(s, a)]] += row[a]
-                    continue
-                trans = game.transitions[s, a]
-                for t in region:
-                    M[pos[s], pos[t]] += row[a] * trans[t]
-        return np.linalg.solve(np.eye(n) - M, R)
-
     w = plan.scale * plan.beta
     best_rows = None
     best_err = np.inf
     for _ in range(400):
         rows = build_rows(w)
-        B = first_exit_law(rows)
+        model, inside = _correlated_model(game, region, rows)
+        marked = {(model.node_of(s), a): l for l, (s, a) in enumerate(plan.exits)}
+        B = first_play_law(model, inside, marked, L)
         err = float(np.max(np.abs(B - plan.beta)))
         if err < best_err:
             best_rows, best_err = rows, err
         if err <= 1e-9:
             return rows
         mean_law = B.mean(axis=0)
-        mean_law /= mean_law.sum()
+        mass = mean_law.sum()
+        if not mass > 0.0:
+            break
+        mean_law /= mass
         mismatch = float(np.max(np.abs(mean_law - plan.beta)))
         if mismatch > err / 4.0:
-            w = w * np.clip(plan.beta / np.clip(mean_law, 1e-12, None), 0.5, 2.0)
+            step = w * np.clip(plan.beta / np.clip(mean_law, 1e-12, None), 0.5, 2.0)
         else:
             # Law already centered: entry dependence dominates, slow down.
-            w = w * 0.5
-        w = np.clip(w, 1e-14, 0.9 / L)
+            step = w * 0.5
+        step = np.clip(step, 1e-14, 0.9 / L)
+        if np.array_equal(step, w):
+            break
+        w = step
     if best_err <= 1e-7:
         return best_rows
     raise RuntimeError(
@@ -809,7 +793,7 @@ def build_correlated_stationary(game: StochasticGame,
             rows = _correlated_type_a_rows(game, cset.states, cls.sustain, eps,
                                            value=cset.value)
         else:
-            rows = _correlated_type_b_rows(game, cset.states, cls.exit_plan, eps)
+            rows = _correlated_type_b_rows(game, cset.states, cls.exit_plan)
         for s, row in rows.items():
             table[s] = row
     return StationaryCorrelated(table)

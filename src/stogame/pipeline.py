@@ -94,8 +94,7 @@ class PipelineResult:
 
 def run_pipeline(game: StochasticGame, eps: float = 0.05, schedule=None,
                  tol_v: float = 1e-4, lam_grid=DEFAULT_LAMBDA_GRID,
-                 with_correlated: bool = True, solver_tol: float = 1e-9,
-                 eq_tol: float = 1e-9) -> PipelineResult:
+                 with_correlated: bool = True, eq_tol: float = 1e-9) -> PipelineResult:
     """Run the full chain on one game.
 
     Build or verification failures are collected in `errors` rather than
@@ -108,7 +107,7 @@ def run_pipeline(game: StochasticGame, eps: float = 0.05, schedule=None,
         raise ValueError(f"eps must be positive, got {eps}")
     problems = validate_game(game)
     schedule = default_schedule() if schedule is None else list(schedule)
-    minmax = solve_uniform_minmax(game, schedule=schedule, tol=solver_tol)
+    minmax = solve_uniform_minmax(game, schedule=schedule)
     v1 = minmax.uniform_values
     eq_sets = enumerate_all_states(game, v1, exact_tol=eq_tol)
     decomposition = decompose(game, eq_sets, v1, tol_v=tol_v)

@@ -1,10 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from oracles import simulate_first_exit
 from stogame._util import DIST_TOL
-from stogame.automata import build_product_model, limit_value
+from stogame.automata import (
+    build_product_model,
+    first_play_law,
+    limit_value,
+    stationary_automaton,
+)
 from stogame.builder import (
+    ExitPlan,
+    _correlated_type_b_rows,
     assemble_profile,
     build_correlated_stationary,
     build_type_a_automaton,
@@ -17,6 +26,7 @@ from stogame.builder import (
     first_exit_distribution,
     solve_eta,
     sustain_payoff,
+    sustain_target,
     tune_type_a_delta,
 )
 from stogame.game import StochasticGame
@@ -392,6 +402,68 @@ def test_opposed_cycles_correlated_multichain_tuner():
     assert check_minmax_acceptable(g, StationaryCorrelated(table), v1, 0.05).ok
     # both states keep most mass on staying home, with a small travel blend
     assert table[0, 0] > 0.9 and table[1, 0] > 0.9
+
+
+def _correlated_exit_law(game, table, region, plan):
+    """First-exit law of a stationary correlated table on the verifiers'
+    product chain, one row per state of the region."""
+    model = build_product_model(game, stationary_automaton(game, table))
+    inside = [model.node_of(s) for s in region]
+    marked = {(model.node_of(s), a): l for l, (s, a) in enumerate(plan.exits)}
+    return first_play_law(model, inside, marked, len(plan.exits))
+
+
+def test_degenerate_exit_law_ends_the_correlated_tuner():
+    # With these exits the scaling shrinks the exit weights until none of
+    # them registers in the law (round 37); the tuner must stop there,
+    # without dividing by the law's zero mass, and keep its best rows
+    # (round 24, residual 3.8e-9).
+    g = random_banded_exit_game(4003)
+    v1 = solve_uniform_minmax(g).uniform_values
+    d = decompose(g, enumerate_all_states(g, v1), v1)
+    region = next(c.states for c in d.sets if len(c.states) == 2)
+    exits = [(0, 2), (1, 2)]
+    found = [companion_action(g, region, s, a) for s, a in exits]
+    beta = np.array([0.5, 0.5])
+    plan = ExitPlan(exits=exits, companions=[c for c, _ in found],
+                    deviators=[i for _, i in found], beta=beta,
+                    eta=solve_eta(beta, 0.1), scale=0.1, target=np.zeros(2),
+                    achieved=np.zeros(2), slack=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = _correlated_type_b_rows(g, region, plan)
+    best = np.array([0.9999999940395355, 0.0, 5.960464477539063e-09, 0.0])
+    assert sorted(rows) == list(region)
+    for s in region:
+        np.testing.assert_array_equal(rows[s], best)
+    table = np.full((g.n_states, g.n_profiles), 1.0 / g.n_profiles)
+    for s in region:
+        table[s] = rows[s]
+    law = _correlated_exit_law(g, table, region, plan)
+    assert float(np.max(np.abs(law - beta))) <= 1e-7
+
+
+def test_shipped_correlated_table_is_the_tuned_one(suite_results):
+    # The verifiers judge the shipped table on the product chain of its
+    # stationary machine: there every departing set plays its planned
+    # first-exit law from each of its states, and every sustainable set's
+    # limit payoffs clear the target its rows were tuned to.
+    _, results = suite_results
+    seen = {"A": 0, "B": 0}
+    for game, res in results:
+        limit = {(e.state, e.player): e.limit_payoff
+                 for e in res.correlated_acceptability.entries}
+        for cset, cls in zip(res.decomposition.sets, res.classifications):
+            seen[cls.kind] += 1
+            if cls.kind == "B":
+                law = _correlated_exit_law(game, res.correlated, cset.states, cls.exit_plan)
+                assert float(np.max(np.abs(law - cls.exit_plan.beta))) <= 1e-7, game.name
+            else:
+                target = sustain_target(cset.value, cls.sustain, res.eps)
+                for s in cset.states:
+                    for i in range(game.n_players):
+                        assert limit[(s, i)] >= target[i] - 1e-9, (game.name, s, i)
+    assert seen["A"] and seen["B"]
 
 
 def test_classification_makes_no_lp_call(suite_results, monkeypatch):
