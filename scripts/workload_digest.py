@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Two sha256 digests over the pipeline runs of a benchmark workload's games.
+"""Three sha256 digests over the pipeline runs of a benchmark workload's games.
 
 Usage, from the repository root:
 
@@ -8,7 +8,7 @@ Usage, from the repository root:
 For every slot in the inclusive range, in order, the workload's games are
 generated exactly as `perfbench/run.py` generates them, and each game goes
 through one `run_pipeline` call with the benchmark's eps and schedule.  The
-script prints two digests, each over all games in order:
+script prints three digests, each over all games in order:
 
 * min-max: over `json.dumps(result.minmax.to_dict())`.  Equal digests mean
   bit-identical min-max reports (values, rounds, certificates, stalls and
@@ -16,6 +16,8 @@ script prints two digests, each over all games in order:
 * build: over each game's `profile.to_dict()` and stationary correlated
   table, as in the last line of `scripts/run_suite.py`.  Equal digests mean
   bit-identical machines and correlated strategies.
+* oneshot: over each game's `[e.to_dict() for e in res.eq_sets]`.  Equal
+  digests mean bit-identical one-shot equilibrium lists at every state.
 
 The script only imports `perfbench/env.py` and `perfbench/workloads.py`; it
 pins the same threads as the benchmark and runs the `src/` of its own
@@ -61,6 +63,7 @@ def main(argv=None) -> int:
 
     minmax_digest = hashlib.sha256()
     build_digest = hashlib.sha256()
+    oneshot_digest = hashlib.sha256()
     n_games = 0
     start = time.monotonic()
     for slot in args.slots:
@@ -71,11 +74,13 @@ def main(argv=None) -> int:
                 "profile": None if res.profile is None else res.profile.to_dict(),
                 "correlated": None if res.correlated is None else res.correlated.table,
             })).encode())
+            oneshot_digest.update(json.dumps([e.to_dict() for e in res.eq_sets]).encode())
             n_games += 1
     print(f"{args.workload} slots {args.slots.start}-{args.slots.stop - 1}: "
           f"{n_games} games in {time.monotonic() - start:.1f}s")
     print(f"min-max {minmax_digest.hexdigest()}")
     print(f"build {build_digest.hexdigest()}")
+    print(f"oneshot {oneshot_digest.hexdigest()}")
     return 0
 
 

@@ -24,13 +24,11 @@ from .builder import (
     type_b_feasibility,
 )
 from .frequencies import (
-    FrequencyVector,
     RecurrentPoint,
     SustainPlan,
     best_recurrent_point,
     enumerate_recurrent_points,
     payoff_of_frequency,
-    stationary_frequency,
     sustain_by_columns,
     type_a_feasibility,
 )
@@ -39,7 +37,6 @@ from .game import (
     StationaryCorrelated,
     StationaryProfile,
     StochasticGame,
-    discounted_payoff_stationary,
     extend_payoff,
     extend_transition,
     load_game,
@@ -52,7 +49,6 @@ from .minmax import (
     MinMaxReport,
     default_schedule,
     discounted_minmax,
-    shapley_operator,
     solve_uniform_minmax,
     uniform_minmax,
 )

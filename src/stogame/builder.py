@@ -645,7 +645,7 @@ def _correlated_type_a_rows(game: StochasticGame, region, plan: SustainPlan,
     region = tuple(sorted(region))
     rho = np.zeros((game.n_states, game.n_profiles))
     for atom, w in zip(plan.atoms, plan.weights):
-        rho += w * atom.freq.rho
+        rho += w * atom.rho
     marginal = rho.sum(axis=1)
     travel_rows = _safe_profile_rows(game, region)
     support = [s for s in region if marginal[s] > 1e-12]

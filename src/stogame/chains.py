@@ -141,25 +141,6 @@ def reach_probability(P: np.ndarray, targets) -> np.ndarray:
     return h
 
 
-def limit_occupation(P: np.ndarray, s1: int) -> np.ndarray:
-    """Cesaro-limit state occupation started from s1.
-
-    Absorption-probability-weighted mixture of the invariant laws of the
-    recurrent classes.
-    """
-    classes, transient = recurrent_classes(P)
-    absorb = absorption_probabilities(P, classes, transient)
-    occ = np.zeros(P.shape[0])
-    for j, cls in enumerate(classes):
-        w = absorb[s1, j]
-        if w <= 0.0:
-            continue
-        pi = stationary_distribution(P, cls)
-        for pos, s in enumerate(cls):
-            occ[s] += w * pi[pos]
-    return occ
-
-
 def limit_average_values(P: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Long-run average of stage values r (shape (n,) or (n, d)) per start state."""
     single = r.ndim == 1

@@ -38,7 +38,6 @@ def _add_common(parser):
                         help="comma-separated verification discount grid")
     parser.add_argument("--schedule-depth", type=int, default=20,
                         help="discount schedule length for the uniform solve")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="out", help="artifact directory")
     parser.add_argument("--tol-v", type=float, default=1e-4,
                         help="value-equality tolerance for communicating sets")
@@ -292,6 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--lam", type=float, default=None,
                            help="simulation discount factor (default 0.99)")
             p.add_argument("--replications", type=int, default=2000)
+            p.add_argument("--seed", type=int, default=0,
+                           help="simulation random seed (default 0)")
     return parser
 
 

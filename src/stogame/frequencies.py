@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import DIST_TOL, json_ready
-from .chains import limit_occupation, recurrent_classes, stationary_distribution
-from .game import StochasticGame, as_correlated_table, induced_chain
+from .chains import recurrent_classes, stationary_distribution
+from .game import StochasticGame
 from .matrixgame import MatrixGameSolution, kernel_solution, solve_matrix_game
 from .structure import safe_profiles
 
@@ -46,26 +46,9 @@ PRICING_CAP = 100
 IMPROVE_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
-    """Distribution over (state, action profile); rho has shape (S, A)."""
-
-    rho: np.ndarray
-
-    def total(self) -> float:
-        return float(self.rho.sum())
-
-
-def stationary_frequency(game: StochasticGame, strategy, s1: int) -> FrequencyVector:
-    """Exact long-run state-action frequency of a stationary strategy."""
-    table = as_correlated_table(game, strategy)
-    P, _ = induced_chain(game, table)
-    return FrequencyVector(limit_occupation(P, s1)[:, None] * table)
-
-
-def payoff_of_frequency(game: StochasticGame, freq) -> np.ndarray:
-    """Long-run average payoff vector of a frequency vector."""
-    rho = freq.rho if isinstance(freq, FrequencyVector) else np.asarray(freq)
+def payoff_of_frequency(game: StochasticGame, rho: np.ndarray) -> np.ndarray:
+    """Long-run average payoff vector of a frequency vector, a distribution
+    rho over (state, action profile) of shape (S, A)."""
     return np.einsum("sa,sai->i", rho, game.payoffs)
 
 
@@ -76,11 +59,12 @@ def payoff_of_frequency(game: StochasticGame, freq) -> np.ndarray:
 @dataclass(frozen=True)
 class RecurrentPoint:
     """Frequency point of a pure stationary profile on one of its in-set
-    recurrent classes.  `actions` maps each class state to its flat profile."""
+    recurrent classes.  `actions` maps each class state to its flat profile
+    and rho, of shape (S, A), is the point's frequency vector."""
 
     states: tuple
     actions: dict
-    freq: FrequencyVector
+    rho: np.ndarray
     payoff: np.ndarray
 
     def to_dict(self) -> dict:
@@ -115,9 +99,8 @@ def _profile_points(game: StochasticGame, region: list, live: list, acts) -> lis
         actions = {live[k]: acts[k] for k in cls}
         rho = np.zeros((game.n_states, game.n_profiles))
         rho[list(cls_states), [acts[k] for k in cls]] = pi
-        freq = FrequencyVector(rho)
-        points.append(RecurrentPoint(cls_states, actions, freq,
-                                     payoff_of_frequency(game, freq)))
+        points.append(RecurrentPoint(cls_states, actions, rho,
+                                     payoff_of_frequency(game, rho)))
     return points
 
 
@@ -153,7 +136,7 @@ def enumerate_recurrent_points(game: StochasticGame, region) -> list:
     # the same class law).
     uniq = {}
     for point in points.values():
-        fkey = tuple(np.round(point.freq.rho, 10).ravel())
+        fkey = tuple(np.round(point.rho, 10).ravel())
         if fkey not in uniq:
             uniq[fkey] = point
     return sorted(uniq.values(), key=lambda p: (p.states, sorted(p.actions.items())))

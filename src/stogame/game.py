@@ -9,9 +9,10 @@ per-player action ranges.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,11 +52,13 @@ class StochasticGame:
     def n_states(self) -> int:
         return len(self.state_names)
 
-    @property
+    # Computed once: the action lists never change, and cached_property
+    # writes to the instance __dict__, which a frozen dataclass leaves open.
+    @functools.cached_property
     def action_counts(self) -> tuple:
         return tuple(len(acts) for acts in self.action_names)
 
-    @property
+    @functools.cached_property
     def n_profiles(self) -> int:
         return int(np.prod(self.action_counts))
 
@@ -211,31 +214,6 @@ def extend_payoff(game: StochasticGame, s: int, alpha) -> np.ndarray:
     """Stage payoff vector u(s, alpha) for a correlated mixed action."""
     alpha = validate_distribution(alpha, game.n_profiles, "correlated mixed action")
     return alpha @ game.payoffs[s]
-
-
-def induced_chain(game: StochasticGame, table: np.ndarray):
-    """State chain P and per-state stage payoffs r under a correlated table."""
-    P = np.einsum("sa,sat->st", table, game.transitions)
-    r = np.einsum("sa,sai->si", table, game.payoffs)
-    return P, r
-
-
-def discounted_payoff_stationary(game: StochasticGame, strategy, lam: float,
-                                 s1=None) -> np.ndarray:
-    """Exact discounted payoff of a stationary strategy.
-
-    Solves gamma = (1-lam) r + lam P gamma per player.  Returns the (S, I)
-    matrix of payoffs by initial state, or the row for `s1` when given.
-    """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"discount factor {lam} outside [0, 1)")
-    table = as_correlated_table(game, strategy)
-    P, r = induced_chain(game, table)
-    n = game.n_states
-    gamma = np.linalg.solve(np.eye(n) - lam * P, (1.0 - lam) * r)
-    if s1 is None:
-        return gamma
-    return gamma[s1]
 
 
 # ---------------------------------------------------------------------------

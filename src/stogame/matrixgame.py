@@ -17,7 +17,10 @@ would outweigh the per-game arithmetic.
 matrix game has an optimal pair supported on a square submatrix, a kernel,
 whose equalizing strategies solve two small linear systems (Shapley & Snow
 1950).  It tries all kernels, smallest first, and keeps the first pair that
-passes the minimax check on the whole matrix.
+passes the minimax check on the whole matrix.  Those systems are solved,
+one stack per kernel size, by `kernel_equalizers`, which takes a bimatrix
+game (A, B): `kernel_solution` passes (M, M), and the one-shot support
+enumeration passes the two players' payoffs.
 """
 
 from __future__ import annotations
@@ -158,17 +161,37 @@ def _equalizers(A):
     return out[:, :-1], out[:, -1]
 
 
+def kernel_equalizers(A, B, k: int):
+    """Shapley-Snow equalizers of every k x k kernel of the bimatrix game
+    (A, B), A the row player's payoffs and B the column player's.
+
+    Per kernel, in `_kernel_index` order, the row mix equalizing B's kernel
+    columns, with their common value, and the column mix equalizing A's
+    kernel rows; neither is checked for signs.  A kernel whose bordered
+    systems have a zero determinant, the one case in which the solve would
+    raise, is left out.  Returns (rows, cols, x, v, y): the kept kernels'
+    row and column index sets, row mixes, values and column mixes.
+    """
+    rows, cols = _kernel_index(*A.shape, k)
+    grid = (rows[:, :, None], cols[:, None, :])
+    A_col = _bordered(A[grid])
+    A_row = _bordered(B[grid].transpose(0, 2, 1))
+    keep = np.flatnonzero((np.linalg.det(A_col) != 0.0) & (np.linalg.det(A_row) != 0.0))
+    x, v = _equalizers(A_row[keep])
+    y, _ = _equalizers(A_col[keep])
+    return rows[keep], cols[keep], x, v, y
+
+
 def kernel_solution(M) -> MatrixGameSolution | None:
     """Value and optimal strategies of a matrix game from its Shapley-Snow
     kernels, or None.
 
     Kernels are tried by size, then rows, then columns, each size as one
-    stack: per square submatrix K, the row mix equalizing K's columns and
-    the column mix equalizing K's rows, kept when both are nonnegative and
-    the pair, extended by zeros, passes the minimax check on all of M.  The
-    first that passes wins, so the support of each side is at most
-    min(m, n).  None when no kernel passes, or when M has more than
-    KERNEL_LIMIT square submatrices.
+    stack (`kernel_equalizers` of (M, M)): a kernel's equalizers are kept
+    when both are nonnegative and the pair, extended by zeros, passes the
+    minimax check on all of M.  The first that passes wins, so the support
+    of each side is at most min(m, n).  None when no kernel passes, or when
+    M has more than KERNEL_LIMIT square submatrices.
     """
     M = _game_matrix(M)
     m, n = M.shape
@@ -176,23 +199,13 @@ def kernel_solution(M) -> MatrixGameSolution | None:
         return None
     tol = KERNEL_TOL * max(1.0, float(np.abs(M).max()))
     for k in range(1, min(m, n) + 1):
-        rows, cols = _kernel_index(m, n, k)
-        K = M[rows[:, :, None], cols[:, None, :]]
-        A_col = _bordered(K)
-        A_row = _bordered(K.transpose(0, 2, 1))
-        # A zero determinant is an exact zero pivot, the one case in which
-        # the solve would raise.
-        keep = np.flatnonzero((np.linalg.det(A_col) != 0.0) & (np.linalg.det(A_row) != 0.0))
-        if not len(keep):
-            continue
         with np.errstate(all="ignore"):
-            x, v = _equalizers(A_row[keep])
-            y, _ = _equalizers(A_col[keep])
+            rows, cols, x, v, y = kernel_equalizers(M, M, k)
             signs = (x >= -1e-12).all(axis=1) & (y >= -1e-12).all(axis=1)
-            X = np.zeros((len(keep), m))
-            Y = np.zeros((len(keep), n))
-            np.put_along_axis(X, rows[keep], np.clip(x, 0.0, None), axis=1)
-            np.put_along_axis(Y, cols[keep], np.clip(y, 0.0, None), axis=1)
+            X = np.zeros((len(v), m))
+            Y = np.zeros((len(v), n))
+            np.put_along_axis(X, rows, np.clip(x, 0.0, None), axis=1)
+            np.put_along_axis(Y, cols, np.clip(y, 0.0, None), axis=1)
             X /= X.sum(axis=1, keepdims=True)
             Y /= Y.sum(axis=1, keepdims=True)
             ok = signs & _verify(M, v, X, Y, tol=tol)

@@ -95,22 +95,6 @@ def _one_shot(payoff, transitions, index, lam, v):
     return Tv, rows, cols, len(unsolved)
 
 
-def shapley_operator(game: StochasticGame, i: int, lam: float, v: np.ndarray,
-                     view: _PlayerView | None = None):
-    """One application of the min-max dynamic-programming operator.
-
-    Returns (Tv, row strategies, column strategies), where row strategies are
-    the protected player's per-state optimal mixes (S, own) and column
-    strategies the coalition's (S, other), both for the one-shot games at v.
-    All states' 2x2 games go to one `closed_form_2x2` call, a scalar pass
-    over the games; a state whose closed form fails the minimax check, and
-    every larger game, goes through `solve_matrix_game`.
-    """
-    view = view or player_view(game, i)
-    return _one_shot((1.0 - lam) * game.payoffs[:, :, i], game.transitions,
-                     view.index, lam, v)[:3]
-
-
 def _policy_iteration(R: np.ndarray, P: np.ndarray, lam: float, eye: np.ndarray,
                       starts: np.ndarray, cap: int = 10_000) -> np.ndarray:
     """Exact discounted solve of a stack of maximizing MDPs.

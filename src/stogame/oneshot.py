@@ -16,6 +16,7 @@ import numpy as np
 
 from ._util import VALUE_INEQ_TOL, json_ready
 from .game import StochasticGame, mixes_to_correlated_row
+from .matrixgame import kernel_equalizers
 
 EXACT_EQ_TOL = 1e-9
 APPROX_EQ_TOL = 1e-6
@@ -135,49 +136,27 @@ def _pure_equilibria(aux: AuxiliaryGame, tol: float):
 
 def _support_enumeration_2p(aux: AuxiliaryGame, tol: float):
     """All regular mixed equilibria of a two-player game, one representative
-    per support pair (equal support sizes >= 2)."""
+    per support pair (equal support sizes >= 2).
+
+    Per support pair, `kernel_equalizers` gives the row mix x making the
+    column player indifferent on the columns and the column mix y making
+    the row player indifferent on the rows."""
     m, n = aux.action_counts
     A = aux.tensor()[..., 0]   # row player payoffs, shape (m, n)
     B = aux.tensor()[..., 1]
     found = []
     for k in range(2, min(m, n) + 1):
-        for rows in itertools.combinations(range(m), k):
-            for cols in itertools.combinations(range(n), k):
-                # Column mix y makes the row player indifferent on `rows`,
-                # row mix x makes the column player indifferent on `cols`.
-                try:
-                    y = _indifference_solve(A, rows, cols)
-                    x = _indifference_solve(B.T, cols, rows)
-                except np.linalg.LinAlgError:
-                    continue
-                if x is None or y is None:
-                    continue
-                xm = np.zeros(m)
-                ym = np.zeros(n)
-                xm[list(rows)] = x
-                ym[list(cols)] = y
-                mixes = (xm, ym)
-                if regret(aux, mixes) <= tol:
-                    found.append(mixes)
+        rows, cols, x, _, y = kernel_equalizers(A, B, k)
+        for r, c, w_row, w_col in zip(rows, cols, x, y):
+            if np.any(w_row < -1e-9) or np.any(w_col < -1e-9):
+                continue
+            mixes = (np.zeros(m), np.zeros(n))
+            for mix, support, w in zip(mixes, (r, c), (w_row, w_col)):
+                w = np.clip(w, 0.0, None)
+                mix[support] = w / w.sum()
+            if regret(aux, mixes) <= tol:
+                found.append(mixes)
     return found
-
-
-def _indifference_solve(M, own_support, opp_support):
-    """Solve for the opponent mix on opp_support equalizing M over own_support."""
-    k = len(own_support)
-    sub = M[np.ix_(own_support, opp_support)]
-    lhs = np.zeros((k + 1, k + 1))
-    lhs[:k, :k] = sub
-    lhs[:k, k] = -1.0
-    lhs[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    sol = np.linalg.solve(lhs, rhs)
-    w = sol[:k]
-    if np.any(w < -1e-9):
-        return None
-    w = np.clip(w, 0.0, None)
-    return w / w.sum()
 
 
 def _best_response_dynamics(aux: AuxiliaryGame, tol: float, rng):

@@ -101,71 +101,3 @@ def simulate(game: StochasticGame, s1: int, strategy, lam: float, seed: int,
     return SimulationResult(mean, se, replications, horizon, seed,
                             visits / (horizon * replications))
 
-
-# ---------------------------------------------------------------------------
-# Path-level execution (joint machine vs per-player machines)
-
-
-def _draw(rng, weights) -> int:
-    u = rng.random()
-    return int(min(np.sum(np.cumsum(weights) < u), len(weights) - 1))
-
-
-def sample_play_joint(game: StochasticGame, profile: JointAutomatonProfile,
-                      s1: int, stages: int, seed: int) -> list:
-    """Sample a play path through the joint machine.
-
-    Action coins are drawn per player from dedicated streams; machine
-    transitions and nature use shared public streams, so the per-player
-    execution below reproduces the path exactly.
-    """
-    joint = profile.joint
-    if not joint.has_product_outputs:
-        raise ValueError("joint machine has correlated outputs; no per-player view")
-    n_players = len(joint.factors[0])
-    rng_nature = np.random.default_rng([0, seed])
-    rng_machine = np.random.default_rng([1, seed])
-    rng_act = [np.random.default_rng([10 + i, seed]) for i in range(n_players)]
-    s, q = s1, joint.init[s1]
-    path = []
-    for _ in range(stages):
-        actions = tuple(_draw(rng_act[i], joint.factors[q][i]) for i in range(n_players))
-        a = game.profile_index(actions)
-        s_next = _draw(rng_nature, game.transitions[s, a])
-        dist = joint.step_dist(q, a, s_next)
-        probs = np.array([p for _, p in dist])
-        q_next = dist[_draw(rng_machine, probs)][0]
-        path.append((s, a, s_next))
-        s, q = s_next, q_next
-    return path
-
-
-def sample_play_per_player(game: StochasticGame, profile: JointAutomatonProfile,
-                           s1: int, stages: int, seed: int) -> list:
-    """Same play, executed through the per-player automaton views."""
-    players = profile.players
-    if not players:
-        raise ValueError("profile has no per-player decomposition")
-    n_players = len(players)
-    rng_nature = np.random.default_rng([0, seed])
-    rng_machine = np.random.default_rng([1, seed])
-    rng_act = [np.random.default_rng([10 + i, seed]) for i in range(n_players)]
-    joint = profile.joint
-    s = s1
-    qs = [view.joint.init[s1] for view in players]
-    path = []
-    for _ in range(stages):
-        actions = tuple(_draw(rng_act[i], players[i].output(qs[i]))
-                        for i in range(n_players))
-        a = game.profile_index(actions)
-        s_next = _draw(rng_nature, game.transitions[s, a])
-        # All machines consume the same public coin for their common
-        # stochastic transition.
-        dist = joint.step_dist(qs[0], a, s_next)
-        probs = np.array([p for _, p in dist])
-        pick = _draw(rng_machine, probs)
-        q_next = dist[pick][0]
-        path.append((s, a, s_next))
-        s = s_next
-        qs = [q_next] * n_players
-    return path

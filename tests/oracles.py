@@ -5,15 +5,23 @@ is by policy enumeration, long-run averages by matrix power doubling, matrix
 game values by grid search, and set structure by direct subset scans.  The
 min-max references redo the batched solve one state at a time; only games
 larger than 2x2 (and 2x2 games whose closed form fails its check) borrow the
-library's LP, `solve_matrix_game`.  Classification's two references are
-linear programs solved by HiGHS: `pricing_lp_oracle` over the invariant
+library's LP, `solve_matrix_game`.  `support_enumeration_oracle` solves each
+support pair's two indifference systems on their own, where the library
+stacks every kernel of a size (`matrixgame.kernel_equalizers`); the two
+must list the same equilibria bit for bit.  Classification's two references
+are linear programs solved by HiGHS: `pricing_lp_oracle` over the invariant
 frequency polytope of a region's safe sub-MDP, and `mixture_lp_oracle` for
 the column-generation master.  The library solves both without an LP.
 
-The last two sections hold helpers only the tests call.  The first is
-built on the library's own product chain: exact payoffs of an automaton
-profile, finite-horizon average acceptability, long-run node frequencies and
-a simulation of the exit-cycling scheme.  The second is built on the
+The remaining sections hold helpers only the tests call.  `shapley_operator`
+is one min-max round's one-shot step.  The exact stationary-strategy
+references solve the induced state chain: discounted payoffs, the Cesaro
+state occupation and the (state, profile) frequency.  The path-level
+executors replay a profile through its joint machine and through its
+per-player views on the same random streams.  The helpers built on the
+library's own product chain give exact payoffs of an automaton profile,
+finite-horizon average acceptability, long-run node frequencies and a
+simulation of the exit-cycling scheme.  The last section is built on the
 library's chain and reachability routines: the irreducible sets of a
 stationary strategy, the leads-to test, the hitting probability of a travel
 strategy and the minimal closed sets of the equilibrium support chain.
@@ -31,15 +39,17 @@ from scipy.optimize import linprog
 from stogame._util import DIST_TOL
 from stogame.automata import ProductModel, build_product_model, discounted_value, limit_value
 from stogame.chains import (
-    limit_occupation,
+    absorption_probabilities,
     reach_probability,
     recurrent_classes,
+    stationary_distribution,
     strongly_connected_components,
 )
 from stogame.frequencies import _profile_points
-from stogame.game import as_correlated_table, induced_chain
+from stogame.game import as_correlated_table
 from stogame.matrixgame import solve_matrix_game
-from stogame.minmax import player_view
+from stogame.minmax import _one_shot, player_view
+from stogame.oneshot import regret
 from stogame.simulate import as_automaton
 from stogame.structure import TravelStrategy, almost_sure_reach, safe_profiles
 from stogame.verify import DEFAULT_LAMBDA_GRID, MARGIN_TOL, check_w_acceptable
@@ -444,6 +454,173 @@ def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=Non
             return best_mid, {"rounds": rounds, "matrix_solves": matrix_solves,
                               "certified_gap": best_gap, "stalled": True}
         v = v_up
+
+
+def indifference_solve(M, own_support, opp_support):
+    """The opponent mix on opp_support equalizing M over own_support, one
+    bordered system solved on its own; None when a weight is below -1e-9.
+    Raises LinAlgError on an exactly singular system."""
+    k = len(own_support)
+    sub = M[np.ix_(own_support, opp_support)]
+    lhs = np.zeros((k + 1, k + 1))
+    lhs[:k, :k] = sub
+    lhs[:k, k] = -1.0
+    lhs[k, :k] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    sol = np.linalg.solve(lhs, rhs)
+    w = sol[:k]
+    if np.any(w < -1e-9):
+        return None
+    w = np.clip(w, 0.0, None)
+    return w / w.sum()
+
+
+def support_enumeration_oracle(aux, tol: float) -> list:
+    """Per-pair reference of `oneshot._support_enumeration_2p`: every support
+    pair of equal size >= 2, rows then columns in lexicographic order, with
+    each side's indifference system solved on its own."""
+    m, n = aux.action_counts
+    A = aux.tensor()[..., 0]
+    B = aux.tensor()[..., 1]
+    found = []
+    for k in range(2, min(m, n) + 1):
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                try:
+                    y = indifference_solve(A, rows, cols)
+                    x = indifference_solve(B.T, cols, rows)
+                except np.linalg.LinAlgError:
+                    continue
+                if x is None or y is None:
+                    continue
+                xm = np.zeros(m)
+                ym = np.zeros(n)
+                xm[list(rows)] = x
+                ym[list(cols)] = y
+                if regret(aux, (xm, ym)) <= tol:
+                    found.append((xm, ym))
+    return found
+
+
+def shapley_operator(game, i: int, lam: float, v: np.ndarray, view=None):
+    """One application of the min-max dynamic-programming operator, as one
+    round of `minmax.discounted_minmax` computes it: (Tv, the protected
+    player's per-state optimal mixes (S, own), the coalition's (S, other)),
+    all for the one-shot games at v."""
+    view = view or player_view(game, i)
+    return _one_shot((1.0 - lam) * game.payoffs[:, :, i], game.transitions,
+                     view.index, lam, v)[:3]
+
+
+# Exact stationary-strategy references on the state chain.
+
+def induced_chain(game, table: np.ndarray):
+    """State chain P and per-state stage payoffs r under a correlated table."""
+    P = np.einsum("sa,sat->st", table, game.transitions)
+    r = np.einsum("sa,sai->si", table, game.payoffs)
+    return P, r
+
+
+def discounted_payoff_stationary(game, strategy, lam: float, s1=None) -> np.ndarray:
+    """Exact discounted payoff of a stationary strategy.
+
+    Solves gamma = (1-lam) r + lam P gamma per player.  Returns the (S, I)
+    matrix of payoffs by initial state, or the row for `s1` when given.
+    """
+    if not 0.0 <= lam < 1.0:
+        raise ValueError(f"discount factor {lam} outside [0, 1)")
+    P, r = induced_chain(game, as_correlated_table(game, strategy))
+    gamma = np.linalg.solve(np.eye(game.n_states) - lam * P, (1.0 - lam) * r)
+    return gamma if s1 is None else gamma[s1]
+
+
+def limit_occupation(P: np.ndarray, s1: int) -> np.ndarray:
+    """Cesaro-limit state occupation started from s1: the absorption-weighted
+    mixture of the recurrent classes' invariant laws."""
+    classes, transient = recurrent_classes(P)
+    absorb = absorption_probabilities(P, classes, transient)
+    occ = np.zeros(P.shape[0])
+    for j, cls in enumerate(classes):
+        w = absorb[s1, j]
+        if w <= 0.0:
+            continue
+        occ[cls] += w * stationary_distribution(P, cls)
+    return occ
+
+
+def stationary_frequency(game, strategy, s1: int) -> np.ndarray:
+    """Exact long-run (state, profile) frequency rho, shape (S, A), of a
+    stationary strategy from s1."""
+    table = as_correlated_table(game, strategy)
+    P, _ = induced_chain(game, table)
+    return limit_occupation(P, s1)[:, None] * table
+
+
+# Path-level execution of a profile: the joint machine against the
+# per-player views.
+
+def _draw(rng, weights) -> int:
+    u = rng.random()
+    return int(min(np.sum(np.cumsum(weights) < u), len(weights) - 1))
+
+
+def sample_play_joint(game, profile, s1: int, stages: int, seed: int) -> list:
+    """Sample a play path through the joint machine.
+
+    Action coins are drawn per player from dedicated streams; machine
+    transitions and nature use shared public streams, so the per-player
+    execution below reproduces the path exactly.
+    """
+    joint = profile.joint
+    if not joint.has_product_outputs:
+        raise ValueError("joint machine has correlated outputs; no per-player view")
+    n_players = len(joint.factors[0])
+    rng_nature = np.random.default_rng([0, seed])
+    rng_machine = np.random.default_rng([1, seed])
+    rng_act = [np.random.default_rng([10 + i, seed]) for i in range(n_players)]
+    s, q = s1, joint.init[s1]
+    path = []
+    for _ in range(stages):
+        actions = tuple(_draw(rng_act[i], joint.factors[q][i]) for i in range(n_players))
+        a = game.profile_index(actions)
+        s_next = _draw(rng_nature, game.transitions[s, a])
+        dist = joint.step_dist(q, a, s_next)
+        probs = np.array([p for _, p in dist])
+        q_next = dist[_draw(rng_machine, probs)][0]
+        path.append((s, a, s_next))
+        s, q = s_next, q_next
+    return path
+
+
+def sample_play_per_player(game, profile, s1: int, stages: int, seed: int) -> list:
+    """Same play, executed through the per-player automaton views."""
+    players = profile.players
+    if not players:
+        raise ValueError("profile has no per-player decomposition")
+    n_players = len(players)
+    rng_nature = np.random.default_rng([0, seed])
+    rng_machine = np.random.default_rng([1, seed])
+    rng_act = [np.random.default_rng([10 + i, seed]) for i in range(n_players)]
+    joint = profile.joint
+    s = s1
+    qs = [view.joint.init[s1] for view in players]
+    path = []
+    for _ in range(stages):
+        actions = tuple(_draw(rng_act[i], players[i].output(qs[i]))
+                        for i in range(n_players))
+        a = game.profile_index(actions)
+        s_next = _draw(rng_nature, game.transitions[s, a])
+        # All machines consume the same public coin for their common
+        # stochastic transition.
+        dist = joint.step_dist(qs[0], a, s_next)
+        probs = np.array([p for _, p in dist])
+        pick = _draw(rng_machine, probs)
+        q_next = dist[pick][0]
+        path.append((s, a, s_next))
+        s = s_next
+        qs = [q_next] * n_players
+    return path
 
 
 # Test-only helpers on the library's product chain and exit scheme.

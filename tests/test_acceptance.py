@@ -11,31 +11,26 @@ import pytest
 
 from oracles import (
     chain_under,
+    discounted_payoff_stationary,
     irreducible_sets,
     maximal_communicating_oracle,
     minimal_closed_sets_of_chain,
     optimal_average_values,
     recurrent_points_oracle,
+    shapley_operator,
     simulate_first_exit,
-)
-from stogame.builder import first_exit_distribution, solve_eta
-from stogame.frequencies import (
-    enumerate_recurrent_points,
-    payoff_of_frequency,
     stationary_frequency,
 )
-from stogame.game import (
-    StationaryProfile,
-    discounted_payoff_stationary,
-    pure_profile,
-)
+from stogame.builder import first_exit_distribution, solve_eta
+from stogame.frequencies import enumerate_recurrent_points, payoff_of_frequency
+from stogame.game import StationaryProfile, pure_profile
 from stogame.generators import (
     random_banded_exit_game,
     random_dense_game,
     random_layered_game,
     sorin_game,
 )
-from stogame.minmax import shapley_operator, solve_uniform_minmax
+from stogame.minmax import solve_uniform_minmax
 from stogame.verify import check_minmax_acceptable
 
 
@@ -180,7 +175,7 @@ def test_criterion_7_oracle_equivalence(suite_results):
         irreducible_checked += 1
         # recurrent frequency points per communicating set
         for cset in res.decomposition.sets:
-            mine_pts = {tuple(np.round(p.freq.rho, 8).ravel())
+            mine_pts = {tuple(np.round(p.rho, 8).ravel())
                         for p in enumerate_recurrent_points(game, cset.states)}
             assert mine_pts == recurrent_points_oracle(game, cset.states), \
                 f"{game.name}: recurrent points mismatch on {cset.states}"

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import node_frequency
+from oracles import (
+    discounted_payoff_stationary,
+    node_frequency,
+    sample_play_joint,
+    sample_play_per_player,
+)
 from stogame.automata import (
     build_product_model,
     discounted_value,
@@ -10,11 +15,10 @@ from stogame.automata import (
     stationary_automaton,
 )
 from stogame.builder import assemble_profile, classify_set
-from stogame.game import StationaryProfile, discounted_payoff_stationary, pure_profile
+from stogame.game import StationaryProfile, pure_profile
 from stogame.generators import random_banded_exit_game, sorin_game
 from stogame.minmax import solve_uniform_minmax
 from stogame.oneshot import continuation_values, enumerate_all_states
-from stogame.simulate import sample_play_joint, sample_play_per_player
 from stogame.structure import decompose
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import stogame.cli
-from stogame.cli import main
+from stogame.cli import COMMANDS, build_parser, main
 from stogame.game import game_to_dict, save_game
 from stogame.generators import sorin_game
 
@@ -99,12 +99,20 @@ def test_simulate_command(tmp_path):
     assert set(doc["results"]) == {"low", "mid", "high"}
 
 
+def test_seed_is_a_simulate_flag_only():
+    # Only `simulate` draws random numbers; every other command is
+    # deterministic and rejects the flag.
+    assert build_parser().parse_args(["simulate", "--seed", "3"]).seed == 3
+    for command in set(COMMANDS) - {"simulate"}:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--seed", "3"])
+
+
 def test_artifacts_byte_identical_across_runs(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     for out in (out1, out2):
-        assert run(["verify", "--game", "builtin:random2p_b",
-                    "--out", str(out), "--seed", "0"]) == 0
+        assert run(["verify", "--game", "builtin:random2p_b", "--out", str(out)]) == 0
     assert (out1 / "verify.json").read_bytes() == (out2 / "verify.json").read_bytes()
 
 

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    discounted_payoff_stationary,
     empirical_frequency,
     mixture_lp_oracle,
     pricing_lp_oracle,
     recurrent_points_oracle,
+    stationary_frequency,
 )
 from stogame.frequencies import (
     EnumerationSizeError,
@@ -15,15 +17,9 @@ from stogame.frequencies import (
     enumerate_recurrent_points,
     max_slack_mixture,
     payoff_of_frequency,
-    stationary_frequency,
     type_a_feasibility,
 )
-from stogame.game import (
-    StationaryProfile,
-    StochasticGame,
-    discounted_payoff_stationary,
-    pure_profile,
-)
+from stogame.game import StochasticGame, pure_profile
 from stogame.generators import random_dense_game, sorin_game
 from stogame.matrixgame import _verify
 from stogame.minmax import default_schedule
@@ -34,16 +30,16 @@ def test_two_cycle_uniform_frequency():
     payoffs = np.zeros((2, 1, 2))
     transitions = np.array([[[0.0, 1.0]], [[1.0, 0.0]]])
     g = StochasticGame(("a", "b"), (("x",), ("y",)), payoffs, transitions)
-    freq = stationary_frequency(g, pure_profile(g, [(0, 0)] * 2), 0)
-    np.testing.assert_allclose(freq.rho[:, 0], [0.5, 0.5], atol=1e-12)
-    assert freq.total() == pytest.approx(1.0)
+    rho = stationary_frequency(g, pure_profile(g, [(0, 0)] * 2), 0)
+    np.testing.assert_allclose(rho[:, 0], [0.5, 0.5], atol=1e-12)
+    assert rho.sum() == pytest.approx(1.0)
 
 
 def test_absorbing_concentration(sorin):
     prof = pure_profile(sorin, [(1, 0)] * 3)   # (B, L): absorb at (0, 1)
-    freq = stationary_frequency(sorin, prof, 0)
-    assert freq.rho[1].sum() == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(payoff_of_frequency(sorin, freq), [0, 1], atol=1e-12)
+    rho = stationary_frequency(sorin, prof, 0)
+    assert rho[1].sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(payoff_of_frequency(sorin, rho), [0, 1], atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -51,9 +47,9 @@ def test_frequency_matches_long_simulation(seed):
     g = random_dense_game(seed + 50, n_states=3)
     rng = np.random.default_rng(seed)
     table = np.stack([rng.dirichlet(np.ones(g.n_profiles)) for _ in range(3)])
-    freq = stationary_frequency(g, table, 0)
+    rho = stationary_frequency(g, table, 0)
     emp = empirical_frequency(g, table, 0, steps=10**6, seed=seed)
-    assert float(np.max(np.abs(freq.rho - emp))) <= 1e-2
+    assert float(np.max(np.abs(rho - emp))) <= 1e-2
 
 
 def test_payoff_point_mass(sorin):
@@ -67,9 +63,9 @@ def test_payoff_matches_patient_discounted():
     rng = np.random.default_rng(12)
     for _ in range(5):
         table = np.stack([rng.dirichlet(np.ones(g.n_profiles)) for _ in range(4)])
-        freq = stationary_frequency(g, table, 0)
+        rho = stationary_frequency(g, table, 0)
         gamma = discounted_payoff_stationary(g, table, 0.9999, 0)
-        assert float(np.max(np.abs(payoff_of_frequency(g, freq) - gamma))) <= 0.02
+        assert float(np.max(np.abs(payoff_of_frequency(g, rho) - gamma))) <= 0.02
 
 
 def test_recurrent_points_single_state(sorin):
@@ -90,7 +86,7 @@ def test_recurrent_points_exclude_exiting_classes(sorin):
 def test_recurrent_points_match_oracle(seed):
     g = random_dense_game(seed, n_states=3)
     points = enumerate_recurrent_points(g, range(3))
-    mine = {tuple(np.round(p.freq.rho, 8).ravel()) for p in points}
+    mine = {tuple(np.round(p.rho, 8).ravel()) for p in points}
     assert mine == recurrent_points_oracle(g, range(3))
 
 

@@ -1,15 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import discounted_payoff_stationary, induced_chain
 from stogame.game import (
     GameFormatError,
     StationaryProfile,
     StochasticGame,
-    discounted_payoff_stationary,
     extend_payoff,
     extend_transition,
     game_from_dict,
@@ -19,7 +20,7 @@ from stogame.game import (
     save_game,
     validate_game,
 )
-from stogame.generators import random_dense_game, sorin_game
+from stogame.generators import random_dense_game, sorin_game, three_player_game
 from stogame.simulate import simulate
 
 
@@ -131,8 +132,6 @@ def test_bellman_one_step_consistency():
     rng = np.random.default_rng(3)
     table = np.stack([rng.dirichlet(np.ones(g.n_profiles)) for _ in range(4)])
     lam = 0.9
-    from stogame.game import induced_chain
-
     P, r = induced_chain(g, table)
     gamma = discounted_payoff_stationary(g, table, lam)
     np.testing.assert_allclose(gamma, (1 - lam) * r + lam * P @ gamma, atol=1e-9)
@@ -194,3 +193,15 @@ def test_parse_errors_raise(tmp_path):
         "payoffs": {}, "transitions": {"s": {"a": {"s": 1.0}}}}))
     with pytest.raises(GameFormatError):
         load_game(nopay)
+
+
+@pytest.mark.parametrize("make", [sorin_game, three_player_game,
+                                  lambda: random_dense_game(5, n_states=2, n_actions=3)])
+def test_game_shape_is_computed_once(make):
+    made = make()
+    g = StochasticGame(made.state_names, made.action_names, made.payoffs, made.transitions)
+    assert "action_counts" not in vars(g) and "n_profiles" not in vars(g)
+    counts, n_profiles = g.action_counts, g.n_profiles
+    assert vars(g)["action_counts"] is counts and vars(g)["n_profiles"] == n_profiles
+    assert counts == tuple(len(acts) for acts in g.action_names)
+    assert n_profiles == math.prod(counts) == g.payoffs.shape[1]

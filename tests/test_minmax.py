@@ -9,6 +9,7 @@ from oracles import (
     optimal_average_values,
     policy_iteration_oracle,
     response_mdp_oracle,
+    shapley_operator,
 )
 from stogame.game import StochasticGame
 from stogame.generators import (
@@ -27,7 +28,6 @@ from stogame.minmax import (
     default_schedule,
     discounted_minmax,
     player_view,
-    shapley_operator,
     solve_uniform_minmax,
     uniform_minmax,
 )

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from oracles import support_enumeration_oracle
 from stogame.game import StochasticGame
 from stogame.generators import random_dense_game, sorin_game
-from stogame.minmax import solve_uniform_minmax
+from stogame.minmax import default_schedule, solve_uniform_minmax
 from stogame.oneshot import (
+    EXACT_EQ_TOL,
     AuxiliaryGame,
+    _support_enumeration_2p,
     build_auxiliary_game,
     check_value_inequality,
     continuation_values,
@@ -164,3 +170,68 @@ def test_profile_value_is_multilinear():
     y = rng.dirichlet(np.ones(2))
     direct = sum(x[i] * y[j] * table[2 * i + j] for i in range(2) for j in range(2))
     np.testing.assert_allclose(profile_value(aux, (x, y)), direct, atol=1e-12)
+
+
+def _assert_same_equilibria(aux):
+    """The stacked support enumeration lists exactly the per-pair one's
+    equilibria, in the same order, bit for bit."""
+    got = _support_enumeration_2p(aux, EXACT_EQ_TOL)
+    want = support_enumeration_oracle(aux, EXACT_EQ_TOL)
+    assert len(got) == len(want)
+    for mixes, ref in zip(got, want):
+        assert all(np.array_equal(a, b) for a, b in zip(mixes, ref))
+    return len(got)
+
+
+def _bimatrix(kind, table):
+    """A (m, n, 2) payoff tensor with some rows or columns repeated, so that
+    kernels of size >= 2 are exactly singular."""
+    m, n, _ = table.shape
+    if kind == "duplicate rows":
+        return table[np.arange(m) // 2]
+    if kind == "duplicate columns":
+        return table[:, np.arange(n) // 2]
+    if kind == "duplicate both":
+        return table[np.arange(m) // 2][:, np.arange(n) // 2]
+    return table
+
+
+_bimatrix_games = st.tuples(st.integers(2, 4), st.integers(2, 4)).flatmap(
+    lambda shape: st.builds(
+        _bimatrix,
+        st.sampled_from(["random", "duplicate rows", "duplicate columns", "duplicate both"]),
+        arrays(np.float64, shape + (2,), elements=st.floats(-1, 1, allow_subnormal=False))
+        | arrays(np.float64, shape + (2,), elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0]))))
+
+
+def _zero_sum(A):
+    A = np.asarray(A, dtype=float)
+    return np.stack([A, -A], axis=-1)
+
+
+# Draws rarely have an equilibrium on a kernel larger than 2x2; these games
+# have one fully mixed equilibrium each (matching and rock-paper-scissors).
+@settings(max_examples=200, deadline=None)
+@given(_bimatrix_games)
+@example(_zero_sum(np.eye(3)))
+@example(_zero_sum(np.diag([1.0, 0.5, 0.25, 0.125])))
+@example(_zero_sum([[0, -1, 1], [1, 0, -1], [-1, 1, 0]]))
+def test_support_enumeration_matches_the_per_pair_solve(tensor):
+    m, n, _ = tensor.shape
+    _assert_same_equilibria(AuxiliaryGame(0, tensor.reshape(m * n, 2), (m, n)))
+
+
+def test_workload_equilibria_match_the_per_pair_solve(suite_results):
+    """Every auxiliary game of the acceptance suite (2x2) at its pipeline
+    values, and of the two wide dense games (3x3 and 4x4) at the values of
+    an 8-point schedule, which costs a third of the pipeline's 24."""
+    games = [(g, res.v1) for g, res in suite_results[1]]
+    for g in (random_dense_game(6003, n_states=4, n_actions=3),
+              random_dense_game(6004, n_states=3, n_actions=4)):
+        report = solve_uniform_minmax(g, schedule=default_schedule(8))
+        games.append((g, report.uniform_values))
+    found = 0
+    for g, v1 in games:
+        for s in range(g.n_states):
+            found += _assert_same_equilibria(build_auxiliary_game(g, s, v1))
+    assert found

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import check_average_limit_acceptable, exact_discounted_payoff_automaton
+from oracles import (
+    check_average_limit_acceptable,
+    discounted_payoff_stationary,
+    exact_discounted_payoff_automaton,
+    stationary_frequency,
+)
 from stogame.automata import stationary_automaton
 from stogame.builder import assemble_profile, classify_set
+from stogame.frequencies import payoff_of_frequency
 from stogame.game import StationaryProfile, StochasticGame, pure_profile
 from stogame.generators import random_dense_game, sorin_game
 from stogame.minmax import solve_uniform_minmax
@@ -37,8 +43,6 @@ def test_automaton_payoff_equals_stationary_collapse(sorin_ctx):
                               np.tile([2 / 3, 1 / 3], (3, 1))))
     for lam in (0.5, 0.9, 0.999):
         got = exact_discounted_payoff_automaton(g, prof, 0, lam)
-        from stogame.game import discounted_payoff_stationary
-
         np.testing.assert_allclose(
             got, discounted_payoff_stationary(g, prof, lam, 0), atol=1e-10)
 
@@ -78,9 +82,6 @@ def test_average_and_limit_cross_check_unichain():
     g = random_dense_game(1009, n_states=3)
     rng = np.random.default_rng(5)
     table = np.stack([rng.dirichlet(np.ones(g.n_profiles)) for _ in range(3)])
-    from stogame.frequencies import payoff_of_frequency, stationary_frequency
-    from stogame.game import discounted_payoff_stationary
-
     limit = payoff_of_frequency(g, stationary_frequency(g, table, 0))
     w = limit - 0.01
     W = np.tile(w, (3, 1))
