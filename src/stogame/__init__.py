@@ -37,8 +37,6 @@ from .game import (
     StationaryCorrelated,
     StationaryProfile,
     StochasticGame,
-    extend_payoff,
-    extend_transition,
     load_game,
     pure_profile,
     save_game,

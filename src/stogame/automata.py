@@ -49,10 +49,6 @@ class JointAutomaton:
     def size(self) -> int:
         return len(self.labels)
 
-    @property
-    def has_product_outputs(self) -> bool:
-        return self.factors is not None
-
     def output_row(self, q: int) -> np.ndarray:
         return self.outputs[q]
 
@@ -84,35 +80,13 @@ class JointAutomaton:
         })
 
 
-@dataclass(frozen=True, eq=False)
-class PlayerAutomaton:
-    """Player view of a joint machine with product outputs: identical states,
-    inputs and transitions, output restricted to the player's own factor."""
-
-    joint: JointAutomaton
-    player: int
-
-    @property
-    def size(self) -> int:
-        return self.joint.size
-
-    def output(self, q: int) -> np.ndarray:
-        return self.joint.factors[q][self.player]
-
-
 @dataclass(eq=False)
 class JointAutomatonProfile:
-    """A joint machine plus its per-player decomposition (when one exists)."""
+    """A joint machine plus its metadata; `joint.factors` holds the
+    per-player decomposition when one exists."""
 
     joint: JointAutomaton
     meta: dict = field(default_factory=dict)
-
-    @property
-    def players(self) -> list:
-        if not self.joint.has_product_outputs:
-            return []
-        n = len(self.joint.factors[0])
-        return [PlayerAutomaton(self.joint, i) for i in range(n)]
 
     def to_dict(self) -> dict:
         return json_ready({"joint": self.joint.to_dict(), "meta": self.meta})

@@ -188,34 +188,6 @@ def validate_game(game: StochasticGame) -> list:
     return problems
 
 
-def validate_distribution(weights, size: int, what: str = "distribution") -> np.ndarray:
-    """Validate and return a probability vector of the requested size."""
-    arr = np.asarray(weights, dtype=float)
-    if arr.shape != (size,):
-        raise ValueError(f"{what} has shape {arr.shape}, expected ({size},)")
-    if np.any(arr < -DIST_TOL):
-        raise ValueError(f"{what} has negative entries")
-    if abs(float(arr.sum()) - 1.0) > DIST_TOL:
-        raise ValueError(f"{what} sums to {float(arr.sum())!r}, expected 1")
-    return arr
-
-
-# ---------------------------------------------------------------------------
-# Multilinear extensions and exact payoff algebra
-
-
-def extend_transition(game: StochasticGame, s: int, alpha) -> np.ndarray:
-    """Next-state distribution q(. | s, alpha) for a correlated mixed action."""
-    alpha = validate_distribution(alpha, game.n_profiles, "correlated mixed action")
-    return alpha @ game.transitions[s]
-
-
-def extend_payoff(game: StochasticGame, s: int, alpha) -> np.ndarray:
-    """Stage payoff vector u(s, alpha) for a correlated mixed action."""
-    alpha = validate_distribution(alpha, game.n_profiles, "correlated mixed action")
-    return alpha @ game.payoffs[s]
-
-
 # ---------------------------------------------------------------------------
 # Game file format
 

@@ -18,11 +18,24 @@ to one `closed_form_2x2` call, which solves them in one scalar pass (numpy
 array operations on a stack of a few games cost more in call overhead than
 the loop does in arithmetic), one einsum builds each best-response MDP's
 transitions, and one policy iteration solves both sides' MDPs together when
-they have the same shape.  What depends only on the game, the player and the
-discount is built once per discounted solve (`_Stage`): the scaled stage
-payoffs, their per-state matrices, the transition stack and policy
-iteration's identity and row-start arrays.  Each round writes its two
-best-response MDPs in place into one reward and one transition stack.
+they have the same shape.  What depends only on the game and the player is
+built once per curve (`_Stage`, which `uniform_minmax` hands to every
+discount): the per-state stage matrices, the transition stack, the MDP
+buffers and policy iteration's identity and row-start arrays.  Each discount
+only rescales the stage payoffs by 1 - lam, elementwise, so the workspace
+holds the bits a fresh one would.  Each round writes its two best-response
+MDPs in place into one reward and one transition stack.
+
+A round costs a few dozen numpy calls on arrays of a few dozen entries, so
+their fixed cost, not the arithmetic, sets the time.  Policy iteration
+therefore calls the LAPACK gufunc behind `np.linalg.solve`
+(`numpy.linalg._umath_linalg.solve`) itself: the same dgesv on the same
+stack, without the wrapper's type checks and `errstate` context, which took
+more than half of each solve's time.  Without that context a singular system
+comes back as NaN instead of raising, so `_policy_iteration` turns a NaN
+gain into LinAlgError.  `tests/test_minmax.py` pins both:
+`test_lapack_gufunc_matches_numpy_solve` (bit for bit) and
+`test_singular_policy_iteration_raises_at_once`.
 
 The stage-payoff products stay one BLAS matrix-vector product per state, on
 a matrix in `view.index`'s memory order (transposed for player 1), exactly
@@ -40,10 +53,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import solve as _lapack_solve
 
 from ._util import json_ready
 from .game import StochasticGame
 from .matrixgame import closed_form_2x2, solve_matrix_game
+
+# ndarray.max without its Python-level wrapper: the same reduction and NaN
+# propagation, for a round's small arrays where the wrapper costs more.
+_max = np.maximum.reduce
 
 
 def default_schedule(k_max: int = 20) -> list:
@@ -74,18 +93,24 @@ def player_view(game: StochasticGame, i: int) -> _PlayerView:
 def _one_shot(payoff, transitions, index, lam, v):
     """Tv, both sides' one-shot mixes at v and the number of games solved by
     `solve_matrix_game` instead of the stacked closed form; payoff is the
-    scaled stage payoff (1 - lam) * payoffs[:, :, i] over flat profiles."""
-    Q = (payoff + lam * (transitions @ v))[:, index]
-    if Q.shape[1:] == (2, 2):
-        Tv, rows, cols, ok = closed_form_2x2(Q)
+    scaled stage payoff (1 - lam) * payoffs[:, :, i] over flat profiles.
+
+    The closed form reads only the games' entries, so it gets them from
+    `take`, at a third of the cost of `[:, index]`.  The games left to
+    `solve_matrix_game` keep `[:, index]`'s memory order (Fortran order for
+    a transposed view), in which its BLAS checks have always run."""
+    q_flat = payoff + lam * (transitions @ v)
+    if index.shape == (2, 2):
+        Tv, rows, cols, ok = closed_form_2x2(q_flat.take(index, axis=1))
         if ok.all():
             return Tv, rows, cols, 0
     else:
-        n_states, own, other = Q.shape
+        n_states, (own, other) = len(q_flat), index.shape
         Tv = np.empty(n_states)
         rows = np.empty((n_states, own))
         cols = np.empty((n_states, other))
         ok = np.zeros(n_states, dtype=bool)
+    Q = q_flat[:, index]
     unsolved = np.flatnonzero(~ok)
     for s in unsolved:
         sol = solve_matrix_game(Q[s])
@@ -103,19 +128,25 @@ def _policy_iteration(R: np.ndarray, P: np.ndarray, lam: float, eye: np.ndarray,
     starts the (B, S) flat index in R of each state's first action (see
     `_solver_arrays`).  Returns the (B, S) optimal values.  Every MDP
     improves its own policy; one that has converged keeps its policy and so
-    its value while the others go on.
+    its value while the others go on.  A singular system raises
+    LinAlgError, as `np.linalg.solve` does (numpy first warns of an invalid
+    value in `solve`).
     """
     R_flat = R.reshape(-1)
     P_rows = P.reshape(-1, P.shape[-1])
     picked = starts + R.argmax(axis=2)  # flat index of each state's action
     for _ in range(cap):
-        value = np.linalg.solve(eye - lam * P_rows.take(picked, axis=0),
-                                R_flat.take(picked)[..., None])[..., 0]
+        value = _lapack_solve(eye - lam * P_rows.take(picked, axis=0),
+                              R_flat.take(picked)[..., None], signature="dd->d")[..., 0]
         q = lam * (P @ value[:, None, :, None])[..., 0]
         q += R
-        gains = q.max(axis=2) - q.reshape(-1).take(picked)
-        if (gains <= 1e-13).all():
+        gains = _max(q, axis=2) - q.reshape(-1).take(picked)
+        top = _max(gains, axis=None)
+        if top <= 1e-13:
             return value
+        if top != top:
+            # The gufunc answers a singular system with NaN.
+            raise LinAlgError("Singular matrix")
         picked = np.where(gains > 1e-13, starts + q.argmax(axis=2), picked)
     raise RuntimeError("policy iteration did not terminate")
 
@@ -128,11 +159,13 @@ def _solver_arrays(R: np.ndarray):
 
 
 class _Stage:
-    """Player view.player's stage games at discount lam.
+    """Player view.player's stage games: the workspace of one min-max curve.
 
-    Built once per discounted solve: the scaled stage payoffs, their
-    per-state (own, other) matrices U, the (S, own, other, S) transition
-    stack T and policy iteration's arrays.  Each round writes its two
+    Built once per curve (`uniform_minmax`) and rescaled to each discount:
+    the unscaled per-state (own, other) matrices U0, the (S, own, other, S)
+    transition stack T and policy iteration's arrays depend only on the
+    game and the player, while the scaled stage payoffs and their matrices U
+    are rewritten in place by `rescale`.  Each round writes its two
     best-response MDPs into the same buffers: the upper one (R_up, P_up),
     where the coalition's mixes are fixed and the protected player decides,
     and the lower one (R_lo, P_lo), where the protected player's mixes are
@@ -143,15 +176,17 @@ class _Stage:
 
     def __init__(self, game: StochasticGame, view: _PlayerView, lam: float):
         n = game.n_states
-        self.lam = lam
-        self.payoff = (1.0 - lam) * game.payoffs[:, :, view.player]
+        self.view = view
+        self.payoffs = game.payoffs[:, :, view.player]
         # Every state's matrix in view.index's memory order, as
         # payoff[s][view.index] has it (Fortran order for a transposed view):
         # BLAS rounds a matrix-vector product differently in the other order.
         if view.index.flags.c_contiguous:
-            self.U = np.ascontiguousarray(self.payoff[:, view.index])
+            self.U0 = np.ascontiguousarray(self.payoffs[:, view.index])
         else:
-            self.U = np.ascontiguousarray(self.payoff[:, view.index.T]).transpose(0, 2, 1)
+            self.U0 = np.ascontiguousarray(self.payoffs[:, view.index.T]).transpose(0, 2, 1)
+        self.U = np.empty_like(self.U0)
+        self.payoff = np.empty(self.payoffs.shape)
         self.T = np.ascontiguousarray(game.transitions[:, view.index])
         if view.own == view.other:
             stacks = [(np.empty((2, n, view.own)), np.empty((2, n, view.own, n)))]
@@ -162,6 +197,16 @@ class _Stage:
             (self.R_up,), (self.P_up,) = stacks[0]
             (self.R_lo,), (self.P_lo,) = stacks[1]
         self.stacks = [(R, P) + _solver_arrays(R) for R, P in stacks]
+        self.rescale(lam)
+
+    def rescale(self, lam: float) -> None:
+        """Scale the stage payoffs to discount lam: payoff is
+        (1 - lam) * payoffs[:, :, player] over flat profiles and U its
+        per-state matrices.  Both are elementwise products, so they carry
+        the bits of a fresh workspace at lam."""
+        self.lam = lam
+        np.multiply(1.0 - lam, self.payoffs, out=self.payoff)
+        np.multiply(1.0 - lam, self.U0, out=self.U)
 
     def response_mdps(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Write both best-response MDPs against the mixes (rows, cols).
@@ -181,14 +226,19 @@ class _Stage:
         maximization of -R_lo."""
         self.response_mdps(rows, cols)
         np.negative(self.R_lo, out=self.R_lo)
-        values = [_policy_iteration(R, P, self.lam, eye, starts)
-                  for R, P, eye, starts in self.stacks]
-        v_up, v_lo = values[0] if len(values) == 1 else (values[0][0], values[1][0])
+        lam = self.lam
+        R, P, eye, starts = self.stacks[0]
+        values = _policy_iteration(R, P, lam, eye, starts)
+        if len(self.stacks) == 1:
+            v_up, v_lo = values
+        else:
+            R, P, eye, starts = self.stacks[1]
+            v_up, v_lo = values[0], _policy_iteration(R, P, lam, eye, starts)[0]
         return v_up, -v_lo
 
 
 def discounted_minmax(game: StochasticGame, i: int, lam: float, tol: float = 1e-9,
-                      v0: np.ndarray | None = None):
+                      v0: np.ndarray | None = None, *, _stage: _Stage | None = None):
     """Discounted min-max value vector of player i, certified within tol.
 
     Returns (value vector, info dict).  The certificate is the gap between
@@ -198,40 +248,46 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float, tol: float = 1e-
     gap is accepted and reported rather than iterated forever.  The info
     holds the rounds, `matrix_solves` (one-shot games solved by
     `solve_matrix_game` rather than the stacked closed form), the
-    certificate and, on a stall, `stalled`.
+    certificate and, on a stall, `stalled`.  `_stage` is the curve's
+    workspace, player i's `_Stage`, which `uniform_minmax` passes to every
+    discount; without it the call builds its own.
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"discount factor {lam} outside [0, 1)")
-    view = player_view(game, i)
-    stage = _Stage(game, view, lam)
+    if _stage is None:
+        _stage = _Stage(game, player_view(game, i), lam)
+    else:
+        _stage.rescale(lam)
+    payoff, transitions, index = _stage.payoff, game.transitions, _stage.view.index
     v = np.zeros(game.n_states) if v0 is None else np.array(v0, dtype=float)
     rounds = 0
     matrix_solves = 0
     best_gap = np.inf
-    best_mid = None
+    best = None  # (v_up, v_lo) of the round that set best_gap
     since_improved = 0
     while True:
-        Tv, rows, cols, solved = _one_shot(stage.payoff, game.transitions, view.index, lam, v)
+        Tv, rows, cols, solved = _one_shot(payoff, transitions, index, lam, v)
         rounds += 1
         matrix_solves += solved
-        v_up, v_lo = stage.response_values(rows, cols)
-        gap = float(abs(v_up - v_lo).max())
+        v_up, v_lo = _stage.response_values(rows, cols)
+        gap = float(_max(abs(v_up - v_lo), axis=None))
         if gap < best_gap * 0.9:
             best_gap = gap
-            best_mid = 0.5 * (v_up + v_lo)
+            best = v_up, v_lo
             since_improved = 0
         else:
             since_improved += 1
         if gap <= 2.0 * tol:
             return 0.5 * (v_up + v_lo), {"rounds": rounds, "matrix_solves": matrix_solves,
                                          "certified_gap": gap}
-        residual = float(abs(Tv - v).max())
+        residual = float(_max(abs(Tv - v), axis=None))
         if residual * lam / (1.0 - lam) <= tol:
             return Tv, {"rounds": rounds, "matrix_solves": matrix_solves,
                         "certified_gap": residual * lam / (1.0 - lam)}
         if since_improved >= 8 or rounds >= 200:
-            return best_mid, {"rounds": rounds, "matrix_solves": matrix_solves,
-                              "certified_gap": best_gap, "stalled": True}
+            best_up, best_lo = best
+            return 0.5 * (best_up + best_lo), {"rounds": rounds, "matrix_solves": matrix_solves,
+                                               "certified_gap": best_gap, "stalled": True}
         v = v_up
 
 
@@ -312,8 +368,9 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None, tol: float = 1e-
     stalled = []
     matrix_solves = []
     v = None
+    stage = _Stage(game, player_view(game, i), schedule[0])
     for lam in schedule:
-        v, info = discounted_minmax(game, i, lam, tol=tol, v0=v)
+        v, info = discounted_minmax(game, i, lam, tol=tol, v0=v, _stage=stage)
         values.append(v.copy())
         certs.append(float(info.get("certified_gap", 0.0)))
         rounds.append(info["rounds"])

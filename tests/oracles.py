@@ -16,15 +16,17 @@ the column-generation master.  The library solves both without an LP.
 The remaining sections hold helpers only the tests call.  `shapley_operator`
 is one min-max round's one-shot step.  The exact stationary-strategy
 references solve the induced state chain: discounted payoffs, the Cesaro
-state occupation and the (state, profile) frequency.  The path-level
-executors replay a profile through its joint machine and through its
-per-player views on the same random streams.  The helpers built on the
-library's own product chain give exact payoffs of an automaton profile,
-finite-horizon average acceptability, long-run node frequencies and a
-simulation of the exit-cycling scheme.  The last section is built on the
-library's chain and reachability routines: the irreducible sets of a
-stationary strategy, the leads-to test, the hitting probability of a travel
-strategy and the minimal closed sets of the equilibrium support chain.
+state occupation and the (state, profile) frequency.  The multilinear
+extensions give a correlated mixed action's next-state law and stage payoff
+vector.  The path-level executors replay a profile through its joint machine
+and through its per-player views (`PlayerAutomaton`) on the same random
+streams.  The helpers built on the library's own product chain give exact
+payoffs of an automaton profile, finite-horizon average acceptability,
+long-run node frequencies and a simulation of the exit-cycling scheme.  The
+last section is built on the library's chain and reachability routines: the
+irreducible sets of a stationary strategy, the leads-to test, the hitting
+probability of a travel strategy and the minimal closed sets of the
+equilibrium support chain.
 """
 
 from __future__ import annotations
@@ -399,13 +401,14 @@ def policy_iteration_oracle(R: np.ndarray, P: np.ndarray, lam: float,
     raise RuntimeError("policy iteration did not terminate")
 
 
-def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=None):
+def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=None,
+                             _stage=None):
     """Per-state reference of `minmax.discounted_minmax`: the same rounds,
     stop rules, stall bookkeeping and `matrix_solves` count, with every
     one-shot game solved on its own (`solve_2x2_oracle`, or
     `solve_matrix_game` where that fails or the game is not 2x2), every
     response MDP built one state at a time and each side's MDP solved on its
-    own."""
+    own.  The curve's workspace `_stage` is accepted and ignored."""
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"discount factor {lam} outside [0, 1)")
     view = player_view(game, i)
@@ -557,8 +560,59 @@ def stationary_frequency(game, strategy, s1: int) -> np.ndarray:
     return limit_occupation(P, s1)[:, None] * table
 
 
+# Multilinear extensions of the stage game to correlated mixed actions.
+
+def validate_distribution(weights, size: int, what: str = "distribution") -> np.ndarray:
+    """Validate and return a probability vector of the requested size."""
+    arr = np.asarray(weights, dtype=float)
+    if arr.shape != (size,):
+        raise ValueError(f"{what} has shape {arr.shape}, expected ({size},)")
+    if np.any(arr < -DIST_TOL):
+        raise ValueError(f"{what} has negative entries")
+    if abs(float(arr.sum()) - 1.0) > DIST_TOL:
+        raise ValueError(f"{what} sums to {float(arr.sum())!r}, expected 1")
+    return arr
+
+
+def extend_transition(game, s: int, alpha) -> np.ndarray:
+    """Next-state distribution q(. | s, alpha) for a correlated mixed action."""
+    alpha = validate_distribution(alpha, game.n_profiles, "correlated mixed action")
+    return alpha @ game.transitions[s]
+
+
+def extend_payoff(game, s: int, alpha) -> np.ndarray:
+    """Stage payoff vector u(s, alpha) for a correlated mixed action."""
+    alpha = validate_distribution(alpha, game.n_profiles, "correlated mixed action")
+    return alpha @ game.payoffs[s]
+
+
 # Path-level execution of a profile: the joint machine against the
 # per-player views.
+
+@dataclass(frozen=True, eq=False)
+class PlayerAutomaton:
+    """Player view of a joint machine with product outputs: identical states,
+    inputs and transitions, output restricted to the player's own factor."""
+
+    joint: object
+    player: int
+
+    @property
+    def size(self) -> int:
+        return self.joint.size
+
+    def output(self, q: int) -> np.ndarray:
+        return self.joint.factors[q][self.player]
+
+
+def player_views(profile) -> list:
+    """One `PlayerAutomaton` per player of a profile whose joint machine has
+    product outputs; an empty list for correlated outputs."""
+    joint = profile.joint
+    if joint.factors is None:
+        return []
+    return [PlayerAutomaton(joint, i) for i in range(len(joint.factors[0]))]
+
 
 def _draw(rng, weights) -> int:
     u = rng.random()
@@ -573,7 +627,7 @@ def sample_play_joint(game, profile, s1: int, stages: int, seed: int) -> list:
     execution below reproduces the path exactly.
     """
     joint = profile.joint
-    if not joint.has_product_outputs:
+    if joint.factors is None:
         raise ValueError("joint machine has correlated outputs; no per-player view")
     n_players = len(joint.factors[0])
     rng_nature = np.random.default_rng([0, seed])
@@ -595,7 +649,7 @@ def sample_play_joint(game, profile, s1: int, stages: int, seed: int) -> list:
 
 def sample_play_per_player(game, profile, s1: int, stages: int, seed: int) -> list:
     """Same play, executed through the per-player automaton views."""
-    players = profile.players
+    players = player_views(profile)
     if not players:
         raise ValueError("profile has no per-player decomposition")
     n_players = len(players)

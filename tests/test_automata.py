@@ -4,6 +4,7 @@ import pytest
 from oracles import (
     discounted_payoff_stationary,
     node_frequency,
+    player_views,
     sample_play_joint,
     sample_play_per_player,
 )
@@ -103,7 +104,7 @@ def test_machine_serialization_round_trip_shape(sorin_profile):
 
 def test_player_views_expose_factors(sorin_profile):
     g, prof = sorin_profile
-    players = prof.players
+    players = player_views(prof)
     assert len(players) == 2
     for q in range(prof.joint.size):
         row = prof.joint.output_row(q)

@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import discounted_payoff_stationary, induced_chain
+from oracles import discounted_payoff_stationary, extend_payoff, extend_transition, induced_chain
 from stogame.game import (
     GameFormatError,
     StationaryProfile,
     StochasticGame,
-    extend_payoff,
-    extend_transition,
     game_from_dict,
     game_to_dict,
     load_game,

@@ -1,4 +1,6 @@
+import functools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from stogame.generators import (
 )
 from stogame.matrixgame import solve_matrix_game
 from stogame.minmax import (
+    _lapack_solve,
     _policy_iteration,
     _solver_arrays,
     _Stage,
@@ -244,6 +247,40 @@ def test_stacked_policy_iteration_matches_single_mdp_oracle(seed):
                 _policy_iteration(one, P[b:b + 1], lam, *_solver_arrays(one))[0], maxed[b])
 
 
+def _hand_built(counts, n_states, seed, absorbing=False, zero=False, name=""):
+    """A game with the given per-player action counts: uniform random payoffs
+    in [-1, 1] (or all zero) and Dirichlet transitions (or every state
+    absorbing)."""
+    rng = np.random.default_rng(seed)
+    n_profiles = int(np.prod(counts))
+    payoffs = rng.uniform(-1.0, 1.0, (n_states, n_profiles, len(counts)))
+    if zero:
+        payoffs[:] = 0.0
+    if absorbing:
+        transitions = np.broadcast_to(np.eye(n_states)[:, None, :],
+                                      (n_states, n_profiles, n_states)).copy()
+    else:
+        transitions = rng.dirichlet(np.ones(n_states), (n_states, n_profiles))
+    actions = tuple(tuple(f"a{k}" for k in range(c)) for c in counts)
+    return StochasticGame(tuple(f"s{k}" for k in range(n_states)), actions,
+                          payoffs, transitions, name=name)
+
+
+# Degenerate shapes: one action on a side, one state, one player, nothing
+# moving, nothing paid, and a 2x3 game whose own and coalition sides differ
+# in size for both players.
+DEGENERATE = [
+    _hand_built((1, 1), 2, 1, name="1x1"),
+    _hand_built((1, 2), 3, 2, name="1x2"),
+    _hand_built((2, 1), 3, 3, name="2x1"),
+    _hand_built((2, 2), 1, 4, name="one-state"),
+    _hand_built((3,), 3, 5, name="one-player"),
+    _hand_built((2, 2), 3, 6, absorbing=True, name="all-absorbing"),
+    _hand_built((2, 2), 3, 7, zero=True, name="zero-payoffs"),
+    _hand_built((2, 3), 3, 8, name="2x3"),
+]
+
+
 # Each one-shot LP costs about 4 ms, so the games on the LP path run a
 # shorter schedule: at depth 24 the 3x3 game alone takes 5.6 s per solve.
 @pytest.mark.parametrize("game, depth", [(g, 24) for g in acceptance_suite()[::7]] + [
@@ -252,9 +289,98 @@ def test_stacked_policy_iteration_matches_single_mdp_oracle(seed):
     (random_banded_exit_game(4001), 30),  # stalls from schedule point 20 on
     (random_dense_game(6003, n_states=4, n_actions=3), 4),
     (three_player_game(), 4),  # own and coalition sides differ in size
-], ids=lambda p: getattr(p, "name", None))
+] + [(g, 8 if g.name == "2x3" else 24) for g in DEGENERATE],
+    ids=lambda p: getattr(p, "name", None))
 def test_whole_solve_matches_per_state_oracle(game, depth, monkeypatch):
     schedule = default_schedule(depth)
     batched = json.dumps(solve_uniform_minmax(game, schedule).to_dict())
     monkeypatch.setattr(stogame.minmax, "discounted_minmax", discounted_minmax_oracle)
     assert json.dumps(solve_uniform_minmax(game, schedule).to_dict()) == batched
+
+
+@pytest.mark.parametrize("game", acceptance_suite()[::13] + [
+    random_dense_game(6003, n_states=4, n_actions=3),
+    three_player_game(),
+] + DEGENERATE, ids=lambda g: g.name)
+def test_rescaled_workspace_matches_a_fresh_one(game):
+    # One workspace per curve: rescaling it must leave no trace of the
+    # discount it was built at.
+    rng = np.random.default_rng(2)
+    for i in range(game.n_players):
+        view = player_view(game, i)
+        stage = _Stage(game, view, 0.5)
+        for lam in (0.75, 1.0 - 2.0**-20, 0.0, 0.5):
+            stage.rescale(lam)
+            fresh = _Stage(game, view, lam)
+            assert stage.U.strides == fresh.U.strides
+            for name in ("payoff", "U"):
+                assert getattr(stage, name).tobytes() == getattr(fresh, name).tobytes()
+            v = rng.uniform(-1.0, 1.0, game.n_states)
+            _, rows, cols = shapley_operator(game, i, lam, v, view)
+            got = stage.response_values(rows, cols)
+            want = fresh.response_values(rows, cols)
+            for name in ("R_up", "P_up", "R_lo", "P_lo"):
+                assert getattr(stage, name).tobytes() == getattr(fresh, name).tobytes()
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+
+def test_one_workspace_per_player_and_nothing_left_on_the_game(monkeypatch):
+    built = []
+
+    class Counted(_Stage):
+        def __init__(self, game, view, lam):
+            built.append(view.player)
+            super().__init__(game, view, lam)
+
+    monkeypatch.setattr(stogame.minmax, "_Stage", Counted)
+    for game in (sorin_game(), three_player_game(), DEGENERATE[4]):
+        for name, attr in vars(StochasticGame).items():  # fill the shape caches
+            if isinstance(attr, functools.cached_property):
+                getattr(game, name)
+        before = dict(game.__dict__)
+        built.clear()
+        solve_uniform_minmax(game, default_schedule(6))
+        assert built == list(range(game.n_players))
+        assert game.__dict__.keys() == before.keys()
+        assert all(game.__dict__[key] is value for key, value in before.items())
+
+
+@pytest.mark.parametrize("n_states", range(1, 21))
+def test_lapack_gufunc_matches_numpy_solve(n_states):
+    # The solve numpy's wrapper would make, without the wrapper: the same
+    # LAPACK call on the same stack, so the same bits.
+    rng = np.random.default_rng(n_states)
+    for n_mdps in (1, 2):
+        for lam in (0.5, 1.0 - 2.0**-24):
+            P = rng.dirichlet(np.ones(n_states), (n_mdps, n_states))
+            A = np.eye(n_states) - lam * P
+            b = rng.uniform(-1.0, 1.0, (n_mdps, n_states, 1))
+            got = _lapack_solve(A, b, signature="dd->d")
+            want = np.linalg.solve(A, b)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_mdps", [1, 2])
+def test_singular_policy_iteration_raises_at_once(n_mdps, monkeypatch):
+    # At discount 1 an absorbing MDP's system I - P is all zeros.  The
+    # gufunc answers it with NaN and no exception; policy iteration must
+    # raise LinAlgError after that one solve, as np.linalg.solve would, and
+    # not spin to its iteration cap.
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return _lapack_solve(*args, **kwargs)
+
+    monkeypatch.setattr(stogame.minmax, "_lapack_solve", counted)
+    R = np.arange(n_mdps * 6, dtype=float).reshape(n_mdps, 3, 2)
+    P = np.broadcast_to(np.eye(3)[:, None, :], (n_mdps, 3, 2, 3)).copy()
+    if n_mdps == 2:
+        P[0] *= 0.5  # leaks half its mass, so only the second MDP is singular
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(np.linalg.LinAlgError):
+            stogame.minmax._policy_iteration(R, P, 1.0, *_solver_arrays(R))
+    assert solves == [1]
