@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Three sha256 digests over the pipeline runs of a benchmark workload's games.
+"""Four sha256 digests over the pipeline runs of a benchmark workload's games.
 
 Usage, from the repository root:
 
@@ -8,7 +8,7 @@ Usage, from the repository root:
 For every slot in the inclusive range, in order, the workload's games are
 generated exactly as `perfbench/run.py` generates them, and each game goes
 through one `run_pipeline` call with the benchmark's eps and schedule.  The
-script prints three digests, each over all games in order:
+script prints four digests, each over all games in order:
 
 * min-max: over `json.dumps(result.minmax.to_dict())`.  Equal digests mean
   bit-identical min-max reports (values, rounds, certificates, stalls and
@@ -18,6 +18,10 @@ script prints three digests, each over all games in order:
   bit-identical machines and correlated strategies.
 * oneshot: over each game's `[e.to_dict() for e in res.eq_sets]`.  Equal
   digests mean bit-identical one-shot equilibrium lists at every state.
+* verify: over the `to_dict()` of each game's five verifier reports
+  (acceptability of both variants, individual rationality, submartingale
+  and size audit; `None` where a report is missing).  Equal digests mean
+  bit-identical verdicts, payoffs and margins.
 
 The script only imports `perfbench/env.py` and `perfbench/workloads.py`; it
 pins the same threads as the benchmark and runs the `src/` of its own
@@ -64,6 +68,7 @@ def main(argv=None) -> int:
     minmax_digest = hashlib.sha256()
     build_digest = hashlib.sha256()
     oneshot_digest = hashlib.sha256()
+    verify_digest = hashlib.sha256()
     n_games = 0
     start = time.monotonic()
     for slot in args.slots:
@@ -75,12 +80,17 @@ def main(argv=None) -> int:
                 "correlated": None if res.correlated is None else res.correlated.table,
             })).encode())
             oneshot_digest.update(json.dumps([e.to_dict() for e in res.eq_sets]).encode())
+            reports = (res.acceptability, res.correlated_acceptability, res.ir_report,
+                       res.submartingale, res.size_audit)
+            verify_digest.update(json.dumps(
+                [None if r is None else r.to_dict() for r in reports]).encode())
             n_games += 1
     print(f"{args.workload} slots {args.slots.start}-{args.slots.stop - 1}: "
           f"{n_games} games in {time.monotonic() - start:.1f}s")
     print(f"min-max {minmax_digest.hexdigest()}")
     print(f"build {build_digest.hexdigest()}")
     print(f"oneshot {oneshot_digest.hexdigest()}")
+    print(f"verify {verify_digest.hexdigest()}")
     return 0
 
 

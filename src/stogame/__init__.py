@@ -6,7 +6,6 @@ from .automata import (
     JointAutomatonProfile,
     build_product_model,
     discounted_value,
-    limit_value,
     stationary_automaton,
 )
 from .builder import (
@@ -14,8 +13,6 @@ from .builder import (
     ExitPlan,
     assemble_profile,
     build_correlated_stationary,
-    build_type_a_automaton,
-    build_type_b_automaton,
     classify_set,
     companion_action,
     exit_options,
@@ -60,7 +57,7 @@ from .oneshot import (
     enumerate_all_states,
     enumerate_equilibria,
 )
-from .pipeline import PipelineResult, run_pipeline
+from .pipeline import PipelineResult, classify_game, run_pipeline
 from .simulate import simulate
 from .structure import (
     CommunicatingSet,
@@ -78,6 +75,7 @@ from .verify import (
     check_minmax_acceptable,
     check_submartingale,
     check_w_acceptable,
+    product_chain,
 )
 
 __version__ = "0.1.0"

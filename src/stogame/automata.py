@@ -13,6 +13,7 @@ Markov chain over (game state, machine state) nodes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,6 +133,12 @@ class ProductModel:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
+    @functools.cached_property
+    def limit(self) -> np.ndarray:
+        """Cesaro-limit payoffs per node, shape (N, I), solved once; every
+        caller reads the same array."""
+        return limit_average_values(self.P, self.r)
+
     def node_of(self, s: int, q: int | None = None) -> int:
         q = self.automaton.init[s] if q is None else q
         return self.index[(s, q)]
@@ -201,11 +208,6 @@ def discounted_value(model: ProductModel, lam: float) -> np.ndarray:
         raise ValueError(f"discount factor {lam} outside [0, 1)")
     N = model.n_nodes
     return np.linalg.solve(np.eye(N) - lam * model.P, (1.0 - lam) * model.r)
-
-
-def limit_value(model: ProductModel) -> np.ndarray:
-    """Cesaro-limit payoffs per node, shape (N, I)."""
-    return limit_average_values(model.P, model.r)
 
 
 def exit_values(model: ProductModel, inside, values: np.ndarray) -> np.ndarray:

@@ -396,7 +396,7 @@ def _set_model(game: StochasticGame, fragment: SetFragment):
     """Product chain of the fragment's standalone machine, and the node ids
     of the fragment's labels in label order (every label is a node, and the
     entry labels (0, s) come first)."""
-    joint = _standalone(game, fragment, {}).joint
+    joint = _standalone(game, fragment).joint
     local = [(s, q) for q, (_, s) in enumerate(fragment.local_states)]
     model = build_product_model(game, joint, extra_nodes=local)
     return model, [model.index[node] for node in local]
@@ -453,8 +453,8 @@ def sustain_target(value, plan: SustainPlan, eps: float) -> np.ndarray:
     return np.minimum(target, plan.achieved - 1e-4)
 
 
-def _tune_type_a(game: StochasticGame, region, plan: SustainPlan, eps: float,
-                 value=None):
+def tune_type_a(game: StochasticGame, region, plan: SustainPlan, eps: float,
+                value=None):
     """Halve delta from weight/2 until every entry payoff clears the sustain
     target: (delta, entry payoffs, the fragment that earned them)."""
     if len(plan.atoms) == 1:
@@ -476,13 +476,6 @@ def _tune_type_a(game: StochasticGame, region, plan: SustainPlan, eps: float,
             )
 
 
-def tune_type_a_delta(game: StochasticGame, region, plan: SustainPlan,
-                      eps: float, value=None):
-    """Halve delta from weight/2 until every entry payoff clears the sustain
-    target: (delta, entry payoffs)."""
-    return _tune_type_a(game, region, plan, eps, value)[:2]
-
-
 # ---------------------------------------------------------------------------
 # Standalone per-set machines and the global assembly
 
@@ -502,8 +495,7 @@ def _finish_machine(game, labels, factors_list, transitions, init, meta,
     return JointAutomatonProfile(joint, meta=meta)
 
 
-def _standalone(game: StochasticGame, fragment: SetFragment, meta
-                ) -> JointAutomatonProfile:
+def _standalone(game: StochasticGame, fragment: SetFragment) -> JointAutomatonProfile:
     """Wrap one set fragment into a total machine: outside states track the
     game state and play uniformly (off-set behavior is not part of the set's
     contract)."""
@@ -520,35 +512,7 @@ def _standalone(game: StochasticGame, fragment: SetFragment, meta
     fragment.place(transitions, index, init)
     coin = ("phase coins are public and shared; exit tilts are the deviating "
             "player's private action randomization")
-    return _finish_machine(game, labels, factors_list, transitions, init, meta, coin)
-
-
-def build_type_b_automaton(game: StochasticGame, cset, plan: ExitPlan,
-                           v1: np.ndarray | None = None) -> JointAutomatonProfile:
-    """Standalone departing machine for one communicating set."""
-    fragment = build_type_b_fragment(game, cset.states, plan)
-    meta = {"kind": "B", "region": list(cset.states), "plan": plan.to_dict()}
-    profile = _standalone(game, fragment, meta)
-    law = exit_play_law(game, cset.states, plan)
-    profile.meta["exit_law_error"] = float(np.max(np.abs(law - plan.beta)))
-    if v1 is not None:
-        W, leak = departure_values(game, cset.states, plan, v1)
-        profile.meta["departure_values"] = json_ready(W)
-        profile.meta["stay_forever_probability"] = leak
-    return profile
-
-
-def build_type_a_automaton(game: StochasticGame, cset, plan: SustainPlan,
-                           eps: float) -> JointAutomatonProfile:
-    """Standalone sustainable machine for one communicating set."""
-    delta, payoff, fragment = _tune_type_a(game, cset.states, plan, eps, value=cset.value)
-    meta = {
-        "kind": "A",
-        "region": list(cset.states),
-        "delta": delta,
-        "entry_payoffs": json_ready(payoff),
-    }
-    return _standalone(game, fragment, meta)
+    return _finish_machine(game, labels, factors_list, transitions, init, {}, coin)
 
 
 def assemble_profile(game: StochasticGame, decomposition: Decomposition,
@@ -567,8 +531,8 @@ def assemble_profile(game: StochasticGame, decomposition: Decomposition,
     fragments = []
     for k, (cset, cls) in enumerate(zip(decomposition.sets, classifications)):
         if cls.kind == "A":
-            delta, payoff, fragment = _tune_type_a(game, cset.states, cls.sustain, eps,
-                                                   value=cset.value)
+            delta, payoff, fragment = tune_type_a(game, cset.states, cls.sustain, eps,
+                                                  value=cset.value)
             extra = {"delta": delta, "entry_payoffs": json_ready(payoff)}
         else:
             fragment = build_type_b_fragment(game, cset.states, cls.exit_plan)

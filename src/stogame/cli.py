@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 failed verdicts (validation violations, acceptability
 failures, unclassifiable sets, pipeline errors), 2 file or parse errors.
+`decompose` stops after classification; `build`, `build-correlated`,
+`verify`, `simulate` and `demo-sorin` run the whole pipeline.
 Every command writes a deterministic JSON artifact into the output directory.
 """
 
@@ -23,9 +25,9 @@ from .game import (
 )
 from .generators import BUNDLED, bundled_game, sorin_game
 from .minmax import default_schedule, solve_uniform_minmax
-from .pipeline import run_pipeline
+from .pipeline import classify_game, run_pipeline
 from .simulate import simulate
-from .verify import DEFAULT_LAMBDA_GRID, check_minmax_acceptable
+from .verify import DEFAULT_LAMBDA_GRID, check_minmax_acceptable, product_chain
 
 
 def _add_common(parser):
@@ -80,19 +82,19 @@ def _outdir(args) -> str:
     return args.out
 
 
-def _run(args, with_correlated=True):
+def _run(args, classify_only=False):
+    """Load the game and check every solver flag, then run the pipeline, or
+    with `classify_only` its stages up to classification."""
     game = _load(args)
     if args.epsilon <= 0.0:
         raise GameFormatError(f"--epsilon must be positive, got {args.epsilon}")
-    return game, run_pipeline(
-        game,
-        eps=args.epsilon,
-        schedule=_schedule(args),
-        tol_v=args.tol_v,
-        lam_grid=_grid(args),
-        with_correlated=with_correlated,
-        eq_tol=args.eq_tol,
-    )
+    schedule, lam_grid = _schedule(args), _grid(args)
+    if classify_only:
+        return game, classify_game(game, args.epsilon, schedule, args.tol_v,
+                                   args.eq_tol)
+    return game, run_pipeline(game, eps=args.epsilon, schedule=schedule,
+                              tol_v=args.tol_v, lam_grid=lam_grid,
+                              eq_tol=args.eq_tol)
 
 
 def cmd_validate(args) -> int:
@@ -120,7 +122,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    game, res = _run(args, with_correlated=False)
+    game, res = _run(args, classify_only=True)
     doc = {
         "uniform_values": json_ready(res.v1),
         "decomposition": res.decomposition.to_dict(),
@@ -142,7 +144,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_build(args) -> int:
-    game, res = _run(args, with_correlated=False)
+    game, res = _run(args)
     out = _outdir(args)
     if res.profile is None:
         dump_json({"errors": res.errors}, os.path.join(out, "build.json"))
@@ -162,7 +164,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_build_correlated(args) -> int:
-    game, res = _run(args, with_correlated=True)
+    game, res = _run(args)
     out = _outdir(args)
     if res.correlated is None:
         dump_json({"errors": res.errors}, os.path.join(out, "correlated.json"))
@@ -180,7 +182,7 @@ def cmd_build_correlated(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    game, res = _run(args, with_correlated=True)
+    game, res = _run(args)
     doc = {
         "summary": res.summary(),
         "minmax": res.minmax.to_dict(),
@@ -207,7 +209,7 @@ def cmd_simulate(args) -> int:
     lam = 0.99 if args.lam is None else args.lam
     if not 0.0 <= lam < 1.0:
         raise GameFormatError(f"--lam must lie in [0, 1), got {lam}")
-    game, res = _run(args, with_correlated=False)
+    game, res = _run(args)
     if res.profile is None:
         print("build failed:", "; ".join(res.errors))
         return 1
@@ -240,8 +242,8 @@ def cmd_demo_sorin(args) -> int:
         np.tile([1.0, 0.0], (3, 1)),
         np.tile([2.0 / 3.0, 1.0 / 3.0], (3, 1)),
     ))
-    fixed_report = check_minmax_acceptable(game, fixed, res.v1, args.epsilon,
-                                           lam_grid=_grid(args))
+    fixed_report = check_minmax_acceptable(product_chain(game, fixed), res.v1,
+                                           args.epsilon, lam_grid=_grid(args))
     p2 = [e for e in fixed_report.entries if e.state == 0 and e.player == 1][0]
     print(f"fixed-discount equilibrium limit: player 2 gets {p2.limit_payoff:.6f} "
           f"(= 1/3) < {res.v1[0, 1]:.6f} - eps  ->  acceptable: {fixed_report.ok}")

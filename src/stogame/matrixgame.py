@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from math import comb, nan
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as _lapack_solve
 
 MINIMAX_TOL = 1e-9
 # A kernel pair must pass the minimax check to this tolerance, times the
@@ -62,10 +63,11 @@ def closed_form_2x2(M):
     """Closed form of a stack of 2x2 games, M of shape (S, 2, 2).
 
     Each game is scanned for a saddle point first; the others get the
-    equalizing mixes.  Returns (values, row mixes, column mixes, ok), where
-    ok marks the games whose closed form passes the minimax check; the
-    others (nearly constant mixed games, whose closed form loses its digits
-    to cancellation, or a zero denominator) need the LP.
+    equalizing mixes.  Returns (values, row mixes, column mixes, failed),
+    where failed lists, in order, the indices of the games whose closed form
+    fails the minimax check; those (nearly constant mixed games, whose
+    closed form loses its digits to cancellation, or a zero denominator)
+    need the LP.
 
     The games are solved one at a time on Python floats.  On a 2-vCPU x86
     host this loop costs about 5 us per call plus 1.8 us per game, while
@@ -79,8 +81,8 @@ def closed_form_2x2(M):
     bit.
     """
     n = len(M)
-    values, rows, cols, ok = [], [], [], []
-    for game in M.reshape(n, 4).tolist():
+    values, rows, cols, failed = [], [], [], []
+    for k, game in enumerate(M.reshape(n, 4).tolist()):
         a, b, c, d = game
         # Row minima and negated column maxima, the two sides' security
         # levels per action; the first maximum of each (argmax's tie rule)
@@ -113,10 +115,11 @@ def closed_form_2x2(M):
         # value + MINIMAX_TOL.
         floor = value - MINIMAX_TOL
         ceil = value + MINIMAX_TOL
-        ok.append(x * a + x_ * c >= floor and x * b + x_ * d >= floor
-                  and a * y + b * y_ <= ceil and c * y + d * y_ <= ceil)
+        if not (x * a + x_ * c >= floor and x * b + x_ * d >= floor
+                and a * y + b * y_ <= ceil and c * y + d * y_ <= ceil):
+            failed.append(k)
     return (np.array(values, dtype=float), np.array(rows, dtype=float).reshape(n, 2),
-            np.array(cols, dtype=float).reshape(n, 2), np.array(ok, dtype=bool))
+            np.array(cols, dtype=float).reshape(n, 2), failed)
 
 
 def _game_matrix(M) -> np.ndarray:
@@ -154,11 +157,16 @@ def _bordered(K):
 
 def _equalizers(A):
     """Solve A [p; v] = [0; 1] for a stack of bordered matrices: the mix p
-    making every row of K p equal to v.  Returns (p, v)."""
+    making every row of K p equal to v.  Returns (p, v, solved): solved is
+    False where the whole solution is NaN, which is how the LAPACK gufunc
+    behind `np.linalg.solve` answers an exact zero pivot, the case in which
+    `np.linalg.solve` would raise.  Every system gets the bits
+    `np.linalg.solve` would give it alone."""
     rhs = np.zeros(A.shape[:2] + (1,))
     rhs[:, -1] = 1.0
-    out = np.linalg.solve(A, rhs)[..., 0]
-    return out[:, :-1], out[:, -1]
+    with np.errstate(invalid="ignore"):
+        out = _lapack_solve(A, rhs, signature="dd->d")[..., 0]
+    return out[:, :-1], out[:, -1], ~np.isnan(out).all(axis=1)
 
 
 def kernel_equalizers(A, B, k: int):
@@ -167,19 +175,19 @@ def kernel_equalizers(A, B, k: int):
 
     Per kernel, in `_kernel_index` order, the row mix equalizing B's kernel
     columns, with their common value, and the column mix equalizing A's
-    kernel rows; neither is checked for signs.  A kernel whose bordered
-    systems have a zero determinant, the one case in which the solve would
-    raise, is left out.  Returns (rows, cols, x, v, y): the kept kernels'
-    row and column index sets, row mixes, values and column mixes.
+    kernel rows; neither is checked for signs.  A kernel with an exactly
+    singular bordered system, the one case in which a solve of that kernel
+    alone would raise, is left out; a zero-determinant test would also drop
+    kernels whose determinant merely underflows (entries near 1e-200).
+    Returns (rows, cols, x, v, y): the kept kernels' row and column index
+    sets, row mixes, values and column mixes.
     """
     rows, cols = _kernel_index(*A.shape, k)
     grid = (rows[:, :, None], cols[:, None, :])
-    A_col = _bordered(A[grid])
-    A_row = _bordered(B[grid].transpose(0, 2, 1))
-    keep = np.flatnonzero((np.linalg.det(A_col) != 0.0) & (np.linalg.det(A_row) != 0.0))
-    x, v = _equalizers(A_row[keep])
-    y, _ = _equalizers(A_col[keep])
-    return rows[keep], cols[keep], x, v, y
+    x, v, x_solved = _equalizers(_bordered(B[grid].transpose(0, 2, 1)))
+    y, _, y_solved = _equalizers(_bordered(A[grid]))
+    keep = np.flatnonzero(x_solved & y_solved)
+    return rows[keep], cols[keep], x[keep], v[keep], y[keep]
 
 
 def kernel_solution(M) -> MatrixGameSolution | None:
@@ -265,8 +273,8 @@ def solve_matrix_game(M) -> MatrixGameSolution:
         y[j] = 1.0
         return MatrixGameSolution(float(M[0, j]), np.ones(1), y, "pure")
     if (m, n) == (2, 2):
-        value, x, y, ok = closed_form_2x2(M[None])
-        if ok[0]:
+        value, x, y, failed = closed_form_2x2(M[None])
+        if not failed:
             return MatrixGameSolution(float(value[0]), x[0], y[0], "closed-form")
         # Degenerate 2x2 falls through to the LP.
 

@@ -101,17 +101,16 @@ def _one_shot(payoff, transitions, index, lam, v):
     a transposed view), in which its BLAS checks have always run."""
     q_flat = payoff + lam * (transitions @ v)
     if index.shape == (2, 2):
-        Tv, rows, cols, ok = closed_form_2x2(q_flat.take(index, axis=1))
-        if ok.all():
+        Tv, rows, cols, unsolved = closed_form_2x2(q_flat.take(index, axis=1))
+        if not unsolved:
             return Tv, rows, cols, 0
     else:
         n_states, (own, other) = len(q_flat), index.shape
         Tv = np.empty(n_states)
         rows = np.empty((n_states, own))
         cols = np.empty((n_states, other))
-        ok = np.zeros(n_states, dtype=bool)
+        unsolved = range(n_states)
     Q = q_flat[:, index]
-    unsolved = np.flatnonzero(~ok)
     for s in unsolved:
         sol = solve_matrix_game(Q[s])
         Tv[s] = sol.value

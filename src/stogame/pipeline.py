@@ -8,7 +8,6 @@ import numpy as np
 
 from ._util import json_ready
 from .builder import (
-    Classification,
     assemble_profile,
     build_correlated_stationary,
     classify_set,
@@ -23,6 +22,7 @@ from .verify import (
     check_individual_rationality,
     check_minmax_acceptable,
     check_submartingale,
+    product_chain,
 )
 
 
@@ -92,16 +92,15 @@ class PipelineResult:
         })
 
 
-def run_pipeline(game: StochasticGame, eps: float = 0.05, schedule=None,
-                 tol_v: float = 1e-4, lam_grid=DEFAULT_LAMBDA_GRID,
-                 with_correlated: bool = True, eq_tol: float = 1e-9) -> PipelineResult:
-    """Run the full chain on one game.
+def classify_game(game: StochasticGame, eps: float = 0.05, schedule=None,
+                  tol_v: float = 1e-4, eq_tol: float = 1e-9) -> PipelineResult:
+    """Solve, decompose and classify one game: the stages up to, not
+    including, the profile build.
 
-    Build or verification failures are collected in `errors` rather than
-    raised, so callers can report partial results.  A game that fails
-    `validate_game` (say, a negative transition probability) gets its values
-    and decomposition but no classification, profile or verdict: its product
-    chain would not be a Markov chain, and no check on it would mean anything.
+    A game that fails `validate_game` (say, a negative transition
+    probability) gets its values and decomposition but no classification,
+    and its result carries the error: its product chain would not be a
+    Markov chain, and no check on it would mean anything.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -121,26 +120,43 @@ def run_pipeline(game: StochasticGame, eps: float = 0.05, schedule=None,
         classify_set(game, cset, v1, eps, u_star)
         for cset in decomposition.sets
     ]
-    result = PipelineResult(game, eps, minmax, v1, eq_sets, decomposition,
-                            classifications)
+    return PipelineResult(game, eps, minmax, v1, eq_sets, decomposition,
+                          classifications)
+
+
+def run_pipeline(game: StochasticGame, eps: float = 0.05, schedule=None,
+                 tol_v: float = 1e-4, lam_grid=DEFAULT_LAMBDA_GRID,
+                 eq_tol: float = 1e-9) -> PipelineResult:
+    """Run the full chain on one game: `classify_game`, then build both the
+    machine profile and the stationary correlated variant, and judge each on
+    its own product chain.
+
+    Build or verification failures are collected in `errors` rather than
+    raised, so callers can report partial results.  An invalid game stops
+    after `classify_game`, with its error.
+    """
+    result = classify_game(game, eps, schedule, tol_v, eq_tol)
+    if result.errors:
+        return result
+    v1, decomposition, classifications = (
+        result.v1, result.decomposition, result.classifications)
     try:
         result.profile = assemble_profile(game, decomposition, classifications, eps)
     except RuntimeError as exc:
         result.errors.append(f"profile build: {exc}")
         return result
-    result.acceptability = check_minmax_acceptable(game, result.profile, v1, eps,
-                                                   lam_grid=lam_grid)
-    result.ir_report = check_individual_rationality(game, result.profile, v1, eps)
-    result.submartingale = check_submartingale(game, result.profile, v1,
-                                               decomposition, classifications)
+    chain = product_chain(game, result.profile)
+    result.acceptability = check_minmax_acceptable(chain, v1, eps, lam_grid=lam_grid)
+    result.ir_report = check_individual_rationality(chain, v1, eps)
+    result.submartingale = check_submartingale(chain, v1, decomposition,
+                                               classifications)
     result.size_audit = automaton_size_audit(game, result.profile)
-    if with_correlated:
-        try:
-            result.correlated = build_correlated_stationary(
-                game, decomposition, classifications, eps)
-            result.correlated_acceptability = check_minmax_acceptable(
-                game, result.correlated, v1, eps, lam_grid=lam_grid)
-            result.correlated_size_audit = automaton_size_audit(game, result.correlated)
-        except RuntimeError as exc:
-            result.errors.append(f"correlated build: {exc}")
+    try:
+        result.correlated = build_correlated_stationary(
+            game, decomposition, classifications, eps)
+        result.correlated_acceptability = check_minmax_acceptable(
+            product_chain(game, result.correlated), v1, eps, lam_grid=lam_grid)
+        result.correlated_size_audit = automaton_size_audit(game, result.correlated)
+    except RuntimeError as exc:
+        result.errors.append(f"correlated build: {exc}")
     return result

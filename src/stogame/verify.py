@@ -2,7 +2,9 @@
 
 All checks run on the finite product chain of (game state, machine state)
 nodes, so the `for every history` quantifiers in the definitions reduce to
-finitely many reachable product states.  Margins are recomputed from scratch,
+finitely many reachable product states.  `product_chain` builds that chain
+once per strategy, and every check judges the chain it is given; its Cesaro
+limit is solved once, on first use.  Margins are recomputed from scratch,
 never cached from synthesis.
 """
 
@@ -15,10 +17,10 @@ import numpy as np
 from ._util import json_ready
 from .automata import (
     JointAutomatonProfile,
+    ProductModel,
     build_product_model,
     discounted_value,
     exit_values,
-    limit_value,
     reachable_nodes,
 )
 from .game import StationaryCorrelated, StationaryProfile, StochasticGame
@@ -28,6 +30,12 @@ from .structure import Decomposition
 
 DEFAULT_LAMBDA_GRID = (0.9, 0.99, 0.999, 0.9999, 0.99999)
 MARGIN_TOL = 1e-9
+
+
+def product_chain(game: StochasticGame, strategy) -> ProductModel:
+    """The product chain on which the checks below judge `strategy`: a
+    machine profile, a joint machine or a stationary strategy."""
+    return build_product_model(game, as_automaton(game, strategy))
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +82,12 @@ class AcceptabilityReport:
         })
 
 
-def check_w_acceptable(game: StochasticGame, profile, w: np.ndarray,
+def check_w_acceptable(chain: ProductModel, w: np.ndarray,
                        lam_grid=DEFAULT_LAMBDA_GRID,
                        subgame_perfect: bool = False) -> AcceptabilityReport:
-    """Does the profile pay every player at least w_i(s) at every initial
-    state for all grid discount factors from some point on, and in the limit?
+    """Does the strategy whose product chain is `chain` pay every player at
+    least w_i(s) at every initial state for all grid discount factors from
+    some point on, and in the limit?
 
     w is an (S, I) matrix.  The report records payoffs and margins per
     (state, player) and the smallest passing grid point.  With
@@ -86,17 +95,17 @@ def check_w_acceptable(game: StochasticGame, profile, w: np.ndarray,
     (game state, machine state) node, i.e. after every on-path history,
     rather than only at fresh starts.
     """
-    model = build_product_model(game, as_automaton(game, profile))
+    game = chain.game
     grid = list(lam_grid)
-    by_lam = [discounted_value(model, lam) for lam in grid]
-    lim = limit_value(model)
+    by_lam = [discounted_value(chain, lam) for lam in grid]
+    lim = chain.limit
     if subgame_perfect:
-        checkpoints = [(model.nodes[n][0], n) for n in reachable_nodes(model)]
+        checkpoints = [(chain.nodes[n][0], n) for n in reachable_nodes(chain)]
     else:
-        checkpoints = [(s, model.node_of(s)) for s in range(game.n_states)]
+        checkpoints = [(s, chain.node_of(s)) for s in range(game.n_states)]
     entries = []
     for s, node in checkpoints:
-        q = model.nodes[node][1]
+        q = chain.nodes[node][1]
         for i in range(game.n_players):
             pays = [float(v[node, i]) for v in by_lam]
             margins = [p - float(w[s, i]) for p in pays]
@@ -116,11 +125,11 @@ def check_w_acceptable(game: StochasticGame, profile, w: np.ndarray,
     return AcceptabilityReport(grid, entries, ok, threshold)
 
 
-def check_minmax_acceptable(game: StochasticGame, profile, v1: np.ndarray,
+def check_minmax_acceptable(chain: ProductModel, v1: np.ndarray,
                             eps: float, lam_grid=DEFAULT_LAMBDA_GRID,
                             subgame_perfect: bool = False) -> AcceptabilityReport:
     """Acceptability against the uniform min-max values lowered by eps."""
-    return check_w_acceptable(game, profile, v1 - eps, lam_grid,
+    return check_w_acceptable(chain, v1 - eps, lam_grid,
                               subgame_perfect=subgame_perfect)
 
 
@@ -165,7 +174,7 @@ class IRReport:
         })
 
 
-def check_individual_rationality(game: StochasticGame, profile, v1: np.ndarray,
+def check_individual_rationality(chain: ProductModel, v1: np.ndarray,
                                  eps: float, tol: float = 1e-6) -> IRReport:
     """One-shot deviation audit at every reachable product state.
 
@@ -173,16 +182,16 @@ def check_individual_rationality(game: StochasticGame, profile, v1: np.ndarray,
     continuation min-max value u*(s, a, others' marginal); it must not beat
     the limit continuation payoff of conforming by more than eps.
     """
-    model = build_product_model(game, as_automaton(game, profile))
-    lim = limit_value(model)
+    game = chain.game
+    lim = chain.limit
     u_star = continuation_values(game, v1)
     shape = game.action_counts
     violations = []
     worst = -np.inf
     checks = 0
-    for node in reachable_nodes(model):
-        s, q = model.nodes[node]
-        row = model.alpha[node]
+    for node in reachable_nodes(chain):
+        s, q = chain.nodes[node]
+        row = chain.alpha[node]
         tensor_row = row.reshape(shape)
         for i in range(game.n_players):
             # Marginal of the other players under the node's correlated action.
@@ -234,9 +243,9 @@ class SubmartingaleReport:
         })
 
 
-def check_submartingale(game: StochasticGame, profile: JointAutomatonProfile,
-                        v1: np.ndarray, decomposition: Decomposition,
-                        classifications, tol: float = 1e-6) -> SubmartingaleReport:
+def check_submartingale(chain: ProductModel, v1: np.ndarray,
+                        decomposition: Decomposition, classifications,
+                        tol: float = 1e-6) -> SubmartingaleReport:
     """Expected value drift across block boundaries.
 
     Transient blocks last one stage; a departing set's block ends when play
@@ -244,8 +253,8 @@ def check_submartingale(game: StochasticGame, profile: JointAutomatonProfile,
     block start must not drop by more than `tol`.  Entry into a sustainable
     set ends the process, so no constraint applies there.
     """
-    model = build_product_model(game, as_automaton(game, profile))
-    labels = model.automaton.labels
+    game = chain.game
+    labels = chain.automaton.labels
     entries = []
     for s in decomposition.transient:
         row = decomposition.transient_profile[s].correlated_row()
@@ -258,14 +267,14 @@ def check_submartingale(game: StochasticGame, profile: JointAutomatonProfile,
         if cls.kind != "B":
             continue
         region = set(cset.states)
-        inside = [n for n, (s, q) in enumerate(model.nodes) if s in region
+        inside = [n for n, (s, q) in enumerate(chain.nodes) if s in region
                   and isinstance(labels[q], tuple) and labels[q][0] == k]
         if not inside:
             continue
         pos = {n: j for j, n in enumerate(inside)}
-        W = exit_values(model, inside, v1)
+        W = exit_values(chain, inside, v1)
         for s in cset.states:
-            node = model.index.get((s, model.automaton.init[s]))
+            node = chain.index.get((s, chain.automaton.init[s]))
             if node is None or node not in pos:
                 continue
             drift = float(np.min(W[pos[node]] - cset.value))

@@ -38,5 +38,4 @@ def mdp_results():
     """Pipeline over 20 random single-player games."""
     schedule = default_schedule(24)
     games = [random_mdp(5000 + k) for k in range(20)]
-    return [(g, run_pipeline(g, eps=0.05, schedule=schedule, with_correlated=False))
-            for g in games]
+    return [(g, run_pipeline(g, eps=0.05, schedule=schedule)) for g in games]

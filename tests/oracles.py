@@ -39,7 +39,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from stogame._util import DIST_TOL
-from stogame.automata import ProductModel, build_product_model, discounted_value, limit_value
+from stogame.automata import ProductModel, discounted_value
 from stogame.chains import (
     absorption_probabilities,
     reach_probability,
@@ -52,9 +52,8 @@ from stogame.game import as_correlated_table
 from stogame.matrixgame import solve_matrix_game
 from stogame.minmax import _one_shot, player_view
 from stogame.oneshot import regret
-from stogame.simulate import as_automaton
 from stogame.structure import TravelStrategy, almost_sure_reach, safe_profiles
-from stogame.verify import DEFAULT_LAMBDA_GRID, MARGIN_TOL, check_w_acceptable
+from stogame.verify import DEFAULT_LAMBDA_GRID, MARGIN_TOL, check_w_acceptable, product_chain
 
 
 def cesaro_doubling(P: np.ndarray, doublings: int = 30) -> np.ndarray:
@@ -681,7 +680,7 @@ def sample_play_per_player(game, profile, s1: int, stages: int, seed: int) -> li
 
 def exact_discounted_payoff_automaton(game, profile, s1: int, lam: float) -> np.ndarray:
     """Exact discounted payoff of an automaton (or stationary) strategy."""
-    model = build_product_model(game, as_automaton(game, profile))
+    model = product_chain(game, profile)
     return discounted_value(model, lam)[model.node_of(s1)]
 
 
@@ -714,8 +713,8 @@ def check_average_limit_acceptable(game, profile, w: np.ndarray, horizon: int = 
     decomposition.  The two must agree at the horizon for the average
     criterion to conclude.
     """
-    model = build_product_model(game, as_automaton(game, profile))
-    lim = limit_value(model)
+    model = product_chain(game, profile)
+    lim = model.limit
     thresholds = {}
     average_ok = True
     stage_gap = 0.0
@@ -746,7 +745,7 @@ def check_average_limit_acceptable(game, profile, w: np.ndarray, horizon: int = 
         np.all(lim[model.node_of(s)] - w[s] >= -MARGIN_TOL)
         for s in range(game.n_states)
     )
-    disc = check_w_acceptable(game, profile, w, lam_grid)
+    disc = check_w_acceptable(model, w, lam_grid)
     average_ok = average_ok and converged and limit_ok
     return AverageLimitReport(
         average_ok=average_ok,

@@ -31,7 +31,7 @@ from stogame.generators import (
     sorin_game,
 )
 from stogame.minmax import solve_uniform_minmax
-from stogame.verify import check_minmax_acceptable
+from stogame.verify import check_minmax_acceptable, product_chain
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -56,7 +56,7 @@ def test_criterion_2_sorin_fixed_profile_fails():
     v1 = solve_uniform_minmax(game).uniform_values
     profile = StationaryProfile((np.tile([1.0, 0.0], (3, 1)),
                                  np.tile([2 / 3, 1 / 3], (3, 1))))
-    result = check_minmax_acceptable(game, profile, v1, eps=0.05)
+    result = check_minmax_acceptable(product_chain(game, profile), v1, eps=0.05)
     p2 = [e for e in result.entries if e.state == 0 and e.player == 1][0]
     ok = abs(p2.limit_payoff - 1 / 3) <= 1e-3 and not result.ok
     report(2, ok, f"player 2 limit payoff {p2.limit_payoff:.6f} (= 1/3), "
@@ -102,13 +102,12 @@ def test_criterion_4_correlated_synthesis_end_to_end(suite_results):
 
 
 def test_criterion_5_single_player_reduces_to_pure_stationary(mdp_results):
-    from stogame.automata import build_product_model, limit_value, reachable_nodes
-    from stogame.simulate import as_automaton
+    from stogame.automata import reachable_nodes
 
     worst = 0.0
     for game, res in mdp_results:
         assert not res.errors, res.errors
-        model = build_product_model(game, as_automaton(game, res.profile))
+        model = product_chain(game, res.profile)
         # The machine must act as a pure stationary strategy on-path.
         seen = {}
         for node in reachable_nodes(model):
@@ -118,7 +117,7 @@ def test_criterion_5_single_player_reduces_to_pure_stationary(mdp_results):
             assert row[top] >= 1.0 - 1e-12, f"{game.name}: mixed output on-path"
             assert seen.setdefault(s, top) == top, \
                 f"{game.name}: action at state {s} differs across machine states"
-        values = limit_value(model)
+        values = model.limit
         mine = np.array([values[model.node_of(s), 0] for s in range(game.n_states)])
         oracle = optimal_average_values(game)
         worst = max(worst, float(np.max(np.abs(mine - oracle))))

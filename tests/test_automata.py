@@ -11,7 +11,6 @@ from oracles import (
 from stogame.automata import (
     build_product_model,
     discounted_value,
-    limit_value,
     reachable_nodes,
     stationary_automaton,
 )
@@ -49,7 +48,7 @@ def test_stationary_wrapper_matches_direct_solve(sorin):
 def test_limit_value_absorbing(sorin):
     prof = pure_profile(sorin, [(1, 0)] * 3)
     model = build_product_model(sorin, stationary_automaton(sorin, prof))
-    np.testing.assert_allclose(limit_value(model)[model.node_of(0)], [0, 1],
+    np.testing.assert_allclose(model.limit[model.node_of(0)], [0, 1],
                                atol=1e-12)
 
 

@@ -8,7 +8,6 @@ from stogame._util import DIST_TOL
 from stogame.automata import (
     build_product_model,
     first_play_law,
-    limit_value,
     stationary_automaton,
 )
 from stogame.builder import (
@@ -16,8 +15,6 @@ from stogame.builder import (
     _correlated_type_b_rows,
     assemble_profile,
     build_correlated_stationary,
-    build_type_a_automaton,
-    build_type_b_automaton,
     classify_set,
     companion_action,
     departure_values,
@@ -27,7 +24,7 @@ from stogame.builder import (
     solve_eta,
     sustain_payoff,
     sustain_target,
-    tune_type_a_delta,
+    tune_type_a,
 )
 from stogame.game import StochasticGame
 from stogame.generators import (
@@ -168,23 +165,13 @@ def test_type_b_machine_exit_law_and_departure(sorin_ctx):
     np.testing.assert_allclose(W[0], [7 / 9, 11 / 18], atol=1e-9)
 
 
-def test_type_b_standalone_machine(sorin_ctx):
-    g, v1, d, cls = sorin_ctx
-    prof = build_type_b_automaton(g, d.sets[0], cls[0].exit_plan, v1)
-    assert prof.meta["exit_law_error"] <= 1e-9
-    assert prof.meta["stay_forever_probability"] <= 1e-12
-    assert prof.joint.size <= g.n_states * g.n_players
-
-
 def test_type_a_single_atom_exact(sorin_ctx):
     g, v1, d, cls = sorin_ctx
     plan = cls[1].sustain
-    delta, payoff = tune_type_a_delta(g, d.sets[1].states, plan, 0.05,
-                                      value=d.sets[1].value)
+    delta, payoff, _ = tune_type_a(g, d.sets[1].states, plan, 0.05,
+                                   value=d.sets[1].value)
     assert delta == 0.0
     np.testing.assert_allclose(payoff, [[0.0, 1.0]], atol=1e-12)
-    prof = build_type_a_automaton(g, d.sets[1], plan, 0.05)
-    assert prof.joint.size <= g.n_states * g.n_players
 
 
 def test_type_a_mixture_converges_with_delta():
@@ -322,10 +309,11 @@ def test_partial_mass_exits_end_to_end():
     assert stay <= 1e-10
     assert np.all(W >= d.sets[core[0]].value - 1e-6)
     prof = assemble_profile(g, d, cls, 0.05)
-    from stogame.verify import check_minmax_acceptable, check_submartingale
+    from stogame.verify import check_minmax_acceptable, check_submartingale, product_chain
 
-    assert check_minmax_acceptable(g, prof, v1, 0.05).ok
-    sub = check_submartingale(g, prof, v1, d, cls)
+    chain = product_chain(g, prof)
+    assert check_minmax_acceptable(chain, v1, 0.05).ok
+    sub = check_submartingale(chain, v1, d, cls)
     assert sub.min_drift >= -1e-6
 
 
@@ -397,9 +385,10 @@ def test_opposed_cycles_correlated_multichain_tuner():
                                    value=d.sets[0].value)
     table = np.stack([rows[0], rows[1]])
     from stogame.game import StationaryCorrelated
-    from stogame.verify import check_minmax_acceptable
+    from stogame.verify import check_minmax_acceptable, product_chain
 
-    assert check_minmax_acceptable(g, StationaryCorrelated(table), v1, 0.05).ok
+    chain = product_chain(g, StationaryCorrelated(table))
+    assert check_minmax_acceptable(chain, v1, 0.05).ok
     # both states keep most mass on staying home, with a small travel blend
     assert table[0, 0] > 0.9 and table[1, 0] > 0.9
 
@@ -493,7 +482,7 @@ def test_tuning_certifies_the_shipped_machine(suite_results):
     seen = {"A": 0, "B": 0}
     for game, res in results:
         model = build_product_model(game, res.profile.joint)
-        lim = limit_value(model)
+        lim = model.limit
         at_departure = {(e.detail["set"], e.state): e.detail["expected_at_departure"]
                         for e in res.submartingale.entries if e.kind == "departing-set"}
         for k, (cset, cls) in enumerate(zip(res.decomposition.sets, res.classifications)):

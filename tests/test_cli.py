@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stogame.cli
+import stogame.pipeline
 from stogame.cli import COMMANDS, build_parser, main
 from stogame.game import game_to_dict, save_game
 from stogame.generators import sorin_game
@@ -52,6 +53,26 @@ def test_decompose_and_build(tmp_path):
     build = json.loads((tmp_path / "build.json").read_text())
     assert build["acceptability"]["ok"] is True
     assert (tmp_path / "automaton.json").exists()
+
+
+def test_build_summary_judges_both_variants(tmp_path):
+    assert run(["build", "--game", "builtin:sorin", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "build.json").read_text())["summary"]
+    assert summary["profile_acceptable"] is True
+    assert summary["correlated_acceptable"] is True
+    assert summary["ok"] is True
+
+
+def test_decompose_stops_after_classification(tmp_path, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("decompose built a profile")
+
+    monkeypatch.setattr(stogame.pipeline, "assemble_profile", no_build)
+    monkeypatch.setattr(stogame.pipeline, "build_correlated_stationary", no_build)
+    assert run(["decompose", "--game", "builtin:sorin", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "decompose.json").read_text())
+    assert [c["kind"] for c in doc["classifications"]] == ["B", "A", "A"]
+    assert doc["errors"] == []
 
 
 def test_decompose_reports_an_invalid_game(tmp_path, capsys):
@@ -136,6 +157,7 @@ def test_degenerate_solver_flags_exit_2_before_any_solve(tmp_path, capsys, monke
         raise AssertionError("solved before the flags were checked")
 
     monkeypatch.setattr(stogame.cli, "run_pipeline", no_solve)
+    monkeypatch.setattr(stogame.cli, "classify_game", no_solve)
     monkeypatch.setattr(stogame.cli, "solve_uniform_minmax", no_solve)
     assert run([*argv, "--game", "builtin:sorin", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {argv[1]} must")

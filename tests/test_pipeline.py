@@ -16,6 +16,29 @@ def test_pipeline_sorin(sorin_result):
     np.testing.assert_allclose(res.v1[0], [2 / 3, 0.5], atol=1e-6)
 
 
+def test_each_strategy_is_judged_on_one_chain_with_one_limit(sorin, monkeypatch):
+    # One chain for the machine profile and one for the correlated table,
+    # each with its Cesaro limit solved once, however many checks read it.
+    import stogame.automata
+    import stogame.verify
+
+    calls = {"chains": 0, "limits": 0}
+
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(stogame.verify, "build_product_model",
+                        counted("chains", stogame.verify.build_product_model))
+    monkeypatch.setattr(stogame.automata, "limit_average_values",
+                        counted("limits", stogame.automata.limit_average_values))
+    res = run_pipeline(sorin, eps=0.05)
+    assert res.ok
+    assert calls == {"chains": 2, "limits": 2}
+
+
 def test_pipeline_two_block_game():
     res = run_pipeline(two_block_game(), eps=0.05, schedule=default_schedule(22))
     assert res.ok

@@ -22,6 +22,7 @@ from stogame.verify import (
     check_minmax_acceptable,
     check_submartingale,
     check_w_acceptable,
+    product_chain,
 )
 
 
@@ -57,14 +58,14 @@ def test_automaton_payoff_matches_monte_carlo(sorin_ctx):
 def test_floor_payoff_always_acceptable(sorin_ctx):
     g, _, _, _, prof = sorin_ctx
     w = np.full((g.n_states, g.n_players), -2.0)
-    assert check_w_acceptable(g, prof, w).ok
+    assert check_w_acceptable(product_chain(g, prof), w).ok
 
 
 def test_fixed_discount_equilibrium_fails(sorin_ctx):
     g, v1 = sorin_ctx[0], sorin_ctx[1]
     prof = StationaryProfile((np.tile([1.0, 0.0], (3, 1)),
                               np.tile([2 / 3, 1 / 3], (3, 1))))
-    report = check_minmax_acceptable(g, prof, v1, 0.05)
+    report = check_minmax_acceptable(product_chain(g, prof), v1, 0.05)
     assert not report.ok
     p2 = [e for e in report.entries if e.state == 0 and e.player == 1][0]
     assert p2.limit_payoff == pytest.approx(1 / 3, abs=1e-3)
@@ -73,7 +74,7 @@ def test_fixed_discount_equilibrium_fails(sorin_ctx):
 
 def test_synthesized_profile_accepts(sorin_ctx):
     g, v1, _, _, prof = sorin_ctx
-    report = check_minmax_acceptable(g, prof, v1, 0.05)
+    report = check_minmax_acceptable(product_chain(g, prof), v1, 0.05)
     assert report.ok
     assert report.threshold_from is not None
 
@@ -113,7 +114,7 @@ def test_ir_equilibrium_profile_zero_gain():
     g = StochasticGame(("s",), (("a", "b"), ("c", "d")), payoffs, transitions)
     v1 = solve_uniform_minmax(g).uniform_values
     prof = pure_profile(g, [(0, 0)])
-    report = check_individual_rationality(g, prof, v1, eps=0.0)
+    report = check_individual_rationality(product_chain(g, prof), v1, eps=0.0)
     assert report.ok
     assert report.worst_gain <= 1e-9
 
@@ -124,14 +125,14 @@ def test_ir_flags_value_ignoring_profile(sorin_ctx):
     # instead play (B-trigger-rich) profile ignoring punishment: (T, R) loop
     # gives player 1 limit 0, and deviating to B against R reaches value 2.
     prof = pure_profile(g, [(0, 1)] * 3)
-    report = check_individual_rationality(g, prof, v1, eps=0.05)
+    report = check_individual_rationality(product_chain(g, prof), v1, eps=0.05)
     assert not report.ok
     assert report.worst_gain > 1.0
 
 
 def test_ir_measures_known_gain_on_synthesized(sorin_ctx):
     g, v1, _, _, prof = sorin_ctx
-    report = check_individual_rationality(g, prof, v1, eps=0.05)
+    report = check_individual_rationality(product_chain(g, prof), v1, eps=0.05)
     # The quitting phase exposes player 1's rich exit: measured, not hidden.
     assert report.worst_gain == pytest.approx(2.0 - 7 / 9 - 0.05 * 0, abs=0.2)
     assert not report.ok
@@ -139,7 +140,7 @@ def test_ir_measures_known_gain_on_synthesized(sorin_ctx):
 
 def test_submartingale_sorin(sorin_ctx):
     g, v1, d, cls, prof = sorin_ctx
-    report = check_submartingale(g, prof, v1, d, cls)
+    report = check_submartingale(product_chain(g, prof), v1, d, cls)
     assert report.ok
     assert report.min_drift >= 0.1   # departure mixture strictly above value
 
@@ -155,7 +156,7 @@ def test_submartingale_layered_transients():
     u_star = continuation_values(g, v1)
     cls = [classify_set(g, c, v1, 0.05, u_star) for c in d.sets]
     prof = assemble_profile(g, d, cls, 0.05)
-    report = check_submartingale(g, prof, v1, d, cls)
+    report = check_submartingale(product_chain(g, prof), v1, d, cls)
     assert report.ok
     kinds = {e.kind for e in report.entries}
     assert "transient" in kinds
@@ -173,21 +174,20 @@ def test_size_audits(sorin_ctx):
 
 def test_reports_are_reproducible(sorin_ctx):
     g, v1, d, cls, prof = sorin_ctx
-    a = check_minmax_acceptable(g, prof, v1, 0.05).to_dict()
-    b = check_minmax_acceptable(g, prof, v1, 0.05).to_dict()
+    a = check_minmax_acceptable(product_chain(g, prof), v1, 0.05).to_dict()
+    b = check_minmax_acceptable(product_chain(g, prof), v1, 0.05).to_dict()
     assert a == b
-    ia = check_individual_rationality(g, prof, v1, 0.05).to_dict()
-    ib = check_individual_rationality(g, prof, v1, 0.05).to_dict()
+    ia = check_individual_rationality(product_chain(g, prof), v1, 0.05).to_dict()
+    ib = check_individual_rationality(product_chain(g, prof), v1, 0.05).to_dict()
     assert ia == ib
 
 
 def test_discounted_tail_approaches_limit(sorin_ctx):
     g, _, _, _, prof = sorin_ctx
-    from stogame.automata import build_product_model, discounted_value, limit_value
-    from stogame.simulate import as_automaton
+    from stogame.automata import discounted_value
 
-    model = build_product_model(g, as_automaton(g, prof))
-    lim = limit_value(model)[model.node_of(0)]
+    model = product_chain(g, prof)
+    lim = model.limit[model.node_of(0)]
     gaps = []
     for lam in (0.9, 0.99, 0.999, 0.9999):
         gaps.append(float(np.max(np.abs(
@@ -197,7 +197,7 @@ def test_discounted_tail_approaches_limit(sorin_ctx):
 
 def test_subgame_perfect_variant_checks_all_nodes(sorin_ctx):
     g, v1, _, _, prof = sorin_ctx
-    report = check_minmax_acceptable(g, prof, v1, 0.05, subgame_perfect=True)
+    report = check_minmax_acceptable(product_chain(g, prof), v1, 0.05, subgame_perfect=True)
     assert report.ok
     machine_states = {e.machine_state for e in report.entries}
     assert len(machine_states) > 1   # mid-cycle nodes audited too
