@@ -16,7 +16,6 @@ from .builder import (
     classify_set,
     companion_action,
     exit_options,
-    first_exit_distribution,
     solve_eta,
     type_b_feasibility,
 )
@@ -27,7 +26,6 @@ from .frequencies import (
     enumerate_recurrent_points,
     payoff_of_frequency,
     sustain_by_columns,
-    type_a_feasibility,
 )
 from .game import (
     GameFormatError,
@@ -52,7 +50,6 @@ from .oneshot import (
     AuxiliaryGame,
     EquilibriumSet,
     build_auxiliary_game,
-    check_value_inequality,
     continuation_values,
     enumerate_all_states,
     enumerate_equilibria,

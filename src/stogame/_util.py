@@ -10,8 +10,6 @@ DIST_TOL = 1e-12
 SOLVE_TOL = 1e-9
 # Equality of extrapolated per-state values (communicating-set condition).
 VALUE_SPREAD_TOL = 1e-4
-# Margin tolerance for the one-shot value inequality.
-VALUE_INEQ_TOL = 1e-6
 
 
 def dump_json(obj, path) -> None:

@@ -139,9 +139,9 @@ class ProductModel:
         caller reads the same array."""
         return limit_average_values(self.P, self.r)
 
-    def node_of(self, s: int, q: int | None = None) -> int:
-        q = self.automaton.init[s] if q is None else q
-        return self.index[(s, q)]
+    def node_of(self, s: int) -> int:
+        """The node where play starts from game state s."""
+        return self.index[(s, self.automaton.init[s])]
 
     def action_kernel(self) -> np.ndarray:
         """K[n, a, n']: next-node law given the profile actually played."""
@@ -248,12 +248,11 @@ def first_play_law(model: ProductModel, inside, marked: dict,
     return np.linalg.solve(np.eye(len(inside)) - M, R)
 
 
-def reachable_nodes(model: ProductModel, from_states=None) -> list:
-    """Node ids reachable (positive probability) from the given initial game
-    states (default: all)."""
-    from_states = range(model.game.n_states) if from_states is None else from_states
+def reachable_nodes(model: ProductModel) -> list:
+    """Node ids reachable (positive probability) from the start node of
+    every game state."""
     seen = set()
-    stack = [model.node_of(s) for s in from_states]
+    stack = [model.node_of(s) for s in range(model.game.n_states)]
     seen.update(stack)
     while stack:
         n = stack.pop()

@@ -13,11 +13,12 @@ its common value v(C) lowered by the accepted loss eps:
   tuned probability so the first exit played has exactly the planned law.
 
 Each set's machine is written once, as a fragment: output factors and a
-transition table in local (phase, state) labels.  Tuning and the per-set
-analysis (entry payoffs, first-played-exit law, departure values) read the
-product chain of the fragment's standalone machine through
+transition table in local (phase, state) labels.  Tuning reads the entry
+payoffs off the product chain of the fragment's standalone machine through
 `automata.build_product_model`, the evaluator the verifiers use, and the
-assembly ships the very fragment that was tuned.
+assembly ships the very fragment that was tuned.  (The tests read a
+departing machine's exit law and departure values off the same chain, in
+`tests/oracles.py`.)
 
 The stationary correlated variant is tuned the same way, on the product
 chain of `automata.stationary_automaton` over its table: a sustainable set's
@@ -41,7 +42,6 @@ from .automata import (
     JointAutomaton,
     JointAutomatonProfile,
     build_product_model,
-    exit_values,
     first_play_law,
     stationary_automaton,
 )
@@ -122,15 +122,6 @@ def solve_eta(beta, scale: float = EXIT_SCALE_DEFAULT) -> np.ndarray:
     return eta
 
 
-def first_exit_distribution(eta) -> np.ndarray:
-    """Closed-form law of the first exit played under the cyclic scheme."""
-    eta = np.asarray(eta, dtype=float)
-    silent = np.cumprod(1.0 - eta)
-    before = np.concatenate([[1.0], silent[:-1]])
-    mass = before * eta
-    return mass / (1.0 - silent[-1])
-
-
 # ---------------------------------------------------------------------------
 # Plans
 
@@ -164,12 +155,13 @@ class ExitPlan:
 
 
 def type_b_feasibility(game: StochasticGame, region, value, eps: float,
-                       u_star: np.ndarray, scale: float = EXIT_SCALE_DEFAULT,
-                       counts: dict | None = None) -> ExitPlan | None:
+                       u_star: np.ndarray, counts: dict | None = None
+                       ) -> ExitPlan | None:
     """Departure plan meeting value - eps in expected continuation value, or
     None.  Only exits admitting a companion switch are eligible.  The exit
-    mixture is `max_slack_mixture`'s; when `counts` is given, its
-    "master_lp" entry is raised if that solve fell back to the LP."""
+    mixture is `max_slack_mixture`'s, played at the per-cycle exit scale
+    EXIT_SCALE_DEFAULT; when `counts` is given, its "master_lp" entry is
+    raised if that solve fell back to the LP."""
     exits, _ = exit_options(game, region)
     admissible = []
     for s, a in exits:
@@ -193,8 +185,8 @@ def type_b_feasibility(game: StochasticGame, region, value, eps: float,
         companions=[c for _, _, c, _ in chosen],
         deviators=[d for _, _, _, d in chosen],
         beta=weights,
-        eta=solve_eta(weights, scale),
-        scale=scale,
+        eta=solve_eta(weights, EXIT_SCALE_DEFAULT),
+        scale=EXIT_SCALE_DEFAULT,
         target=target,
         achieved=achieved,
         slack=sol.value,
@@ -389,7 +381,7 @@ def build_type_b_fragment(game: StochasticGame, region, plan: ExitPlan) -> SetFr
 
 
 # ---------------------------------------------------------------------------
-# Exact per-set analysis on the standalone machine's product chain
+# Exact entry payoffs on the standalone machine's product chain
 
 
 def _set_model(game: StochasticGame, fragment: SetFragment):
@@ -414,35 +406,6 @@ def _entry_payoffs(game: StochasticGame, fragment: SetFragment) -> np.ndarray:
     which is closed on the fragment's nodes."""
     model, inside = _set_model(game, fragment)
     return _closed_limit(model, inside)[1][:len(fragment.region)]
-
-
-def exit_play_law(game: StochasticGame, region, plan: ExitPlan) -> np.ndarray:
-    """Exact first-played-exit law per entry state (rows, one per region
-    state), with exit plays absorbing; every row should equal plan.beta."""
-    fragment = build_type_b_fragment(game, region, plan)
-    model, inside = _set_model(game, fragment)
-    node = dict(zip(fragment.local_states, inside))
-    marked = {(node[lab], a): lab[0] for (lab, a, _), dist in fragment.table.items()
-              if dist[0][0] is REDISPATCH}
-    return first_play_law(model, inside, marked, len(plan.exits))[:len(fragment.region)]
-
-
-def departure_values(game: StochasticGame, region, plan: ExitPlan,
-                     v1: np.ndarray):
-    """Expected uniform min-max value at the first state outside the set,
-    per entry state, plus the probability of never leaving."""
-    fragment = build_type_b_fragment(game, region, plan)
-    model, inside = _set_model(game, fragment)
-    entry = len(fragment.region)
-    W = exit_values(model, inside, v1)
-    leave = exit_values(model, inside, np.ones(game.n_states))
-    return W[:entry], float(1.0 - min(leave[:entry]))
-
-
-def sustain_payoff(game: StochasticGame, region, plan: SustainPlan,
-                   delta: float) -> np.ndarray:
-    """Exact long-run payoff of the sustainable machine, per entry state."""
-    return _entry_payoffs(game, build_type_a_fragment(game, region, plan, delta))
 
 
 def sustain_target(value, plan: SustainPlan, eps: float) -> np.ndarray:

@@ -5,6 +5,8 @@ failures, unclassifiable sets, pipeline errors), 2 file or parse errors.
 `decompose` stops after classification; `build`, `build-correlated`,
 `verify`, `simulate` and `demo-sorin` run the whole pipeline.
 Every command writes a deterministic JSON artifact into the output directory.
+Each command takes only the flags it reads (`COMMANDS`); any other flag, or
+an abbreviation of one, is a parse error (exit 2).
 """
 
 from __future__ import annotations
@@ -30,21 +32,28 @@ from .simulate import simulate
 from .verify import DEFAULT_LAMBDA_GRID, check_minmax_acceptable, product_chain
 
 
-def _add_common(parser):
-    parser.add_argument("--game", required=False,
-                        help="path to a game JSON file, or builtin:<name> "
-                             f"(builtins: {', '.join(sorted(BUNDLED))})")
-    parser.add_argument("--epsilon", type=float, default=0.05,
-                        help="acceptability slack (default 0.05)")
-    parser.add_argument("--lambda-grid", default=None,
-                        help="comma-separated verification discount grid")
-    parser.add_argument("--schedule-depth", type=int, default=20,
-                        help="discount schedule length for the uniform solve")
-    parser.add_argument("--out", default="out", help="artifact directory")
-    parser.add_argument("--tol-v", type=float, default=1e-4,
-                        help="value-equality tolerance for communicating sets")
-    parser.add_argument("--eq-tol", type=float, default=1e-9,
-                        help="equilibrium regret tolerance (exact paths)")
+# Every flag some command reads; `COMMANDS` says which command reads which.
+FLAGS = {
+    "--game": dict(help="path to a game JSON file, or builtin:<name> "
+                        f"(builtins: {', '.join(sorted(BUNDLED))})"),
+    "--epsilon": dict(type=float, default=0.05,
+                      help="acceptability slack (default 0.05)"),
+    "--lambda-grid": dict(default=None,
+                          help="comma-separated verification discount grid"),
+    "--schedule-depth": dict(type=int, default=20,
+                             help="discount schedule length for the uniform solve"),
+    "--out": dict(default="out", help="artifact directory"),
+    "--tol-v": dict(type=float, default=1e-4,
+                    help="value-equality tolerance for communicating sets"),
+    "--eq-tol": dict(type=float, default=1e-9,
+                     help="equilibrium regret tolerance (exact paths)"),
+    "--lam": dict(type=float, default=None,
+                  help="simulation discount factor (default 0.99)"),
+    "--replications": dict(type=int, default=2000),
+    "--seed": dict(type=int, default=0, help="simulation random seed (default 0)"),
+}
+_PIPELINE = ("--game", "--epsilon", "--lambda-grid", "--schedule-depth", "--out",
+             "--tol-v", "--eq-tol")
 
 
 def _load(args) -> StochasticGame:
@@ -82,16 +91,19 @@ def _outdir(args) -> str:
     return args.out
 
 
-def _run(args, classify_only=False):
-    """Load the game and check every solver flag, then run the pipeline, or
-    with `classify_only` its stages up to classification."""
+def _solver_inputs(args):
+    """Load the game and check `--epsilon` and `--schedule-depth`, which
+    `decompose` and the pipeline commands read."""
     game = _load(args)
     if args.epsilon <= 0.0:
         raise GameFormatError(f"--epsilon must be positive, got {args.epsilon}")
-    schedule, lam_grid = _schedule(args), _grid(args)
-    if classify_only:
-        return game, classify_game(game, args.epsilon, schedule, args.tol_v,
-                                   args.eq_tol)
+    return game, _schedule(args)
+
+
+def _run(args):
+    """Check every pipeline flag, then run the pipeline."""
+    game, schedule = _solver_inputs(args)
+    lam_grid = _grid(args)
     return game, run_pipeline(game, eps=args.epsilon, schedule=schedule,
                               tol_v=args.tol_v, lam_grid=lam_grid,
                               eq_tol=args.eq_tol)
@@ -122,7 +134,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    game, res = _run(args, classify_only=True)
+    game, schedule = _solver_inputs(args)
+    res = classify_game(game, args.epsilon, schedule, args.tol_v, args.eq_tol)
     doc = {
         "uniform_values": json_ready(res.v1),
         "decomposition": res.decomposition.to_dict(),
@@ -231,9 +244,8 @@ def cmd_demo_sorin(args) -> int:
     numbers: uniform values (2/3, 1/2), the failure of the fixed-discount
     equilibrium limit, and a passing synthesized profile."""
     game = sorin_game()
-    res = run_pipeline(game, eps=args.epsilon,
-                       schedule=_schedule(args),
-                       lam_grid=_grid(args))
+    schedule, lam_grid = _schedule(args), _grid(args)
+    res = run_pipeline(game, eps=args.epsilon, schedule=schedule, lam_grid=lam_grid)
     v0 = res.v1[0]
     print(f"uniform min-max values at {game.state_names[0]}: "
           f"player 1 = {v0[0]:.6f} (exact 2/3), player 2 = {v0[1]:.6f} (exact 1/2)")
@@ -243,7 +255,7 @@ def cmd_demo_sorin(args) -> int:
         np.tile([2.0 / 3.0, 1.0 / 3.0], (3, 1)),
     ))
     fixed_report = check_minmax_acceptable(product_chain(game, fixed), res.v1,
-                                           args.epsilon, lam_grid=_grid(args))
+                                           args.epsilon, lam_grid=lam_grid)
     p2 = [e for e in fixed_report.entries if e.state == 0 and e.player == 1][0]
     print(f"fixed-discount equilibrium limit: player 2 gets {p2.limit_payoff:.6f} "
           f"(= 1/3) < {res.v1[0, 1]:.6f} - eps  ->  acceptable: {fixed_report.ok}")
@@ -267,15 +279,18 @@ def cmd_demo_sorin(args) -> int:
     return 0 if ok else 1
 
 
+# Each command with the flags it reads; it rejects every other flag.
 COMMANDS = {
-    "validate": cmd_validate,
-    "solve": cmd_solve,
-    "decompose": cmd_decompose,
-    "build": cmd_build,
-    "build-correlated": cmd_build_correlated,
-    "verify": cmd_verify,
-    "simulate": cmd_simulate,
-    "demo-sorin": cmd_demo_sorin,
+    "validate": (cmd_validate, ("--game", "--out")),
+    "solve": (cmd_solve, ("--game", "--schedule-depth", "--out")),
+    "decompose": (cmd_decompose, ("--game", "--epsilon", "--schedule-depth", "--out",
+                                  "--tol-v", "--eq-tol")),
+    "build": (cmd_build, _PIPELINE),
+    "build-correlated": (cmd_build_correlated, _PIPELINE),
+    "verify": (cmd_verify, _PIPELINE),
+    "simulate": (cmd_simulate, _PIPELINE + ("--lam", "--replications", "--seed")),
+    "demo-sorin": (cmd_demo_sorin, ("--epsilon", "--lambda-grid", "--schedule-depth",
+                                    "--out")),
 }
 
 
@@ -286,22 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "strategy profiles in finite stochastic games.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        _add_common(p)
-        if name == "simulate":
-            p.add_argument("--lam", type=float, default=None,
-                           help="simulation discount factor (default 0.99)")
-            p.add_argument("--replications", type=int, default=2000)
-            p.add_argument("--seed", type=int, default=0,
-                           help="simulation random seed (default 0)")
+    for name, (_, flags) in COMMANDS.items():
+        # No abbreviations: `--lam` must not pass for `--lambda-grid`.
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except GameFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -345,23 +345,3 @@ def sustain_by_columns(game: StochasticGame, region, target,
     plan = _mixture_plan([columns[k] for k in order], sol.row_strategy[order], sol.value,
                          target)
     return plan, len(columns)
-
-
-def type_a_feasibility(game: StochasticGame, region, target, eps: float | None = None,
-                       points: list | None = None) -> SustainPlan | None:
-    """Feasibility of sustaining `target` inside `region` by mixing recurrent
-    points.  Returns a plan with small support, or None when infeasible.
-
-    When `eps` is given the target is lowered by eps per player (the caller
-    passes the common set value).  Without `points` the mixture is found by
-    column generation (`sustain_by_columns`); with them, over exactly those.
-    """
-    target = np.asarray(target, dtype=float)
-    if eps is not None:
-        target = target - eps
-    if points is None:
-        return sustain_by_columns(game, region, target)[0]
-    if not points:
-        return None
-    sol = max_slack_mixture(np.stack([p.payoff for p in points]), target)
-    return _mixture_plan(points, sol.row_strategy, sol.value, target)

@@ -20,6 +20,10 @@ import numpy as np
 
 from .game import StochasticGame
 
+# Largest offset of an absorbing payoff from its game's common anchor in the
+# soft-absorbing and banded-exit families.
+BAND = 0.03
+
 
 def _dirichlet_floor(rng, size: int, floor: float = 0.08) -> np.ndarray:
     row = rng.dirichlet(np.ones(size))
@@ -53,42 +57,41 @@ def sorin_game() -> StochasticGame:
 
 
 def random_dense_game(seed: int, n_states: int | None = None,
-                      n_players: int = 2, n_actions: int = 2) -> StochasticGame:
+                      n_actions: int = 2) -> StochasticGame:
+    """Two players with n_actions each, uniform payoffs in [-1, 1] and
+    full-support transitions."""
     rng = np.random.default_rng(seed)
     n_states = int(rng.integers(2, 6)) if n_states is None else n_states
-    counts = (n_actions,) * n_players
-    n_profiles = int(np.prod(counts))
-    payoffs = rng.uniform(-1.0, 1.0, size=(n_states, n_profiles, n_players))
+    n_profiles = n_actions * n_actions
+    payoffs = rng.uniform(-1.0, 1.0, size=(n_states, n_profiles, 2))
     transitions = np.zeros((n_states, n_profiles, n_states))
     for s in range(n_states):
         for a in range(n_profiles):
             transitions[s, a] = _dirichlet_floor(rng, n_states)
     return StochasticGame(
         state_names=tuple(f"s{k}" for k in range(n_states)),
-        action_names=tuple(tuple(f"a{j}" for j in range(n_actions))
-                           for _ in range(n_players)),
+        action_names=tuple(tuple(f"a{j}" for j in range(n_actions)) for _ in range(2)),
         payoffs=payoffs,
         transitions=transitions,
         name=f"dense-{seed}",
     )
 
 
-def random_soft_absorbing_game(seed: int, band: float = 0.03) -> StochasticGame:
+def random_soft_absorbing_game(seed: int) -> StochasticGame:
     """Core states with low flow payoffs; either player's second action quits
-    toward absorbing states whose payoffs lie within `band` of a common
+    toward absorbing states whose payoffs lie within BAND of a common
     anchor."""
     rng = np.random.default_rng(seed)
     n_core = int(rng.integers(1, 3))
     n_abs = int(rng.integers(2, 4))
     n_states = n_core + n_abs
     anchor = float(rng.uniform(-0.4, 0.4))
-    counts = (2, 2)
     n_profiles = 4
     payoffs = np.zeros((n_states, n_profiles, 2))
     transitions = np.zeros((n_states, n_profiles, n_states))
     abs_states = list(range(n_core, n_states))
     for k, s in enumerate(abs_states):
-        vec = anchor + rng.uniform(-band, band, size=2)
+        vec = anchor + rng.uniform(-BAND, BAND, size=2)
         payoffs[s, :, :] = vec
         transitions[s, :, s] = 1.0
     for s in range(n_core):
@@ -115,7 +118,7 @@ def random_soft_absorbing_game(seed: int, band: float = 0.03) -> StochasticGame:
     )
 
 
-def random_banded_exit_game(seed: int, band: float = 0.03) -> StochasticGame:
+def random_banded_exit_game(seed: int) -> StochasticGame:
     """Quitting-dilemma cores whose absorbing payoffs sit in a narrow band.
 
     Each core state reproduces the stay/quit tension: both players' staying
@@ -130,7 +133,7 @@ def random_banded_exit_game(seed: int, band: float = 0.03) -> StochasticGame:
     base = float(rng.uniform(-0.4, 0.4))
     two_core = bool(rng.random() < 0.5)
     swap = bool(rng.random() < 0.5)
-    small = lambda: float(rng.uniform(0.012, band))
+    small = lambda: float(rng.uniform(0.012, BAND))
     large = lambda: float(rng.uniform(0.12, 0.2))
     x1, y2, u1, u2, w1, w2 = (small() for _ in range(6))
     x2, y1 = large(), large()

@@ -17,14 +17,16 @@ Each round is batched over states: the 2x2 one-shot games of all states go
 to one `closed_form_2x2` call, which solves them in one scalar pass (numpy
 array operations on a stack of a few games cost more in call overhead than
 the loop does in arithmetic), one einsum builds each best-response MDP's
-transitions, and one policy iteration solves both sides' MDPs together when
-they have the same shape.  What depends only on the game and the player is
-built once per curve (`_Stage`, which `uniform_minmax` hands to every
-discount): the per-state stage matrices, the transition stack, the MDP
-buffers and policy iteration's identity and row-start arrays.  Each discount
+transitions, and one policy iteration solves both sides' MDPs together.
+What depends only on the game and the player is built once per curve
+(`_Stage`, which `uniform_minmax` hands to every discount): the per-state
+stage matrices, the transition stack, the MDP buffers and policy
+iteration's identity and row-start arrays.  Each discount
 only rescales the stage payoffs by 1 - lam, elementwise, so the workspace
 holds the bits a fresh one would.  Each round writes its two best-response
-MDPs in place into one reward and one transition stack.
+MDPs in place into one reward and one transition stack; when the two sides
+have different numbers of actions, the narrower one is padded with copies
+of its first action, which `argmax` never picks over the original.
 
 A round costs a few dozen numpy calls on arrays of a few dozen entries, so
 their fixed cost, not the arithmetic, sets the time.  Policy iteration
@@ -63,6 +65,10 @@ from .matrixgame import closed_form_2x2, solve_matrix_game
 # ndarray.max without its Python-level wrapper: the same reduction and NaN
 # propagation, for a round's small arrays where the wrapper costs more.
 _max = np.maximum.reduce
+
+# Certificate target of each discounted solve: it stops once the gap between
+# its two best-response values is at most 2 * CERT_TOL.
+CERT_TOL = 1e-9
 
 
 def default_schedule(k_max: int = 20) -> list:
@@ -120,7 +126,7 @@ def _one_shot(payoff, transitions, index, lam, v):
 
 
 def _policy_iteration(R: np.ndarray, P: np.ndarray, lam: float, eye: np.ndarray,
-                      starts: np.ndarray, cap: int = 10_000) -> np.ndarray:
+                      starts: np.ndarray) -> np.ndarray:
     """Exact discounted solve of a stack of maximizing MDPs.
 
     R is (B, S, A) and P is (B, S, A, S); eye is the (S, S) identity and
@@ -129,12 +135,13 @@ def _policy_iteration(R: np.ndarray, P: np.ndarray, lam: float, eye: np.ndarray,
     improves its own policy; one that has converged keeps its policy and so
     its value while the others go on.  A singular system raises
     LinAlgError, as `np.linalg.solve` does (numpy first warns of an invalid
-    value in `solve`).
+    value in `solve`); one that has not converged after 10 000 rounds raises
+    RuntimeError.
     """
     R_flat = R.reshape(-1)
     P_rows = P.reshape(-1, P.shape[-1])
     picked = starts + R.argmax(axis=2)  # flat index of each state's action
-    for _ in range(cap):
+    for _ in range(10_000):
         value = _lapack_solve(eye - lam * P_rows.take(picked, axis=0),
                               R_flat.take(picked)[..., None], signature="dd->d")[..., 0]
         q = lam * (P @ value[:, None, :, None])[..., 0]
@@ -168,9 +175,10 @@ class _Stage:
     best-response MDPs into the same buffers: the upper one (R_up, P_up),
     where the coalition's mixes are fixed and the protected player decides,
     and the lower one (R_lo, P_lo), where the protected player's mixes are
-    fixed and the coalition decides.  Both form one (2, S, A) reward and one
-    (2, S, A, S) transition stack when the two sides have the same number
-    of actions, otherwise a stack of one each.
+    fixed and the coalition decides.  They are the two sides of one
+    (2, S, A) reward stack R and one (2, S, A, S) transition stack P, with A
+    the larger side's number of actions.  A narrower side fills its last
+    columns with copies of its first action (`pad` is its index and width).
     """
 
     def __init__(self, game: StochasticGame, view: _PlayerView, lam: float):
@@ -187,15 +195,13 @@ class _Stage:
         self.U = np.empty_like(self.U0)
         self.payoff = np.empty(self.payoffs.shape)
         self.T = np.ascontiguousarray(game.transitions[:, view.index])
-        if view.own == view.other:
-            stacks = [(np.empty((2, n, view.own)), np.empty((2, n, view.own, n)))]
-            (self.R_up, self.R_lo), (self.P_up, self.P_lo) = stacks[0]
-        else:
-            stacks = [(np.empty((1, n, a)), np.empty((1, n, a, n)))
-                      for a in (view.own, view.other)]
-            (self.R_up,), (self.P_up,) = stacks[0]
-            (self.R_lo,), (self.P_lo,) = stacks[1]
-        self.stacks = [(R, P) + _solver_arrays(R) for R, P in stacks]
+        own, other = view.own, view.other
+        self.R = np.empty((2, n, max(own, other)))
+        self.P = np.empty((2, n, max(own, other), n))
+        self.R_up, self.R_lo = self.R[0, :, :own], self.R[1, :, :other]
+        self.P_up, self.P_lo = self.P[0, :, :own], self.P[1, :, :other]
+        self.pad = None if own == other else (int(own > other), min(own, other))
+        self.eye, self.starts = _solver_arrays(self.R)
         self.rescale(lam)
 
     def rescale(self, lam: float) -> None:
@@ -217,6 +223,10 @@ class _Stage:
         np.matmul(rows[:, None, :], self.U, out=self.R_lo[:, None, :])
         np.einsum("srct,sc->srt", self.T, cols, out=self.P_up)
         np.einsum("sr,srct->sct", rows, self.T, out=self.P_lo)
+        if self.pad is not None:
+            k, width = self.pad
+            self.R[k, :, width:] = self.R[k, :, :1]
+            self.P[k, :, width:] = self.P[k, :, :1]
 
     def response_values(self, rows: np.ndarray, cols: np.ndarray):
         """Exact best-response values (upper, lower): the protected player's
@@ -224,21 +234,14 @@ class _Stage:
         `rows`.  The coalition minimizes, so its MDP is solved as a
         maximization of -R_lo."""
         self.response_mdps(rows, cols)
-        np.negative(self.R_lo, out=self.R_lo)
-        lam = self.lam
-        R, P, eye, starts = self.stacks[0]
-        values = _policy_iteration(R, P, lam, eye, starts)
-        if len(self.stacks) == 1:
-            v_up, v_lo = values
-        else:
-            R, P, eye, starts = self.stacks[1]
-            v_up, v_lo = values[0], _policy_iteration(R, P, lam, eye, starts)[0]
+        np.negative(self.R[1], out=self.R[1])
+        v_up, v_lo = _policy_iteration(self.R, self.P, self.lam, self.eye, self.starts)
         return v_up, -v_lo
 
 
-def discounted_minmax(game: StochasticGame, i: int, lam: float, tol: float = 1e-9,
+def discounted_minmax(game: StochasticGame, i: int, lam: float,
                       v0: np.ndarray | None = None, *, _stage: _Stage | None = None):
-    """Discounted min-max value vector of player i, certified within tol.
+    """Discounted min-max value vector of player i, certified within CERT_TOL.
 
     Returns (value vector, info dict).  The certificate is the gap between
     the exact best-response values on both sides of the candidate strategies;
@@ -276,11 +279,11 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float, tol: float = 1e-
             since_improved = 0
         else:
             since_improved += 1
-        if gap <= 2.0 * tol:
+        if gap <= 2.0 * CERT_TOL:
             return 0.5 * (v_up + v_lo), {"rounds": rounds, "matrix_solves": matrix_solves,
                                          "certified_gap": gap}
         residual = float(_max(abs(Tv - v), axis=None))
-        if residual * lam / (1.0 - lam) <= tol:
+        if residual * lam / (1.0 - lam) <= CERT_TOL:
             return Tv, {"rounds": rounds, "matrix_solves": matrix_solves,
                         "certified_gap": residual * lam / (1.0 - lam)}
         if since_improved >= 8 or rounds >= 200:
@@ -349,8 +352,7 @@ class MinMaxReport:
         })
 
 
-def uniform_minmax(game: StochasticGame, i: int, schedule=None, tol: float = 1e-9
-                   ) -> PlayerValueCurve:
+def uniform_minmax(game: StochasticGame, i: int, schedule=None) -> PlayerValueCurve:
     """Estimate the uniform min-max value of player i along a discount schedule.
 
     The estimate is the geometric extrapolation of the last three schedule
@@ -369,7 +371,7 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None, tol: float = 1e-
     v = None
     stage = _Stage(game, player_view(game, i), schedule[0])
     for lam in schedule:
-        v, info = discounted_minmax(game, i, lam, tol=tol, v0=v, _stage=stage)
+        v, info = discounted_minmax(game, i, lam, v0=v, _stage=stage)
         values.append(v.copy())
         certs.append(float(info.get("certified_gap", 0.0)))
         rounds.append(info["rounds"])
@@ -377,7 +379,7 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None, tol: float = 1e-
         matrix_solves.append(info["matrix_solves"])
     diffs = [float(np.max(np.abs(values[k + 1] - values[k])))
              for k in range(len(values) - 1)]
-    cert_cap = max(10.0 * tol, 1e-8)
+    cert_cap = max(10.0 * CERT_TOL, 1e-8)
     last = len(values) - 1
     while last >= 2 and certs[last] > cert_cap:
         last -= 1
@@ -395,7 +397,7 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None, tol: float = 1e-
     extrap = np.clip(extrap, -bound, bound)
     tail = diffs[-4:]
     # Diffs at the solver noise floor carry no trend information.
-    noise = max(1e-8, 10.0 * tol)
+    noise = max(1e-8, 10.0 * CERT_TOL)
     converged = all(b <= max(a * 1.05, noise) for a, b in zip(tail, tail[1:]))
     if diffs and diffs[-1] > 1e-2:
         converged = False
@@ -403,14 +405,13 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None, tol: float = 1e-
                             rounds, certs, stalled, matrix_solves, triple)
 
 
-def solve_uniform_minmax(game: StochasticGame, schedule=None, tol: float = 1e-9
-                         ) -> MinMaxReport:
+def solve_uniform_minmax(game: StochasticGame, schedule=None) -> MinMaxReport:
     """Uniform min-max values of every player, bundled into a report."""
     mode = "coalition-correlated (equals independent min-max for <= 2 players)"
     if game.n_players > 2:
         mode = ("coalition-correlated (lower bound on the independent min-max "
                 "for 3+ players)")
     report = MinMaxReport(adversary_mode=mode)
-    report.curves = [uniform_minmax(game, i, schedule=schedule, tol=tol)
+    report.curves = [uniform_minmax(game, i, schedule=schedule)
                      for i in range(game.n_players)]
     return report

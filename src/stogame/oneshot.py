@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import VALUE_INEQ_TOL, json_ready
+from ._util import json_ready
 from .game import StochasticGame, mixes_to_correlated_row
 from .matrixgame import kernel_equalizers
 
@@ -181,16 +181,15 @@ def _canonical_key(mixes) -> tuple:
     return tuple(tuple(round(float(v), 8) for v in m) for m in mixes)
 
 
-def enumerate_equilibria(aux: AuxiliaryGame, exact_tol: float = EXACT_EQ_TOL,
-                         approx_tol: float = APPROX_EQ_TOL, seed: int = 0
+def enumerate_equilibria(aux: AuxiliaryGame, exact_tol: float = EXACT_EQ_TOL
                          ) -> EquilibriumSet:
     """Enumerate a finite equilibrium list for the auxiliary game.
 
     Pure equilibria always come from an exact scan; for two players, regular
     mixed equilibria are added by support enumeration.  For three or more
     players (or as a two-player fallback) damped best-response dynamics from
-    random restarts supply approximate equilibria.  An empty result is
-    reported as such, never fabricated.
+    random restarts (seed 0) supply approximate equilibria, within
+    APPROX_EQ_TOL.  An empty result is reported as such, never fabricated.
     """
     items = []
     notes = []
@@ -201,8 +200,8 @@ def enumerate_equilibria(aux: AuxiliaryGame, exact_tol: float = EXACT_EQ_TOL,
         for mixes in _support_enumeration_2p(aux, exact_tol):
             items.append(Equilibrium(mixes, True, regret(aux, mixes)))
     if n_players >= 3 or not items:
-        rng = np.random.default_rng(seed)
-        approx = _best_response_dynamics(aux, approx_tol, rng)
+        rng = np.random.default_rng(0)
+        approx = _best_response_dynamics(aux, APPROX_EQ_TOL, rng)
         for mixes, r in approx:
             items.append(Equilibrium(mixes, False, r))
         if n_players >= 3 and not items:
@@ -216,19 +215,13 @@ def enumerate_equilibria(aux: AuxiliaryGame, exact_tol: float = EXACT_EQ_TOL,
     ordered = [seen[k] for k in sorted(seen)]
     if not ordered:
         notes.append("equilibrium list is empty")
-    return EquilibriumSet(aux.state, ordered, exact_tol, approx_tol, notes)
+    return EquilibriumSet(aux.state, ordered, exact_tol, APPROX_EQ_TOL, notes)
 
 
-def enumerate_all_states(game: StochasticGame, v1: np.ndarray, **kw) -> list:
+def enumerate_all_states(game: StochasticGame, v1: np.ndarray,
+                         exact_tol: float = EXACT_EQ_TOL) -> list:
     """EquilibriumSet for every state, in state order."""
     return [
-        enumerate_equilibria(build_auxiliary_game(game, s, v1), **kw)
+        enumerate_equilibria(build_auxiliary_game(game, s, v1), exact_tol=exact_tol)
         for s in range(game.n_states)
     ]
-
-
-def check_value_inequality(aux: AuxiliaryGame, mixes, v1: np.ndarray,
-                           tol: float = VALUE_INEQ_TOL):
-    """Margins U_i(s; x) - v1_i(s) and whether any drops below -tol."""
-    margins = profile_value(aux, mixes) - v1[aux.state]
-    return bool(np.all(margins >= -tol)), margins

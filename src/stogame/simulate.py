@@ -30,11 +30,11 @@ def as_automaton(game: StochasticGame, strategy) -> JointAutomaton:
     return stationary_automaton(game, strategy)
 
 
-def default_horizon(lam: float, tail: float = 1e-9) -> int:
-    """Smallest horizon with lam^horizon < tail."""
+def default_horizon(lam: float) -> int:
+    """Smallest horizon with lam^horizon < 1e-9."""
     if lam <= 0.0:
         return 1
-    return max(1, int(math.ceil(math.log(tail) / math.log(lam))))
+    return max(1, int(math.ceil(math.log(1e-9) / math.log(lam))))
 
 
 @dataclass(frozen=True)
@@ -58,19 +58,18 @@ class SimulationResult:
 
 
 def simulate(game: StochasticGame, s1: int, strategy, lam: float, seed: int,
-             replications: int = 1000, horizon: int | None = None
-             ) -> SimulationResult:
+             replications: int = 1000) -> SimulationResult:
     """Sampled discounted payoff of a strategy from one initial state.
 
-    The horizon defaults to the first stage where the residual discount
-    weight drops below 1e-9, so truncation error is negligible next to the
-    Monte Carlo noise.
+    The horizon is the first stage where the residual discount weight drops
+    below 1e-9, so truncation error is negligible next to the Monte Carlo
+    noise.
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"discount factor {lam} outside [0, 1)")
     automaton = as_automaton(game, strategy)
     model = build_product_model(game, automaton)
-    horizon = default_horizon(lam) if horizon is None else horizon
+    horizon = default_horizon(lam)
 
     cum_alpha = np.cumsum(model.alpha, axis=1)
     K = model.action_kernel()

@@ -134,19 +134,13 @@ def value_spread(v1: np.ndarray, states) -> float:
     return float(np.max(sub.max(axis=0) - sub.min(axis=0))) if len(sub) else 0.0
 
 
-def mutually_leading(game: StochasticGame, states):
-    """C.2 check: every state leads to every other inside `states`.
-
-    Returns (ok, witnesses) with one travel policy per target state.
-    """
+def mutually_leading(game: StochasticGame, states) -> dict:
+    """C.2 witnesses: one travel policy per target state, leading every
+    state of `states` to it without leaving `states`.  The end-component
+    refinement that finds the sets guarantees every state leads to every
+    other, so each policy reaches its target from the whole set."""
     states = sorted(states)
-    witnesses = {}
-    for target in states:
-        reachable, policy = almost_sure_reach(game, states, {target})
-        if not set(states).issubset(reachable | {target}):
-            return False, {}
-        witnesses[target] = policy
-    return True, witnesses
+    return {target: almost_sure_reach(game, states, {target})[1] for target in states}
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +241,7 @@ def maximal_communicating_sets(game: StochasticGame, eq_sets, v1,
             work.extend(parts)
     found.sort()
     out = [
-        CommunicatingSet(states, v1[states[0]].copy(), mutually_leading(game, states)[1])
+        CommunicatingSet(states, v1[states[0]].copy(), mutually_leading(game, states))
         for states in found
     ]
     return out, notes

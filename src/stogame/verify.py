@@ -30,6 +30,8 @@ from .structure import Decomposition
 
 DEFAULT_LAMBDA_GRID = (0.9, 0.99, 0.999, 0.9999, 0.99999)
 MARGIN_TOL = 1e-9
+# Slack of the individual-rationality and submartingale audits.
+AUDIT_TOL = 1e-6
 
 
 def product_chain(game: StochasticGame, strategy) -> ProductModel:
@@ -175,12 +177,12 @@ class IRReport:
 
 
 def check_individual_rationality(chain: ProductModel, v1: np.ndarray,
-                                 eps: float, tol: float = 1e-6) -> IRReport:
+                                 eps: float) -> IRReport:
     """One-shot deviation audit at every reachable product state.
 
     A deviation by player i to action a is priced at the expected
     continuation min-max value u*(s, a, others' marginal); it must not beat
-    the limit continuation payoff of conforming by more than eps.
+    the limit continuation payoff of conforming by more than eps + AUDIT_TOL.
     """
     game = chain.game
     lim = chain.limit
@@ -205,7 +207,7 @@ def check_individual_rationality(chain: ProductModel, v1: np.ndarray,
                 checks += 1
                 gain = float(dev_values[a_i]) - cont
                 worst = max(worst, gain)
-                if gain > eps + tol:
+                if gain > eps + AUDIT_TOL:
                     violations.append(IRViolation(s, q, i, a_i,
                                                   float(dev_values[a_i]), cont))
     worst = float(worst) if checks else 0.0
@@ -244,13 +246,13 @@ class SubmartingaleReport:
 
 
 def check_submartingale(chain: ProductModel, v1: np.ndarray,
-                        decomposition: Decomposition, classifications,
-                        tol: float = 1e-6) -> SubmartingaleReport:
+                        decomposition: Decomposition, classifications
+                        ) -> SubmartingaleReport:
     """Expected value drift across block boundaries.
 
     Transient blocks last one stage; a departing set's block ends when play
     first leaves the set.  At every checkpoint the expected value at the next
-    block start must not drop by more than `tol`.  Entry into a sustainable
+    block start must not drop by more than `AUDIT_TOL`.  Entry into a sustainable
     set ends the process, so no constraint applies there.
     """
     game = chain.game
@@ -281,7 +283,8 @@ def check_submartingale(chain: ProductModel, v1: np.ndarray,
             entries.append(BlockDriftEntry("departing-set", s, {
                 "set": k, "expected_at_departure": json_ready(W[pos[node]])}, drift))
     min_drift = min((e.drift for e in entries), default=0.0)
-    return SubmartingaleReport(entries, float(min_drift), min_drift >= -tol, tol)
+    return SubmartingaleReport(entries, float(min_drift), min_drift >= -AUDIT_TOL,
+                               AUDIT_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,14 @@ and through its per-player views (`PlayerAutomaton`) on the same random
 streams.  The helpers built on the library's own product chain give exact
 payoffs of an automaton profile, finite-horizon average acceptability,
 long-run node frequencies and a simulation of the exit-cycling scheme.  The
-last section is built on the library's chain and reachability routines: the
-irreducible sets of a stationary strategy, the leads-to test, the hitting
-probability of a travel strategy and the minimal closed sets of the
-equilibrium support chain.
+per-set analyses read a set machine's exit law, departure values and
+long-run payoff off its standalone product chain, through `builder`'s own
+`_set_model`; next to them sit the cyclic scheme's closed-form exit law,
+the type-A mixture over given recurrent points and the one-shot value
+inequality.  The last section is built on the library's chain and
+reachability routines: the irreducible sets of a stationary strategy, the
+leads-to test, the hitting probability of a travel strategy and the minimal
+closed sets of the equilibrium support chain.
 """
 
 from __future__ import annotations
@@ -39,7 +43,15 @@ import numpy as np
 from scipy.optimize import linprog
 
 from stogame._util import DIST_TOL
-from stogame.automata import ProductModel, discounted_value
+from stogame.automata import ProductModel, discounted_value, exit_values, first_play_law
+from stogame.builder import (
+    REDISPATCH,
+    ExitPlan,
+    _entry_payoffs,
+    _set_model,
+    build_type_a_fragment,
+    build_type_b_fragment,
+)
 from stogame.chains import (
     absorption_probabilities,
     reach_probability,
@@ -47,11 +59,17 @@ from stogame.chains import (
     stationary_distribution,
     strongly_connected_components,
 )
-from stogame.frequencies import _profile_points
+from stogame.frequencies import (
+    SustainPlan,
+    _mixture_plan,
+    _profile_points,
+    max_slack_mixture,
+    sustain_by_columns,
+)
 from stogame.game import as_correlated_table
 from stogame.matrixgame import solve_matrix_game
 from stogame.minmax import _one_shot, player_view
-from stogame.oneshot import regret
+from stogame.oneshot import profile_value, regret
 from stogame.structure import TravelStrategy, almost_sure_reach, safe_profiles
 from stogame.verify import DEFAULT_LAMBDA_GRID, MARGIN_TOL, check_w_acceptable, product_chain
 
@@ -780,6 +798,74 @@ def simulate_first_exit(eta, trials: int, seed: int) -> np.ndarray:
         counts += fired
         pending = int((draws == L).sum())
     return counts / trials
+
+
+# Per-set analyses and feasibility tests: the exact first-played-exit law,
+# departure values and long-run payoff of a set's standalone machine, read
+# off its product chain as the tuner reads it; the cyclic scheme's
+# closed-form exit law; the type-A mixture over given recurrent points; and
+# the one-shot value inequality.
+
+def exit_play_law(game, region, plan: ExitPlan) -> np.ndarray:
+    """Exact first-played-exit law per entry state (rows, one per region
+    state), with exit plays absorbing; every row should equal plan.beta."""
+    fragment = build_type_b_fragment(game, region, plan)
+    model, inside = _set_model(game, fragment)
+    node = dict(zip(fragment.local_states, inside))
+    marked = {(node[lab], a): lab[0] for (lab, a, _), dist in fragment.table.items()
+              if dist[0][0] is REDISPATCH}
+    return first_play_law(model, inside, marked, len(plan.exits))[:len(fragment.region)]
+
+
+def departure_values(game, region, plan: ExitPlan, v1: np.ndarray):
+    """Expected uniform min-max value at the first state outside the set,
+    per entry state, plus the probability of never leaving."""
+    fragment = build_type_b_fragment(game, region, plan)
+    model, inside = _set_model(game, fragment)
+    entry = len(fragment.region)
+    W = exit_values(model, inside, v1)
+    leave = exit_values(model, inside, np.ones(game.n_states))
+    return W[:entry], float(1.0 - min(leave[:entry]))
+
+
+def sustain_payoff(game, region, plan: SustainPlan, delta: float) -> np.ndarray:
+    """Exact long-run payoff of the sustainable machine, per entry state."""
+    return _entry_payoffs(game, build_type_a_fragment(game, region, plan, delta))
+
+
+def first_exit_distribution(eta) -> np.ndarray:
+    """Closed-form law of the first exit played under the cyclic scheme."""
+    eta = np.asarray(eta, dtype=float)
+    silent = np.cumprod(1.0 - eta)
+    before = np.concatenate([[1.0], silent[:-1]])
+    mass = before * eta
+    return mass / (1.0 - silent[-1])
+
+
+def type_a_feasibility(game, region, target, eps: float | None = None,
+                       points: list | None = None) -> SustainPlan | None:
+    """Feasibility of sustaining `target` inside `region` by mixing recurrent
+    points.  Returns a plan with small support, or None when infeasible.
+
+    When `eps` is given the target is lowered by eps per player (the caller
+    passes the common set value).  Without `points` the mixture is found by
+    column generation (`sustain_by_columns`); with them, over exactly those.
+    """
+    target = np.asarray(target, dtype=float)
+    if eps is not None:
+        target = target - eps
+    if points is None:
+        return sustain_by_columns(game, region, target)[0]
+    if not points:
+        return None
+    sol = max_slack_mixture(np.stack([p.payoff for p in points]), target)
+    return _mixture_plan(points, sol.row_strategy, sol.value, target)
+
+
+def check_value_inequality(aux, mixes, v1: np.ndarray, tol: float = 1e-6):
+    """Margins U_i(s; x) - v1_i(s) and whether any drops below -tol."""
+    margins = profile_value(aux, mixes) - v1[aux.state]
+    return bool(np.all(margins >= -tol)), margins
 
 
 # Test-only helpers on the library's chain and reachability routines.

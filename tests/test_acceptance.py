@@ -12,6 +12,7 @@ import pytest
 from oracles import (
     chain_under,
     discounted_payoff_stationary,
+    first_exit_distribution,
     irreducible_sets,
     maximal_communicating_oracle,
     minimal_closed_sets_of_chain,
@@ -21,7 +22,7 @@ from oracles import (
     simulate_first_exit,
     stationary_frequency,
 )
-from stogame.builder import first_exit_distribution, solve_eta
+from stogame.builder import solve_eta
 from stogame.frequencies import enumerate_recurrent_points, payoff_of_frequency
 from stogame.game import StationaryProfile, pure_profile
 from stogame.generators import (

@@ -3,7 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import simulate_first_exit
+from oracles import (
+    departure_values,
+    exit_play_law,
+    first_exit_distribution,
+    simulate_first_exit,
+    sustain_payoff,
+    type_a_feasibility,
+)
 from stogame._util import DIST_TOL
 from stogame.automata import (
     build_product_model,
@@ -17,12 +24,8 @@ from stogame.builder import (
     build_correlated_stationary,
     classify_set,
     companion_action,
-    departure_values,
     exit_options,
-    exit_play_law,
-    first_exit_distribution,
     solve_eta,
-    sustain_payoff,
     sustain_target,
     tune_type_a,
 )
@@ -191,7 +194,7 @@ def test_type_a_mixture_converges_with_delta():
     transitions[0, 0] = [0.9, 0.1]
     transitions[1, 0] = [0.1, 0.9]
     g = StochasticGame(("a", "b"), (("x",), ("y",)), payoffs, transitions)
-    from stogame.frequencies import enumerate_recurrent_points, type_a_feasibility
+    from stogame.frequencies import enumerate_recurrent_points
 
     points = enumerate_recurrent_points(g, [0, 1])
     assert len(points) == 1    # single mixing class

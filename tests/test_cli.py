@@ -120,13 +120,54 @@ def test_simulate_command(tmp_path):
     assert set(doc["results"]) == {"low", "mid", "high"}
 
 
+_PIPELINE_FLAGS = {"--game", "--epsilon", "--lambda-grid", "--schedule-depth", "--out",
+                   "--tol-v", "--eq-tol"}
+# The flags each command reads, and so takes.
+READS = {
+    "validate": {"--game", "--out"},
+    "solve": {"--game", "--schedule-depth", "--out"},
+    "decompose": {"--game", "--epsilon", "--schedule-depth", "--out", "--tol-v",
+                  "--eq-tol"},
+    "build": _PIPELINE_FLAGS,
+    "build-correlated": _PIPELINE_FLAGS,
+    "verify": _PIPELINE_FLAGS,
+    "simulate": _PIPELINE_FLAGS | {"--lam", "--replications", "--seed"},
+    "demo-sorin": {"--epsilon", "--lambda-grid", "--schedule-depth", "--out"},
+}
+# A value for each flag, and the value it parses to.
+FLAG_VALUES = {
+    "--game": ("builtin:mdp3", "builtin:mdp3"),
+    "--epsilon": ("0.1", 0.1),
+    "--lambda-grid": ("0.9,0.99", "0.9,0.99"),
+    "--schedule-depth": ("7", 7),
+    "--out": ("elsewhere", "elsewhere"),
+    "--tol-v": ("0.001", 0.001),
+    "--eq-tol": ("1e-8", 1e-8),
+    "--lam": ("0.5", 0.5),
+    "--replications": ("30", 30),
+    "--seed": ("3", 3),
+}
+
+
 def test_seed_is_a_simulate_flag_only():
     # Only `simulate` draws random numbers; every other command is
-    # deterministic and rejects the flag.
+    # deterministic and rejects the flag.  The same holds for every flag:
+    # each command takes exactly the flags it reads.  An abbreviation does
+    # not pass either (`--lam` for `--lambda-grid`).
     assert build_parser().parse_args(["simulate", "--seed", "3"]).seed == 3
-    for command in set(COMMANDS) - {"simulate"}:
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([command, "--seed", "3"])
+    assert set(READS) == set(COMMANDS)
+    assert sum(len(flags) for flags in READS.values()) == 46
+    for command, reads in READS.items():
+        for flag, (text, value) in FLAG_VALUES.items():
+            argv = [command, flag, text]
+            if flag in reads:
+                args = build_parser().parse_args(argv)
+                assert getattr(args, flag[2:].replace("-", "_")) == value, argv
+            else:
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["solve", "--schedule", "7"])
 
 
 def test_artifacts_byte_identical_across_runs(tmp_path):
@@ -138,19 +179,23 @@ def test_artifacts_byte_identical_across_runs(tmp_path):
 
 
 def test_lambda_grid_flag_validation(tmp_path):
-    assert run(["solve", "--game", "builtin:sorin", "--out", str(tmp_path),
-                "--lambda-grid", "0.9,0.5"]) in (0, 2)
-    # strictly increasing grids parse; decreasing must be rejected by verify
+    # `solve` does not read the grid, so it rejects the flag itself.
+    with pytest.raises(SystemExit):
+        run(["solve", "--game", "builtin:sorin", "--out", str(tmp_path),
+             "--lambda-grid", "0.9,0.99"])
+    # A grid must be strictly increasing; the commands that read it reject
+    # a decreasing one.
     assert run(["verify", "--game", "builtin:mdp3", "--out", str(tmp_path),
                 "--lambda-grid", "0.9,0.5"]) == 2
+    assert run(["demo-sorin", "--out", str(tmp_path), "--lambda-grid", "0.9,0.5"]) == 2
 
 
 @pytest.mark.parametrize("argv", [
-    ["solve", "--schedule-depth", "0"],
-    ["decompose", "--schedule-depth", "-3"],
+    ["solve", "--schedule-depth", "0", "--game", "builtin:sorin"],
+    ["decompose", "--schedule-depth", "-3", "--game", "builtin:sorin"],
     ["demo-sorin", "--schedule-depth", "0"],
-    ["simulate", "--lam", "1.5"],
-    ["simulate", "--lam", "-0.1"],
+    ["simulate", "--lam", "1.5", "--game", "builtin:sorin"],
+    ["simulate", "--lam", "-0.1", "--game", "builtin:sorin"],
 ])
 def test_degenerate_solver_flags_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, argv):
     def no_solve(*args, **kwargs):
@@ -159,7 +204,7 @@ def test_degenerate_solver_flags_exit_2_before_any_solve(tmp_path, capsys, monke
     monkeypatch.setattr(stogame.cli, "run_pipeline", no_solve)
     monkeypatch.setattr(stogame.cli, "classify_game", no_solve)
     monkeypatch.setattr(stogame.cli, "solve_uniform_minmax", no_solve)
-    assert run([*argv, "--game", "builtin:sorin", "--out", str(tmp_path)]) == 2
+    assert run([*argv, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {argv[1]} must")
 
 

@@ -10,6 +10,7 @@ from oracles import (
     pricing_lp_oracle,
     recurrent_points_oracle,
     stationary_frequency,
+    type_a_feasibility,
 )
 from stogame.frequencies import (
     EnumerationSizeError,
@@ -17,7 +18,6 @@ from stogame.frequencies import (
     enumerate_recurrent_points,
     max_slack_mixture,
     payoff_of_frequency,
-    type_a_feasibility,
 )
 from stogame.game import StochasticGame, pure_profile
 from stogame.generators import random_dense_game, sorin_game

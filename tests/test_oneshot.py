@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import support_enumeration_oracle
+from oracles import check_value_inequality, support_enumeration_oracle
 from stogame.game import StochasticGame
 from stogame.generators import random_dense_game, sorin_game
 from stogame.minmax import default_schedule, solve_uniform_minmax
@@ -13,7 +13,6 @@ from stogame.oneshot import (
     AuxiliaryGame,
     _support_enumeration_2p,
     build_auxiliary_game,
-    check_value_inequality,
     continuation_values,
     enumerate_all_states,
     enumerate_equilibria,
