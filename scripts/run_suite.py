@@ -18,17 +18,23 @@ total rounds, master LPs, one-shot LPs and warnings.  The --json rows are
 The last line is one sha256 over every game's `profile.to_dict()` and
 correlated table, in suite order.  Two checkouts that print the same digest
 built bit-identical machines and stationary correlated strategies.
+
+The script runs the `src/` of its own checkout, whatever `PYTHONPATH` says.
 """
 
 import argparse
 import hashlib
 import json
+import sys
 import time
+from pathlib import Path
 
-from stogame._util import json_ready
-from stogame.generators import acceptance_suite
-from stogame.minmax import default_schedule
-from stogame.pipeline import run_pipeline
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from stogame._util import json_ready  # noqa: E402
+from stogame.generators import acceptance_suite  # noqa: E402
+from stogame.minmax import default_schedule  # noqa: E402
+from stogame.pipeline import run_pipeline  # noqa: E402
 
 
 def main() -> int:

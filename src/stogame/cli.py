@@ -91,12 +91,17 @@ def _outdir(args) -> str:
     return args.out
 
 
+def _epsilon(args) -> float:
+    if args.epsilon <= 0.0:
+        raise GameFormatError(f"--epsilon must be positive, got {args.epsilon}")
+    return args.epsilon
+
+
 def _solver_inputs(args):
     """Load the game and check `--epsilon` and `--schedule-depth`, which
     `decompose` and the pipeline commands read."""
     game = _load(args)
-    if args.epsilon <= 0.0:
-        raise GameFormatError(f"--epsilon must be positive, got {args.epsilon}")
+    _epsilon(args)
     return game, _schedule(args)
 
 
@@ -244,8 +249,8 @@ def cmd_demo_sorin(args) -> int:
     numbers: uniform values (2/3, 1/2), the failure of the fixed-discount
     equilibrium limit, and a passing synthesized profile."""
     game = sorin_game()
-    schedule, lam_grid = _schedule(args), _grid(args)
-    res = run_pipeline(game, eps=args.epsilon, schedule=schedule, lam_grid=lam_grid)
+    eps, schedule, lam_grid = _epsilon(args), _schedule(args), _grid(args)
+    res = run_pipeline(game, eps=eps, schedule=schedule, lam_grid=lam_grid)
     v0 = res.v1[0]
     print(f"uniform min-max values at {game.state_names[0]}: "
           f"player 1 = {v0[0]:.6f} (exact 2/3), player 2 = {v0[1]:.6f} (exact 1/2)")
@@ -255,12 +260,12 @@ def cmd_demo_sorin(args) -> int:
         np.tile([2.0 / 3.0, 1.0 / 3.0], (3, 1)),
     ))
     fixed_report = check_minmax_acceptable(product_chain(game, fixed), res.v1,
-                                           args.epsilon, lam_grid=lam_grid)
+                                           eps, lam_grid=lam_grid)
     p2 = [e for e in fixed_report.entries if e.state == 0 and e.player == 1][0]
     print(f"fixed-discount equilibrium limit: player 2 gets {p2.limit_payoff:.6f} "
           f"(= 1/3) < {res.v1[0, 1]:.6f} - eps  ->  acceptable: {fixed_report.ok}")
 
-    print(f"synthesized profile: acceptable at eps={args.epsilon}: "
+    print(f"synthesized profile: acceptable at eps={eps}: "
           f"{res.acceptability.ok}; machine size {res.profile.joint.size} "
           f"(bound {game.n_states * game.n_players})")
     print(f"stationary correlated variant acceptable: "

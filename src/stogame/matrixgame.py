@@ -11,7 +11,11 @@ that solves no LP never loads it.
 `closed_form_2x2` takes a whole stack of 2x2 games, such as min-max's
 one-shot games of all states, and solves them in one loop over Python
 floats: those stacks hold a few games each, and numpy's fixed cost per call
-would outweigh the per-game arithmetic.
+would outweigh the per-game arithmetic.  A nearly constant game, whose
+closed form loses its digits to cancellation, is solved once more on its
+entries minus their minimum, which keeps them; only a 2x2 game that fails
+both tries (none on the benchmark workloads) reaches the LP, so min-max on
+2x2 games never loads scipy.
 
 `kernel_solution` solves a small game of any shape without an LP: every
 matrix game has an optimal pair supported on a square submatrix, a kernel,
@@ -59,15 +63,56 @@ def _verify(M, value, x, y, tol=MINIMAX_TOL):
     return (guarantee_row >= value - tol) & (guarantee_col <= value + tol)
 
 
+def _closed_form(a, b, c, d):
+    """(value, row weight on row 0, column weight on column 0) of the 2x2
+    game [[a, b], [c, d]] on Python floats: a saddle point if the scan finds
+    one, else the equalizing mixes (NaN for a zero denominator, which then
+    fails the check)."""
+    # Row minima and negated column maxima, the two sides' security levels
+    # per action; the first maximum of each (argmax's tie rule) is that
+    # side's pure action.
+    row0 = b if b < a else a
+    row1 = d if d < c else c
+    col0 = -(c if c > a else a)
+    col1 = -(d if d > b else b)
+    i = 0 if row0 >= row1 else 1
+    j = 0 if col0 >= col1 else 1
+    if (row0 if i == 0 else row1) >= -1e-15 - (col0 if j == 0 else col1):
+        value = (a if j == 0 else b) if i == 0 else (c if j == 0 else d)
+        return value, 1.0 if i == 0 else 0.0, 1.0 if j == 0 else 0.0
+    denom = a + d - b - c
+    if denom == 0.0:
+        return nan, nan, nan
+    return (a * d - b * c) / denom, (d - c) / denom, (d - b) / denom
+
+
+def _holds(a, b, c, d, value, x, y):
+    """The minimax check of one 2x2 game: the row mix (x, 1 - x) guarantees
+    value - MINIMAX_TOL against both columns, the column mix (y, 1 - y)
+    holds both rows to value + MINIMAX_TOL.  False on NaN."""
+    x_ = 1.0 - x
+    y_ = 1.0 - y
+    floor = value - MINIMAX_TOL
+    ceil = value + MINIMAX_TOL
+    return (x * a + x_ * c >= floor and x * b + x_ * d >= floor
+            and a * y + b * y_ <= ceil and c * y + d * y_ <= ceil)
+
+
 def closed_form_2x2(M):
     """Closed form of a stack of 2x2 games, M of shape (S, 2, 2).
 
     Each game is scanned for a saddle point first; the others get the
-    equalizing mixes.  Returns (values, row mixes, column mixes, failed),
-    where failed lists, in order, the indices of the games whose closed form
-    fails the minimax check; those (nearly constant mixed games, whose
-    closed form loses its digits to cancellation, or a zero denominator)
-    need the LP.
+    equalizing mixes.  A game whose closed form fails the minimax check is
+    solved once more on its entries minus their minimum lo, and (value + lo,
+    the same mixes) is checked against the unshifted entries.  A nearly
+    constant mixed game needs that retry: a*d - b*c cancels the leading
+    digits of two products near the entries' square and keeps only their
+    rounding, while the shifted entries are the exact differences (Sterbenz)
+    and their products keep every digit, so the value is off by the last
+    rounding of value + lo.  A game that passes the first try keeps every
+    bit of it.  Returns (values, row mixes, column mixes, failed), where
+    failed lists, in order, the indices of the games that fail both tries
+    (a zero denominator, say); those need the LP.
 
     The games are solved one at a time on Python floats.  On a 2-vCPU x86
     host this loop costs about 5 us per call plus 1.8 us per game, while
@@ -82,42 +127,17 @@ def closed_form_2x2(M):
     """
     n = len(M)
     values, rows, cols, failed = [], [], [], []
-    for k, game in enumerate(M.reshape(n, 4).tolist()):
-        a, b, c, d = game
-        # Row minima and negated column maxima, the two sides' security
-        # levels per action; the first maximum of each (argmax's tie rule)
-        # is that side's pure action.
-        row0 = b if b < a else a
-        row1 = d if d < c else c
-        col0 = -(c if c > a else a)
-        col1 = -(d if d > b else b)
-        i = 0 if row0 >= row1 else 1
-        j = 0 if col0 >= col1 else 1
-        if (row0 if i == 0 else row1) >= -1e-15 - (col0 if j == 0 else col1):
-            value = game[2 * i + j]
-            x = 1.0 if i == 0 else 0.0
-            y = 1.0 if j == 0 else 0.0
-        else:
-            denom = a + d - b - c
-            # A zero denominator gave numpy inf or nan; nan fails the check.
-            value = x = y = nan
-            if denom != 0.0:
-                value = (a * d - b * c) / denom
-                x = (d - c) / denom
-                y = (d - b) / denom
-        x_ = 1.0 - x
-        y_ = 1.0 - y
+    for k, (a, b, c, d) in enumerate(M.reshape(n, 4).tolist()):
+        value, x, y = _closed_form(a, b, c, d)
+        if not _holds(a, b, c, d, value, x, y):
+            lo = min(a, b, c, d)
+            value, x, y = _closed_form(a - lo, b - lo, c - lo, d - lo)
+            value += lo
+            if not _holds(a, b, c, d, value, x, y):
+                failed.append(k)
         values.append(value)
-        rows.append((x, x_))
-        cols.append((y, y_))
-        # The minimax check: the row mix guarantees value - MINIMAX_TOL
-        # against both columns, the column mix holds both rows to
-        # value + MINIMAX_TOL.
-        floor = value - MINIMAX_TOL
-        ceil = value + MINIMAX_TOL
-        if not (x * a + x_ * c >= floor and x * b + x_ * d >= floor
-                and a * y + b * y_ <= ceil and c * y + d * y_ <= ceil):
-            failed.append(k)
+        rows.append((x, 1.0 - x))
+        cols.append((y, 1.0 - y))
     return (np.array(values, dtype=float), np.array(rows, dtype=float).reshape(n, 2),
             np.array(cols, dtype=float).reshape(n, 2), failed)
 
@@ -276,7 +296,7 @@ def solve_matrix_game(M) -> MatrixGameSolution:
         value, x, y, failed = closed_form_2x2(M[None])
         if not failed:
             return MatrixGameSolution(float(value[0]), x[0], y[0], "closed-form")
-        # Degenerate 2x2 falls through to the LP.
+        # A 2x2 game that fails both closed-form tries falls through to the LP.
 
     try:
         x, y, value, gap = _lp_pair(M)

@@ -16,8 +16,11 @@ independent of the discount factor, which matters close to 1.
 Each round is batched over states: the 2x2 one-shot games of all states go
 to one `closed_form_2x2` call, which solves them in one scalar pass (numpy
 array operations on a stack of a few games cost more in call overhead than
-the loop does in arithmetic), one einsum builds each best-response MDP's
-transitions, and one policy iteration solves both sides' MDPs together.
+the loop does in arithmetic) and retries a nearly constant game on its
+shifted entries, so every 2x2 state stays on that path and scipy's LP is
+left to larger games and to a 2x2 game that fails both tries; one einsum
+builds each best-response MDP's transitions, and one policy iteration
+solves both sides' MDPs together.
 What depends only on the game and the player is built once per curve
 (`_Stage`, which `uniform_minmax` hands to every discount): the per-state
 stage matrices, the transition stack, the MDP buffers and policy
@@ -98,7 +101,8 @@ def player_view(game: StochasticGame, i: int) -> _PlayerView:
 
 def _one_shot(payoff, transitions, index, lam, v):
     """Tv, both sides' one-shot mixes at v and the number of games solved by
-    `solve_matrix_game` instead of the stacked closed form; payoff is the
+    `solve_matrix_game` instead of the stacked closed form (those larger
+    than 2x2, and 2x2 games that fail both of its tries); payoff is the
     scaled stage payoff (1 - lam) * payoffs[:, :, i] over flat profiles.
 
     The closed form reads only the games' entries, so it gets them from
@@ -249,7 +253,8 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float,
     strategies' floating-point accuracy amplified by 1/(1-lam), so a stalled
     gap is accepted and reported rather than iterated forever.  The info
     holds the rounds, `matrix_solves` (one-shot games solved by
-    `solve_matrix_game` rather than the stacked closed form), the
+    `solve_matrix_game` rather than the stacked closed form: games larger
+    than 2x2 and 2x2 games that fail both closed-form tries), the
     certificate and, on a stall, `stalled`.  `_stage` is the curve's
     workspace, player i's `_Stage`, which `uniform_minmax` passes to every
     discount; without it the call builds its own.
@@ -316,7 +321,8 @@ class PlayerValueCurve:
     rounds: list          # strategy-iteration rounds per schedule point
     certified_gaps: list  # certificate of each schedule point's solve
     stalled: list         # whether each solve stopped on a stalled gap
-    matrix_solves: list   # one-shot games sent to solve_matrix_game per point
+    matrix_solves: list   # one-shot games sent to solve_matrix_game per point:
+    #                       larger than 2x2, or 2x2 and failing both closed-form tries
     extrapolation_points: tuple | None  # schedule indices fed to Aitken
 
     def to_dict(self) -> dict:

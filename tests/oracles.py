@@ -4,14 +4,16 @@ Everything here deliberately avoids the library's own algorithms: reachability
 is by policy enumeration, long-run averages by matrix power doubling, matrix
 game values by grid search, and set structure by direct subset scans.  The
 min-max references redo the batched solve one state at a time; only games
-larger than 2x2 (and 2x2 games whose closed form fails its check) borrow the
-library's LP, `solve_matrix_game`.  `support_enumeration_oracle` solves each
-support pair's two indifference systems on their own, where the library
-stacks every kernel of a size (`matrixgame.kernel_equalizers`); the two
-must list the same equilibria bit for bit.  Classification's two references
-are linear programs solved by HiGHS: `pricing_lp_oracle` over the invariant
-frequency polytope of a region's safe sub-MDP, and `mixture_lp_oracle` for
-the column-generation master.  The library solves both without an LP.
+larger than 2x2 (and 2x2 games whose closed form fails its check on the raw
+and on the shifted entries) borrow the library's LP, `solve_matrix_game`.
+`support_enumeration_oracle` solves each support pair's two indifference
+systems on their own, where the library stacks every kernel of a size
+(`matrixgame.kernel_equalizers`); the two must list the same equilibria bit
+for bit.  `exact_2x2_value` gives a 2x2 game's value in rationals.
+Classification's two references are linear programs solved by HiGHS:
+`pricing_lp_oracle` over the invariant frequency polytope of a region's
+safe sub-MDP, and `mixture_lp_oracle` for the column-generation master.
+The library solves both without an LP.
 
 The remaining sections hold helpers only the tests call.  `shapley_operator`
 is one min-max round's one-shot step.  The exact stationary-strategy
@@ -38,6 +40,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -350,8 +353,9 @@ def empirical_frequency(game, table, s1: int, steps: int, seed: int) -> np.ndarr
 # keep the loop-per-state arithmetic, so the batched code must match them bit
 # for bit.
 
-def solve_2x2_oracle(M: np.ndarray):
-    """Closed form of one 2x2 game: (value, x, y, passes the minimax check)."""
+def _closed_form_2x2_oracle(M: np.ndarray):
+    """One try of the 2x2 closed form: (value, x, y, passes the minimax
+    check on M)."""
     row_mins = M.min(axis=1)
     col_maxs = M.max(axis=0)
     if row_mins.max() >= col_maxs.min() - 1e-15:
@@ -372,10 +376,36 @@ def solve_2x2_oracle(M: np.ndarray):
             value = float((a * d - b * c) / denom)
         x = np.array([x1, 1.0 - x1])
         y = np.array([y1, 1.0 - y1])
+    return value, x, y, _minimax_check_2x2(M, value, x, y)
+
+
+def _minimax_check_2x2(M, value, x, y) -> bool:
     with np.errstate(invalid="ignore"):
-        ok = (float(np.min(x @ M)) >= value - 1e-9
-              and float(np.max(M @ y)) <= value + 1e-9)
+        return (float(np.min(x @ M)) >= value - 1e-9
+                and float(np.max(M @ y)) <= value + 1e-9)
+
+
+def solve_2x2_oracle(M: np.ndarray, retry: bool = True):
+    """Closed form of one 2x2 game: (value, x, y, passes the minimax check).
+    A game that fails is, with `retry`, solved once more on M - M.min(), and
+    (that value + M.min(), the same mixes) is checked on M."""
+    value, x, y, ok = _closed_form_2x2_oracle(M)
+    if not ok and retry:
+        lo = float(M.min())
+        value, x, y, _ = _closed_form_2x2_oracle(M - lo)
+        value += lo
+        ok = _minimax_check_2x2(M, value, x, y)
     return value, x, y, ok
+
+
+def exact_2x2_value(M) -> Fraction:
+    """The exact value of a 2x2 game with float entries, in rationals."""
+    a, b, c, d = (Fraction(float(e)) for e in np.ravel(M))
+    lower = max(min(a, b), min(c, d))
+    upper = min(max(a, c), max(b, d))
+    if lower == upper:
+        return lower
+    return (a * d - b * c) / (a + d - b - c)
 
 
 def response_mdp_oracle(game, view, lam: float, fixed, fix_rows: bool):
@@ -423,7 +453,7 @@ def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=Non
     """Per-state reference of `minmax.discounted_minmax`: the same rounds,
     stop rules, stall bookkeeping and `matrix_solves` count, with every
     one-shot game solved on its own (`solve_2x2_oracle`, or
-    `solve_matrix_game` where that fails or the game is not 2x2), every
+    `solve_matrix_game` where both its tries fail or the game is not 2x2), every
     response MDP built one state at a time and each side's MDP solved on its
     own.  The curve's workspace `_stage` is accepted and ignored."""
     if not 0.0 <= lam < 1.0:

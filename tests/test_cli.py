@@ -196,6 +196,7 @@ def test_lambda_grid_flag_validation(tmp_path):
     ["demo-sorin", "--schedule-depth", "0"],
     ["simulate", "--lam", "1.5", "--game", "builtin:sorin"],
     ["simulate", "--lam", "-0.1", "--game", "builtin:sorin"],
+    ["demo-sorin", "--epsilon", "0"],
 ])
 def test_degenerate_solver_flags_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, argv):
     def no_solve(*args, **kwargs):

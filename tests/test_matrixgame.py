@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,10 @@ from hypothesis.extra.numpy import arrays
 
 import stogame
 import stogame.matrixgame
-from oracles import grid_matrix_value, solve_2x2_oracle
+from oracles import exact_2x2_value, grid_matrix_value, solve_2x2_oracle
 from stogame.matrixgame import (
     KERNEL_LIMIT,
+    MINIMAX_TOL,
     _verify,
     closed_form_2x2,
     kernel_solution,
@@ -99,7 +101,8 @@ def _degenerate_2x2(kind, a, b):
     if kind == "saddle":  # row 0 dominates and column 1 is its minimum
         return np.array([[a + 1.0, a], [a - 1.0, a - 2.0]])
     # cancelling: a fully mixed game 1e-12 wide, whose closed-form value
-    # loses every digit to cancellation and fails the minimax check
+    # loses every digit to cancellation and fails the minimax check until it
+    # is retried on the entries minus their minimum
     c = 0.5 + 0.25 * (a + 1.0)
     return np.array([[c + 1e-12, c], [c, c + 1e-12]])
 
@@ -121,7 +124,8 @@ def test_stacked_closed_form_matches_one_game_at_a_time(stack):
     values, rows, cols, failed = closed_form_2x2(stack)
     assert failed == sorted(set(failed))
     for k, M in enumerate(stack):
-        # The per-game closed form, as it was before the stack.
+        # The per-game closed form, as it was before the stack, retried on
+        # the shifted entries where it fails.
         value, x, y, passes = solve_2x2_oracle(M)
         assert (k not in failed) == passes
         sol = solve_matrix_game(M)
@@ -131,6 +135,38 @@ def test_stacked_closed_form_matches_one_game_at_a_time(stack):
             assert np.array_equal(sol.row_strategy, rows[k])
             assert np.array_equal(sol.col_strategy, cols[k])
             assert np.array_equal(x, rows[k]) and np.array_equal(y, cols[k])
+        first_value, _, _, first_passes = solve_2x2_oracle(M, retry=False)
+        if first_passes:  # the retry never touches a game the first try solves
+            assert values[k] == first_value
+
+
+def _near_constant_2x2(base, offsets):
+    return base + np.reshape(offsets, (2, 2))
+
+
+_offsets = st.just(0.0) | st.floats(-12, -7).map(lambda e: 10.0**e)
+_near_constant = st.lists(
+    st.builds(_near_constant_2x2, st.floats(0.1, 0.9), st.lists(_offsets, min_size=4, max_size=4))
+    | st.builds(_degenerate_2x2, st.just("cancelling"), _entries, _entries),
+    min_size=1, max_size=6).map(np.stack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_constant)
+def test_near_constant_2x2_games_keep_off_the_lp(stack):
+    values, rows, cols, failed = closed_form_2x2(stack)
+    assert failed == []
+    for k, M in enumerate(stack):
+        assert _verify(M, values[k], rows[k], cols[k])
+        first_value, _, _, first_passes = solve_2x2_oracle(M, retry=False)
+        if first_passes:
+            # Kept bit for bit: a value the minimax check accepts, which
+            # cancellation can leave up to MINIMAX_TOL off the exact one.
+            assert values[k] == first_value
+            assert abs(Fraction(values[k]) - exact_2x2_value(M)) <= Fraction(MINIMAX_TOL)
+        else:
+            # The retried value is off by the rounding of value + lo alone.
+            assert abs(Fraction(values[k]) - exact_2x2_value(M)) <= Fraction(1e-16)
 
 
 @pytest.mark.parametrize("solver", [solve_matrix_game, kernel_solution])
@@ -189,7 +225,8 @@ def test_kernel_solution_declines_above_the_limit(shape):
     assert kernel_solution(M) is None
 
 
-# scipy is imported at the first LP, so a run that solves none never loads it.
+# scipy is imported at the first LP, so a run that solves none never loads it,
+# and a 2x2 game reaches the LP only when both closed-form tries fail.
 
 ROCK_PAPER_SCISSORS = [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]
 
@@ -209,11 +246,13 @@ def test_lp_free_runs_never_import_scipy(tmp_path):
 import json, sys
 import stogame
 from stogame.cli import main
-from stogame.generators import acceptance_suite, sorin_game
+from stogame.generators import acceptance_suite, random_layered_game, sorin_game
 from stogame.minmax import default_schedule
 from stogame.pipeline import run_pipeline
 
-for game in (sorin_game(), acceptance_suite()[0]):
+# random_layered_game(93005) sends 23 nearly constant one-shot games through
+# the closed form's shifted retry.
+for game in (sorin_game(), acceptance_suite()[0], random_layered_game(93005)):
     assert run_pipeline(game, schedule=default_schedule(24)).ok
 assert main(["solve", "--game", "builtin:sorin", "--out", sys.argv[1]]) == 0
 print(json.dumps([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]))
