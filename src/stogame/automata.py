@@ -8,7 +8,10 @@ machine-state evolution (driven by public inputs and a declared public coin
 stream), and each emits only its own factor.
 
 Exact evaluation never materializes histories: play under an automaton is a
-Markov chain over (game state, machine state) nodes.
+Markov chain over (game state, machine state) nodes, expanded only at the
+game states of its start nodes: every state for the verifiers, a set's own
+states for its analysis.  Any other node reached keeps a zero row, which
+`first_play_law` and `exit_values` read as play having left.
 """
 
 from __future__ import annotations
@@ -94,12 +97,10 @@ class JointAutomatonProfile:
 
 
 def stationary_automaton(game: StochasticGame, strategy) -> JointAutomaton:
-    """Wrap a stationary strategy as a state-tracking machine of size |S|."""
+    """Wrap a stationary strategy as a state-tracking machine of size |S|;
+    it stores no transitions, since the fallback already tracks the state."""
     table = as_correlated_table(game, strategy)
     n = game.n_states
-    played = (table[:, :, None] > DIST_TOL) & (game.transitions > DIST_TOL)
-    transitions = {(q, a, s_next): ((s_next, 1.0),)
-                   for q, a, s_next in np.argwhere(played).tolist()}
     factors = None
     if isinstance(strategy, StationaryProfile):
         factors = [tuple(m[s] for m in strategy.mixes) for s in range(n)]
@@ -107,10 +108,20 @@ def stationary_automaton(game: StochasticGame, strategy) -> JointAutomaton:
         labels=[("state", game.state_names[s]) for s in range(n)],
         outputs=table.copy(),
         factors=factors,
-        transitions=transitions,
+        transitions={},
         init={s: s for s in range(n)},
         coin_note="deterministic machine transitions (state tracking only)",
     )
+
+
+def as_automaton(game: StochasticGame, strategy) -> JointAutomaton:
+    """The joint machine of a machine profile, a joint machine or a
+    stationary strategy."""
+    if isinstance(strategy, JointAutomaton):
+        return strategy
+    if isinstance(strategy, JointAutomatonProfile):
+        return strategy.joint
+    return stationary_automaton(game, strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +139,7 @@ class ProductModel:
     P: np.ndarray               # (N, N) chain
     r: np.ndarray               # (N, I) stage payoffs
     alpha: np.ndarray           # (N, A) played correlated action
+    steps: list                 # (node, profile, next node, w_a, p_s, p_q)
 
     @property
     def n_nodes(self) -> int:
@@ -145,36 +157,31 @@ class ProductModel:
 
     def action_kernel(self) -> np.ndarray:
         """K[n, a, n']: next-node law given the profile actually played."""
-        N = self.n_nodes
-        K = np.zeros((N, self.game.n_profiles, N))
-        for n, (s, q) in enumerate(self.nodes):
-            for a in np.nonzero(self.alpha[n] > DIST_TOL)[0]:
-                a = int(a)
-                for s_next in np.nonzero(self.game.transitions[s, a] > DIST_TOL)[0]:
-                    s_next = int(s_next)
-                    p_s = self.game.transitions[s, a, s_next]
-                    for q2, p_q in self.automaton.step_dist(q, a, s_next):
-                        K[n, a, self.index[(s_next, q2)]] += p_s * p_q
+        K = np.zeros((self.n_nodes, self.game.n_profiles, self.n_nodes))
+        for n, a, n2, _, p_s, p_q in self.steps:
+            K[n, a, n2] += p_s * p_q
         return K
 
 
 def build_product_model(game: StochasticGame, automaton: JointAutomaton,
-                        extra_nodes=()) -> ProductModel:
-    """Breadth-first closure of the product chain from every initial state."""
-    frontier = [(s, automaton.init[s]) for s in range(game.n_states)]
-    frontier.extend(extra_nodes)
+                        starts) -> ProductModel:
+    """Breadth-first closure of the product chain from the (s, q) nodes
+    `starts`, which take the first ids in their order.  Only nodes at a
+    start node's game state are expanded; any other node reached keeps a
+    zero row."""
+    expand = {s for s, _ in starts}
     index = {}
     nodes = []
-    for node in frontier:
+    for node in starts:
         if node not in index:
             index[node] = len(nodes)
             nodes.append(node)
     plays = {}      # q -> [(profile, weight)] on the output's support
     moves = {}      # (s, a) -> [(next state, prob)] on the transition's support
-    edges = []
-    k = 0
-    while k < len(nodes):
-        s, q = nodes[k]
+    steps = []
+    for k, (s, q) in enumerate(nodes):      # also visits the nodes found below
+        if s not in expand:
+            continue
         if q not in plays:
             plays[q] = [(a, w) for a, w in enumerate(automaton.output_row(q).tolist())
                         if w > DIST_TOL]
@@ -188,18 +195,17 @@ def build_product_model(game: StochasticGame, automaton: JointAutomaton,
                     if node2 not in index:
                         index[node2] = len(nodes)
                         nodes.append(node2)
-                    edges.append((k, index[node2], w_a * p_s * p_q))
-        k += 1
+                    steps.append((k, a, index[node2], w_a, p_s, p_q))
     N = len(nodes)
     P = np.zeros((N, N))
-    for a_from, a_to, p in edges:
-        P[a_from, a_to] += p
+    for n, _, n2, w_a, p_s, p_q in steps:
+        P[n, n2] += w_a * p_s * p_q
     alpha = np.zeros((N, game.n_profiles))
     r = np.zeros((N, game.n_players))
     for n, (s, q) in enumerate(nodes):
         alpha[n] = automaton.output_row(q)
         r[n] = alpha[n] @ game.payoffs[s]
-    return ProductModel(game, automaton, nodes, index, P, r, alpha)
+    return ProductModel(game, automaton, nodes, index, P, r, alpha, steps)
 
 
 def discounted_value(model: ProductModel, lam: float) -> np.ndarray:

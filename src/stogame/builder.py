@@ -16,14 +16,17 @@ Each set's machine is written once, as a fragment: output factors and a
 transition table in local (phase, state) labels.  Tuning reads the entry
 payoffs off the product chain of the fragment's standalone machine through
 `automata.build_product_model`, the evaluator the verifiers use, and the
-assembly ships the very fragment that was tuned.  (The tests read a
-departing machine's exit law and departure values off the same chain, in
-`tests/oracles.py`.)
+assembly ships the very fragment that was tuned.  That chain holds only the
+set's own nodes: it starts at the fragment's labels and leaves every node
+outside the set unexpanded, and its rows equal the set's block of the chain
+started at every game state.  (The tests read a departing machine's exit
+law and departure values off the same chain, in `tests/oracles.py`.)
 
 The stationary correlated variant is tuned the same way, on the product
-chain of `automata.stationary_automaton` over its table: a sustainable set's
-rows by the limit payoffs of the set's closed sub-chain, a departing set's by
-`automata.first_play_law`, the solve that also gives the machines' exit law.
+chain of `automata.stationary_automaton` over its table, started at the
+set's states: a sustainable set's rows by the limit payoffs of the set's
+closed block, a departing set's by `automata.first_play_law`, the solve
+that also gives the machines' exit law.
 
 The global machine plays a stationary equilibrium selection on transient
 states and dispatches into set machines as play enters them; every machine
@@ -385,27 +388,19 @@ def build_type_b_fragment(game: StochasticGame, region, plan: ExitPlan) -> SetFr
 
 
 def _set_model(game: StochasticGame, fragment: SetFragment):
-    """Product chain of the fragment's standalone machine, and the node ids
-    of the fragment's labels in label order (every label is a node, and the
-    entry labels (0, s) come first)."""
+    """Product chain of the fragment's standalone machine, started at the
+    fragment's labels: node k is label k (the entry labels (0, s) come
+    first), and nodes outside the set are left unexpanded."""
     joint = _standalone(game, fragment).joint
-    local = [(s, q) for q, (_, s) in enumerate(fragment.local_states)]
-    model = build_product_model(game, joint, extra_nodes=local)
-    return model, [model.index[node] for node in local]
-
-
-def _closed_limit(model, inside):
-    """Sub-chain on a node set that play never leaves, and the long-run
-    payoffs per node of the set (rows in its order)."""
-    P = model.P[np.ix_(inside, inside)]
-    return P, limit_average_values(P, model.r[inside])
+    return build_product_model(
+        game, joint, [(s, q) for q, (_, s) in enumerate(fragment.local_states)])
 
 
 def _entry_payoffs(game: StochasticGame, fragment: SetFragment) -> np.ndarray:
     """Long-run payoffs from the entry nodes of a sustainable set's machine,
-    which is closed on the fragment's nodes."""
-    model, inside = _set_model(game, fragment)
-    return _closed_limit(model, inside)[1][:len(fragment.region)]
+    whose chain is closed on the fragment's labels."""
+    model = _set_model(game, fragment)
+    return limit_average_values(model.P, model.r)[:len(fragment.region)]
 
 
 def sustain_target(value, plan: SustainPlan, eps: float) -> np.ndarray:
@@ -459,16 +454,13 @@ def _finish_machine(game, labels, factors_list, transitions, init, meta,
 
 
 def _standalone(game: StochasticGame, fragment: SetFragment) -> JointAutomatonProfile:
-    """Wrap one set fragment into a total machine: outside states track the
-    game state and play uniformly (off-set behavior is not part of the set's
-    contract)."""
-    labels = list(fragment.local_states)
-    outside = [s for s in range(game.n_states) if s not in fragment.region]
-    labels.extend(("outside", s) for s in outside)
+    """Wrap one set fragment into a total machine: every outside state
+    starts at one shared "outside" label that plays uniformly (off-set
+    behavior is not part of the set's contract)."""
+    labels = list(fragment.local_states) + ["outside"]
     index = {lab: k for k, lab in enumerate(labels)}
-    init = {}
-    for s in range(game.n_states):
-        init[s] = index[(0, s)] if s in fragment.region else index[("outside", s)]
+    init = {s: index[(0, s)] if s in fragment.region else index["outside"]
+            for s in range(game.n_states)}
     uniform = tuple(np.full(k, 1.0 / k) for k in game.action_counts)
     factors_list = [fragment.factors.get(lab, uniform) for lab in labels]
     transitions = {}
@@ -551,13 +543,13 @@ def _safe_profile_rows(game: StochasticGame, region):
 
 def _correlated_model(game: StochasticGame, region, rows: dict):
     """Product chain of the stationary machine that plays `rows` on the
-    region and the uniform row elsewhere, and the region's node ids in
-    region order."""
+    region and the uniform row elsewhere, started at the region's states:
+    node k is region[k], and nodes outside the region are left unexpanded."""
     table = np.full((game.n_states, game.n_profiles), 1.0 / game.n_profiles)
     for s, row in rows.items():
         table[s] = row
-    model = build_product_model(game, stationary_automaton(game, table))
-    return model, [model.node_of(s) for s in region]
+    return build_product_model(game, stationary_automaton(game, table),
+                               [(s, s) for s in region])
 
 
 def _correlated_type_a_rows(game: StochasticGame, region, plan: SustainPlan,
@@ -591,8 +583,14 @@ def _correlated_type_a_rows(game: StochasticGame, region, plan: SustainPlan,
                             plan, eps)
 
     # The region is closed under every candidate, as under a sustainable
-    # set's machine.
-    P, payoff = _closed_limit(*_correlated_model(game, region, base))
+    # set's machine, up to the safe profiles' leaks: judge its block.
+    n = len(region)
+
+    def closed_limit(rows):
+        model = _correlated_model(game, region, rows)
+        return model.P[:n, :n], limit_average_values(model.P[:n, :n], model.r[:n])
+
+    P, payoff = closed_limit(base)
     if np.all(payoff >= target - 1e-9):
         return base
 
@@ -611,10 +609,10 @@ def _correlated_type_a_rows(game: StochasticGame, region, plan: SustainPlan,
             blend = min(0.5, theta * kappa[j])
             for s in cls:
                 rows[s] = (1.0 - blend) * base[s] + blend * travel_rows[s]
-        P, payoff = _closed_limit(*_correlated_model(game, region, rows))
+        P, payoff = closed_limit(rows)
         if np.all(payoff >= target - 1e-9):
             return rows
-        occ = limit_average_values(P, np.eye(len(region)))
+        occ = limit_average_values(P, np.eye(n))
         weights = np.array([occ[:, cls].sum(axis=1).mean() for cls in classes])
         weights = np.clip(weights, 1e-12, None)
         kappa *= np.clip(weights / goal, 0.25, 4.0)
@@ -670,9 +668,9 @@ def _correlated_type_b_rows(game: StochasticGame, region, plan: ExitPlan) -> dic
     best_err = np.inf
     for _ in range(400):
         rows = build_rows(w)
-        model, inside = _correlated_model(game, region, rows)
+        model = _correlated_model(game, region, rows)
         marked = {(model.node_of(s), a): l for l, (s, a) in enumerate(plan.exits)}
-        B = first_play_law(model, inside, marked, L)
+        B = first_play_law(model, range(len(region)), marked, L)
         err = float(np.max(np.abs(B - plan.beta)))
         if err < best_err:
             best_rows, best_err = rows, err

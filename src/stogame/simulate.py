@@ -1,7 +1,7 @@
 """Reproducible Monte Carlo simulation of stationary and automaton strategies.
 
-Simulation runs on the exact product chain of (game state, machine state)
-nodes, vectorized across replications.  Randomness is confined to a
+Simulation runs on the verifiers' product chain of (game state, machine
+state) nodes, vectorized across replications.  Randomness is confined to a
 per-call seed.
 """
 
@@ -13,21 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import json_ready
-from .automata import (
-    JointAutomaton,
-    JointAutomatonProfile,
-    build_product_model,
-    stationary_automaton,
-)
 from .game import StochasticGame
-
-
-def as_automaton(game: StochasticGame, strategy) -> JointAutomaton:
-    if isinstance(strategy, JointAutomaton):
-        return strategy
-    if isinstance(strategy, JointAutomatonProfile):
-        return strategy.joint
-    return stationary_automaton(game, strategy)
+from .verify import product_chain
 
 
 def default_horizon(lam: float) -> int:
@@ -67,8 +54,7 @@ def simulate(game: StochasticGame, s1: int, strategy, lam: float, seed: int,
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"discount factor {lam} outside [0, 1)")
-    automaton = as_automaton(game, strategy)
-    model = build_product_model(game, automaton)
+    model = product_chain(game, strategy)
     horizon = default_horizon(lam)
 
     cum_alpha = np.cumsum(model.alpha, axis=1)

@@ -263,9 +263,8 @@ def transient_profile(game: StochasticGame, eq_sets, union):
             if s in covered:
                 continue
             for eq in eq_sets[s].items:
-                mass = float(sum(
-                    (eq.correlated_row() @ game.transitions[s])[t] for t in covered
-                ))
+                law = eq.correlated_row() @ game.transitions[s]
+                mass = float(sum(law[t] for t in covered))
                 if mass > DIST_TOL:
                     choice[s] = eq
                     covered.add(s)

@@ -18,6 +18,7 @@ from ._util import json_ready
 from .automata import (
     JointAutomatonProfile,
     ProductModel,
+    as_automaton,
     build_product_model,
     discounted_value,
     exit_values,
@@ -25,7 +26,6 @@ from .automata import (
 )
 from .game import StationaryCorrelated, StationaryProfile, StochasticGame
 from .oneshot import continuation_values
-from .simulate import as_automaton
 from .structure import Decomposition
 
 DEFAULT_LAMBDA_GRID = (0.9, 0.99, 0.999, 0.9999, 0.99999)
@@ -36,8 +36,11 @@ AUDIT_TOL = 1e-6
 
 def product_chain(game: StochasticGame, strategy) -> ProductModel:
     """The product chain on which the checks below judge `strategy`: a
-    machine profile, a joint machine or a stationary strategy."""
-    return build_product_model(game, as_automaton(game, strategy))
+    machine profile, a joint machine or a stationary strategy, started at
+    every state's initial node."""
+    automaton = as_automaton(game, strategy)
+    return build_product_model(game, automaton,
+                               [(s, automaton.init[s]) for s in range(game.n_states)])
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,12 @@ payoffs of an automaton profile, finite-horizon average acceptability,
 long-run node frequencies and a simulation of the exit-cycling scheme.  The
 per-set analyses read a set machine's exit law, departure values and
 long-run payoff off its standalone product chain, through `builder`'s own
-`_set_model`; next to them sit the cyclic scheme's closed-form exit law,
-the type-A mixture over given recurrent points and the one-shot value
-inequality.  The last section is built on the library's chain and
+`_set_model`.  `whole_game_chain` is the reference that set chain must
+equal on the set's block: the chain closed from every game state, with
+every node expanded; `hub_game` lays games behind a fan-out state to make
+many sets in one game.  Next to them sit the cyclic scheme's closed-form
+exit law, the type-A mixture over given recurrent points and the one-shot
+value inequality.  The last section is built on the library's chain and
 reachability routines: the irreducible sets of a stationary strategy, the
 leads-to test, the hitting probability of a travel strategy and the minimal
 closed sets of the equilibrium support chain.
@@ -46,7 +49,13 @@ import numpy as np
 from scipy.optimize import linprog
 
 from stogame._util import DIST_TOL
-from stogame.automata import ProductModel, discounted_value, exit_values, first_play_law
+from stogame.automata import (
+    ProductModel,
+    build_product_model,
+    discounted_value,
+    exit_values,
+    first_play_law,
+)
 from stogame.builder import (
     REDISPATCH,
     ExitPlan,
@@ -69,7 +78,7 @@ from stogame.frequencies import (
     max_slack_mixture,
     sustain_by_columns,
 )
-from stogame.game import as_correlated_table
+from stogame.game import StochasticGame, as_correlated_table
 from stogame.matrixgame import solve_matrix_game
 from stogame.minmax import _one_shot, player_view
 from stogame.oneshot import profile_value, regret
@@ -840,10 +849,11 @@ def exit_play_law(game, region, plan: ExitPlan) -> np.ndarray:
     """Exact first-played-exit law per entry state (rows, one per region
     state), with exit plays absorbing; every row should equal plan.beta."""
     fragment = build_type_b_fragment(game, region, plan)
-    model, inside = _set_model(game, fragment)
-    node = dict(zip(fragment.local_states, inside))
+    model = _set_model(game, fragment)
+    node = {lab: k for k, lab in enumerate(fragment.local_states)}
     marked = {(node[lab], a): lab[0] for (lab, a, _), dist in fragment.table.items()
               if dist[0][0] is REDISPATCH}
+    inside = range(len(node))
     return first_play_law(model, inside, marked, len(plan.exits))[:len(fragment.region)]
 
 
@@ -851,7 +861,8 @@ def departure_values(game, region, plan: ExitPlan, v1: np.ndarray):
     """Expected uniform min-max value at the first state outside the set,
     per entry state, plus the probability of never leaving."""
     fragment = build_type_b_fragment(game, region, plan)
-    model, inside = _set_model(game, fragment)
+    model = _set_model(game, fragment)
+    inside = range(len(fragment.local_states))
     entry = len(fragment.region)
     W = exit_values(model, inside, v1)
     leave = exit_values(model, inside, np.ones(game.n_states))
@@ -861,6 +872,40 @@ def departure_values(game, region, plan: ExitPlan, v1: np.ndarray):
 def sustain_payoff(game, region, plan: SustainPlan, delta: float) -> np.ndarray:
     """Exact long-run payoff of the sustainable machine, per entry state."""
     return _entry_payoffs(game, build_type_a_fragment(game, region, plan, delta))
+
+
+def whole_game_chain(game, automaton, nodes):
+    """The product chain closed from every game state's initial node plus
+    the (s, q) `nodes`, so that every node is expanded, and the ids of
+    `nodes` in it: a set chain must equal its block on the set's nodes."""
+    starts = [(s, automaton.init[s]) for s in range(game.n_states)] + list(nodes)
+    model = build_product_model(game, automaton, starts)
+    return model, [model.index[node] for node in nodes]
+
+
+def hub_game(games, seed: int) -> StochasticGame:
+    """`games`, which share their players' action sets, laid block-diagonally
+    behind a new state 0: every profile there moves to all their states by
+    its own Dirichlet row, and pays uniform draws in [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    first = games[0]
+    n = 1 + sum(g.n_states for g in games)
+    shape = (first.n_profiles, first.n_players)
+    payoffs = np.zeros((n,) + shape)
+    transitions = np.zeros((n, first.n_profiles, n))
+    payoffs[0] = rng.uniform(-1.0, 1.0, shape)
+    transitions[0, :, 1:] = rng.dirichlet(np.ones(n - 1), first.n_profiles)
+    names = ["hub"]
+    at = 1
+    for k, g in enumerate(games):
+        block = slice(at, at + g.n_states)
+        payoffs[block] = g.payoffs
+        transitions[block, :, block] = g.transitions
+        names.extend(f"{k}:{name}" for name in g.state_names)
+        at += g.n_states
+    return StochasticGame(tuple(names), first.action_names, payoffs, transitions,
+                          payoff_bound=max(1.0, *(g.payoff_bound for g in games)),
+                          name=f"hub-{n}-{seed}")
 
 
 def first_exit_distribution(eta) -> np.ndarray:

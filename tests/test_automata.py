@@ -8,18 +8,14 @@ from oracles import (
     sample_play_joint,
     sample_play_per_player,
 )
-from stogame.automata import (
-    build_product_model,
-    discounted_value,
-    reachable_nodes,
-    stationary_automaton,
-)
+from stogame.automata import discounted_value, reachable_nodes, stationary_automaton
 from stogame.builder import assemble_profile, classify_set
 from stogame.game import StationaryProfile, pure_profile
 from stogame.generators import random_banded_exit_game, sorin_game
 from stogame.minmax import solve_uniform_minmax
 from stogame.oneshot import continuation_values, enumerate_all_states
 from stogame.structure import decompose
+from stogame.verify import product_chain
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +33,7 @@ def test_stationary_wrapper_matches_direct_solve(sorin):
     prof = StationaryProfile((np.tile([1.0, 0.0], (3, 1)),
                               np.tile([2 / 3, 1 / 3], (3, 1))))
     aut = stationary_automaton(sorin, prof)
-    model = build_product_model(sorin, aut)
+    model = product_chain(sorin, aut)
     for lam in (0.5, 0.99):
         got = discounted_value(model, lam)[model.node_of(0)]
         want = discounted_payoff_stationary(sorin, prof, lam, 0)
@@ -47,21 +43,21 @@ def test_stationary_wrapper_matches_direct_solve(sorin):
 
 def test_limit_value_absorbing(sorin):
     prof = pure_profile(sorin, [(1, 0)] * 3)
-    model = build_product_model(sorin, stationary_automaton(sorin, prof))
+    model = product_chain(sorin, prof)
     np.testing.assert_allclose(model.limit[model.node_of(0)], [0, 1],
                                atol=1e-12)
 
 
 def test_node_frequency_sums_to_one(sorin_profile):
     g, prof = sorin_profile
-    model = build_product_model(g, prof.joint)
+    model = product_chain(g, prof)
     rho = node_frequency(model, model.node_of(0))
     assert rho.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_reachable_nodes_subset(sorin_profile):
     g, prof = sorin_profile
-    model = build_product_model(g, prof.joint)
+    model = product_chain(g, prof)
     reach = reachable_nodes(model)
     assert set(reach) <= set(range(model.n_nodes))
     assert model.node_of(0) in reach

@@ -12,11 +12,7 @@ from oracles import (
     type_a_feasibility,
 )
 from stogame._util import DIST_TOL
-from stogame.automata import (
-    build_product_model,
-    first_play_law,
-    stationary_automaton,
-)
+from stogame.automata import first_play_law
 from stogame.builder import (
     ExitPlan,
     _correlated_type_b_rows,
@@ -29,7 +25,7 @@ from stogame.builder import (
     sustain_target,
     tune_type_a,
 )
-from stogame.game import StochasticGame
+from stogame.game import StationaryCorrelated, StochasticGame
 from stogame.generators import (
     random_banded_exit_game,
     random_dense_game,
@@ -38,6 +34,7 @@ from stogame.generators import (
 from stogame.minmax import solve_uniform_minmax
 from stogame.oneshot import continuation_values, enumerate_all_states
 from stogame.structure import decompose
+from stogame.verify import product_chain
 
 
 @pytest.fixture(scope="module")
@@ -312,7 +309,7 @@ def test_partial_mass_exits_end_to_end():
     assert stay <= 1e-10
     assert np.all(W >= d.sets[core[0]].value - 1e-6)
     prof = assemble_profile(g, d, cls, 0.05)
-    from stogame.verify import check_minmax_acceptable, check_submartingale, product_chain
+    from stogame.verify import check_minmax_acceptable, check_submartingale
 
     chain = product_chain(g, prof)
     assert check_minmax_acceptable(chain, v1, 0.05).ok
@@ -387,8 +384,7 @@ def test_opposed_cycles_correlated_multichain_tuner():
     rows = _correlated_type_a_rows(g, (0, 1), cls.sustain, 0.05,
                                    value=d.sets[0].value)
     table = np.stack([rows[0], rows[1]])
-    from stogame.game import StationaryCorrelated
-    from stogame.verify import check_minmax_acceptable, product_chain
+    from stogame.verify import check_minmax_acceptable
 
     chain = product_chain(g, StationaryCorrelated(table))
     assert check_minmax_acceptable(chain, v1, 0.05).ok
@@ -399,7 +395,7 @@ def test_opposed_cycles_correlated_multichain_tuner():
 def _correlated_exit_law(game, table, region, plan):
     """First-exit law of a stationary correlated table on the verifiers'
     product chain, one row per state of the region."""
-    model = build_product_model(game, stationary_automaton(game, table))
+    model = product_chain(game, table)
     inside = [model.node_of(s) for s in region]
     marked = {(model.node_of(s), a): l for l, (s, a) in enumerate(plan.exits)}
     return first_play_law(model, inside, marked, len(plan.exits))
@@ -484,7 +480,7 @@ def test_tuning_certifies_the_shipped_machine(suite_results):
     _, results = suite_results
     seen = {"A": 0, "B": 0}
     for game, res in results:
-        model = build_product_model(game, res.profile.joint)
+        model = product_chain(game, res.profile)
         lim = model.limit
         at_departure = {(e.detail["set"], e.state): e.detail["expected_at_departure"]
                         for e in res.submartingale.entries if e.kind == "departing-set"}
@@ -508,7 +504,7 @@ def test_set_machines_never_fall_back_inside_their_set(suite_results):
     for game, res in results:
         joint = res.profile.joint
         regions = res.profile.meta["regions"]
-        for s, q in build_product_model(game, joint).nodes:
+        for s, q in product_chain(game, joint).nodes:
             label = joint.labels[q]
             if label[0] == "tr" or s not in regions[label[0]]:
                 continue

@@ -1,6 +1,5 @@
 import functools
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -365,9 +364,9 @@ def test_lapack_gufunc_matches_numpy_solve(n_states):
 @pytest.mark.parametrize("n_mdps", [1, 2])
 def test_singular_policy_iteration_raises_at_once(n_mdps, monkeypatch):
     # At discount 1 an absorbing MDP's system I - P is all zeros.  The
-    # gufunc answers it with NaN and no exception; policy iteration must
-    # raise LinAlgError after that one solve, as np.linalg.solve would, and
-    # not spin to its iteration cap.
+    # gufunc answers it with NaN and numpy's "invalid value" warning, not an
+    # exception; policy iteration must raise LinAlgError after that one
+    # solve, as np.linalg.solve would, and not spin to its iteration cap.
     solves = []
 
     def counted(*args, **kwargs):
@@ -379,8 +378,7 @@ def test_singular_policy_iteration_raises_at_once(n_mdps, monkeypatch):
     P = np.broadcast_to(np.eye(3)[:, None, :], (n_mdps, 3, 2, 3)).copy()
     if n_mdps == 2:
         P[0] *= 0.5  # leaks half its mass, so only the second MDP is singular
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in solve"):
         with pytest.raises(np.linalg.LinAlgError):
             stogame.minmax._policy_iteration(R, P, 1.0, *_solver_arrays(R))
     assert solves == [1]
