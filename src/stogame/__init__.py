@@ -23,7 +23,6 @@ from .frequencies import (
     RecurrentPoint,
     SustainPlan,
     best_recurrent_point,
-    enumerate_recurrent_points,
     payoff_of_frequency,
     sustain_by_columns,
 )

@@ -6,8 +6,6 @@ import json
 
 # Probability mass accounting (distribution rows).
 DIST_TOL = 1e-12
-# Linear solves / LP feasibility.
-SOLVE_TOL = 1e-9
 # Equality of extrapolated per-state values (communicating-set condition).
 VALUE_SPREAD_TOL = 1e-4
 

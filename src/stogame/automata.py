@@ -47,7 +47,6 @@ class JointAutomaton:
     transitions: dict
     init: dict
     coin_note: str = "machine transitions consume one shared public coin per stage"
-    meta: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -177,7 +176,7 @@ def build_product_model(game: StochasticGame, automaton: JointAutomaton,
             index[node] = len(nodes)
             nodes.append(node)
     plays = {}      # q -> [(profile, weight)] on the output's support
-    moves = {}      # (s, a) -> [(next state, prob)] on the transition's support
+    successors = game.successors
     steps = []
     for k, (s, q) in enumerate(nodes):      # also visits the nodes found below
         if s not in expand:
@@ -186,10 +185,7 @@ def build_product_model(game: StochasticGame, automaton: JointAutomaton,
             plays[q] = [(a, w) for a, w in enumerate(automaton.output_row(q).tolist())
                         if w > DIST_TOL]
         for a, w_a in plays[q]:
-            if (s, a) not in moves:
-                moves[(s, a)] = [(t, p) for t, p in enumerate(game.transitions[s, a].tolist())
-                                 if p > DIST_TOL]
-            for s_next, p_s in moves[(s, a)]:
+            for s_next, p_s in successors[s][a]:
                 for q2, p_q in automaton.step_dist(q, a, s_next):
                     node2 = (s_next, q2)
                     if node2 not in index:

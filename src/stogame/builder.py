@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import DIST_TOL, json_ready
+from ._util import json_ready
 from .automata import (
     JointAutomaton,
     JointAutomatonProfile,
@@ -50,10 +50,10 @@ from .automata import (
 )
 from .chains import limit_average_values, recurrent_classes
 from .frequencies import SustainPlan, max_slack_mixture, plan_support, sustain_by_columns
-# Not called here: perfbench/tracer.py hooks the name in this module.
+# Not called here: perfbench/tracer.py hooks the name in this module, and
+# its tests expect every hook to be found.
 from .frequencies import enumerate_recurrent_points  # noqa: F401
 from .game import StationaryCorrelated, StochasticGame, mixes_to_correlated_row
-from .oneshot import continuation_values
 from .structure import Decomposition, safe_profiles, travel_strategy
 
 EXIT_SCALE_DEFAULT = 0.1
@@ -212,9 +212,10 @@ class Classification:
         })
 
 
-def classify_set(game: StochasticGame, cset, v1: np.ndarray, eps: float,
-                 u_star: np.ndarray | None = None) -> Classification:
-    """Classify one communicating set.
+def classify_set(game: StochasticGame, cset, eps: float,
+                 u_star: np.ndarray) -> Classification:
+    """Classify one communicating set; `u_star` holds the continuation
+    values of `oneshot.continuation_values`, which price the exits.
 
     The sustainable test is accepted outright only when its best mixture
     clears v(C) - eps/2, so that the eps/2 lost to the cycling machine still
@@ -231,8 +232,6 @@ def classify_set(game: StochasticGame, cset, v1: np.ndarray, eps: float,
         diagnostics["sustain_slack"] = None if plan_a is None else plan_a.slack
         if plan_a is not None and np.all(plan_a.achieved >= cset.value - eps / 2.0):
             return Classification("A", sustain=plan_a, diagnostics=diagnostics)
-    if u_star is None:
-        u_star = continuation_values(game, v1)
     plan_b = type_b_feasibility(game, cset.states, cset.value, eps, u_star,
                                 counts=diagnostics)
     if plan_b is not None:
@@ -257,11 +256,19 @@ def classify_set(game: StochasticGame, cset, v1: np.ndarray, eps: float,
 # labels: the output factors of every label and a transition table keyed by
 # (label, profile, next state).  A table entry whose target is REDISPATCH
 # re-enters whatever machine holds the fragment at the next game state's
-# initial machine state; in a departing set it marks an exit play.  The same
-# fragment backs the standalone per-set machine, the per-set analysis read
-# off that machine's product chain, and the global assembly.
+# initial machine state.  Every edge whose next state lies outside the set
+# re-dispatches, as `JointAutomaton.fallback` does, and so does a departing
+# set's exit play wherever it lands.  The same fragment backs the
+# standalone per-set machine, the per-set analysis read off that machine's
+# product chain, and the global assembly.
 
 REDISPATCH = None
+
+
+def _edge(region, label) -> tuple:
+    """The table entry of an edge to `label`, or to REDISPATCH when the
+    label's state lies outside `region`."""
+    return ((label if label[1] in region else REDISPATCH, 1.0),)
 
 
 def _pure_factors(game: StochasticGame, a: int):
@@ -290,10 +297,6 @@ def _mixed_exit_factors(game: StochasticGame, companion: int, exit_profile: int,
             m[comp[i]] = 1.0
         mixes.append(m)
     return tuple(mixes)
-
-
-def _successors(game: StochasticGame, s: int, a: int) -> list:
-    return [int(t) for t in np.nonzero(game.transitions[s, a] > DIST_TOL)[0]]
 
 
 @dataclass
@@ -337,12 +340,12 @@ def build_type_a_fragment(game: StochasticGame, region, plan: SustainPlan,
             in_class = s in atom.actions
             a = atom.actions[s] if in_class else travels[l].policy[s]
             factors[(l, s)] = _pure_factors(game, a)
-            for s_next in _successors(game, s, a):
-                if in_class and advance > 0.0:
+            for s_next, _ in game.successors[s][a]:
+                if in_class and advance > 0.0 and s_next in region:
                     table[((l, s), a, s_next)] = (
                         ((l, s_next), 1.0 - advance), (((l + 1) % L, s_next), advance))
                 else:
-                    table[((l, s), a, s_next)] = (((l, s_next), 1.0),)
+                    table[((l, s), a, s_next)] = _edge(region, (l, s_next))
     local = [(l, s) for l in range(L) for s in region]
     return SetFragment(region, local, factors, table)
 
@@ -367,17 +370,18 @@ def build_type_b_fragment(game: StochasticGame, region, plan: ExitPlan) -> SetFr
             if s != exit_state:
                 a = travels[l].policy[s]
                 factors[(l, s)] = _pure_factors(game, a)
-                for s_next in _successors(game, s, a):
-                    table[((l, s), a, s_next)] = (((l, s_next), 1.0),)
+                for s_next, _ in game.successors[s][a]:
+                    table[((l, s), a, s_next)] = _edge(region, (l, s_next))
                 continue
             factors[(l, s)] = _mixed_exit_factors(
                 game, companion, exit_profile, plan.deviators[l], float(plan.eta[l]))
-            # Companion keeps play inside; advance the phase.
-            for s_next in _successors(game, s, companion):
-                table[((l, s), companion, s_next)] = ((((l + 1) % L, s_next), 1.0),)
+            # Companion keeps play inside, up to a leak below
+            # `structure.CLOSED_TOL`; advance the phase.
+            for s_next, _ in game.successors[s][companion]:
+                table[((l, s), companion, s_next)] = _edge(region, ((l + 1) % L, s_next))
             # The exit profile ends the block: re-dispatch wherever play
             # lands (inside the set this restarts at phase 1).
-            for s_next in _successors(game, s, exit_profile):
+            for s_next, _ in game.successors[s][exit_profile]:
                 table[((l, s), exit_profile, s_next)] = ((REDISPATCH, 1.0),)
     local = [(l, s) for l in range(L) for s in region]
     return SetFragment(region, local, factors, table)
@@ -411,14 +415,12 @@ def sustain_target(value, plan: SustainPlan, eps: float) -> np.ndarray:
     return np.minimum(target, plan.achieved - 1e-4)
 
 
-def tune_type_a(game: StochasticGame, region, plan: SustainPlan, eps: float,
-                value=None):
+def tune_type_a(game: StochasticGame, region, plan: SustainPlan, eps: float, value):
     """Halve delta from weight/2 until every entry payoff clears the sustain
     target: (delta, entry payoffs, the fragment that earned them)."""
     if len(plan.atoms) == 1:
         fragment = build_type_a_fragment(game, region, plan, 0.0)
         return 0.0, _entry_payoffs(game, fragment), fragment
-    value = plan.target + eps if value is None else value
     target = sustain_target(value, plan, eps)
     delta = float(plan.weights.min()) / 2.0
     while True:
@@ -448,7 +450,6 @@ def _finish_machine(game, labels, factors_list, transitions, init, meta,
         transitions=transitions,
         init=init,
         coin_note=coin_note,
-        meta=meta,
     )
     return JointAutomatonProfile(joint, meta=meta)
 
@@ -487,7 +488,7 @@ def assemble_profile(game: StochasticGame, decomposition: Decomposition,
     for k, (cset, cls) in enumerate(zip(decomposition.sets, classifications)):
         if cls.kind == "A":
             delta, payoff, fragment = tune_type_a(game, cset.states, cls.sustain, eps,
-                                                  value=cset.value)
+                                                  cset.value)
             extra = {"delta": delta, "entry_payoffs": json_ready(payoff)}
         else:
             fragment = build_type_b_fragment(game, cset.states, cls.exit_plan)
@@ -553,7 +554,7 @@ def _correlated_model(game: StochasticGame, region, rows: dict):
 
 
 def _correlated_type_a_rows(game: StochasticGame, region, plan: SustainPlan,
-                            eps: float, value=None) -> dict:
+                            eps: float, value) -> dict:
     """Stationary correlated rows sustaining the plan payoff inside the set.
 
     The plan's mixed frequency is itself invariant for its conditional kernel;
@@ -579,8 +580,7 @@ def _correlated_type_a_rows(game: StochasticGame, region, plan: SustainPlan,
             row = np.zeros(game.n_profiles)
             row[fill.policy[s]] = 1.0
             base[s] = row
-    target = sustain_target(plan.target + eps if value is None else value,
-                            plan, eps)
+    target = sustain_target(value, plan, eps)
 
     # The region is closed under every candidate, as under a sustainable
     # set's machine, up to the safe profiles' leaks: judge its block.
@@ -716,7 +716,7 @@ def build_correlated_stationary(game: StochasticGame,
     for cset, cls in zip(decomposition.sets, classifications):
         if cls.kind == "A":
             rows = _correlated_type_a_rows(game, cset.states, cls.sustain, eps,
-                                           value=cset.value)
+                                           cset.value)
         else:
             rows = _correlated_type_b_rows(game, cset.states, cls.exit_plan)
         for s, row in rows.items():

@@ -21,8 +21,10 @@ optimal long-run average reward of the safe sub-MDP, which Howard's
 multichain policy iteration reaches at a pure profile; the point is that
 profile's best recurrent class (`best_recurrent_point`).  Nothing
 enumerates the |A|^|C| pure profiles, and an LP solves only a master too
-large for kernels; `enumerate_recurrent_points` remains as the tests'
-reference.
+large for kernels.  Only the tests call `enumerate_recurrent_points`, their
+reference; it stays in this module because the benchmark's tracer
+(`perfbench/tracer.py`) hooks it through `builder`, and the tracer's tests
+expect that hook to be found.
 """
 
 from __future__ import annotations

@@ -62,6 +62,15 @@ class StochasticGame:
     def n_profiles(self) -> int:
         return int(np.prod(self.action_counts))
 
+    @functools.cached_property
+    def successors(self) -> tuple:
+        """successors[s][a]: the (next state, probability) pairs of (s, a)
+        above DIST_TOL, as Python floats, in state order.  Every support scan
+        of the game reads this one table."""
+        return tuple(
+            tuple(tuple((t, p) for t, p in enumerate(row) if p > DIST_TOL) for row in rows)
+            for rows in self.transitions.tolist())
+
     def profile_index(self, profile) -> int:
         return int(np.ravel_multi_index(tuple(profile), self.action_counts))
 

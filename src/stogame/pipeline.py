@@ -117,7 +117,7 @@ def classify_game(game: StochasticGame, eps: float = 0.05, schedule=None,
         return result
     u_star = continuation_values(game, v1)
     classifications = [
-        classify_set(game, cset, v1, eps, u_star)
+        classify_set(game, cset, eps, u_star)
         for cset in decomposition.sets
     ]
     return PipelineResult(game, eps, minmax, v1, eq_sets, decomposition,

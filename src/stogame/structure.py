@@ -41,10 +41,12 @@ def almost_sure_reach(game: StochasticGame, region, targets):
     """States of `region` from which `targets` is reachable almost surely
     without leaving `region`, plus a pure stationary witness.
 
-    Iterative pruning: drop states that cannot positively reach the targets
-    through region-preserving profiles, shrink the allowed profiles, repeat.
-    The witness decreases the distance-to-target layer with positive
-    probability at every step.
+    Iterative pruning, the attractor of end-component analysis (de Alfaro
+    1997): keep the states that positively reach the targets through
+    region-preserving profiles, shrink the allowed profiles to the kept
+    states, and repeat until a pass keeps them all.  The witness is the
+    profile with which that last pass added each state, its first safe
+    profile moving with positive probability to a state added before it.
     """
     targets = set(targets) & set(region)
     live = set(region)
@@ -53,41 +55,20 @@ def almost_sure_reach(game: StochasticGame, region, targets):
     while True:
         allowed = safe_profiles(game, live)
         reach = set(t for t in targets if t in live)
+        policy = {}
         grew = True
         while grew:
             grew = False
             for s in live - reach:
                 for a in allowed.get(s, []):
-                    support = np.nonzero(game.transitions[s, a] > DIST_TOL)[0]
-                    if any(t in reach for t in support):
+                    if any(t in reach for t, _ in game.successors[s][a]):
                         reach.add(s)
+                        policy[s] = a
                         grew = True
                         break
         if reach == live:
-            break
+            return live, policy
         live = reach
-    reachable = live
-    # Attractor witness: layered by shortest safe-support distance to a target.
-    allowed = safe_profiles(game, reachable)
-    layer = {t: 0 for t in targets if t in reachable}
-    policy = {}
-    frontier = set(layer)
-    depth = 0
-    while frontier:
-        depth += 1
-        new = set()
-        for s in reachable - set(layer):
-            for a in allowed.get(s, []):
-                support = np.nonzero(game.transitions[s, a] > DIST_TOL)[0]
-                if any(t in layer for t in support):
-                    layer[s] = depth
-                    policy[s] = a
-                    new.add(s)
-                    break
-        if not new:
-            break
-        frontier = new
-    return reachable, policy
 
 
 @dataclass(frozen=True)
@@ -205,8 +186,9 @@ def _safe_support_graph(game: StochasticGame, region: list) -> list:
     """Adjacency over positions in `region`: k -> m when a profile keeping
     play in `region` at region[k] moves to region[m] with positive probability."""
     allowed = safe_profiles(game, region)
+    pos = {s: k for k, s in enumerate(region)}
     return [
-        np.nonzero((game.transitions[s, allowed[s]][:, region] > DIST_TOL).any(axis=0))[0].tolist()
+        sorted({pos[t] for a in allowed[s] for t, _ in game.successors[s][a] if t in pos})
         for s in region
     ]
 

@@ -35,7 +35,9 @@ exit law, the type-A mixture over given recurrent points and the one-shot
 value inequality.  The last section is built on the library's chain and
 reachability routines: the irreducible sets of a stationary strategy, the
 leads-to test, the hitting probability of a travel strategy and the minimal
-closed sets of the equilibrium support chain.
+closed sets of the equilibrium support chain.  Next to them,
+`almost_sure_reach_two_pass` is the pruning-then-layering reach that the
+library's one-pass `almost_sure_reach` must equal, witness order included.
 """
 
 from __future__ import annotations
@@ -964,6 +966,56 @@ def leads_in_set(game, region, s: int, target: int):
         return True, {}
     reachable, policy = almost_sure_reach(game, region, {target})
     return (s in reachable), policy
+
+
+def almost_sure_reach_two_pass(game, region, targets):
+    """The library's `almost_sure_reach` as it was written before its
+    witness came out of the pruning pass: prune to the states that reach
+    `targets` almost surely, then layer them by safe-support distance to
+    the targets in a second pass, each state taking its first safe profile
+    that moves into an earlier layer.  Supports are read off the
+    transition array, not `StochasticGame.successors`."""
+    targets = set(targets) & set(region)
+    live = set(region)
+    if not targets:
+        return set(), {}
+    while True:
+        allowed = safe_profiles(game, live)
+        reach = set(t for t in targets if t in live)
+        grew = True
+        while grew:
+            grew = False
+            for s in live - reach:
+                for a in allowed.get(s, []):
+                    support = np.nonzero(game.transitions[s, a] > DIST_TOL)[0]
+                    if any(t in reach for t in support):
+                        reach.add(s)
+                        grew = True
+                        break
+        if reach == live:
+            break
+        live = reach
+    reachable = live
+    allowed = safe_profiles(game, reachable)
+    layer = {t: 0 for t in targets if t in reachable}
+    policy = {}
+    frontier = set(layer)
+    depth = 0
+    while frontier:
+        depth += 1
+        new = set()
+        for s in reachable - set(layer):
+            for a in allowed.get(s, []):
+                support = np.nonzero(game.transitions[s, a] > DIST_TOL)[0]
+                if any(t in layer for t in support):
+                    layer[s] = depth
+                    policy[s] = a
+                    new.add(s)
+                    break
+        if not new:
+            break
+        frontier = new
+    return reachable, policy
 
 
 def verify_travel(game, travel: TravelStrategy) -> float:

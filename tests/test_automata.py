@@ -25,7 +25,7 @@ def sorin_profile():
     eq_sets = enumerate_all_states(g, v1)
     d = decompose(g, eq_sets, v1)
     u_star = continuation_values(g, v1)
-    cls = [classify_set(g, c, v1, 0.05, u_star) for c in d.sets]
+    cls = [classify_set(g, c, 0.05, u_star) for c in d.sets]
     return g, assemble_profile(g, d, cls, 0.05)
 
 
@@ -77,7 +77,7 @@ def test_joint_and_per_player_paths_identical_with_travel():
     eq_sets = enumerate_all_states(g, v1)
     d = decompose(g, eq_sets, v1)
     u_star = continuation_values(g, v1)
-    cls = [classify_set(g, c, v1, 0.05, u_star) for c in d.sets]
+    cls = [classify_set(g, c, 0.05, u_star) for c in d.sets]
     prof = assemble_profile(g, d, cls, 0.05)
     for seed in range(3):
         a = sample_play_joint(g, prof, 0, stages=80, seed=seed)

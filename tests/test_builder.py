@@ -44,7 +44,7 @@ def sorin_ctx():
     eq_sets = enumerate_all_states(g, v1)
     d = decompose(g, eq_sets, v1)
     u_star = continuation_values(g, v1)
-    cls = [classify_set(g, c, v1, 0.05, u_star) for c in d.sets]
+    cls = [classify_set(g, c, 0.05, u_star) for c in d.sets]
     return g, v1, d, cls
 
 
@@ -207,7 +207,7 @@ def test_delta_sweep_payoff_convergence():
     v1 = solve_uniform_minmax(g).uniform_values
     eq_sets = enumerate_all_states(g, v1)
     d = decompose(g, eq_sets, v1)
-    cls = classify_set(g, d.sets[0], v1, 0.05)
+    cls = classify_set(g, d.sets[0], 0.05, continuation_values(g, v1))
     plan = cls.sustain
     if len(plan.atoms) >= 2:
         target = plan.achieved
@@ -226,7 +226,7 @@ def test_classify_dense_is_sustainable():
     eq_sets = enumerate_all_states(g, v1)
     d = decompose(g, eq_sets, v1)
     assert len(d.sets) == 1
-    cls = classify_set(g, d.sets[0], v1, 0.05)
+    cls = classify_set(g, d.sets[0], 0.05, continuation_values(g, v1))
     assert cls.kind == "A"
     assert np.all(cls.sustain.achieved >= d.sets[0].value - 0.025)
 
@@ -266,7 +266,7 @@ def test_multi_state_departing_set_machinery():
     two_state = [c for c in d.sets if len(c.states) == 2]
     assert two_state, "expected a two-state departing set"
     u_star = continuation_values(g, v1)
-    cls = classify_set(g, two_state[0], v1, 0.05, u_star)
+    cls = classify_set(g, two_state[0], 0.05, u_star)
     assert cls.kind == "B"
     law = exit_play_law(g, two_state[0].states, cls.exit_plan)
     assert float(np.max(np.abs(law - cls.exit_plan.beta))) <= 1e-9
@@ -296,7 +296,7 @@ def test_partial_mass_exits_end_to_end():
     eq_sets = enumerate_all_states(g, v1)
     d = decompose(g, eq_sets, v1)
     u_star = continuation_values(g, v1)
-    cls = [classify_set(g, c, v1, 0.05, u_star) for c in d.sets]
+    cls = [classify_set(g, c, 0.05, u_star) for c in d.sets]
     core = [k for k, c in enumerate(d.sets) if 0 in c.states]
     assert core and cls[core[0]].kind == "B"
     plan = cls[core[0]].exit_plan
@@ -328,7 +328,7 @@ def test_absorbing_state_with_action_dependent_payoffs():
     np.testing.assert_allclose(v1[0], [0.0, 0.0], atol=1e-8)
     eq_sets = enumerate_all_states(g, v1)
     d = decompose(g, eq_sets, v1)
-    cls = classify_set(g, d.sets[0], v1, 0.05)
+    cls = classify_set(g, d.sets[0], 0.05, continuation_values(g, v1))
     assert cls.kind == "A"
     assert np.all(cls.sustain.achieved >= -1e-9)
 
@@ -357,7 +357,7 @@ def test_opposed_cycles_delta_sweep():
     eq_sets = enumerate_all_states(g, v1)
     d = decompose(g, eq_sets, v1)
     assert [c.states for c in d.sets] == [(0, 1)]
-    cls = classify_set(g, d.sets[0], v1, 0.05)
+    cls = classify_set(g, d.sets[0], 0.05, continuation_values(g, v1))
     assert cls.kind == "A"
     plan = cls.sustain
     np.testing.assert_allclose(plan.weights, [0.5, 0.5], atol=1e-9)
@@ -378,7 +378,7 @@ def test_opposed_cycles_correlated_multichain_tuner():
     v1 = solve_uniform_minmax(g).uniform_values
     eq_sets = enumerate_all_states(g, v1)
     d = decompose(g, eq_sets, v1)
-    cls = classify_set(g, d.sets[0], v1, 0.05)
+    cls = classify_set(g, d.sets[0], 0.05, continuation_values(g, v1))
     from stogame.builder import _correlated_type_a_rows
 
     rows = _correlated_type_a_rows(g, (0, 1), cls.sustain, 0.05,
@@ -466,7 +466,7 @@ def test_classification_makes_no_lp_call(suite_results, monkeypatch):
     for game, res in results:
         u_star = continuation_values(game, res.v1)
         for cset, cls in zip(res.decomposition.sets, res.classifications):
-            again = classify_set(game, cset, res.v1, res.eps, u_star)
+            again = classify_set(game, cset, res.eps, u_star)
             assert again.diagnostics["master_lp"] == 0
             assert again.to_dict() == cls.to_dict()
 

@@ -83,4 +83,4 @@ def test_the_scan_sees_calls_by_keyword_position_and_method():
     assert {"k_max"} <= set_by["minmax.default_schedule"]           # position
     assert {"exact_tol"} <= set_by["oneshot.enumerate_equilibria"]  # keyword
     total = sum(len(defaulted) for *_, defaulted in functions)
-    assert 0 < total <= 43
+    assert 0 < total <= 34

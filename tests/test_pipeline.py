@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,35 @@ def test_stalled_minmax_solves_are_warned_not_gated():
 def test_converged_clean_curves_give_no_warnings(sorin_result):
     assert sorin_result.warnings == []
     assert sorin_result.summary()["warnings"] == []
+
+
+def leaky_swap_game():
+    """States 0 and 1 swap under every profile, but state 0 leaks 5e-10, a
+    mass between DIST_TOL and CLOSED_TOL, to the absorbing state 2."""
+    payoffs = np.zeros((3, 4, 2))
+    payoffs[:2] = 0.5
+    transitions = np.zeros((3, 4, 3))
+    transitions[0, :, 1] = 1.0 - 5e-10
+    transitions[0, :, 2] = 5e-10
+    transitions[1, :, 0] = 1.0
+    transitions[2, :, 2] = 1.0
+    return StochasticGame(("s0", "s1", "s2"), (("a0", "a1"), ("b0", "b1")),
+                          payoffs, transitions, name="leaky-swap")
+
+
+def test_a_sub_tolerance_leak_out_of_a_set_re_dispatches():
+    # {0, 1} counts as closed, yet the leak is an edge of the set machine.
+    # That edge re-dispatches to the machine of state 2, so the run ends
+    # with a report (play drains into state 2 in the limit) instead of a
+    # KeyError, and it is reproducible.
+    game = leaky_swap_game()
+    res = run_pipeline(game, eps=0.05)
+    assert [c.states for c in res.decomposition.sets] == [(0, 1), (2,)]
+    assert not res.errors and res.profile is not None
+    joint = res.profile.joint
+    leaks = {(q, a): dist for (q, a, s_next), dist in joint.transitions.items()
+             if s_next == 2 and q != joint.init[2]}
+    assert leaks and all(dist == ((joint.init[2], 1.0),) for dist in leaks.values())
+    assert res.acceptability is not None and not res.ok
+    again = run_pipeline(game, eps=0.05)
+    assert json.dumps(again.summary(), sort_keys=True) == json.dumps(res.summary(), sort_keys=True)

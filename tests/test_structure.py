@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    almost_sure_reach_two_pass,
     chain_under,
     communicating_oracle,
     equilibrium_support_chain,
@@ -13,11 +18,14 @@ from oracles import (
     minimal_closed_sets_under_E,
     verify_travel,
 )
+from stogame._util import DIST_TOL
 from stogame.game import StochasticGame, pure_profile
 from stogame.generators import random_banded_exit_game, random_dense_game, sorin_game
 from stogame.minmax import solve_uniform_minmax
 from stogame.oneshot import enumerate_all_states
 from stogame.structure import (
+    CLOSED_TOL,
+    almost_sure_reach,
     decompose,
     maximal_communicating_sets,
     transient_profile,
@@ -289,3 +297,56 @@ def test_value_class_spread_beyond_tolerance_is_noted():
     sets, notes = maximal_communicating_sets(g, eq_sets, v1)
     assert [c.states for c in sets] == [(0, 1, 2)]
     assert len(notes) == 1 and "spreads" in notes[0]
+
+
+@st.composite
+def _leaky_games(draw):
+    """Games of one to four states with one or two actions per player.  Each
+    row puts its mass on one or two states; about half of them also leak a
+    mass between DIST_TOL and CLOSED_TOL to some state, which a profile's
+    support counts but `safe_profiles` forgives."""
+    n = draw(st.integers(1, 4))
+    counts = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = counts[0] * counts[1]
+    transitions = np.zeros((n, A, n))
+    for s in range(n):
+        for a in range(A):
+            support = rng.choice(n, size=min(n, rng.integers(1, 3)), replace=False)
+            transitions[s, a, support] = rng.dirichlet(np.ones(len(support)))
+            if rng.random() < 0.5:
+                leak = 10.0 ** rng.uniform(np.log10(2 * DIST_TOL), np.log10(0.9 * CLOSED_TOL))
+                transitions[s, a, transitions[s, a].argmax()] -= leak
+                transitions[s, a, rng.integers(n)] += leak
+    actions = tuple(tuple(f"a{b}" for b in range(k)) for k in counts)
+    return StochasticGame(tuple(f"s{s}" for s in range(n)), actions,
+                          np.zeros((n, A, 2)), transitions)
+
+
+def _subsets(n):
+    return [set(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_leaky_games())
+def test_one_pass_reach_matches_the_two_pass_reference(game):
+    # Every region and every target set: the same reachable states and the
+    # same witness, in the same insertion order.
+    for region in _subsets(game.n_states)[1:]:
+        for targets in _subsets(game.n_states):
+            reachable, policy = almost_sure_reach(game, region, targets)
+            ref_reachable, ref_policy = almost_sure_reach_two_pass(game, region, targets)
+            assert reachable == ref_reachable, (region, targets)
+            assert list(policy.items()) == list(ref_policy.items()), (region, targets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_leaky_games())
+def test_successor_table_is_the_support_rule(game):
+    for s in range(game.n_states):
+        for a in range(game.n_profiles):
+            row = game.transitions[s, a]
+            pairs = game.successors[s][a]
+            assert [t for t, _ in pairs] == np.nonzero(row > DIST_TOL)[0].tolist()
+            assert [p for _, p in pairs] == [float(row[t]) for t, _ in pairs]
+            assert all(type(t) is int and type(p) is float for t, p in pairs)

@@ -33,7 +33,7 @@ def sorin_ctx():
     eq_sets = enumerate_all_states(g, v1)
     d = decompose(g, eq_sets, v1)
     u_star = continuation_values(g, v1)
-    cls = [classify_set(g, c, v1, 0.05, u_star) for c in d.sets]
+    cls = [classify_set(g, c, 0.05, u_star) for c in d.sets]
     prof = assemble_profile(g, d, cls, 0.05)
     return g, v1, d, cls, prof
 
@@ -154,7 +154,7 @@ def test_submartingale_layered_transients():
     eq_sets = enumerate_all_states(g, v1)
     d = decompose(g, eq_sets, v1)
     u_star = continuation_values(g, v1)
-    cls = [classify_set(g, c, v1, 0.05, u_star) for c in d.sets]
+    cls = [classify_set(g, c, 0.05, u_star) for c in d.sets]
     prof = assemble_profile(g, d, cls, 0.05)
     report = check_submartingale(product_chain(g, prof), v1, d, cls)
     assert report.ok
