@@ -5,8 +5,9 @@ solves degenerate shapes and 2x2 games in closed form; everything else goes
 through two linear programs (one per side), solved with HiGHS.  A pair that
 fails, or fails the duality-gap or minimax check, is solved once more on the
 matrix rescaled onto [0, 1], where the solver's absolute tolerances fit the
-entries' spread.  scipy is imported by `linprog`, at the first LP, so a run
-that solves no LP never loads it.
+entries' spread.  An accepted pair's value is moved into the bracket its
+own strategies certify (`_lp_solution`).  scipy is imported by `linprog`,
+at the first LP, so a run that solves no LP never loads it.
 
 `closed_form_2x2` takes a whole stack of 2x2 games, such as min-max's
 one-shot games of all states, and solves them in one loop over Python
@@ -55,12 +56,18 @@ class MatrixGameSolution:
     method: str
 
 
+def _guarantees(M, x, y):
+    """(floor, ceil): the payoff the row mix x guarantees against every
+    column and the payoff the column mix y holds every row to.  The game's
+    value lies between them.  Takes stacks as `_verify` does."""
+    return (x[..., None, :] @ M)[..., 0, :].min(axis=-1), (M @ y[..., None])[..., 0].max(axis=-1)
+
+
 def _verify(M, value, x, y, tol=MINIMAX_TOL):
     """Minimax check of (value, x, y).  M may be a stack (..., m, n) with
     matching stacks of values and mixes; the result is then a mask."""
-    guarantee_row = (x[..., None, :] @ M)[..., 0, :].min(axis=-1)
-    guarantee_col = (M @ y[..., None])[..., 0].max(axis=-1)
-    return (guarantee_row >= value - tol) & (guarantee_col <= value + tol)
+    floor, ceil = _guarantees(M, x, y)
+    return (floor >= value - tol) & (ceil <= value + tol)
 
 
 def _closed_form(a, b, c, d):
@@ -277,6 +284,17 @@ def _lp_pair(M):
     return x, y, 0.5 * (v_row - v_col_neg), v_row + v_col_neg
 
 
+def _lp_solution(M, x, y, value):
+    """The LP pair with its value moved into [floor, ceil] of `_guarantees`.
+    The LP objectives are only as exact as HiGHS's tolerances (about 1e-7
+    absolute), so on entries near that size their midpoint can miss the
+    pair's own bracket: for [[0, 1e-7], [1e-7, 1], [0, 1e-7]] the LP pair
+    is the saddle point (row 1, column 0), floor = ceil = 1e-7, and the
+    midpoint reads 5e-8.  A value inside the bracket is kept as it is."""
+    floor, ceil = _guarantees(M, x, y)
+    return MatrixGameSolution(min(max(value, float(floor)), float(ceil)), x, y, "lp")
+
+
 def solve_matrix_game(M) -> MatrixGameSolution:
     """Value and optimal mixed strategies of a finite zero-sum matrix game."""
     M = _game_matrix(M)
@@ -304,7 +322,7 @@ def solve_matrix_game(M) -> MatrixGameSolution:
         pass  # HiGHS gave up on the raw entries; the rescaled retry may not
     else:
         if abs(gap) <= 1e-7 and _verify(M, value, x, y, tol=1e-7):
-            return MatrixGameSolution(value, x, y, "lp")
+            return _lp_solution(M, x, y, value)
     # HiGHS's absolute tolerances can exceed the span of a near-constant
     # matrix, or its status can come back unknown; solve once more with the
     # entries rescaled onto [0, 1].
@@ -323,4 +341,4 @@ def solve_matrix_game(M) -> MatrixGameSolution:
         )
     if not _verify(M, value, x, y, tol=1e-7):
         raise RuntimeError("matrix game solution failed the minimax check")
-    return MatrixGameSolution(value, x, y, "lp")
+    return _lp_solution(M, x, y, value)

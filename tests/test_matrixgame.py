@@ -91,6 +91,26 @@ def test_unknown_highs_status_falls_through_to_rescaled_retry():
     assert _verify(M, sol.value, sol.row_strategy, sol.col_strategy, tol=1e-9)
 
 
+@pytest.mark.parametrize("M, value", [
+    # Saddle points at 1e-7: the LP objectives' midpoint reads 5e-8.
+    ([[0, 1e-7], [1e-7, 1], [0, 1e-7]], 1e-7),
+    ([[0, 1e-7, 1e-7], [0, 1e-7, 1e-7], [1e-7, 1, 1e-7]], 1e-7),
+    # Value 0: the midpoint reads -2.98e-8.
+    ([[1, -5.96046448e-08, 0], [0, -1, 0], [0, 0, 0]], 0.0),
+    # Value 5e-9 - 2.5e-17: the LP row mix guarantees only 0, and the
+    # midpoint reads 7.5e-9, above what the column mix holds the rows to.
+    ([[1, -1, 1e-8], [0, 1e-8, 1e-8], [0, 1e-8, 1e-8]], 4.99999997500000e-09),
+])
+def test_lp_value_lies_in_the_bracket_of_its_strategies(M, value):
+    M = np.array(M, dtype=float)
+    sol = solve_matrix_game(M)
+    assert sol.method == "lp"
+    floor = (sol.row_strategy @ M).min()
+    ceil = (M @ sol.col_strategy).max()
+    assert floor <= sol.value <= ceil
+    assert sol.value == pytest.approx(value, rel=0, abs=1e-15)
+
+
 def _degenerate_2x2(kind, a, b):
     if kind == "zero denominator":  # a + d - b - c == 0; the saddle scan takes it
         return np.array([[a, b], [a, b]])
