@@ -58,7 +58,10 @@ def load_side(checkout: Path, side: str):
     """(run_pipeline, workloads module) of the checkout's `src/stogame`,
     imported as the package `stogame_<side>`.  The checkout's
     `perfbench/workloads.py` is executed while `stogame` names that package,
-    so its generators are the side's own."""
+    so its generators are the side's own.  The modules the script and
+    `workloads.py` read are imported before the aliases are built, whether
+    or not the package's `__init__` imports them, so that no `stogame.*`
+    module made while the aliases stand outlives them."""
     name = f"stogame_{side}"
     pkg_dir = checkout / "src" / "stogame"
     spec = importlib.util.spec_from_file_location(
@@ -66,6 +69,8 @@ def load_side(checkout: Path, side: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
+    for module in ("pipeline", "generators", "minmax"):
+        importlib.import_module(f"{name}.{module}")
     aliases = {"stogame": package}
     aliases.update({f"stogame.{key[len(name) + 1:]}": module
                     for key, module in sys.modules.items() if key.startswith(name + ".")})

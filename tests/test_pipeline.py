@@ -164,3 +164,57 @@ def test_a_sub_tolerance_leak_out_of_a_set_re_dispatches():
     assert res.acceptability is not None and not res.ok
     again = run_pipeline(game, eps=0.05)
     assert json.dumps(again.summary(), sort_keys=True) == json.dumps(res.summary(), sort_keys=True)
+
+
+def degenerate_game(kind):
+    """Hand-built games at the edges of the input space."""
+    two = (("a0", "a1"), ("b0", "b1"))
+    if kind == "one-state-1x1":
+        return StochasticGame(("s0",), (("a0",), ("b0",)), np.array([[[0.3, -0.2]]]),
+                              np.ones((1, 1, 1)), name=kind)
+    if kind == "zero-payoffs-2x2":
+        # A matched profile stays, a mismatched one swaps the two states.
+        transitions = np.zeros((2, 4, 2))
+        for s in range(2):
+            transitions[s, [0, 3], s] = 1.0
+            transitions[s, [1, 2], 1 - s] = 1.0
+        return StochasticGame(("s0", "s1"), two, np.zeros((2, 4, 2)), transitions, name=kind)
+    if kind == "all-absorbing":
+        payoffs = np.array([[[1, -1], [-1, 1], [-1, 1], [1, -1]],
+                            [[0.5, 0.5], [0, 1], [1, 0], [0.2, 0.2]],
+                            [[-0.4, 0.3], [-0.4, 0.3], [-0.4, 0.3], [-0.4, 0.3]]], dtype=float)
+        transitions = np.zeros((3, 4, 3))
+        for s in range(3):
+            transitions[s, :, s] = 1.0
+        return StochasticGame(("s0", "s1", "s2"), two, payoffs, transitions, name=kind)
+    if kind == "one-action-player-1":
+        # Player 2 alone decides whether to stay or to move on.
+        payoffs = np.array([[[0.2, 0.8], [0.6, 0.1]], [[-0.5, 0.4], [0.9, -0.3]]])
+        transitions = np.zeros((2, 2, 2))
+        for s in range(2):
+            transitions[s, 0, s] = 1.0
+            transitions[s, 1, 1 - s] = 1.0
+        return StochasticGame(("s0", "s1"), (("a0",), ("b0", "b1")), payoffs, transitions,
+                              name=kind)
+    if kind == "constant-uniform":
+        return StochasticGame(("s0", "s1", "s2"), two, np.full((3, 4, 2), 0.5),
+                              np.full((3, 4, 3), 1 / 3), name=kind)
+    assert kind == "deterministic-3-cycle"
+    payoffs = np.array([[[0.1, 0.9], [0.4, 0.4], [0.7, -0.2], [-0.3, 0.6]],
+                        [[0.5, 0.0], [-0.6, 0.8], [0.2, 0.2], [0.9, -0.9]],
+                        [[0.0, 0.3], [0.3, 0.0], [-0.1, -0.1], [0.6, 0.5]]])
+    transitions = np.zeros((3, 4, 3))
+    for s in range(3):
+        transitions[s, :, (s + 1) % 3] = 1.0
+    return StochasticGame(("s0", "s1", "s2"), two, payoffs, transitions, name=kind)
+
+
+@pytest.mark.parametrize("kind", ["one-state-1x1", "zero-payoffs-2x2", "all-absorbing",
+                                  "one-action-player-1", "constant-uniform",
+                                  "deterministic-3-cycle"])
+def test_degenerate_games_end_ok_and_reproducibly(kind):
+    game = degenerate_game(kind)
+    res = run_pipeline(game, schedule=default_schedule(24))
+    assert res.ok and res.errors == []
+    again = run_pipeline(game, schedule=default_schedule(24))
+    assert json.dumps(again.summary(), sort_keys=True) == json.dumps(res.summary(), sort_keys=True)
