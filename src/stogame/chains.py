@@ -1,8 +1,11 @@
-"""Finite Markov chain structure: recurrent classes, stationary laws, absorption.
+"""Finite Markov chains: recurrent classes, stationary laws, reach, and the
+multichain average-reward solver (Puterman 1994, ch. 8-9).  `_gain` is the
+one gain computation: the verifiers read it through `limit_average_values`,
+Howard's loop (`optimal_average_policy`) through `gain_bias`.
 
-All functions take a row-stochastic matrix P of shape (n, n).  Support is
-decided with a small positive cutoff so that numerically-zero entries do not
-create phantom edges.
+P is row-stochastic of shape (n, n), or leaks mass out of its states.
+Support is decided with a small positive cutoff so that numerically-zero
+entries do not create phantom edges.
 """
 
 from __future__ import annotations
@@ -10,6 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 SUPPORT_CUTOFF = 1e-14
+# Howard's loop: its cap on policy evaluations, and the margin, times the
+# rewards' and biases' scale, by which an action must beat the current one
+# to replace it.
+POLICY_ITERATION_CAP = 100
+IMPROVE_TOL = 1e-13
 
 
 def strongly_connected_components(adjacency) -> list:
@@ -62,14 +70,9 @@ def strongly_connected_components(adjacency) -> list:
     return sccs
 
 
-def support_adjacency(P: np.ndarray) -> list:
-    return [[int(t) for t in np.nonzero(P[s] > SUPPORT_CUTOFF)[0]]
-            for s in range(P.shape[0])]
-
-
 def recurrent_classes(P: np.ndarray):
     """Recurrent classes (bottom SCCs) and transient states of a chain."""
-    adj = support_adjacency(P)
+    adj = [[int(t) for t in np.nonzero(P[s] > SUPPORT_CUTOFF)[0]] for s in range(P.shape[0])]
     sccs = strongly_connected_components(adj)
     classes = []
     transient = []
@@ -99,30 +102,6 @@ def stationary_distribution(P: np.ndarray, class_states) -> np.ndarray:
     return pi / pi.sum()
 
 
-def absorption_probabilities(P: np.ndarray, classes, transient) -> np.ndarray:
-    """Probability of absorption in each recurrent class, per start state.
-
-    Returns an (n, len(classes)) matrix; rows of recurrent states are the
-    indicator of their own class.
-    """
-    n = P.shape[0]
-    k = len(classes)
-    out = np.zeros((n, k))
-    for j, cls in enumerate(classes):
-        for s in cls:
-            out[s, j] = 1.0
-    if transient:
-        t_idx = list(transient)
-        Q = P[np.ix_(t_idx, t_idx)]
-        rhs = np.zeros((len(t_idx), k))
-        for j, cls in enumerate(classes):
-            rhs[:, j] = P[np.ix_(t_idx, cls)].sum(axis=1)
-        B = np.linalg.solve(np.eye(len(t_idx)) - Q, rhs)
-        for row, s in enumerate(t_idx):
-            out[s] = B[row]
-    return out
-
-
 def reach_probability(P: np.ndarray, targets) -> np.ndarray:
     """Probability of ever hitting `targets`, per start state (targets made
     absorbing)."""
@@ -141,15 +120,80 @@ def reach_probability(P: np.ndarray, targets) -> np.ndarray:
     return h
 
 
-def limit_average_values(P: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Long-run average of stage values r (shape (n,) or (n, d)) per start state."""
+def _gain(P: np.ndarray, r: np.ndarray):
+    """Multichain gain of stage values r (shape (n,) or (n, d)) under P, and
+    the recurrent classes it was read from: each class's stationary average,
+    carried to the transient states by their absorption probabilities.  Mass
+    that P leaks out of its states earns nothing."""
     single = r.ndim == 1
     rv = r[:, None] if single else r
     classes, transient = recurrent_classes(P)
-    absorb = absorption_probabilities(P, classes, transient)
+    absorb = np.zeros((P.shape[0], len(classes)))
+    for j, cls in enumerate(classes):
+        absorb[cls, j] = 1.0
+    if transient:
+        rhs = np.zeros((len(transient), len(classes)))
+        for j, cls in enumerate(classes):
+            rhs[:, j] = P[np.ix_(transient, cls)].sum(axis=1)
+        Q = P[np.ix_(transient, transient)]
+        absorb[transient] = np.linalg.solve(np.eye(len(transient)) - Q, rhs)
     class_vals = np.zeros((len(classes), rv.shape[1]))
     for j, cls in enumerate(classes):
-        pi = stationary_distribution(P, cls)
-        class_vals[j] = pi @ rv[cls]
-    out = absorb @ class_vals
-    return out[:, 0] if single else out
+        class_vals[j] = stationary_distribution(P, cls) @ rv[cls]
+    g = absorb @ class_vals
+    return (g[:, 0] if single else g), classes
+
+
+def limit_average_values(P: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Long-run average of stage values r (shape (n,) or (n, d)) per start state."""
+    return _gain(P, r)[0]
+
+
+def gain_bias(P: np.ndarray, r: np.ndarray):
+    """Gain g and bias h of stage values r (shape (n,)) under P: g as in
+    `limit_average_values`, and h solves g + (I - P) h = r, zero at each
+    recurrent class's first state (Puterman 1994, ch. 8-9).  One solve over
+    the whole chain: I - P with each first state's row set to its unit row."""
+    g, classes = _gain(P, r)
+    firsts = [cls[0] for cls in classes]
+    A = np.eye(len(r)) - P
+    A[firsts] = 0.0
+    A[firsts, firsts] = 1.0
+    b = r - g
+    b[firsts] = 0.0
+    return g, np.linalg.solve(A, b)
+
+
+def _improve(q: np.ndarray, choice: np.ndarray, mask: np.ndarray, tol: float):
+    """Per state, the masked action with the largest q when it beats the
+    current choice by more than tol; the current choice otherwise."""
+    q = np.where(mask, q, -np.inf)
+    rows = np.arange(len(choice))
+    better = q.max(axis=1) > q[rows, choice] + tol
+    return np.where(better, q.argmax(axis=1), choice)
+
+
+def optimal_average_policy(R: np.ndarray, P: np.ndarray, valid: np.ndarray):
+    """Howard's multichain policy iteration: a pure policy with the largest
+    long-run average reward from every state of the MDP with rewards R
+    (n, m), transition rows P (n, m, n) and allowed actions valid (n, m).
+    From the greedy policy, each iteration improves the gain, or, where no
+    gain improves, the bias among the gain-optimal actions; a tie keeps the
+    current action.  Returns (action per state, settled), settled False when
+    POLICY_ITERATION_CAP evaluations did not settle the loop.
+    """
+    rows = np.arange(len(R))
+    choice = np.where(valid, R, -np.inf).argmax(axis=1)
+    for _ in range(POLICY_ITERATION_CAP):
+        g, h = gain_bias(P[rows, choice], R[rows, choice])
+        tol = IMPROVE_TOL * (1.0 + np.abs(R).max() + np.abs(h).max())
+        q = P @ g
+        new = _improve(q, choice, valid, tol)
+        if np.array_equal(new, choice):
+            best = np.where(valid, q, -np.inf).max(axis=1, keepdims=True)
+            gain_optimal = valid & (q >= best - tol)
+            new = _improve(R + P @ h, choice, gain_optimal, tol)
+            if np.array_equal(new, choice):
+                return choice, True
+        choice = new
+    return choice, False

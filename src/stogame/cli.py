@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from ._util import dump_json, json_ready
+from ._util import VALUE_SPREAD_TOL, dump_json, json_ready
 from .game import (
     GameFormatError,
     StationaryProfile,
@@ -27,6 +27,7 @@ from .game import (
 )
 from .generators import BUNDLED, bundled_game, sorin_game
 from .minmax import default_schedule, solve_uniform_minmax
+from .oneshot import EXACT_EQ_TOL
 from .pipeline import classify_game, run_pipeline
 from .simulate import simulate
 from .verify import DEFAULT_LAMBDA_GRID, check_minmax_acceptable, product_chain
@@ -43,9 +44,9 @@ FLAGS = {
     "--schedule-depth": dict(type=int, default=20,
                              help="discount schedule length for the uniform solve"),
     "--out": dict(default="out", help="artifact directory"),
-    "--tol-v": dict(type=float, default=1e-4,
+    "--tol-v": dict(type=float, default=VALUE_SPREAD_TOL,
                     help="value-equality tolerance for communicating sets"),
-    "--eq-tol": dict(type=float, default=1e-9,
+    "--eq-tol": dict(type=float, default=EXACT_EQ_TOL,
                      help="equilibrium regret tolerance (exact paths)"),
     "--lam": dict(type=float, default=None,
                   help="simulation discount factor (default 0.99)"),
@@ -143,16 +144,17 @@ def cmd_decompose(args) -> int:
     res = classify_game(game, args.epsilon, schedule, args.tol_v, args.eq_tol)
     doc = {
         "uniform_values": json_ready(res.v1),
-        "decomposition": res.decomposition.to_dict(),
+        "decomposition": None if res.decomposition is None else res.decomposition.to_dict(),
         "classifications": [c.to_dict() for c in res.classifications],
         "errors": res.errors,
         "warnings": res.warnings,
     }
     dump_json(doc, os.path.join(_outdir(args), "decompose.json"))
-    for cset, cls in zip(res.decomposition.sets, res.classifications):
-        names = [game.state_names[s] for s in cset.states]
-        print(f"set {names}: value {np.round(cset.value, 6).tolist()}, kind {cls.kind}")
-    print(f"transient: {[game.state_names[s] for s in res.decomposition.transient]}")
+    if res.decomposition is not None:
+        for cset, cls in zip(res.decomposition.sets, res.classifications):
+            names = [game.state_names[s] for s in cset.states]
+            print(f"set {names}: value {np.round(cset.value, 6).tolist()}, kind {cls.kind}")
+        print(f"transient: {[game.state_names[s] for s in res.decomposition.transient]}")
     for err in res.errors:
         print(f"error: {err}")
     for warning in res.warnings:
@@ -216,8 +218,8 @@ def cmd_verify(args) -> int:
     print(f"{game.name or 'game'}: ok={summ['ok']} kinds={summ['kinds']} "
           f"ir_worst_gain={summ['ir_worst_gain']} "
           f"min_drift={summ['submartingale_min_drift']}")
-    if res.errors:
-        print("errors:", "; ".join(res.errors))
+    for err in res.errors:
+        print(f"error: {err}")
     for warning in res.warnings:
         print(f"warning: {warning}")
     return 0 if res.ok else 1

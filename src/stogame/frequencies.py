@@ -18,13 +18,13 @@ against players, solved on its Shapley-Snow kernels (`max_slack_mixture`).
 Its column strategy weighs the players, and pricing finds the point that
 maximizes that weighted payoff.  Over the polytope that is the largest
 optimal long-run average reward of the safe sub-MDP, which Howard's
-multichain policy iteration reaches at a pure profile; the point is that
-profile's best recurrent class (`best_recurrent_point`).  Nothing
-enumerates the |A|^|C| pure profiles, and an LP solves only a master too
-large for kernels.  Only the tests call `enumerate_recurrent_points`, their
-reference; it stays in this module because the benchmark's tracer
-(`perfbench/tracer.py`) hooks it through `builder`, and the tracer's tests
-expect that hook to be found.
+multichain policy iteration (`chains.optimal_average_policy`, on the gain
+the verifiers read) reaches at a pure profile; the point is that profile's
+best recurrent class (`best_recurrent_point`).  Nothing enumerates the
+|A|^|C| pure profiles, and an LP solves only a master too large for kernels.
+Only the tests call `enumerate_recurrent_points`, their reference; it stays
+in this module because the benchmark's tracer (`perfbench/tracer.py`) hooks
+it through `builder`, and the tracer's tests expect that hook to be found.
 """
 
 from __future__ import annotations
@@ -35,17 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import DIST_TOL, json_ready
-from .chains import recurrent_classes, stationary_distribution
+from .chains import optimal_average_policy, recurrent_classes, stationary_distribution
 from .game import StochasticGame
 from .matrixgame import MatrixGameSolution, kernel_solution, solve_matrix_game
 from .structure import safe_profiles
 
 ENUMERATION_GUARD = 10**6
-# Policy iteration's cap on policy evaluations per pricing call, and the
-# margin, times the rewards' and biases' scale, by which a profile must beat
-# the current one to replace it.
-PRICING_CAP = 100
-IMPROVE_TOL = 1e-13
 
 
 def payoff_of_frequency(game: StochasticGame, rho: np.ndarray) -> np.ndarray:
@@ -165,53 +160,15 @@ def _safe_sub_mdp(game: StochasticGame, region: list):
     return live, {s: allowed[s] for s in live}
 
 
-def _evaluate(P: np.ndarray, r: np.ndarray):
-    """Gain g and bias h of a fixed policy: g is each recurrent class's
-    average reward, carried to transient states by absorption, and h solves
-    g + (I - P) h = r, zero at each class's first state (Puterman 1994,
-    ch. 8-9).  P may leak mass out of its states; that mass earns nothing."""
-    n = len(r)
-    g = np.zeros(n)
-    h = np.zeros(n)
-    classes, transient = recurrent_classes(P)
-    for cls in classes:
-        g[cls] = stationary_distribution(P, cls) @ r[cls]
-        A = np.eye(len(cls)) - P[np.ix_(cls, cls)]
-        b = r[cls] - g[cls]
-        A[0] = 0.0
-        A[0, 0] = 1.0
-        b[0] = 0.0
-        h[cls] = np.linalg.solve(A, b)
-    if transient:
-        recurrent = [s for cls in classes for s in cls]
-        A = np.eye(len(transient)) - P[np.ix_(transient, transient)]
-        into = P[np.ix_(transient, recurrent)]
-        g[transient] = np.linalg.solve(A, into @ g[recurrent])
-        h[transient] = np.linalg.solve(A, r[transient] - g[transient] + into @ h[recurrent])
-    return g, h
-
-
-def _improve(q: np.ndarray, choice: np.ndarray, mask: np.ndarray, tol: float):
-    """Per state, the masked action with the largest q when it beats the
-    current choice by more than tol; the current choice otherwise."""
-    q = np.where(mask, q, -np.inf)
-    rows = np.arange(len(choice))
-    better = q.max(axis=1) > q[rows, choice] + tol
-    return np.where(better, q.argmax(axis=1), choice)
-
-
 def best_recurrent_point(game: StochasticGame, region,
                          weights: np.ndarray) -> RecurrentPoint | None:
     """The recurrent point of `region` maximizing weights . payoff, or None
     when the region has none.
 
     The best point's value is the largest optimal long-run average reward
-    of the safe sub-MDP with rewards weights . u, found by Howard's
-    multichain policy iteration (Puterman 1994, ch. 9).  It starts from the
-    greedy profile; each iteration improves the gain, or, where no state's
-    gain can improve, the bias among the gain-optimal profiles.  A tie keeps
-    the current profile.  The point is the best recurrent class of the final
-    pure profile.
+    of the safe sub-MDP with rewards weights . u, which
+    `chains.optimal_average_policy` reaches at a pure profile.  The point is
+    the best recurrent class of that profile.
     """
     region = sorted(region)
     live, allowed = _safe_sub_mdp(game, region)
@@ -224,24 +181,10 @@ def best_recurrent_point(game: StochasticGame, region,
     states = np.array(live)[:, None]
     R = game.payoffs[states, acts] @ weights
     P = game.transitions[states, acts][:, :, live]
-    rows = np.arange(len(live))
-    choice = np.where(valid, R, -np.inf).argmax(axis=1)
-    for _ in range(PRICING_CAP):
-        g, h = _evaluate(P[rows, choice], R[rows, choice])
-        tol = IMPROVE_TOL * (1.0 + np.abs(R).max() + np.abs(h).max())
-        q = P @ g
-        new = _improve(q, choice, valid, tol)
-        if np.array_equal(new, choice):
-            best = np.where(valid, q, -np.inf).max(axis=1, keepdims=True)
-            gain_optimal = valid & (q >= best - tol)
-            new = _improve(R + P @ h, choice, gain_optimal, tol)
-            if np.array_equal(new, choice):
-                break
-        choice = new
-    else:
-        raise RuntimeError(f"policy iteration on region {region} did not settle "
-                           f"in {PRICING_CAP} iterations")
-    points = _profile_points(game, region, live, [int(a) for a in acts[rows, choice]])
+    choice, settled = optimal_average_policy(R, P, valid)
+    if not settled:
+        raise RuntimeError(f"policy iteration on region {region} did not settle")
+    points = _profile_points(game, region, live, acts[np.arange(len(live)), choice].tolist())
     if not points:
         raise RuntimeError(f"priced profile on region {region} holds no recurrent class")
     return max(points, key=lambda p: float(weights @ p.payoff))

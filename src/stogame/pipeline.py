@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import json_ready
+from ._util import VALUE_SPREAD_TOL, json_ready
 from .builder import (
     assemble_profile,
     build_correlated_stationary,
@@ -14,7 +14,7 @@ from .builder import (
 )
 from .game import StochasticGame, validate_game
 from .minmax import MinMaxReport, default_schedule, solve_uniform_minmax
-from .oneshot import continuation_values, enumerate_all_states
+from .oneshot import EXACT_EQ_TOL, continuation_values, enumerate_all_states
 from .structure import Decomposition, decompose
 from .verify import (
     DEFAULT_LAMBDA_GRID,
@@ -33,7 +33,7 @@ class PipelineResult:
     minmax: MinMaxReport
     v1: np.ndarray
     eq_sets: list
-    decomposition: Decomposition
+    decomposition: Decomposition | None
     classifications: list
     profile: object = None
     correlated: object = None
@@ -76,9 +76,11 @@ class PipelineResult:
             "eps": self.eps,
             "uniform_values": self.v1,
             "adversary_mode": self.minmax.adversary_mode,
-            "sets": [list(c.states) for c in self.decomposition.sets],
+            "sets": None if self.decomposition is None
+            else [list(c.states) for c in self.decomposition.sets],
             "kinds": [c.kind for c in self.classifications],
-            "transient": list(self.decomposition.transient),
+            "transient": None if self.decomposition is None
+            else list(self.decomposition.transient),
             "profile_acceptable": None if self.acceptability is None else self.acceptability.ok,
             "correlated_acceptable": None if self.correlated_acceptability is None
             else self.correlated_acceptability.ok,
@@ -93,14 +95,16 @@ class PipelineResult:
 
 
 def classify_game(game: StochasticGame, eps: float = 0.05, schedule=None,
-                  tol_v: float = 1e-4, eq_tol: float = 1e-9) -> PipelineResult:
+                  tol_v: float = VALUE_SPREAD_TOL,
+                  eq_tol: float = EXACT_EQ_TOL) -> PipelineResult:
     """Solve, decompose and classify one game: the stages up to, not
     including, the profile build.
 
     A game that fails `validate_game` (say, a negative transition
     probability) gets its values and decomposition but no classification,
     and its result carries the error: its product chain would not be a
-    Markov chain, and no check on it would mean anything.
+    Markov chain, and no check on it would mean anything.  A decomposition
+    that stalls is an error too, and the result has none (`None`).
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -109,31 +113,32 @@ def classify_game(game: StochasticGame, eps: float = 0.05, schedule=None,
     minmax = solve_uniform_minmax(game, schedule=schedule)
     v1 = minmax.uniform_values
     eq_sets = enumerate_all_states(game, v1, exact_tol=eq_tol)
-    decomposition = decompose(game, eq_sets, v1, tol_v=tol_v)
+    result = PipelineResult(game, eps, minmax, v1, eq_sets, None, [])
     if problems:
-        result = PipelineResult(game, eps, minmax, v1, eq_sets, decomposition, [])
         result.errors.append(f"invalid game: {len(problems)} violations, "
                              f"first {problems[0]}")
+    try:
+        result.decomposition = decompose(game, eq_sets, v1, tol_v=tol_v)
+    except RuntimeError as exc:
+        result.errors.append(f"decomposition: {exc}")
+    if result.errors:
         return result
     u_star = continuation_values(game, v1)
-    classifications = [
-        classify_set(game, cset, eps, u_star)
-        for cset in decomposition.sets
-    ]
-    return PipelineResult(game, eps, minmax, v1, eq_sets, decomposition,
-                          classifications)
+    result.classifications = [classify_set(game, cset, eps, u_star)
+                              for cset in result.decomposition.sets]
+    return result
 
 
 def run_pipeline(game: StochasticGame, eps: float = 0.05, schedule=None,
-                 tol_v: float = 1e-4, lam_grid=DEFAULT_LAMBDA_GRID,
-                 eq_tol: float = 1e-9) -> PipelineResult:
+                 tol_v: float = VALUE_SPREAD_TOL, lam_grid=DEFAULT_LAMBDA_GRID,
+                 eq_tol: float = EXACT_EQ_TOL) -> PipelineResult:
     """Run the full chain on one game: `classify_game`, then build both the
     machine profile and the stationary correlated variant, and judge each on
     its own product chain.
 
     Build or verification failures are collected in `errors` rather than
-    raised, so callers can report partial results.  An invalid game stops
-    after `classify_game`, with its error.
+    raised, so callers can report partial results.  An invalid game, or one
+    whose decomposition stalls, stops after `classify_game`, with its error.
     """
     result = classify_game(game, eps, schedule, tol_v, eq_tol)
     if result.errors:

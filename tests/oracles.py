@@ -18,7 +18,8 @@ The library solves both without an LP.
 The remaining sections hold helpers only the tests call.  `shapley_operator`
 is one min-max round's one-shot step.  The exact stationary-strategy
 references solve the induced state chain: discounted payoffs, the Cesaro
-state occupation and the (state, profile) frequency.  The multilinear
+state occupation (by absorption probabilities into the recurrent classes)
+and the (state, profile) frequency.  The multilinear
 extensions give a correlated mixed action's next-state law and stage payoff
 vector.  The path-level executors replay a profile through its joint machine
 and through its per-player views (`PlayerAutomaton`) on the same random
@@ -67,7 +68,6 @@ from stogame.builder import (
     build_type_b_fragment,
 )
 from stogame.chains import (
-    absorption_probabilities,
     reach_probability,
     recurrent_classes,
     stationary_distribution,
@@ -594,6 +594,30 @@ def discounted_payoff_stationary(game, strategy, lam: float, s1=None) -> np.ndar
     P, r = induced_chain(game, as_correlated_table(game, strategy))
     gamma = np.linalg.solve(np.eye(game.n_states) - lam * P, (1.0 - lam) * r)
     return gamma if s1 is None else gamma[s1]
+
+
+def absorption_probabilities(P: np.ndarray, classes, transient) -> np.ndarray:
+    """Probability of absorption in each recurrent class, per start state.
+
+    Returns an (n, len(classes)) matrix; rows of recurrent states are the
+    indicator of their own class.
+    """
+    n = P.shape[0]
+    k = len(classes)
+    out = np.zeros((n, k))
+    for j, cls in enumerate(classes):
+        for s in cls:
+            out[s, j] = 1.0
+    if transient:
+        t_idx = list(transient)
+        Q = P[np.ix_(t_idx, t_idx)]
+        rhs = np.zeros((len(t_idx), k))
+        for j, cls in enumerate(classes):
+            rhs[:, j] = P[np.ix_(t_idx, cls)].sum(axis=1)
+        B = np.linalg.solve(np.eye(len(t_idx)) - Q, rhs)
+        for row, s in enumerate(t_idx):
+            out[s] = B[row]
+    return out
 
 
 def limit_occupation(P: np.ndarray, s1: int) -> np.ndarray:

@@ -8,6 +8,7 @@ import stogame.pipeline
 from stogame.cli import COMMANDS, build_parser, main
 from stogame.game import game_to_dict, save_game
 from stogame.generators import sorin_game
+from test_pipeline import STALLED_ERROR, stalled_induction_game
 
 
 def run(argv):
@@ -86,6 +87,21 @@ def test_decompose_reports_an_invalid_game(tmp_path, capsys):
     assert len(out["errors"]) == 1 and out["errors"][0].startswith("invalid game")
     assert f"error: {out['errors'][0]}" in capsys.readouterr().out
     assert run(["build", "--game", str(broken), "--out", str(tmp_path)]) == 1
+
+
+def test_a_stalled_decomposition_exits_1_with_an_artifact(tmp_path, capsys):
+    path = tmp_path / "stalled.json"
+    save_game(stalled_induction_game(), path)
+    common = ["--game", str(path), "--schedule-depth", "8", "--out", str(tmp_path)]
+    assert run(["decompose"] + common) == 1
+    doc = json.loads((tmp_path / "decompose.json").read_text())
+    assert doc["decomposition"] is None and doc["classifications"] == []
+    assert doc["errors"] == [STALLED_ERROR]
+    assert f"error: {STALLED_ERROR}" in capsys.readouterr().out.splitlines()
+    assert run(["verify"] + common) == 1
+    doc = json.loads((tmp_path / "verify.json").read_text())
+    assert doc["summary"]["errors"] == [STALLED_ERROR] and doc["summary"]["sets"] is None
+    assert f"error: {STALLED_ERROR}" in capsys.readouterr().out.splitlines()
 
 
 def test_build_correlated(tmp_path):

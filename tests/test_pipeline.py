@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stogame.game import StochasticGame
 from stogame.minmax import default_schedule
@@ -217,4 +219,76 @@ def test_degenerate_games_end_ok_and_reproducibly(kind):
     res = run_pipeline(game, schedule=default_schedule(24))
     assert res.ok and res.errors == []
     again = run_pipeline(game, schedule=default_schedule(24))
+    assert json.dumps(again.summary(), sort_keys=True) == json.dumps(res.summary(), sort_keys=True)
+
+
+def stalled_induction_game():
+    """Three players with 2, 1 and 3 actions (flat profile p0 * 3 + p2).
+    No communicating set survives the refinement, so the union is empty and
+    transient induction has nothing to move toward."""
+    transitions = np.array([
+        [[1, 0, 0], [0, 1, 0], [1 / 3, 2 / 3, 0], [1, 0, 0], [1, 0, 0], [.5, .25, .25]],
+        [[0, 1, 0], [1 / 3, 1 / 3, 1 / 3], [0, 1, 0], [1, 0, 0], [0, 1, 0],
+         [1 / 3, 1 / 3, 1 / 3]],
+        [[1 / 6, 2 / 3, 1 / 6]] + [[0, 0, 1]] * 5,
+    ])
+    payoffs = np.array([
+        [[.5, 0, .5], [1, .25, 1], [.5, 0, 0], [-1, -1, -1], [-1, 0, .5], [1, .5, -1]],
+        [[1, .25, 1], [.5, .25, .25], [.25, 1, -1], [.5, 0, .25], [-1, 1, -1], [0, 0, 1]],
+        [[.5, .5, .5], [.5, 1, 1], [-1, 0, 0], [.5, 1, .25], [.25, 0, 0], [.25, .5, .25]],
+    ])
+    return StochasticGame(("s0", "s1", "s2"), (("a0", "a1"), ("b0",), ("c0", "c1", "c2")),
+                          payoffs, transitions, name="stalled-induction")
+
+
+STALLED_ERROR = ("decomposition: transient induction stalled; states [0, 1, 2] have no "
+                 "listed equilibrium moving toward the communicating union")
+
+
+def test_a_stalled_decomposition_is_an_error_not_a_traceback():
+    res = run_pipeline(stalled_induction_game(), schedule=default_schedule(8))
+    assert res.decomposition is None and res.classifications == [] and res.profile is None
+    assert res.errors == [STALLED_ERROR]
+    summary = json.loads(json.dumps(res.summary()))
+    assert summary["sets"] is None and summary["transient"] is None
+    assert summary["errors"] == [STALLED_ERROR] and summary["ok"] is False
+
+
+@st.composite
+def degenerate_games(draw):
+    """Games of 1-3 states with 1-2 players of 1-2 actions each.  Payoffs
+    are all zero or come from three levels (ties everywhere); each state's
+    rows are point masses, uniform, or stay put (every state absorbing when
+    all do)."""
+    n = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    n_profiles = int(np.prod(counts))
+    size = n * n_profiles * len(counts)
+    if draw(st.booleans()):
+        payoffs = np.zeros(size)
+    else:
+        payoffs = np.array(draw(st.lists(st.sampled_from([-0.5, 0.0, 0.5]),
+                                         min_size=size, max_size=size)))
+    transitions = np.zeros((n, n_profiles, n))
+    for s in range(n):
+        kind = draw(st.sampled_from(["absorbing", "uniform", "point"]))
+        for a in range(n_profiles):
+            if kind == "absorbing":
+                transitions[s, a, s] = 1.0
+            elif kind == "uniform":
+                transitions[s, a] = 1.0 / n
+            else:
+                transitions[s, a, draw(st.integers(0, n - 1))] = 1.0
+    return StochasticGame(tuple(f"s{k}" for k in range(n)),
+                          tuple(tuple(f"p{i}a{j}" for j in range(c)) for i, c in enumerate(counts)),
+                          payoffs.reshape(n, n_profiles, len(counts)), transitions,
+                          name="drawn")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(degenerate_games())
+def test_drawn_degenerate_games_end_ok_or_with_errors_reproducibly(game):
+    res = run_pipeline(game)
+    assert res.ok or res.errors
+    again = run_pipeline(game)
     assert json.dumps(again.summary(), sort_keys=True) == json.dumps(res.summary(), sort_keys=True)
