@@ -23,9 +23,17 @@ script prints four digests, each over all games in order:
   and size audit; `None` where a report is missing).  Equal digests mean
   bit-identical verdicts, payoffs and margins.
 
-The script only imports `perfbench/env.py` and `perfbench/workloads.py`; it
-pins the same threads as the benchmark and runs the `src/` of its own
-checkout.
+After the digests it checks every game against `perfbench/reference.json`
+as the benchmark does (`harness.compare`), and prints one line per game that
+differs: its slot, its name, the largest difference of its `v1` from the
+reference, the number of stalled discounted solves on each player's curve
+and the differences found.  A stalled solve's value is not certified, so a
+mismatch on a curve that has them may be the reference's error.  The last
+line counts the games that differ among those the reference records.
+
+The script imports `perfbench/env.py`, `perfbench/workloads.py` and
+`perfbench/harness.py`; it pins the same threads as the benchmark and runs
+the `src/` of its own checkout.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ from env import pin_environment  # noqa: E402
 
 pin_environment()
 
+import numpy as np  # noqa: E402
+from harness import compare, fingerprint, load_reference, summarize  # noqa: E402
 from stogame._util import json_ready  # noqa: E402
 from stogame.pipeline import run_pipeline  # noqa: E402
 from workloads import EPS, WORKLOADS, schedule  # noqa: E402
@@ -70,10 +80,24 @@ def main(argv=None) -> int:
     oneshot_digest = hashlib.sha256()
     verify_digest = hashlib.sha256()
     n_games = 0
+    checked = 0
+    differing = []
     start = time.monotonic()
     for slot in args.slots:
+        _, recorded = load_reference(args.workload, slot)
         for game in WORKLOADS[args.workload](slot):
             res = run_pipeline(game, eps=EPS, schedule=schedule())
+            ref = None if recorded is None else recorded.get(game.name)
+            if ref is not None:
+                checked += 1
+                problems = compare(ref, summarize(res), fingerprint(game))
+                if problems:
+                    v, v_ref = np.asarray(res.v1), np.asarray(ref.get("v1", []))
+                    off = float(np.max(np.abs(v - v_ref))) if v.shape == v_ref.shape else np.nan
+                    stalled = [sum(c.stalled) for c in res.minmax.curves]
+                    differing.append(f"slot {slot} {game.name}: largest v1 difference "
+                                     f"{off:.3e}, stalled solves per player {stalled}; "
+                                     + "; ".join(problems))
             minmax_digest.update(json.dumps(res.minmax.to_dict()).encode())
             build_digest.update(json.dumps(json_ready({
                 "profile": None if res.profile is None else res.profile.to_dict(),
@@ -91,6 +115,9 @@ def main(argv=None) -> int:
     print(f"build {build_digest.hexdigest()}")
     print(f"oneshot {oneshot_digest.hexdigest()}")
     print(f"verify {verify_digest.hexdigest()}")
+    for line in differing:
+        print(line)
+    print(f"reference: {len(differing)} of {checked} recorded games differ")
     return 0
 
 

@@ -56,7 +56,8 @@ from .frequencies import enumerate_recurrent_points  # noqa: F401
 from .game import StationaryCorrelated, StochasticGame, mixes_to_correlated_row
 from .structure import Decomposition, safe_profiles, travel_strategy
 
-EXIT_SCALE_DEFAULT = 0.1
+# Total per-cycle exit-play probability of the cyclic departure scheme.
+EXIT_SCALE = 0.1
 DELTA_FLOOR = 1e-6
 
 
@@ -102,12 +103,12 @@ def companion_action(game: StochasticGame, region, s: int, a: int):
 # Exit-rate tuning
 
 
-def solve_eta(beta, scale: float = EXIT_SCALE_DEFAULT) -> np.ndarray:
+def solve_eta(beta) -> np.ndarray:
     """Per-phase exit-play probabilities whose first-played-exit law is beta.
 
-    The cyclic scheme attempts exit l with probability eta_l once per cycle;
-    `scale` is the total per-cycle exit-play probability.  Solving
-    B_{l-1} eta_l = beta_l * scale with B_l = prod_{m<=l}(1 - eta_m)
+    The cyclic scheme attempts exit l with probability eta_l once per cycle,
+    EXIT_SCALE in total per cycle.  Solving
+    B_{l-1} eta_l = beta_l * EXIT_SCALE with B_l = prod_{m<=l}(1 - eta_m)
     sequentially gives the closed form below.
     """
     beta = np.asarray(beta, dtype=float)
@@ -115,13 +116,11 @@ def solve_eta(beta, scale: float = EXIT_SCALE_DEFAULT) -> np.ndarray:
         raise ValueError("beta must be a nonempty vector")
     if np.any(beta <= 0.0) or abs(beta.sum() - 1.0) > 1e-9:
         raise ValueError("beta must be strictly positive and sum to 1")
-    if not 0.0 < scale < 1.0:
-        raise ValueError("scale must lie in (0, 1)")
     eta = np.empty_like(beta)
     remaining = 1.0
     for l, b in enumerate(beta):
-        eta[l] = b * scale / remaining
-        remaining -= b * scale
+        eta[l] = b * EXIT_SCALE / remaining
+        remaining -= b * EXIT_SCALE
     return eta
 
 
@@ -163,7 +162,7 @@ def type_b_feasibility(game: StochasticGame, region, value, eps: float,
     """Departure plan meeting value - eps in expected continuation value, or
     None.  Only exits admitting a companion switch are eligible.  The exit
     mixture is `max_slack_mixture`'s, played at the per-cycle exit scale
-    EXIT_SCALE_DEFAULT; when `counts` is given, its "master_lp" entry is
+    EXIT_SCALE; when `counts` is given, its "master_lp" entry is
     raised if that solve fell back to the LP."""
     exits, _ = exit_options(game, region)
     admissible = []
@@ -188,8 +187,8 @@ def type_b_feasibility(game: StochasticGame, region, value, eps: float,
         companions=[c for _, _, c, _ in chosen],
         deviators=[d for _, _, _, d in chosen],
         beta=weights,
-        eta=solve_eta(weights, EXIT_SCALE_DEFAULT),
-        scale=EXIT_SCALE_DEFAULT,
+        eta=solve_eta(weights),
+        scale=EXIT_SCALE,
         target=target,
         achieved=achieved,
         slack=sol.value,

@@ -231,6 +231,8 @@ def cmd_simulate(args) -> int:
         raise GameFormatError(f"--lam must lie in [0, 1), got {lam}")
     game, res = _run(args)
     if res.profile is None:
+        dump_json({"lam": lam, "errors": res.errors},
+                  os.path.join(_outdir(args), "simulate.json"))
         print("build failed:", "; ".join(res.errors))
         return 1
     results = {}

@@ -82,9 +82,6 @@ class StochasticGame:
         prof = self.profile_of_index(flat)
         return "/".join(self.action_names[i][a] for i, a in enumerate(prof))
 
-    def state_index(self, name: str) -> int:
-        return self.state_names.index(name)
-
     def stay_mass(self, states) -> np.ndarray:
         """q(states | s, a) for every (s, a), shape (S, A)."""
         idx = sorted(states)
@@ -119,17 +116,6 @@ class StationaryCorrelated:
     """One correlated mixed action per state; table has shape (S, A)."""
 
     table: np.ndarray
-
-
-def pure_profile(game: StochasticGame, actions_by_state) -> StationaryProfile:
-    """Build a pure stationary profile from per-state action-index tuples."""
-    mixes = []
-    for i, count in enumerate(game.action_counts):
-        mix = np.zeros((game.n_states, count))
-        for s in range(game.n_states):
-            mix[s, actions_by_state[s][i]] = 1.0
-        mixes.append(mix)
-    return StationaryProfile(tuple(mixes))
 
 
 def mixes_to_correlated_row(mixes) -> np.ndarray:

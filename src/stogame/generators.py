@@ -213,25 +213,6 @@ def random_layered_game(seed: int) -> StochasticGame:
     )
 
 
-def random_mdp(seed: int, n_states: int | None = None, n_actions: int = 3
-               ) -> StochasticGame:
-    """Single-player game (a finite MDP) with dense transitions."""
-    rng = np.random.default_rng(seed)
-    n_states = int(rng.integers(2, 6)) if n_states is None else n_states
-    payoffs = rng.uniform(-1.0, 1.0, size=(n_states, n_actions, 1))
-    transitions = np.zeros((n_states, n_actions, n_states))
-    for s in range(n_states):
-        for a in range(n_actions):
-            transitions[s, a] = _dirichlet_floor(rng, n_states)
-    return StochasticGame(
-        state_names=tuple(f"s{k}" for k in range(n_states)),
-        action_names=(tuple(f"a{j}" for j in range(n_actions)),),
-        payoffs=payoffs,
-        transitions=transitions,
-        name=f"mdp-{seed}",
-    )
-
-
 def mdp3_game() -> StochasticGame:
     """Deterministic 3-state, 2-action single-player game: a small chain with
     one rewarding cycle."""

@@ -87,9 +87,6 @@ class Equilibrium:
     def correlated_row(self) -> np.ndarray:
         return mixes_to_correlated_row(self.mixes)
 
-    def supports(self) -> tuple:
-        return tuple(tuple(np.nonzero(m > 1e-9)[0]) for m in self.mixes)
-
 
 @dataclass
 class EquilibriumSet:

@@ -153,10 +153,6 @@ class Decomposition:
     transient_reach: float       # min absorption probability into the union
     notes: list = field(default_factory=list)
 
-    @property
-    def union(self) -> tuple:
-        return tuple(sorted(s for c in self.sets for s in c.states))
-
     def set_of_state(self, s: int):
         for k, c in enumerate(self.sets):
             if s in c.states:

@@ -56,7 +56,6 @@ class AcceptabilityEntry:
     limit_payoff: float
     limit_margin: float
     threshold_from: float | None   # smallest grid point from which all pass
-    machine_state: int | None = None   # set by the per-product-state variant
 
     @property
     def ok(self) -> bool:
@@ -88,29 +87,21 @@ class AcceptabilityReport:
 
 
 def check_w_acceptable(chain: ProductModel, w: np.ndarray,
-                       lam_grid=DEFAULT_LAMBDA_GRID,
-                       subgame_perfect: bool = False) -> AcceptabilityReport:
+                       lam_grid=DEFAULT_LAMBDA_GRID) -> AcceptabilityReport:
     """Does the strategy whose product chain is `chain` pay every player at
     least w_i(s) at every initial state for all grid discount factors from
     some point on, and in the limit?
 
     w is an (S, I) matrix.  The report records payoffs and margins per
-    (state, player) and the smallest passing grid point.  With
-    `subgame_perfect` the margins are checked from every reachable
-    (game state, machine state) node, i.e. after every on-path history,
-    rather than only at fresh starts.
+    (state, player) and the smallest passing grid point.
     """
     game = chain.game
     grid = list(lam_grid)
     by_lam = [discounted_value(chain, lam) for lam in grid]
     lim = chain.limit
-    if subgame_perfect:
-        checkpoints = [(chain.nodes[n][0], n) for n in reachable_nodes(chain)]
-    else:
-        checkpoints = [(s, chain.node_of(s)) for s in range(game.n_states)]
     entries = []
-    for s, node in checkpoints:
-        q = chain.nodes[node][1]
+    for s in range(game.n_states):
+        node = chain.node_of(s)
         for i in range(game.n_players):
             pays = [float(v[node, i]) for v in by_lam]
             margins = [p - float(w[s, i]) for p in pays]
@@ -123,19 +114,16 @@ def check_w_acceptable(chain: ProductModel, w: np.ndarray,
                         threshold = grid[k]
                         break
             entries.append(AcceptabilityEntry(
-                s, i, pays, margins, limit_payoff, limit_margin, threshold,
-                machine_state=q if subgame_perfect else None))
+                s, i, pays, margins, limit_payoff, limit_margin, threshold))
     ok = all(e.ok for e in entries)
     threshold = max((e.threshold_from for e in entries), default=None) if ok else None
     return AcceptabilityReport(grid, entries, ok, threshold)
 
 
 def check_minmax_acceptable(chain: ProductModel, v1: np.ndarray,
-                            eps: float, lam_grid=DEFAULT_LAMBDA_GRID,
-                            subgame_perfect: bool = False) -> AcceptabilityReport:
+                            eps: float, lam_grid=DEFAULT_LAMBDA_GRID) -> AcceptabilityReport:
     """Acceptability against the uniform min-max values lowered by eps."""
-    return check_w_acceptable(chain, v1 - eps, lam_grid,
-                              subgame_perfect=subgame_perfect)
+    return check_w_acceptable(chain, v1 - eps, lam_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +138,6 @@ class IRViolation:
     action: int
     deviation_value: float
     continuation: float
-
-    @property
-    def gain(self) -> float:
-        return self.deviation_value - self.continuation
 
 
 @dataclass

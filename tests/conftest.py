@@ -5,7 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from stogame.generators import acceptance_suite, random_mdp, sorin_game
+from oracles import random_mdp
+from stogame.generators import acceptance_suite, sorin_game
 from stogame.minmax import default_schedule
 from stogame.pipeline import run_pipeline
 

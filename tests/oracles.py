@@ -9,14 +9,17 @@ and on the shifted entries) borrow the library's LP, `solve_matrix_game`.
 `support_enumeration_oracle` solves each support pair's two indifference
 systems on their own, where the library stacks every kernel of a size
 (`matrixgame.kernel_equalizers`); the two must list the same equilibria bit
-for bit.  `exact_2x2_value` gives a 2x2 game's value in rationals.
+for bit.  `exact_2x2_value` gives a 2x2 game's value in rationals, and
+`newton_minmax_oracle` a discounted min-max value by another algorithm
+(Newton steps on stationary pairs), with its own best-response bracket.
 Classification's two references are linear programs solved by HiGHS:
 `pricing_lp_oracle` over the invariant frequency polytope of a region's
 safe sub-MDP, and `mixture_lp_oracle` for the column-generation master.
 The library solves both without an LP.
 
 The remaining sections hold helpers only the tests call.  `shapley_operator`
-is one min-max round's one-shot step.  The exact stationary-strategy
+is one min-max round's one-shot step; `pure_profile` and `random_mdp` build
+a pure stationary profile and a random single-player game.  The exact stationary-strategy
 references solve the induced state chain: discounted payoffs, the Cesaro
 state occupation (by absorption probabilities into the recurrent classes)
 and the (state, profile) frequency.  The multilinear
@@ -25,7 +28,8 @@ vector.  The path-level executors replay a profile through its joint machine
 and through its per-player views (`PlayerAutomaton`) on the same random
 streams.  The helpers built on the library's own product chain give exact
 payoffs of an automaton profile, finite-horizon average acceptability,
-long-run node frequencies and a simulation of the exit-cycling scheme.  The
+the margins from every reachable node (`node_margins`), long-run node
+frequencies and a simulation of the exit-cycling scheme.  The
 per-set analyses read a set machine's exit law, departure values and
 long-run payoff off its standalone product chain, through `builder`'s own
 `_set_model`.  `whole_game_chain` is the reference that set chain must
@@ -58,6 +62,7 @@ from stogame.automata import (
     discounted_value,
     exit_values,
     first_play_law,
+    reachable_nodes,
 )
 from stogame.builder import (
     REDISPATCH,
@@ -80,7 +85,8 @@ from stogame.frequencies import (
     max_slack_mixture,
     sustain_by_columns,
 )
-from stogame.game import StochasticGame, as_correlated_table
+from stogame.game import StationaryProfile, StochasticGame, as_correlated_table
+from stogame.generators import _dirichlet_floor
 from stogame.matrixgame import solve_matrix_game
 from stogame.minmax import _one_shot, player_view
 from stogame.oneshot import profile_value, regret
@@ -517,6 +523,37 @@ def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=Non
         v = v_up
 
 
+def newton_minmax_oracle(game, i: int, lam: float, v0=None):
+    """Discounted min-max value of player i by Newton steps (Pollatschek &
+    Avi-Itzhak 1969): take both sides' one-shot mixes at v, then move v to
+    the value of that stationary pair, the solution of (I - lam P) v = r.
+    After each pair it solves both best responses (`response_mdp_oracle`,
+    `policy_iteration_oracle`) and stops once that bracket is at most 2e-9
+    wide, as `minmax.discounted_minmax` certifies, or after 50 pairs.  Returns the midpoint and width of the
+    narrowest bracket: the value lies within half the width of the midpoint,
+    up to each policy iteration's stop (a gain of 1e-13 can hide
+    1e-13 / (1 - lam) of value)."""
+    view = player_view(game, i)
+    n_states = game.n_states
+    v = np.zeros(n_states) if v0 is None else np.array(v0, dtype=float)
+    best_mid, best_gap = None, np.inf
+    for _ in range(50):
+        _, rows, cols = shapley_operator(game, i, lam, v, view)
+        R_up, P_up = response_mdp_oracle(game, view, lam, cols, fix_rows=False)
+        v_up = policy_iteration_oracle(R_up, P_up, lam, maximize=True)
+        R_lo, P_lo = response_mdp_oracle(game, view, lam, rows, fix_rows=True)
+        v_lo = policy_iteration_oracle(R_lo, P_lo, lam, maximize=False)
+        gap = float(np.max(np.abs(v_up - v_lo)))
+        if gap < best_gap:
+            best_mid, best_gap = 0.5 * (v_up + v_lo), gap
+        if gap <= 2e-9:
+            break
+        r = np.einsum("sr,sr->s", rows, R_up)
+        P = np.einsum("sr,srt->st", rows, P_up)
+        v = np.linalg.solve(np.eye(n_states) - lam * P, r)
+    return best_mid, best_gap
+
+
 def indifference_solve(M, own_support, opp_support):
     """The opponent mix on opp_support equalizing M over own_support, one
     bordered system solved on its own; None when a weight is below -1e-9.
@@ -572,6 +609,38 @@ def shapley_operator(game, i: int, lam: float, v: np.ndarray, view=None):
     view = view or player_view(game, i)
     return _one_shot((1.0 - lam) * game.payoffs[:, :, i], game.transitions,
                      view.index, lam, v)[:3]
+
+
+# Test-only builders: a pure stationary profile and a random finite MDP.
+
+def pure_profile(game, actions_by_state) -> StationaryProfile:
+    """Build a pure stationary profile from per-state action-index tuples."""
+    mixes = []
+    for i, count in enumerate(game.action_counts):
+        mix = np.zeros((game.n_states, count))
+        for s in range(game.n_states):
+            mix[s, actions_by_state[s][i]] = 1.0
+        mixes.append(mix)
+    return StationaryProfile(tuple(mixes))
+
+
+def random_mdp(seed: int, n_states: int | None = None, n_actions: int = 3
+               ) -> StochasticGame:
+    """Single-player game (a finite MDP) with dense transitions."""
+    rng = np.random.default_rng(seed)
+    n_states = int(rng.integers(2, 6)) if n_states is None else n_states
+    payoffs = rng.uniform(-1.0, 1.0, size=(n_states, n_actions, 1))
+    transitions = np.zeros((n_states, n_actions, n_states))
+    for s in range(n_states):
+        for a in range(n_actions):
+            transitions[s, a] = _dirichlet_floor(rng, n_states)
+    return StochasticGame(
+        state_names=tuple(f"s{k}" for k in range(n_states)),
+        action_names=(tuple(f"a{j}" for j in range(n_actions)),),
+        payoffs=payoffs,
+        transitions=transitions,
+        name=f"mdp-{seed}",
+    )
 
 
 # Exact stationary-strategy references on the state chain.
@@ -839,6 +908,39 @@ def check_average_limit_acceptable(game, profile, w: np.ndarray, horizon: int = 
         horizon=horizon,
         details={"tail_converged": converged, "stage_gap_at_horizon": stage_gap},
     )
+
+
+@dataclass
+class NodeMargin:
+    state: int
+    machine_state: int
+    player: int
+    margins: list          # per grid discount factor
+    limit_margin: float
+
+    @property
+    def ok(self) -> bool:
+        """Passes in the limit and at the largest grid discount, so from
+        some grid point on, as `check_w_acceptable` judges a start."""
+        return self.limit_margin >= -MARGIN_TOL and self.margins[-1] >= -MARGIN_TOL
+
+
+def node_margins(chain: ProductModel, w: np.ndarray, lam_grid=DEFAULT_LAMBDA_GRID) -> list:
+    """Acceptability after every on-path history: for every reachable
+    (game state, machine state) node of the product chain and every player,
+    the margins over w(state) of the discounted payoffs on the grid and of
+    the limit payoff, where `check_w_acceptable` judges only the start
+    nodes."""
+    by_lam = [discounted_value(chain, lam) for lam in lam_grid]
+    lim = chain.limit
+    entries = []
+    for node in reachable_nodes(chain):
+        s, q = chain.nodes[node]
+        for i in range(chain.game.n_players):
+            entries.append(NodeMargin(
+                s, q, i, [float(v[node, i] - w[s, i]) for v in by_lam],
+                float(lim[node, i] - w[s, i])))
+    return entries
 
 
 def simulate_first_exit(eta, trials: int, seed: int) -> np.ndarray:

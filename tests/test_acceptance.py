@@ -17,6 +17,7 @@ from oracles import (
     maximal_communicating_oracle,
     minimal_closed_sets_of_chain,
     optimal_average_values,
+    pure_profile,
     recurrent_points_oracle,
     shapley_operator,
     simulate_first_exit,
@@ -24,7 +25,7 @@ from oracles import (
 )
 from stogame.builder import solve_eta
 from stogame.frequencies import enumerate_recurrent_points, payoff_of_frequency
-from stogame.game import StationaryProfile, pure_profile
+from stogame.game import StationaryProfile
 from stogame.generators import (
     random_banded_exit_game,
     random_dense_game,
@@ -194,7 +195,7 @@ def test_criterion_8_exit_tuning():
         beta = rng.dirichlet(np.ones(L) * 1.5)
         beta = np.clip(beta, 0.01, None)
         beta = beta / beta.sum()
-        eta = solve_eta(beta, scale=float(rng.uniform(0.05, 0.3)))
+        eta = solve_eta(beta)
         worst_rt = max(worst_rt, float(np.max(np.abs(
             first_exit_distribution(eta) - beta))))
         emp = simulate_first_exit(eta, trials=10**5, seed=900 + k)

@@ -5,12 +5,13 @@ from oracles import (
     discounted_payoff_stationary,
     node_frequency,
     player_views,
+    pure_profile,
     sample_play_joint,
     sample_play_per_player,
 )
 from stogame.automata import discounted_value, reachable_nodes, stationary_automaton
 from stogame.builder import assemble_profile, classify_set
-from stogame.game import StationaryProfile, pure_profile
+from stogame.game import StationaryProfile
 from stogame.generators import random_banded_exit_game, sorin_game
 from stogame.minmax import solve_uniform_minmax
 from stogame.oneshot import continuation_values, enumerate_all_states

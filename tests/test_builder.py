@@ -14,6 +14,7 @@ from oracles import (
 from stogame._util import DIST_TOL
 from stogame.automata import first_play_law
 from stogame.builder import (
+    EXIT_SCALE,
     ExitPlan,
     _correlated_type_b_rows,
     assemble_profile,
@@ -95,8 +96,8 @@ def test_companion_absent_when_every_switch_exits():
 
 
 def test_solve_eta_single_exit():
-    eta = solve_eta(np.array([1.0]), scale=0.1)
-    np.testing.assert_allclose(eta, [0.1])
+    eta = solve_eta(np.array([1.0]))
+    np.testing.assert_allclose(eta, [EXIT_SCALE])
     np.testing.assert_allclose(first_exit_distribution(eta), [1.0])
 
 
@@ -114,7 +115,7 @@ def test_solve_eta_round_trip_and_simulation(seed):
     beta = rng.dirichlet(np.ones(L) * 2.0)
     beta = np.clip(beta, 0.02, None)
     beta = beta / beta.sum()
-    eta = solve_eta(beta, scale=0.15)
+    eta = solve_eta(beta)
     law = first_exit_distribution(eta)
     assert float(np.max(np.abs(law - beta))) <= 1e-10
     emp = simulate_first_exit(eta, trials=40_000, seed=seed)
@@ -123,8 +124,6 @@ def test_solve_eta_round_trip_and_simulation(seed):
 
 
 def test_solve_eta_rejects_bad_input():
-    with pytest.raises(ValueError):
-        solve_eta(np.array([0.5, 0.5]), scale=1.5)
     with pytest.raises(ValueError):
         solve_eta(np.array([1.0, 0.0]))
 
@@ -415,7 +414,7 @@ def test_degenerate_exit_law_ends_the_correlated_tuner():
     beta = np.array([0.5, 0.5])
     plan = ExitPlan(exits=exits, companions=[c for c, _ in found],
                     deviators=[i for _, i in found], beta=beta,
-                    eta=solve_eta(beta, 0.1), scale=0.1, target=np.zeros(2),
+                    eta=solve_eta(beta), scale=EXIT_SCALE, target=np.zeros(2),
                     achieved=np.zeros(2), slack=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

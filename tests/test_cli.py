@@ -102,6 +102,11 @@ def test_a_stalled_decomposition_exits_1_with_an_artifact(tmp_path, capsys):
     doc = json.loads((tmp_path / "verify.json").read_text())
     assert doc["summary"]["errors"] == [STALLED_ERROR] and doc["summary"]["sets"] is None
     assert f"error: {STALLED_ERROR}" in capsys.readouterr().out.splitlines()
+    sim_out = tmp_path / "simulate"
+    assert run(["simulate"] + common[:-1] + [str(sim_out)]) == 1
+    doc = json.loads((sim_out / "simulate.json").read_text())
+    assert doc == {"lam": 0.99, "errors": [STALLED_ERROR]}
+    assert f"build failed: {STALLED_ERROR}" in capsys.readouterr().out.splitlines()
 
 
 def test_build_correlated(tmp_path):

@@ -8,6 +8,7 @@ from oracles import (
     empirical_frequency,
     mixture_lp_oracle,
     pricing_lp_oracle,
+    pure_profile,
     recurrent_points_oracle,
     stationary_frequency,
     type_a_feasibility,
@@ -19,7 +20,7 @@ from stogame.frequencies import (
     max_slack_mixture,
     payoff_of_frequency,
 )
-from stogame.game import StochasticGame, pure_profile
+from stogame.game import StochasticGame
 from stogame.generators import random_dense_game, sorin_game
 from stogame.matrixgame import _verify
 from stogame.minmax import default_schedule

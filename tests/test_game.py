@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import discounted_payoff_stationary, extend_payoff, extend_transition, induced_chain
+from oracles import (
+    discounted_payoff_stationary,
+    extend_payoff,
+    extend_transition,
+    induced_chain,
+    pure_profile,
+)
 from stogame.game import (
     GameFormatError,
     StationaryProfile,
@@ -14,7 +20,6 @@ from stogame.game import (
     game_from_dict,
     game_to_dict,
     load_game,
-    pure_profile,
     save_game,
     validate_game,
 )

@@ -7,8 +7,10 @@ import pytest
 import stogame.minmax
 from oracles import (
     discounted_minmax_oracle,
+    newton_minmax_oracle,
     optimal_average_values,
     policy_iteration_oracle,
+    random_mdp,
     response_mdp_oracle,
     shapley_operator,
 )
@@ -17,7 +19,7 @@ from stogame.generators import (
     acceptance_suite,
     random_banded_exit_game,
     random_dense_game,
-    random_mdp,
+    random_soft_absorbing_game,
     sorin_game,
     three_player_game,
 )
@@ -193,6 +195,39 @@ def test_curve_keeps_solver_facts():
     doc = curve.to_dict()
     assert [k for k, flag in enumerate(doc["stalled"]) if flag] == stalled_at
     assert doc["extrapolation_points"] == [first, mid, last]
+
+
+# Soft-absorbing games of suite52 slots 17 to 56 whose curves stall near
+# discount 1.
+STALLING_SEEDS = (172001, 312003, 342002, 392003, 462009, 492006, 562003)
+# Policy iteration (`_policy_iteration` and `policy_iteration_oracle`) stops
+# once no action gains more than this.  Such a policy's value can lie
+# PI_STOP / (1 - lam) below the optimum, so each side of a bracket may be
+# that far off.
+PI_STOP = 1e-13
+
+
+def test_every_schedule_point_lies_within_its_certificate(suite_results):
+    # Each schedule point must lie within its certified gap, plus the
+    # Newton oracle's own gap and both sides' policy iteration slack, of the
+    # oracle's value.  Stalled points must lie inside without the slack.
+    schedule = default_schedule(24)
+    solved = [(game, res.minmax) for game, res in suite_results[1]]
+    solved += [(game, solve_uniform_minmax(game, schedule=schedule))
+               for game in map(random_soft_absorbing_game, STALLING_SEEDS)]
+    stalled = 0
+    for game, curve in ((g, c) for g, report in solved for c in report.curves):
+        v = None
+        for k, lam in enumerate(schedule):
+            v, gap = newton_minmax_oracle(game, curve.player, lam, v0=v)
+            assert gap <= 2e-9
+            error = float(np.max(np.abs(curve.values[k] - v)))
+            bound = curve.certified_gaps[k] + gap
+            assert error <= bound + 2.0 * PI_STOP / (1.0 - lam), (game.name, curve.player, k)
+            if curve.stalled[k]:
+                stalled += 1
+                assert error <= bound, (game.name, curve.player, k)
+    assert stalled
 
 
 def _assert_batched_stage_matches_per_state(game, rng):

@@ -1,11 +1,19 @@
-"""Every defaulted parameter of a function in `stogame` is set by some call.
+"""Every setting and every helper in `stogame` has a reader outside the tests.
 
-A parameter that no call sets only ever takes its default: it is a constant
-dressed up as a setting.  The scan parses every call in `src/`, `tests/`,
-`scripts/` and `perfbench/` and matches it to the functions of that name by
-the keywords it passes and the positions it fills.  A `*args` or `**kwargs`
-splat fills nothing it does not name, so a default that only a splat could
-reach counts as unset.
+A defaulted parameter that no call sets only ever takes its default: it is a
+constant dressed up as a setting.  The first scan parses every call in
+`src/`, `scripts/` and `perfbench/` and matches it to the functions of that
+name by the keywords it passes and the positions it fills.  A `*args` or
+`**kwargs` splat fills nothing it does not name, so a default that only a
+splat could reach counts as unset.  A call from a test does not count: a
+setting that only tests turn is a second code path kept for them.
+
+The second scan asks the same of names: every function, class, method and
+property that `src/stogame` defines (dunders aside) must be read somewhere
+in `src/`, `scripts/` or `perfbench/` outside its own definition.  Helpers
+that only tests call belong in `tests/oracles.py`.  The scan matches names,
+not bindings, so a name that is also a local variable or an attribute of
+another object counts as read.
 """
 
 import ast
@@ -13,7 +21,20 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = ("src", "tests", "scripts", "perfbench")
+# Trees whose code counts as a reader; test modules among them do not.
+READERS = ("src", "scripts", "perfbench")
+
+
+def _reader_trees():
+    for top in READERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if not path.name.startswith("test_"):
+                yield ast.parse(path.read_text())
+
+
+def _stogame_trees():
+    for path in sorted((ROOT / "src" / "stogame").glob("*.py")):
+        yield path.stem, ast.parse(path.read_text())
 
 
 def _defaulted_parameters():
@@ -40,30 +61,71 @@ def _defaulted_parameters():
                               int(cls is not None and not static), defaulted))
                 visit(child, module, None)
 
-    for path in sorted((ROOT / "src" / "stogame").glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, None)
+    for module, tree in _stogame_trees():
+        visit(tree, module, None)
     return found
 
 
 def _set_by_calls(functions):
-    """Qualified name -> the parameters some call sets."""
+    """Qualified name -> the parameters some call outside the tests sets."""
     by_name = defaultdict(list)
     for name, qualified, positional, first, _ in functions:
         by_name[name].append((qualified, positional, first))
     set_by = defaultdict(set)
-    for top in SCANNED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                n_positional = next((k for k, a in enumerate(node.args)
-                                     if isinstance(a, ast.Starred)), len(node.args))
-                for qualified, positional, first in by_name.get(name, ()):
-                    set_by[qualified].update(positional[first:first + n_positional])
-                    set_by[qualified].update(kw.arg for kw in node.keywords if kw.arg)
+    for tree in _reader_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            n_positional = next((k for k, a in enumerate(node.args)
+                                 if isinstance(a, ast.Starred)), len(node.args))
+            for qualified, positional, first in by_name.get(name, ()):
+                set_by[qualified].update(positional[first:first + n_positional])
+                set_by[qualified].update(kw.arg for kw in node.keywords if kw.arg)
     return set_by
+
+
+def _defined_names():
+    """(name, qualified name) of every function, class, method and property
+    that stogame defines, dunders aside."""
+    found = []
+
+    def visit(node, module, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    found.append((child.name,
+                                  ".".join(p for p in (module, cls, child.name) if p)))
+                visit(child, module, child.name if isinstance(child, ast.ClassDef) else None)
+
+    for module, tree in _stogame_trees():
+        visit(tree, module, None)
+    return found
+
+
+def _read_names():
+    """Every name, attribute and imported name read outside the tests, but
+    not inside a definition of that same name (a recursive call does not
+    make a function live)."""
+    read = set()
+
+    def visit(node, enclosing):
+        for child in ast.iter_child_nodes(node):
+            inner = enclosing
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = enclosing | {child.name}
+            name = (getattr(child, "id", None) if isinstance(child, ast.Name)
+                    else getattr(child, "attr", None) if isinstance(child, ast.Attribute)
+                    else getattr(child, "name", None) if isinstance(child, ast.alias)
+                    else None)
+            if name is not None and name not in enclosing:
+                read.add(name)
+            visit(child, inner)
+
+    for tree in _reader_trees():
+        visit(tree, frozenset())
+    return read
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
@@ -75,12 +137,23 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     assert not unset, "defaulted parameters that no call sets: " + ", ".join(unset)
 
 
+def test_every_defined_name_is_read_outside_the_tests():
+    read = _read_names()
+    unread = [qualified for name, qualified in _defined_names() if name not in read]
+    assert not unread, "names that only tests read: " + ", ".join(unread)
+
+
 def test_the_scan_sees_calls_by_keyword_position_and_method():
-    # The scan itself: positional, keyword and method calls all count.
+    # The scans themselves: positional, keyword and method calls all count.
     functions = _defaulted_parameters()
     set_by = _set_by_calls(functions)
     assert {"schedule"} <= set_by["minmax.uniform_minmax"]          # keyword
     assert {"k_max"} <= set_by["minmax.default_schedule"]           # position
     assert {"exact_tol"} <= set_by["oneshot.enumerate_equilibria"]  # keyword
     total = sum(len(defaulted) for *_, defaulted in functions)
-    assert 0 < total <= 34
+    assert 0 < total <= 29
+    defined = dict(_defined_names())
+    assert {"discounted_minmax", "_policy_iteration", "uniform_values"} <= set(defined)
+    assert "__init__" not in defined
+    read = _read_names()
+    assert {"discounted_minmax", "_policy_iteration", "uniform_values"} <= read

@@ -16,10 +16,11 @@ from oracles import (
     maximal_communicating_oracle,
     minimal_closed_sets_of_chain,
     minimal_closed_sets_under_E,
+    pure_profile,
     verify_travel,
 )
 from stogame._util import DIST_TOL
-from stogame.game import StochasticGame, pure_profile
+from stogame.game import StochasticGame
 from stogame.generators import random_banded_exit_game, random_dense_game, sorin_game
 from stogame.minmax import solve_uniform_minmax
 from stogame.oneshot import enumerate_all_states
@@ -198,7 +199,8 @@ def test_transient_chain_absorbs():
     eq_sets = enumerate_all_states(g, v1)
     d = decompose(g, eq_sets, v1)
     assert d.transient
-    assert transient_reach_probability(g, d.transient_profile, d.union) >= 1.0 - 1e-9
+    assert transient_reach_probability(g, d.transient_profile,
+                                       [s for c in d.sets for s in c.states]) >= 1.0 - 1e-9
 
 
 def test_transient_induction_stall_reported():

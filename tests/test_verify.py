@@ -5,12 +5,14 @@ from oracles import (
     check_average_limit_acceptable,
     discounted_payoff_stationary,
     exact_discounted_payoff_automaton,
+    node_margins,
+    pure_profile,
     stationary_frequency,
 )
 from stogame.automata import stationary_automaton
 from stogame.builder import assemble_profile, classify_set
 from stogame.frequencies import payoff_of_frequency
-from stogame.game import StationaryProfile, StochasticGame, pure_profile
+from stogame.game import StationaryProfile, StochasticGame
 from stogame.generators import random_dense_game, sorin_game
 from stogame.minmax import solve_uniform_minmax
 from stogame.oneshot import continuation_values, enumerate_all_states
@@ -197,11 +199,11 @@ def test_discounted_tail_approaches_limit(sorin_ctx):
 
 def test_subgame_perfect_variant_checks_all_nodes(sorin_ctx):
     g, v1, _, _, prof = sorin_ctx
-    report = check_minmax_acceptable(product_chain(g, prof), v1, 0.05, subgame_perfect=True)
-    assert report.ok
-    machine_states = {e.machine_state for e in report.entries}
+    entries = node_margins(product_chain(g, prof), v1 - 0.05)
+    assert all(e.ok for e in entries)
+    machine_states = {e.machine_state for e in entries}
     assert len(machine_states) > 1   # mid-cycle nodes audited too
     # mid-cycle continuation shifts toward the later exit but keeps margins
-    phase2 = [e for e in report.entries
+    phase2 = [e for e in entries
               if e.state == 0 and e.machine_state == 1 and e.player == 1]
     assert phase2 and phase2[0].limit_margin >= 0.1
