@@ -15,7 +15,7 @@ submartingale drift and the wall time; the summary line adds the suite's
 total rounds, master LPs, one-shot LPs and warnings.  The --json rows are
 `PipelineResult.summary()`.
 
-The last line is one sha256 over every game's `profile.to_dict()` and
+The last line is one sha256 over every game's `json_ready(profile)` and
 correlated table, in suite order.  Two checkouts that print the same digest
 built bit-identical machines and stationary correlated strategies.
 
@@ -59,7 +59,7 @@ def main() -> int:
         summ["seconds"] = round(time.monotonic() - t0, 3)
         rows.append(summ)
         digest.update(json.dumps(json_ready({
-            "profile": None if res.profile is None else res.profile.to_dict(),
+            "profile": res.profile,
             "correlated": None if res.correlated is None else res.correlated.table,
         })).encode())
         flag = "ok " if summ["ok"] else "FAIL"

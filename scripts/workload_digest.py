@@ -10,15 +10,15 @@ generated exactly as `perfbench/run.py` generates them, and each game goes
 through one `run_pipeline` call with the benchmark's eps and schedule.  The
 script prints four digests, each over all games in order:
 
-* min-max: over `json.dumps(result.minmax.to_dict())`.  Equal digests mean
+* min-max: over `json.dumps(json_ready(result.minmax))`.  Equal digests mean
   bit-identical min-max reports (values, rounds, certificates, stalls and
   the one-shot games sent to `solve_matrix_game`) on every game.
-* build: over each game's `profile.to_dict()` and stationary correlated
+* build: over each game's `json_ready(profile)` and stationary correlated
   table, as in the last line of `scripts/run_suite.py`.  Equal digests mean
   bit-identical machines and correlated strategies.
-* oneshot: over each game's `[e.to_dict() for e in res.eq_sets]`.  Equal
+* oneshot: over each game's `json_ready(res.eq_sets)`.  Equal
   digests mean bit-identical one-shot equilibrium lists at every state.
-* verify: over the `to_dict()` of each game's five verifier reports
+* verify: over the `json_ready` of each game's five verifier reports
   (acceptability of both variants, individual rationality, submartingale
   and size audit; `None` where a report is missing).  Equal digests mean
   bit-identical verdicts, payoffs and margins.
@@ -98,16 +98,15 @@ def main(argv=None) -> int:
                     differing.append(f"slot {slot} {game.name}: largest v1 difference "
                                      f"{off:.3e}, stalled solves per player {stalled}; "
                                      + "; ".join(problems))
-            minmax_digest.update(json.dumps(res.minmax.to_dict()).encode())
+            minmax_digest.update(json.dumps(json_ready(res.minmax)).encode())
             build_digest.update(json.dumps(json_ready({
-                "profile": None if res.profile is None else res.profile.to_dict(),
+                "profile": res.profile,
                 "correlated": None if res.correlated is None else res.correlated.table,
             })).encode())
-            oneshot_digest.update(json.dumps([e.to_dict() for e in res.eq_sets]).encode())
+            oneshot_digest.update(json.dumps(json_ready(res.eq_sets)).encode())
             reports = (res.acceptability, res.correlated_acceptability, res.ir_report,
                        res.submartingale, res.size_audit)
-            verify_digest.update(json.dumps(
-                [None if r is None else r.to_dict() for r in reports]).encode())
+            verify_digest.update(json.dumps(json_ready(reports)).encode())
             n_games += 1
     print(f"{args.workload} slots {args.slots.start}-{args.slots.stop - 1}: "
           f"{n_games} games in {time.monotonic() - start:.1f}s")

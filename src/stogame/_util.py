@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 # Probability mass accounting (distribution rows).
@@ -11,16 +12,25 @@ VALUE_SPREAD_TOL = 1e-4
 
 
 def dump_json(obj, path) -> None:
-    """Write `obj` as deterministic JSON (sorted keys, fixed layout)."""
+    """Write `json_ready(obj)` as deterministic JSON (sorted keys, fixed
+    layout)."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(json_ready(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def json_ready(obj):
-    """Recursively convert numpy scalars/arrays to plain Python types."""
+    """Recursively convert `obj` to plain JSON types.
+
+    A value with a `to_dict` gives that dict, and any other dataclass its
+    fields in declaration order; dict keys become strings, tuples lists, and
+    numpy arrays and scalars plain Python values."""
     import numpy as np
 
+    if hasattr(obj, "to_dict"):
+        return obj.to_dict()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: json_ready(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -74,11 +74,9 @@ class JointAutomaton:
             "size": self.size,
             "labels": [str(l) for l in self.labels],
             "outputs": self.outputs,
-            "factors": None if self.factors is None else [
-                [m for m in f] for f in self.factors
-            ],
+            "factors": self.factors,
             "transitions": rows,
-            "init": {str(s): int(q) for s, q in self.init.items()},
+            "init": self.init,
             "coin_note": self.coin_note,
         })
 
@@ -90,9 +88,6 @@ class JointAutomatonProfile:
 
     joint: JointAutomaton
     meta: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return json_ready({"joint": self.joint.to_dict(), "meta": self.meta})
 
 
 def stationary_automaton(game: StochasticGame, strategy) -> JointAutomaton:

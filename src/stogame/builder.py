@@ -142,19 +142,6 @@ class ExitPlan:
     achieved: np.ndarray         # sum_l beta_l u*(exit_l)
     slack: float
 
-    def to_dict(self) -> dict:
-        return json_ready({
-            "exits": [[s, a] for s, a in self.exits],
-            "companions": self.companions,
-            "deviators": self.deviators,
-            "beta": self.beta,
-            "eta": self.eta,
-            "scale": self.scale,
-            "target": self.target,
-            "achieved": self.achieved,
-            "slack": self.slack,
-        })
-
 
 def type_b_feasibility(game: StochasticGame, region, value, eps: float,
                        u_star: np.ndarray, counts: dict | None = None
@@ -201,14 +188,6 @@ class Classification:
     sustain: SustainPlan | None = None
     exit_plan: ExitPlan | None = None
     diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return json_ready({
-            "kind": self.kind,
-            "sustain": None if self.sustain is None else self.sustain.to_dict(),
-            "exit_plan": None if self.exit_plan is None else self.exit_plan.to_dict(),
-            "diagnostics": self.diagnostics,
-        })
 
 
 def classify_set(game: StochasticGame, cset, eps: float,
@@ -337,7 +316,7 @@ def build_type_a_fragment(game: StochasticGame, region, plan: SustainPlan,
         advance = 0.0 if L == 1 else delta / float(plan.weights[l])
         for s in region:
             in_class = s in atom.actions
-            a = atom.actions[s] if in_class else travels[l].policy[s]
+            a = atom.actions[s] if in_class else travels[l][s]
             factors[(l, s)] = _pure_factors(game, a)
             for s_next, _ in game.successors[s][a]:
                 if in_class and advance > 0.0 and s_next in region:
@@ -367,7 +346,7 @@ def build_type_b_fragment(game: StochasticGame, region, plan: ExitPlan) -> SetFr
         companion = plan.companions[l]
         for s in region:
             if s != exit_state:
-                a = travels[l].policy[s]
+                a = travels[l][s]
                 factors[(l, s)] = _pure_factors(game, a)
                 for s_next, _ in game.successors[s][a]:
                     table[((l, s), a, s_next)] = _edge(region, (l, s_next))
@@ -577,7 +556,7 @@ def _correlated_type_a_rows(game: StochasticGame, region, plan: SustainPlan,
             if fill is None:
                 fill = travel_strategy(game, region, support)
             row = np.zeros(game.n_profiles)
-            row[fill.policy[s]] = 1.0
+            row[fill[s]] = 1.0
             base[s] = row
     target = sustain_target(value, plan, eps)
 
@@ -642,8 +621,8 @@ def _correlated_type_b_rows(game: StochasticGame, region, plan: ExitPlan) -> dic
         row = np.zeros(game.n_profiles)
         hits = 0
         for trav in travels:
-            if s in trav.policy:
-                row[trav.policy[s]] += 1.0
+            if s in trav:
+                row[trav[s]] += 1.0
                 hits += 1
         z_rows[s] = row / hits if hits else safe_rows[s]
 

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 failed verdicts (validation violations, acceptability
-failures, unclassifiable sets, pipeline errors), 2 file or parse errors.
+failures, unclassifiable sets, pipeline errors), 2 file or parse errors and
+out-of-range flags, each checked before any solve.
 `decompose` stops after classification; `build`, `build-correlated`,
 `verify`, `simulate` and `demo-sorin` run the whole pipeline.
 Every command writes a deterministic JSON artifact into the output directory.
@@ -12,12 +13,13 @@ an abbreviation of one, is a parse error (exit 2).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
-from ._util import VALUE_SPREAD_TOL, dump_json, json_ready
+from ._util import VALUE_SPREAD_TOL, dump_json
 from .game import (
     GameFormatError,
     StationaryProfile,
@@ -93,16 +95,19 @@ def _outdir(args) -> str:
 
 
 def _epsilon(args) -> float:
-    if args.epsilon <= 0.0:
-        raise GameFormatError(f"--epsilon must be positive, got {args.epsilon}")
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0.0):
+        raise GameFormatError(f"--epsilon must be finite and positive, got {args.epsilon}")
     return args.epsilon
 
 
 def _solver_inputs(args):
-    """Load the game and check `--epsilon` and `--schedule-depth`, which
-    `decompose` and the pipeline commands read."""
+    """Load the game and check `--epsilon`, `--schedule-depth`, `--tol-v`
+    and `--eq-tol`, which `decompose` and the pipeline commands read."""
     game = _load(args)
     _epsilon(args)
+    for flag, tol in (("--tol-v", args.tol_v), ("--eq-tol", args.eq_tol)):
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise GameFormatError(f"{flag} must be finite and at least 0, got {tol}")
     return game, _schedule(args)
 
 
@@ -129,7 +134,7 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     game = _load(args)
     report = solve_uniform_minmax(game, schedule=_schedule(args))
-    dump_json(report.to_dict(), os.path.join(_outdir(args), "solve.json"))
+    dump_json(report, os.path.join(_outdir(args), "solve.json"))
     print(f"adversary mode: {report.adversary_mode}")
     for curve in report.curves:
         vals = ", ".join(
@@ -143,9 +148,9 @@ def cmd_decompose(args) -> int:
     game, schedule = _solver_inputs(args)
     res = classify_game(game, args.epsilon, schedule, args.tol_v, args.eq_tol)
     doc = {
-        "uniform_values": json_ready(res.v1),
-        "decomposition": None if res.decomposition is None else res.decomposition.to_dict(),
-        "classifications": [c.to_dict() for c in res.classifications],
+        "uniform_values": res.v1,
+        "decomposition": res.decomposition,
+        "classifications": res.classifications,
         "errors": res.errors,
         "warnings": res.warnings,
     }
@@ -170,11 +175,11 @@ def cmd_build(args) -> int:
         dump_json({"errors": res.errors}, os.path.join(out, "build.json"))
         print("build failed:", "; ".join(res.errors))
         return 1
-    dump_json(res.profile.to_dict(), os.path.join(out, "automaton.json"))
+    dump_json(res.profile, os.path.join(out, "automaton.json"))
     doc = {
         "summary": res.summary(),
-        "acceptability": res.acceptability.to_dict(),
-        "size_audit": res.size_audit.to_dict(),
+        "acceptability": res.acceptability,
+        "size_audit": res.size_audit,
     }
     dump_json(doc, os.path.join(out, "build.json"))
     print(f"machine size {res.profile.joint.size} "
@@ -191,9 +196,9 @@ def cmd_build_correlated(args) -> int:
         print("build failed:", "; ".join(res.errors))
         return 1
     doc = {
-        "table": json_ready(res.correlated.table),
-        "acceptability": res.correlated_acceptability.to_dict(),
-        "size_audit": res.correlated_size_audit.to_dict(),
+        "table": res.correlated.table,
+        "acceptability": res.correlated_acceptability,
+        "size_audit": res.correlated_size_audit,
     }
     dump_json(doc, os.path.join(out, "correlated.json"))
     print(f"stationary correlated strategy over {game.n_states} states; "
@@ -205,13 +210,12 @@ def cmd_verify(args) -> int:
     game, res = _run(args)
     doc = {
         "summary": res.summary(),
-        "minmax": res.minmax.to_dict(),
-        "acceptability": None if res.acceptability is None else res.acceptability.to_dict(),
-        "correlated_acceptability": None if res.correlated_acceptability is None
-        else res.correlated_acceptability.to_dict(),
-        "individual_rationality": None if res.ir_report is None else res.ir_report.to_dict(),
-        "submartingale": None if res.submartingale is None else res.submartingale.to_dict(),
-        "size_audit": None if res.size_audit is None else res.size_audit.to_dict(),
+        "minmax": res.minmax,
+        "acceptability": res.acceptability,
+        "correlated_acceptability": res.correlated_acceptability,
+        "individual_rationality": res.ir_report,
+        "submartingale": res.submartingale,
+        "size_audit": res.size_audit,
     }
     dump_json(doc, os.path.join(_outdir(args), "verify.json"))
     summ = res.summary()
@@ -229,22 +233,24 @@ def cmd_simulate(args) -> int:
     lam = 0.99 if args.lam is None else args.lam
     if not 0.0 <= lam < 1.0:
         raise GameFormatError(f"--lam must lie in [0, 1), got {lam}")
+    if args.replications < 1:
+        raise GameFormatError(f"--replications must be at least 1, got {args.replications}")
+    if args.seed < 0:
+        raise GameFormatError(f"--seed must be at least 0, got {args.seed}")
     game, res = _run(args)
     if res.profile is None:
         dump_json({"lam": lam, "errors": res.errors},
                   os.path.join(_outdir(args), "simulate.json"))
         print("build failed:", "; ".join(res.errors))
         return 1
-    results = {}
-    for s in range(game.n_states):
-        sim = simulate(game, s, res.profile, lam, seed=args.seed,
-                       replications=args.replications)
-        results[game.state_names[s]] = sim.to_dict()
+    results = {game.state_names[s]: simulate(game, s, res.profile, lam, seed=args.seed,
+                                             replications=args.replications)
+               for s in range(game.n_states)}
     dump_json({"lam": lam, "results": results},
               os.path.join(_outdir(args), "simulate.json"))
-    for name, doc in results.items():
-        print(f"{name}: mean {np.round(doc['mean'], 5).tolist()} "
-              f"(se {np.round(doc['std_error'], 5).tolist()})")
+    for name, sim in results.items():
+        print(f"{name}: mean {np.round(sim.mean, 5).tolist()} "
+              f"(se {np.round(sim.std_error, 5).tolist()})")
     return 0
 
 
@@ -276,7 +282,7 @@ def cmd_demo_sorin(args) -> int:
           f"{res.correlated_acceptability.ok}; size {game.n_states}")
 
     dump_json({
-        "uniform_values": json_ready(res.v1),
+        "uniform_values": res.v1,
         "fixed_profile_acceptable": fixed_report.ok,
         "fixed_profile_player2_limit": p2.limit_payoff,
         "synthesized_acceptable": res.acceptability.ok,

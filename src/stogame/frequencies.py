@@ -65,11 +65,8 @@ class RecurrentPoint:
     payoff: np.ndarray
 
     def to_dict(self) -> dict:
-        return json_ready({
-            "states": list(self.states),
-            "actions": {str(s): a for s, a in self.actions.items()},
-            "payoff": self.payoff,
-        })
+        return json_ready({"states": self.states, "actions": self.actions,
+                           "payoff": self.payoff})
 
 
 class EnumerationSizeError(RuntimeError):
@@ -207,15 +204,6 @@ class SustainPlan:
     target: np.ndarray
     achieved: np.ndarray
     slack: float
-
-    def to_dict(self) -> dict:
-        return json_ready({
-            "atoms": [p.to_dict() for p in self.atoms],
-            "weights": self.weights,
-            "target": self.target,
-            "achieved": self.achieved,
-            "slack": self.slack,
-        })
 
 
 def max_slack_mixture(payoffs: np.ndarray, target: np.ndarray) -> MatrixGameSolution:

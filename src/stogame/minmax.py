@@ -55,7 +55,7 @@ of up to 3e-6.  The batched solve is bit-identical to the per-state one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -316,7 +316,7 @@ class PlayerValueCurve:
     schedule: list
     values: list          # one value vector per schedule point
     extrapolated: np.ndarray
-    diffs: list           # successive sup-norm differences
+    successive_diffs: list  # successive sup-norm differences
     converged: bool
     rounds: list          # strategy-iteration rounds per schedule point
     certified_gaps: list  # certificate of each schedule point's solve
@@ -325,26 +325,11 @@ class PlayerValueCurve:
     #                       larger than 2x2, or 2x2 and failing both closed-form tries
     extrapolation_points: tuple | None  # schedule indices fed to Aitken
 
-    def to_dict(self) -> dict:
-        return json_ready({
-            "player": self.player,
-            "schedule": self.schedule,
-            "values": self.values,
-            "extrapolated": self.extrapolated,
-            "successive_diffs": self.diffs,
-            "converged": self.converged,
-            "rounds": self.rounds,
-            "certified_gaps": self.certified_gaps,
-            "stalled": self.stalled,
-            "matrix_solves": self.matrix_solves,
-            "extrapolation_points": self.extrapolation_points,
-        })
-
 
 @dataclass
 class MinMaxReport:
     adversary_mode: str
-    curves: list = field(default_factory=list)
+    curves: list
 
     @property
     def uniform_values(self) -> np.ndarray:
@@ -354,7 +339,7 @@ class MinMaxReport:
     def to_dict(self) -> dict:
         return json_ready({
             "adversary_mode": self.adversary_mode,
-            "players": [c.to_dict() for c in self.curves],
+            "players": self.curves,
         })
 
 
@@ -417,7 +402,5 @@ def solve_uniform_minmax(game: StochasticGame, schedule=None) -> MinMaxReport:
     if game.n_players > 2:
         mode = ("coalition-correlated (lower bound on the independent min-max "
                 "for 3+ players)")
-    report = MinMaxReport(adversary_mode=mode)
-    report.curves = [uniform_minmax(game, i, schedule=schedule)
-                     for i in range(game.n_players)]
-    return report
+    return MinMaxReport(mode, [uniform_minmax(game, i, schedule=schedule)
+                               for i in range(game.n_players)])

@@ -10,7 +10,7 @@ best-response fixed points for three or more players (tagged approximate).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,9 +92,7 @@ class Equilibrium:
 class EquilibriumSet:
     state: int
     items: list
-    exact_tol: float = EXACT_EQ_TOL
-    approx_tol: float = APPROX_EQ_TOL
-    notes: list = field(default_factory=list)
+    notes: list
 
     def __len__(self) -> int:
         return len(self.items)
@@ -102,10 +100,7 @@ class EquilibriumSet:
     def to_dict(self) -> dict:
         return json_ready({
             "state": self.state,
-            "equilibria": [
-                {"mixes": [m for m in eq.mixes], "exact": eq.exact, "regret": eq.regret}
-                for eq in self.items
-            ],
+            "equilibria": self.items,
             "notes": self.notes,
         })
 
@@ -212,7 +207,7 @@ def enumerate_equilibria(aux: AuxiliaryGame, exact_tol: float = EXACT_EQ_TOL
     ordered = [seen[k] for k in sorted(seen)]
     if not ordered:
         notes.append("equilibrium list is empty")
-    return EquilibriumSet(aux.state, ordered, exact_tol, APPROX_EQ_TOL, notes)
+    return EquilibriumSet(aux.state, ordered, notes)
 
 
 def enumerate_all_states(game: StochasticGame, v1: np.ndarray,

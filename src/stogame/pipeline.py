@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,8 +107,8 @@ def classify_game(game: StochasticGame, eps: float = 0.05, schedule=None,
     Markov chain, and no check on it would mean anything.  A decomposition
     that stalls is an error too, and the result has none (`None`).
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     problems = validate_game(game)
     schedule = default_schedule() if schedule is None else list(schedule)
     minmax = solve_uniform_minmax(game, schedule=schedule)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import json_ready
 from .game import StochasticGame
 from .verify import product_chain
 
@@ -33,16 +32,6 @@ class SimulationResult:
     seed: int
     state_visits: np.ndarray     # average per-stage visit frequency per state
 
-    def to_dict(self) -> dict:
-        return json_ready({
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "replications": self.replications,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "state_visits": self.state_visits,
-        })
-
 
 def simulate(game: StochasticGame, s1: int, strategy, lam: float, seed: int,
              replications: int = 1000) -> SimulationResult:
@@ -54,6 +43,8 @@ def simulate(game: StochasticGame, s1: int, strategy, lam: float, seed: int,
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"discount factor {lam} outside [0, 1)")
+    if replications < 1:
+        raise ValueError(f"replications must be at least 1, got {replications}")
     model = product_chain(game, strategy)
     horizon = default_horizon(lam)
 

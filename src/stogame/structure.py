@@ -71,18 +71,9 @@ def almost_sure_reach(game: StochasticGame, region, targets):
         live = reach
 
 
-@dataclass(frozen=True)
-class TravelStrategy:
+def travel_strategy(game: StochasticGame, region, targets) -> dict:
     """Pure stationary profile driving play into `targets` without leaving
-    `region`; `policy` maps each state of region minus targets to a flat
-    profile index."""
-
-    region: tuple
-    targets: tuple
-    policy: dict
-
-
-def travel_strategy(game: StochasticGame, region, targets) -> TravelStrategy:
+    `region`: a flat profile index for each state of region minus targets."""
     region = tuple(sorted(region))
     targets = tuple(sorted(set(targets)))
     reachable, policy = almost_sure_reach(game, region, targets)
@@ -91,8 +82,7 @@ def travel_strategy(game: StochasticGame, region, targets) -> TravelStrategy:
         raise ValueError(
             f"states {sorted(missing)} cannot reach {list(targets)} inside {list(region)}"
         )
-    policy = {s: policy[s] for s in set(region) - set(targets)}
-    return TravelStrategy(region, targets, policy)
+    return {s: policy[s] for s in set(region) - set(targets)}
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +124,6 @@ class CommunicatingSet:
     value: np.ndarray            # common per-player value on the set
     travel_witnesses: dict       # target state -> pure policy dict
 
-    def to_dict(self) -> dict:
-        return json_ready({
-            "states": list(self.states),
-            "value": self.value,
-            "travel_witnesses": {
-                str(t): {str(s): a for s, a in pol.items()}
-                for t, pol in self.travel_witnesses.items()
-            },
-        })
-
 
 @dataclass
 class Decomposition:
@@ -161,11 +141,9 @@ class Decomposition:
 
     def to_dict(self) -> dict:
         return json_ready({
-            "sets": [c.to_dict() for c in self.sets],
-            "transient": list(self.transient),
-            "transient_profile": {
-                str(s): [m for m in eq.mixes] for s, eq in self.transient_profile.items()
-            },
+            "sets": self.sets,
+            "transient": self.transient,
+            "transient_profile": {s: eq.mixes for s, eq in self.transient_profile.items()},
             "transient_reach": self.transient_reach,
             "notes": self.notes,
         })

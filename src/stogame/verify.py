@@ -65,25 +65,9 @@ class AcceptabilityEntry:
 @dataclass
 class AcceptabilityReport:
     grid: list
-    entries: list
     ok: bool
     threshold_from: float | None
-
-    def to_dict(self) -> dict:
-        return json_ready({
-            "grid": self.grid,
-            "ok": self.ok,
-            "threshold_from": self.threshold_from,
-            "entries": [{
-                "state": e.state,
-                "player": e.player,
-                "payoffs": e.payoffs,
-                "margins": e.margins,
-                "limit_payoff": e.limit_payoff,
-                "limit_margin": e.limit_margin,
-                "threshold_from": e.threshold_from,
-            } for e in self.entries],
-        })
+    entries: list
 
 
 def check_w_acceptable(chain: ProductModel, w: np.ndarray,
@@ -117,7 +101,7 @@ def check_w_acceptable(chain: ProductModel, w: np.ndarray,
                 s, i, pays, margins, limit_payoff, limit_margin, threshold))
     ok = all(e.ok for e in entries)
     threshold = max((e.threshold_from for e in entries), default=None) if ok else None
-    return AcceptabilityReport(grid, entries, ok, threshold)
+    return AcceptabilityReport(grid, ok, threshold, entries)
 
 
 def check_minmax_acceptable(chain: ProductModel, v1: np.ndarray,
@@ -145,22 +129,8 @@ class IRReport:
     eps: float
     worst_gain: float
     checks: int
-    violations: list
     ok: bool
-
-    def to_dict(self) -> dict:
-        return json_ready({
-            "eps": self.eps,
-            "worst_gain": self.worst_gain,
-            "checks": self.checks,
-            "ok": self.ok,
-            "violations": [{
-                "state": v.state, "machine_state": v.machine_state,
-                "player": v.player, "action": v.action,
-                "deviation_value": v.deviation_value,
-                "continuation": v.continuation,
-            } for v in self.violations],
-        })
+    violations: list
 
 
 def check_individual_rationality(chain: ProductModel, v1: np.ndarray,
@@ -198,7 +168,7 @@ def check_individual_rationality(chain: ProductModel, v1: np.ndarray,
                     violations.append(IRViolation(s, q, i, a_i,
                                                   float(dev_values[a_i]), cont))
     worst = float(worst) if checks else 0.0
-    return IRReport(eps, worst, checks, violations, not violations)
+    return IRReport(eps, worst, checks, not violations, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -209,27 +179,16 @@ def check_individual_rationality(chain: ProductModel, v1: np.ndarray,
 class BlockDriftEntry:
     kind: str                  # "transient" or "departing-set"
     state: int
-    detail: dict
     drift: float               # min over players
+    detail: dict
 
 
 @dataclass
 class SubmartingaleReport:
-    entries: list
     min_drift: float
     ok: bool
     tol: float
-
-    def to_dict(self) -> dict:
-        return json_ready({
-            "min_drift": self.min_drift,
-            "ok": self.ok,
-            "tol": self.tol,
-            "entries": [{
-                "kind": e.kind, "state": e.state, "drift": e.drift,
-                "detail": e.detail,
-            } for e in self.entries],
-        })
+    entries: list
 
 
 def check_submartingale(chain: ProductModel, v1: np.ndarray,
@@ -250,8 +209,8 @@ def check_submartingale(chain: ProductModel, v1: np.ndarray,
         nxt = row @ game.transitions[s]
         expected = nxt @ v1
         drift = float(np.min(expected - v1[s]))
-        entries.append(BlockDriftEntry("transient", s, {
-            "expected_next": json_ready(expected)}, drift))
+        entries.append(BlockDriftEntry("transient", s, drift, {
+            "expected_next": json_ready(expected)}))
     for k, (cset, cls) in enumerate(zip(decomposition.sets, classifications)):
         if cls.kind != "B":
             continue
@@ -267,11 +226,11 @@ def check_submartingale(chain: ProductModel, v1: np.ndarray,
             if node is None or node not in pos:
                 continue
             drift = float(np.min(W[pos[node]] - cset.value))
-            entries.append(BlockDriftEntry("departing-set", s, {
-                "set": k, "expected_at_departure": json_ready(W[pos[node]])}, drift))
+            entries.append(BlockDriftEntry("departing-set", s, drift, {
+                "set": k, "expected_at_departure": json_ready(W[pos[node]])}))
     min_drift = min((e.drift for e in entries), default=0.0)
-    return SubmartingaleReport(entries, float(min_drift), min_drift >= -AUDIT_TOL,
-                               AUDIT_TOL)
+    return SubmartingaleReport(float(min_drift), min_drift >= -AUDIT_TOL, AUDIT_TOL,
+                               entries)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +242,6 @@ class SizeAudit:
     sizes: list
     bound: int
     ok: bool
-
-    def to_dict(self) -> dict:
-        return json_ready({"sizes": self.sizes, "bound": self.bound, "ok": self.ok})
 
 
 def automaton_size_audit(game: StochasticGame, profile) -> SizeAudit:

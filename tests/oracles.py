@@ -90,7 +90,7 @@ from stogame.generators import _dirichlet_floor
 from stogame.matrixgame import solve_matrix_game
 from stogame.minmax import _one_shot, player_view
 from stogame.oneshot import profile_value, regret
-from stogame.structure import TravelStrategy, almost_sure_reach, safe_profiles
+from stogame.structure import almost_sure_reach, safe_profiles
 from stogame.verify import DEFAULT_LAMBDA_GRID, MARGIN_TOL, check_w_acceptable, product_chain
 
 
@@ -1144,21 +1144,21 @@ def almost_sure_reach_two_pass(game, region, targets):
     return reachable, policy
 
 
-def verify_travel(game, travel: TravelStrategy) -> float:
+def verify_travel(game, region, targets, policy) -> float:
     """Minimum probability, over source states, of hitting the targets before
-    leaving the region (should be 1)."""
+    leaving the region under the travel `policy` (should be 1)."""
     n = game.n_states
     P = np.zeros((n, n))
-    outside = [s for s in range(n) if s not in travel.region]
-    for s in travel.region:
-        if s in travel.targets:
+    outside = [s for s in range(n) if s not in region]
+    for s in region:
+        if s in targets:
             P[s, s] = 1.0
         else:
-            P[s] = game.transitions[s, travel.policy[s]]
+            P[s] = game.transitions[s, policy[s]]
     for s in outside:
         P[s, s] = 1.0
-    h = reach_probability(P, set(travel.targets))
-    sources = [s for s in travel.region if s not in travel.targets]
+    h = reach_probability(P, set(targets))
+    sources = [s for s in region if s not in targets]
     return float(min((h[s] for s in sources), default=1.0))
 
 

@@ -9,6 +9,7 @@ from oracles import (
     sample_play_joint,
     sample_play_per_player,
 )
+from stogame._util import json_ready
 from stogame.automata import discounted_value, reachable_nodes, stationary_automaton
 from stogame.builder import assemble_profile, classify_set
 from stogame.game import StationaryProfile
@@ -88,7 +89,7 @@ def test_joint_and_per_player_paths_identical_with_travel():
 
 def test_machine_serialization_round_trip_shape(sorin_profile):
     g, prof = sorin_profile
-    doc = prof.to_dict()
+    doc = json_ready(prof)
     assert doc["joint"]["size"] == prof.joint.size
     assert set(doc["joint"]["init"]) == {"0", "1", "2"}
     assert len(doc["joint"]["outputs"]) == prof.joint.size

@@ -11,7 +11,7 @@ from oracles import (
     sustain_payoff,
     type_a_feasibility,
 )
-from stogame._util import DIST_TOL
+from stogame._util import DIST_TOL, json_ready
 from stogame.automata import first_play_law
 from stogame.builder import (
     EXIT_SCALE,
@@ -467,7 +467,7 @@ def test_classification_makes_no_lp_call(suite_results, monkeypatch):
         for cset, cls in zip(res.decomposition.sets, res.classifications):
             again = classify_set(game, cset, res.eps, u_star)
             assert again.diagnostics["master_lp"] == 0
-            assert again.to_dict() == cls.to_dict()
+            assert json_ready(again) == json_ready(cls)
 
 
 def test_tuning_certifies_the_shipped_machine(suite_results):

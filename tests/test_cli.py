@@ -218,6 +218,16 @@ def test_lambda_grid_flag_validation(tmp_path):
     ["simulate", "--lam", "1.5", "--game", "builtin:sorin"],
     ["simulate", "--lam", "-0.1", "--game", "builtin:sorin"],
     ["demo-sorin", "--epsilon", "0"],
+    ["demo-sorin", "--epsilon", "nan"],
+    ["verify", "--epsilon", "nan", "--game", "builtin:sorin"],
+    ["decompose", "--epsilon", "inf", "--game", "builtin:sorin"],
+    ["decompose", "--eq-tol", "-1", "--game", "builtin:sorin"],
+    ["decompose", "--eq-tol", "nan", "--game", "builtin:sorin"],
+    ["decompose", "--tol-v", "-1", "--game", "builtin:sorin"],
+    ["build", "--tol-v", "inf", "--game", "builtin:sorin"],
+    ["simulate", "--seed", "-1", "--game", "builtin:sorin"],
+    ["simulate", "--replications", "-1", "--game", "builtin:sorin"],
+    ["simulate", "--replications", "0", "--game", "builtin:sorin"],
 ])
 def test_degenerate_solver_flags_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, argv):
     def no_solve(*args, **kwargs):

@@ -14,6 +14,7 @@ from oracles import (
     response_mdp_oracle,
     shapley_operator,
 )
+from stogame._util import json_ready
 from stogame.game import StochasticGame
 from stogame.generators import (
     acceptance_suite,
@@ -66,7 +67,7 @@ def test_matrix_solves_counts_one_shot_games_off_the_closed_form(sorin):
     assert info["matrix_solves"] == info["rounds"] * g.n_states
     curve = uniform_minmax(sorin, 0, default_schedule(8))
     assert curve.matrix_solves == [0] * 8
-    assert curve.to_dict()["matrix_solves"] == curve.matrix_solves
+    assert json_ready(curve)["matrix_solves"] == curve.matrix_solves
 
 
 def test_absorbing_state_value_is_its_payoff(sorin):
@@ -192,7 +193,7 @@ def test_curve_keeps_solver_facts():
     assert stalled_at and min(stalled_at) >= 20
     first, mid, last = curve.extrapolation_points
     assert (mid, last) == (first + 1, first + 2) and last <= 29
-    doc = curve.to_dict()
+    doc = json_ready(curve)
     assert [k for k, flag in enumerate(doc["stalled"]) if flag] == stalled_at
     assert doc["extrapolation_points"] == [first, mid, last]
 

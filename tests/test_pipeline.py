@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stogame.game import StochasticGame
 from stogame.minmax import default_schedule
-from stogame.pipeline import run_pipeline
+from stogame.pipeline import classify_game, run_pipeline
 from test_structure import two_block_game
 
 
@@ -76,6 +76,59 @@ def test_summary_is_json_ready(sorin_result):
     import json
 
     json.dumps(sorin_result.summary())
+
+
+def test_reports_serialize_by_their_fields(sorin_result, tmp_path):
+    from dataclasses import dataclass, fields
+
+    from stogame._util import dump_json, json_ready
+
+    @dataclass
+    class Renamed:
+        x: int
+
+        def to_dict(self):
+            return {"renamed": self.x}
+
+    @dataclass
+    class Inner:
+        z: np.float64
+        pair: tuple
+
+    @dataclass
+    class Outer:
+        name: str
+        values: np.ndarray
+        inner: Inner
+        keyed: dict
+        missing: object
+
+    inner = Inner(np.float64(1.5), (np.int64(2), np.bool_(True)))
+    doc = json_ready(Outer("o", np.arange(3) / 2, inner, {1: Renamed(4)}, None))
+    # Fields in declaration order, recursively; a `to_dict` takes precedence.
+    assert doc == {"name": "o", "values": [0.0, 0.5, 1.0],
+                   "inner": {"z": 1.5, "pair": [2, True]},
+                   "keyed": {"1": {"renamed": 4}}, "missing": None}
+    assert list(doc) == ["name", "values", "inner", "keyed", "missing"]
+    assert list(doc["inner"]) == ["z", "pair"]
+    assert [type(v) for v in (doc["inner"]["z"], *doc["inner"]["pair"])] == [float, int, bool]
+    assert json_ready(None) is None
+    res = sorin_result
+    assert list(json_ready(res.acceptability)) == [f.name for f in fields(res.acceptability)]
+    # `dump_json` applies the same rule: a report and its `json_ready` write
+    # the same bytes.
+    reports = {"minmax": res.minmax, "acceptability": res.acceptability, "ir": res.ir_report,
+               "submartingale": res.submartingale, "decomposition": res.decomposition,
+               "classifications": res.classifications, "profile": res.profile}
+    dump_json(reports, tmp_path / "a.json")
+    dump_json(json_ready(reports), tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_classify_game_rejects_non_finite_eps(sorin, eps):
+    with pytest.raises(ValueError, match="eps must be finite"):
+        classify_game(sorin, eps=eps)
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.2])

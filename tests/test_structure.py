@@ -109,8 +109,8 @@ def test_leads_matches_policy_enumeration(seed):
 
 def test_travel_strategy_reaches_target():
     g = single_action_chain([[0.3, 0.7], [0.6, 0.4]])
-    tv = travel_strategy(g, (0, 1), (1,))
-    assert verify_travel(g, tv) == pytest.approx(1.0, abs=1e-9)
+    policy = travel_strategy(g, (0, 1), (1,))
+    assert verify_travel(g, (0, 1), (1,), policy) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_travel_infeasible_raises():
@@ -222,8 +222,7 @@ def test_transient_induction_stall_reported():
 def test_travel_actions_keep_play_inside():
     g = random_banded_exit_game(4003)   # two-core set
     region = (0, 1)
-    tv = travel_strategy(g, region, (1,))
-    for s, a in tv.policy.items():
+    for s, a in travel_strategy(g, region, (1,)).items():
         assert g.transitions[s, a, list(region)].sum() >= 1.0 - 1e-9
 
 

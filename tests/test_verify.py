@@ -9,6 +9,7 @@ from oracles import (
     pure_profile,
     stationary_frequency,
 )
+from stogame._util import json_ready
 from stogame.automata import stationary_automaton
 from stogame.builder import assemble_profile, classify_set
 from stogame.frequencies import payoff_of_frequency
@@ -55,6 +56,12 @@ def test_automaton_payoff_matches_monte_carlo(sorin_ctx):
     exact = exact_discounted_payoff_automaton(g, prof, 0, 0.99)
     sim = simulate(g, 0, prof, 0.99, seed=3, replications=3000)
     assert np.all(np.abs(sim.mean - exact) <= 4 * sim.std_error + 1e-9)
+
+
+def test_simulate_rejects_no_replications(sorin_ctx):
+    g, _, _, _, prof = sorin_ctx
+    with pytest.raises(ValueError):
+        simulate(g, 0, prof, 0.99, seed=3, replications=0)
 
 
 def test_floor_payoff_always_acceptable(sorin_ctx):
@@ -176,11 +183,11 @@ def test_size_audits(sorin_ctx):
 
 def test_reports_are_reproducible(sorin_ctx):
     g, v1, d, cls, prof = sorin_ctx
-    a = check_minmax_acceptable(product_chain(g, prof), v1, 0.05).to_dict()
-    b = check_minmax_acceptable(product_chain(g, prof), v1, 0.05).to_dict()
+    a = json_ready(check_minmax_acceptable(product_chain(g, prof), v1, 0.05))
+    b = json_ready(check_minmax_acceptable(product_chain(g, prof), v1, 0.05))
     assert a == b
-    ia = check_individual_rationality(product_chain(g, prof), v1, 0.05).to_dict()
-    ib = check_individual_rationality(product_chain(g, prof), v1, 0.05).to_dict()
+    ia = json_ready(check_individual_rationality(product_chain(g, prof), v1, 0.05))
+    ib = json_ready(check_individual_rationality(product_chain(g, prof), v1, 0.05))
     assert ia == ib
 
 
