@@ -34,12 +34,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from stogame._util import json_ready  # noqa: E402
 from stogame.generators import acceptance_suite  # noqa: E402
 from stogame.minmax import default_schedule  # noqa: E402
-from stogame.pipeline import run_pipeline  # noqa: E402
+from stogame.pipeline import DEFAULT_EPS, run_pipeline  # noqa: E402
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--eps", type=float, default=0.05)
+    ap.add_argument("--eps", type=float, default=DEFAULT_EPS)
     ap.add_argument("--depth", type=int, default=24)
     ap.add_argument("--json", default=None, help="optional summary output path")
     args = ap.parse_args()

@@ -17,7 +17,7 @@ transition table in local (phase, state) labels.  Tuning reads the entry
 payoffs off the product chain of the fragment's standalone machine through
 `automata.build_product_model`, the evaluator the verifiers use, and the
 assembly ships the very fragment that was tuned.  That chain holds only the
-set's own nodes: it starts at the fragment's labels and leaves every node
+set's own nodes: it starts at the set's machine states and leaves every node
 outside the set unexpanded, and its rows equal the set's block of the chain
 started at every game state.  (The tests read a departing machine's exit
 law and departure values off the same chain, in `tests/oracles.py`.)
@@ -238,7 +238,7 @@ def classify_set(game: StochasticGame, cset, eps: float,
 # re-dispatches, as `JointAutomaton.fallback` does, and so does a departing
 # set's exit play wherever it lands.  The same fragment backs the
 # standalone per-set machine, the per-set analysis read off that machine's
-# product chain, and the global assembly.
+# product chain, and the global assembly; `_machine` builds both machines.
 
 REDISPATCH = None
 
@@ -283,15 +283,6 @@ class SetFragment:
     local_states: list           # (phase, state) pairs, deterministic order
     factors: dict                # (phase, state) -> per-player mixes
     table: dict                  # ((phase, state), a, s_next) -> ((label, prob), ...)
-
-    def place(self, transitions: dict, index: dict, init: dict, key: tuple = ()):
-        """Store the table in a machine whose state ids are index[key + label]
-        and whose initial states are init; REDISPATCH targets go to
-        init[s_next]."""
-        for (lab, a, s_next), dist in self.table.items():
-            transitions[(index[key + lab], a, s_next)] = tuple(
-                (init[s_next] if to is REDISPATCH else index[key + to], p)
-                for to, p in dist)
 
 
 def _travels_to_targets(game, region, target_sets):
@@ -371,11 +362,11 @@ def build_type_b_fragment(game: StochasticGame, region, plan: ExitPlan) -> SetFr
 
 def _set_model(game: StochasticGame, fragment: SetFragment):
     """Product chain of the fragment's standalone machine, started at the
-    fragment's labels: node k is label k (the entry labels (0, s) come
-    first), and nodes outside the set are left unexpanded."""
+    set's machine states: node k is the fragment's label k (the entry labels
+    (0, s) come first), and nodes outside the set are left unexpanded."""
     joint = _standalone(game, fragment).joint
     return build_product_model(
-        game, joint, [(s, q) for q, (_, s) in enumerate(fragment.local_states)])
+        game, joint, [(lab[2], q) for q, lab in enumerate(joint.labels) if lab[0] == 0])
 
 
 def _entry_payoffs(game: StochasticGame, fragment: SetFragment) -> np.ndarray:
@@ -415,38 +406,48 @@ def tune_type_a(game: StochasticGame, region, plan: SustainPlan, eps: float, val
 
 
 # ---------------------------------------------------------------------------
-# Standalone per-set machines and the global assembly
+# Joint machines
 
 
-def _finish_machine(game, labels, factors_list, transitions, init, meta,
-                    coin_note) -> JointAutomatonProfile:
+def _machine(game: StochasticGame, fragments, rest: dict, meta: dict,
+             coin_note: str) -> JointAutomatonProfile:
+    """The joint machine that runs fragment k on its set and plays the
+    per-player mixes `rest[s]` at every other state s.
+
+    Machine state ("tr", s) comes first for each state of `rest`, in its
+    order; it stores no transitions, so every input re-dispatches through
+    the initial-state map (the machine fallback).  Fragment k's labels
+    follow as (k, phase, state), and its set's states start at phase 0.
+    """
+    labels = [("tr", s) for s in rest]
+    labels.extend((k,) + lab for k, fragment in enumerate(fragments)
+                  for lab in fragment.local_states)
+    index = {lab: q for q, lab in enumerate(labels)}
+    start = {s: index[("tr", s)] for s in rest}
+    for k, fragment in enumerate(fragments):
+        start.update((s, index[(k, 0, s)]) for s in fragment.region)
+    init = {s: start[s] for s in range(game.n_states)}   # state order, as serialized
+    factors_list = [rest[lab[1]] if lab[0] == "tr" else fragments[lab[0]].factors[lab[1:]]
+                    for lab in labels]
+    transitions = {}
+    for k, fragment in enumerate(fragments):
+        for (lab, a, s_next), dist in fragment.table.items():
+            transitions[(index[(k,) + lab], a, s_next)] = tuple(
+                (init[s_next] if to is REDISPATCH else index[(k,) + to], p)
+                for to, p in dist)
     outputs = np.stack([mixes_to_correlated_row(f) for f in factors_list])
-    joint = JointAutomaton(
-        labels=labels,
-        outputs=outputs,
-        factors=factors_list,
-        transitions=transitions,
-        init=init,
-        coin_note=coin_note,
-    )
+    joint = JointAutomaton(labels, outputs, factors_list, transitions, init, coin_note)
     return JointAutomatonProfile(joint, meta=meta)
 
 
 def _standalone(game: StochasticGame, fragment: SetFragment) -> JointAutomatonProfile:
-    """Wrap one set fragment into a total machine: every outside state
-    starts at one shared "outside" label that plays uniformly (off-set
-    behavior is not part of the set's contract)."""
-    labels = list(fragment.local_states) + ["outside"]
-    index = {lab: k for k, lab in enumerate(labels)}
-    init = {s: index[(0, s)] if s in fragment.region else index["outside"]
-            for s in range(game.n_states)}
+    """The machine of one set fragment alone: it plays uniformly at every
+    state off the set (off-set behavior is not part of the set's contract)."""
     uniform = tuple(np.full(k, 1.0 / k) for k in game.action_counts)
-    factors_list = [fragment.factors.get(lab, uniform) for lab in labels]
-    transitions = {}
-    fragment.place(transitions, index, init)
+    rest = {s: uniform for s in range(game.n_states) if s not in fragment.region}
     coin = ("phase coins are public and shared; exit tilts are the deviating "
             "player's private action randomization")
-    return _finish_machine(game, labels, factors_list, transitions, init, {}, coin)
+    return _machine(game, [fragment], rest, {}, coin)
 
 
 def assemble_profile(game: StochasticGame, decomposition: Decomposition,
@@ -461,49 +462,28 @@ def assemble_profile(game: StochasticGame, decomposition: Decomposition,
         raise RuntimeError(
             f"cannot assemble: communicating sets {bad} are unclassifiable"
         )
-    labels = [("tr", s) for s in decomposition.transient]
     fragments = []
-    for k, (cset, cls) in enumerate(zip(decomposition.sets, classifications)):
+    set_meta = []
+    for cset, cls in zip(decomposition.sets, classifications):
         if cls.kind == "A":
             delta, payoff, fragment = tune_type_a(game, cset.states, cls.sustain, eps,
                                                   cset.value)
-            extra = {"delta": delta, "entry_payoffs": json_ready(payoff)}
+            set_meta.append({"delta": delta, "entry_payoffs": json_ready(payoff)})
         else:
             fragment = build_type_b_fragment(game, cset.states, cls.exit_plan)
-            extra = {}
-        fragments.append((fragment, extra))
-        labels.extend((k, l, s) for l, s in fragment.local_states)
-    index = {lab: pos for pos, lab in enumerate(labels)}
-
-    init = {}
-    for s in range(game.n_states):
-        set_id = decomposition.set_of_state(s)
-        init[s] = index[("tr", s)] if set_id is None else index[(set_id, 0, s)]
-
-    factors_list = []
-    for lab in labels:
-        if lab[0] == "tr":
-            factors_list.append(decomposition.transient_profile[lab[1]].mixes)
-        else:
-            k, l, s = lab
-            factors_list.append(fragments[k][0].factors[(l, s)])
-
-    transitions = {}
-    for k, (fragment, _) in enumerate(fragments):
-        fragment.place(transitions, index, init, key=(k,))
-    # Transient machine states carry no stored transitions: every input
-    # re-dispatches through the initial-state map (the machine fallback).
-
+            set_meta.append({})
+        fragments.append(fragment)
+    rest = {s: decomposition.transient_profile[s].mixes for s in decomposition.transient}
     meta = {
         "eps": eps,
         "kinds": [c.kind for c in classifications],
         "regions": [list(c.states) for c in decomposition.sets],
         "transient": list(decomposition.transient),
-        "set_meta": [extra for _, extra in fragments],
+        "set_meta": set_meta,
     }
     coin = ("phase-advance and phase-cycling coins are public and shared by "
             "all players' machines; action mixes are private randomizations")
-    return _finish_machine(game, labels, factors_list, transitions, init, meta, coin)
+    return _machine(game, fragments, rest, meta, coin)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ from .game import (
     validate_game,
 )
 from .generators import BUNDLED, bundled_game, sorin_game
-from .minmax import default_schedule, solve_uniform_minmax
+from .minmax import DEFAULT_SCHEDULE_DEPTH, default_schedule, solve_uniform_minmax
 from .oneshot import EXACT_EQ_TOL
-from .pipeline import classify_game, run_pipeline
+from .pipeline import DEFAULT_EPS, classify_game, run_pipeline
 from .simulate import simulate
 from .verify import DEFAULT_LAMBDA_GRID, check_minmax_acceptable, product_chain
 
@@ -39,11 +39,11 @@ from .verify import DEFAULT_LAMBDA_GRID, check_minmax_acceptable, product_chain
 FLAGS = {
     "--game": dict(help="path to a game JSON file, or builtin:<name> "
                         f"(builtins: {', '.join(sorted(BUNDLED))})"),
-    "--epsilon": dict(type=float, default=0.05,
-                      help="acceptability slack (default 0.05)"),
+    "--epsilon": dict(type=float, default=DEFAULT_EPS,
+                      help=f"acceptability slack (default {DEFAULT_EPS})"),
     "--lambda-grid": dict(default=None,
                           help="comma-separated verification discount grid"),
-    "--schedule-depth": dict(type=int, default=20,
+    "--schedule-depth": dict(type=int, default=DEFAULT_SCHEDULE_DEPTH,
                              help="discount schedule length for the uniform solve"),
     "--out": dict(default="out", help="artifact directory"),
     "--tol-v": dict(type=float, default=VALUE_SPREAD_TOL,

@@ -74,7 +74,11 @@ _max = np.maximum.reduce
 CERT_TOL = 1e-9
 
 
-def default_schedule(k_max: int = 20) -> list:
+# Length of the discount schedule when none is given.
+DEFAULT_SCHEDULE_DEPTH = 20
+
+
+def default_schedule(k_max: int = DEFAULT_SCHEDULE_DEPTH) -> list:
     """Discount schedule 1 - 2^-k for k = 1..k_max."""
     return [1.0 - 0.5**k for k in range(1, k_max + 1)]
 

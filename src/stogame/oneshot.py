@@ -61,10 +61,12 @@ def _deviation_values(aux: AuxiliaryGame, mixes, i: int) -> np.ndarray:
     """Payoff of each pure action of player i against the others' mixes."""
     out = aux.tensor()[..., i]
     axes = [k for k in range(len(mixes)) if k != i]
-    # Contract the other players' mixes; earlier contractions shift later axes.
-    for pos, k in enumerate(axes):
-        axis = k - sum(1 for j in axes[:pos] if j < k)
-        out = np.moveaxis(out, axis, -1) @ mixes[k]
+    # Contract the other players' mixes in order: the next one's axis is
+    # first, or second while player i's axis lies before it.
+    for k in axes:
+        axis = int(k > i)
+        order = [j for j in range(out.ndim) if j != axis] + [axis]
+        out = out.transpose(order) @ mixes[k]
     return out
 
 

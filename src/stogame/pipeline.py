@@ -26,6 +26,9 @@ from .verify import (
     product_chain,
 )
 
+# Accepted loss below the uniform min-max values.
+DEFAULT_EPS = 0.05
+
 
 @dataclass
 class PipelineResult:
@@ -95,7 +98,7 @@ class PipelineResult:
         })
 
 
-def classify_game(game: StochasticGame, eps: float = 0.05, schedule=None,
+def classify_game(game: StochasticGame, eps: float = DEFAULT_EPS, schedule=None,
                   tol_v: float = VALUE_SPREAD_TOL,
                   eq_tol: float = EXACT_EQ_TOL) -> PipelineResult:
     """Solve, decompose and classify one game: the stages up to, not
@@ -130,7 +133,7 @@ def classify_game(game: StochasticGame, eps: float = 0.05, schedule=None,
     return result
 
 
-def run_pipeline(game: StochasticGame, eps: float = 0.05, schedule=None,
+def run_pipeline(game: StochasticGame, eps: float = DEFAULT_EPS, schedule=None,
                  tol_v: float = VALUE_SPREAD_TOL, lam_grid=DEFAULT_LAMBDA_GRID,
                  eq_tol: float = EXACT_EQ_TOL) -> PipelineResult:
     """Run the full chain on one game: `classify_game`, then build both the

@@ -133,12 +133,6 @@ class Decomposition:
     transient_reach: float       # min absorption probability into the union
     notes: list = field(default_factory=list)
 
-    def set_of_state(self, s: int):
-        for k, c in enumerate(self.sets):
-            if s in c.states:
-                return k
-        return None
-
     def to_dict(self) -> dict:
         return json_ready({
             "sets": self.sets,

@@ -199,10 +199,10 @@ def check_submartingale(chain: ProductModel, v1: np.ndarray,
     Transient blocks last one stage; a departing set's block ends when play
     first leaves the set.  At every checkpoint the expected value at the next
     block start must not drop by more than `AUDIT_TOL`.  Entry into a sustainable
-    set ends the process, so no constraint applies there.
+    set ends the process, so no constraint applies there.  `chain` is the
+    product chain of `builder.assemble_profile`'s machine.
     """
     game = chain.game
-    labels = chain.automaton.labels
     entries = []
     for s in decomposition.transient:
         row = decomposition.transient_profile[s].correlated_row()
@@ -214,20 +214,17 @@ def check_submartingale(chain: ProductModel, v1: np.ndarray,
     for k, (cset, cls) in enumerate(zip(decomposition.sets, classifications)):
         if cls.kind != "B":
             continue
+        # Every node at the set's states runs the set's machine, since an
+        # edge that leaves a set re-dispatches.
         region = set(cset.states)
-        inside = [n for n, (s, q) in enumerate(chain.nodes) if s in region
-                  and isinstance(labels[q], tuple) and labels[q][0] == k]
-        if not inside:
-            continue
+        inside = [n for n, (s, _) in enumerate(chain.nodes) if s in region]
         pos = {n: j for j, n in enumerate(inside)}
         W = exit_values(chain, inside, v1)
         for s in cset.states:
-            node = chain.index.get((s, chain.automaton.init[s]))
-            if node is None or node not in pos:
-                continue
-            drift = float(np.min(W[pos[node]] - cset.value))
+            w = W[pos[chain.node_of(s)]]
+            drift = float(np.min(w - cset.value))
             entries.append(BlockDriftEntry("departing-set", s, drift, {
-                "set": k, "expected_at_departure": json_ready(W[pos[node]])}))
+                "set": k, "expected_at_departure": json_ready(w)}))
     min_drift = min((e.drift for e in entries), default=0.0)
     return SubmartingaleReport(float(min_drift), min_drift >= -AUDIT_TOL, AUDIT_TOL,
                                entries)

@@ -510,3 +510,15 @@ def test_set_machines_never_fall_back_inside_their_set(suite_results):
             for a in np.nonzero(joint.outputs[q] > DIST_TOL)[0]:
                 for s_next in np.nonzero(game.transitions[s, a] > DIST_TOL)[0]:
                     assert (q, int(a), int(s_next)) in joint.transitions, (game.name, label)
+
+
+def test_every_node_at_a_set_state_runs_that_sets_machine(suite_results):
+    # `check_submartingale` takes a departing set's nodes to be the product
+    # nodes at its states: every edge into a set re-dispatches there.
+    _, results = suite_results
+    for game, res in results:
+        joint = res.profile.joint
+        set_of = {s: k for k, region in enumerate(res.profile.meta["regions"])
+                  for s in region}
+        for s, q in product_chain(game, joint).nodes:
+            assert joint.labels[q][0] == set_of.get(s, "tr"), (game.name, s, joint.labels[q])

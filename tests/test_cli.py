@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +253,25 @@ def test_solve_artifact_keeps_solver_facts_and_is_byte_identical(tmp_path):
     n = len(player["schedule"])
     assert len(player["rounds"]) == len(player["certified_gaps"]) == len(player["stalled"]) == n
     assert len(player["extrapolation_points"]) == 3
+
+
+def test_verify_artifacts_are_byte_identical_across_processes(tmp_path):
+    # Two fresh interpreters, one BLAS thread each, under different hash
+    # seeds: set and dict iteration order must not reach an artifact.
+    src = str(Path(stogame.cli.__file__).resolve().parent.parent)
+    seen = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed,
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "stogame.cli", "verify", "--game", "builtin:random2p_b",
+             "--out", str(out)],
+            capture_output=True, check=True, timeout=300, cwd=tmp_path, env=env)
+        seen.append((done.stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert "verify.json" in seen[0][1]
+    assert seen[0] == seen[1]
 
 
 def test_decompose_and_verify_print_and_write_minmax_warnings(tmp_path, capsys):

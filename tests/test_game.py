@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
     induced_chain,
     pure_profile,
 )
+import stogame
 from stogame.game import (
     GameFormatError,
     StationaryProfile,
@@ -23,7 +25,7 @@ from stogame.game import (
     save_game,
     validate_game,
 )
-from stogame.generators import random_dense_game, sorin_game, three_player_game
+from stogame.generators import BUNDLED, random_dense_game, sorin_game, three_player_game
 from stogame.simulate import simulate
 
 
@@ -173,6 +175,15 @@ def test_game_file_round_trip(tmp_path):
     assert np.array_equal(g.payoffs, h.payoffs)
     assert np.array_equal(g.transitions, h.transitions)
     assert g.state_names == h.state_names
+
+
+def test_bundled_game_files_match_their_generators():
+    # `scripts/make_bundled_games.py` writes one file per bundled game.
+    data = Path(stogame.__file__).parent / "data"
+    assert sorted(p.stem for p in data.glob("*.json")) == sorted(BUNDLED)
+    for name, make in BUNDLED.items():
+        doc = json.loads((data / f"{name}.json").read_text())
+        assert doc == game_to_dict(make()), name
 
 
 def test_unspecified_transitions_parse_as_zero(sorin):

@@ -151,7 +151,7 @@ def test_the_scan_sees_calls_by_keyword_position_and_method():
     assert {"k_max"} <= set_by["minmax.default_schedule"]           # position
     assert {"exact_tol"} <= set_by["oneshot.enumerate_equilibria"]  # keyword
     total = sum(len(defaulted) for *_, defaulted in functions)
-    assert 0 < total <= 29
+    assert 0 < total <= 28
     defined = dict(_defined_names())
     assert {"discounted_minmax", "_policy_iteration", "uniform_values"} <= set(defined)
     assert "__init__" not in defined

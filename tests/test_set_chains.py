@@ -42,7 +42,8 @@ def _fragment(game, cset, cls, set_meta):
 def _check_fragment(game, fragment, kind):
     model = _set_model(game, fragment)
     joint = _standalone(game, fragment).joint
-    labels = [(s, q) for q, (_, s) in enumerate(fragment.local_states)]
+    # The set's machine states, as `_set_model` starts them.
+    labels = [(lab[2], q) for q, lab in enumerate(joint.labels) if lab[0] == 0]
     ref, ids = whole_game_chain(game, joint, labels)
     n = len(ids)
     assert model.nodes[:n] == labels
