@@ -13,7 +13,10 @@ through each side's `run_pipeline` (the benchmark's eps and schedule)
 REPEATS times, the two sides alternating in a random order that is drawn
 afresh for every repetition.  The script prints each side's sum over games
 of the fastest time per game, and the ratio of the change's sum to the
-parent's.  A game that raises is timed up to the exception, as the
+parent's.  Next to each side's sum it prints the median and quartiles of
+its REPEATS pass sums, the k-th pass sum being the sum over games of the
+k-th repetition's time, so that a ratio can be read against each side's own
+spread.  A game that raises is timed up to the exception, as the
 benchmark does, and listed with its exception's type after its side's sum.
 
 Timing both sides in one process, interleaved, cancels most of a shared
@@ -27,6 +30,7 @@ import argparse
 import importlib.util
 import os
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -115,17 +119,19 @@ def main(argv=None) -> int:
             ap.error(f"unknown workload {args.workload!r}")
     order = random.Random(0)
     best = dict.fromkeys(SIDES, 0.0)
+    passes = {side: [0.0] * REPEATS for side in SIDES}
     failed = {side: set() for side in SIDES}
     n_games = 0
     for slot in args.slots:
         games = {side: sides[side][1].WORKLOADS[args.workload](slot) for side in SIDES}
         for k in range(len(games["parent"])):
             fastest = dict.fromkeys(SIDES, float("inf"))
-            for _ in range(REPEATS):
+            for rep in range(REPEATS):
                 for side in order.sample(SIDES, 2):
                     run_pipeline, workloads = sides[side]
                     seconds, error = timed(run_pipeline, workloads, games[side][k])
                     fastest[side] = min(fastest[side], seconds)
+                    passes[side][rep] += seconds
                     if error is not None:
                         failed[side].add((slot, k, error))
             for side in SIDES:
@@ -136,7 +142,9 @@ def main(argv=None) -> int:
     for side in SIDES:
         raised = "".join(f"; {error} at slot {slot} game {k}"
                          for slot, k, error in sorted(failed[side]))
-        print(f"{side:7s} {best[side]:.3f} s{raised}")
+        q1, median, q3 = statistics.quantiles(passes[side], n=4)
+        print(f"{side:7s} {best[side]:.3f} s; pass sums median {median:.3f} s, "
+              f"quartiles {q1:.3f}-{q3:.3f} s{raised}")
     print(f"ratio   {best['change'] / best['parent']:.3f}")
     return 0
 

@@ -243,18 +243,3 @@ def first_play_law(model: ProductModel, inside, marked: dict,
             else:
                 R[j, col] += model.alpha[n, a]
     return np.linalg.solve(np.eye(len(inside)) - M, R)
-
-
-def reachable_nodes(model: ProductModel) -> list:
-    """Node ids reachable (positive probability) from the start node of
-    every game state."""
-    seen = set()
-    stack = [model.node_of(s) for s in range(model.game.n_states)]
-    seen.update(stack)
-    while stack:
-        n = stack.pop()
-        for n2 in np.nonzero(model.P[n] > DIST_TOL)[0]:
-            if int(n2) not in seen:
-                seen.add(int(n2))
-                stack.append(int(n2))
-    return sorted(seen)

@@ -81,21 +81,15 @@ def companion_action(game: StochasticGame, region, s: int, a: int):
     """A single-player switch of `a` that keeps play inside `region`.
 
     Returns (profile index, switching player) for the lexicographically first
-    (player, action) switch, or None when every switch also exits.
+    (player, action) switch, or None when every switch also exits.  Player
+    i's switches of `a` are the other entries of the column of
+    `game.player_indices[i]` that holds `a`.
     """
     safe = safe_profiles(game, region)[s]
-    profile = list(game.profile_of_index(a))
-    for i in range(game.n_players):
-        original = profile[i]
-        for b in range(game.action_counts[i]):
-            if b == original:
-                continue
-            profile[i] = b
-            cand = game.profile_index(profile)
-            if cand in safe:
-                profile[i] = original
+    for i, index in enumerate(game.player_indices):
+        for cand in index[:, (index == a).any(axis=0)].ravel().tolist():
+            if cand != a and cand in safe:
                 return cand, i
-        profile[i] = original
     return None
 
 
@@ -250,30 +244,17 @@ def _edge(region, label) -> tuple:
 
 
 def _pure_factors(game: StochasticGame, a: int):
-    profile = game.profile_of_index(a)
-    mixes = []
-    for i, count in enumerate(game.action_counts):
-        m = np.zeros(count)
-        m[profile[i]] = 1.0
-        mixes.append(m)
-    return tuple(mixes)
+    return tuple(np.eye(count)[b] for count, b in zip(game.action_counts,
+                                                       game.profile_of_index(a)))
 
 
 def _mixed_exit_factors(game: StochasticGame, companion: int, exit_profile: int,
                         deviator: int, eta: float):
     """Factors of (1 - eta) companion + eta exit; they differ only in the
     deviator's coordinate."""
-    comp = game.profile_of_index(companion)
-    exi = game.profile_of_index(exit_profile)
-    mixes = []
-    for i, count in enumerate(game.action_counts):
-        m = np.zeros(count)
-        if i == deviator:
-            m[comp[i]] += 1.0 - eta
-            m[exi[i]] += eta
-        else:
-            m[comp[i]] = 1.0
-        mixes.append(m)
+    mixes = list(_pure_factors(game, companion))
+    mixes[deviator] = (1.0 - eta) * mixes[deviator]
+    mixes[deviator][game.profile_of_index(exit_profile)[deviator]] += eta
     return tuple(mixes)
 
 

@@ -63,6 +63,21 @@ class StochasticGame:
         return int(np.prod(self.action_counts))
 
     @functools.cached_property
+    def player_indices(self) -> tuple:
+        """player_indices[i]: the read-only (own action, coalition profile)
+        matrix of flat profile indices, the others in player order; no other
+        module writes this layout.  It is the profile grid with player i's
+        axis first, in that view's memory order (Fortran order for the last
+        player), by which the BLAS products over it round."""
+        counts = self.action_counts
+        grid = np.arange(self.n_profiles).reshape(counts)
+        indices = tuple(grid.transpose([i, *(k for k in range(len(counts)) if k != i)])
+                        .reshape(own, -1) for i, own in enumerate(counts))
+        for index in indices:
+            index.setflags(write=False)
+        return indices
+
+    @functools.cached_property
     def successors(self) -> tuple:
         """successors[s][a]: the (next state, probability) pairs of (s, a)
         above DIST_TOL, as Python floats, in state order.  Every support scan
@@ -70,9 +85,6 @@ class StochasticGame:
         return tuple(
             tuple(tuple((t, p) for t, p in enumerate(row) if p > DIST_TOL) for row in rows)
             for rows in self.transitions.tolist())
-
-    def profile_index(self, profile) -> int:
-        return int(np.ravel_multi_index(tuple(profile), self.action_counts))
 
     def profile_of_index(self, flat: int) -> tuple:
         return tuple(int(v) for v in np.unravel_index(flat, self.action_counts))

@@ -43,18 +43,17 @@ gain into LinAlgError.  `tests/test_minmax.py` pins both:
 `test_singular_policy_iteration_raises_at_once`.
 
 The stage-payoff products stay one BLAS matrix-vector product per state, on
-a matrix in `view.index`'s memory order (transposed for player 1), exactly
-as the per-state solve computed them; a stacked matmul of matrix-by-vector
-items hands each item to BLAS on its own, so it keeps that rounding.  An
-einsum or a C-ordered stack rounds the last bit differently, and the Aitken
-step of `uniform_minmax` magnifies one bit into shifts of the uniform value
-of up to 3e-6.  The batched solve is bit-identical to the per-state one
+a matrix in `game.player_indices[i]`'s memory order (transposed for the last
+player), exactly as the per-state solve computed them; a stacked matmul of
+matrix-by-vector items hands each item to BLAS on its own, so it keeps that
+rounding.  An einsum or a C-ordered stack rounds the last bit differently,
+and the Aitken step of `uniform_minmax` magnifies one bit into shifts of
+the uniform value of up to 3e-6.  The batched solve is bit-identical to the per-state one
 (`tests/oracles.py` keeps that one as the reference).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,26 +80,6 @@ DEFAULT_SCHEDULE_DEPTH = 20
 def default_schedule(k_max: int = DEFAULT_SCHEDULE_DEPTH) -> list:
     """Discount schedule 1 - 2^-k for k = 1..k_max."""
     return [1.0 - 0.5**k for k in range(1, k_max + 1)]
-
-
-@dataclass(frozen=True)
-class _PlayerView:
-    """Cached reshaping of flat profiles into (own action, coalition action)."""
-
-    player: int
-    own: int
-    other: int
-    # flat profile index arranged as a matrix (own x coalition)
-    index: np.ndarray
-
-
-def player_view(game: StochasticGame, i: int) -> _PlayerView:
-    counts = game.action_counts
-    grid = np.arange(math.prod(counts)).reshape(counts)
-    # Player i's axis first, the others in order (np.moveaxis(grid, i, 0)).
-    order = [i] + [k for k in range(len(counts)) if k != i]
-    mat = grid.transpose(order).reshape(counts[i], -1)
-    return _PlayerView(i, counts[i], mat.shape[1], mat)
 
 
 def _one_shot(payoff, transitions, index, lam, v):
@@ -173,7 +152,7 @@ def _solver_arrays(R: np.ndarray):
 
 
 class _Stage:
-    """Player view.player's stage games: the workspace of one min-max curve.
+    """Player i's stage games: the workspace of one min-max curve.
 
     Built once per curve (`uniform_minmax`) and rescaled to each discount:
     the unscaled per-state (own, other) matrices U0, the (S, own, other, S)
@@ -189,21 +168,21 @@ class _Stage:
     columns with copies of its first action (`pad` is its index and width).
     """
 
-    def __init__(self, game: StochasticGame, view: _PlayerView, lam: float):
+    def __init__(self, game: StochasticGame, i: int, lam: float):
         n = game.n_states
-        self.view = view
-        self.payoffs = game.payoffs[:, :, view.player]
-        # Every state's matrix in view.index's memory order, as
-        # payoff[s][view.index] has it (Fortran order for a transposed view):
-        # BLAS rounds a matrix-vector product differently in the other order.
-        if view.index.flags.c_contiguous:
-            self.U0 = np.ascontiguousarray(self.payoffs[:, view.index])
+        index = game.player_indices[i]
+        self.payoffs = game.payoffs[:, :, i]
+        # Every state's matrix in index's memory order, as payoff[s][index]
+        # has it (Fortran order for a transposed view): BLAS rounds a
+        # matrix-vector product differently in the other order.
+        if index.flags.c_contiguous:
+            self.U0 = np.ascontiguousarray(self.payoffs[:, index])
         else:
-            self.U0 = np.ascontiguousarray(self.payoffs[:, view.index.T]).transpose(0, 2, 1)
+            self.U0 = np.ascontiguousarray(self.payoffs[:, index.T]).transpose(0, 2, 1)
         self.U = np.empty_like(self.U0)
         self.payoff = np.empty(self.payoffs.shape)
-        self.T = np.ascontiguousarray(game.transitions[:, view.index])
-        own, other = view.own, view.other
+        self.T = np.ascontiguousarray(game.transitions[:, index])
+        own, other = index.shape
         self.R = np.empty((2, n, max(own, other)))
         self.P = np.empty((2, n, max(own, other), n))
         self.R_up, self.R_lo = self.R[0, :, :own], self.R[1, :, :other]
@@ -214,7 +193,7 @@ class _Stage:
 
     def rescale(self, lam: float) -> None:
         """Scale the stage payoffs to discount lam: payoff is
-        (1 - lam) * payoffs[:, :, player] over flat profiles and U its
+        (1 - lam) * payoffs[:, :, i] over flat profiles and U its
         per-state matrices.  Both are elementwise products, so they carry
         the bits of a fresh workspace at lam."""
         self.lam = lam
@@ -266,10 +245,10 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float,
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"discount factor {lam} outside [0, 1)")
     if _stage is None:
-        _stage = _Stage(game, player_view(game, i), lam)
+        _stage = _Stage(game, i, lam)
     else:
         _stage.rescale(lam)
-    payoff, transitions, index = _stage.payoff, game.transitions, _stage.view.index
+    payoff, transitions, index = _stage.payoff, game.transitions, game.player_indices[i]
     v = np.zeros(game.n_states) if v0 is None else np.array(v0, dtype=float)
     rounds = 0
     matrix_solves = 0
@@ -364,7 +343,7 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None) -> PlayerValueCu
     stalled = []
     matrix_solves = []
     v = None
-    stage = _Stage(game, player_view(game, i), schedule[0])
+    stage = _Stage(game, i, schedule[0])
     for lam in schedule:
         v, info = discounted_minmax(game, i, lam, v0=v, _stage=stage)
         values.append(v.copy())

@@ -58,15 +58,22 @@ def profile_value(aux: AuxiliaryGame, mixes) -> np.ndarray:
 
 
 def _deviation_values(aux: AuxiliaryGame, mixes, i: int) -> np.ndarray:
-    """Payoff of each pure action of player i against the others' mixes."""
-    out = aux.tensor()[..., i]
+    """Payoff of each pure action of player i against the others' mixes.
+
+    The mixes may carry one leading axis of restarts, and the payoffs then
+    carry it too.  Each contraction is one matrix-vector product per item,
+    with a mix as a (k, 1) column, so a restart's payoffs have the bits of
+    its own call."""
+    lead = mixes[0].ndim - 1
+    out = aux.tensor()[(None,) * lead + (..., i)]
     axes = [k for k in range(len(mixes)) if k != i]
     # Contract the other players' mixes in order: the next one's axis is
     # first, or second while player i's axis lies before it.
     for k in axes:
-        axis = int(k > i)
+        axis = lead + int(k > i)
         order = [j for j in range(out.ndim) if j != axis] + [axis]
-        out = out.transpose(order) @ mixes[k]
+        column = mixes[k].reshape(mixes[k].shape[:-1] + (1,) * (out.ndim - lead - 2) + (-1, 1))
+        out = (out.transpose(order) @ column)[..., 0]
     return out
 
 
@@ -154,20 +161,25 @@ def _support_enumeration_2p(aux: AuxiliaryGame, tol: float):
 
 
 def _best_response_dynamics(aux: AuxiliaryGame, tol: float, rng):
+    """Damped best-response dynamics from BR_RESTARTS random starts, drawn
+    restart by restart and run side by side as (restarts, actions) mixes."""
     counts = aux.action_counts
+    starts = [[rng.dirichlet(np.ones(k)) for k in counts] for _ in range(BR_RESTARTS)]
+    mixes = [np.stack(column) for column in zip(*starts)]
+    restarts = np.arange(BR_RESTARTS)
+    for t in range(BR_STEPS):
+        step = 2.0 / (t + 3.0)
+        for i, k in enumerate(counts):
+            devs = _deviation_values(aux, mixes, i)
+            best = np.zeros((BR_RESTARTS, k))
+            best[restarts, devs.argmax(axis=1)] = 1.0
+            mixes[i] = (1.0 - step) * mixes[i] + step * best
     found = []
-    for _ in range(BR_RESTARTS):
-        mixes = [rng.dirichlet(np.ones(k)) for k in counts]
-        for t in range(BR_STEPS):
-            step = 2.0 / (t + 3.0)
-            for i, k in enumerate(counts):
-                devs = _deviation_values(aux, mixes, i)
-                best = np.zeros(k)
-                best[int(np.argmax(devs))] = 1.0
-                mixes[i] = (1.0 - step) * mixes[i] + step * best
-        r = regret(aux, mixes)
+    for j in restarts:
+        final = tuple(m[j] for m in mixes)
+        r = regret(aux, final)
         if r <= tol:
-            found.append((tuple(np.asarray(m) for m in mixes), r))
+            found.append((final, r))
     return found
 
 

@@ -22,7 +22,6 @@ from .automata import (
     build_product_model,
     discounted_value,
     exit_values,
-    reachable_nodes,
 )
 from .game import StationaryCorrelated, StationaryProfile, StochasticGame
 from .oneshot import continuation_values
@@ -135,38 +134,36 @@ class IRReport:
 
 def check_individual_rationality(chain: ProductModel, v1: np.ndarray,
                                  eps: float) -> IRReport:
-    """One-shot deviation audit at every reachable product state.
+    """One-shot deviation audit at every node of the chain.
 
-    A deviation by player i to action a is priced at the expected
-    continuation min-max value u*(s, a, others' marginal); it must not beat
-    the limit continuation payoff of conforming by more than eps + AUDIT_TOL.
+    Every node is reachable: `build_product_model` adds a node only through
+    a positive-probability step from a start node.  A deviation by player i
+    to action a is priced at the expected continuation min-max value
+    u*(s, a, others' marginal); it must not beat the limit continuation
+    payoff of conforming by more than eps + AUDIT_TOL.
     """
     game = chain.game
     lim = chain.limit
     u_star = continuation_values(game, v1)
-    shape = game.action_counts
     violations = []
     worst = -np.inf
     checks = 0
-    for node in reachable_nodes(chain):
-        s, q = chain.nodes[node]
+    for node, (s, q) in enumerate(chain.nodes):
         row = chain.alpha[node]
-        tensor_row = row.reshape(shape)
-        for i in range(game.n_players):
-            # Marginal of the other players under the node's correlated action.
-            marg = np.moveaxis(tensor_row, i, 0).reshape(shape[i], -1).sum(axis=0)
-            u_mat = np.moveaxis(
-                u_star[s, :, i].reshape(shape), i, 0
-            ).reshape(shape[i], -1)
-            dev_values = u_mat @ marg
+        for i, index in enumerate(game.player_indices):
+            # Own action x coalition continuation values against the
+            # coalition's marginal of the node's action.  Sliced out of
+            # u_star[s][index], the matrix of a game of two or more players
+            # is strided, so numpy multiplies it in its own loop rather than
+            # in BLAS, which rounds differently.
+            dev_values = u_star[s][index][..., i] @ row[index].sum(axis=0)
             cont = float(lim[node, i])
-            for a_i in range(shape[i]):
+            for a_i, value in enumerate(dev_values.tolist()):
                 checks += 1
-                gain = float(dev_values[a_i]) - cont
+                gain = value - cont
                 worst = max(worst, gain)
                 if gain > eps + AUDIT_TOL:
-                    violations.append(IRViolation(s, q, i, a_i,
-                                                  float(dev_values[a_i]), cont))
+                    violations.append(IRViolation(s, q, i, a_i, value, cont))
     worst = float(worst) if checks else 0.0
     return IRReport(eps, worst, checks, not violations, violations)
 

@@ -26,10 +26,13 @@ and the (state, profile) frequency.  The multilinear
 extensions give a correlated mixed action's next-state law and stage payoff
 vector.  The path-level executors replay a profile through its joint machine
 and through its per-player views (`PlayerAutomaton`) on the same random
-streams.  The helpers built on the library's own product chain give exact
-payoffs of an automaton profile, finite-horizon average acceptability,
-the margins from every reachable node (`node_margins`), long-run node
-frequencies and a simulation of the exit-cycling scheme.  The
+streams, reading flat profile indices off `profile_index`.  The helpers
+built on the library's own product chain give exact payoffs of an automaton
+profile, finite-horizon average acceptability, the nodes reachable from the
+start nodes by a search over the chain's rows (`reachable_nodes`, which
+must list every node of a verifier's chain), the margins from every
+reachable node (`node_margins`), long-run node frequencies and a simulation
+of the exit-cycling scheme.  The
 per-set analyses read a set machine's exit law, departure values and
 long-run payoff off its standalone product chain, through `builder`'s own
 `_set_model`.  `whole_game_chain` is the reference that set chain must
@@ -62,7 +65,6 @@ from stogame.automata import (
     discounted_value,
     exit_values,
     first_play_law,
-    reachable_nodes,
 )
 from stogame.builder import (
     REDISPATCH,
@@ -88,7 +90,7 @@ from stogame.frequencies import (
 from stogame.game import StationaryProfile, StochasticGame, as_correlated_table
 from stogame.generators import _dirichlet_floor
 from stogame.matrixgame import solve_matrix_game
-from stogame.minmax import _one_shot, player_view
+from stogame.minmax import _one_shot
 from stogame.oneshot import profile_value, regret
 from stogame.structure import almost_sure_reach, safe_profiles
 from stogame.verify import DEFAULT_LAMBDA_GRID, MARGIN_TOL, check_w_acceptable, product_chain
@@ -425,16 +427,16 @@ def exact_2x2_value(M) -> Fraction:
     return (a * d - b * c) / (a + d - b - c)
 
 
-def response_mdp_oracle(game, view, lam: float, fixed, fix_rows: bool):
-    """Best-response MDP (R, P) built one state at a time."""
-    i = view.player
+def response_mdp_oracle(game, i: int, lam: float, fixed, fix_rows: bool):
+    """Player i's best-response MDP (R, P) built one state at a time."""
+    index = game.player_indices[i]
     n_states = game.n_states
-    n_act = view.other if fix_rows else view.own
+    n_act = index.shape[1] if fix_rows else index.shape[0]
     R = np.empty((n_states, n_act))
     P = np.empty((n_states, n_act, n_states))
     for s in range(n_states):
-        u_mat = (1.0 - lam) * game.payoffs[s, :, i][view.index]
-        t_mat = game.transitions[s][view.index]
+        u_mat = (1.0 - lam) * game.payoffs[s, :, i][index]
+        t_mat = game.transitions[s][index]
         w = np.asarray(fixed[s])
         if fix_rows:
             R[s] = w @ u_mat
@@ -475,7 +477,7 @@ def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=Non
     own.  The curve's workspace `_stage` is accepted and ignored."""
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"discount factor {lam} outside [0, 1)")
-    view = player_view(game, i)
+    index = game.player_indices[i]
     v = np.zeros(game.n_states) if v0 is None else np.array(v0, dtype=float)
     rounds = 0
     matrix_solves = 0
@@ -487,7 +489,7 @@ def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=Non
         Tv = np.empty(game.n_states)
         rows, cols = [], []
         for s in range(game.n_states):
-            M = q_flat[s][view.index]
+            M = q_flat[s][index]
             ok = False
             if M.shape == (2, 2):
                 value, x, y, ok = solve_2x2_oracle(M)
@@ -499,9 +501,9 @@ def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=Non
             rows.append(x)
             cols.append(y)
         rounds += 1
-        R_up, P_up = response_mdp_oracle(game, view, lam, cols, fix_rows=False)
+        R_up, P_up = response_mdp_oracle(game, i, lam, cols, fix_rows=False)
         v_up = policy_iteration_oracle(R_up, P_up, lam, maximize=True)
-        R_lo, P_lo = response_mdp_oracle(game, view, lam, rows, fix_rows=True)
+        R_lo, P_lo = response_mdp_oracle(game, i, lam, rows, fix_rows=True)
         v_lo = policy_iteration_oracle(R_lo, P_lo, lam, maximize=False)
         gap = float(np.max(np.abs(v_up - v_lo)))
         if gap < best_gap * 0.9:
@@ -533,15 +535,14 @@ def newton_minmax_oracle(game, i: int, lam: float, v0=None):
     narrowest bracket: the value lies within half the width of the midpoint,
     up to each policy iteration's stop (a gain of 1e-13 can hide
     1e-13 / (1 - lam) of value)."""
-    view = player_view(game, i)
     n_states = game.n_states
     v = np.zeros(n_states) if v0 is None else np.array(v0, dtype=float)
     best_mid, best_gap = None, np.inf
     for _ in range(50):
-        _, rows, cols = shapley_operator(game, i, lam, v, view)
-        R_up, P_up = response_mdp_oracle(game, view, lam, cols, fix_rows=False)
+        _, rows, cols = shapley_operator(game, i, lam, v)
+        R_up, P_up = response_mdp_oracle(game, i, lam, cols, fix_rows=False)
         v_up = policy_iteration_oracle(R_up, P_up, lam, maximize=True)
-        R_lo, P_lo = response_mdp_oracle(game, view, lam, rows, fix_rows=True)
+        R_lo, P_lo = response_mdp_oracle(game, i, lam, rows, fix_rows=True)
         v_lo = policy_iteration_oracle(R_lo, P_lo, lam, maximize=False)
         gap = float(np.max(np.abs(v_up - v_lo)))
         if gap < best_gap:
@@ -601,14 +602,13 @@ def support_enumeration_oracle(aux, tol: float) -> list:
     return found
 
 
-def shapley_operator(game, i: int, lam: float, v: np.ndarray, view=None):
+def shapley_operator(game, i: int, lam: float, v: np.ndarray):
     """One application of the min-max dynamic-programming operator, as one
     round of `minmax.discounted_minmax` computes it: (Tv, the protected
     player's per-state optimal mixes (S, own), the coalition's (S, other)),
     all for the one-shot games at v."""
-    view = view or player_view(game, i)
     return _one_shot((1.0 - lam) * game.payoffs[:, :, i], game.transitions,
-                     view.index, lam, v)[:3]
+                     game.player_indices[i], lam, v)[:3]
 
 
 # Test-only builders: a pure stationary profile and a random finite MDP.
@@ -765,6 +765,11 @@ def player_views(profile) -> list:
     return [PlayerAutomaton(joint, i) for i in range(len(joint.factors[0]))]
 
 
+def profile_index(game, profile) -> int:
+    """The flat index of the per-player action tuple `profile`."""
+    return int(np.ravel_multi_index(tuple(profile), game.action_counts))
+
+
 def _draw(rng, weights) -> int:
     u = rng.random()
     return int(min(np.sum(np.cumsum(weights) < u), len(weights) - 1))
@@ -788,7 +793,7 @@ def sample_play_joint(game, profile, s1: int, stages: int, seed: int) -> list:
     path = []
     for _ in range(stages):
         actions = tuple(_draw(rng_act[i], joint.factors[q][i]) for i in range(n_players))
-        a = game.profile_index(actions)
+        a = profile_index(game, actions)
         s_next = _draw(rng_nature, game.transitions[s, a])
         dist = joint.step_dist(q, a, s_next)
         probs = np.array([p for _, p in dist])
@@ -814,7 +819,7 @@ def sample_play_per_player(game, profile, s1: int, stages: int, seed: int) -> li
     for _ in range(stages):
         actions = tuple(_draw(rng_act[i], players[i].output(qs[i]))
                         for i in range(n_players))
-        a = game.profile_index(actions)
+        a = profile_index(game, actions)
         s_next = _draw(rng_nature, game.transitions[s, a])
         # All machines consume the same public coin for their common
         # stochastic transition.
@@ -843,6 +848,21 @@ def node_frequency(model: ProductModel, node: int) -> np.ndarray:
     for n in np.nonzero(occ)[0]:
         rho[model.nodes[n][0]] += occ[n] * model.alpha[n]
     return rho
+
+
+def reachable_nodes(model: ProductModel) -> list:
+    """Node ids reachable with positive probability (above DIST_TOL) from
+    the start node of every game state, by a search over the chain's rows."""
+    seen = set()
+    stack = [model.node_of(s) for s in range(model.game.n_states)]
+    seen.update(stack)
+    while stack:
+        n = stack.pop()
+        for n2 in np.nonzero(model.P[n] > DIST_TOL)[0]:
+            if int(n2) not in seen:
+                seen.add(int(n2))
+                stack.append(int(n2))
+    return sorted(seen)
 
 
 @dataclass

@@ -18,6 +18,7 @@ from oracles import (
     minimal_closed_sets_of_chain,
     optimal_average_values,
     pure_profile,
+    reachable_nodes,
     recurrent_points_oracle,
     shapley_operator,
     simulate_first_exit,
@@ -104,8 +105,6 @@ def test_criterion_4_correlated_synthesis_end_to_end(suite_results):
 
 
 def test_criterion_5_single_player_reduces_to_pure_stationary(mdp_results):
-    from stogame.automata import reachable_nodes
-
     worst = 0.0
     for game, res in mdp_results:
         assert not res.errors, res.errors

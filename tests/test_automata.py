@@ -6,16 +6,18 @@ from oracles import (
     node_frequency,
     player_views,
     pure_profile,
+    reachable_nodes,
     sample_play_joint,
     sample_play_per_player,
 )
 from stogame._util import json_ready
-from stogame.automata import discounted_value, reachable_nodes, stationary_automaton
+from stogame.automata import discounted_value, stationary_automaton
 from stogame.builder import assemble_profile, classify_set
 from stogame.game import StationaryProfile
-from stogame.generators import random_banded_exit_game, sorin_game
+from stogame.generators import BUNDLED, random_banded_exit_game, sorin_game
 from stogame.minmax import solve_uniform_minmax
 from stogame.oneshot import continuation_values, enumerate_all_states
+from stogame.pipeline import run_pipeline
 from stogame.structure import decompose
 from stogame.verify import product_chain
 
@@ -57,12 +59,20 @@ def test_node_frequency_sums_to_one(sorin_profile):
     assert rho.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_reachable_nodes_subset(sorin_profile):
-    g, prof = sorin_profile
-    model = product_chain(g, prof)
-    reach = reachable_nodes(model)
-    assert set(reach) <= set(range(model.n_nodes))
-    assert model.node_of(0) in reach
+def test_every_node_of_a_verifier_chain_is_reachable(suite_results):
+    # The verifiers audit every node of the chain they are given, so the
+    # chain must hold no node that play cannot reach from a start node.
+    games = list(suite_results[1])
+    games += [(g, run_pipeline(g)) for g in (BUNDLED[name]() for name in sorted(BUNDLED))]
+    chains = 0
+    for game, res in games:
+        for strategy in (res.profile, res.correlated):
+            if strategy is None:
+                continue
+            model = product_chain(game, strategy)
+            assert reachable_nodes(model) == list(range(model.n_nodes)), game.name
+            chains += 1
+    assert chains == 2 * len(games)
 
 
 def test_joint_and_per_player_paths_identical(sorin_profile):

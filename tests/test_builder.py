@@ -7,6 +7,7 @@ from oracles import (
     departure_values,
     exit_play_law,
     first_exit_distribution,
+    profile_index,
     simulate_first_exit,
     sustain_payoff,
     type_a_feasibility,
@@ -79,9 +80,9 @@ def test_exits_skip_leak_within_closed_tolerance():
 def test_companion_single_switch(sorin_ctx):
     g = sorin_ctx[0]
     # (B, L) -> switch player 1 back to T
-    comp, dev = companion_action(g, [0], 0, g.profile_index((1, 0)))
+    comp, dev = companion_action(g, [0], 0, profile_index(g, (1, 0)))
     assert g.profile_key(comp) == "T/L" and dev == 0
-    comp, dev = companion_action(g, [0], 0, g.profile_index((1, 1)))
+    comp, dev = companion_action(g, [0], 0, profile_index(g, (1, 1)))
     assert g.profile_key(comp) == "T/R" and dev == 0
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -33,6 +34,26 @@ def one_state_game(payoff=(0.5,)):
     payoffs = np.array([[[p for p in payoff]]], dtype=float)
     transitions = np.ones((1, 1, 1))
     return StochasticGame(("s",), tuple(("a",) for _ in payoff), payoffs, transitions)
+
+
+@pytest.mark.parametrize("counts", [(2, 2), (3, 3), (2, 2, 2), (2, 1, 3)])
+def test_player_indices_lay_out_own_action_by_coalition_profile(counts):
+    names = tuple(tuple(f"p{i}a{k}" for k in range(c)) for i, c in enumerate(counts))
+    n = math.prod(counts)
+    game = StochasticGame(("s",), names, np.zeros((1, n, len(counts))), np.ones((1, n, 1)))
+    flat = {profile: k for k, profile in enumerate(itertools.product(*map(range, counts)))}
+    for i, index in enumerate(game.player_indices):
+        others = [range(c) for k, c in enumerate(counts) if k != i]
+        want = [[flat[rest[:i] + (a,) + rest[i:]] for rest in itertools.product(*others)]
+                for a in range(counts[i])]
+        assert index.tolist() == want
+        assert not index.flags.writeable
+    # Player 0's matrix is C-ordered and the last player's a transposed
+    # (Fortran-ordered) view: the memory order the stage products use.
+    first, last = game.player_indices[0], game.player_indices[-1]
+    assert first.flags.c_contiguous
+    assert last.flags.f_contiguous and not last.flags.c_contiguous
+    assert game.player_indices is game.player_indices
 
 
 def test_validate_well_formed():

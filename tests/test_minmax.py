@@ -32,7 +32,6 @@ from stogame.minmax import (
     _Stage,
     default_schedule,
     discounted_minmax,
-    player_view,
     solve_uniform_minmax,
     uniform_minmax,
 )
@@ -233,13 +232,12 @@ def test_every_schedule_point_lies_within_its_certificate(suite_results):
 
 def _assert_batched_stage_matches_per_state(game, rng):
     for i in range(game.n_players):
-        view = player_view(game, i)
         for lam in (0.5, 0.99, 1.0 - 2.0**-20):
-            stage = _Stage(game, view, lam)
+            stage = _Stage(game, i, lam)
             v = rng.uniform(-1.0, 1.0, game.n_states)
-            _, rows, cols = shapley_operator(game, i, lam, v, view)
-            R_up, P_up = response_mdp_oracle(game, view, lam, cols, fix_rows=False)
-            R_lo, P_lo = response_mdp_oracle(game, view, lam, rows, fix_rows=True)
+            _, rows, cols = shapley_operator(game, i, lam, v)
+            R_up, P_up = response_mdp_oracle(game, i, lam, cols, fix_rows=False)
+            R_lo, P_lo = response_mdp_oracle(game, i, lam, rows, fix_rows=True)
             stage.response_mdps(rows, cols)
             for got, want in (((stage.R_up, stage.P_up), (R_up, P_up)),
                               ((stage.R_lo, stage.P_lo), (R_lo, P_lo))):
@@ -342,16 +340,15 @@ def test_rescaled_workspace_matches_a_fresh_one(game):
     # discount it was built at.
     rng = np.random.default_rng(2)
     for i in range(game.n_players):
-        view = player_view(game, i)
-        stage = _Stage(game, view, 0.5)
+        stage = _Stage(game, i, 0.5)
         for lam in (0.75, 1.0 - 2.0**-20, 0.0, 0.5):
             stage.rescale(lam)
-            fresh = _Stage(game, view, lam)
+            fresh = _Stage(game, i, lam)
             assert stage.U.strides == fresh.U.strides
             for name in ("payoff", "U"):
                 assert getattr(stage, name).tobytes() == getattr(fresh, name).tobytes()
             v = rng.uniform(-1.0, 1.0, game.n_states)
-            _, rows, cols = shapley_operator(game, i, lam, v, view)
+            _, rows, cols = shapley_operator(game, i, lam, v)
             got = stage.response_values(rows, cols)
             want = fresh.response_values(rows, cols)
             for name in ("R_up", "P_up", "R_lo", "P_lo"):
@@ -364,9 +361,9 @@ def test_one_workspace_per_player_and_nothing_left_on_the_game(monkeypatch):
     built = []
 
     class Counted(_Stage):
-        def __init__(self, game, view, lam):
-            built.append(view.player)
-            super().__init__(game, view, lam)
+        def __init__(self, game, i, lam):
+            built.append(i)
+            super().__init__(game, i, lam)
 
     monkeypatch.setattr(stogame.minmax, "_Stage", Counted)
     for game in (sorin_game(), three_player_game(), DEGENERATE[4]):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import hub_game
 from stogame.game import StochasticGame
 from stogame.minmax import default_schedule
 from stogame.pipeline import classify_game, run_pipeline
@@ -271,6 +272,20 @@ def test_degenerate_games_end_ok_and_reproducibly(kind):
     game = degenerate_game(kind)
     res = run_pipeline(game, schedule=default_schedule(24))
     assert res.ok and res.errors == []
+    again = run_pipeline(game, schedule=default_schedule(24))
+    assert json.dumps(again.summary(), sort_keys=True) == json.dumps(res.summary(), sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hub_of_degenerate_2x2_games_ends_ok_and_reproducibly(seed):
+    # The four 2x2 degenerate games behind one transient hub state.
+    kinds = ["zero-payoffs-2x2", "all-absorbing", "constant-uniform", "deterministic-3-cycle"]
+    game = hub_game([degenerate_game(kind) for kind in kinds], seed)
+    assert game.n_states == 12
+    res = run_pipeline(game, schedule=default_schedule(24))
+    assert res.ok and res.errors == []
+    assert res.decomposition.transient == (0,)
+    assert [c.kind for c in res.classifications] == ["A"] * 6
     again = run_pipeline(game, schedule=default_schedule(24))
     assert json.dumps(again.summary(), sort_keys=True) == json.dumps(res.summary(), sort_keys=True)
 

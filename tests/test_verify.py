@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from oracles import (
     discounted_payoff_stationary,
     exact_discounted_payoff_automaton,
     node_margins,
+    profile_index,
     pure_profile,
     stationary_frequency,
 )
@@ -13,8 +16,8 @@ from stogame._util import json_ready
 from stogame.automata import stationary_automaton
 from stogame.builder import assemble_profile, classify_set
 from stogame.frequencies import payoff_of_frequency
-from stogame.game import StationaryProfile, StochasticGame
-from stogame.generators import random_dense_game, sorin_game
+from stogame.game import StationaryCorrelated, StationaryProfile, StochasticGame
+from stogame.generators import random_dense_game, sorin_game, three_player_game
 from stogame.minmax import solve_uniform_minmax
 from stogame.oneshot import continuation_values, enumerate_all_states
 from stogame.simulate import simulate
@@ -27,6 +30,7 @@ from stogame.verify import (
     check_w_acceptable,
     product_chain,
 )
+from test_pipeline import stalled_induction_game
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +149,34 @@ def test_ir_measures_known_gain_on_synthesized(sorin_ctx):
     # The quitting phase exposes player 1's rich exit: measured, not hidden.
     assert report.worst_gain == pytest.approx(2.0 - 7 / 9 - 0.05 * 0, abs=0.2)
     assert not report.ok
+
+
+@pytest.mark.parametrize("game", [three_player_game(), stalled_induction_game()],
+                         ids=lambda g: g.name)
+def test_ir_prices_every_deviation_against_the_coalition_marginal(game):
+    # With eps far below every gain, each deviation at each node is reported,
+    # so every price can be checked against a sum over whole profiles.
+    rng = np.random.default_rng(0)
+    v1 = rng.uniform(-1.0, 1.0, (game.n_states, game.n_players))
+    table = rng.dirichlet(np.ones(game.n_profiles), game.n_states)
+    chain = product_chain(game, StationaryCorrelated(table))
+    report = check_individual_rationality(chain, v1, eps=-1e3)
+    u_star = continuation_values(game, v1)
+    profiles = list(itertools.product(*map(range, game.action_counts)))
+    want = []
+    for node, (s, q) in enumerate(chain.nodes):
+        for i, count in enumerate(game.action_counts):
+            for a in range(count):
+                price = sum(chain.alpha[node, profile_index(game, p)]
+                            * u_star[s, profile_index(game, p[:i] + (a,) + p[i + 1:]), i]
+                            for p in profiles)
+                want.append((s, q, i, a, price))
+    got = [(v.state, v.machine_state, v.player, v.action, v.deviation_value)
+           for v in report.violations]
+    assert report.checks == len(want) == len(got)
+    for g_entry, w_entry in zip(got, want):
+        assert g_entry[:4] == w_entry[:4]
+        assert g_entry[4] == pytest.approx(w_entry[4], abs=1e-12)
 
 
 def test_submartingale_sorin(sorin_ctx):
