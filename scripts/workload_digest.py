@@ -11,8 +11,9 @@ through one `run_pipeline` call with the benchmark's eps and schedule.  The
 script prints four digests, each over all games in order:
 
 * min-max: over `json.dumps(json_ready(result.minmax))`.  Equal digests mean
-  bit-identical min-max reports (values, rounds, certificates, stalls and
-  the one-shot games sent to `solve_matrix_game`) on every game.
+  bit-identical min-max reports (values, the direct solve's brackets and
+  iterations, the schedule's rounds, certificates and stalls, and the
+  one-shot games sent to `solve_matrix_game`) on every game.
 * build: over each game's `json_ready(profile)` and stationary correlated
   table, as in the last line of `scripts/run_suite.py`.  Equal digests mean
   bit-identical machines and correlated strategies.
@@ -26,9 +27,11 @@ script prints four digests, each over all games in order:
 After the digests it checks every game against `perfbench/reference.json`
 as the benchmark does (`harness.compare`), and prints one line per game that
 differs: its slot, its name, the largest difference of its `v1` from the
-reference, the number of stalled discounted solves on each player's curve
-and the differences found.  A stalled solve's value is not certified, so a
-mismatch on a curve that has them may be the reference's error.  The last
+reference, each player's min-max method ("direct" where the average-reward
+bracket closed, "schedule" otherwise), the number of stalled discounted
+solves on each player's curve and the differences found.  A stalled solve's
+value is not certified, so a mismatch on a curve that has them may be the
+reference's error.  The last
 line counts the games that differ among those the reference records.
 
 The script imports `perfbench/env.py`, `perfbench/workloads.py` and
@@ -94,9 +97,12 @@ def main(argv=None) -> int:
                 if problems:
                     v, v_ref = np.asarray(res.v1), np.asarray(ref.get("v1", []))
                     off = float(np.max(np.abs(v - v_ref))) if v.shape == v_ref.shape else np.nan
-                    stalled = [sum(c.stalled) for c in res.minmax.curves]
+                    methods = [c.method for c in res.minmax.curves]
+                    stalled = [sum(c.stalled) if c.method == "schedule" else 0
+                               for c in res.minmax.curves]
                     differing.append(f"slot {slot} {game.name}: largest v1 difference "
-                                     f"{off:.3e}, stalled solves per player {stalled}; "
+                                     f"{off:.3e}, method per player {methods}, "
+                                     f"stalled solves per player {stalled}; "
                                      + "; ".join(problems))
             minmax_digest.update(json.dumps(json_ready(res.minmax)).encode())
             build_digest.update(json.dumps(json_ready({

@@ -14,8 +14,8 @@ import numpy as np
 
 SUPPORT_CUTOFF = 1e-14
 # Howard's loop: its cap on policy evaluations, and the margin, times the
-# rewards' and biases' scale, by which an action must beat the current one
-# to replace it.
+# rewards' scale (and the biases', for pricing), by which an action must beat
+# the current one to replace it.
 POLICY_ITERATION_CAP = 100
 IMPROVE_TOL = 1e-13
 
@@ -72,7 +72,7 @@ def strongly_connected_components(adjacency) -> list:
 
 def recurrent_classes(P: np.ndarray):
     """Recurrent classes (bottom SCCs) and transient states of a chain."""
-    adj = [[int(t) for t in np.nonzero(P[s] > SUPPORT_CUTOFF)[0]] for s in range(P.shape[0])]
+    adj = [np.flatnonzero(row).tolist() for row in P > SUPPORT_CUTOFF]
     sccs = strongly_connected_components(adj)
     classes = []
     transient = []
@@ -91,7 +91,9 @@ def stationary_distribution(P: np.ndarray, class_states) -> np.ndarray:
     """Unique invariant distribution of the chain restricted to one
     irreducible class.  Returned over the class states, in their order."""
     idx = list(class_states)
-    sub = P[np.ix_(idx, idx)]
+    if len(idx) == 1:
+        return np.ones(1)  # what the solve below gives, without its cost
+    sub = P[idx][:, idx]
     k = len(idx)
     M = sub.T - np.eye(k)
     M[-1, :] = 1.0
@@ -132,10 +134,11 @@ def _gain(P: np.ndarray, r: np.ndarray):
     for j, cls in enumerate(classes):
         absorb[cls, j] = 1.0
     if transient:
+        rows = P[transient]
         rhs = np.zeros((len(transient), len(classes)))
         for j, cls in enumerate(classes):
-            rhs[:, j] = P[np.ix_(transient, cls)].sum(axis=1)
-        Q = P[np.ix_(transient, transient)]
+            rhs[:, j] = rows[:, cls].sum(axis=1)
+        Q = rows[:, transient]
         absorb[transient] = np.linalg.solve(np.eye(len(transient)) - Q, rhs)
     class_vals = np.zeros((len(classes), rv.shape[1]))
     for j, cls in enumerate(classes):
@@ -173,20 +176,27 @@ def _improve(q: np.ndarray, choice: np.ndarray, mask: np.ndarray, tol: float):
     return np.where(better, q.argmax(axis=1), choice)
 
 
-def optimal_average_policy(R: np.ndarray, P: np.ndarray, valid: np.ndarray):
+def optimal_average_policy(R: np.ndarray, P: np.ndarray, valid: np.ndarray,
+                           start: np.ndarray | None, bias_scaled: bool):
     """Howard's multichain policy iteration: a pure policy with the largest
     long-run average reward from every state of the MDP with rewards R
     (n, m), transition rows P (n, m, n) and allowed actions valid (n, m).
-    From the greedy policy, each iteration improves the gain, or, where no
-    gain improves, the bias among the gain-optimal actions; a tie keeps the
-    current action.  Returns (action per state, settled), settled False when
-    POLICY_ITERATION_CAP evaluations did not settle the loop.
+    From `start` (an allowed action per state), or from the greedy policy
+    when it is None, each iteration improves the gain, or, where no gain
+    improves, the bias among the gain-optimal actions; a tie keeps the
+    current action.  An action replaces the current one when it beats it by
+    more than IMPROVE_TOL times 1 + max |R|, plus max |h| when `bias_scaled`.
+    Returns (action per state, settled, gain, bias): settled is False when
+    POLICY_ITERATION_CAP evaluations did not settle the loop, and gain and
+    bias are the last evaluation's, those of the returned policy when
+    settled.
     """
     rows = np.arange(len(R))
-    choice = np.where(valid, R, -np.inf).argmax(axis=1)
+    choice = np.where(valid, R, -np.inf).argmax(axis=1) if start is None else start
+    scale = 1.0 + np.abs(R).max()
     for _ in range(POLICY_ITERATION_CAP):
         g, h = gain_bias(P[rows, choice], R[rows, choice])
-        tol = IMPROVE_TOL * (1.0 + np.abs(R).max() + np.abs(h).max())
+        tol = IMPROVE_TOL * (scale + np.abs(h).max() if bias_scaled else scale)
         q = P @ g
         new = _improve(q, choice, valid, tol)
         if np.array_equal(new, choice):
@@ -194,6 +204,6 @@ def optimal_average_policy(R: np.ndarray, P: np.ndarray, valid: np.ndarray):
             gain_optimal = valid & (q >= best - tol)
             new = _improve(R + P @ h, choice, gain_optimal, tol)
             if np.array_equal(new, choice):
-                return choice, True
+                return choice, True, g, h
         choice = new
-    return choice, False
+    return choice, False, g, h

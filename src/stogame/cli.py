@@ -136,11 +136,17 @@ def cmd_solve(args) -> int:
     report = solve_uniform_minmax(game, schedule=_schedule(args))
     dump_json(report, os.path.join(_outdir(args), "solve.json"))
     print(f"adversary mode: {report.adversary_mode}")
-    for curve in report.curves:
-        vals = ", ".join(
-            f"{name}={v:.6f}" for name, v in zip(game.state_names, curve.extrapolated))
-        flag = "" if curve.converged else "  [non-convergence flagged]"
+    for curve, direct in zip(report.curves, report.direct):
+        vals = ", ".join(f"{name}={v:.6f}" for name, v in zip(game.state_names, curve.v1))
+        flag = "" if curve.method == "direct" or curve.converged else "  [non-convergence flagged]"
         print(f"player {curve.player}: {vals}{flag}")
+        if direct is None:
+            print(f"  method {curve.method}; no direct solve: transition rows are not distributions")
+        else:
+            print(f"  method {curve.method}; direct solve: {direct.outcome}, "
+                  f"{direct.iterations} iterations, bracket width {direct.width:.3g}, "
+                  f"lower {np.round(direct.lower, 9).tolist()}, "
+                  f"upper {np.round(direct.upper, 9).tolist()}")
     return 0
 
 

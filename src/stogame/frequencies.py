@@ -178,7 +178,7 @@ def best_recurrent_point(game: StochasticGame, region,
     states = np.array(live)[:, None]
     R = game.payoffs[states, acts] @ weights
     P = game.transitions[states, acts][:, :, live]
-    choice, settled = optimal_average_policy(R, P, valid)
+    choice, settled, _, _ = optimal_average_policy(R, P, valid, start=None, bias_scaled=True)
     if not settled:
         raise RuntimeError(f"policy iteration on region {region} did not settle")
     points = _profile_points(game, region, live, acts[np.arange(len(live)), choice].tolist())

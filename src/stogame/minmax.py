@@ -6,6 +6,20 @@ sets, i.e. the adversary may correlate).  For two players this coincides with
 the independent min-max; for three or more players the coalition value is a
 lower bound on the independent one, and every report carries that flag.
 
+Each player's uniform value is first sought directly (`direct_minmax`):
+strategy iteration on the limiting-average game gives stationary pairs
+(x, y), and the coalition's best average response to x and the player's to
+y, both exact multichain Howard solves (`chains.optimal_average_policy`),
+bracket the value: L(x) <= v1 <= U(y).  When the bracket closes to
+DIRECT_WIDTH, its midpoint is v1 and no discount is solved.  On the
+benchmark's workloads that is every curve of the dense and layered games
+and about half of the soft-absorbing ones, and no BLAS kernel moves such a
+midpoint by more than a few ulps, where Aitken's step magnifies a
+kernel's rounding.  Otherwise (quitting games such as the Big Match, where
+stationary strategies need not guarantee the value) the width stops
+halving, and `uniform_minmax` runs the discount schedule below, with
+Aitken's step, exactly as it would without the try.
+
 The per-discount solve is strategy iteration: at each round the one-shot
 matrix games at the current value vector give both players' stationary
 strategies; exact best-response MDP solves (policy iteration) then produce a
@@ -60,7 +74,8 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import solve as _lapack_solve
 
-from ._util import json_ready
+from ._util import DIST_TOL, json_ready
+from .chains import optimal_average_policy
 from .game import StochasticGame
 from .matrixgame import closed_form_2x2, solve_matrix_game
 
@@ -76,6 +91,16 @@ CERT_TOL = 1e-9
 # Length of the discount schedule when none is given.
 DEFAULT_SCHEDULE_DEPTH = 20
 
+# The direct average-reward solve (`direct_minmax`): a bracket at most
+# DIRECT_WIDTH wide closes a curve; the one-shot games weigh the gain
+# DIRECT_GAIN_WEIGHT times against the bias; the solve gives up after
+# DIRECT_CAP iterations, or once DIRECT_PATIENCE iterations in a row have not
+# halved the bracket's width.
+DIRECT_WIDTH = 1e-9
+DIRECT_GAIN_WEIGHT = 1e3
+DIRECT_CAP = 40
+DIRECT_PATIENCE = 3
+
 
 def default_schedule(k_max: int = DEFAULT_SCHEDULE_DEPTH) -> list:
     """Discount schedule 1 - 2^-k for k = 1..k_max."""
@@ -83,10 +108,11 @@ def default_schedule(k_max: int = DEFAULT_SCHEDULE_DEPTH) -> list:
 
 
 def _one_shot(payoff, transitions, index, lam, v):
-    """Tv, both sides' one-shot mixes at v and the number of games solved by
-    `solve_matrix_game` instead of the stacked closed form (those larger
-    than 2x2, and 2x2 games that fail both of its tries); payoff is the
-    scaled stage payoff (1 - lam) * payoffs[:, :, i] over flat profiles.
+    """Tv, both sides' one-shot mixes of the games payoff + lam * P v and the
+    number of games solved by `solve_matrix_game` instead of the stacked
+    closed form (those larger than 2x2, and 2x2 games that fail both of its
+    tries); payoff is player i's stage payoff over flat profiles, scaled by
+    1 - lam for a discounted solve.
 
     The closed form reads only the games' entries, so it gets them from
     `take`, at a third of the cost of `[:, index]`.  The games left to
@@ -151,6 +177,20 @@ def _solver_arrays(R: np.ndarray):
     return np.eye(n_states), np.arange(0, R.size, n_actions).reshape(n_mdps, n_states)
 
 
+def _write_responses(ws, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Write the best-response MDPs against the mixes (rows, cols) into the
+    workspace `ws` (a `_Stage` or an `_AverageResponses`), from its stage
+    matrices U and transition stack T: (R_up, P_up), where the coalition
+    plays cols and the protected player decides, and (R_lo, P_lo), where the
+    player plays rows and the coalition decides.  The stacked matmuls hand
+    each state's matrix-vector product to BLAS on its own, in U's memory
+    order, exactly as `U[s] @ cols[s]` would (see the module docstring)."""
+    np.matmul(ws.U, cols[:, :, None], out=ws.R_up[:, :, None])
+    np.matmul(rows[:, None, :], ws.U, out=ws.R_lo[:, None, :])
+    np.einsum("srct,sc->srt", ws.T, cols, out=ws.P_up)
+    np.einsum("sr,srct->sct", rows, ws.T, out=ws.P_lo)
+
+
 class _Stage:
     """Player i's stage games: the workspace of one min-max curve.
 
@@ -201,15 +241,9 @@ class _Stage:
         np.multiply(1.0 - lam, self.U0, out=self.U)
 
     def response_mdps(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Write both best-response MDPs against the mixes (rows, cols).
-
-        The stacked matmuls hand each state's matrix-vector product to BLAS
-        on its own, in U's memory order, exactly as `U[s] @ cols[s]` would
-        (see the module docstring)."""
-        np.matmul(self.U, cols[:, :, None], out=self.R_up[:, :, None])
-        np.matmul(rows[:, None, :], self.U, out=self.R_lo[:, None, :])
-        np.einsum("srct,sc->srt", self.T, cols, out=self.P_up)
-        np.einsum("sr,srct->sct", rows, self.T, out=self.P_lo)
+        """Write both best-response MDPs against the mixes (rows, cols)
+        (`_write_responses`), and pad the narrower side."""
+        _write_responses(self, rows, cols)
         if self.pad is not None:
             k, width = self.pad
             self.R[k, :, width:] = self.R[k, :, :1]
@@ -281,6 +315,129 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float,
         v = v_up
 
 
+class _AverageResponses:
+    """Both best average responses of player i's direct solve, as one
+    block-diagonal MDP of 2S states: the player's response to the
+    coalition's mixes on states 0..S-1, the coalition's response to the
+    player's mixes, with negated rewards, on states S..2S-1.  A narrower
+    side's extra actions are masked out (`valid`), and Howard's loop starts
+    from the policy it settled on last time."""
+
+    def __init__(self, game: StochasticGame, i: int):
+        n = game.n_states
+        index = game.player_indices[i]
+        own, other = index.shape
+        width = max(own, other)
+        self.U = np.ascontiguousarray(game.payoffs[:, :, i][:, index])
+        self.T = np.ascontiguousarray(game.transitions[:, index])
+        self.R = np.zeros((2 * n, width))
+        self.P = np.zeros((2 * n, width, 2 * n))
+        self.valid = np.arange(width) < np.repeat([own, other], n)[:, None]
+        self.R_up, self.R_lo = self.R[:n, :own], self.R[n:, :other]
+        self.P_up, self.P_lo = self.P[:n, :own, :n], self.P[n:, :other, n:]
+        self.choice = None
+
+    def __call__(self, rows: np.ndarray, cols: np.ndarray):
+        """(settled, g_up, h_up, g_lo, h_lo): gain and bias of the player's
+        best average response to the coalition's mixes `cols`, and of the
+        coalition's (minimizing) response to the player's mixes `rows`.
+        Howard's tolerance scales with the rewards only (see
+        `chains.optimal_average_policy`)."""
+        n = len(rows)
+        _write_responses(self, rows, cols)
+        np.negative(self.R_lo, out=self.R_lo)
+        self.choice, settled, g, h = optimal_average_policy(
+            self.R, self.P, self.valid, start=self.choice, bias_scaled=False)
+        return settled, g[:n], h[:n], -g[n:], -h[n:]
+
+
+@dataclass
+class DirectSolve:
+    """Player i's direct solve of the limiting-average min-max game.
+
+    Per state, `lower` is the best over iterations of the coalition's best
+    average response to the player's stationary mixes, so the player can
+    guarantee it, and `upper` the best of the player's best average response
+    to the coalition's mixes, which the coalition can hold the player to:
+    lower <= v1 <= upper, up to Howard's tolerance.  `v1` is their midpoint.
+    `outcome` says how the solve ended: "closed" (the bracket is at most
+    DIRECT_WIDTH wide, and v1 is the curve's value), "stalled" (the width
+    stopped halving), "cap" (DIRECT_CAP iterations), "unsettled" (Howard's
+    loop hit its cap) or "crossed" (lower exceeds upper by more than
+    DIRECT_WIDTH).  `matrix_solves` counts the one-shot games sent to
+    `solve_matrix_game`.
+    """
+
+    player: int
+    v1: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    iterations: int
+    matrix_solves: int
+    outcome: str
+
+    method = "direct"
+
+    @property
+    def width(self) -> float:
+        return float(np.max(self.upper - self.lower))
+
+
+def direct_minmax(game: StochasticGame, i: int) -> DirectSolve:
+    """Player i's uniform min-max value by strategy iteration on the
+    limiting-average game (Hoffman & Karp 1966; Filar & Vrieze 1997).
+
+    Each iteration solves the one-shot games r + P (h + K (g - min g)),
+    K = DIRECT_GAIN_WEIGHT: the player's at the coalition's last best
+    response (g, h), the coalition's at the player's.  It then solves both
+    sides' best average responses to those mixes in one Howard call
+    (`_AverageResponses`) and narrows the bracket [max lower, min upper].
+    The first iteration starts from the stage games.  A gain-only
+    continuation, or g / (1 - lam) + h near lam = 1, would swamp the stage
+    payoffs; K only sets how fast the bracket closes, since any stationary
+    pair gives a sound one.
+    """
+    n = game.n_states
+    payoff, transitions, index = game.payoffs[:, :, i], game.transitions, game.player_indices[i]
+    responses = _AverageResponses(game, i)
+    lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
+    w_up = w_lo = np.zeros(n)
+    matrix_solves = 0
+    best, halved_at = np.inf, 0
+    outcome = "cap"
+    for it in range(1, DIRECT_CAP + 1):
+        _, rows, _, solved_rows = _one_shot(payoff, transitions, index, 1.0, w_lo)
+        _, _, cols, solved_cols = _one_shot(payoff, transitions, index, 1.0, w_up)
+        matrix_solves += solved_rows + solved_cols
+        settled, g_up, h_up, g_lo, h_lo = responses(rows, cols)
+        if not settled:
+            outcome = "unsettled"
+            break
+        np.maximum(lower, g_lo, out=lower)
+        np.minimum(upper, g_up, out=upper)
+        if _max(lower - upper, axis=None) > DIRECT_WIDTH:
+            outcome = "crossed"
+            break
+        width = float(_max(upper - lower, axis=None))
+        if width <= DIRECT_WIDTH:
+            outcome = "closed"
+            break
+        if width <= 0.5 * best:
+            best, halved_at = width, it
+        elif it - halved_at >= DIRECT_PATIENCE:
+            outcome = "stalled"
+            break
+        w_up = h_up + DIRECT_GAIN_WEIGHT * (g_up - g_up.min())
+        w_lo = h_lo + DIRECT_GAIN_WEIGHT * (g_lo - g_lo.min())
+    return DirectSolve(i, 0.5 * (lower + upper), lower, upper, it, matrix_solves, outcome)
+
+
+def _stochastic(transitions: np.ndarray) -> bool:
+    """Whether every transition row is a distribution, within DIST_TOL."""
+    return bool((transitions >= -DIST_TOL).all()
+                and (np.abs(transitions.sum(axis=2) - 1.0) <= DIST_TOL).all())
+
+
 def aitken_extrapolate(v2: np.ndarray, v1: np.ndarray, v0: np.ndarray) -> np.ndarray:
     """Geometric extrapolation from the last three schedule points
     (v2 oldest, v0 newest)."""
@@ -308,21 +465,29 @@ class PlayerValueCurve:
     #                       larger than 2x2, or 2x2 and failing both closed-form tries
     extrapolation_points: tuple | None  # schedule indices fed to Aitken
 
+    method = "schedule"
+
+    @property
+    def v1(self) -> np.ndarray:
+        return self.extrapolated
+
 
 @dataclass
 class MinMaxReport:
     adversary_mode: str
-    curves: list
+    curves: list  # per player: the DirectSolve that closed, else the schedule's curve
+    direct: list  # per player: the DirectSolve, None where none ran
 
     @property
     def uniform_values(self) -> np.ndarray:
-        """Matrix (S, I) of extrapolated uniform min-max values."""
-        return np.stack([c.extrapolated for c in self.curves], axis=1)
+        """Matrix (S, I) of uniform min-max values."""
+        return np.stack([c.v1 for c in self.curves], axis=1)
 
     def to_dict(self) -> dict:
         return json_ready({
             "adversary_mode": self.adversary_mode,
             "players": self.curves,
+            "direct": self.direct,
         })
 
 
@@ -334,9 +499,7 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None) -> PlayerValueCu
     are skipped); non-convergence (increasing tail differences) is flagged,
     not raised.  An empty schedule raises ValueError.
     """
-    schedule = list(schedule) if schedule is not None else default_schedule()
-    if not schedule:
-        raise ValueError("the discount schedule is empty")
+    schedule = _checked(schedule)
     values = []
     certs = []
     rounds = []
@@ -379,11 +542,31 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None) -> PlayerValueCu
                             rounds, certs, stalled, matrix_solves, triple)
 
 
+def _checked(schedule) -> list:
+    """The schedule as a list, the default one for None; empty raises
+    ValueError."""
+    schedule = list(schedule) if schedule is not None else default_schedule()
+    if not schedule:
+        raise ValueError("the discount schedule is empty")
+    return schedule
+
+
 def solve_uniform_minmax(game: StochasticGame, schedule=None) -> MinMaxReport:
-    """Uniform min-max values of every player, bundled into a report."""
+    """Uniform min-max values of every player, bundled into a report.
+
+    Each player's value comes from `direct_minmax` when its bracket closes,
+    and otherwise from `uniform_minmax` along the schedule, which does not
+    see the direct try.  A game whose transition rows are not distributions
+    gets no direct try, since Howard's loop reads them as a Markov chain.
+    """
+    schedule = _checked(schedule)
     mode = "coalition-correlated (equals independent min-max for <= 2 players)"
     if game.n_players > 2:
         mode = ("coalition-correlated (lower bound on the independent min-max "
                 "for 3+ players)")
-    return MinMaxReport(mode, [uniform_minmax(game, i, schedule=schedule)
-                               for i in range(game.n_players)])
+    stochastic = _stochastic(game.transitions)
+    direct = [direct_minmax(game, i) if stochastic else None for i in range(game.n_players)]
+    curves = [d if d is not None and d.outcome == "closed"
+              else uniform_minmax(game, i, schedule=schedule)
+              for i, d in enumerate(direct)]
+    return MinMaxReport(mode, curves, direct)

@@ -61,11 +61,14 @@ class PipelineResult:
 
     @property
     def warnings(self) -> list:
-        """One line per player whose min-max curve did not converge or has a
+        """One line per player whose schedule curve did not converge or has a
         stalled discounted solve: that player's `v1` rests on an
-        extrapolation without a clean certificate.  Reported, not gated."""
+        extrapolation without a clean certificate.  A curve closed by the
+        direct solve is certified by its bracket.  Reported, not gated."""
         lines = []
         for curve in self.minmax.curves:
+            if curve.method == "direct":
+                continue
             stalled = sum(curve.stalled)
             problems = [] if curve.converged else ["did not converge"]
             if stalled:

@@ -145,18 +145,22 @@ def check_individual_rationality(chain: ProductModel, v1: np.ndarray,
     game = chain.game
     lim = chain.limit
     u_star = continuation_values(game, v1)
+    # Per player, each state's own action x coalition matrix of the player's
+    # continuation values, C-ordered: every deviation of every player is
+    # priced by the same BLAS matrix-vector product, whatever the layout of
+    # `player_indices` (a strided matrix would take numpy's own loop, which
+    # rounds differently).
+    tables = [np.ascontiguousarray(u_star[:, index, i])
+              for i, index in enumerate(game.player_indices)]
     violations = []
     worst = -np.inf
     checks = 0
     for node, (s, q) in enumerate(chain.nodes):
         row = chain.alpha[node]
         for i, index in enumerate(game.player_indices):
-            # Own action x coalition continuation values against the
-            # coalition's marginal of the node's action.  Sliced out of
-            # u_star[s][index], the matrix of a game of two or more players
-            # is strided, so numpy multiplies it in its own loop rather than
-            # in BLAS, which rounds differently.
-            dev_values = u_star[s][index][..., i] @ row[index].sum(axis=0)
+            # Continuation values against the coalition's marginal of the
+            # node's action.
+            dev_values = tables[i][s] @ row[index].sum(axis=0)
             cont = float(lim[node, i])
             for a_i, value in enumerate(dev_values.tolist()):
                 checks += 1

@@ -12,6 +12,10 @@ systems on their own, where the library stacks every kernel of a size
 for bit.  `exact_2x2_value` gives a 2x2 game's value in rationals, and
 `newton_minmax_oracle` a discounted min-max value by another algorithm
 (Newton steps on stationary pairs), with its own best-response bracket.
+`pure_average_extremum` is the best or worst long-run average of a small
+MDP over all its pure stationary policies, each policy's gain computed in
+rationals (`exact_gain`): the reference of the direct min-max solve's Howard
+step.
 Classification's two references are linear programs solved by HiGHS:
 `pricing_lp_oracle` over the invariant frequency polytope of a region's
 safe sub-MDP, and `mixture_lp_oracle` for the column-generation master.
@@ -465,6 +469,58 @@ def policy_iteration_oracle(R: np.ndarray, P: np.ndarray, lam: float,
             return value
         policy = np.where(gains > 1e-13, improved, policy)
     raise RuntimeError("policy iteration did not terminate")
+
+
+def exact_gain(P: np.ndarray, r: np.ndarray) -> list:
+    """Long-run average of r (n,) under the chain P (n, n), in rationals.
+
+    Any solution (g, h) of g = P g and g + h = r + P h has g = P* r, the
+    Cesaro limit applied to r (multiply the second equation by P*), so one
+    row reduction of those 2n equations over `Fraction`s, free unknowns set
+    to 0, gives the exact gain.  Each row's largest entry is first set so
+    that the row sums to exactly 1: a float row that sums to 1 - 1e-16
+    would leak mass in exact arithmetic, and every gain would be 0."""
+    n = len(r)
+    F = [[Fraction(x) for x in row] for row in P]
+    for row in F:
+        top = row.index(max(row))
+        row[top] = 1 - (sum(row) - row[top])
+    eye = [[Fraction(int(s == t)) for t in range(n)] for s in range(n)]
+    zero = [Fraction(0)] * n
+    system = [[eye[s][t] - F[s][t] for t in range(n)] + zero + [Fraction(0)] for s in range(n)]
+    system += [eye[s] + [eye[s][t] - F[s][t] for t in range(n)] + [Fraction(r[s])]
+               for s in range(n)]
+    pivots = []
+    row = 0
+    for col in range(2 * n):
+        pick = next((k for k in range(row, len(system)) if system[k][col] != 0), None)
+        if pick is None:
+            continue
+        system[row], system[pick] = system[pick], system[row]
+        lead = system[row][col]
+        system[row] = [x / lead for x in system[row]]
+        for k in range(len(system)):
+            if k != row and system[k][col] != 0:
+                factor = system[k][col]
+                system[k] = [a - factor * b for a, b in zip(system[k], system[row])]
+        pivots.append(col)
+        row += 1
+    solution = [Fraction(0)] * (2 * n)
+    for k, col in enumerate(pivots):
+        solution[col] = system[k][-1]
+    return solution[:n]
+
+
+def pure_average_extremum(R: np.ndarray, P: np.ndarray, maximize: bool) -> np.ndarray:
+    """Largest (or smallest) long-run average per start state over every
+    pure stationary policy of the MDP with rewards R (S, A) and transitions
+    P (S, A, S), each policy's gain computed exactly (`exact_gain`)."""
+    n_states, n_actions = R.shape
+    rows = np.arange(n_states)
+    gains = [exact_gain(P[rows, combo], R[rows, combo])
+             for combo in itertools.product(range(n_actions), repeat=n_states)]
+    pick = max if maximize else min
+    return np.array([float(pick(g[s] for g in gains)) for s in range(n_states)])
 
 
 def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=None,

@@ -44,7 +44,7 @@ def _masked_mdps(draw):
 def test_optimal_average_policy_reaches_the_best_pure_gain(case):
     R, P, valid = case
     rows = np.arange(len(R))
-    choice, settled = optimal_average_policy(R, P, valid)
+    choice, settled, _, _ = optimal_average_policy(R, P, valid, start=None, bias_scaled=True)
     assert settled and valid[rows, choice].all()
     best = np.full(len(R), -np.inf)
     for combo in itertools.product(*[np.flatnonzero(v) for v in valid]):

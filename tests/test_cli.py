@@ -50,6 +50,21 @@ def test_solve_writes_values(tmp_path, capsys):
     assert "adversary mode" in out
 
 
+def test_solve_prints_each_players_method_and_bracket(tmp_path, capsys):
+    # random2p_a's curves close in the direct solve; Sorin's need the
+    # schedule, and its stationary bracket stays wide.
+    for game, method, outcome in (("random2p_a", "direct", "closed"),
+                                  ("sorin", "schedule", "stalled")):
+        assert run(["solve", "--game", f"builtin:{game}", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count(f"method {method}; direct solve: {outcome}, ") == 2
+        doc = json.loads((tmp_path / "solve.json").read_text())
+        assert [d["outcome"] for d in doc["direct"]] == [outcome] * 2
+        for direct, player in zip(doc["direct"], doc["players"]):
+            assert all(lo <= hi for lo, hi in zip(direct["lower"], direct["upper"]))
+            assert (player == direct) == (method == "direct")
+
+
 def test_decompose_and_build(tmp_path):
     assert run(["decompose", "--game", "builtin:sorin", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "decompose.json").read_text())

@@ -10,6 +10,7 @@ from oracles import (
     newton_minmax_oracle,
     optimal_average_values,
     policy_iteration_oracle,
+    pure_average_extremum,
     random_mdp,
     response_mdp_oracle,
     shapley_operator,
@@ -18,6 +19,7 @@ from stogame._util import json_ready
 from stogame.game import StochasticGame
 from stogame.generators import (
     acceptance_suite,
+    bundled_game,
     random_banded_exit_game,
     random_dense_game,
     random_soft_absorbing_game,
@@ -26,11 +28,14 @@ from stogame.generators import (
 )
 from stogame.matrixgame import solve_matrix_game
 from stogame.minmax import (
+    DIRECT_WIDTH,
+    _AverageResponses,
     _lapack_solve,
     _policy_iteration,
     _solver_arrays,
     _Stage,
     default_schedule,
+    direct_minmax,
     discounted_minmax,
     solve_uniform_minmax,
     uniform_minmax,
@@ -207,16 +212,15 @@ STALLING_SEEDS = (172001, 312003, 342002, 392003, 462009, 492006, 562003)
 PI_STOP = 1e-13
 
 
-def test_every_schedule_point_lies_within_its_certificate(suite_results):
+def test_every_schedule_point_lies_within_its_certificate():
     # Each schedule point must lie within its certified gap, plus the
     # Newton oracle's own gap and both sides' policy iteration slack, of the
     # oracle's value.  Stalled points must lie inside without the slack.
     schedule = default_schedule(24)
-    solved = [(game, res.minmax) for game, res in suite_results[1]]
-    solved += [(game, solve_uniform_minmax(game, schedule=schedule))
-               for game in map(random_soft_absorbing_game, STALLING_SEEDS)]
+    games = acceptance_suite() + [random_soft_absorbing_game(s) for s in STALLING_SEEDS]
     stalled = 0
-    for game, curve in ((g, c) for g, report in solved for c in report.curves):
+    for game, curve in ((g, uniform_minmax(g, i, schedule))
+                        for g in games for i in range(g.n_players)):
         v = None
         for k, lam in enumerate(schedule):
             v, gap = newton_minmax_oracle(game, curve.player, lam, v0=v)
@@ -325,10 +329,17 @@ DEGENERATE = [
 ] + [(g, 8 if g.name == "2x3" else 24) for g in DEGENERATE],
     ids=lambda p: getattr(p, "name", None))
 def test_whole_solve_matches_per_state_oracle(game, depth, monkeypatch):
+    # Every player's schedule curve, also where the direct solve would close
+    # the curve and no schedule would run.
     schedule = default_schedule(depth)
-    batched = json.dumps(solve_uniform_minmax(game, schedule).to_dict())
+
+    def curves():
+        return json.dumps([json_ready(uniform_minmax(game, i, schedule))
+                           for i in range(game.n_players)])
+
+    batched = curves()
     monkeypatch.setattr(stogame.minmax, "discounted_minmax", discounted_minmax_oracle)
-    assert json.dumps(solve_uniform_minmax(game, schedule).to_dict()) == batched
+    assert curves() == batched
 
 
 @pytest.mark.parametrize("game", acceptance_suite()[::13] + [
@@ -372,8 +383,8 @@ def test_one_workspace_per_player_and_nothing_left_on_the_game(monkeypatch):
                 getattr(game, name)
         before = dict(game.__dict__)
         built.clear()
-        solve_uniform_minmax(game, default_schedule(6))
-        assert built == list(range(game.n_players))
+        report = solve_uniform_minmax(game, default_schedule(6))
+        assert built == [c.player for c in report.curves if c.method == "schedule"]
         assert game.__dict__.keys() == before.keys()
         assert all(game.__dict__[key] is value for key, value in before.items())
 
@@ -415,3 +426,106 @@ def test_singular_policy_iteration_raises_at_once(n_mdps, monkeypatch):
         with pytest.raises(np.linalg.LinAlgError):
             stogame.minmax._policy_iteration(R, P, 1.0, *_solver_arrays(R))
     assert solves == [1]
+
+
+def _sparse_game(counts, n_states, seed):
+    """`_hand_built`'s payoffs with transition rows on one or two states, so
+    that many stationary pairs make the chain multichain."""
+    base = _hand_built(counts, n_states, seed)
+    rng = np.random.default_rng(seed)
+    transitions = np.zeros_like(base.transitions)
+    for s, a in np.ndindex(transitions.shape[:2]):
+        support = rng.choice(n_states, size=int(rng.integers(1, 3)), replace=False)
+        transitions[s, a, support] = rng.dirichlet(np.ones(len(support)))
+    return StochasticGame(base.state_names, base.action_names, base.payoffs, transitions,
+                          name=f"sparse-{base.name}")
+
+
+# Games of 2-3 states with 2x2 and 2x3 actions: dense, sparse and absorbing.
+SMALL_GAMES = [
+    _hand_built((2, 2), 2, 11, name="2x2"),
+    _hand_built((2, 3), 3, 12, name="2x3"),
+    _sparse_game((2, 2), 3, 13),
+    _sparse_game((2, 3), 2, 14),
+    _sparse_game((2, 3), 3, 15),
+    sorin_game(),
+]
+
+
+@pytest.mark.parametrize("game", SMALL_GAMES, ids=lambda g: g.name)
+def test_howard_responses_reach_the_pure_policy_extremum(game):
+    # Each side's best average response, from one warm-started Howard call
+    # on the block-diagonal MDP, must equal the best gain over all pure
+    # stationary policies of that side's MDP, computed in rationals.
+    rng = np.random.default_rng(4)
+    for i in range(game.n_players):
+        own, other = game.player_indices[i].shape
+        responses = _AverageResponses(game, i)
+        for trial in range(6):
+            rows = rng.dirichlet(np.ones(own), game.n_states)
+            cols = rng.dirichlet(np.ones(other), game.n_states)
+            if trial % 2:  # pure mixes
+                rows = np.eye(own)[rng.integers(own, size=game.n_states)]
+                cols = np.eye(other)[rng.integers(other, size=game.n_states)]
+            settled, g_up, _, g_lo, _ = responses(rows, cols)
+            assert settled
+            R_up, P_up = response_mdp_oracle(game, i, 0.0, cols, fix_rows=False)
+            R_lo, P_lo = response_mdp_oracle(game, i, 0.0, rows, fix_rows=True)
+            assert np.max(np.abs(g_up - pure_average_extremum(R_up, P_up, True))) <= 1e-12
+            assert np.max(np.abs(g_lo - pure_average_extremum(R_lo, P_lo, False))) <= 1e-12
+
+
+@pytest.mark.parametrize("game", [bundled_game("mdp3"), DEGENERATE[7]], ids=lambda g: g.name)
+def test_direct_bracket_never_crosses(game):
+    # One side has fewer actions than the other, so the block-diagonal MDP
+    # pads it; a padded action that won a Howard step would cross the
+    # bracket.  Lower and upper are running extremes, so the last bracket
+    # covers every iteration.
+    for i in range(game.n_players):
+        direct = direct_minmax(game, i)
+        assert direct.outcome == "closed"
+        assert (direct.lower <= direct.upper + 1e-12).all()
+
+
+@pytest.mark.parametrize("game", [sorin_game(), random_banded_exit_game(4001)],
+                         ids=lambda g: g.name)
+def test_open_curves_are_the_schedules_own(game):
+    # Stationary strategies do not guarantee these values, so the bracket
+    # stays open and every curve is `uniform_minmax`'s, bit for bit.
+    schedule = default_schedule(24)
+    report = solve_uniform_minmax(game, schedule)
+    assert all(d.outcome != "closed" and d.width > 1e-3 for d in report.direct)
+    for i, curve in enumerate(report.curves):
+        assert curve.method == "schedule"
+        assert json.dumps(json_ready(curve)) == json.dumps(
+            json_ready(uniform_minmax(game, i, schedule)))
+
+
+def test_closed_midpoints_agree_with_the_schedule(suite_results):
+    # A closed curve's value is its bracket's midpoint; Aitken's depth-24
+    # value must lie within 1e-6 of it (its own error, not the bracket's).
+    closed = 0
+    for game, res in suite_results[1]:
+        for curve in res.minmax.curves:
+            if curve.method != "direct":
+                continue
+            closed += 1
+            assert curve.outcome == "closed" and curve.width <= DIRECT_WIDTH
+            want = uniform_minmax(game, curve.player, default_schedule(24)).extrapolated
+            assert np.max(np.abs(curve.v1 - want)) <= 1e-6, (game.name, curve.player)
+    assert closed
+
+
+def test_non_stochastic_transitions_run_the_schedule_only():
+    base = random_dense_game(1003, n_states=3)
+    transitions = base.transitions.copy()
+    transitions[0, 0] = [1.05, -0.05, 0.0]
+    game = StochasticGame(base.state_names, base.action_names, base.payoffs, transitions)
+    schedule = default_schedule(8)
+    report = solve_uniform_minmax(game, schedule)
+    assert report.direct == [None, None]
+    for i, curve in enumerate(report.curves):
+        assert json.dumps(json_ready(curve)) == json.dumps(
+            json_ready(uniform_minmax(game, i, schedule)))
+    with pytest.raises(ValueError, match="schedule is empty"):
+        solve_uniform_minmax(DEGENERATE[0], [])  # closes, yet the schedule is checked
