@@ -1,16 +1,38 @@
 """Finite Markov chains: recurrent classes, stationary laws, reach, and the
 multichain average-reward solver (Puterman 1994, ch. 8-9).  `_gain` is the
 one gain computation: the verifiers read it through `limit_average_values`,
-Howard's loop (`optimal_average_policy`) through `gain_bias`.
+Howard's loop (`optimal_average_policy`) through `_gain` and `_bias`, the
+two halves of `gain_bias`.
 
 P is row-stochastic of shape (n, n), or leaks mass out of its states.
 Support is decided with a small positive cutoff so that numerically-zero
 entries do not create phantom edges.
+
+Howard's loop evaluates a policy of a few states at a time, so numpy's fixed
+cost per call, not the arithmetic, sets its time.  Three things keep it
+small, each bit for bit:
+* `recurrent_classes` remembers the classes of the last CLASS_CACHE_SIZE
+  support patterns of at most CACHED_STATES states (a Howard loop revisits
+  a few patterns, and Tarjan costs more than the key); a larger chain's key
+  would cost more memory than the search saves time.
+* The stationary laws of equal-size classes come from one stacked solve.
+* Every solve calls the LAPACK gufunc behind `np.linalg.solve` directly, as
+  `minmax._policy_iteration` does: the same dgesv, without the wrapper's
+  checks and `errstate` context.  Without that context a singular system
+  comes back as NaN (numpy warns of an invalid value), which `_solved`
+  turns into LinAlgError.
+The bias is solved only when the loop reads it (see
+`optimal_average_policy`).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import solve as _lapack_solve
+from numpy.linalg._umath_linalg import solve1 as _lapack_solve1
 
 SUPPORT_CUTOFF = 1e-14
 # Howard's loop: its cap on policy evaluations, and the margin, times the
@@ -18,6 +40,10 @@ SUPPORT_CUTOFF = 1e-14
 # the current one to replace it.
 POLICY_ITERATION_CAP = 100
 IMPROVE_TOL = 1e-13
+# `recurrent_classes`' memo: the chains it keeps (at most CACHED_STATES
+# states, so a key is at most 512 bytes) and how many it keeps.
+CACHED_STATES = 64
+CLASS_CACHE_SIZE = 1024
 
 
 def strongly_connected_components(adjacency) -> list:
@@ -71,8 +97,27 @@ def strongly_connected_components(adjacency) -> list:
 
 
 def recurrent_classes(P: np.ndarray):
-    """Recurrent classes (bottom SCCs) and transient states of a chain."""
-    adj = [np.flatnonzero(row).tolist() for row in P > SUPPORT_CUTOFF]
+    """Recurrent classes (bottom SCCs) and transient states of a chain, as
+    fresh lists on every call."""
+    support = P > SUPPORT_CUTOFF
+    if len(P) > CACHED_STATES:
+        classes, transient = _support_classes(support)
+    else:
+        classes, transient = _cached_classes(P.shape, np.packbits(support).tobytes())
+    return [list(cls) for cls in classes], list(transient)
+
+
+@lru_cache(maxsize=CLASS_CACHE_SIZE)
+def _cached_classes(shape: tuple, packed: bytes):
+    """`_support_classes` of the support pattern packed by `np.packbits`."""
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=shape[0] * shape[1])
+    return _support_classes(bits.reshape(shape).astype(bool))
+
+
+def _support_classes(support: np.ndarray):
+    """(classes, transient) of the chain whose edges are `support`, as
+    tuples, so that no caller can change a cached answer."""
+    adj = [np.flatnonzero(row).tolist() for row in support]
     sccs = strongly_connected_components(adj)
     classes = []
     transient = []
@@ -80,28 +125,47 @@ def recurrent_classes(P: np.ndarray):
         members = set(comp)
         closed = all(all(t in members for t in adj[s]) for s in comp)
         if closed:
-            classes.append(sorted(comp))
+            classes.append(tuple(sorted(comp)))
         else:
             transient.extend(comp)
     classes.sort(key=lambda c: c[0])
-    return classes, sorted(transient)
+    return tuple(classes), tuple(sorted(transient))
+
+
+def _solved(x: np.ndarray) -> np.ndarray:
+    """x, a LAPACK gufunc's answer; LinAlgError where it is NaN, as
+    `np.linalg.solve` raises on a singular system."""
+    if np.isnan(x).any():
+        raise LinAlgError("Singular matrix")
+    return x
 
 
 def stationary_distribution(P: np.ndarray, class_states) -> np.ndarray:
     """Unique invariant distribution of the chain restricted to one
     irreducible class.  Returned over the class states, in their order."""
-    idx = list(class_states)
-    if len(idx) == 1:
-        return np.ones(1)  # what the solve below gives, without its cost
-    sub = P[idx][:, idx]
-    k = len(idx)
-    M = sub.T - np.eye(k)
-    M[-1, :] = 1.0
-    b = np.zeros(k)
-    b[-1] = 1.0
-    pi = np.linalg.solve(M, b)
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
+    return stationary_laws(P, [list(class_states)])[0]
+
+
+def stationary_laws(P: np.ndarray, classes) -> list:
+    """`stationary_distribution` of each class, in order.  The classes of
+    each size share one stacked solve, which gives every class the bits of
+    its own; a one-state class gets [1.0] without a solve."""
+    laws = [np.ones(1) if len(cls) == 1 else None for cls in classes]
+    by_size = {}
+    for j, cls in enumerate(classes):
+        if len(cls) > 1:
+            by_size.setdefault(len(cls), []).append(j)
+    for k, members in by_size.items():
+        idx = np.array([classes[j] for j in members])
+        M = P[idx[:, None, :], idx[:, :, None]] - np.eye(k)  # each class's sub.T - I
+        M[:, -1, :] = 1.0
+        b = np.zeros((len(members), k))
+        b[:, -1] = 1.0
+        pi = np.clip(_solved(_lapack_solve1(M, b, signature="dd->d")), 0.0, None)
+        pi /= pi.sum(axis=1, keepdims=True)
+        for j, law in zip(members, pi):
+            laws[j] = law
+    return laws
 
 
 def reach_probability(P: np.ndarray, targets) -> np.ndarray:
@@ -139,10 +203,11 @@ def _gain(P: np.ndarray, r: np.ndarray):
         for j, cls in enumerate(classes):
             rhs[:, j] = rows[:, cls].sum(axis=1)
         Q = rows[:, transient]
-        absorb[transient] = np.linalg.solve(np.eye(len(transient)) - Q, rhs)
+        absorb[transient] = _solved(_lapack_solve(np.eye(len(transient)) - Q, rhs,
+                                                  signature="dd->d"))
     class_vals = np.zeros((len(classes), rv.shape[1]))
-    for j, cls in enumerate(classes):
-        class_vals[j] = stationary_distribution(P, cls) @ rv[cls]
+    for j, (cls, law) in enumerate(zip(classes, stationary_laws(P, classes))):
+        class_vals[j] = law @ rv[cls]
     g = absorb @ class_vals
     return (g[:, 0] if single else g), classes
 
@@ -155,16 +220,22 @@ def limit_average_values(P: np.ndarray, r: np.ndarray) -> np.ndarray:
 def gain_bias(P: np.ndarray, r: np.ndarray):
     """Gain g and bias h of stage values r (shape (n,)) under P: g as in
     `limit_average_values`, and h solves g + (I - P) h = r, zero at each
-    recurrent class's first state (Puterman 1994, ch. 8-9).  One solve over
-    the whole chain: I - P with each first state's row set to its unit row."""
+    recurrent class's first state (Puterman 1994, ch. 8-9)."""
     g, classes = _gain(P, r)
+    return g, _bias(P, r, g, classes)
+
+
+def _bias(P: np.ndarray, r: np.ndarray, g: np.ndarray, classes: list) -> np.ndarray:
+    """The bias of `gain_bias`, from the gain g and the recurrent classes
+    `_gain` read it from.  One solve over the whole chain: I - P with each
+    class's first state's row set to its unit row."""
     firsts = [cls[0] for cls in classes]
     A = np.eye(len(r)) - P
     A[firsts] = 0.0
     A[firsts, firsts] = 1.0
     b = r - g
     b[firsts] = 0.0
-    return g, np.linalg.solve(A, b)
+    return _solved(_lapack_solve1(A, b, signature="dd->d"))
 
 
 def _improve(q: np.ndarray, choice: np.ndarray, mask: np.ndarray, tol: float):
@@ -195,15 +266,23 @@ def optimal_average_policy(R: np.ndarray, P: np.ndarray, valid: np.ndarray,
     choice = np.where(valid, R, -np.inf).argmax(axis=1) if start is None else start
     scale = 1.0 + np.abs(R).max()
     for _ in range(POLICY_ITERATION_CAP):
-        g, h = gain_bias(P[rows, choice], R[rows, choice])
+        P_pol, r_pol = P[rows, choice], R[rows, choice]
+        g, classes = _gain(P_pol, r_pol)
+        # The bias is solved here only when the tolerance reads it; the gain
+        # step does not.
+        h = _bias(P_pol, r_pol, g, classes) if bias_scaled else None
         tol = IMPROVE_TOL * (scale + np.abs(h).max() if bias_scaled else scale)
         q = P @ g
         new = _improve(q, choice, valid, tol)
         if np.array_equal(new, choice):
+            if h is None:
+                h = _bias(P_pol, r_pol, g, classes)
             best = np.where(valid, q, -np.inf).max(axis=1, keepdims=True)
             gain_optimal = valid & (q >= best - tol)
             new = _improve(R + P @ h, choice, gain_optimal, tol)
             if np.array_equal(new, choice):
                 return choice, True, g, h
         choice = new
+    if h is None:
+        h = _bias(P_pol, r_pol, g, classes)
     return choice, False, g, h

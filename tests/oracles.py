@@ -15,7 +15,9 @@ for bit.  `exact_2x2_value` gives a 2x2 game's value in rationals, and
 `pure_average_extremum` is the best or worst long-run average of a small
 MDP over all its pure stationary policies, each policy's gain computed in
 rationals (`exact_gain`): the reference of the direct min-max solve's Howard
-step.
+step.  `eager_average_policy` is Howard's loop as it was before the library
+solved the bias only where the loop reads it, which
+`chains.optimal_average_policy` must equal bit for bit.
 Classification's two references are linear programs solved by HiGHS:
 `pricing_lp_oracle` over the invariant frequency polytope of a region's
 safe sub-MDP, and `mixture_lp_oracle` for the column-generation master.
@@ -62,6 +64,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
+from stogame import chains
 from stogame._util import DIST_TOL
 from stogame.automata import (
     ProductModel,
@@ -521,6 +524,29 @@ def pure_average_extremum(R: np.ndarray, P: np.ndarray, maximize: bool) -> np.nd
              for combo in itertools.product(range(n_actions), repeat=n_states)]
     pick = max if maximize else min
     return np.array([float(pick(g[s] for g in gains)) for s in range(n_states)])
+
+
+def eager_average_policy(R: np.ndarray, P: np.ndarray, valid: np.ndarray,
+                         start: np.ndarray | None, bias_scaled: bool):
+    """Reference of `chains.optimal_average_policy`: the same Howard loop,
+    returns and bits, solving every evaluation's bias (`gain_bias`) whether
+    or not the loop reads it.  Its cap is read from `chains` at call time."""
+    rows = np.arange(len(R))
+    choice = np.where(valid, R, -np.inf).argmax(axis=1) if start is None else start
+    scale = 1.0 + np.abs(R).max()
+    for _ in range(chains.POLICY_ITERATION_CAP):
+        g, h = chains.gain_bias(P[rows, choice], R[rows, choice])
+        tol = chains.IMPROVE_TOL * (scale + np.abs(h).max() if bias_scaled else scale)
+        q = P @ g
+        new = chains._improve(q, choice, valid, tol)
+        if np.array_equal(new, choice):
+            best = np.where(valid, q, -np.inf).max(axis=1, keepdims=True)
+            gain_optimal = valid & (q >= best - tol)
+            new = chains._improve(R + P @ h, choice, gain_optimal, tol)
+            if np.array_equal(new, choice):
+                return choice, True, g, h
+        choice = new
+    return choice, False, g, h
 
 
 def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=None,

@@ -1,11 +1,21 @@
 import itertools
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cesaro_doubling
+from oracles import cesaro_doubling, eager_average_policy
 
-from stogame.chains import gain_bias, optimal_average_policy, recurrent_classes
+from stogame import chains
+from stogame.chains import (
+    CACHED_STATES,
+    gain_bias,
+    optimal_average_policy,
+    recurrent_classes,
+    stationary_distribution,
+    stationary_laws,
+)
 
 # Rewards from a few levels, so that ties are common.
 _rewards = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-1, 1, allow_subnormal=False)
@@ -90,3 +100,114 @@ def test_gain_bias_solves_the_multichain_equations(case):
     assert np.allclose(residual[checked], 0.0, rtol=0.0, atol=1e-9)
     if stochastic.all():
         assert np.allclose(g, cesaro_doubling(P) @ r, rtol=0.0, atol=1e-9)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_masked_mdps(), st.booleans(), st.booleans(), st.sampled_from([1, 2, 100]),
+       st.randoms(use_true_random=False))
+def test_optimal_average_policy_matches_the_eager_loop(case, bias_scaled, warm, cap, rnd):
+    # Solving the bias only where the loop reads it must not move a bit of
+    # the choice, `settled`, the gain or the bias, for pricing's tolerance
+    # and min-max's, from the greedy policy or a given one, settled or cut
+    # off by the cap.
+    R, P, valid = case
+    start = None
+    if warm:
+        start = np.array([rnd.choice(np.flatnonzero(v).tolist()) for v in valid])
+    with mock.patch.object(chains, "POLICY_ITERATION_CAP", cap):
+        got = optimal_average_policy(R, P, valid, start=start, bias_scaled=bias_scaled)
+        want = eager_average_policy(R, P, valid, start=start, bias_scaled=bias_scaled)
+    assert _same_bits(got[0], want[0]) and got[1] == want[1]
+    assert _same_bits(got[2], want[2]) and _same_bits(got[3], want[3])
+
+
+def _per_class_law(P: np.ndarray, cls) -> np.ndarray:
+    """One class's invariant law by its own `np.linalg.solve`."""
+    idx = list(cls)
+    if len(idx) == 1:
+        return np.ones(1)
+    sub = P[idx][:, idx]
+    M = sub.T - np.eye(len(idx))
+    M[-1, :] = 1.0
+    b = np.zeros(len(idx))
+    b[-1] = 1.0
+    pi = np.clip(np.linalg.solve(M, b), 0.0, None)
+    return pi / pi.sum()
+
+
+@st.composite
+def _block_chains(draw):
+    """Up to four irreducible blocks of 1-4 states (so several of one size)
+    and up to two transient states, shuffled; blocks may leak a little."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n_transient = draw(st.integers(0, 2))
+    n = sum(sizes) + n_transient
+    order = draw(st.permutations(range(n)))
+    P = np.zeros((n, n))
+    first = 0
+    for k in sizes:
+        block = order[first:first + k]
+        for s in block:
+            weights = np.array(draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)),
+                               dtype=float)
+            P[s, block] = weights / weights.sum() * draw(st.sampled_from([1.0, 0.9]))
+        first += k
+    for s in order[first:]:
+        weights = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                           dtype=float)
+        weights[order[0]] += 1.0  # into the first block, so s stays transient
+        P[s] = weights / weights.sum()
+    return P
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_block_chains())
+def test_stacked_stationary_laws_match_per_class_solves(P):
+    classes, _ = recurrent_classes(P)
+    laws = stationary_laws(P, classes)
+    assert len(laws) == len(classes)
+    for cls, law in zip(classes, laws):
+        assert _same_bits(law, _per_class_law(P, cls))
+        assert _same_bits(stationary_distribution(P, cls), law)
+
+
+@pytest.mark.parametrize("n", [4, CACHED_STATES + 6])
+def test_recurrent_classes_are_fresh_lists(n):
+    # Two cycles and a transient state, on either side of the memo's size
+    # limit: changing one call's lists must not change the next call's.
+    P = np.zeros((n, n))
+    half = (n - 1) // 2
+    for k in range(half):
+        P[k, (k + 1) % half] = 1.0
+        P[half + k, half + (k + 1) % half] = 1.0
+    P[n - 1, [0, half]] = 0.5
+    P[n - 2:n - 1] = 0.0
+    P[n - 2, n - 2] = 1.0
+    classes, transient = recurrent_classes(P)
+    want = ([list(range(half)), list(range(half, 2 * half))]
+            + ([[n - 2]] if 2 * half < n - 1 else []), [n - 1])
+    assert (classes, transient) == want
+    assert all(type(c) is list for c in classes) and type(transient) is list
+    classes[0].append(99)
+    classes.append([7])
+    transient.clear()
+    assert recurrent_classes(P) == want
+
+
+def test_singular_systems_raise():
+    # The gufunc answers a singular system with NaN and an "invalid value"
+    # warning; the chain routines raise LinAlgError, as np.linalg.solve did.
+    # Two absorbing states read as one class make the stationary system
+    # singular, and the bias of the identity chain read as one class with
+    # two states has a zero row.
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        with pytest.raises(np.linalg.LinAlgError):
+            stationary_distribution(np.eye(2), [0, 1])
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        with pytest.raises(np.linalg.LinAlgError):
+            chains._bias(np.eye(2), np.ones(2), np.ones(2), [[0, 1]])
