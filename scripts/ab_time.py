@@ -59,8 +59,9 @@ def slot_range(text: str) -> range:
 
 
 def load_side(checkout: Path, side: str):
-    """(run_pipeline, workloads module) of the checkout's `src/stogame`,
-    imported as the package `stogame_<side>`.  The checkout's
+    """(package, workloads module) of the checkout's `src/stogame`,
+    imported as the package `stogame_<side>`, with its `pipeline`,
+    `generators` and `minmax` modules as attributes.  The checkout's
     `perfbench/workloads.py` is executed while `stogame` names that package,
     so its generators are the side's own.  The modules the script and
     `workloads.py` read are imported before the aliases are built, whether
@@ -91,7 +92,7 @@ def load_side(checkout: Path, side: str):
                 sys.modules.pop(key)
             else:
                 sys.modules[key] = module
-    return sys.modules[f"{name}.pipeline"].run_pipeline, workloads
+    return package, workloads
 
 
 def timed(run_pipeline, workloads, game):
@@ -114,7 +115,7 @@ def main(argv=None) -> int:
 
     sides = {"parent": load_side(args.parent.resolve(), "parent"),
              "change": load_side(ROOT, "change")}
-    for run_pipeline, workloads in sides.values():
+    for _, workloads in sides.values():
         if args.workload not in workloads.WORKLOADS:
             ap.error(f"unknown workload {args.workload!r}")
     order = random.Random(0)
@@ -128,8 +129,9 @@ def main(argv=None) -> int:
             fastest = dict.fromkeys(SIDES, float("inf"))
             for rep in range(REPEATS):
                 for side in order.sample(SIDES, 2):
-                    run_pipeline, workloads = sides[side]
-                    seconds, error = timed(run_pipeline, workloads, games[side][k])
+                    package, workloads = sides[side]
+                    seconds, error = timed(package.pipeline.run_pipeline, workloads,
+                                           games[side][k])
                     fastest[side] = min(fastest[side], seconds)
                     passes[side][rep] += seconds
                     if error is not None:

@@ -9,14 +9,15 @@ all sets (cols=), the classification masters that fell back to an LP
 (master_lp=, expected 0: kernels solve them), the min-max strategy-iteration
 rounds over the players and discounts of the curves that ran the schedule
 (rounds=), the players whose curve the direct average-reward solve closed
-(closed=) and the direct solve's iterations over all players (direct=), the
+(closed=), the direct solve's iterations over all players (direct=) and how
+many of them took their mixes from a Newton step (newton=), the
 min-max one-shot games that left the stacked closed form for
 `solve_matrix_game` (lp=, expected 0 on the suite), the min-max warnings,
 one per player with an unconverged curve or a stalled solve (warn=), the
 worst individual-rationality gain, the submartingale drift and the wall
 time; the summary line adds the suite's totals of rounds, closed curves,
-direct iterations, master LPs, one-shot LPs and warnings.  The --json rows
-are `PipelineResult.summary()`.
+direct iterations, Newton steps, master LPs, one-shot LPs and warnings.
+The --json rows are `PipelineResult.summary()`.
 
 The last line is one sha256 over every game's `json_ready(profile)` and
 correlated table, in suite order.  Two checkouts that print the same digest
@@ -52,6 +53,7 @@ def main() -> int:
     total_rounds = 0
     total_closed = 0
     total_direct = 0
+    total_newton = 0
     total_lp = 0
     total_oneshot_lp = 0
     total_warn = 0
@@ -75,17 +77,20 @@ def main() -> int:
         rounds = sum(sum(curve.rounds) for curve in scheduled)
         closed = len(res.minmax.curves) - len(scheduled)
         direct = sum(d.iterations for d in tries)
+        newton = sum(d.newton_steps for d in tries)
         oneshot_lp = (sum(sum(curve.matrix_solves) for curve in scheduled)
                       + sum(d.matrix_solves for d in tries))
         total_rounds += rounds
         total_closed += closed
         total_direct += direct
+        total_newton += newton
         total_lp += master_lp
         total_oneshot_lp += oneshot_lp
         total_warn += len(summ["warnings"])
         print(f"{flag} {summ['game']:22s} sets={''.join(summ['kinds']):6s} "
               f"tr={len(summ['transient'])} cols={cols:<3d} master_lp={master_lp} "
-              f"rounds={rounds:<4d} closed={closed} direct={direct:<3d} lp={oneshot_lp} "
+              f"rounds={rounds:<4d} closed={closed} direct={direct:<3d} newton={newton:<3d} "
+              f"lp={oneshot_lp} "
               f"warn={len(summ['warnings'])} "
               f"ir={summ['ir_worst_gain']:.4f} "
               f"drift={summ['submartingale_min_drift']:+.2e} "
@@ -93,7 +98,8 @@ def main() -> int:
     total = time.monotonic() - start
     n_ok = sum(1 for r in rows if r["ok"])
     print(f"\n{n_ok}/{len(rows)} games ok in {total:.1f}s, {total_rounds} min-max rounds, "
-          f"{total_closed} closed curves, {total_direct} direct iterations, "
+          f"{total_closed} closed curves, {total_direct} direct iterations "
+          f"({total_newton} Newton steps), "
           f"master_lp={total_lp}, lp={total_oneshot_lp}, warn={total_warn}")
     if args.json:
         with open(args.json, "w") as fh:

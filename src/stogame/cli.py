@@ -144,7 +144,8 @@ def cmd_solve(args) -> int:
             print(f"  method {curve.method}; no direct solve: transition rows are not distributions")
         else:
             print(f"  method {curve.method}; direct solve: {direct.outcome}, "
-                  f"{direct.iterations} iterations, bracket width {direct.width:.3g}, "
+                  f"{direct.iterations} iterations ({direct.newton_steps} Newton), "
+                  f"bracket width {direct.width:.3g}, "
                   f"lower {np.round(direct.lower, 9).tolist()}, "
                   f"upper {np.round(direct.upper, 9).tolist()}")
     return 0

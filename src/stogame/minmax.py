@@ -10,7 +10,17 @@ Each player's uniform value is first sought directly (`direct_minmax`):
 strategy iteration on the limiting-average game gives stationary pairs
 (x, y), and the coalition's best average response to x and the player's to
 y, both exact multichain Howard solves (`chains.optimal_average_policy`),
-bracket the value: L(x) <= v1 <= U(y).  When the bracket closes to
+bracket the value: L(x) <= v1 <= U(y).  Any pair's bracket is sound: by
+fixing x the player guarantees the coalition's best average response to it,
+and by fixing y the coalition holds the player to the player's best
+response, so the steps that choose the pairs set only how fast the bracket
+closes.  Newton steps (Pollatschek & Avi-Itzhak 1969) come first: both
+sides' next mixes solve the one-shot games at the current pair's own gain
+and bias, which on the benchmark's workloads closes a curve in about half
+the iterations of cross steps.  Newton steps can cycle (van der Wal 1978),
+so the first one that does not halve the width hands over to cross steps
+(Hoffman & Karp 1966), each side's mixes solving the one-shot games at the
+other side's last best response.  When the bracket closes to
 DIRECT_WIDTH, its midpoint is v1 and no discount is solved.  On the
 benchmark's workloads that is every curve of the dense and layered games
 and about half of the soft-absorbing ones, and no BLAS kernel moves such a
@@ -75,7 +85,7 @@ from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import solve as _lapack_solve
 
 from ._util import DIST_TOL, json_ready
-from .chains import optimal_average_policy
+from .chains import gain_bias, optimal_average_policy
 from .game import StochasticGame
 from .matrixgame import closed_form_2x2, solve_matrix_game
 
@@ -350,6 +360,15 @@ class _AverageResponses:
             self.R, self.P, self.valid, start=self.choice, bias_scaled=False)
         return settled, g[:n], h[:n], -g[n:], -h[n:]
 
+    def pair_gain_bias(self, rows: np.ndarray):
+        """Gain and bias of the S-state chain in which the player plays
+        `rows` and the coalition the mixes of the last call: the player's
+        rewards R_up and transitions P_up against those mixes, averaged
+        over rows."""
+        r = np.einsum("sa,sa->s", rows, self.R_up)
+        P = np.einsum("sa,sat->st", rows, self.P_up)
+        return gain_bias(P, r)
+
 
 @dataclass
 class DirectSolve:
@@ -360,6 +379,8 @@ class DirectSolve:
     guarantee it, and `upper` the best of the player's best average response
     to the coalition's mixes, which the coalition can hold the player to:
     lower <= v1 <= upper, up to Howard's tolerance.  `v1` is their midpoint.
+    `newton_steps` counts the iterations whose mixes came from a Newton step
+    (the others, after the first, from cross steps).
     `outcome` says how the solve ended: "closed" (the bracket is at most
     DIRECT_WIDTH wide, and v1 is the curve's value), "stalled" (the width
     stopped halving), "cap" (DIRECT_CAP iterations), "unsettled" (Howard's
@@ -373,6 +394,7 @@ class DirectSolve:
     lower: np.ndarray
     upper: np.ndarray
     iterations: int
+    newton_steps: int
     matrix_solves: int
     outcome: str
 
@@ -385,30 +407,40 @@ class DirectSolve:
 
 def direct_minmax(game: StochasticGame, i: int) -> DirectSolve:
     """Player i's uniform min-max value by strategy iteration on the
-    limiting-average game (Hoffman & Karp 1966; Filar & Vrieze 1997).
+    limiting-average game: Newton steps (Pollatschek & Avi-Itzhak 1969),
+    then cross steps (Hoffman & Karp 1966; Filar & Vrieze 1997).
 
-    Each iteration solves the one-shot games r + P (h + K (g - min g)),
-    K = DIRECT_GAIN_WEIGHT: the player's at the coalition's last best
-    response (g, h), the coalition's at the player's.  It then solves both
-    sides' best average responses to those mixes in one Howard call
-    (`_AverageResponses`) and narrows the bracket [max lower, min upper].
-    The first iteration starts from the stage games.  A gain-only
-    continuation, or g / (1 - lam) + h near lam = 1, would swamp the stage
-    payoffs; K only sets how fast the bracket closes, since any stationary
-    pair gives a sound one.
+    The first iteration takes both sides' mixes from the stage games.  A
+    Newton step takes them from one solve of the one-shot games at the
+    current pair's own continuation `_continuation(g, h)`, (g, h) the gain
+    and bias of the chain the pair induces.  A cross step takes the
+    player's at the coalition's last best average response (g, h), and the
+    coalition's at the player's.  Each iteration then solves both sides'
+    best average responses to the new mixes in one Howard call
+    (`_AverageResponses`) and narrows the bracket [max lower, min upper];
+    any stationary pair gives a sound bracket, so neither step needs to be
+    right, only fast.  Newton steps alone can cycle (van der Wal 1978), so
+    the first one that does not halve the width hands over to cross steps,
+    which get DIRECT_PATIENCE iterations of their own to halve it.
     """
     n = game.n_states
     payoff, transitions, index = game.payoffs[:, :, i], game.transitions, game.player_indices[i]
     responses = _AverageResponses(game, i)
     lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
-    w_up = w_lo = np.zeros(n)
+    w_pair = np.zeros(n)
+    newton, newton_steps = True, 0
     matrix_solves = 0
     best, halved_at = np.inf, 0
     outcome = "cap"
     for it in range(1, DIRECT_CAP + 1):
-        _, rows, _, solved_rows = _one_shot(payoff, transitions, index, 1.0, w_lo)
-        _, _, cols, solved_cols = _one_shot(payoff, transitions, index, 1.0, w_up)
-        matrix_solves += solved_rows + solved_cols
+        if newton:
+            _, rows, cols, solved = _one_shot(payoff, transitions, index, 1.0, w_pair)
+            newton_steps += it > 1
+        else:
+            _, rows, _, solved = _one_shot(payoff, transitions, index, 1.0, w_lo)
+            _, _, cols, solved_cols = _one_shot(payoff, transitions, index, 1.0, w_up)
+            solved += solved_cols
+        matrix_solves += solved
         settled, g_up, h_up, g_lo, h_lo = responses(rows, cols)
         if not settled:
             outcome = "unsettled"
@@ -424,12 +456,25 @@ def direct_minmax(game: StochasticGame, i: int) -> DirectSolve:
             break
         if width <= 0.5 * best:
             best, halved_at = width, it
+        elif newton:
+            newton, halved_at = False, it
         elif it - halved_at >= DIRECT_PATIENCE:
             outcome = "stalled"
             break
-        w_up = h_up + DIRECT_GAIN_WEIGHT * (g_up - g_up.min())
-        w_lo = h_lo + DIRECT_GAIN_WEIGHT * (g_lo - g_lo.min())
-    return DirectSolve(i, 0.5 * (lower + upper), lower, upper, it, matrix_solves, outcome)
+        if newton:
+            w_pair = _continuation(*responses.pair_gain_bias(rows))
+        else:
+            w_up, w_lo = _continuation(g_up, h_up), _continuation(g_lo, h_lo)
+    return DirectSolve(i, 0.5 * (lower + upper), lower, upper, it, newton_steps,
+                       matrix_solves, outcome)
+
+
+def _continuation(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """h + K (g - min g), K = DIRECT_GAIN_WEIGHT: the continuation values of
+    the direct solve's one-shot games.  A gain-only continuation, or
+    g / (1 - lam) + h near lam = 1, would swamp the stage payoffs; K only
+    sets how fast the bracket closes."""
+    return h + DIRECT_GAIN_WEIGHT * (g - g.min())
 
 
 def _stochastic(transitions: np.ndarray) -> bool:

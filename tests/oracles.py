@@ -15,9 +15,11 @@ for bit.  `exact_2x2_value` gives a 2x2 game's value in rationals, and
 `pure_average_extremum` is the best or worst long-run average of a small
 MDP over all its pure stationary policies, each policy's gain computed in
 rationals (`exact_gain`): the reference of the direct min-max solve's Howard
-step.  `eager_average_policy` is Howard's loop as it was before the library
-solved the bias only where the loop reads it, which
-`chains.optimal_average_policy` must equal bit for bit.
+step.  `eager_average_policy` is Howard's loop solving every evaluation's
+bias, which `chains.optimal_average_policy`, solving it only where the loop
+reads it, must equal bit for bit.  `cross_direct_minmax` is the direct
+min-max solve with cross steps only: every curve it closes, the library's
+Newton-then-cross solve must close within both brackets.
 Classification's two references are linear programs solved by HiGHS:
 `pricing_lp_oracle` over the invariant frequency polytope of a region's
 safe sub-MDP, and `mixture_lp_oracle` for the column-generation master.
@@ -97,7 +99,15 @@ from stogame.frequencies import (
 from stogame.game import StationaryProfile, StochasticGame, as_correlated_table
 from stogame.generators import _dirichlet_floor
 from stogame.matrixgame import solve_matrix_game
-from stogame.minmax import _one_shot
+from stogame.minmax import (
+    DIRECT_CAP,
+    DIRECT_GAIN_WEIGHT,
+    DIRECT_PATIENCE,
+    DIRECT_WIDTH,
+    DirectSolve,
+    _AverageResponses,
+    _one_shot,
+)
 from stogame.oneshot import profile_value, regret
 from stogame.structure import almost_sure_reach, safe_profiles
 from stogame.verify import DEFAULT_LAMBDA_GRID, MARGIN_TOL, check_w_acceptable, product_chain
@@ -547,6 +557,47 @@ def eager_average_policy(R: np.ndarray, P: np.ndarray, valid: np.ndarray,
                 return choice, True, g, h
         choice = new
     return choice, False, g, h
+
+
+def cross_direct_minmax(game, i: int) -> DirectSolve:
+    """`minmax.direct_minmax` with cross steps only: every iteration solves
+    the player's one-shot games at the coalition's last best average
+    response and the coalition's at the player's, then narrows the bracket
+    with both best responses (`_AverageResponses`).  Same constants and
+    stop rules."""
+    n = game.n_states
+    payoff, transitions, index = game.payoffs[:, :, i], game.transitions, game.player_indices[i]
+    responses = _AverageResponses(game, i)
+    lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
+    w_up = w_lo = np.zeros(n)
+    matrix_solves = 0
+    best, halved_at = np.inf, 0
+    outcome = "cap"
+    for it in range(1, DIRECT_CAP + 1):
+        _, rows, _, solved_rows = _one_shot(payoff, transitions, index, 1.0, w_lo)
+        _, _, cols, solved_cols = _one_shot(payoff, transitions, index, 1.0, w_up)
+        matrix_solves += solved_rows + solved_cols
+        settled, g_up, h_up, g_lo, h_lo = responses(rows, cols)
+        if not settled:
+            outcome = "unsettled"
+            break
+        np.maximum(lower, g_lo, out=lower)
+        np.minimum(upper, g_up, out=upper)
+        if np.max(lower - upper) > DIRECT_WIDTH:
+            outcome = "crossed"
+            break
+        width = float(np.max(upper - lower))
+        if width <= DIRECT_WIDTH:
+            outcome = "closed"
+            break
+        if width <= 0.5 * best:
+            best, halved_at = width, it
+        elif it - halved_at >= DIRECT_PATIENCE:
+            outcome = "stalled"
+            break
+        w_up = h_up + DIRECT_GAIN_WEIGHT * (g_up - g_up.min())
+        w_lo = h_lo + DIRECT_GAIN_WEIGHT * (g_lo - g_lo.min())
+    return DirectSolve(i, 0.5 * (lower + upper), lower, upper, it, 0, matrix_solves, outcome)
 
 
 def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=None,

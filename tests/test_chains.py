@@ -126,6 +126,21 @@ def test_optimal_average_policy_matches_the_eager_loop(case, bias_scaled, warm, 
     assert _same_bits(got[2], want[2]) and _same_bits(got[3], want[3])
 
 
+def test_a_capped_loop_returns_the_evaluated_policys_bias():
+    # State 0 first plays into the absorbing state 2 (gain 0, bias 1), and
+    # the gain step moves it to state 1's loop (gain 0.5).  Cut off there,
+    # the loop returns the new choice with the evaluated policy's gain and
+    # bias, which it solves only on the way out.
+    R = np.array([[1.0, 0.5], [0.5, 0.5], [0.0, 0.0]])
+    P = np.eye(3)[[[2, 1], [1, 0], [2, 2]]]
+    valid = np.ones((3, 2), dtype=bool)
+    with mock.patch.object(chains, "POLICY_ITERATION_CAP", 1):
+        choice, settled, g, h = optimal_average_policy(R, P, valid, start=None,
+                                                       bias_scaled=False)
+    assert choice.tolist() == [1, 0, 0] and not settled
+    assert g.tolist() == [0.0, 0.5, 0.0] and h.tolist() == [1.0, 0.0, 0.0]
+
+
 def _per_class_law(P: np.ndarray, cls) -> np.ndarray:
     """One class's invariant law by its own `np.linalg.solve`."""
     idx = list(cls)

@@ -62,6 +62,9 @@ def test_solve_prints_each_players_method_and_bracket(tmp_path, capsys):
         assert [d["outcome"] for d in doc["direct"]] == [outcome] * 2
         for direct, player in zip(doc["direct"], doc["players"]):
             assert all(lo <= hi for lo, hi in zip(direct["lower"], direct["upper"]))
+            assert 0 <= direct["newton_steps"] < direct["iterations"]
+            assert (f"{direct['iterations']} iterations "
+                    f"({direct['newton_steps']} Newton), ") in out
             assert (player == direct) == (method == "direct")
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import stogame.minmax
 from oracles import (
+    cross_direct_minmax,
     discounted_minmax_oracle,
     newton_minmax_oracle,
     optimal_average_values,
@@ -28,6 +29,7 @@ from stogame.generators import (
 )
 from stogame.matrixgame import solve_matrix_game
 from stogame.minmax import (
+    DIRECT_PATIENCE,
     DIRECT_WIDTH,
     _AverageResponses,
     _lapack_solve,
@@ -485,6 +487,35 @@ def test_direct_bracket_never_crosses(game):
         direct = direct_minmax(game, i)
         assert direct.outcome == "closed"
         assert (direct.lower <= direct.upper + 1e-12).all()
+
+
+def test_newton_steps_keep_every_cross_step_closure(suite_results):
+    # The Newton steps only speed the bracket up: every suite curve that the
+    # cross-step solve closes must still close, and the two midpoints may
+    # differ by no more than the two brackets' half-widths.
+    closed = newton = 0
+    for game, res in suite_results[1]:
+        for i, direct in enumerate(res.minmax.direct):
+            want = cross_direct_minmax(game, i)
+            newton += direct.newton_steps
+            if want.outcome != "closed":
+                continue
+            closed += 1
+            assert direct.outcome == "closed", (game.name, i)
+            slack = 0.5 * (direct.width + want.width) + 1e-12
+            assert np.max(np.abs(direct.v1 - want.v1)) <= slack, (game.name, i)
+    assert closed and newton
+
+
+@pytest.mark.parametrize("game", [sorin_game(), random_banded_exit_game(4001)],
+                         ids=lambda g: g.name)
+def test_a_stalled_try_hands_over_to_cross_steps(game):
+    # The first Newton step that does not halve the width hands over to
+    # cross steps, and those get DIRECT_PATIENCE iterations of their own.
+    for i in range(game.n_players):
+        direct = direct_minmax(game, i)
+        assert direct.outcome == "stalled"
+        assert direct.iterations >= direct.newton_steps + 1 + DIRECT_PATIENCE
 
 
 @pytest.mark.parametrize("game", [sorin_game(), random_banded_exit_game(4001)],
