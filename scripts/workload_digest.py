@@ -34,9 +34,9 @@ value is not certified, so a mismatch on a curve that has them may be the
 reference's error.  The last
 line counts the games that differ among those the reference records.
 
-The script imports `perfbench/env.py`, `perfbench/workloads.py` and
-`perfbench/harness.py`; it pins the same threads as the benchmark and runs
-the `src/` of its own checkout.
+The script imports `perfbench/env.py`, `perfbench/workloads.py`,
+`perfbench/harness.py` and `scripts/ab_time.py`'s `slot_range`; it pins the
+same threads as the benchmark and runs the `src/` of its own checkout.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+from ab_time import slot_range  # noqa: E402
 from env import pin_environment  # noqa: E402
 
 pin_environment()
@@ -59,17 +60,6 @@ from harness import compare, fingerprint, load_reference, summarize  # noqa: E40
 from stogame._util import json_ready  # noqa: E402
 from stogame.pipeline import run_pipeline  # noqa: E402
 from workloads import EPS, WORKLOADS, schedule  # noqa: E402
-
-
-def slot_range(text: str) -> range:
-    """`A-B`, both ends included."""
-    try:
-        lo, hi = (int(end) for end in text.split("-"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected A-B, got {text!r}") from None
-    if not 0 <= lo <= hi:
-        raise argparse.ArgumentTypeError(f"expected 0 <= A <= B, got {text!r}")
-    return range(lo, hi + 1)
 
 
 def main(argv=None) -> int:

@@ -238,32 +238,36 @@ def _bias(P: np.ndarray, r: np.ndarray, g: np.ndarray, classes: list) -> np.ndar
     return _solved(_lapack_solve1(A, b, signature="dd->d"))
 
 
-def _improve(q: np.ndarray, choice: np.ndarray, mask: np.ndarray, tol: float):
-    """Per state, the masked action with the largest q when it beats the
-    current choice by more than tol; the current choice otherwise."""
-    q = np.where(mask, q, -np.inf)
+def _improve(q: np.ndarray, choice: np.ndarray, tol: float):
+    """Per state, the action with the largest q when it beats the current
+    choice by more than tol; the current choice otherwise."""
     rows = np.arange(len(choice))
     better = q.max(axis=1) > q[rows, choice] + tol
     return np.where(better, q.argmax(axis=1), choice)
 
 
-def optimal_average_policy(R: np.ndarray, P: np.ndarray, valid: np.ndarray,
-                           start: np.ndarray | None, bias_scaled: bool):
+def optimal_average_policy(R: np.ndarray, P: np.ndarray, start: np.ndarray | None,
+                           bias_scaled: bool):
     """Howard's multichain policy iteration: a pure policy with the largest
     long-run average reward from every state of the MDP with rewards R
-    (n, m), transition rows P (n, m, n) and allowed actions valid (n, m).
-    From `start` (an allowed action per state), or from the greedy policy
-    when it is None, each iteration improves the gain, or, where no gain
-    improves, the bias among the gain-optimal actions; a tie keeps the
-    current action.  An action replaces the current one when it beats it by
-    more than IMPROVE_TOL times 1 + max |R|, plus max |h| when `bias_scaled`.
+    (n, m) and transition rows P (n, m, n).  A state with fewer than m
+    actions fills its last columns with copies of its first action, which
+    carry its reward and transitions, so no action mask is needed: `argmax`
+    gives an exact tie to the first index, and where BLAS rounds a copy's
+    row an ulp away from its original's, the copy is chosen only where the
+    original would be, since the improvement margin is far above an ulp.
+    From `start` (an action per state), or from the greedy policy when it is
+    None, each iteration improves the gain, or, where no gain improves, the
+    bias among the gain-optimal actions; a tie keeps the current action.  An
+    action replaces the current one when it beats it by more than
+    IMPROVE_TOL times 1 + max |R|, plus max |h| when `bias_scaled`.
     Returns (action per state, settled, gain, bias): settled is False when
     POLICY_ITERATION_CAP evaluations did not settle the loop, and gain and
     bias are the last evaluation's, those of the returned policy when
     settled.
     """
     rows = np.arange(len(R))
-    choice = np.where(valid, R, -np.inf).argmax(axis=1) if start is None else start
+    choice = R.argmax(axis=1) if start is None else start
     scale = 1.0 + np.abs(R).max()
     for _ in range(POLICY_ITERATION_CAP):
         P_pol, r_pol = P[rows, choice], R[rows, choice]
@@ -273,13 +277,12 @@ def optimal_average_policy(R: np.ndarray, P: np.ndarray, valid: np.ndarray,
         h = _bias(P_pol, r_pol, g, classes) if bias_scaled else None
         tol = IMPROVE_TOL * (scale + np.abs(h).max() if bias_scaled else scale)
         q = P @ g
-        new = _improve(q, choice, valid, tol)
+        new = _improve(q, choice, tol)
         if np.array_equal(new, choice):
             if h is None:
                 h = _bias(P_pol, r_pol, g, classes)
-            best = np.where(valid, q, -np.inf).max(axis=1, keepdims=True)
-            gain_optimal = valid & (q >= best - tol)
-            new = _improve(R + P @ h, choice, gain_optimal, tol)
+            gain_optimal = q >= q.max(axis=1, keepdims=True) - tol
+            new = _improve(np.where(gain_optimal, R + P @ h, -np.inf), choice, tol)
             if np.array_equal(new, choice):
                 return choice, True, g, h
         choice = new

@@ -172,13 +172,12 @@ def best_recurrent_point(game: StochasticGame, region,
     if not live:
         return None
     width = max(len(acts) for acts in allowed.values())
-    # Profiles per live state, padded with the first one and masked.
+    # Profiles per live state, padded with copies of the first one.
     acts = np.array([allowed[s] + allowed[s][:1] * (width - len(allowed[s])) for s in live])
-    valid = np.arange(width) < np.array([len(allowed[s]) for s in live])[:, None]
     states = np.array(live)[:, None]
     R = game.payoffs[states, acts] @ weights
     P = game.transitions[states, acts][:, :, live]
-    choice, settled, _, _ = optimal_average_policy(R, P, valid, start=None, bias_scaled=True)
+    choice, settled, _, _ = optimal_average_policy(R, P, start=None, bias_scaled=True)
     if not settled:
         raise RuntimeError(f"policy iteration on region {region} did not settle")
     points = _profile_points(game, region, live, acts[np.arange(len(live)), choice].tolist())

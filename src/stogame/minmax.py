@@ -45,15 +45,25 @@ shifted entries, so every 2x2 state stays on that path and scipy's LP is
 left to larger games and to a 2x2 game that fails both tries; one einsum
 builds each best-response MDP's transitions, and one policy iteration
 solves both sides' MDPs together.
-What depends only on the game and the player is built once per curve
-(`_Stage`, which `uniform_minmax` hands to every discount): the per-state
-stage matrices, the transition stack, the MDP buffers and policy
-iteration's identity and row-start arrays.  Each discount
-only rescales the stage payoffs by 1 - lam, elementwise, so the workspace
-holds the bits a fresh one would.  Each round writes its two best-response
-MDPs in place into one reward and one transition stack; when the two sides
-have different numbers of actions, the narrower one is padded with copies
-of its first action, which `argmax` never picks over the original.
+
+Both solves use one workspace, `_Stage`, built once per schedule curve and
+once per direct try: the per-state stage matrices, the transition stack,
+the MDP buffers and policy iteration's identity and row-start arrays,
+which depend only on the game and the player.  `uniform_minmax` hands its stage to every discount,
+which only rescales the stage payoffs by 1 - lam, elementwise, so the
+workspace holds the bits a fresh one would.  The direct solve builds its
+own at lam = 0, which scales them by exactly 1.0.  Each round or iteration
+writes its two best-response MDPs in place into one reward and one
+transition stack (`_Stage.response_mdps`); the schedule solves them as two
+discounted MDPs (`response_values`), the direct solve as one
+block-diagonal average-reward MDP (`average_responses`).
+
+One padding rule covers every MDP whose states or sides have different
+numbers of actions, here and in Howard's loop under pricing
+(`frequencies.best_recurrent_point`): the narrower side's extra columns
+are copies of its first action.  A copy carries its original's reward and
+transitions, and is chosen only where the original would be (see
+`chains.optimal_average_policy`), so no action mask is needed.
 
 A round costs a few dozen numpy calls on arrays of a few dozen entries, so
 their fixed cost, not the arithmetic, sets the time.  Policy iteration
@@ -72,8 +82,11 @@ player), exactly as the per-state solve computed them; a stacked matmul of
 matrix-by-vector items hands each item to BLAS on its own, so it keeps that
 rounding.  An einsum or a C-ordered stack rounds the last bit differently,
 and the Aitken step of `uniform_minmax` magnifies one bit into shifts of
-the uniform value of up to 3e-6.  The batched solve is bit-identical to the per-state one
-(`tests/oracles.py` keeps that one as the reference).
+the uniform value of up to 3e-6.  The batched solve is bit-identical to the
+per-state one (`tests/oracles.py` keeps that one as the reference).  The
+direct solve alone reads C-ordered matrices, as it always has: in index's
+order its closed curves move by an ulp, and the one-shot equilibrium lists,
+which follow `v1`'s last bits, move with them.
 """
 
 from __future__ import annotations
@@ -154,7 +167,7 @@ def _policy_iteration(R: np.ndarray, P: np.ndarray, lam: float, eye: np.ndarray,
 
     R is (B, S, A) and P is (B, S, A, S); eye is the (S, S) identity and
     starts the (B, S) flat index in R of each state's first action (see
-    `_solver_arrays`).  Returns the (B, S) optimal values.  Every MDP
+    `_Stage`).  Returns the (B, S) optimal values.  Every MDP
     improves its own policy; one that has converged keeps its policy and so
     its value while the others go on.  A singular system raises
     LinAlgError, as `np.linalg.solve` does (numpy first warns of an invalid
@@ -180,42 +193,19 @@ def _policy_iteration(R: np.ndarray, P: np.ndarray, lam: float, eye: np.ndarray,
     raise RuntimeError("policy iteration did not terminate")
 
 
-def _solver_arrays(R: np.ndarray):
-    """The identity and row-start arrays `_policy_iteration` takes for a
-    reward stack shaped like R."""
-    n_mdps, n_states, n_actions = R.shape
-    return np.eye(n_states), np.arange(0, R.size, n_actions).reshape(n_mdps, n_states)
-
-
-def _write_responses(ws, rows: np.ndarray, cols: np.ndarray) -> None:
-    """Write the best-response MDPs against the mixes (rows, cols) into the
-    workspace `ws` (a `_Stage` or an `_AverageResponses`), from its stage
-    matrices U and transition stack T: (R_up, P_up), where the coalition
-    plays cols and the protected player decides, and (R_lo, P_lo), where the
-    player plays rows and the coalition decides.  The stacked matmuls hand
-    each state's matrix-vector product to BLAS on its own, in U's memory
-    order, exactly as `U[s] @ cols[s]` would (see the module docstring)."""
-    np.matmul(ws.U, cols[:, :, None], out=ws.R_up[:, :, None])
-    np.matmul(rows[:, None, :], ws.U, out=ws.R_lo[:, None, :])
-    np.einsum("srct,sc->srt", ws.T, cols, out=ws.P_up)
-    np.einsum("sr,srct->sct", rows, ws.T, out=ws.P_lo)
-
-
 class _Stage:
-    """Player i's stage games: the workspace of one min-max curve.
+    """Player i's stage games: the workspace of one schedule curve or one
+    direct try (see the module docstring).
 
-    Built once per curve (`uniform_minmax`) and rescaled to each discount:
-    the unscaled per-state (own, other) matrices U0, the (S, own, other, S)
-    transition stack T and policy iteration's arrays depend only on the
-    game and the player, while the scaled stage payoffs and their matrices U
-    are rewritten in place by `rescale`.  Each round writes its two
-    best-response MDPs into the same buffers: the upper one (R_up, P_up),
-    where the coalition's mixes are fixed and the protected player decides,
-    and the lower one (R_lo, P_lo), where the protected player's mixes are
-    fixed and the coalition decides.  They are the two sides of one
-    (2, S, A) reward stack R and one (2, S, A, S) transition stack P, with A
-    the larger side's number of actions.  A narrower side fills its last
-    columns with copies of its first action (`pad` is its index and width).
+    U0 are the unscaled per-state (own, other) matrices and T the
+    (S, own, other, S) transition stack; `rescale` rewrites the scaled stage
+    payoffs and their matrices U in place.  R (2, S, A) and P (2, S, A, S)
+    stack the upper best-response MDP (R_up, P_up: the coalition's mixes
+    fixed, the protected player deciding) and the lower one (R_lo, P_lo:
+    the player's mixes fixed, the coalition deciding), A the larger side's
+    number of actions; `pad` is the narrower side's index and width.
+    `block` and `choice` are the direct try's block-diagonal MDP, built on
+    its first `average_responses` call, and Howard's last policy on it.
     """
 
     def __init__(self, game: StochasticGame, i: int, lam: float):
@@ -233,12 +223,14 @@ class _Stage:
         self.payoff = np.empty(self.payoffs.shape)
         self.T = np.ascontiguousarray(game.transitions[:, index])
         own, other = index.shape
-        self.R = np.empty((2, n, max(own, other)))
-        self.P = np.empty((2, n, max(own, other), n))
+        width = max(own, other)
+        self.R = np.empty((2, n, width))
+        self.P = np.empty((2, n, width, n))
         self.R_up, self.R_lo = self.R[0, :, :own], self.R[1, :, :other]
         self.P_up, self.P_lo = self.P[0, :, :own], self.P[1, :, :other]
         self.pad = None if own == other else (int(own > other), min(own, other))
-        self.eye, self.starts = _solver_arrays(self.R)
+        self.eye, self.starts = np.eye(n), np.arange(0, 2 * n * width, width).reshape(2, n)
+        self.block = self.choice = None
         self.rescale(lam)
 
     def rescale(self, lam: float) -> None:
@@ -251,9 +243,14 @@ class _Stage:
         np.multiply(1.0 - lam, self.U0, out=self.U)
 
     def response_mdps(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Write both best-response MDPs against the mixes (rows, cols)
-        (`_write_responses`), and pad the narrower side."""
-        _write_responses(self, rows, cols)
+        """Write both best-response MDPs against the mixes (rows, cols), and
+        pad the narrower side.  The stacked matmuls hand each state's
+        matrix-vector product to BLAS on its own, in U's memory order,
+        exactly as `U[s] @ cols[s]` would (see the module docstring)."""
+        np.matmul(self.U, cols[:, :, None], out=self.R_up[:, :, None])
+        np.matmul(rows[:, None, :], self.U, out=self.R_lo[:, None, :])
+        np.einsum("srct,sc->srt", self.T, cols, out=self.P_up)
+        np.einsum("sr,srct->sct", rows, self.T, out=self.P_lo)
         if self.pad is not None:
             k, width = self.pad
             self.R[k, :, width:] = self.R[k, :, :1]
@@ -268,6 +265,36 @@ class _Stage:
         np.negative(self.R[1], out=self.R[1])
         v_up, v_lo = _policy_iteration(self.R, self.P, self.lam, self.eye, self.starts)
         return v_up, -v_lo
+
+    def average_responses(self, rows: np.ndarray, cols: np.ndarray):
+        """(settled, g_up, h_up, g_lo, h_lo): gain and bias of the player's
+        best average response to the coalition's mixes `cols`, and of the
+        coalition's (minimizing) response to the player's mixes `rows`, from
+        one warm-started Howard call on the block-diagonal MDP of 2S states:
+        the upper MDP on states 0..S-1, the lower one, with negated rewards,
+        on states S..2S-1.  Howard's tolerance scales with the rewards only
+        (see `chains.optimal_average_policy`)."""
+        n = len(rows)
+        if self.block is None:
+            # C-ordered, as the direct solve has always read them (module docstring).
+            self.U = np.ascontiguousarray(self.U)
+            self.block = np.zeros((2 * n, self.R.shape[2], 2 * n))
+        self.response_mdps(rows, cols)
+        np.negative(self.R[1], out=self.R[1])
+        self.block[:n, :, :n] = self.P[0]
+        self.block[n:, :, n:] = self.P[1]
+        self.choice, settled, g, h = optimal_average_policy(
+            self.R.reshape(2 * n, -1), self.block, start=self.choice, bias_scaled=False)
+        return settled, g[:n], h[:n], -g[n:], -h[n:]
+
+    def pair_gain_bias(self, rows: np.ndarray):
+        """Gain and bias of the S-state chain in which the player plays
+        `rows` and the coalition the mixes of the last `average_responses`
+        call: the player's rewards R_up and transitions P_up against those
+        mixes, averaged over rows."""
+        r = np.einsum("sa,sa->s", rows, self.R_up)
+        P = np.einsum("sa,sat->st", rows, self.P_up)
+        return gain_bias(P, r)
 
 
 def discounted_minmax(game: StochasticGame, i: int, lam: float,
@@ -325,51 +352,6 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float,
         v = v_up
 
 
-class _AverageResponses:
-    """Both best average responses of player i's direct solve, as one
-    block-diagonal MDP of 2S states: the player's response to the
-    coalition's mixes on states 0..S-1, the coalition's response to the
-    player's mixes, with negated rewards, on states S..2S-1.  A narrower
-    side's extra actions are masked out (`valid`), and Howard's loop starts
-    from the policy it settled on last time."""
-
-    def __init__(self, game: StochasticGame, i: int):
-        n = game.n_states
-        index = game.player_indices[i]
-        own, other = index.shape
-        width = max(own, other)
-        self.U = np.ascontiguousarray(game.payoffs[:, :, i][:, index])
-        self.T = np.ascontiguousarray(game.transitions[:, index])
-        self.R = np.zeros((2 * n, width))
-        self.P = np.zeros((2 * n, width, 2 * n))
-        self.valid = np.arange(width) < np.repeat([own, other], n)[:, None]
-        self.R_up, self.R_lo = self.R[:n, :own], self.R[n:, :other]
-        self.P_up, self.P_lo = self.P[:n, :own, :n], self.P[n:, :other, n:]
-        self.choice = None
-
-    def __call__(self, rows: np.ndarray, cols: np.ndarray):
-        """(settled, g_up, h_up, g_lo, h_lo): gain and bias of the player's
-        best average response to the coalition's mixes `cols`, and of the
-        coalition's (minimizing) response to the player's mixes `rows`.
-        Howard's tolerance scales with the rewards only (see
-        `chains.optimal_average_policy`)."""
-        n = len(rows)
-        _write_responses(self, rows, cols)
-        np.negative(self.R_lo, out=self.R_lo)
-        self.choice, settled, g, h = optimal_average_policy(
-            self.R, self.P, self.valid, start=self.choice, bias_scaled=False)
-        return settled, g[:n], h[:n], -g[n:], -h[n:]
-
-    def pair_gain_bias(self, rows: np.ndarray):
-        """Gain and bias of the S-state chain in which the player plays
-        `rows` and the coalition the mixes of the last call: the player's
-        rewards R_up and transitions P_up against those mixes, averaged
-        over rows."""
-        r = np.einsum("sa,sa->s", rows, self.R_up)
-        P = np.einsum("sa,sat->st", rows, self.P_up)
-        return gain_bias(P, r)
-
-
 @dataclass
 class DirectSolve:
     """Player i's direct solve of the limiting-average min-max game.
@@ -417,15 +399,15 @@ def direct_minmax(game: StochasticGame, i: int) -> DirectSolve:
     player's at the coalition's last best average response (g, h), and the
     coalition's at the player's.  Each iteration then solves both sides'
     best average responses to the new mixes in one Howard call
-    (`_AverageResponses`) and narrows the bracket [max lower, min upper];
+    (`_Stage.average_responses`) and narrows the bracket [max lower, min upper];
     any stationary pair gives a sound bracket, so neither step needs to be
     right, only fast.  Newton steps alone can cycle (van der Wal 1978), so
     the first one that does not halve the width hands over to cross steps,
     which get DIRECT_PATIENCE iterations of their own to halve it.
     """
     n = game.n_states
-    payoff, transitions, index = game.payoffs[:, :, i], game.transitions, game.player_indices[i]
-    responses = _AverageResponses(game, i)
+    stage = _Stage(game, i, 0.0)
+    payoff, transitions, index = stage.payoff, game.transitions, game.player_indices[i]
     lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
     w_pair = np.zeros(n)
     newton, newton_steps = True, 0
@@ -441,7 +423,7 @@ def direct_minmax(game: StochasticGame, i: int) -> DirectSolve:
             _, _, cols, solved_cols = _one_shot(payoff, transitions, index, 1.0, w_up)
             solved += solved_cols
         matrix_solves += solved
-        settled, g_up, h_up, g_lo, h_lo = responses(rows, cols)
+        settled, g_up, h_up, g_lo, h_lo = stage.average_responses(rows, cols)
         if not settled:
             outcome = "unsettled"
             break
@@ -462,7 +444,7 @@ def direct_minmax(game: StochasticGame, i: int) -> DirectSolve:
             outcome = "stalled"
             break
         if newton:
-            w_pair = _continuation(*responses.pair_gain_bias(rows))
+            w_pair = _continuation(*stage.pair_gain_bias(rows))
         else:
             w_up, w_lo = _continuation(g_up, h_up), _continuation(g_lo, h_lo)
     return DirectSolve(i, 0.5 * (lower + upper), lower, upper, it, newton_steps,

@@ -14,7 +14,7 @@ from .builder import (
     classify_set,
 )
 from .game import StochasticGame, validate_game
-from .minmax import MinMaxReport, default_schedule, solve_uniform_minmax
+from .minmax import MinMaxReport, solve_uniform_minmax
 from .oneshot import EXACT_EQ_TOL, continuation_values, enumerate_all_states
 from .structure import Decomposition, decompose
 from .verify import (
@@ -116,7 +116,6 @@ def classify_game(game: StochasticGame, eps: float = DEFAULT_EPS, schedule=None,
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
     problems = validate_game(game)
-    schedule = default_schedule() if schedule is None else list(schedule)
     minmax = solve_uniform_minmax(game, schedule=schedule)
     v1 = minmax.uniform_values
     eq_sets = enumerate_all_states(game, v1, exact_tol=eq_tol)

@@ -15,10 +15,12 @@ for bit.  `exact_2x2_value` gives a 2x2 game's value in rationals, and
 `pure_average_extremum` is the best or worst long-run average of a small
 MDP over all its pure stationary policies, each policy's gain computed in
 rationals (`exact_gain`): the reference of the direct min-max solve's Howard
-step.  `eager_average_policy` is Howard's loop solving every evaluation's
-bias, which `chains.optimal_average_policy`, solving it only where the loop
-reads it, must equal bit for bit.  `cross_direct_minmax` is the direct
-min-max solve with cross steps only: every curve it closes, the library's
+step.  `eager_average_policy` is Howard's loop over an action mask,
+solving every evaluation's bias: `chains.optimal_average_policy`, which
+solves the bias only where the loop reads it and masks nothing, must match
+it bit for bit, and on a copy-padded MDP with the copies masked, up to
+which copy it chooses.  `cross_direct_minmax` is the direct min-max solve
+with cross steps only: every curve it closes, the library's
 Newton-then-cross solve must close within both brackets.
 Classification's two references are linear programs solved by HiGHS:
 `pricing_lp_oracle` over the invariant frequency polytope of a region's
@@ -105,8 +107,8 @@ from stogame.minmax import (
     DIRECT_PATIENCE,
     DIRECT_WIDTH,
     DirectSolve,
-    _AverageResponses,
     _one_shot,
+    _Stage,
 )
 from stogame.oneshot import profile_value, regret
 from stogame.structure import almost_sure_reach, safe_profiles
@@ -539,20 +541,23 @@ def pure_average_extremum(R: np.ndarray, P: np.ndarray, maximize: bool) -> np.nd
 def eager_average_policy(R: np.ndarray, P: np.ndarray, valid: np.ndarray,
                          start: np.ndarray | None, bias_scaled: bool):
     """Reference of `chains.optimal_average_policy`: the same Howard loop,
-    returns and bits, solving every evaluation's bias (`gain_bias`) whether
-    or not the loop reads it.  Its cap is read from `chains` at call time."""
+    solving every evaluation's bias (`gain_bias`) whether or not the loop
+    reads it, over the actions that `valid` (n, m) allows.  With every
+    action allowed it has the library's returns and bits; on an MDP padded
+    with copies of each state's first action, the copies masked, it has the
+    library's gains and biases, and its choices up to copies.  Its cap is
+    read from `chains` at call time."""
     rows = np.arange(len(R))
     choice = np.where(valid, R, -np.inf).argmax(axis=1) if start is None else start
     scale = 1.0 + np.abs(R).max()
     for _ in range(chains.POLICY_ITERATION_CAP):
         g, h = chains.gain_bias(P[rows, choice], R[rows, choice])
         tol = chains.IMPROVE_TOL * (scale + np.abs(h).max() if bias_scaled else scale)
-        q = P @ g
-        new = chains._improve(q, choice, valid, tol)
+        q = np.where(valid, P @ g, -np.inf)
+        new = chains._improve(q, choice, tol)
         if np.array_equal(new, choice):
-            best = np.where(valid, q, -np.inf).max(axis=1, keepdims=True)
-            gain_optimal = valid & (q >= best - tol)
-            new = chains._improve(R + P @ h, choice, gain_optimal, tol)
+            gain_optimal = valid & (q >= q.max(axis=1, keepdims=True) - tol)
+            new = chains._improve(np.where(gain_optimal, R + P @ h, -np.inf), choice, tol)
             if np.array_equal(new, choice):
                 return choice, True, g, h
         choice = new
@@ -563,11 +568,11 @@ def cross_direct_minmax(game, i: int) -> DirectSolve:
     """`minmax.direct_minmax` with cross steps only: every iteration solves
     the player's one-shot games at the coalition's last best average
     response and the coalition's at the player's, then narrows the bracket
-    with both best responses (`_AverageResponses`).  Same constants and
-    stop rules."""
+    with both best responses (`_Stage.average_responses`).  Same constants
+    and stop rules."""
     n = game.n_states
     payoff, transitions, index = game.payoffs[:, :, i], game.transitions, game.player_indices[i]
-    responses = _AverageResponses(game, i)
+    stage = _Stage(game, i, 0.0)
     lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
     w_up = w_lo = np.zeros(n)
     matrix_solves = 0
@@ -577,7 +582,7 @@ def cross_direct_minmax(game, i: int) -> DirectSolve:
         _, rows, _, solved_rows = _one_shot(payoff, transitions, index, 1.0, w_lo)
         _, _, cols, solved_cols = _one_shot(payoff, transitions, index, 1.0, w_up)
         matrix_solves += solved_rows + solved_cols
-        settled, g_up, h_up, g_lo, h_lo = responses(rows, cols)
+        settled, g_up, h_up, g_lo, h_lo = stage.average_responses(rows, cols)
         if not settled:
             outcome = "unsettled"
             break

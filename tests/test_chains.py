@@ -34,28 +34,31 @@ def _row(draw, n: int) -> np.ndarray:
 
 
 @st.composite
-def _masked_mdps(draw):
-    """An MDP of 1-3 states and 1-3 actions with a mask of at least one
-    action per state.  Point-mass rows make it multichain often.  Masked
-    actions carry a reward above every valid one, so a solver that reads
-    them shows."""
+def _padded_mdps(draw):
+    """A ragged MDP of 1-3 states with 1-3 distinct actions per state, each
+    state padded to the widest with copies of its first action, and the
+    mask of the distinct actions.  Point-mass rows make it multichain
+    often."""
     n = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    m = max(counts)
     R = np.array(draw(st.lists(_rewards, min_size=n * m, max_size=n * m))).reshape(n, m)
     P = np.array([_row(draw, n) for _ in range(n * m)]).reshape(n, m, n)
-    valid = np.array(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)))
-    valid = valid.reshape(n, m)
-    valid[np.arange(n), draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))] = True
-    return np.where(valid, R, 5.0), P, valid
+    valid = np.arange(m) < np.array(counts)[:, None]
+    R = np.where(valid, R, R[:, :1])
+    P = np.where(valid[:, :, None], P, P[:, :1])
+    return R, P, valid
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_masked_mdps())
+@given(_padded_mdps())
 def test_optimal_average_policy_reaches_the_best_pure_gain(case):
+    # Against every pure policy over the distinct actions.  A chosen copy
+    # has its original's reward and transitions.
     R, P, valid = case
     rows = np.arange(len(R))
-    choice, settled, _, _ = optimal_average_policy(R, P, valid, start=None, bias_scaled=True)
-    assert settled and valid[rows, choice].all()
+    choice, settled, _, _ = optimal_average_policy(R, P, start=None, bias_scaled=True)
+    assert settled
     best = np.full(len(R), -np.inf)
     for combo in itertools.product(*[np.flatnonzero(v) for v in valid]):
         best = np.maximum(best, cesaro_doubling(P[rows, combo]) @ R[rows, combo])
@@ -108,22 +111,68 @@ def _same_bits(a, b) -> bool:
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_masked_mdps(), st.booleans(), st.booleans(), st.sampled_from([1, 2, 100]),
+@given(_padded_mdps(), st.booleans(), st.booleans(), st.sampled_from([1, 2, 100]),
        st.randoms(use_true_random=False))
 def test_optimal_average_policy_matches_the_eager_loop(case, bias_scaled, warm, cap, rnd):
     # Solving the bias only where the loop reads it must not move a bit of
     # the choice, `settled`, the gain or the bias, for pricing's tolerance
     # and min-max's, from the greedy policy or a given one, settled or cut
     # off by the cap.
+    R, P, _ = case
+    start = None
+    if warm:
+        start = np.array([rnd.randrange(R.shape[1]) for _ in R])
+    every = np.ones(R.shape, dtype=bool)
+    with mock.patch.object(chains, "POLICY_ITERATION_CAP", cap):
+        got = optimal_average_policy(R, P, start=start, bias_scaled=bias_scaled)
+        want = eager_average_policy(R, P, every, start=start, bias_scaled=bias_scaled)
+    assert _same_bits(got[0], want[0]) and got[1] == want[1]
+    assert _same_bits(got[2], want[2]) and _same_bits(got[3], want[3])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_padded_mdps(), st.booleans(), st.booleans(), st.sampled_from([1, 2, 100]),
+       st.randoms(use_true_random=False))
+def test_copy_padding_matches_the_masked_loop(case, bias_scaled, warm, cap, rnd):
+    # Howard's loop on the copy-padded MDP, which masks nothing, against the
+    # loop that masks the copies: the same `settled` and the same gain and
+    # bias bits, and every chosen column the same real action (a copy is
+    # its state's first action).
     R, P, valid = case
+    rows = np.arange(len(R))
     start = None
     if warm:
         start = np.array([rnd.choice(np.flatnonzero(v).tolist()) for v in valid])
     with mock.patch.object(chains, "POLICY_ITERATION_CAP", cap):
-        got = optimal_average_policy(R, P, valid, start=start, bias_scaled=bias_scaled)
+        got = optimal_average_policy(R, P, start=start, bias_scaled=bias_scaled)
         want = eager_average_policy(R, P, valid, start=start, bias_scaled=bias_scaled)
-    assert _same_bits(got[0], want[0]) and got[1] == want[1]
+    assert np.array_equal(np.where(valid[rows, got[0]], got[0], 0), want[0])
+    assert got[1] == want[1]
     assert _same_bits(got[2], want[2]) and _same_bits(got[3], want[3])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_copy_padding_matches_the_masked_loop_on_wide_mdps(seed):
+    # 8-15 dense states with one or two actions, padded to 5-7: BLAS may
+    # round a copy's row of P @ g an ulp away from its original's, and then
+    # Howard's loop may switch to the copy instead.  It must still choose the
+    # masked loop's real action, with its settling and its gain and bias bits.
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        n, m = int(rng.integers(8, 16)), int(rng.integers(5, 8))
+        valid = np.arange(m) < rng.integers(1, 3, n)[:, None]
+        R = rng.uniform(-1.0, 1.0, (n, m))
+        R = np.where(valid, R, R[:, :1])
+        P = rng.dirichlet(np.ones(n), (n, m))
+        P = np.where(valid[:, :, None], P, P[:, :1])
+        rows = np.arange(n)
+        for start in (None, valid.sum(axis=1) - 1):
+            for bias_scaled in (True, False):
+                got = optimal_average_policy(R, P, start=start, bias_scaled=bias_scaled)
+                want = eager_average_policy(R, P, valid, start=start, bias_scaled=bias_scaled)
+                assert np.array_equal(np.where(valid[rows, got[0]], got[0], 0), want[0])
+                assert got[1] == want[1]
+                assert _same_bits(got[2], want[2]) and _same_bits(got[3], want[3])
 
 
 def test_a_capped_loop_returns_the_evaluated_policys_bias():
@@ -133,10 +182,8 @@ def test_a_capped_loop_returns_the_evaluated_policys_bias():
     # bias, which it solves only on the way out.
     R = np.array([[1.0, 0.5], [0.5, 0.5], [0.0, 0.0]])
     P = np.eye(3)[[[2, 1], [1, 0], [2, 2]]]
-    valid = np.ones((3, 2), dtype=bool)
     with mock.patch.object(chains, "POLICY_ITERATION_CAP", 1):
-        choice, settled, g, h = optimal_average_policy(R, P, valid, start=None,
-                                                       bias_scaled=False)
+        choice, settled, g, h = optimal_average_policy(R, P, start=None, bias_scaled=False)
     assert choice.tolist() == [1, 0, 0] and not settled
     assert g.tolist() == [0.0, 0.5, 0.0] and h.tolist() == [1.0, 0.0, 0.0]
 

@@ -191,6 +191,24 @@ def test_pricing_skips_classes_leaking_into_dead_states():
     assert best_recurrent_point(g, [1], np.array([1.0])) is None
 
 
+def test_pricing_pads_a_narrow_state_with_its_own_profile():
+    # Region {0, 1}: state 0 keeps actions 1 and 2, state 1 only action 2,
+    # so pricing pads state 1 with a copy of action 2.  Action 0 there pays
+    # most but leaks half its mass out of the region, and leaked mass earns
+    # nothing in the safe sub-MDP, better than these negative payoffs: a pad
+    # that played it would be priced over the 0-1 cycle.
+    payoffs = np.array([[[-1.0], [-0.6], [-0.5]], [[-0.1], [-1.0], [-0.5]], [[0.0], [0.0], [0.0]]])
+    transitions = np.zeros((3, 3, 3))
+    transitions[0, 0, 2] = transitions[1, 1, 2] = 1.0
+    transitions[0, 1, 0] = transitions[0, 2, 1] = transitions[1, 2, 0] = 1.0
+    transitions[1, 0, [1, 2]] = 0.5
+    transitions[2, :, 2] = 1.0
+    g = StochasticGame(("a", "b", "c"), (("out", "stay", "go"),), payoffs, transitions)
+    best = best_recurrent_point(g, [0, 1], np.array([1.0]))
+    assert (best.states, best.actions) == ((0, 1), {0: 2, 1: 2})
+    assert best.payoff[0] == pytest.approx(-0.5, abs=1e-12)
+
+
 def _assert_columns_match_enumeration(game, result, eps=0.05):
     """Column generation and the full enumeration give the same type-A
     verdict, slack and A/B kind on every communicating set."""

@@ -31,10 +31,8 @@ from stogame.matrixgame import solve_matrix_game
 from stogame.minmax import (
     DIRECT_PATIENCE,
     DIRECT_WIDTH,
-    _AverageResponses,
     _lapack_solve,
     _policy_iteration,
-    _solver_arrays,
     _Stage,
     default_schedule,
     direct_minmax,
@@ -269,6 +267,13 @@ def test_batched_response_mdps_match_per_state_oracle(game):
     _assert_batched_stage_matches_per_state(game, np.random.default_rng(1))
 
 
+def _solver_arrays(R: np.ndarray):
+    """The identity and row-start arrays `_policy_iteration` takes for a
+    reward stack shaped like R, as `_Stage` builds them."""
+    n_mdps, n_states, n_actions = R.shape
+    return np.eye(n_states), np.arange(0, R.size, n_actions).reshape(n_mdps, n_states)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_stacked_policy_iteration_matches_single_mdp_oracle(seed):
     rng = np.random.default_rng(seed)
@@ -386,7 +391,9 @@ def test_one_workspace_per_player_and_nothing_left_on_the_game(monkeypatch):
         before = dict(game.__dict__)
         built.clear()
         report = solve_uniform_minmax(game, default_schedule(6))
-        assert built == [c.player for c in report.curves if c.method == "schedule"]
+        # One per direct try, then one per schedule curve.
+        assert built == ([i for i, d in enumerate(report.direct) if d is not None]
+                         + [c.player for c in report.curves if c.method == "schedule"])
         assert game.__dict__.keys() == before.keys()
         assert all(game.__dict__[key] is value for key, value in before.items())
 
@@ -462,14 +469,14 @@ def test_howard_responses_reach_the_pure_policy_extremum(game):
     rng = np.random.default_rng(4)
     for i in range(game.n_players):
         own, other = game.player_indices[i].shape
-        responses = _AverageResponses(game, i)
+        stage = _Stage(game, i, 0.0)
         for trial in range(6):
             rows = rng.dirichlet(np.ones(own), game.n_states)
             cols = rng.dirichlet(np.ones(other), game.n_states)
             if trial % 2:  # pure mixes
                 rows = np.eye(own)[rng.integers(own, size=game.n_states)]
                 cols = np.eye(other)[rng.integers(other, size=game.n_states)]
-            settled, g_up, _, g_lo, _ = responses(rows, cols)
+            settled, g_up, _, g_lo, _ = stage.average_responses(rows, cols)
             assert settled
             R_up, P_up = response_mdp_oracle(game, i, 0.0, cols, fix_rows=False)
             R_lo, P_lo = response_mdp_oracle(game, i, 0.0, rows, fix_rows=True)
@@ -477,12 +484,16 @@ def test_howard_responses_reach_the_pure_policy_extremum(game):
             assert np.max(np.abs(g_lo - pure_average_extremum(R_lo, P_lo, False))) <= 1e-12
 
 
-@pytest.mark.parametrize("game", [bundled_game("mdp3"), DEGENERATE[7]], ids=lambda g: g.name)
+@pytest.mark.parametrize("game", [bundled_game("mdp3"), DEGENERATE[7], three_player_game()],
+                         ids=lambda g: g.name)
 def test_direct_bracket_never_crosses(game):
     # One side has fewer actions than the other, so the block-diagonal MDP
-    # pads it; a padded action that won a Howard step would cross the
-    # bracket.  Lower and upper are running extremes, so the last bracket
-    # covers every iteration.
+    # pads it with copies of its first action; a padded action that won a
+    # Howard step with a value of its own would cross the bracket.  mdp3
+    # pads the coalition's side, 2x3 the player's for player 0 and the
+    # coalition's for player 1, and the three-player game every player's (2
+    # own actions against 4 coalition profiles).  Lower and upper are
+    # running extremes, so the last bracket covers every iteration.
     for i in range(game.n_players):
         direct = direct_minmax(game, i)
         assert direct.outcome == "closed"
