@@ -12,13 +12,18 @@ process per kernel: first under the kernel OpenBLAS detects, then with
 environment is set.  A core type whose child fails, or that loads a kernel
 already run (OpenBLAS falls back to one the host can run, and names it), is
 skipped.  Each child prints its kernel's name and, per game, each player's
-min-max method and `v1`, the sets, kinds and transient states, and the
-verdict (`harness.verdict_failure`, or the exception's type).
+min-max method and `v1`, the sets, kinds and transient states, the verdict
+(`harness.verdict_failure`, or the exception's type), the one-shot
+equilibrium lists and the machines (the machine profile and the stationary
+correlated table, as `scripts/workload_digest.py`'s build digest reads
+them) with every number rounded to 8 decimals.
 
 Per kernel, against the detected one, it prints the largest `v1` move over
 the curves the direct solve closed under both kernels and over the curves
 that ran the schedule under both, the number of curves whose method
-changed, and every game whose sets, kinds or verdict changed.  With
+changed, the number of games whose equilibrium lists differ in any bit and
+of those whose rounded machines differ, and every game whose sets, kinds,
+verdict or rounded machines changed.  With
 `--emit`, it runs the games in this process and prints the child's JSON
 line instead.  Threads are pinned as in the benchmark (`perfbench/env.py`).
 """
@@ -60,11 +65,23 @@ def kernel_name() -> str:
     return corename().decode()
 
 
+def rounded(doc):
+    """`doc`, a JSON document, with every float rounded to 8 decimals."""
+    if isinstance(doc, float):
+        return round(doc, 8)
+    if isinstance(doc, list):
+        return [rounded(v) for v in doc]
+    if isinstance(doc, dict):
+        return {k: rounded(v) for k, v in doc.items()}
+    return doc
+
+
 def emit(workload: str, slots: range) -> dict:
-    """Every game's methods, values, structure and verdict under this
-    process's kernel."""
+    """Every game's methods, values, structure, verdict, equilibrium lists
+    and rounded machines under this process's kernel."""
     import numpy as np
     from harness import verdict_failure
+    from stogame._util import json_ready
     from stogame.pipeline import run_pipeline
     from workloads import EPS, WORKLOADS, schedule
 
@@ -86,6 +103,11 @@ def emit(workload: str, slots: range) -> dict:
                         [c.kind for c in res.classifications],
                         list(res.decomposition.transient)],
                     "verdict": "ok" if failure is None else list(failure[:2]),
+                    "equilibria": json_ready(res.eq_sets),
+                    "machines": rounded(json_ready({
+                        "profile": res.profile,
+                        "correlated": None if res.correlated is None else res.correlated.table,
+                    })),
                 })
             games.append(doc)
     return {"kernel": kernel_name(), "games": games}
@@ -126,6 +148,7 @@ def compare(base: dict, other: dict) -> list:
     """Report lines of `other` against `base`."""
     moves = {"direct": [0, 0.0], "schedule": [0, 0.0]}
     method_changes = 0
+    equilibria = machines = 0
     changed = []
     for a, b in zip(base["games"], other["games"]):
         name = f"slot {a['slot']} {a['game']}"
@@ -135,6 +158,10 @@ def compare(base: dict, other: dict) -> list:
             continue
         if a["structure"] != b["structure"]:
             changed.append(f"{name}: sets, kinds or transient states changed")
+        equilibria += a["equilibria"] != b["equilibria"]
+        if a["machines"] != b["machines"]:
+            machines += 1
+            changed.append(f"{name}: machines changed beyond 1e-8")
         for m_a, m_b, v_a, v_b in zip(a["methods"], b["methods"], a["v1"], b["v1"]):
             if m_a != m_b:
                 method_changes += 1
@@ -145,7 +172,9 @@ def compare(base: dict, other: dict) -> list:
     lines = [f"  closed curves {moves['direct'][0]}, largest v1 move {moves['direct'][1]:.3g}; "
              f"schedule curves {moves['schedule'][0]}, largest v1 move "
              f"{moves['schedule'][1]:.3g}; method changes {method_changes}; "
-             f"games with changed sets, kinds or verdicts {len(changed)}"]
+             f"games with changed equilibrium lists {equilibria}, with changed rounded "
+             f"machines {machines}, with changed sets, kinds or verdicts "
+             f"{len(changed) - machines}"]
     return lines + [f"  {line}" for line in changed]
 
 

@@ -199,12 +199,17 @@ def build_product_model(game: StochasticGame, automaton: JointAutomaton,
     return ProductModel(game, automaton, nodes, index, P, r, alpha, steps)
 
 
-def discounted_value(model: ProductModel, lam: float) -> np.ndarray:
-    """Exact discounted payoffs per node, shape (N, I)."""
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"discount factor {lam} outside [0, 1)")
-    N = model.n_nodes
-    return np.linalg.solve(np.eye(N) - lam * model.P, (1.0 - lam) * model.r)
+def discounted_value(model: ProductModel, grid) -> np.ndarray:
+    """Exact discounted payoffs per node at every discount factor of `grid`,
+    shape (len(grid), N, I).  The systems (I - lam P) x = (1 - lam) r of
+    the whole grid go to LAPACK as one stack, and each gets the bits of its
+    own `np.linalg.solve`."""
+    lams = np.asarray(grid, dtype=float)
+    outside = lams[(lams < 0.0) | (lams >= 1.0)]
+    if len(outside):
+        raise ValueError(f"discount factor {outside[0]} outside [0, 1)")
+    A = np.eye(model.n_nodes) - lams[:, None, None] * model.P
+    return np.linalg.solve(A, (1.0 - lams)[:, None, None] * model.r)
 
 
 def exit_values(model: ProductModel, inside, values: np.ndarray) -> np.ndarray:

@@ -190,7 +190,12 @@ def _gain(P: np.ndarray, r: np.ndarray):
     """Multichain gain of stage values r (shape (n,) or (n, d)) under P, and
     the recurrent classes it was read from: each class's stationary average,
     carried to the transient states by their absorption probabilities.  Mass
-    that P leaks out of its states earns nothing."""
+    that a transient state's row leaks out of the states earns nothing.  A
+    class whose own rows leak is still read with its stationary law
+    renormalized over the class: `limit_average_values([[0.5]], [1.0])` is
+    1.0, not the Cesaro limit 0, and a zero row, such as an unexpanded node
+    of `automata.build_product_model`, is a class of its own that earns its
+    own reward."""
     single = r.ndim == 1
     rv = r[:, None] if single else r
     classes, transient = recurrent_classes(P)

@@ -22,6 +22,9 @@ multichain policy iteration (`chains.optimal_average_policy`, on the gain
 the verifiers read) reaches at a pure profile; the point is that profile's
 best recurrent class (`best_recurrent_point`).  Nothing enumerates the
 |A|^|C| pure profiles, and an LP solves only a master too large for kernels.
+A set's safe sub-MDP is built once (`safe_sub_mdp`); each round only
+re-weights its rewards.  Every set's first master has one row, and its
+answer is read off that row's 1x1 kernels (`max_slack_mixture`).
 Only the tests call `enumerate_recurrent_points`, their reference; it stays
 in this module because the benchmark's tracer (`perfbench/tracer.py`) hooks
 it through `builder`, and the tracer's tests expect that hook to be found.
@@ -37,7 +40,13 @@ import numpy as np
 from ._util import DIST_TOL, json_ready
 from .chains import optimal_average_policy, recurrent_classes, stationary_distribution
 from .game import StochasticGame
-from .matrixgame import MatrixGameSolution, kernel_solution, solve_matrix_game
+from .matrixgame import (
+    KERNEL_TOL,
+    MatrixGameSolution,
+    kernel_equalizers,
+    kernel_solution,
+    solve_matrix_game,
+)
 from .structure import safe_profiles
 
 ENUMERATION_GUARD = 10**6
@@ -136,15 +145,31 @@ def enumerate_recurrent_points(game: StochasticGame, region) -> list:
     return sorted(uniq.values(), key=lambda p: (p.states, sorted(p.actions.items())))
 
 
-def _safe_sub_mdp(game: StochasticGame, region: list):
-    """Live states and their profiles in the safe sub-MDP of `region`.
+@dataclass(frozen=True, eq=False)
+class SafeSubMDP:
+    """The safe sub-MDP of a region as pricing reads it, built once per set.
+
+    `live` lists the region's live states; acts[k] the profiles kept at
+    live[k], padded to the widest state with copies of its first one;
+    payoffs and transitions their payoff rows (L, width, I) and transition
+    rows among the live states (L, width, L)."""
+
+    region: list
+    live: list
+    acts: np.ndarray
+    payoffs: np.ndarray
+    transitions: np.ndarray
+
+
+def safe_sub_mdp(game: StochasticGame, region) -> SafeSubMDP | None:
+    """The safe sub-MDP of `region`, or None when no state is live.
 
     A state is live while it has a region-preserving profile.  Flow balance
     forces zero frequency on a profile that leaks into a region state
     without one, so every profile leaking more than DIST_TOL there is
-    removed, until nothing changes.  Returns (live states, profiles per
-    live state).
+    removed, until nothing changes.
     """
+    region = sorted(region)
     allowed = safe_profiles(game, region)
     while True:
         dead = [s for s in region if not allowed[s]]
@@ -154,35 +179,35 @@ def _safe_sub_mdp(game: StochasticGame, region: list):
             break
         allowed = kept
     live = [s for s in region if allowed[s]]
-    return live, {s: allowed[s] for s in live}
+    if not live:
+        return None
+    width = max(len(allowed[s]) for s in live)
+    acts = np.array([allowed[s] + allowed[s][:1] * (width - len(allowed[s])) for s in live])
+    states = np.array(live)[:, None]
+    return SafeSubMDP(region, live, acts, game.payoffs[states, acts],
+                      game.transitions[states, acts][:, :, live])
 
 
-def best_recurrent_point(game: StochasticGame, region,
-                         weights: np.ndarray) -> RecurrentPoint | None:
-    """The recurrent point of `region` maximizing weights . payoff, or None
-    when the region has none.
+def best_recurrent_point(game: StochasticGame, mdp: SafeSubMDP,
+                         weights: np.ndarray) -> RecurrentPoint:
+    """The recurrent point of the region of `mdp` (`safe_sub_mdp`)
+    maximizing weights . payoff.
 
     The best point's value is the largest optimal long-run average reward
     of the safe sub-MDP with rewards weights . u, which
     `chains.optimal_average_policy` reaches at a pure profile.  The point is
-    the best recurrent class of that profile.
+    the best recurrent class of that profile.  Only the rewards depend on
+    the weights, so a set's rounds share one sub-MDP.
     """
-    region = sorted(region)
-    live, allowed = _safe_sub_mdp(game, region)
-    if not live:
-        return None
-    width = max(len(acts) for acts in allowed.values())
-    # Profiles per live state, padded with copies of the first one.
-    acts = np.array([allowed[s] + allowed[s][:1] * (width - len(allowed[s])) for s in live])
-    states = np.array(live)[:, None]
-    R = game.payoffs[states, acts] @ weights
-    P = game.transitions[states, acts][:, :, live]
-    choice, settled, _, _ = optimal_average_policy(R, P, start=None, bias_scaled=True)
+    R = mdp.payoffs @ weights
+    choice, settled, _, _ = optimal_average_policy(R, mdp.transitions, start=None,
+                                                   bias_scaled=True)
     if not settled:
-        raise RuntimeError(f"policy iteration on region {region} did not settle")
-    points = _profile_points(game, region, live, acts[np.arange(len(live)), choice].tolist())
+        raise RuntimeError(f"policy iteration on region {mdp.region} did not settle")
+    points = _profile_points(game, mdp.region, mdp.live,
+                             mdp.acts[np.arange(len(mdp.live)), choice].tolist())
     if not points:
-        raise RuntimeError(f"priced profile on region {region} holds no recurrent class")
+        raise RuntimeError(f"priced profile on region {mdp.region} holds no recurrent class")
     return max(points, key=lambda p: float(weights @ p.payoff))
 
 
@@ -214,10 +239,25 @@ def max_slack_mixture(payoffs: np.ndarray, target: np.ndarray) -> MatrixGameSolu
     so the support of beta never exceeds the number of players;
     `solve_matrix_game`'s LP takes the game only when no kernel does, and the
     result's `method` then says so.
+
+    A game of one row, every set's first master, is read off its 1x1
+    kernels: the first column j that passes `kernel_solution`'s check, the
+    row's minimum at least v_j - tol and row[j] at most v_j + tol, with v_j
+    the value LAPACK gives that kernel's bordered system (which may differ
+    from row[j] in its last bit), is `kernel_solution`'s answer bit for
+    bit.  Some column always passes: the row's first minimum does.
     """
     game = payoffs - target
-    sol = kernel_solution(game)
-    return sol if sol is not None else solve_matrix_game(game)
+    if len(game) > 1:
+        sol = kernel_solution(game)
+        return sol if sol is not None else solve_matrix_game(game)
+    row = game[0]
+    _, _, _, _, v, _ = kernel_equalizers(game, game, 1)
+    tol = KERNEL_TOL * max(1.0, float(np.abs(row).max()))
+    j = int(np.argmax((row.min() >= v - tol) & (row <= v + tol)))
+    y = np.zeros(len(row))
+    y[j] = 1.0
+    return MatrixGameSolution(float(v[j]), np.ones(1), y, "kernel")
 
 
 def plan_support(beta: np.ndarray, payoffs: np.ndarray, slack: float):
@@ -255,12 +295,14 @@ def sustain_by_columns(game: StochasticGame, region, target,
     the LP.
     """
     target = np.asarray(target, dtype=float)
+    mdp = safe_sub_mdp(game, region)
+    if mdp is None:
+        return None, 0
     columns = []
     y = np.full(game.n_players, 1.0 / game.n_players)
     while True:
-        point = best_recurrent_point(game, region, y)
-        if point is None or any(point.states == p.states and point.actions == p.actions
-                                for p in columns):
+        point = best_recurrent_point(game, mdp, y)
+        if any(point.states == p.states and point.actions == p.actions for p in columns):
             break
         if columns and y @ point.payoff <= max(y @ p.payoff for p in columns) + 1e-12:
             break
@@ -269,8 +311,6 @@ def sustain_by_columns(game: StochasticGame, region, target,
         y = sol.col_strategy
         if counts is not None:
             counts["master_lp"] += sol.method != "kernel"
-    if not columns:
-        return None, 0
     # Atoms in the enumeration's order, whatever order pricing found them in.
     order = sorted(range(len(columns)),
                    key=lambda k: (columns[k].states, sorted(columns[k].actions.items())))

@@ -173,25 +173,22 @@ def validate_game(game: StochasticGame) -> list:
         problems.append(f"transition table shape {game.transitions.shape} != {expected_tr}")
         return problems
 
+    # Each check is one array test over every (state, profile) pair; only the
+    # failing pairs are visited, by state, then profile.
     bound = game.payoff_bound
-    for s in range(game.n_states):
-        for a in range(game.n_profiles):
-            row = game.transitions[s, a]
-            if np.any(row < -DIST_TOL):
-                problems.append(
-                    f"negative transition probability at ({game.state_names[s]}, {game.profile_key(a)})"
-                )
-            mass = float(row.sum())
-            if abs(mass - 1.0) > DIST_TOL:
-                problems.append(
-                    f"transition mass {mass!r} at ({game.state_names[s]}, {game.profile_key(a)})"
-                )
-            pay = game.payoffs[s, a]
-            if np.any(np.abs(pay) > bound + 1e-12):
-                problems.append(
-                    f"payoff {pay.tolist()} outside [-{bound}, {bound}] at "
-                    f"({game.state_names[s]}, {game.profile_key(a)})"
-                )
+    negative = (game.transitions < -DIST_TOL).any(axis=2)
+    mass = game.transitions.sum(axis=2)
+    bad_mass = np.abs(mass - 1.0) > DIST_TOL
+    outside = (np.abs(game.payoffs) > bound + 1e-12).any(axis=2)
+    for s, a in zip(*np.nonzero(negative | bad_mass | outside)):
+        where = f"({game.state_names[s]}, {game.profile_key(a)})"
+        if negative[s, a]:
+            problems.append(f"negative transition probability at {where}")
+        if bad_mass[s, a]:
+            problems.append(f"transition mass {float(mass[s, a])!r} at {where}")
+        if outside[s, a]:
+            problems.append(f"payoff {game.payoffs[s, a].tolist()} outside "
+                            f"[-{bound}, {bound}] at {where}")
     return problems
 
 

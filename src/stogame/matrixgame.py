@@ -173,48 +173,51 @@ def _kernel_index(m: int, n: int, k: int):
 
 
 def _bordered(K):
-    """[K, -1; 1, 0] for a stack of k x k matrices K."""
-    N, k, _ = K.shape
-    A = np.zeros((N, k + 1, k + 1))
-    A[:, :k, :k] = K
-    A[:, :k, k] = -1.0
-    A[:, k, :k] = 1.0
+    """[K, -1; 1, 0] for a stack (..., k, k) of matrices K."""
+    k = K.shape[-1]
+    A = np.zeros(K.shape[:-2] + (k + 1, k + 1))
+    A[..., :k, :k] = K
+    A[..., :k, k] = -1.0
+    A[..., k, :k] = 1.0
     return A
 
 
 def _equalizers(A):
-    """Solve A [p; v] = [0; 1] for a stack of bordered matrices: the mix p
-    making every row of K p equal to v.  Returns (p, v, solved): solved is
-    False where the whole solution is NaN, which is how the LAPACK gufunc
-    behind `np.linalg.solve` answers an exact zero pivot, the case in which
-    `np.linalg.solve` would raise.  Every system gets the bits
-    `np.linalg.solve` would give it alone."""
-    rhs = np.zeros(A.shape[:2] + (1,))
-    rhs[:, -1] = 1.0
+    """Solve A [p; v] = [0; 1] for a stack (..., k + 1, k + 1) of bordered
+    matrices: the mix p making every row of K p equal to v.  Returns (p, v,
+    solved): solved is False where the whole solution is NaN, which is how
+    the LAPACK gufunc behind `np.linalg.solve` answers an exact zero pivot,
+    the case in which `np.linalg.solve` would raise.  Every system gets the
+    bits `np.linalg.solve` would give it alone."""
+    rhs = np.zeros(A.shape[:-1] + (1,))
+    rhs[..., -1, :] = 1.0
     with np.errstate(invalid="ignore"):
         out = _lapack_solve(A, rhs, signature="dd->d")[..., 0]
-    return out[:, :-1], out[:, -1], ~np.isnan(out).all(axis=1)
+    return out[..., :-1], out[..., -1], ~np.isnan(out).all(axis=-1)
 
 
 def kernel_equalizers(A, B, k: int):
     """Shapley-Snow equalizers of every k x k kernel of the bimatrix game
-    (A, B), A the row player's payoffs and B the column player's.
+    (A, B), A the row player's payoffs and B the column player's, or of
+    every game of the stacks A and B of shape (..., m, n).
 
     Per kernel, in `_kernel_index` order, the row mix equalizing B's kernel
     columns, with their common value, and the column mix equalizing A's
-    kernel rows; neither is checked for signs.  A kernel with an exactly
-    singular bordered system, the one case in which a solve of that kernel
-    alone would raise, is left out; a zero-determinant test would also drop
-    kernels whose determinant merely underflows (entries near 1e-200).
-    Returns (rows, cols, x, v, y): the kept kernels' row and column index
-    sets, row mixes, values and column mixes.
+    kernel rows; neither is checked for signs.  Both sides' bordered
+    systems, of every game, go to LAPACK as one stack.  A kernel with an
+    exactly singular bordered system, the one case in which a solve of that
+    kernel alone would raise, is left out; a zero-determinant test would
+    also drop kernels whose determinant merely underflows (entries near
+    1e-200).  Returns (kept, rows, cols, x, v, y): the `np.nonzero` indices
+    of the kept (game, kernel) pairs, whose last array is the kernel's
+    position in `_kernel_index` order, then the kept kernels' row and
+    column index sets, row mixes, values and column mixes, in that order.
     """
-    rows, cols = _kernel_index(*A.shape, k)
-    grid = (rows[:, :, None], cols[:, None, :])
-    x, v, x_solved = _equalizers(_bordered(B[grid].transpose(0, 2, 1)))
-    y, _, y_solved = _equalizers(_bordered(A[grid]))
-    keep = np.flatnonzero(x_solved & y_solved)
-    return rows[keep], cols[keep], x[keep], v[keep], y[keep]
+    rows, cols = _kernel_index(*A.shape[-2:], k)
+    grid = (..., rows[:, :, None], cols[:, None, :])
+    p, v, solved = _equalizers(_bordered(np.stack([np.swapaxes(B[grid], -1, -2), A[grid]])))
+    kept = np.nonzero(solved[0] & solved[1])
+    return kept, rows[kept[-1]], cols[kept[-1]], p[0][kept], v[0][kept], p[1][kept]
 
 
 def kernel_solution(M) -> MatrixGameSolution | None:
@@ -235,7 +238,7 @@ def kernel_solution(M) -> MatrixGameSolution | None:
     tol = KERNEL_TOL * max(1.0, float(np.abs(M).max()))
     for k in range(1, min(m, n) + 1):
         with np.errstate(all="ignore"):
-            rows, cols, x, v, y = kernel_equalizers(M, M, k)
+            _, rows, cols, x, v, y = kernel_equalizers(M, M, k)
             signs = (x >= -1e-12).all(axis=1) & (y >= -1e-12).all(axis=1)
             X = np.zeros((len(v), m))
             Y = np.zeros((len(v), n))

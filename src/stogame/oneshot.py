@@ -5,11 +5,22 @@ uniform min-max value.  Downstream structure analysis quantifies over an
 enumerated, finite list of equilibria: all pure ones (exact scan), all
 regular mixed ones for two players (support enumeration), and damped
 best-response fixed points for three or more players (tagged approximate).
+
+A state's games are a few entries each, so numpy's fixed cost per call, not
+the arithmetic, sets the stage's time.  Two-player games therefore take one
+stacked pass over all states (`enumerate_all_states`): one `transitions @
+v1` for the tables, one array comparison per player for the pure scan, one
+LAPACK stack per kernel size for every state's bordered systems, and one
+stacked regret computation for every candidate, whose products keep the
+shapes and strides of `regret`'s own.  The lists are those of the state by
+state enumeration, bit for bit (`tests/oracles.py` keeps it).  Dedupe and
+sorting stay per state, and so do three or more players and a two-player
+state with no pure or regular equilibrium, which falls back to best-response
+dynamics.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,50 +125,76 @@ class EquilibriumSet:
         })
 
 
-def _pure_equilibria(aux: AuxiliaryGame, tol: float):
-    counts = aux.action_counts
-    tensor = aux.tensor()
-    found = []
-    for profile in itertools.product(*[range(k) for k in counts]):
-        ok = True
-        for i, count in enumerate(counts):
-            line = tensor[profile[:i] + (slice(None),) + profile[i + 1:] + (i,)]
-            if line.max() > line[profile[i]] + tol:
-                ok = False
-                break
-        if ok:
-            mixes = []
-            for i, count in enumerate(counts):
-                m = np.zeros(count)
-                m[profile[i]] = 1.0
-                mixes.append(m)
-            found.append(tuple(mixes))
-    return found
+def _pure_equilibria(tensors: np.ndarray, tol: float) -> np.ndarray:
+    """Every pure equilibrium of a stack of games, `tensors` of shape (G,
+    A_1, ..., A_n, I): the rows (game, a_1, ..., a_n), games in order and
+    each game's profiles in `itertools.product` order.  A profile is one
+    when no player's best action against it beats the player's own by more
+    than tol; each player's test is one array comparison over the stack."""
+    ok = True
+    for i in range(tensors.ndim - 2):
+        own = tensors[..., i]
+        ok = ok & (own.max(axis=i + 1, keepdims=True) <= own + tol)
+    return np.argwhere(ok)
 
 
-def _support_enumeration_2p(aux: AuxiliaryGame, tol: float):
-    """All regular mixed equilibria of a two-player game, one representative
-    per support pair (equal support sizes >= 2).
-
-    Per support pair, `kernel_equalizers` gives the row mix x making the
-    column player indifferent on the columns and the column mix y making
-    the row player indifferent on the rows."""
-    m, n = aux.action_counts
-    A = aux.tensor()[..., 0]   # row player payoffs, shape (m, n)
-    B = aux.tensor()[..., 1]
-    found = []
+def _support_candidates_2p(tensors: np.ndarray):
+    """Candidate regular mixed equilibria of a stack of two-player games,
+    `tensors` of shape (G, m, n, 2): one per kernel of size >= 2 whose
+    equalizers (`kernel_equalizers`, every game's systems in one LAPACK
+    stack per size) have no weight below -1e-9, by size, then game, then
+    kernel.  Per support pair the row mix x makes the column player
+    indifferent on the columns and the column mix y makes the row player
+    indifferent on the rows; each is clipped at 0 and renormalized.
+    Returns (games, row mixes, column mixes) as arrays."""
+    G, m, n, _ = tensors.shape
+    games, xs, ys = [np.zeros(0, dtype=np.intp)], [np.zeros((0, m))], [np.zeros((0, n))]
     for k in range(2, min(m, n) + 1):
-        rows, cols, x, _, y = kernel_equalizers(A, B, k)
-        for r, c, w_row, w_col in zip(rows, cols, x, y):
-            if np.any(w_row < -1e-9) or np.any(w_col < -1e-9):
-                continue
-            mixes = (np.zeros(m), np.zeros(n))
-            for mix, support, w in zip(mixes, (r, c), (w_row, w_col)):
-                w = np.clip(w, 0.0, None)
-                mix[support] = w / w.sum()
-            if regret(aux, mixes) <= tol:
-                found.append(mixes)
-    return found
+        kept, rows, cols, x, _, y = kernel_equalizers(tensors[..., 0], tensors[..., 1], k)
+        signs = ~((x < -1e-9).any(axis=1) | (y < -1e-9).any(axis=1))
+        for support, w, mixes, width in ((rows, x, xs, m), (cols, y, ys, n)):
+            w = np.clip(w[signs], 0.0, None)
+            mix = np.zeros((len(w), width))
+            np.put_along_axis(mix, support[signs], w / w.sum(axis=1, keepdims=True), axis=1)
+            mixes.append(mix)
+        games.append(kept[0][signs])
+    return np.concatenate(games), np.concatenate(xs), np.concatenate(ys)
+
+
+def _regrets_2p(tables: np.ndarray, games: np.ndarray, X: np.ndarray, Y: np.ndarray):
+    """`regret` of the profile (X[c], Y[c]) in the two-player game
+    tables[games[c]], for every c at once.  Each product is a stacked
+    matmul whose items have the shapes and strides of `regret`'s own
+    products, so every item reaches BLAS, or numpy's own loop, as that
+    call does and keeps its bits; the worst improvement starts at 0 and
+    takes a later player's only where it is larger, as `max` does."""
+    T = tables[games]
+    K, (m, n) = len(T), (X.shape[1], Y.shape[1])
+    base = ((X[:, :, None] * Y[:, None, :]).reshape(K, 1, m * n) @ T)[:, 0]
+    T = T.reshape(K, m, n, 2)
+    rows = (T[..., 0] @ Y[:, :, None])[..., 0].max(axis=1) - base[:, 0]
+    cols = (T[..., 1].transpose(0, 2, 1) @ X[:, :, None])[..., 0].max(axis=1) - base[:, 1]
+    worst = np.where(rows > 0.0, rows, 0.0)
+    return np.where(cols > worst, cols, worst)
+
+
+def _two_player_items(tables: np.ndarray, counts: tuple, tol: float) -> list:
+    """Per game of the two-player stack `tables` (G, A, 2), with action
+    counts (m, n): its exact equilibria in the order found, the pure ones
+    (`_pure_equilibria`) and then the regular mixed ones within tol of no
+    regret (`_support_candidates_2p`).  All regrets come from one stacked
+    `_regrets_2p`."""
+    m, n = counts
+    pure = _pure_equilibria(tables.reshape(len(tables), m, n, 2), tol)
+    mixed = _support_candidates_2p(tables.reshape(len(tables), m, n, 2))
+    games = np.concatenate([pure[:, 0], mixed[0]])
+    X = np.concatenate([np.eye(m)[pure[:, 1]], mixed[1]])
+    Y = np.concatenate([np.eye(n)[pure[:, 2]], mixed[2]])
+    items = [[] for _ in tables]
+    for c, (g, r) in enumerate(zip(games.tolist(), _regrets_2p(tables, games, X, Y).tolist())):
+        if c < len(pure) or r <= tol:
+            items[g].append(Equilibrium((X[c], Y[c]), True, r))
+    return items
 
 
 def _best_response_dynamics(aux: AuxiliaryGame, tol: float, rng):
@@ -197,14 +234,23 @@ def enumerate_equilibria(aux: AuxiliaryGame, exact_tol: float = EXACT_EQ_TOL
     random restarts (seed 0) supply approximate equilibria, within
     APPROX_EQ_TOL.  An empty result is reported as such, never fabricated.
     """
+    if len(aux.action_counts) == 2:
+        return _equilibrium_set(aux, _two_player_items(aux.table[None], aux.action_counts,
+                                                       exact_tol)[0])
     items = []
+    for profile in _pure_equilibria(aux.tensor()[None], exact_tol)[:, 1:]:
+        mixes = tuple(np.eye(k)[a] for k, a in zip(aux.action_counts, profile))
+        items.append(Equilibrium(mixes, True, regret(aux, mixes)))
+    return _equilibrium_set(aux, items)
+
+
+def _equilibrium_set(aux: AuxiliaryGame, items: list) -> EquilibriumSet:
+    """`aux`'s EquilibriumSet from its exact equilibria `items`, in the
+    order found: best-response dynamics add approximate ones for three or
+    more players, or when items is empty; of equal canonical keys the first
+    exact one is kept, and the list is sorted by key."""
     notes = []
     n_players = len(aux.action_counts)
-    for mixes in _pure_equilibria(aux, exact_tol):
-        items.append(Equilibrium(tuple(mixes), True, regret(aux, mixes)))
-    if n_players == 2:
-        for mixes in _support_enumeration_2p(aux, exact_tol):
-            items.append(Equilibrium(mixes, True, regret(aux, mixes)))
     if n_players >= 3 or not items:
         rng = np.random.default_rng(0)
         approx = _best_response_dynamics(aux, APPROX_EQ_TOL, rng)
@@ -226,8 +272,17 @@ def enumerate_equilibria(aux: AuxiliaryGame, exact_tol: float = EXACT_EQ_TOL
 
 def enumerate_all_states(game: StochasticGame, v1: np.ndarray,
                          exact_tol: float = EXACT_EQ_TOL) -> list:
-    """EquilibriumSet for every state, in state order."""
-    return [
-        enumerate_equilibria(build_auxiliary_game(game, s, v1), exact_tol=exact_tol)
-        for s in range(game.n_states)
-    ]
+    """EquilibriumSet for every state, in state order.
+
+    Two-player games take one stacked pass over the states: the auxiliary
+    tables come from one `transitions @ v1`, whose items are the per-state
+    products of `build_auxiliary_game`, and `_two_player_items` lists every
+    state's exact equilibria at once.  Three or more players go state by
+    state through `enumerate_equilibria`."""
+    if game.n_players != 2:
+        return [enumerate_equilibria(build_auxiliary_game(game, s, v1), exact_tol=exact_tol)
+                for s in range(game.n_states)]
+    tables = game.transitions @ v1
+    found = _two_player_items(tables, game.action_counts, exact_tol)
+    return [_equilibrium_set(AuxiliaryGame(s, table, game.action_counts), items)
+            for s, (table, items) in enumerate(zip(tables, found))]

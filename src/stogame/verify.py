@@ -80,7 +80,7 @@ def check_w_acceptable(chain: ProductModel, w: np.ndarray,
     """
     game = chain.game
     grid = list(lam_grid)
-    by_lam = [discounted_value(chain, lam) for lam in grid]
+    by_lam = discounted_value(chain, grid)
     lim = chain.limit
     entries = []
     for s in range(game.n_states):

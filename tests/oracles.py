@@ -110,7 +110,14 @@ from stogame.minmax import (
     _one_shot,
     _Stage,
 )
-from stogame.oneshot import profile_value, regret
+from stogame.oneshot import (
+    APPROX_EQ_TOL,
+    Equilibrium,
+    EquilibriumSet,
+    _best_response_dynamics,
+    profile_value,
+    regret,
+)
 from stogame.structure import almost_sure_reach, safe_profiles
 from stogame.verify import DEFAULT_LAMBDA_GRID, MARGIN_TOL, check_w_acceptable, product_chain
 
@@ -153,6 +160,41 @@ def grid_matrix_value(M: np.ndarray, step: float = 1e-3) -> float:
         raise ValueError("grid oracle supports 2 or 3 rows")
     vals = (X @ M).min(axis=1)
     return float(vals.max())
+
+
+def validate_game_oracle(game) -> list:
+    """`game.validate_game` one (state, profile) pair at a time: the loop
+    that its array checks must equal, message for message and in order."""
+    problems = []
+    if game.n_players < 1:
+        problems.append("player set is empty")
+    if game.n_states < 1:
+        problems.append("state set is empty")
+    for i, acts in enumerate(game.action_names):
+        if len(acts) < 1:
+            problems.append(f"player {i} has an empty action set")
+    expected_pay = (game.n_states, game.n_profiles, game.n_players)
+    if game.payoffs.shape != expected_pay:
+        problems.append(f"payoff table shape {game.payoffs.shape} != {expected_pay}")
+        return problems
+    expected_tr = (game.n_states, game.n_profiles, game.n_states)
+    if game.transitions.shape != expected_tr:
+        problems.append(f"transition table shape {game.transitions.shape} != {expected_tr}")
+        return problems
+    bound = game.payoff_bound
+    for s in range(game.n_states):
+        for a in range(game.n_profiles):
+            where = f"({game.state_names[s]}, {game.profile_key(a)})"
+            row = game.transitions[s, a]
+            if np.any(row < -DIST_TOL):
+                problems.append(f"negative transition probability at {where}")
+            mass = float(row.sum())
+            if abs(mass - 1.0) > DIST_TOL:
+                problems.append(f"transition mass {mass!r} at {where}")
+            pay = game.payoffs[s, a]
+            if np.any(np.abs(pay) > bound + 1e-12):
+                problems.append(f"payoff {pay.tolist()} outside [-{bound}, {bound}] at {where}")
+    return problems
 
 
 def chain_under(game, table) -> np.ndarray:
@@ -329,6 +371,37 @@ def pricing_lp_oracle(game, region, weights: np.ndarray):
     points = _profile_points(game, region, live, acts)
     if not points:
         raise RuntimeError(f"pricing LP vertex on region {region} holds no recurrent class")
+    return max(points, key=lambda p: float(weights @ p.payoff))
+
+
+def best_recurrent_point_oracle(game, region, weights: np.ndarray):
+    """Pricing as one call that builds the region's safe sub-MDP for itself:
+    the reference of `frequencies.best_recurrent_point` on the sub-MDP that
+    `safe_sub_mdp` builds once per set.  Drops, until nothing changes, every
+    profile leaking more than DIST_TOL into a region state without a safe
+    profile; pads every live state to the widest with copies of its first
+    profile; runs Howard's loop on weights . u and returns the best
+    recurrent class of the chosen profile, or None with no live state."""
+    region = sorted(region)
+    allowed = safe_profiles(game, region)
+    while True:
+        dead = [s for s in region if not allowed[s]]
+        leak = game.transitions[:, :, dead].sum(axis=2)
+        kept = {s: [a for a in acts if leak[s, a] <= DIST_TOL] for s, acts in allowed.items()}
+        if kept == allowed:
+            break
+        allowed = kept
+    live = [s for s in region if allowed[s]]
+    if not live:
+        return None
+    width = max(len(allowed[s]) for s in live)
+    acts = np.array([allowed[s] + allowed[s][:1] * (width - len(allowed[s])) for s in live])
+    states = np.array(live)[:, None]
+    R = game.payoffs[states, acts] @ weights
+    P = game.transitions[states, acts][:, :, live]
+    choice, settled, _, _ = chains.optimal_average_policy(R, P, start=None, bias_scaled=True)
+    assert settled
+    points = _profile_points(game, region, live, acts[np.arange(len(live)), choice].tolist())
     return max(points, key=lambda p: float(weights @ p.payoff))
 
 
@@ -714,7 +787,7 @@ def indifference_solve(M, own_support, opp_support):
 
 
 def support_enumeration_oracle(aux, tol: float) -> list:
-    """Per-pair reference of `oneshot._support_enumeration_2p`: every support
+    """Per-pair reference of `oneshot._support_candidates_2p`: every support
     pair of equal size >= 2, rows then columns in lexicographic order, with
     each side's indifference system solved on its own."""
     m, n = aux.action_counts
@@ -738,6 +811,41 @@ def support_enumeration_oracle(aux, tol: float) -> list:
                 if regret(aux, (xm, ym)) <= tol:
                     found.append((xm, ym))
     return found
+
+
+def pure_equilibria_oracle(aux, tol: float) -> list:
+    """The pure scan of one auxiliary game, profile by profile in
+    `itertools.product` order: a profile from which no player's switch
+    gains more than tol, as one-hot mixes."""
+    counts = aux.action_counts
+    tensor = aux.tensor()
+    found = []
+    for profile in itertools.product(*[range(k) for k in counts]):
+        if all(tensor[profile[:i] + (slice(None),) + profile[i + 1:] + (i,)].max()
+               <= tensor[profile + (i,)] + tol for i in range(len(counts))):
+            found.append(tuple(np.eye(k)[a] for k, a in zip(counts, profile)))
+    return found
+
+
+def two_player_equilibria_oracle(aux, tol: float) -> EquilibriumSet:
+    """Per-state reference of the stacked two-player stage
+    (`oneshot.enumerate_all_states`): the pure scan, then every support
+    pair on its own (`support_enumeration_oracle`), each regret by
+    `regret`, best-response dynamics (the library's) when both find
+    nothing; of equal keys rounded to 8 digits the first exact one is kept,
+    sorted by key."""
+    items = [Equilibrium(mixes, True, regret(aux, mixes))
+             for mixes in pure_equilibria_oracle(aux, tol) + support_enumeration_oracle(aux, tol)]
+    if not items:
+        for mixes, r in _best_response_dynamics(aux, APPROX_EQ_TOL, np.random.default_rng(0)):
+            items.append(Equilibrium(mixes, False, r))
+    seen = {}
+    for eq in items:
+        key = tuple(tuple(round(float(v), 8) for v in m) for m in eq.mixes)
+        if key not in seen or (eq.exact and not seen[key].exact):
+            seen[key] = eq
+    ordered = [seen[k] for k in sorted(seen)]
+    return EquilibriumSet(aux.state, ordered, [] if ordered else ["equilibrium list is empty"])
 
 
 def shapley_operator(game, i: int, lam: float, v: np.ndarray):
@@ -976,7 +1084,7 @@ def sample_play_per_player(game, profile, s1: int, stages: int, seed: int) -> li
 def exact_discounted_payoff_automaton(game, profile, s1: int, lam: float) -> np.ndarray:
     """Exact discounted payoff of an automaton (or stationary) strategy."""
     model = product_chain(game, profile)
-    return discounted_value(model, lam)[model.node_of(s1)]
+    return discounted_value(model, [lam])[0, model.node_of(s1)]
 
 
 def node_frequency(model: ProductModel, node: int) -> np.ndarray:
@@ -1089,7 +1197,7 @@ def node_margins(chain: ProductModel, w: np.ndarray, lam_grid=DEFAULT_LAMBDA_GRI
     the margins over w(state) of the discounted payoffs on the grid and of
     the limit payoff, where `check_w_acceptable` judges only the start
     nodes."""
-    by_lam = [discounted_value(chain, lam) for lam in lam_grid]
+    by_lam = discounted_value(chain, lam_grid)
     lim = chain.limit
     entries = []
     for node in reachable_nodes(chain):

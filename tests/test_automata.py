@@ -19,7 +19,7 @@ from stogame.minmax import solve_uniform_minmax
 from stogame.oneshot import continuation_values, enumerate_all_states
 from stogame.pipeline import run_pipeline
 from stogame.structure import decompose
-from stogame.verify import product_chain
+from stogame.verify import DEFAULT_LAMBDA_GRID, product_chain
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +39,7 @@ def test_stationary_wrapper_matches_direct_solve(sorin):
     aut = stationary_automaton(sorin, prof)
     model = product_chain(sorin, aut)
     for lam in (0.5, 0.99):
-        got = discounted_value(model, lam)[model.node_of(0)]
+        got = discounted_value(model, [lam])[0, model.node_of(0)]
         want = discounted_payoff_stationary(sorin, prof, lam, 0)
         np.testing.assert_allclose(got, want, atol=1e-10)
     assert aut.size == sorin.n_states
@@ -117,3 +117,18 @@ def test_player_views_expose_factors(sorin_profile):
         row = prof.joint.output_row(q)
         outer = np.outer(players[0].output(q), players[1].output(q)).reshape(-1)
         np.testing.assert_allclose(row, outer, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_discount_grid_matches_per_discount_solves(name):
+    # The grid's one LAPACK stack against np.linalg.solve per discount, on
+    # the product chain of the pipeline's machine profile: the same bytes.
+    g = BUNDLED[name]()
+    model = product_chain(g, run_pipeline(g, eps=0.05).profile)
+    grid = DEFAULT_LAMBDA_GRID + (0.0, 0.5)
+    got = discounted_value(model, grid)
+    want = [np.linalg.solve(np.eye(model.n_nodes) - lam * model.P, (1.0 - lam) * model.r)
+            for lam in grid]
+    assert got.tobytes() == np.stack(want).tobytes()
+    with pytest.raises(ValueError, match="outside"):
+        discounted_value(model, [0.5, 1.0])

@@ -11,6 +11,7 @@ from stogame import chains
 from stogame.chains import (
     CACHED_STATES,
     gain_bias,
+    limit_average_values,
     optimal_average_policy,
     recurrent_classes,
     stationary_distribution,
@@ -273,3 +274,15 @@ def test_singular_systems_raise():
     with pytest.warns(RuntimeWarning, match="invalid value"):
         with pytest.raises(np.linalg.LinAlgError):
             chains._bias(np.eye(2), np.ones(2), np.ones(2), [[0, 1]])
+
+
+def test_leaking_rows_are_read_as_documented():
+    # A class whose own rows leak keeps its renormalized law (a known
+    # failure: the Cesaro limit of [[0.5]] is 0), a zero row is a class that
+    # earns its own reward, and what a transient row leaks earns nothing.
+    assert limit_average_values(np.array([[0.5]]), np.array([1.0])).tolist() == [1.0]
+    assert limit_average_values(np.zeros((1, 1)), np.array([2.0])).tolist() == [2.0]
+    P = np.array([[0.0, 0.5], [0.0, 1.0]])
+    assert limit_average_values(P, np.array([3.0, 1.0])).tolist() == [0.5, 1.0]
+    assert limit_average_values(P, np.array([[3.0, 2.0], [1.0, 4.0]])).tolist() == [[0.5, 2.0],
+                                                                                      [1.0, 4.0]]

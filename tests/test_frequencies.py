@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    best_recurrent_point_oracle,
     discounted_payoff_stationary,
     empirical_frequency,
     mixture_lp_oracle,
@@ -19,10 +20,11 @@ from stogame.frequencies import (
     enumerate_recurrent_points,
     max_slack_mixture,
     payoff_of_frequency,
+    safe_sub_mdp,
 )
 from stogame.game import StochasticGame
 from stogame.generators import random_dense_game, sorin_game
-from stogame.matrixgame import _verify
+from stogame.matrixgame import KERNEL_TOL, _verify, kernel_solution
 from stogame.minmax import default_schedule
 from stogame.pipeline import run_pipeline
 
@@ -166,7 +168,7 @@ def test_priced_point_is_the_best_enumerated_point():
     rng = np.random.default_rng(71)
     for _ in range(10):
         y = rng.dirichlet(np.ones(2))
-        best = best_recurrent_point(g, range(4), y)
+        best = best_recurrent_point(g, safe_sub_mdp(g, range(4)), y)
         keys = [(p.states, p.actions) for p in points]
         assert (best.states, best.actions) in keys
         assert y @ best.payoff == pytest.approx(max(y @ p.payoff for p in points),
@@ -184,11 +186,11 @@ def test_pricing_skips_classes_leaking_into_dead_states():
     transitions[1, :, 2] = 1.0
     transitions[2, :, 2] = 1.0
     g = StochasticGame(("a", "b", "c"), (("stay", "go"),), payoffs, transitions)
-    best = best_recurrent_point(g, [0, 1], np.array([1.0]))
+    best = best_recurrent_point(g, safe_sub_mdp(g, [0, 1]), np.array([1.0]))
     points = enumerate_recurrent_points(g, [0, 1])
     assert [(p.states, p.actions) for p in points] == [((0,), {0: 0})]
     assert (best.states, best.actions) == ((0,), {0: 0})
-    assert best_recurrent_point(g, [1], np.array([1.0])) is None
+    assert safe_sub_mdp(g, [1]) is None
 
 
 def test_pricing_pads_a_narrow_state_with_its_own_profile():
@@ -204,7 +206,7 @@ def test_pricing_pads_a_narrow_state_with_its_own_profile():
     transitions[1, 0, [1, 2]] = 0.5
     transitions[2, :, 2] = 1.0
     g = StochasticGame(("a", "b", "c"), (("out", "stay", "go"),), payoffs, transitions)
-    best = best_recurrent_point(g, [0, 1], np.array([1.0]))
+    best = best_recurrent_point(g, safe_sub_mdp(g, [0, 1]), np.array([1.0]))
     assert (best.states, best.actions) == ((0, 1), {0: 2, 1: 2})
     assert best.payoff[0] == pytest.approx(-0.5, abs=1e-12)
 
@@ -288,7 +290,8 @@ def _priced_regions(draw):
 @given(_priced_regions())
 def test_policy_iteration_prices_like_the_lp(case):
     game, region, weights = case
-    got = best_recurrent_point(game, region, weights)
+    mdp = safe_sub_mdp(game, region)
+    got = None if mdp is None else best_recurrent_point(game, mdp, weights)
     want = pricing_lp_oracle(game, region, weights)
     assert (got is None) == (want is None)
     if got is None:
@@ -325,3 +328,52 @@ def test_master_matches_the_mixture_lp(case):
     # HiGHS's answer is only as exact as its feasibility tolerances (1e-7):
     # it reads a single point paying 2.7e-11 over the target as slack 0.
     assert abs(t - mixture_lp_oracle(payoffs, target)[1]) <= 1e-7
+
+
+def test_pricing_on_a_prepared_sub_mdp_matches_the_one_call_build(suite_results):
+    # Every set of the suite, priced at uniform, one-hot and random weights:
+    # the same point, frequency and payoff bits as a build per call.
+    rng = np.random.default_rng(5)
+    priced = 0
+    for game, res in suite_results[1]:
+        for cset in res.decomposition.sets:
+            mdp = safe_sub_mdp(game, cset.states)
+            weights = [np.full(game.n_players, 1.0 / game.n_players), *np.eye(game.n_players),
+                       rng.dirichlet(np.ones(game.n_players))]
+            for y in weights:
+                want = best_recurrent_point_oracle(game, cset.states, y)
+                if mdp is None:
+                    assert want is None
+                    continue
+                got = best_recurrent_point(game, mdp, y)
+                assert (got.states, got.actions) == (want.states, want.actions)
+                assert got.rho.tobytes() == want.rho.tobytes()
+                assert got.payoff.tobytes() == want.payoff.tobytes()
+                priced += 1
+    assert priced
+
+
+def _one_row_masters():
+    """A row of 1-4 payoffs and a target: payoffs from a few levels, some
+    within KERNEL_TOL of each other (ties the check must settle as the
+    kernels do), and beyond 1 in size, where LAPACK's 1x1 kernel value can
+    differ from the entry in its last bit."""
+    base = st.sampled_from([0.0, 0.25, -0.5, 1.0]) | st.floats(-3, 3, allow_subnormal=False)
+    shift = st.sampled_from([0.0, 0.0, 0.5, 0.999, 1.0, 1.001, 2.0, -0.999, -1.001])
+    entry = st.tuples(base, shift).map(lambda v: v[0] + v[1] * KERNEL_TOL * max(1.0, abs(v[0])))
+    return st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(entry, min_size=n, max_size=n).map(lambda v: np.array([v])),
+        st.lists(st.floats(-2, 2, allow_subnormal=False), min_size=n, max_size=n)
+        .map(np.array)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_one_row_masters())
+def test_one_row_master_matches_the_kernel_solution(case):
+    payoffs, target = case
+    got = max_slack_mixture(payoffs, target)
+    want = kernel_solution(payoffs - target)
+    assert got.method == want.method == "kernel"
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    assert got.row_strategy.tobytes() == want.row_strategy.tobytes()
+    assert got.col_strategy.tobytes() == want.col_strategy.tobytes()

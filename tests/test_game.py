@@ -14,6 +14,7 @@ from oracles import (
     extend_transition,
     induced_chain,
     pure_profile,
+    validate_game_oracle,
 )
 import stogame
 from stogame.game import (
@@ -240,3 +241,47 @@ def test_game_shape_is_computed_once(make):
     assert vars(g)["action_counts"] is counts and vars(g)["n_profiles"] == n_profiles
     assert counts == tuple(len(acts) for acts in g.action_names)
     assert n_profiles == math.prod(counts) == g.payoffs.shape[1]
+
+
+def _broken(game, seed: int, kinds) -> StochasticGame:
+    """`game` with each kind of violation in `kinds` at a few random (state,
+    profile) pairs: a negative probability that keeps the mass, a mass off
+    by more than the tolerance, or a payoff beyond the bound."""
+    rng = np.random.default_rng(seed)
+    payoffs = game.payoffs.copy()
+    transitions = game.transitions.copy()
+    for kind in kinds:
+        for _ in range(rng.integers(1, 4)):
+            s, a = rng.integers(game.n_states), rng.integers(game.n_profiles)
+            if kind == "negative":
+                transitions[s, a, -1] += transitions[s, a, 0] + 0.25
+                transitions[s, a, 0] = -0.25
+            elif kind == "mass":
+                transitions[s, a] *= 1.0 + rng.choice([-1, 1]) * rng.uniform(1e-8, 0.5)
+            else:
+                payoffs[s, a, rng.integers(game.n_players)] = rng.choice([-1, 1]) * 1.5
+    return StochasticGame(game.state_names, game.action_names, payoffs, transitions,
+                          game.payoff_bound, game.name)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_validation_matches_the_pair_by_pair_loop(seed):
+    kinds = [["negative"], ["mass"], ["payoff"], ["negative", "mass", "payoff"]][seed % 4]
+    for game in (random_dense_game(seed, n_states=4), three_player_game()):
+        broken = _broken(game, seed, kinds)
+        want = validate_game_oracle(broken)
+        assert want and validate_game(broken) == want
+    assert validate_game(random_dense_game(seed, n_states=4)) == []
+
+
+def test_shape_errors_match_the_pair_by_pair_loop():
+    g = one_state_game()
+    games = [
+        StochasticGame(g.state_names, g.action_names, np.zeros((1, 2, 1)), g.transitions),
+        StochasticGame(g.state_names, g.action_names, g.payoffs, np.ones((1, 1, 2))),
+        StochasticGame(g.state_names, ((), ("y",)), np.zeros((1, 0, 2)), np.ones((1, 0, 1))),
+        StochasticGame((), g.action_names, np.zeros((0, 1, 1)), np.zeros((0, 1, 0))),
+    ]
+    for bad in games:
+        want = validate_game_oracle(bad)
+        assert want and validate_game(bad) == want

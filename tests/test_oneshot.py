@@ -1,17 +1,26 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import check_value_inequality, support_enumeration_oracle
+from oracles import (
+    check_value_inequality,
+    pure_equilibria_oracle,
+    support_enumeration_oracle,
+    two_player_equilibria_oracle,
+)
+from stogame._util import json_ready
 from stogame.game import StochasticGame
 from stogame.generators import random_dense_game, sorin_game
 from stogame.minmax import default_schedule, solve_uniform_minmax
 from stogame.oneshot import (
     EXACT_EQ_TOL,
     AuxiliaryGame,
-    _support_enumeration_2p,
+    _equilibrium_set,
+    _two_player_items,
     build_auxiliary_game,
     continuation_values,
     enumerate_all_states,
@@ -172,14 +181,18 @@ def test_profile_value_is_multilinear():
 
 
 def _assert_same_equilibria(aux):
-    """The stacked support enumeration lists exactly the per-pair one's
-    equilibria, in the same order, bit for bit."""
-    got = _support_enumeration_2p(aux, EXACT_EQ_TOL)
-    want = support_enumeration_oracle(aux, EXACT_EQ_TOL)
+    """The stacked enumeration lists exactly the pure scan's and then the
+    per-pair support enumeration's equilibria, in the same order, with the
+    regrets `regret` gives them, bit for bit.  Returns the number of mixed
+    ones."""
+    got = _two_player_items(aux.table[None], aux.action_counts, EXACT_EQ_TOL)[0]
+    mixed = support_enumeration_oracle(aux, EXACT_EQ_TOL)
+    want = pure_equilibria_oracle(aux, EXACT_EQ_TOL) + mixed
     assert len(got) == len(want)
-    for mixes, ref in zip(got, want):
-        assert all(np.array_equal(a, b) for a, b in zip(mixes, ref))
-    return len(got)
+    for eq, ref in zip(got, want):
+        assert all(np.array_equal(a, b) for a, b in zip(eq.mixes, ref))
+        assert eq.regret == regret(aux, ref)
+    return len(mixed)
 
 
 def _bimatrix(kind, table):
@@ -246,3 +259,62 @@ def test_workload_equilibria_match_the_per_pair_solve(suite_results):
         for s in range(g.n_states):
             found += _assert_same_equilibria(build_auxiliary_game(g, s, v1))
     assert found
+
+
+@st.composite
+def _bimatrix_stacks(draw):
+    """A stack of 1-5 two-player tables of one shape, 2x2, 2x3 or 3x3.  A
+    game is random, drawn from a few levels (exact ties), or flat: every
+    entry of a player equal, so that every profile is a pure equilibrium
+    and every bordered system of size >= 2 is singular."""
+    m, n = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+    tables = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["random", "levels", "flat"]))
+        if kind == "flat":
+            level = draw(st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=2,
+                                  max_size=2))
+            tables.append(np.tile(level, (m * n, 1)))
+            continue
+        elements = (st.floats(-1, 1, allow_subnormal=False) if kind == "random"
+                    else st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
+        tables.append(draw(arrays(np.float64, (m * n, 2), elements=elements)))
+    return np.stack(tables), (m, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_bimatrix_stacks())
+def test_stacked_stage_matches_the_per_state_enumeration(case):
+    # One stacked pass over every game against each game's own pure scan,
+    # support pairs and regrets: the same JSON, bit for bit.
+    tables, counts = case
+    found = _two_player_items(tables, counts, EXACT_EQ_TOL)
+    got = [_equilibrium_set(AuxiliaryGame(s, t, counts), items)
+           for s, (t, items) in enumerate(zip(tables, found))]
+    want = [two_player_equilibria_oracle(AuxiliaryGame(s, t, counts), EXACT_EQ_TOL)
+            for s, t in enumerate(tables)]
+    assert json.dumps(json_ready(got)) == json.dumps(json_ready(want))
+
+
+def test_workload_stage_matches_the_per_state_enumeration(suite_results):
+    """`enumerate_all_states` on the acceptance suite at its pipeline values,
+    and on a 2x3 and a 3x3 dense game, against the per-state reference on
+    `build_auxiliary_game`'s tables."""
+    games = [(g, res.v1) for g, res in suite_results[1]]
+    for g in (random_dense_game(6003, n_states=4, n_actions=3),
+              _two_by_three(random_dense_game(6005, n_states=3, n_actions=3))):
+        games.append((g, solve_uniform_minmax(g, schedule=default_schedule(8)).uniform_values))
+    for g, v1 in games:
+        got = enumerate_all_states(g, v1)
+        want = [two_player_equilibria_oracle(build_auxiliary_game(g, s, v1), EXACT_EQ_TOL)
+                for s in range(g.n_states)]
+        assert json.dumps(json_ready(got)) == json.dumps(json_ready(want)), g.name
+
+
+def _two_by_three(game):
+    """`game`, a two-player 3x3 game, with the row player's last action
+    removed."""
+    keep = [a for a in range(game.n_profiles) if a // 3 < 2]
+    return StochasticGame(game.state_names, (game.action_names[0][:2], game.action_names[1]),
+                          game.payoffs[:, keep].copy(), game.transitions[:, keep].copy(),
+                          game.payoff_bound, game.name + "-2x3")

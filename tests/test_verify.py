@@ -232,7 +232,7 @@ def test_discounted_tail_approaches_limit(sorin_ctx):
     gaps = []
     for lam in (0.9, 0.99, 0.999, 0.9999):
         gaps.append(float(np.max(np.abs(
-            discounted_value(model, lam)[model.node_of(0)] - lim))))
+            discounted_value(model, [lam])[0, model.node_of(0)] - lim))))
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
 
 
