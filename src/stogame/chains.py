@@ -9,24 +9,35 @@ Support is decided with a small positive cutoff so that numerically-zero
 entries do not create phantom edges.
 
 Howard's loop evaluates a policy of a few states at a time, so numpy's fixed
-cost per call, not the arithmetic, sets its time.  Three things keep it
-small, each bit for bit:
-* `recurrent_classes` remembers the classes of the last CLASS_CACHE_SIZE
-  support patterns of at most CACHED_STATES states (a Howard loop revisits
-  a few patterns, and Tarjan costs more than the key); a larger chain's key
-  would cost more memory than the search saves time.
-* The stationary laws of equal-size classes come from one stacked solve.
+cost per call, not the arithmetic, sets its time.  So every evaluation
+costs a fixed number of numpy calls per chain, however many classes it
+has, bit for bit:
+* Each support pattern gets one plan (`_Plan`) of the read-only index
+  arrays that `_gain` and `_bias` read: the transient states, the
+  recurrent classes grouped by size as (positions, states) arrays and each
+  class's first state; `recurrent_classes` builds its fresh lists from
+  them.  The plans of the last CLASS_CACHE_SIZE patterns of at most
+  CACHED_STATES states are remembered (a Howard loop revisits a few
+  patterns, and Tarjan costs more than the key); a larger chain's key would
+  cost more memory than the search saves time.  A plan's arrays hold n
+  indices in all: 1024 plans of 21-state chains take about 1 MB with their
+  keys.
+* Per class size, one stacked solve gives the stationary laws, one stacked
+  sum the absorption right-hand sides and one stacked product the class
+  values; every class gets the bits of its own solve, sum and product.
 * Every solve calls the LAPACK gufunc behind `np.linalg.solve` directly, as
   `minmax._policy_iteration` does: the same dgesv, without the wrapper's
   checks and `errstate` context.  Without that context a singular system
   comes back as NaN (numpy warns of an invalid value), which `_solved`
-  turns into LinAlgError.
+  turns into LinAlgError.  Identities and row ranges of chains of at most
+  CACHED_STATES states are cached, read-only.
 The bias is solved only when the loop reads it (see
 `optimal_average_policy`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,8 +51,8 @@ SUPPORT_CUTOFF = 1e-14
 # the current one to replace it.
 POLICY_ITERATION_CAP = 100
 IMPROVE_TOL = 1e-13
-# `recurrent_classes`' memo: the chains it keeps (at most CACHED_STATES
-# states, so a key is at most 512 bytes) and how many it keeps.
+# The plan memo: the chains it keeps (at most CACHED_STATES states, so a key
+# is at most 512 bytes) and how many it keeps.
 CACHED_STATES = 64
 CLASS_CACHE_SIZE = 1024
 
@@ -99,37 +110,97 @@ def strongly_connected_components(adjacency) -> list:
 def recurrent_classes(P: np.ndarray):
     """Recurrent classes (bottom SCCs) and transient states of a chain, as
     fresh lists on every call."""
+    plan = _plan(P)
+    classes = [None] * len(plan.firsts)
+    for positions, idx in plan.sizes:
+        for j, cls in zip(positions.tolist(), idx.tolist()):
+            classes[j] = cls
+    return classes, plan.rows.tolist()
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class _Plan:
+    """What Howard's evaluation needs of one support pattern, as read-only
+    index arrays: `rows`, the transient states; `sizes`, per class size k,
+    the positions (m,) of the recurrent classes of that size, in the order
+    of their first states, and their states (m, k); `firsts`, each class's
+    first state."""
+
+    rows: np.ndarray
+    sizes: tuple
+    firsts: np.ndarray
+
+
+def _plan(P: np.ndarray) -> _Plan:
+    """The plan of P's support pattern, remembered for chains of at most
+    CACHED_STATES states."""
     support = P > SUPPORT_CUTOFF
     if len(P) > CACHED_STATES:
-        classes, transient = _support_classes(support)
-    else:
-        classes, transient = _cached_classes(P.shape, np.packbits(support).tobytes())
-    return [list(cls) for cls in classes], list(transient)
+        return _support_plan(support)
+    return _cached_plan(P.shape, np.packbits(support).tobytes())
 
 
 @lru_cache(maxsize=CLASS_CACHE_SIZE)
-def _cached_classes(shape: tuple, packed: bytes):
-    """`_support_classes` of the support pattern packed by `np.packbits`."""
+def _cached_plan(shape: tuple, packed: bytes) -> _Plan:
+    """`_support_plan` of the support pattern packed by `np.packbits`."""
     bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=shape[0] * shape[1])
-    return _support_classes(bits.reshape(shape).astype(bool))
+    return _support_plan(bits.reshape(shape).astype(bool))
 
 
-def _support_classes(support: np.ndarray):
-    """(classes, transient) of the chain whose edges are `support`, as
-    tuples, so that no caller can change a cached answer."""
+def _support_plan(support: np.ndarray) -> _Plan:
+    """The plan of the chain whose edges are `support` (Tarjan)."""
     adj = [np.flatnonzero(row).tolist() for row in support]
-    sccs = strongly_connected_components(adj)
     classes = []
     transient = []
-    for comp in sccs:
+    for comp in strongly_connected_components(adj):
         members = set(comp)
-        closed = all(all(t in members for t in adj[s]) for s in comp)
-        if closed:
-            classes.append(tuple(sorted(comp)))
+        if all(all(t in members for t in adj[s]) for s in comp):
+            classes.append(tuple(comp))
         else:
             transient.extend(comp)
     classes.sort(key=lambda c: c[0])
-    return tuple(classes), tuple(sorted(transient))
+    transient.sort()
+    return _Plan(_index(transient), _size_groups(classes), _index([cls[0] for cls in classes]))
+
+
+def _index(values) -> np.ndarray:
+    """values as a read-only index array."""
+    out = np.array(values, dtype=np.intp)
+    out.setflags(write=False)
+    return out
+
+
+def _size_groups(classes) -> tuple:
+    """Per class size, in the order sizes first appear: the positions of the
+    classes of that size and their states, as read-only (m,) and (m, k)
+    index arrays."""
+    by_size = {}
+    for j, cls in enumerate(classes):
+        by_size.setdefault(len(cls), []).append(j)
+    return tuple((_index(members), _index([list(classes[j]) for j in members]))
+                 for members in by_size.values())
+
+
+@lru_cache(maxsize=None)
+def _cached_eye(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def _eye(n: int) -> np.ndarray:
+    """np.eye(n), read-only and cached for n <= CACHED_STATES."""
+    return _cached_eye(n) if n <= CACHED_STATES else np.eye(n)
+
+
+@lru_cache(maxsize=None)
+def _cached_range(n: int) -> np.ndarray:
+    return _index(range(n))
+
+
+def _range(n: int) -> np.ndarray:
+    """np.arange(n), read-only and cached for n <= CACHED_STATES."""
+    return _cached_range(n) if n <= CACHED_STATES else np.arange(n)
 
 
 def _solved(x: np.ndarray) -> np.ndarray:
@@ -147,24 +218,33 @@ def stationary_distribution(P: np.ndarray, class_states) -> np.ndarray:
 
 
 def stationary_laws(P: np.ndarray, classes) -> list:
-    """`stationary_distribution` of each class, in order.  The classes of
-    each size share one stacked solve, which gives every class the bits of
-    its own; a one-state class gets [1.0] without a solve."""
-    laws = [np.ones(1) if len(cls) == 1 else None for cls in classes]
-    by_size = {}
-    for j, cls in enumerate(classes):
-        if len(cls) > 1:
-            by_size.setdefault(len(cls), []).append(j)
-    for k, members in by_size.items():
-        idx = np.array([classes[j] for j in members])
-        M = P[idx[:, None, :], idx[:, :, None]] - np.eye(k)  # each class's sub.T - I
+    """`stationary_distribution` of each class, in order (`_group_laws`)."""
+    groups = _size_groups(classes)
+    laws = [None] * len(classes)
+    for (positions, _), group in zip(groups, _group_laws(P, groups)):
+        for j, law in zip(positions.tolist(), group):
+            laws[j] = law
+    return laws
+
+
+def _group_laws(P: np.ndarray, groups) -> list:
+    """The stationary laws (m, k) of the classes of each size group of
+    `_size_groups`.  The classes of one size share one stacked solve, which
+    gives every class the bits of its own; one-state classes get 1.0
+    without a solve."""
+    laws = []
+    for _, idx in groups:
+        m, k = idx.shape
+        if k == 1:
+            laws.append(np.ones((m, 1)))
+            continue
+        M = P[idx[:, None, :], idx[:, :, None]] - _eye(k)  # each class's sub.T - I
         M[:, -1, :] = 1.0
-        b = np.zeros((len(members), k))
+        b = np.zeros((m, k))
         b[:, -1] = 1.0
         pi = np.clip(_solved(_lapack_solve1(M, b, signature="dd->d")), 0.0, None)
         pi /= pi.sum(axis=1, keepdims=True)
-        for j, law in zip(members, pi):
-            laws[j] = law
+        laws.append(pi)
     return laws
 
 
@@ -188,7 +268,7 @@ def reach_probability(P: np.ndarray, targets) -> np.ndarray:
 
 def _gain(P: np.ndarray, r: np.ndarray):
     """Multichain gain of stage values r (shape (n,) or (n, d)) under P, and
-    the recurrent classes it was read from: each class's stationary average,
+    the plan (`_Plan`) it was read from: each class's stationary average,
     carried to the transient states by their absorption probabilities.  Mass
     that a transient state's row leaks out of the states earns nothing.  A
     class whose own rows leak is still read with its stationary law
@@ -198,23 +278,22 @@ def _gain(P: np.ndarray, r: np.ndarray):
     own reward."""
     single = r.ndim == 1
     rv = r[:, None] if single else r
-    classes, transient = recurrent_classes(P)
-    absorb = np.zeros((P.shape[0], len(classes)))
-    for j, cls in enumerate(classes):
-        absorb[cls, j] = 1.0
-    if transient:
-        rows = P[transient]
-        rhs = np.zeros((len(transient), len(classes)))
-        for j, cls in enumerate(classes):
-            rhs[:, j] = rows[:, cls].sum(axis=1)
-        Q = rows[:, transient]
-        absorb[transient] = _solved(_lapack_solve(np.eye(len(transient)) - Q, rhs,
-                                                  signature="dd->d"))
-    class_vals = np.zeros((len(classes), rv.shape[1]))
-    for j, (cls, law) in enumerate(zip(classes, stationary_laws(P, classes))):
-        class_vals[j] = law @ rv[cls]
+    plan = _plan(P)
+    absorb = np.zeros((len(P), len(plan.firsts)))
+    for positions, idx in plan.sizes:
+        absorb[idx, positions[:, None]] = 1.0
+    if len(plan.rows):
+        rows = P[plan.rows]
+        rhs = np.zeros((len(plan.rows), len(plan.firsts)))
+        for positions, idx in plan.sizes:
+            rhs[:, positions] = rows[:, idx].sum(axis=-1)  # each class's rows[:, cls].sum(1)
+        absorb[plan.rows] = _solved(_lapack_solve(_eye(len(plan.rows)) - rows[:, plan.rows],
+                                                  rhs, signature="dd->d"))
+    class_vals = np.zeros((len(plan.firsts), rv.shape[1]))
+    for (positions, idx), laws in zip(plan.sizes, _group_laws(P, plan.sizes)):
+        class_vals[positions] = (laws[:, None, :] @ rv[idx])[:, 0]  # each law @ rv[cls]
     g = absorb @ class_vals
-    return (g[:, 0] if single else g), classes
+    return (g[:, 0] if single else g), plan
 
 
 def limit_average_values(P: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -226,16 +305,15 @@ def gain_bias(P: np.ndarray, r: np.ndarray):
     """Gain g and bias h of stage values r (shape (n,)) under P: g as in
     `limit_average_values`, and h solves g + (I - P) h = r, zero at each
     recurrent class's first state (Puterman 1994, ch. 8-9)."""
-    g, classes = _gain(P, r)
-    return g, _bias(P, r, g, classes)
+    g, plan = _gain(P, r)
+    return g, _bias(P, r, g, plan.firsts)
 
 
-def _bias(P: np.ndarray, r: np.ndarray, g: np.ndarray, classes: list) -> np.ndarray:
-    """The bias of `gain_bias`, from the gain g and the recurrent classes
-    `_gain` read it from.  One solve over the whole chain: I - P with each
-    class's first state's row set to its unit row."""
-    firsts = [cls[0] for cls in classes]
-    A = np.eye(len(r)) - P
+def _bias(P: np.ndarray, r: np.ndarray, g: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+    """The bias of `gain_bias`, from the gain g and the first state of each
+    recurrent class `_gain` read it from.  One solve over the whole chain:
+    I - P with each class's first state's row set to its unit row."""
+    A = _eye(len(r)) - P
     A[firsts] = 0.0
     A[firsts, firsts] = 1.0
     b = r - g
@@ -246,8 +324,7 @@ def _bias(P: np.ndarray, r: np.ndarray, g: np.ndarray, classes: list) -> np.ndar
 def _improve(q: np.ndarray, choice: np.ndarray, tol: float):
     """Per state, the action with the largest q when it beats the current
     choice by more than tol; the current choice otherwise."""
-    rows = np.arange(len(choice))
-    better = q.max(axis=1) > q[rows, choice] + tol
+    better = q.max(axis=1) > q[_range(len(choice)), choice] + tol
     return np.where(better, q.argmax(axis=1), choice)
 
 
@@ -271,26 +348,26 @@ def optimal_average_policy(R: np.ndarray, P: np.ndarray, start: np.ndarray | Non
     bias are the last evaluation's, those of the returned policy when
     settled.
     """
-    rows = np.arange(len(R))
+    rows = _range(len(R))
     choice = R.argmax(axis=1) if start is None else start
     scale = 1.0 + np.abs(R).max()
     for _ in range(POLICY_ITERATION_CAP):
         P_pol, r_pol = P[rows, choice], R[rows, choice]
-        g, classes = _gain(P_pol, r_pol)
+        g, plan = _gain(P_pol, r_pol)
         # The bias is solved here only when the tolerance reads it; the gain
         # step does not.
-        h = _bias(P_pol, r_pol, g, classes) if bias_scaled else None
+        h = _bias(P_pol, r_pol, g, plan.firsts) if bias_scaled else None
         tol = IMPROVE_TOL * (scale + np.abs(h).max() if bias_scaled else scale)
         q = P @ g
         new = _improve(q, choice, tol)
-        if np.array_equal(new, choice):
+        if (new == choice).all():
             if h is None:
-                h = _bias(P_pol, r_pol, g, classes)
+                h = _bias(P_pol, r_pol, g, plan.firsts)
             gain_optimal = q >= q.max(axis=1, keepdims=True) - tol
             new = _improve(np.where(gain_optimal, R + P @ h, -np.inf), choice, tol)
-            if np.array_equal(new, choice):
+            if (new == choice).all():
                 return choice, True, g, h
         choice = new
     if h is None:
-        h = _bias(P_pol, r_pol, g, classes)
+        h = _bias(P_pol, r_pol, g, plan.firsts)
     return choice, False, g, h

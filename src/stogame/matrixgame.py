@@ -24,8 +24,9 @@ whose equalizing strategies solve two small linear systems (Shapley & Snow
 1950).  It tries all kernels, smallest first, and keeps the first pair that
 passes the minimax check on the whole matrix.  Those systems are solved,
 one stack per kernel size, by `kernel_equalizers`, which takes a bimatrix
-game (A, B): `kernel_solution` passes (M, M), and the one-shot support
-enumeration passes the two players' payoffs.
+game (A, B) or a stack of them: `kernel_solution` passes (M, M), and the
+one-shot support enumeration passes the two players' payoffs at every
+state at once.
 """
 
 from __future__ import annotations

@@ -147,7 +147,7 @@ def _support_candidates_2p(tensors: np.ndarray):
     indifferent on the columns and the column mix y makes the row player
     indifferent on the rows; each is clipped at 0 and renormalized.
     Returns (games, row mixes, column mixes) as arrays."""
-    G, m, n, _ = tensors.shape
+    _, m, n, _ = tensors.shape
     games, xs, ys = [np.zeros(0, dtype=np.intp)], [np.zeros((0, m))], [np.zeros((0, n))]
     for k in range(2, min(m, n) + 1):
         kept, rows, cols, x, _, y = kernel_equalizers(tensors[..., 0], tensors[..., 1], k)
@@ -181,12 +181,13 @@ def _regrets_2p(tables: np.ndarray, games: np.ndarray, X: np.ndarray, Y: np.ndar
 def _two_player_items(tables: np.ndarray, counts: tuple, tol: float) -> list:
     """Per game of the two-player stack `tables` (G, A, 2), with action
     counts (m, n): its exact equilibria in the order found, the pure ones
-    (`_pure_equilibria`) and then the regular mixed ones within tol of no
-    regret (`_support_candidates_2p`).  All regrets come from one stacked
-    `_regrets_2p`."""
+    (`_pure_equilibria`), kept whatever their regret reads, and then the
+    regular mixed ones within tol of no regret (`_support_candidates_2p`).
+    All regrets come from one stacked `_regrets_2p`."""
     m, n = counts
-    pure = _pure_equilibria(tables.reshape(len(tables), m, n, 2), tol)
-    mixed = _support_candidates_2p(tables.reshape(len(tables), m, n, 2))
+    tensors = tables.reshape(len(tables), m, n, 2)
+    pure = _pure_equilibria(tensors, tol)
+    mixed = _support_candidates_2p(tensors)
     games = np.concatenate([pure[:, 0], mixed[0]])
     X = np.concatenate([np.eye(m)[pure[:, 1]], mixed[1]])
     Y = np.concatenate([np.eye(n)[pure[:, 2]], mixed[2]])

@@ -12,6 +12,8 @@ systems on their own, where the library stacks every kernel of a size
 for bit.  `exact_2x2_value` gives a 2x2 game's value in rationals, and
 `newton_minmax_oracle` a discounted min-max value by another algorithm
 (Newton steps on stationary pairs), with its own best-response bracket.
+`per_class_gain` is the multichain gain computed class by class, the
+reference of `chains._gain`, which reads every class of a size at once.
 `pure_average_extremum` is the best or worst long-run average of a small
 MDP over all its pure stationary policies, each policy's gain computed in
 rationals (`exact_gain`): the reference of the direct min-max solve's Howard
@@ -597,6 +599,31 @@ def exact_gain(P: np.ndarray, r: np.ndarray) -> list:
     for k, col in enumerate(pivots):
         solution[col] = system[k][-1]
     return solution[:n]
+
+
+def per_class_gain(P: np.ndarray, r: np.ndarray):
+    """`chains._gain` class by class: the absorption right-hand side, the
+    stationary law (`stationary_distribution`) and the class value of each
+    recurrent class on their own, from fresh `recurrent_classes` lists.
+    Returns (gain, classes); the library's plan must give the same bits."""
+    single = r.ndim == 1
+    rv = r[:, None] if single else r
+    classes, transient = recurrent_classes(P)
+    absorb = np.zeros((P.shape[0], len(classes)))
+    for j, cls in enumerate(classes):
+        absorb[cls, j] = 1.0
+    if transient:
+        rows = P[transient]
+        rhs = np.zeros((len(transient), len(classes)))
+        for j, cls in enumerate(classes):
+            rhs[:, j] = rows[:, cls].sum(axis=1)
+        Q = rows[:, transient]
+        absorb[transient] = np.linalg.solve(np.eye(len(transient)) - Q, rhs)
+    class_vals = np.zeros((len(classes), rv.shape[1]))
+    for j, cls in enumerate(classes):
+        class_vals[j] = stationary_distribution(P, cls) @ rv[cls]
+    g = absorb @ class_vals
+    return (g[:, 0] if single else g), classes
 
 
 def pure_average_extremum(R: np.ndarray, P: np.ndarray, maximize: bool) -> np.ndarray:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cesaro_doubling, eager_average_policy
+from oracles import cesaro_doubling, eager_average_policy, per_class_gain
 
 from stogame import chains
 from stogame.chains import (
@@ -273,7 +273,7 @@ def test_singular_systems_raise():
             stationary_distribution(np.eye(2), [0, 1])
     with pytest.warns(RuntimeWarning, match="invalid value"):
         with pytest.raises(np.linalg.LinAlgError):
-            chains._bias(np.eye(2), np.ones(2), np.ones(2), [[0, 1]])
+            chains._bias(np.eye(2), np.ones(2), np.ones(2), np.array([0]))
 
 
 def test_leaking_rows_are_read_as_documented():
@@ -286,3 +286,66 @@ def test_leaking_rows_are_read_as_documented():
     assert limit_average_values(P, np.array([3.0, 1.0])).tolist() == [0.5, 1.0]
     assert limit_average_values(P, np.array([[3.0, 2.0], [1.0, 4.0]])).tolist() == [[0.5, 2.0],
                                                                                       [1.0, 4.0]]
+
+
+@st.composite
+def _multichains(draw):
+    """Chains of 1-6 irreducible blocks of 1-4 states (several of one size)
+    and 0-3 transient states, shuffled, with stage values of shape (n,) or
+    (n, 2); blocks may leak a little.  One draw in ten widens the first
+    block past CACHED_STATES, where no plan is remembered."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    if draw(st.integers(0, 9)) == 0:
+        sizes[0] = CACHED_STATES + 3
+    n_transient = draw(st.integers(0, 3))
+    n = sum(sizes) + n_transient
+    order = draw(st.permutations(range(n)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    P = np.zeros((n, n))
+    first = 0
+    for k in sizes:
+        block = order[first:first + k]
+        for s in block:
+            weights = rng.integers(1, 6, size=k).astype(float)
+            P[s, block] = weights / weights.sum() * rng.choice([1.0, 0.9])
+        first += k
+    for s in order[first:]:
+        weights = rng.integers(0, 4, size=n).astype(float)
+        weights[order[0]] += 1.0  # into the first block, so s stays transient
+        P[s] = weights / weights.sum()
+    shape = (n,) if draw(st.booleans()) else (n, 2)
+    r = rng.choice([0.0, 0.5, 1.0], size=shape) + rng.uniform(-1, 1, size=shape)
+    return P, r
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_multichains())
+def test_planned_gain_matches_the_per_class_gain(case):
+    # The plan's stacked sums, laws and products against each class's own,
+    # bit for bit, and the bias against np.linalg.solve on the same system.
+    P, r = case
+    g, plan = chains._gain(P, r)
+    want, classes = per_class_gain(P, r)
+    assert _same_bits(g, want)
+    assert plan.firsts.tolist() == [cls[0] for cls in classes]
+    if r.ndim == 1:
+        got_g, got_h = gain_bias(P, r)
+        firsts = [cls[0] for cls in classes]
+        A = np.eye(len(r)) - P
+        A[firsts] = 0.0
+        A[firsts, firsts] = 1.0
+        b = r - want
+        b[firsts] = 0.0
+        assert _same_bits(got_g, want) and _same_bits(got_h, np.linalg.solve(A, b))
+
+
+def test_cached_plans_are_read_only():
+    # A plan is shared by every chain of its support pattern: none of its
+    # arrays, nor the cached identities and ranges, can be written.
+    P = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    _, plan = chains._gain(P, np.ones(3))
+    arrays = [plan.rows, plan.firsts, *(a for group in plan.sizes for a in group),
+              chains._eye(3), chains._range(3)]
+    assert all(not a.flags.writeable for a in arrays)
+    assert recurrent_classes(P) == ([[0, 1]], [2])
