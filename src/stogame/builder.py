@@ -48,7 +48,7 @@ from .automata import (
     first_play_law,
     stationary_automaton,
 )
-from .chains import limit_average_values, recurrent_classes
+from .chains import limit_average_values, recurrent_laws
 from .frequencies import SustainPlan, max_slack_mixture, plan_support, sustain_by_columns
 # Not called here: perfbench/tracer.py hooks the name in this module, and
 # its tests expect every hook to be found.
@@ -536,7 +536,7 @@ def _correlated_type_a_rows(game: StochasticGame, region, plan: SustainPlan,
     # The conditional kernel of the mixed frequency splits into several
     # recurrent classes: blend a per-class travel rate and steer the class
     # occupations toward the plan's class masses.
-    classes, _ = recurrent_classes(P)
+    classes = [cls for cls, _ in recurrent_laws(P)]
     class_states = [[region[k] for k in cls] for cls in classes]
     goal = np.array([sum(marginal[s] for s in cls) for cls in class_states])
     goal = goal / goal.sum() if goal.sum() > 0 else np.full(len(classes), 1.0 / len(classes))

@@ -1,8 +1,9 @@
-"""Finite Markov chains: recurrent classes, stationary laws, reach, and the
-multichain average-reward solver (Puterman 1994, ch. 8-9).  `_gain` is the
-one gain computation: the verifiers read it through `limit_average_values`,
-Howard's loop (`optimal_average_policy`) through `_gain` and `_bias`, the
-two halves of `gain_bias`.
+"""Finite Markov chains: recurrent classes and their stationary laws,
+reach, and the multichain average-reward solver (Puterman 1994, ch. 8-9).
+`_gain` is the one gain computation: the verifiers read it through
+`limit_average_values`, Howard's loop (`optimal_average_policy`) through
+`_gain` and `_bias`, the two halves of `gain_bias`.  `recurrent_laws` reads
+the classes and laws off the same plan and stacked solves.
 
 P is row-stochastic of shape (n, n), or leaks mass out of its states.
 Support is decided with a small positive cutoff so that numerically-zero
@@ -15,7 +16,7 @@ has, bit for bit:
 * Each support pattern gets one plan (`_Plan`) of the read-only index
   arrays that `_gain` and `_bias` read: the transient states, the
   recurrent classes grouped by size as (positions, states) arrays and each
-  class's first state; `recurrent_classes` builds its fresh lists from
+  class's first state; `recurrent_laws` builds its fresh lists from
   them.  The plans of the last CLASS_CACHE_SIZE patterns of at most
   CACHED_STATES states are remembered (a Howard loop revisits a few
   patterns, and Tarjan costs more than the key); a larger chain's key would
@@ -107,17 +108,6 @@ def strongly_connected_components(adjacency) -> list:
     return sccs
 
 
-def recurrent_classes(P: np.ndarray):
-    """Recurrent classes (bottom SCCs) and transient states of a chain, as
-    fresh lists on every call."""
-    plan = _plan(P)
-    classes = [None] * len(plan.firsts)
-    for positions, idx in plan.sizes:
-        for j, cls in zip(positions.tolist(), idx.tolist()):
-            classes[j] = cls
-    return classes, plan.rows.tolist()
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class _Plan:
     """What Howard's evaluation needs of one support pattern, as read-only
@@ -160,7 +150,12 @@ def _support_plan(support: np.ndarray) -> _Plan:
             transient.extend(comp)
     classes.sort(key=lambda c: c[0])
     transient.sort()
-    return _Plan(_index(transient), _size_groups(classes), _index([cls[0] for cls in classes]))
+    by_size = {}  # class positions per size, in the order sizes first appear
+    for j, cls in enumerate(classes):
+        by_size.setdefault(len(cls), []).append(j)
+    sizes = tuple((_index(members), _index([list(classes[j]) for j in members]))
+                  for members in by_size.values())
+    return _Plan(_index(transient), sizes, _index([cls[0] for cls in classes]))
 
 
 def _index(values) -> np.ndarray:
@@ -168,17 +163,6 @@ def _index(values) -> np.ndarray:
     out = np.array(values, dtype=np.intp)
     out.setflags(write=False)
     return out
-
-
-def _size_groups(classes) -> tuple:
-    """Per class size, in the order sizes first appear: the positions of the
-    classes of that size and their states, as read-only (m,) and (m, k)
-    index arrays."""
-    by_size = {}
-    for j, cls in enumerate(classes):
-        by_size.setdefault(len(cls), []).append(j)
-    return tuple((_index(members), _index([list(classes[j]) for j in members]))
-                 for members in by_size.values())
 
 
 @lru_cache(maxsize=None)
@@ -211,25 +195,21 @@ def _solved(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def stationary_distribution(P: np.ndarray, class_states) -> np.ndarray:
-    """Unique invariant distribution of the chain restricted to one
-    irreducible class.  Returned over the class states, in their order."""
-    return stationary_laws(P, [list(class_states)])[0]
-
-
-def stationary_laws(P: np.ndarray, classes) -> list:
-    """`stationary_distribution` of each class, in order (`_group_laws`)."""
-    groups = _size_groups(classes)
-    laws = [None] * len(classes)
-    for (positions, _), group in zip(groups, _group_laws(P, groups)):
-        for j, law in zip(positions.tolist(), group):
-            laws[j] = law
-    return laws
+def recurrent_laws(P: np.ndarray) -> list:
+    """(states, stationary law) of each recurrent class (bottom SCC) of P,
+    by first state, as fresh lists and arrays: `_gain`'s laws (`_group_laws`),
+    so a class whose own rows leak is read with its law renormalized."""
+    plan = _plan(P)
+    found = [None] * len(plan.firsts)
+    for (positions, idx), laws in zip(plan.sizes, _group_laws(P, plan.sizes)):
+        for j, states, law in zip(positions.tolist(), idx.tolist(), laws):
+            found[j] = (states, law)
+    return found
 
 
 def _group_laws(P: np.ndarray, groups) -> list:
-    """The stationary laws (m, k) of the classes of each size group of
-    `_size_groups`.  The classes of one size share one stacked solve, which
+    """The stationary laws (m, k) of the classes of each size group of a
+    plan (`_Plan.sizes`).  The classes of one size share one stacked solve, which
     gives every class the bits of its own; one-state classes get 1.0
     without a solve."""
     laws = []

@@ -23,7 +23,9 @@ the verifiers read) reaches at a pure profile; the point is that profile's
 best recurrent class (`best_recurrent_point`).  Nothing enumerates the
 |A|^|C| pure profiles, and an LP solves only a master too large for kernels.
 A set's safe sub-MDP is built once (`safe_sub_mdp`); each round only
-re-weights its rewards.  Every set's first master has one row, and its
+re-weights its rewards.  A profile's recurrent classes and their laws come
+from `chains.recurrent_laws`, off the plan and stacked solves of the
+evaluation that priced it.  Every set's first master has one row, and its
 answer is read off that row's 1x1 kernels (`max_slack_mixture`).
 Only the tests call `enumerate_recurrent_points`, their reference; it stays
 in this module because the benchmark's tracer (`perfbench/tracer.py`) hooks
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import DIST_TOL, json_ready
-from .chains import optimal_average_policy, recurrent_classes, stationary_distribution
+from .chains import optimal_average_policy, recurrent_laws
 from .game import StochasticGame
 from .matrixgame import (
     KERNEL_TOL,
@@ -92,12 +94,10 @@ def _profile_points(game: StochasticGame, region: list, live: list, acts) -> lis
     rows = game.transitions[live, acts]
     P = rows[:, live]
     dead_mass = rows[:, [t for t in region if t not in live]].sum(axis=1)
-    classes, _ = recurrent_classes(P)
     points = []
-    for cls in classes:
+    for cls, pi in recurrent_laws(P):
         if np.any(dead_mass[cls] > DIST_TOL):
             continue
-        pi = stationary_distribution(P, cls)
         cls_states = tuple(live[k] for k in cls)
         actions = {live[k]: acts[k] for k in cls}
         rho = np.zeros((game.n_states, game.n_profiles))

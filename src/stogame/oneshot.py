@@ -7,16 +7,17 @@ regular mixed ones for two players (support enumeration), and damped
 best-response fixed points for three or more players (tagged approximate).
 
 A state's games are a few entries each, so numpy's fixed cost per call, not
-the arithmetic, sets the stage's time.  Two-player games therefore take one
+the arithmetic, sets the stage's time.  So every player count takes one
 stacked pass over all states (`enumerate_all_states`): one `transitions @
-v1` for the tables, one array comparison per player for the pure scan, one
-LAPACK stack per kernel size for every state's bordered systems, and one
-stacked regret computation for every candidate, whose products keep the
-shapes and strides of `regret`'s own.  The lists are those of the state by
-state enumeration, bit for bit (`tests/oracles.py` keeps it).  Dedupe and
-sorting stay per state, and so do three or more players and a two-player
-state with no pure or regular equilibrium, which falls back to best-response
-dynamics.
+v1` for the tables and one array comparison per player for the pure scan.
+Two players add one LAPACK stack per kernel size for every state's bordered
+systems and one stacked regret computation for every candidate, whose
+products keep the shapes and strides of `regret`'s own; one player, or
+three or more, take each pure equilibrium's regret from `regret` on its
+state's table.  The lists are those of a state by state enumeration, bit
+for bit (`tests/oracles.py` keeps it).  Dedupe and sorting stay per state,
+and so do best-response dynamics, which three or more players and a
+two-player state with no pure or regular equilibrium fall back to.
 """
 
 from __future__ import annotations
@@ -46,12 +47,6 @@ class AuxiliaryGame:
     def tensor(self) -> np.ndarray:
         """Payoffs reshaped to (A_1, ..., A_n, I)."""
         return self.table.reshape(self.action_counts + (self.table.shape[1],))
-
-
-def build_auxiliary_game(game: StochasticGame, s: int, v1: np.ndarray) -> AuxiliaryGame:
-    """v1 is the (S, I) matrix of uniform min-max values."""
-    table = game.transitions[s] @ v1
-    return AuxiliaryGame(s, table, game.action_counts)
 
 
 def continuation_values(game: StochasticGame, v1: np.ndarray) -> np.ndarray:
@@ -225,26 +220,6 @@ def _canonical_key(mixes) -> tuple:
     return tuple(tuple(round(float(v), 8) for v in m) for m in mixes)
 
 
-def enumerate_equilibria(aux: AuxiliaryGame, exact_tol: float = EXACT_EQ_TOL
-                         ) -> EquilibriumSet:
-    """Enumerate a finite equilibrium list for the auxiliary game.
-
-    Pure equilibria always come from an exact scan; for two players, regular
-    mixed equilibria are added by support enumeration.  For three or more
-    players (or as a two-player fallback) damped best-response dynamics from
-    random restarts (seed 0) supply approximate equilibria, within
-    APPROX_EQ_TOL.  An empty result is reported as such, never fabricated.
-    """
-    if len(aux.action_counts) == 2:
-        return _equilibrium_set(aux, _two_player_items(aux.table[None], aux.action_counts,
-                                                       exact_tol)[0])
-    items = []
-    for profile in _pure_equilibria(aux.tensor()[None], exact_tol)[:, 1:]:
-        mixes = tuple(np.eye(k)[a] for k, a in zip(aux.action_counts, profile))
-        items.append(Equilibrium(mixes, True, regret(aux, mixes)))
-    return _equilibrium_set(aux, items)
-
-
 def _equilibrium_set(aux: AuxiliaryGame, items: list) -> EquilibriumSet:
     """`aux`'s EquilibriumSet from its exact equilibria `items`, in the
     order found: best-response dynamics add approximate ones for three or
@@ -271,19 +246,32 @@ def _equilibrium_set(aux: AuxiliaryGame, items: list) -> EquilibriumSet:
     return EquilibriumSet(aux.state, ordered, notes)
 
 
+def _equilibrium_sets(tables: np.ndarray, counts: tuple, exact_tol: float) -> list:
+    """The EquilibriumSet of every game of the stack `tables` (G, A, I),
+    with action counts `counts`, game g as state g (`_equilibrium_set`).
+    Two players list their exact equilibria by `_two_player_items`; one
+    player, or three or more, by one pure scan over the stack, each
+    equilibrium's regret by `regret` on its own table."""
+    if len(counts) == 2:
+        found = _two_player_items(tables, counts, exact_tol)
+    else:
+        found = [[] for _ in tables]
+        tensors = tables.reshape((len(tables),) + counts + tables.shape[2:])
+        for g, *profile in _pure_equilibria(tensors, exact_tol).tolist():
+            mixes = tuple(np.eye(k)[a] for k, a in zip(counts, profile))
+            found[g].append(Equilibrium(mixes, True,
+                                        regret(AuxiliaryGame(g, tables[g], counts), mixes)))
+    return [_equilibrium_set(AuxiliaryGame(s, table, counts), items)
+            for s, (table, items) in enumerate(zip(tables, found))]
+
+
 def enumerate_all_states(game: StochasticGame, v1: np.ndarray,
                          exact_tol: float = EXACT_EQ_TOL) -> list:
-    """EquilibriumSet for every state, in state order.
-
-    Two-player games take one stacked pass over the states: the auxiliary
-    tables come from one `transitions @ v1`, whose items are the per-state
-    products of `build_auxiliary_game`, and `_two_player_items` lists every
-    state's exact equilibria at once.  Three or more players go state by
-    state through `enumerate_equilibria`."""
-    if game.n_players != 2:
-        return [enumerate_equilibria(build_auxiliary_game(game, s, v1), exact_tol=exact_tol)
-                for s in range(game.n_states)]
-    tables = game.transitions @ v1
-    found = _two_player_items(tables, game.action_counts, exact_tol)
-    return [_equilibrium_set(AuxiliaryGame(s, table, game.action_counts), items)
-            for s, (table, items) in enumerate(zip(tables, found))]
+    """EquilibriumSet for every state, in state order, from the tables of
+    one `transitions @ v1` (`_equilibrium_sets`).  Pure equilibria come
+    from an exact scan, and two players add regular mixed ones by support
+    enumeration.  Damped best-response dynamics from random restarts (seed
+    0) add approximate ones, within APPROX_EQ_TOL, for three or more
+    players or as a two-player fallback.  An empty result is reported as
+    such, never fabricated."""
+    return _equilibrium_sets(game.transitions @ v1, game.action_counts, exact_tol)

@@ -9,11 +9,15 @@ and on the shifted entries) borrow the library's LP, `solve_matrix_game`.
 `support_enumeration_oracle` solves each support pair's two indifference
 systems on their own, where the library stacks every kernel of a size
 (`matrixgame.kernel_equalizers`); the two must list the same equilibria bit
-for bit.  `exact_2x2_value` gives a 2x2 game's value in rationals, and
+for bit.  `equilibria_oracle` lists one state's equilibria on its own table
+(`auxiliary_game`), the reference of the stacked one-shot stage.  `exact_2x2_value` gives a 2x2 game's value in rationals, and
 `newton_minmax_oracle` a discounted min-max value by another algorithm
 (Newton steps on stationary pairs), with its own best-response bracket.
 `per_class_gain` is the multichain gain computed class by class, the
-reference of `chains._gain`, which reads every class of a size at once.
+reference of `chains._gain`, which reads every class of a size at once; its
+classes come from a transitive closure (`recurrent_classes_oracle`), not the
+library's Tarjan, and its laws from one `np.linalg.solve` per class
+(`stationary_law_oracle`), the reference of `chains.recurrent_laws`.
 `pure_average_extremum` is the best or worst long-run average of a small
 MDP over all its pure stationary policies, each policy's gain computed in
 rationals (`exact_gain`): the reference of the direct min-max solve's Howard
@@ -87,12 +91,7 @@ from stogame.builder import (
     build_type_a_fragment,
     build_type_b_fragment,
 )
-from stogame.chains import (
-    reach_probability,
-    recurrent_classes,
-    stationary_distribution,
-    strongly_connected_components,
-)
+from stogame.chains import reach_probability, strongly_connected_components
 from stogame.frequencies import (
     SustainPlan,
     _mixture_plan,
@@ -114,6 +113,7 @@ from stogame.minmax import (
 )
 from stogame.oneshot import (
     APPROX_EQ_TOL,
+    AuxiliaryGame,
     Equilibrium,
     EquilibriumSet,
     _best_response_dynamics,
@@ -601,14 +601,47 @@ def exact_gain(P: np.ndarray, r: np.ndarray) -> list:
     return solution[:n]
 
 
+def recurrent_classes_oracle(P: np.ndarray):
+    """Recurrent classes of P, in the order of their first states, and its
+    transient states, as lists, from the transitive closure of the support
+    above `chains.SUPPORT_CUTOFF` (Warshall): a state is recurrent when
+    every state it reaches reaches it back, and so is a zero row."""
+    n = len(P)
+    reach = (P > chains.SUPPORT_CUTOFF) | np.eye(n, dtype=bool)
+    for k in range(n):
+        reach |= reach[:, k:k + 1] & reach[k]
+    recurrent = [s for s in range(n) if reach[reach[s], s].all()]
+    classes = []
+    for s in recurrent:
+        if not any(s in cls for cls in classes):
+            classes.append([t for t in recurrent if reach[s, t]])
+    return classes, [s for s in range(n) if s not in recurrent]
+
+
+def stationary_law_oracle(P: np.ndarray, cls) -> np.ndarray:
+    """One class's invariant law by its own `np.linalg.solve` on the system
+    that `chains._group_laws` stacks: the class's sub.T - I with its last
+    row set to ones, clipped at 0 and renormalized; 1.0 for one state."""
+    idx = list(cls)
+    if len(idx) == 1:
+        return np.ones(1)
+    sub = P[idx][:, idx]
+    M = sub.T - np.eye(len(idx))
+    M[-1, :] = 1.0
+    b = np.zeros(len(idx))
+    b[-1] = 1.0
+    pi = np.clip(np.linalg.solve(M, b), 0.0, None)
+    return pi / pi.sum()
+
+
 def per_class_gain(P: np.ndarray, r: np.ndarray):
     """`chains._gain` class by class: the absorption right-hand side, the
-    stationary law (`stationary_distribution`) and the class value of each
-    recurrent class on their own, from fresh `recurrent_classes` lists.
-    Returns (gain, classes); the library's plan must give the same bits."""
+    stationary law (`stationary_law_oracle`) and the class value of each
+    recurrent class on their own, from `recurrent_classes_oracle`.  Returns
+    (gain, classes); the library's plan must give the same bits."""
     single = r.ndim == 1
     rv = r[:, None] if single else r
-    classes, transient = recurrent_classes(P)
+    classes, transient = recurrent_classes_oracle(P)
     absorb = np.zeros((P.shape[0], len(classes)))
     for j, cls in enumerate(classes):
         absorb[cls, j] = 1.0
@@ -621,7 +654,7 @@ def per_class_gain(P: np.ndarray, r: np.ndarray):
         absorb[transient] = np.linalg.solve(np.eye(len(transient)) - Q, rhs)
     class_vals = np.zeros((len(classes), rv.shape[1]))
     for j, cls in enumerate(classes):
-        class_vals[j] = stationary_distribution(P, cls) @ rv[cls]
+        class_vals[j] = stationary_law_oracle(P, cls) @ rv[cls]
     g = absorb @ class_vals
     return (g[:, 0] if single else g), classes
 
@@ -854,25 +887,40 @@ def pure_equilibria_oracle(aux, tol: float) -> list:
     return found
 
 
-def two_player_equilibria_oracle(aux, tol: float) -> EquilibriumSet:
-    """Per-state reference of the stacked two-player stage
-    (`oneshot.enumerate_all_states`): the pure scan, then every support
-    pair on its own (`support_enumeration_oracle`), each regret by
-    `regret`, best-response dynamics (the library's) when both find
-    nothing; of equal keys rounded to 8 digits the first exact one is kept,
-    sorted by key."""
-    items = [Equilibrium(mixes, True, regret(aux, mixes))
-             for mixes in pure_equilibria_oracle(aux, tol) + support_enumeration_oracle(aux, tol)]
-    if not items:
+def auxiliary_game(game, s: int, v1: np.ndarray) -> AuxiliaryGame:
+    """The auxiliary game at state s on its own, its table by one
+    `transitions[s] @ v1`; `oneshot.enumerate_all_states` stacks every
+    state's product."""
+    return AuxiliaryGame(s, game.transitions[s] @ v1, game.action_counts)
+
+
+def equilibria_oracle(aux, tol: float) -> EquilibriumSet:
+    """Per-state reference of the stacked one-shot stage
+    (`oneshot.enumerate_all_states`): the pure scan, then for two players
+    every support pair on its own (`support_enumeration_oracle`), each
+    regret by `regret`, and best-response dynamics (the library's) for
+    three or more players or when nothing was found; of equal keys rounded
+    to 8 digits the first exact one is kept, sorted by key."""
+    n_players = len(aux.action_counts)
+    found = pure_equilibria_oracle(aux, tol)
+    if n_players == 2:
+        found += support_enumeration_oracle(aux, tol)
+    items = [Equilibrium(mixes, True, regret(aux, mixes)) for mixes in found]
+    notes = []
+    if n_players >= 3 or not items:
         for mixes, r in _best_response_dynamics(aux, APPROX_EQ_TOL, np.random.default_rng(0)):
             items.append(Equilibrium(mixes, False, r))
+        if n_players >= 3 and not items:
+            notes.append("no equilibrium found by pure scan or best-response restarts")
     seen = {}
     for eq in items:
         key = tuple(tuple(round(float(v), 8) for v in m) for m in eq.mixes)
         if key not in seen or (eq.exact and not seen[key].exact):
             seen[key] = eq
     ordered = [seen[k] for k in sorted(seen)]
-    return EquilibriumSet(aux.state, ordered, [] if ordered else ["equilibrium list is empty"])
+    if not ordered:
+        notes.append("equilibrium list is empty")
+    return EquilibriumSet(aux.state, ordered, notes)
 
 
 def shapley_operator(game, i: int, lam: float, v: np.ndarray):
@@ -965,14 +1013,14 @@ def absorption_probabilities(P: np.ndarray, classes, transient) -> np.ndarray:
 def limit_occupation(P: np.ndarray, s1: int) -> np.ndarray:
     """Cesaro-limit state occupation started from s1: the absorption-weighted
     mixture of the recurrent classes' invariant laws."""
-    classes, transient = recurrent_classes(P)
+    classes, transient = recurrent_classes_oracle(P)
     absorb = absorption_probabilities(P, classes, transient)
     occ = np.zeros(P.shape[0])
     for j, cls in enumerate(classes):
         w = absorb[s1, j]
         if w <= 0.0:
             continue
-        occ[cls] += w * stationary_distribution(P, cls)
+        occ[cls] += w * stationary_law_oracle(P, cls)
     return occ
 
 
@@ -1375,7 +1423,7 @@ def irreducible_sets(game, strategy) -> list:
     """Minimal closed sets (recurrent classes) of the induced state chain."""
     table = as_correlated_table(game, strategy)
     P, _ = induced_chain(game, table)
-    classes, _ = recurrent_classes(P)
+    classes, _ = recurrent_classes_oracle(P)
     return [IrreducibleSet(tuple(c)) for c in classes]
 
 

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cesaro_doubling, eager_average_policy, per_class_gain
+from oracles import (
+    cesaro_doubling,
+    eager_average_policy,
+    per_class_gain,
+    recurrent_classes_oracle,
+    stationary_law_oracle,
+)
 
 from stogame import chains
 from stogame.chains import (
@@ -13,9 +19,7 @@ from stogame.chains import (
     gain_bias,
     limit_average_values,
     optimal_average_policy,
-    recurrent_classes,
-    stationary_distribution,
-    stationary_laws,
+    recurrent_laws,
 )
 
 # Rewards from a few levels, so that ties are common.
@@ -89,7 +93,7 @@ def _chains(draw):
 def test_gain_bias_solves_the_multichain_equations(case):
     P, r = case
     g, h = gain_bias(P, r)
-    classes, _ = recurrent_classes(P)
+    classes, _ = recurrent_classes_oracle(P)
     residual = g + h - P @ h - r
     stochastic = np.isclose(P.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
     checked = np.ones(len(r), dtype=bool)
@@ -189,60 +193,11 @@ def test_a_capped_loop_returns_the_evaluated_policys_bias():
     assert g.tolist() == [0.0, 0.5, 0.0] and h.tolist() == [1.0, 0.0, 0.0]
 
 
-def _per_class_law(P: np.ndarray, cls) -> np.ndarray:
-    """One class's invariant law by its own `np.linalg.solve`."""
-    idx = list(cls)
-    if len(idx) == 1:
-        return np.ones(1)
-    sub = P[idx][:, idx]
-    M = sub.T - np.eye(len(idx))
-    M[-1, :] = 1.0
-    b = np.zeros(len(idx))
-    b[-1] = 1.0
-    pi = np.clip(np.linalg.solve(M, b), 0.0, None)
-    return pi / pi.sum()
-
-
-@st.composite
-def _block_chains(draw):
-    """Up to four irreducible blocks of 1-4 states (so several of one size)
-    and up to two transient states, shuffled; blocks may leak a little."""
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
-    n_transient = draw(st.integers(0, 2))
-    n = sum(sizes) + n_transient
-    order = draw(st.permutations(range(n)))
-    P = np.zeros((n, n))
-    first = 0
-    for k in sizes:
-        block = order[first:first + k]
-        for s in block:
-            weights = np.array(draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)),
-                               dtype=float)
-            P[s, block] = weights / weights.sum() * draw(st.sampled_from([1.0, 0.9]))
-        first += k
-    for s in order[first:]:
-        weights = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
-                           dtype=float)
-        weights[order[0]] += 1.0  # into the first block, so s stays transient
-        P[s] = weights / weights.sum()
-    return P
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(_block_chains())
-def test_stacked_stationary_laws_match_per_class_solves(P):
-    classes, _ = recurrent_classes(P)
-    laws = stationary_laws(P, classes)
-    assert len(laws) == len(classes)
-    for cls, law in zip(classes, laws):
-        assert _same_bits(law, _per_class_law(P, cls))
-        assert _same_bits(stationary_distribution(P, cls), law)
-
-
 @pytest.mark.parametrize("n", [4, CACHED_STATES + 6])
 def test_recurrent_classes_are_fresh_lists(n):
     # Two cycles and a transient state, on either side of the memo's size
-    # limit: changing one call's lists must not change the next call's.
+    # limit: changing one call's lists and laws must not change the next
+    # call's.
     P = np.zeros((n, n))
     half = (n - 1) // 2
     for k in range(half):
@@ -251,15 +206,19 @@ def test_recurrent_classes_are_fresh_lists(n):
     P[n - 1, [0, half]] = 0.5
     P[n - 2:n - 1] = 0.0
     P[n - 2, n - 2] = 1.0
-    classes, transient = recurrent_classes(P)
+    found = recurrent_laws(P)
     want = ([list(range(half)), list(range(half, 2 * half))]
-            + ([[n - 2]] if 2 * half < n - 1 else []), [n - 1])
-    assert (classes, transient) == want
-    assert all(type(c) is list for c in classes) and type(transient) is list
-    classes[0].append(99)
-    classes.append([7])
-    transient.clear()
-    assert recurrent_classes(P) == want
+            + ([[n - 2]] if 2 * half < n - 1 else []))
+    assert [cls for cls, _ in found] == want
+    assert all(type(cls) is list for cls, _ in found) and type(found) is list
+    laws = [law.copy() for _, law in found]
+    assert all(_same_bits(law, stationary_law_oracle(P, cls)) for cls, law in zip(want, laws))
+    found[0][0].append(99)
+    found[0][1][:] = 7.0
+    found.append(([7], np.ones(1)))
+    again = recurrent_laws(P)
+    assert [cls for cls, _ in again] == want
+    assert all(_same_bits(law, want_law) for (_, law), want_law in zip(again, laws))
 
 
 def test_singular_systems_raise():
@@ -268,9 +227,10 @@ def test_singular_systems_raise():
     # Two absorbing states read as one class make the stationary system
     # singular, and the bias of the identity chain read as one class with
     # two states has a zero row.
+    group = (np.array([0]), np.array([[0, 1]]))
     with pytest.warns(RuntimeWarning, match="invalid value"):
         with pytest.raises(np.linalg.LinAlgError):
-            stationary_distribution(np.eye(2), [0, 1])
+            chains._group_laws(np.eye(2), (group,))
     with pytest.warns(RuntimeWarning, match="invalid value"):
         with pytest.raises(np.linalg.LinAlgError):
             chains._bias(np.eye(2), np.ones(2), np.ones(2), np.array([0]))
@@ -340,6 +300,19 @@ def test_planned_gain_matches_the_per_class_gain(case):
         assert _same_bits(got_g, want) and _same_bits(got_h, np.linalg.solve(A, b))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_multichains())
+def test_stacked_stationary_laws_match_per_class_solves(case):
+    # Each class's law from the stacked solve of its size, against its own
+    # np.linalg.solve, bit for bit, and the classes against a closure.
+    P, _ = case
+    classes, _ = recurrent_classes_oracle(P)
+    found = recurrent_laws(P)
+    assert [cls for cls, _ in found] == classes
+    for cls, law in found:
+        assert _same_bits(law, stationary_law_oracle(P, cls))
+
+
 def test_cached_plans_are_read_only():
     # A plan is shared by every chain of its support pattern: none of its
     # arrays, nor the cached identities and ranges, can be written.
@@ -348,4 +321,4 @@ def test_cached_plans_are_read_only():
     arrays = [plan.rows, plan.firsts, *(a for group in plan.sizes for a in group),
               chains._eye(3), chains._range(3)]
     assert all(not a.flags.writeable for a in arrays)
-    assert recurrent_classes(P) == ([[0, 1]], [2])
+    assert [cls for cls, _ in recurrent_laws(P)] == [[0, 1]] and plan.rows.tolist() == [2]

@@ -149,7 +149,7 @@ def test_the_scan_sees_calls_by_keyword_position_and_method():
     set_by = _set_by_calls(functions)
     assert {"schedule"} <= set_by["minmax.uniform_minmax"]          # keyword
     assert {"k_max"} <= set_by["minmax.default_schedule"]           # position
-    assert {"exact_tol"} <= set_by["oneshot.enumerate_equilibria"]  # keyword
+    assert {"exact_tol"} <= set_by["oneshot.enumerate_all_states"]  # keyword
     total = sum(len(defaulted) for *_, defaulted in functions)
     assert 0 < total <= 28
     defined = dict(_defined_names())

@@ -7,27 +7,31 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (
+    auxiliary_game,
     check_value_inequality,
+    equilibria_oracle,
     pure_equilibria_oracle,
     support_enumeration_oracle,
-    two_player_equilibria_oracle,
 )
 from stogame._util import json_ready
 from stogame.game import StochasticGame
-from stogame.generators import random_dense_game, sorin_game
+from stogame.generators import mdp3_game, random_dense_game, sorin_game, three_player_game
 from stogame.minmax import default_schedule, solve_uniform_minmax
 from stogame.oneshot import (
     EXACT_EQ_TOL,
     AuxiliaryGame,
-    _equilibrium_set,
+    _equilibrium_sets,
     _two_player_items,
-    build_auxiliary_game,
     continuation_values,
     enumerate_all_states,
-    enumerate_equilibria,
     profile_value,
     regret,
 )
+
+
+def _one_game(aux):
+    """`aux`'s EquilibriumSet from the stacked stage, as a one-game stack."""
+    return _equilibrium_sets(aux.table[None], aux.action_counts, EXACT_EQ_TOL)[0]
 
 
 @pytest.fixture(scope="module")
@@ -38,13 +42,13 @@ def sorin_v1():
 
 def test_absorbing_state_table_is_constant(sorin_v1):
     g, v1 = sorin_v1
-    aux = build_auxiliary_game(g, 1, v1)
+    aux = auxiliary_game(g, 1, v1)
     np.testing.assert_allclose(aux.table, np.tile([0.0, 1.0], (4, 1)), atol=1e-9)
 
 
 def test_deterministic_transition_copies_value(sorin_v1):
     g, v1 = sorin_v1
-    aux = build_auxiliary_game(g, 0, v1)
+    aux = auxiliary_game(g, 0, v1)
     # (B, R) moves surely to the (2,0) absorbing state
     np.testing.assert_allclose(aux.table[3], v1[2], atol=1e-9)
     np.testing.assert_allclose(aux.table[3], [2.0, 0.0], atol=1e-9)
@@ -54,13 +58,13 @@ def test_continuation_values_match_aux_tables(sorin_v1):
     g, v1 = sorin_v1
     u_star = continuation_values(g, v1)
     for s in range(g.n_states):
-        np.testing.assert_allclose(u_star[s], build_auxiliary_game(g, s, v1).table)
+        np.testing.assert_allclose(u_star[s], auxiliary_game(g, s, v1).table)
 
 
 def test_dominant_strategy_game_unique_pure():
     table = np.array([[3, 3], [1, 2], [2, 1], [0, 0]], dtype=float)
     aux = AuxiliaryGame(0, table, (2, 2))
-    eqs = enumerate_equilibria(aux)
+    eqs = _one_game(aux)
     assert len(eqs.items) == 1
     np.testing.assert_allclose(eqs.items[0].mixes[0], [1, 0])
     np.testing.assert_allclose(eqs.items[0].mixes[1], [1, 0])
@@ -69,7 +73,7 @@ def test_dominant_strategy_game_unique_pure():
 def test_matching_pennies_mixed_equilibrium():
     table = np.array([[1, -1], [-1, 1], [-1, 1], [1, -1]], dtype=float)
     aux = AuxiliaryGame(0, table, (2, 2))
-    eqs = enumerate_equilibria(aux)
+    eqs = _one_game(aux)
     assert len(eqs.items) == 1
     for m in eqs.items[0].mixes:
         np.testing.assert_allclose(m, [0.5, 0.5], atol=1e-9)
@@ -80,7 +84,7 @@ def test_random_2x2_equilibria_match_grid_scan(seed):
     rng = np.random.default_rng(seed)
     table = rng.uniform(-1, 1, size=(4, 2))
     aux = AuxiliaryGame(0, table, (2, 2))
-    eqs = enumerate_equilibria(aux)
+    eqs = _one_game(aux)
     assert eqs.items, "two-player enumeration must find an equilibrium"
     # Every reported equilibrium has grid-verified regret.
     for eq in eqs.items:
@@ -110,15 +114,15 @@ def test_equilibrium_regret_bound_under_tol():
     for eq_set in enumerate_all_states(g, v1):
         assert eq_set.items
         for eq in eq_set.items:
-            aux = build_auxiliary_game(g, eq_set.state, v1)
+            aux = auxiliary_game(g, eq_set.state, v1)
             bound = 1e-9 if eq.exact else 1e-6
             assert regret(aux, eq.mixes) <= bound + 1e-12
 
 
 def test_value_inequality_absorbing_margin_zero(sorin_v1):
     g, v1 = sorin_v1
-    aux = build_auxiliary_game(g, 1, v1)
-    eqs = enumerate_equilibria(aux)
+    aux = auxiliary_game(g, 1, v1)
+    eqs = _one_game(aux)
     ok, margins = check_value_inequality(aux, eqs.items[0].mixes, v1)
     assert ok
     np.testing.assert_allclose(margins, [0, 0], atol=1e-9)
@@ -128,7 +132,7 @@ def test_value_inequality_over_random_game():
     g = random_dense_game(23, n_states=4)
     v1 = solve_uniform_minmax(g).uniform_values
     for eq_set in enumerate_all_states(g, v1):
-        aux = build_auxiliary_game(g, eq_set.state, v1)
+        aux = auxiliary_game(g, eq_set.state, v1)
         for eq in eq_set.items:
             ok, margins = check_value_inequality(aux, eq.mixes, v1)
             assert ok, f"margin {margins} below tolerance at state {eq_set.state}"
@@ -137,7 +141,7 @@ def test_value_inequality_over_random_game():
 
 def test_value_inequality_flags_crafted_violation(sorin_v1):
     g, v1 = sorin_v1
-    aux = build_auxiliary_game(g, 0, v1)
+    aux = auxiliary_game(g, 0, v1)
     # (B, L) drops player 1 to 0, far below 2/3.
     bad = (np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     ok, margins = check_value_inequality(aux, bad, v1)
@@ -147,8 +151,8 @@ def test_value_inequality_flags_crafted_violation(sorin_v1):
 
 def test_sorin_equilibria_stay_home(sorin_v1):
     g, v1 = sorin_v1
-    aux = build_auxiliary_game(g, 0, v1)
-    eqs = enumerate_equilibria(aux)
+    aux = auxiliary_game(g, 0, v1)
+    eqs = _one_game(aux)
     assert eqs.items
     for eq in eqs.items:
         row = eq.correlated_row()
@@ -158,13 +162,10 @@ def test_sorin_equilibria_stay_home(sorin_v1):
 
 
 def test_three_player_path_reports_rather_than_fabricates():
-    from stogame.generators import three_player_game
-    from stogame.minmax import default_schedule
-
     g = three_player_game()
     v1 = solve_uniform_minmax(g, schedule=default_schedule(8)).uniform_values
-    aux = build_auxiliary_game(g, 0, v1)
-    eqs = enumerate_equilibria(aux)
+    aux = auxiliary_game(g, 0, v1)
+    eqs = _one_game(aux)
     for eq in eqs.items:
         bound = 1e-9 if eq.exact else 1e-6
         assert regret(aux, eq.mixes) <= bound + 1e-12
@@ -257,29 +258,30 @@ def test_workload_equilibria_match_the_per_pair_solve(suite_results):
     found = 0
     for g, v1 in games:
         for s in range(g.n_states):
-            found += _assert_same_equilibria(build_auxiliary_game(g, s, v1))
+            found += _assert_same_equilibria(auxiliary_game(g, s, v1))
     assert found
 
 
 @st.composite
-def _bimatrix_stacks(draw):
-    """A stack of 1-5 two-player tables of one shape, 2x2, 2x3 or 3x3.  A
-    game is random, drawn from a few levels (exact ties), or flat: every
+def _table_stacks(draw, shapes):
+    """A stack of 1-5 tables of one action-count shape drawn from `shapes`.
+    A game is random, drawn from a few levels (exact ties), or flat: every
     entry of a player equal, so that every profile is a pure equilibrium
-    and every bordered system of size >= 2 is singular."""
-    m, n = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+    and, for two players, every bordered system of size >= 2 is singular."""
+    counts = draw(st.sampled_from(shapes))
+    n_profiles, n_players = int(np.prod(counts)), len(counts)
     tables = []
     for _ in range(draw(st.integers(1, 5))):
         kind = draw(st.sampled_from(["random", "levels", "flat"]))
         if kind == "flat":
-            level = draw(st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=2,
-                                  max_size=2))
-            tables.append(np.tile(level, (m * n, 1)))
+            level = draw(st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=n_players,
+                                  max_size=n_players))
+            tables.append(np.tile(level, (n_profiles, 1)))
             continue
         elements = (st.floats(-1, 1, allow_subnormal=False) if kind == "random"
                     else st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
-        tables.append(draw(arrays(np.float64, (m * n, 2), elements=elements)))
-    return np.stack(tables), (m, n)
+        tables.append(draw(arrays(np.float64, (n_profiles, n_players), elements=elements)))
+    return np.stack(tables), counts
 
 
 def _knife_edge_pure():
@@ -295,31 +297,51 @@ def _knife_edge_pure():
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_bimatrix_stacks())
+@given(_table_stacks([(2, 2), (2, 3), (3, 3)]))
 @example(_knife_edge_pure())
 def test_stacked_stage_matches_the_per_state_enumeration(case):
     # One stacked pass over every game against each game's own pure scan,
     # support pairs and regrets: the same JSON, bit for bit.
     tables, counts = case
-    found = _two_player_items(tables, counts, EXACT_EQ_TOL)
-    got = [_equilibrium_set(AuxiliaryGame(s, t, counts), items)
-           for s, (t, items) in enumerate(zip(tables, found))]
-    want = [two_player_equilibria_oracle(AuxiliaryGame(s, t, counts), EXACT_EQ_TOL)
+    got = _equilibrium_sets(tables, counts, EXACT_EQ_TOL)
+    want = [equilibria_oracle(AuxiliaryGame(s, t, counts), EXACT_EQ_TOL)
             for s, t in enumerate(tables)]
+    assert json.dumps(json_ready(got)) == json.dumps(json_ready(want))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_table_stacks([(2,), (3,), (2, 2, 2), (3, 2, 2)]))
+def test_stacked_pure_stage_matches_the_per_state_enumeration(case):
+    # One player, or three: one pure scan over the stack and each regret on
+    # its own table, against each game's own scan, bit for bit.
+    tables, counts = case
+    got = _equilibrium_sets(tables, counts, EXACT_EQ_TOL)
+    want = [equilibria_oracle(AuxiliaryGame(s, t, counts), EXACT_EQ_TOL)
+            for s, t in enumerate(tables)]
+    assert json.dumps(json_ready(got)) == json.dumps(json_ready(want))
+
+
+@pytest.mark.parametrize("make", [three_player_game, mdp3_game])
+def test_bundled_stage_of_one_or_three_players_matches_the_per_state_enumeration(make):
+    g = make()
+    v1 = solve_uniform_minmax(g, schedule=default_schedule(8)).uniform_values
+    got = enumerate_all_states(g, v1)
+    want = [equilibria_oracle(auxiliary_game(g, s, v1), EXACT_EQ_TOL)
+            for s in range(g.n_states)]
     assert json.dumps(json_ready(got)) == json.dumps(json_ready(want))
 
 
 def test_workload_stage_matches_the_per_state_enumeration(suite_results):
     """`enumerate_all_states` on the acceptance suite at its pipeline values,
     and on a 2x3 and a 3x3 dense game, against the per-state reference on
-    `build_auxiliary_game`'s tables."""
+    each state's own table (`auxiliary_game`)."""
     games = [(g, res.v1) for g, res in suite_results[1]]
     for g in (random_dense_game(6003, n_states=4, n_actions=3),
               _two_by_three(random_dense_game(6005, n_states=3, n_actions=3))):
         games.append((g, solve_uniform_minmax(g, schedule=default_schedule(8)).uniform_values))
     for g, v1 in games:
         got = enumerate_all_states(g, v1)
-        want = [two_player_equilibria_oracle(build_auxiliary_game(g, s, v1), EXACT_EQ_TOL)
+        want = [equilibria_oracle(auxiliary_game(g, s, v1), EXACT_EQ_TOL)
                 for s in range(g.n_states)]
         assert json.dumps(json_ready(got)) == json.dumps(json_ready(want)), g.name
 
