@@ -65,27 +65,26 @@ DELTA_FLOOR = 1e-6
 # Exits and companions
 
 
-def exit_options(game: StochasticGame, region):
-    """All (state, profile) pairs that may leave `region` (the complement of
-    its safe profiles), and the minimal exit mass among them (None when the
-    region is fully closed)."""
-    region = sorted(region)
-    stay = game.stay_mass(region)
-    safe = safe_profiles(game, region)
-    exits = [(s, a) for s in region for a in range(game.n_profiles) if a not in safe[s]]
+def exit_options(game: StochasticGame, safe: dict):
+    """All (state, profile) pairs that may leave the region whose safe
+    profiles per state are `safe` (`structure.safe_profiles`), the
+    complement of those, and the minimal exit mass among them (None when
+    the region is fully closed)."""
+    stay = game.stay_mass(safe)
+    exits = [(s, a) for s in safe for a in range(game.n_profiles) if a not in safe[s]]
     q_min = float(min(1.0 - stay[s, a] for s, a in exits)) if exits else None
     return exits, q_min
 
 
-def companion_action(game: StochasticGame, region, s: int, a: int):
-    """A single-player switch of `a` that keeps play inside `region`.
+def companion_action(game: StochasticGame, safe: list, a: int):
+    """A single-player switch of `a` into `safe`, the profiles that keep
+    play inside the region at a's state.
 
     Returns (profile index, switching player) for the lexicographically first
     (player, action) switch, or None when every switch also exits.  Player
     i's switches of `a` are the other entries of the column of
     `game.player_indices[i]` that holds `a`.
     """
-    safe = safe_profiles(game, region)[s]
     for i, index in enumerate(game.player_indices):
         for cand in index[:, (index == a).any(axis=0)].ravel().tolist():
             if cand != a and cand in safe:
@@ -137,18 +136,18 @@ class ExitPlan:
     slack: float
 
 
-def type_b_feasibility(game: StochasticGame, region, value, eps: float,
+def type_b_feasibility(game: StochasticGame, safe: dict, exits: list, value, eps: float,
                        u_star: np.ndarray, counts: dict | None = None
                        ) -> ExitPlan | None:
     """Departure plan meeting value - eps in expected continuation value, or
-    None.  Only exits admitting a companion switch are eligible.  The exit
-    mixture is `max_slack_mixture`'s, played at the per-cycle exit scale
-    EXIT_SCALE; when `counts` is given, its "master_lp" entry is
+    None, over the `exits` of the region whose safe profiles are `safe`
+    (`exit_options`).  Only exits admitting a companion switch are eligible.
+    The exit mixture is `max_slack_mixture`'s, played at the per-cycle exit
+    scale EXIT_SCALE; when `counts` is given, its "master_lp" entry is
     raised if that solve fell back to the LP."""
-    exits, _ = exit_options(game, region)
     admissible = []
     for s, a in exits:
-        found = companion_action(game, region, s, a)
+        found = companion_action(game, safe[s], a)
         if found is not None:
             admissible.append((s, a, found[0], found[1]))
     if not admissible:
@@ -204,15 +203,15 @@ def classify_set(game: StochasticGame, cset, eps: float,
         diagnostics["sustain_slack"] = None if plan_a is None else plan_a.slack
         if plan_a is not None and np.all(plan_a.achieved >= cset.value - eps / 2.0):
             return Classification("A", sustain=plan_a, diagnostics=diagnostics)
-    plan_b = type_b_feasibility(game, cset.states, cset.value, eps, u_star,
-                                counts=diagnostics)
+    safe = safe_profiles(game, cset.states)
+    exits, q_min = exit_options(game, safe)
+    plan_b = type_b_feasibility(game, safe, exits, cset.value, eps, u_star, counts=diagnostics)
     if plan_b is not None:
         diagnostics["exit_slack"] = plan_b.slack
         return Classification("B", exit_plan=plan_b, diagnostics=diagnostics)
     if plan_a is not None:
         diagnostics["note"] = "sustain plan kept with thin slack; departure test infeasible"
         return Classification("A", sustain=plan_a, diagnostics=diagnostics)
-    exits, q_min = exit_options(game, cset.states)
     diagnostics.update({
         "exit_count": len(exits),
         "min_exit_mass": q_min,

@@ -5,6 +5,12 @@ across states), a bounded payoff table and a stochastic transition kernel.
 Action profiles are indexed flat, in row-major player order, so that the
 flat index of ``(a_1, ..., a_n)`` matches ``itertools.product`` over the
 per-player action ranges.
+
+Validation reads NaN and infinite data as violations, since NaN compares
+false: a non-finite payoff or transition probability, and a payoff bound
+that is not a finite non-negative number.  A game file holding one is a
+format error.  `distribution_faults` is the one check that transition rows
+are distributions; min-max's gate for the direct solve reads it too.
 """
 
 from __future__ import annotations
@@ -154,6 +160,19 @@ def as_correlated_table(game: StochasticGame, strategy) -> np.ndarray:
 # Validation
 
 
+def distribution_faults(rows: np.ndarray) -> tuple:
+    """Why each row of `rows` (..., n) is not a distribution within
+    DIST_TOL, as boolean arrays over the rows, and the row masses:
+    (non-finite, negative, bad mass, mass).  A row with a NaN or infinite
+    entry is non-finite and nothing else; a finite row is negative with an
+    entry below -DIST_TOL and has a bad mass off 1 by more than DIST_TOL."""
+    non_finite = ~np.isfinite(rows).all(axis=-1)
+    mass = rows.sum(axis=-1)
+    negative = (rows < -DIST_TOL).any(axis=-1) & ~non_finite
+    bad_mass = (np.abs(mass - 1.0) > DIST_TOL) & ~non_finite
+    return non_finite, negative, bad_mass, mass
+
+
 def validate_game(game: StochasticGame) -> list:
     """Check game invariants; return a list of violation messages (empty = valid)."""
     problems = []
@@ -172,20 +191,25 @@ def validate_game(game: StochasticGame) -> list:
     if game.transitions.shape != expected_tr:
         problems.append(f"transition table shape {game.transitions.shape} != {expected_tr}")
         return problems
+    bound = game.payoff_bound
+    if not (np.isfinite(bound) and bound >= 0.0):
+        problems.append(f"payoff bound {bound!r} is not a finite non-negative number")
 
     # Each check is one array test over every (state, profile) pair; only the
     # failing pairs are visited, by state, then profile.
-    bound = game.payoff_bound
-    negative = (game.transitions < -DIST_TOL).any(axis=2)
-    mass = game.transitions.sum(axis=2)
-    bad_mass = np.abs(mass - 1.0) > DIST_TOL
-    outside = (np.abs(game.payoffs) > bound + 1e-12).any(axis=2)
-    for s, a in zip(*np.nonzero(negative | bad_mass | outside)):
+    non_finite, negative, bad_mass, mass = distribution_faults(game.transitions)
+    wild = ~np.isfinite(game.payoffs).all(axis=2)
+    outside = (np.abs(game.payoffs) > bound + 1e-12).any(axis=2) & ~wild
+    for s, a in zip(*np.nonzero(non_finite | negative | bad_mass | wild | outside)):
         where = f"({game.state_names[s]}, {game.profile_key(a)})"
+        if non_finite[s, a]:
+            problems.append(f"non-finite transition probability at {where}")
         if negative[s, a]:
             problems.append(f"negative transition probability at {where}")
         if bad_mass[s, a]:
             problems.append(f"transition mass {float(mass[s, a])!r} at {where}")
+        if wild[s, a]:
+            problems.append(f"non-finite payoff {game.payoffs[s, a].tolist()} at {where}")
         if outside[s, a]:
             problems.append(f"payoff {game.payoffs[s, a].tolist()} outside "
                             f"[-{bound}, {bound}] at {where}")
@@ -264,6 +288,8 @@ def game_from_dict(doc: dict) -> StochasticGame:
                     f"payoff at ({sname!r}, {key!r}) has {len(entry)} entries, expected {n_players}"
                 )
             payoffs[s, a] = [float(v) for v in entry]
+            if not np.isfinite(payoffs[s, a]).all():
+                raise GameFormatError(f"non-finite payoff at ({sname!r}, {key!r})")
         # Unspecified transition entries are zero; validation reports bad mass.
         s_tr = tr_doc.get(sname, {})
         for key, a in key_index.items():
@@ -274,13 +300,19 @@ def game_from_dict(doc: dict) -> StochasticGame:
                         f"transition at ({sname!r}, {key!r}) names unknown state {tname!r}"
                     )
                 transitions[s, a, t] = float(p)
+                if not np.isfinite(transitions[s, a, t]):
+                    raise GameFormatError(
+                        f"non-finite transition probability at ({sname!r}, {key!r})")
 
+    bound = float(doc.get("payoff_bound", 1.0))
+    if not (np.isfinite(bound) and bound >= 0.0):
+        raise GameFormatError(f"payoff_bound {bound!r} is not a finite non-negative number")
     return StochasticGame(
         state_names=state_names,
         action_names=action_names,
         payoffs=payoffs,
         transitions=transitions,
-        payoff_bound=float(doc.get("payoff_bound", 1.0)),
+        payoff_bound=bound,
         name=str(doc.get("name", "")),
     )
 

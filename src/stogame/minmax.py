@@ -97,9 +97,9 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import solve as _lapack_solve
 
-from ._util import DIST_TOL, json_ready
+from ._util import json_ready
 from .chains import gain_bias, optimal_average_policy
-from .game import StochasticGame
+from .game import StochasticGame, distribution_faults
 from .matrixgame import closed_form_2x2, solve_matrix_game
 
 # ndarray.max without its Python-level wrapper: the same reduction and NaN
@@ -460,9 +460,9 @@ def _continuation(g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _stochastic(transitions: np.ndarray) -> bool:
-    """Whether every transition row is a distribution, within DIST_TOL."""
-    return bool((transitions >= -DIST_TOL).all()
-                and (np.abs(transitions.sum(axis=2) - 1.0) <= DIST_TOL).all())
+    """Whether every transition row is a distribution, within DIST_TOL
+    (`game.distribution_faults`)."""
+    return not any(fault.any() for fault in distribution_faults(transitions)[:3])
 
 
 def aitken_extrapolate(v2: np.ndarray, v1: np.ndarray, v0: np.ndarray) -> np.ndarray:

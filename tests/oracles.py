@@ -10,7 +10,8 @@ and on the shifted entries) borrow the library's LP, `solve_matrix_game`.
 systems on their own, where the library stacks every kernel of a size
 (`matrixgame.kernel_equalizers`); the two must list the same equilibria bit
 for bit.  `equilibria_oracle` lists one state's equilibria on its own table
-(`auxiliary_game`), the reference of the stacked one-shot stage.  `exact_2x2_value` gives a 2x2 game's value in rationals, and
+(`auxiliary_game`), the reference of the stacked one-shot stage.
+`exact_2x2_value` gives a 2x2 game's value in rationals, and
 `newton_minmax_oracle` a discounted min-max value by another algorithm
 (Newton steps on stationary pairs), with its own best-response bracket.
 `per_class_gain` is the multichain gain computed class by class, the
@@ -56,10 +57,12 @@ equal on the set's block: the chain closed from every game state, with
 every node expanded; `hub_game` lays games behind a fan-out state to make
 many sets in one game.  Next to them sit the cyclic scheme's closed-form
 exit law, the type-A mixture over given recurrent points and the one-shot
-value inequality.  The last section is built on the library's chain and
-reachability routines: the irreducible sets of a stationary strategy, the
-leads-to test, the hitting probability of a travel strategy and the minimal
-closed sets of the equilibrium support chain.  Next to them,
+value inequality.  The last section holds the irreducible sets of a
+stationary strategy (`recurrent_classes_oracle`), the leads-to test and the
+hitting probability of a travel strategy, built on the library's reach
+routines, the hitting probability of a set's C.2 witness by repeated
+squaring, without them (`witness_hitting`), and the minimal closed sets of
+the equilibrium support chain.  Next to them,
 `almost_sure_reach_two_pass` is the pruning-then-layering reach that the
 library's one-pass `almost_sure_reach` must equal, witness order included.
 """
@@ -68,6 +71,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -184,17 +188,24 @@ def validate_game_oracle(game) -> list:
         problems.append(f"transition table shape {game.transitions.shape} != {expected_tr}")
         return problems
     bound = game.payoff_bound
+    if not (math.isfinite(bound) and bound >= 0.0):
+        problems.append(f"payoff bound {bound!r} is not a finite non-negative number")
     for s in range(game.n_states):
         for a in range(game.n_profiles):
             where = f"({game.state_names[s]}, {game.profile_key(a)})"
             row = game.transitions[s, a]
-            if np.any(row < -DIST_TOL):
-                problems.append(f"negative transition probability at {where}")
-            mass = float(row.sum())
-            if abs(mass - 1.0) > DIST_TOL:
-                problems.append(f"transition mass {mass!r} at {where}")
+            if not all(math.isfinite(p) for p in row):
+                problems.append(f"non-finite transition probability at {where}")
+            else:
+                if np.any(row < -DIST_TOL):
+                    problems.append(f"negative transition probability at {where}")
+                mass = float(row.sum())
+                if abs(mass - 1.0) > DIST_TOL:
+                    problems.append(f"transition mass {mass!r} at {where}")
             pay = game.payoffs[s, a]
-            if np.any(np.abs(pay) > bound + 1e-12):
+            if not all(math.isfinite(u) for u in pay):
+                problems.append(f"non-finite payoff {pay.tolist()} at {where}")
+            elif np.any(np.abs(pay) > bound + 1e-12):
                 problems.append(f"payoff {pay.tolist()} outside [-{bound}, {bound}] at {where}")
     return problems
 
@@ -1501,6 +1512,22 @@ def verify_travel(game, region, targets, policy) -> float:
     h = reach_probability(P, set(targets))
     sources = [s for s in region if s not in targets]
     return float(min((h[s] for s in sources), default=1.0))
+
+
+def witness_hitting(game, states, target: int, policy: dict) -> np.ndarray:
+    """Per state of `states` (sorted), the probability that the pure
+    `policy`, a flat profile per state but `target`, hits `target` without
+    leaving `states`, read off 2^40 steps of the chain on `states` with the
+    target absorbing and the mass that leaves dropped: repeated squaring,
+    no linear solve."""
+    states = sorted(states)
+    M = np.zeros((len(states), len(states)))
+    for k, s in enumerate(states):
+        M[k] = (np.eye(game.n_states)[s] if s == target
+                else game.transitions[s, policy[s]])[states]
+    for _ in range(40):
+        M = M @ M
+    return M[:, states.index(target)]
 
 
 def equilibrium_support_chain(game, eq_sets) -> list:

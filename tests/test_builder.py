@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import stogame.builder
 from oracles import (
     departure_values,
     exit_play_law,
@@ -35,7 +36,7 @@ from stogame.generators import (
 )
 from stogame.minmax import solve_uniform_minmax
 from stogame.oneshot import continuation_values, enumerate_all_states
-from stogame.structure import decompose
+from stogame.structure import decompose, safe_profiles
 from stogame.verify import product_chain
 
 
@@ -52,13 +53,13 @@ def sorin_ctx():
 
 def test_exits_fully_closed_region_empty(sorin_ctx):
     g = sorin_ctx[0]
-    exits, q_min = exit_options(g, [1])
+    exits, q_min = exit_options(g, safe_profiles(g, [1]))
     assert exits == [] and q_min is None
 
 
 def test_exits_sorin_core(sorin_ctx):
     g = sorin_ctx[0]
-    exits, q_min = exit_options(g, [0])
+    exits, q_min = exit_options(g, safe_profiles(g, [0]))
     assert [(s, g.profile_key(a)) for s, a in exits] == [(0, "B/L"), (0, "B/R")]
     assert q_min == pytest.approx(1.0)
 
@@ -72,17 +73,17 @@ def test_exits_skip_leak_within_closed_tolerance():
     transitions[0, 0] = [1.0 - 1e-10, 1e-10]
     transitions[1, :, 1] = 1.0
     g = StochasticGame(("a", "b"), (("x", "y"), ("u", "v")), payoffs, transitions)
-    exits, q_min = exit_options(g, [0])
+    exits, q_min = exit_options(g, safe_profiles(g, [0]))
     assert exits == [(0, 1), (0, 2), (0, 3)] and q_min == pytest.approx(1.0)
-    assert companion_action(g, [0], 0, 1) == (0, 1)
+    assert companion_action(g, safe_profiles(g, [0])[0], 1) == (0, 1)
 
 
 def test_companion_single_switch(sorin_ctx):
     g = sorin_ctx[0]
     # (B, L) -> switch player 1 back to T
-    comp, dev = companion_action(g, [0], 0, profile_index(g, (1, 0)))
+    comp, dev = companion_action(g, safe_profiles(g, [0])[0], profile_index(g, (1, 0)))
     assert g.profile_key(comp) == "T/L" and dev == 0
-    comp, dev = companion_action(g, [0], 0, profile_index(g, (1, 1)))
+    comp, dev = companion_action(g, safe_profiles(g, [0])[0], profile_index(g, (1, 1)))
     assert g.profile_key(comp) == "T/R" and dev == 0
 
 
@@ -93,7 +94,29 @@ def test_companion_absent_when_every_switch_exits():
     transitions[0, :, 1] = 1.0
     transitions[1, :, 1] = 1.0
     g = StochasticGame(("a", "b"), (("x", "y"), ("u", "v")), payoffs, transitions)
-    assert companion_action(g, [0], 0, 0) is None
+    assert companion_action(g, safe_profiles(g, [0])[0], 0) is None
+
+
+def test_a_classified_set_reads_its_safe_profiles_once(sorin_ctx, monkeypatch):
+    # The departure test's exits, companions and diagnostics share one
+    # safe-profile scan (the sustain test builds its own sub-MDP), and the
+    # classification is the same.
+    g, v1, d, cls = sorin_ctx
+    calls = []
+
+    def counted(game, region):
+        calls.append(tuple(region))
+        return safe_profiles(game, region)
+
+    monkeypatch.setattr(stogame.builder, "safe_profiles", counted)
+    u_star = continuation_values(g, v1)
+    for cset, want in zip(d.sets, cls):
+        calls.clear()
+        got = classify_set(g, cset, 0.05, u_star)
+        assert calls == ([] if want.kind == "A" and "note" not in want.diagnostics
+                         else [tuple(cset.states)])
+        assert json_ready(got) == json_ready(want)
+    assert any(c.kind == "B" for c in cls)
 
 
 def test_solve_eta_single_exit():
@@ -300,7 +323,7 @@ def test_partial_mass_exits_end_to_end():
     core = [k for k, c in enumerate(d.sets) if 0 in c.states]
     assert core and cls[core[0]].kind == "B"
     plan = cls[core[0]].exit_plan
-    ex, q_min = exit_options(g, d.sets[core[0]].states)
+    ex, q_min = exit_options(g, safe_profiles(g, d.sets[core[0]].states))
     assert q_min == pytest.approx(0.5)
     # first-played law still exact (the coin process ignores where mass goes)
     law = exit_play_law(g, d.sets[core[0]].states, plan)
@@ -411,7 +434,7 @@ def test_degenerate_exit_law_ends_the_correlated_tuner():
     d = decompose(g, enumerate_all_states(g, v1), v1)
     region = next(c.states for c in d.sets if len(c.states) == 2)
     exits = [(0, 2), (1, 2)]
-    found = [companion_action(g, region, s, a) for s, a in exits]
+    found = [companion_action(g, safe_profiles(g, region)[s], a) for s, a in exits]
     beta = np.array([0.5, 0.5])
     plan = ExitPlan(exits=exits, companions=[c for c, _ in found],
                     deviators=[i for _, i in found], beta=beta,

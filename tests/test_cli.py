@@ -262,6 +262,22 @@ def test_degenerate_solver_flags_exit_2_before_any_solve(tmp_path, capsys, monke
     assert capsys.readouterr().err.startswith(f"error: {argv[1]} must")
 
 
+@pytest.mark.parametrize("command", ["validate", "solve", "verify"])
+def test_non_finite_game_file_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, command):
+    # A NaN payoff used to validate clean and end `verify` in a traceback.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a game with a NaN payoff")
+
+    monkeypatch.setattr(stogame.cli, "run_pipeline", no_solve)
+    monkeypatch.setattr(stogame.cli, "classify_game", no_solve)
+    monkeypatch.setattr(stogame.cli, "solve_uniform_minmax", no_solve)
+    wild = tmp_path / "wild.json"
+    wild.write_text(json.dumps(game_to_dict(sorin_game())).replace("[1.0, 0.0]", "[NaN, 0.0]", 1))
+    assert run([command, "--game", str(wild), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: non-finite payoff at ('s0', 'T/L')")
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_artifact_keeps_solver_facts_and_is_byte_identical(tmp_path):
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:

@@ -243,10 +243,12 @@ def test_game_shape_is_computed_once(make):
     assert n_profiles == math.prod(counts) == g.payoffs.shape[1]
 
 
-def _broken(game, seed: int, kinds) -> StochasticGame:
+def _broken(game, seed: int, kinds, bound=None) -> StochasticGame:
     """`game` with each kind of violation in `kinds` at a few random (state,
     profile) pairs: a negative probability that keeps the mass, a mass off
-    by more than the tolerance, or a payoff beyond the bound."""
+    by more than the tolerance, a payoff beyond the bound, or a NaN or
+    infinite transition probability or payoff; `bound` replaces the
+    payoff bound when given."""
     rng = np.random.default_rng(seed)
     payoffs = game.payoffs.copy()
     transitions = game.transitions.copy()
@@ -258,10 +260,14 @@ def _broken(game, seed: int, kinds) -> StochasticGame:
                 transitions[s, a, 0] = -0.25
             elif kind == "mass":
                 transitions[s, a] *= 1.0 + rng.choice([-1, 1]) * rng.uniform(1e-8, 0.5)
-            else:
+            elif kind == "payoff":
                 payoffs[s, a, rng.integers(game.n_players)] = rng.choice([-1, 1]) * 1.5
+            elif kind == "wild transition":
+                transitions[s, a, rng.integers(game.n_states)] = rng.choice([np.nan, np.inf])
+            else:
+                payoffs[s, a, rng.integers(game.n_players)] = rng.choice([np.nan, -np.inf])
     return StochasticGame(game.state_names, game.action_names, payoffs, transitions,
-                          game.payoff_bound, game.name)
+                          game.payoff_bound if bound is None else bound, game.name)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -272,6 +278,51 @@ def test_validation_matches_the_pair_by_pair_loop(seed):
         want = validate_game_oracle(broken)
         assert want and validate_game(broken) == want
     assert validate_game(random_dense_game(seed, n_states=4)) == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_non_finite_entries_match_the_pair_by_pair_loop(seed):
+    # NaN compares false, so each non-finite entry needs its own test; a
+    # non-finite row or payoff is reported as such and nothing else, and
+    # the bound must be a finite non-negative number.
+    kinds = [["wild transition"], ["wild payoff"],
+             ["wild transition", "wild payoff", "negative", "mass", "payoff"]][seed % 3]
+    bound = [None, np.nan, np.inf, -0.5, None, 2.0][seed]
+    for game in (random_dense_game(seed, n_states=4), three_player_game()):
+        broken = _broken(game, seed, kinds, bound)
+        want = validate_game_oracle(broken)
+        assert validate_game(broken) == want
+        assert any(p.startswith("non-finite") for p in want)
+        assert (bound is None or bound == 2.0) != any(p.startswith("payoff bound") for p in want)
+    for bound in (np.nan, np.inf, -0.5):
+        broken = _broken(random_dense_game(seed, n_states=2), seed, [], bound)
+        problems = validate_game(broken)
+        assert problems == validate_game_oracle(broken)
+        assert problems[0] == f"payoff bound {bound!r} is not a finite non-negative number"
+        assert (len(problems) > 1) == (bound == -0.5)
+
+
+@pytest.mark.parametrize("field", ["payoff", "transition", "payoff_bound"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_game_files_are_format_errors(tmp_path, field, value):
+    # JSON accepts NaN and Infinity literals; such a file is a parse error,
+    # like a negative payoff bound.
+    doc = game_to_dict(sorin_game())
+    text = json.dumps(doc)
+    if field == "payoff":
+        text = text.replace("[1.0, 0.0]", f"[{value}, 0.0]", 1)
+    elif field == "transition":
+        text = text.replace('{"s0": 1.0}', f'{{"s0": {value}}}', 1)
+    else:
+        text = text.replace('"payoff_bound": 2.0', f'"payoff_bound": {value}')
+    assert text != json.dumps(doc)
+    path = tmp_path / "wild.json"
+    path.write_text(text)
+    with pytest.raises(GameFormatError, match="non-finite|not a finite"):
+        load_game(path)
+    doc["payoff_bound"] = -1.0
+    with pytest.raises(GameFormatError, match="not a finite non-negative number"):
+        game_from_dict(doc)
 
 
 def test_shape_errors_match_the_pair_by_pair_loop():

@@ -16,8 +16,8 @@ from oracles import (
     response_mdp_oracle,
     shapley_operator,
 )
-from stogame._util import json_ready
-from stogame.game import StochasticGame
+from stogame._util import DIST_TOL, json_ready
+from stogame.game import StochasticGame, validate_game
 from stogame.generators import (
     acceptance_suite,
     bundled_game,
@@ -34,6 +34,7 @@ from stogame.minmax import (
     _lapack_solve,
     _policy_iteration,
     _Stage,
+    _stochastic,
     default_schedule,
     direct_minmax,
     discounted_minmax,
@@ -41,6 +42,7 @@ from stogame.minmax import (
     uniform_minmax,
 )
 from stogame.pipeline import run_pipeline
+from test_game import _broken
 
 
 def test_default_schedule():
@@ -556,6 +558,21 @@ def test_closed_midpoints_agree_with_the_schedule(suite_results):
             want = uniform_minmax(game, curve.player, default_schedule(24)).extrapolated
             assert np.max(np.abs(curve.v1 - want)) <= 1e-6, (game.name, curve.player)
     assert closed
+
+
+@pytest.mark.parametrize("kind", ["none", "negative", "mass", "wild transition"])
+def test_the_direct_solve_gate_is_the_validation_row_check(kind):
+    # One row check for both: the gate lets a game through exactly when
+    # validation finds no transition fault, and a NaN row is no
+    # distribution.  On finite rows it reads as the expression it replaced.
+    for seed in range(4):
+        game = _broken(random_dense_game(seed, n_states=3), seed, [] if kind == "none" else [kind])
+        T = game.transitions
+        faults = [p for p in validate_game(game) if "transition" in p]
+        assert _stochastic(T) == (not faults) == (kind == "none")
+        if kind != "wild transition":
+            assert _stochastic(T) == bool((T >= -DIST_TOL).all()
+                                          and (np.abs(T.sum(axis=2) - 1.0) <= DIST_TOL).all())
 
 
 def test_non_stochastic_transitions_run_the_schedule_only():

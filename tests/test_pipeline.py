@@ -172,6 +172,20 @@ def test_pipeline_gives_no_verdict_on_an_invalid_game():
     assert res.v1.shape == (3, 2)
 
 
+def test_pipeline_gives_no_verdict_on_a_nan_payoff_bound():
+    # A NaN bound used to validate clean, since NaN compares false, and the
+    # pipeline then gave a verdict on a game with no valid bound.
+    from stogame.generators import random_dense_game
+
+    base = random_dense_game(1003, n_states=3)
+    game = StochasticGame(base.state_names, base.action_names, base.payoffs, base.transitions,
+                          float("nan"), name="nan-bound")
+    res = run_pipeline(game, eps=0.05, schedule=default_schedule(18))
+    assert not res.ok and res.classifications == [] and res.profile is None
+    assert res.errors == ["invalid game: 1 violations, first payoff bound nan is not a "
+                          "finite non-negative number"]
+
+
 def test_stalled_minmax_solves_are_warned_not_gated():
     from stogame.generators import random_banded_exit_game
 

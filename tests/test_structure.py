@@ -18,12 +18,20 @@ from oracles import (
     minimal_closed_sets_under_E,
     pure_profile,
     verify_travel,
+    witness_hitting,
 )
-from stogame._util import DIST_TOL
+from stogame._util import DIST_TOL, json_ready
 from stogame.game import StochasticGame
-from stogame.generators import random_banded_exit_game, random_dense_game, sorin_game
+from stogame.generators import (
+    BUNDLED,
+    bundled_game,
+    random_banded_exit_game,
+    random_dense_game,
+    sorin_game,
+)
 from stogame.minmax import solve_uniform_minmax
 from stogame.oneshot import enumerate_all_states
+from stogame.pipeline import classify_game
 from stogame.structure import (
     CLOSED_TOL,
     almost_sure_reach,
@@ -351,3 +359,35 @@ def test_successor_table_is_the_support_rule(game):
             assert [t for t, _ in pairs] == np.nonzero(row > DIST_TOL)[0].tolist()
             assert [p for _, p in pairs] == [float(row[t]) for t, _ in pairs]
             assert all(type(t) is int and type(p) is float for t, p in pairs)
+
+
+def _shipped_witnesses(decomposition):
+    """Each communicating set of `decomposition` as the pipeline ships it
+    in `decompose.json`: (states, {target: {state: profile}})."""
+    doc = json_ready(decomposition)
+    return [(cset["states"], {int(t): {int(s): a for s, a in w.items()}
+                              for t, w in cset["travel_witnesses"].items()})
+            for cset in doc["sets"]]
+
+
+def test_shipped_witnesses_lead_every_state_to_their_target(suite_results):
+    # Condition C.2 on every set of the acceptance suite and the bundled
+    # games: for each target, the shipped pure witness plays a profile that
+    # keeps play in the set at every other state, and hits the target
+    # almost surely from every state of the set.
+    games = [(g, res.decomposition) for g, res in suite_results[1]]
+    for name in sorted(BUNDLED):
+        game = bundled_game(name)
+        games.append((game, classify_game(game).decomposition))
+    checked = 0
+    for game, decomposition in games:
+        for states, witnesses in _shipped_witnesses(decomposition):
+            assert sorted(witnesses) == states, game.name
+            for target, policy in witnesses.items():
+                assert sorted(policy) == [s for s in states if s != target], game.name
+                for s, a in policy.items():
+                    assert game.transitions[s, a, states].sum() >= 1.0 - CLOSED_TOL
+                hits = witness_hitting(game, states, target, policy)
+                assert hits.min() >= 1.0 - 1e-9, (game.name, states, target, hits)
+                checked += len(states) > 1
+    assert checked
