@@ -8,9 +8,10 @@ per-player action ranges.
 
 Validation reads NaN and infinite data as violations, since NaN compares
 false: a non-finite payoff or transition probability, and a payoff bound
-that is not a finite non-negative number.  A game file holding one is a
-format error.  `distribution_faults` is the one check that transition rows
-are distributions; min-max's gate for the direct solve reads it too.
+that is not a finite non-negative number.  A game file holding one, or an
+entry that is not a number, is a format error.  `distribution_faults` is
+the one check that transition rows are distributions; min-max's gate for
+the direct solve reads it too.
 """
 
 from __future__ import annotations
@@ -198,9 +199,9 @@ def validate_game(game: StochasticGame) -> list:
     # Each check is one array test over every (state, profile) pair; only the
     # failing pairs are visited, by state, then profile.
     non_finite, negative, bad_mass, mass = distribution_faults(game.transitions)
-    wild = ~np.isfinite(game.payoffs).all(axis=2)
-    outside = (np.abs(game.payoffs) > bound + 1e-12).any(axis=2) & ~wild
-    for s, a in zip(*np.nonzero(non_finite | negative | bad_mass | wild | outside)):
+    wild_pay = ~np.isfinite(game.payoffs).all(axis=2)
+    outside = (np.abs(game.payoffs) > bound + 1e-12).any(axis=2) & ~wild_pay
+    for s, a in zip(*np.nonzero(non_finite | negative | bad_mass | wild_pay | outside)):
         where = f"({game.state_names[s]}, {game.profile_key(a)})"
         if non_finite[s, a]:
             problems.append(f"non-finite transition probability at {where}")
@@ -208,7 +209,7 @@ def validate_game(game: StochasticGame) -> list:
             problems.append(f"negative transition probability at {where}")
         if bad_mass[s, a]:
             problems.append(f"transition mass {float(mass[s, a])!r} at {where}")
-        if wild[s, a]:
+        if wild_pay[s, a]:
             problems.append(f"non-finite payoff {game.payoffs[s, a].tolist()} at {where}")
         if outside[s, a]:
             problems.append(f"payoff {game.payoffs[s, a].tolist()} outside "
@@ -250,6 +251,19 @@ def game_to_dict(game: StochasticGame) -> dict:
     return doc
 
 
+def _finite(value, what: str) -> float:
+    """`value` as a finite float; GameFormatError, naming `what`, when it
+    is not a number or is NaN or infinite (JSON accepts `NaN` and
+    `Infinity`)."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise GameFormatError(f"{what} is not a number: {value!r}") from exc
+    if not np.isfinite(number):
+        raise GameFormatError(f"non-finite {what}")
+    return number
+
+
 def game_from_dict(doc: dict) -> StochasticGame:
     try:
         n_players = int(doc["players"])
@@ -287,9 +301,7 @@ def game_from_dict(doc: dict) -> StochasticGame:
                 raise GameFormatError(
                     f"payoff at ({sname!r}, {key!r}) has {len(entry)} entries, expected {n_players}"
                 )
-            payoffs[s, a] = [float(v) for v in entry]
-            if not np.isfinite(payoffs[s, a]).all():
-                raise GameFormatError(f"non-finite payoff at ({sname!r}, {key!r})")
+            payoffs[s, a] = [_finite(v, f"payoff at ({sname!r}, {key!r})") for v in entry]
         # Unspecified transition entries are zero; validation reports bad mass.
         s_tr = tr_doc.get(sname, {})
         for key, a in key_index.items():
@@ -299,14 +311,12 @@ def game_from_dict(doc: dict) -> StochasticGame:
                     raise GameFormatError(
                         f"transition at ({sname!r}, {key!r}) names unknown state {tname!r}"
                     )
-                transitions[s, a, t] = float(p)
-                if not np.isfinite(transitions[s, a, t]):
-                    raise GameFormatError(
-                        f"non-finite transition probability at ({sname!r}, {key!r})")
+                transitions[s, a, t] = _finite(
+                    p, f"transition probability at ({sname!r}, {key!r})")
 
-    bound = float(doc.get("payoff_bound", 1.0))
-    if not (np.isfinite(bound) and bound >= 0.0):
-        raise GameFormatError(f"payoff_bound {bound!r} is not a finite non-negative number")
+    bound = _finite(doc.get("payoff_bound", 1.0), "payoff_bound")
+    if bound < 0.0:
+        raise GameFormatError(f"payoff_bound {bound!r} is negative")
     return StochasticGame(
         state_names=state_names,
         action_names=action_names,

@@ -252,6 +252,7 @@ def _equilibrium_sets(tables: np.ndarray, counts: tuple, exact_tol: float) -> li
     Two players list their exact equilibria by `_two_player_items`; one
     player, or three or more, by one pure scan over the stack, each
     equilibrium's regret by `regret` on its own table."""
+    games = [AuxiliaryGame(s, table, counts) for s, table in enumerate(tables)]
     if len(counts) == 2:
         found = _two_player_items(tables, counts, exact_tol)
     else:
@@ -259,10 +260,8 @@ def _equilibrium_sets(tables: np.ndarray, counts: tuple, exact_tol: float) -> li
         tensors = tables.reshape((len(tables),) + counts + tables.shape[2:])
         for g, *profile in _pure_equilibria(tensors, exact_tol).tolist():
             mixes = tuple(np.eye(k)[a] for k, a in zip(counts, profile))
-            found[g].append(Equilibrium(mixes, True,
-                                        regret(AuxiliaryGame(g, tables[g], counts), mixes)))
-    return [_equilibrium_set(AuxiliaryGame(s, table, counts), items)
-            for s, (table, items) in enumerate(zip(tables, found))]
+            found[g].append(Equilibrium(mixes, True, regret(games[g], mixes)))
+    return [_equilibrium_set(aux, items) for aux, items in zip(games, found)]
 
 
 def enumerate_all_states(game: StochasticGame, v1: np.ndarray,

@@ -303,10 +303,10 @@ def test_non_finite_entries_match_the_pair_by_pair_loop(seed):
 
 
 @pytest.mark.parametrize("field", ["payoff", "transition", "payoff_bound"])
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"x"', "null"])
 def test_non_finite_game_files_are_format_errors(tmp_path, field, value):
     # JSON accepts NaN and Infinity literals; such a file is a parse error,
-    # like a negative payoff bound.
+    # like an entry that is not a number and a negative payoff bound.
     doc = game_to_dict(sorin_game())
     text = json.dumps(doc)
     if field == "payoff":
@@ -318,10 +318,14 @@ def test_non_finite_game_files_are_format_errors(tmp_path, field, value):
     assert text != json.dumps(doc)
     path = tmp_path / "wild.json"
     path.write_text(text)
-    with pytest.raises(GameFormatError, match="non-finite|not a finite"):
+    what = {"payoff": "payoff at ('s0', 'T/L')", "payoff_bound": "payoff_bound",
+            "transition": "transition probability at ('s0', 'T/L')"}[field]
+    want = f"non-finite {what}" if value[0] in "NI-" else f"{what} is not a number"
+    with pytest.raises(GameFormatError) as info:
         load_game(path)
+    assert str(info.value).startswith(want)
     doc["payoff_bound"] = -1.0
-    with pytest.raises(GameFormatError, match="not a finite non-negative number"):
+    with pytest.raises(GameFormatError, match="payoff_bound -1.0 is negative"):
         game_from_dict(doc)
 
 
