@@ -7,8 +7,6 @@ import json
 
 # Probability mass accounting (distribution rows).
 DIST_TOL = 1e-12
-# Equality of extrapolated per-state values (communicating-set condition).
-VALUE_SPREAD_TOL = 1e-4
 
 
 def dump_json(obj, path) -> None:

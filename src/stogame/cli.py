@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from ._util import VALUE_SPREAD_TOL, dump_json
+from ._util import dump_json
 from .game import (
     GameFormatError,
     StationaryProfile,
@@ -29,7 +29,6 @@ from .game import (
 )
 from .generators import BUNDLED, bundled_game, sorin_game
 from .minmax import DEFAULT_SCHEDULE_DEPTH, default_schedule, solve_uniform_minmax
-from .oneshot import EXACT_EQ_TOL
 from .pipeline import DEFAULT_EPS, classify_game, run_pipeline
 from .simulate import simulate
 from .verify import DEFAULT_LAMBDA_GRID, check_minmax_acceptable, product_chain
@@ -46,17 +45,12 @@ FLAGS = {
     "--schedule-depth": dict(type=int, default=DEFAULT_SCHEDULE_DEPTH,
                              help="discount schedule length for the uniform solve"),
     "--out": dict(default="out", help="artifact directory"),
-    "--tol-v": dict(type=float, default=VALUE_SPREAD_TOL,
-                    help="value-equality tolerance for communicating sets"),
-    "--eq-tol": dict(type=float, default=EXACT_EQ_TOL,
-                     help="equilibrium regret tolerance (exact paths)"),
     "--lam": dict(type=float, default=None,
                   help="simulation discount factor (default 0.99)"),
     "--replications": dict(type=int, default=2000),
     "--seed": dict(type=int, default=0, help="simulation random seed (default 0)"),
 }
-_PIPELINE = ("--game", "--epsilon", "--lambda-grid", "--schedule-depth", "--out",
-             "--tol-v", "--eq-tol")
+_PIPELINE = ("--game", "--epsilon", "--lambda-grid", "--schedule-depth", "--out")
 
 
 def _load(args) -> StochasticGame:
@@ -101,13 +95,10 @@ def _epsilon(args) -> float:
 
 
 def _solver_inputs(args):
-    """Load the game and check `--epsilon`, `--schedule-depth`, `--tol-v`
-    and `--eq-tol`, which `decompose` and the pipeline commands read."""
+    """Load the game and check `--epsilon` and `--schedule-depth`, which
+    `decompose` and the pipeline commands read."""
     game = _load(args)
     _epsilon(args)
-    for flag, tol in (("--tol-v", args.tol_v), ("--eq-tol", args.eq_tol)):
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise GameFormatError(f"{flag} must be finite and at least 0, got {tol}")
     return game, _schedule(args)
 
 
@@ -116,8 +107,7 @@ def _run(args):
     game, schedule = _solver_inputs(args)
     lam_grid = _grid(args)
     return game, run_pipeline(game, eps=args.epsilon, schedule=schedule,
-                              tol_v=args.tol_v, lam_grid=lam_grid,
-                              eq_tol=args.eq_tol)
+                              lam_grid=lam_grid)
 
 
 def cmd_validate(args) -> int:
@@ -153,7 +143,7 @@ def cmd_solve(args) -> int:
 
 def cmd_decompose(args) -> int:
     game, schedule = _solver_inputs(args)
-    res = classify_game(game, args.epsilon, schedule, args.tol_v, args.eq_tol)
+    res = classify_game(game, args.epsilon, schedule)
     doc = {
         "uniform_values": res.v1,
         "decomposition": res.decomposition,
@@ -305,8 +295,7 @@ def cmd_demo_sorin(args) -> int:
 COMMANDS = {
     "validate": (cmd_validate, ("--game", "--out")),
     "solve": (cmd_solve, ("--game", "--schedule-depth", "--out")),
-    "decompose": (cmd_decompose, ("--game", "--epsilon", "--schedule-depth", "--out",
-                                  "--tol-v", "--eq-tol")),
+    "decompose": (cmd_decompose, ("--game", "--epsilon", "--schedule-depth", "--out")),
     "build": (cmd_build, _PIPELINE),
     "build-correlated": (cmd_build_correlated, _PIPELINE),
     "verify": (cmd_verify, _PIPELINE),

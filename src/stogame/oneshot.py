@@ -120,16 +120,17 @@ class EquilibriumSet:
         })
 
 
-def _pure_equilibria(tensors: np.ndarray, tol: float) -> np.ndarray:
+def _pure_equilibria(tensors: np.ndarray) -> np.ndarray:
     """Every pure equilibrium of a stack of games, `tensors` of shape (G,
     A_1, ..., A_n, I): the rows (game, a_1, ..., a_n), games in order and
     each game's profiles in `itertools.product` order.  A profile is one
     when no player's best action against it beats the player's own by more
-    than tol; each player's test is one array comparison over the stack."""
+    than EXACT_EQ_TOL; each player's test is one array comparison over the
+    stack."""
     ok = True
     for i in range(tensors.ndim - 2):
         own = tensors[..., i]
-        ok = ok & (own.max(axis=i + 1, keepdims=True) <= own + tol)
+        ok = ok & (own.max(axis=i + 1, keepdims=True) <= own + EXACT_EQ_TOL)
     return np.argwhere(ok)
 
 
@@ -173,22 +174,23 @@ def _regrets_2p(tables: np.ndarray, games: np.ndarray, X: np.ndarray, Y: np.ndar
     return np.where(cols > worst, cols, worst)
 
 
-def _two_player_items(tables: np.ndarray, counts: tuple, tol: float) -> list:
+def _two_player_items(tables: np.ndarray, counts: tuple) -> list:
     """Per game of the two-player stack `tables` (G, A, 2), with action
     counts (m, n): its exact equilibria in the order found, the pure ones
     (`_pure_equilibria`), kept whatever their regret reads, and then the
-    regular mixed ones within tol of no regret (`_support_candidates_2p`).
+    regular mixed ones within EXACT_EQ_TOL of no regret
+    (`_support_candidates_2p`).
     All regrets come from one stacked `_regrets_2p`."""
     m, n = counts
     tensors = tables.reshape(len(tables), m, n, 2)
-    pure = _pure_equilibria(tensors, tol)
+    pure = _pure_equilibria(tensors)
     mixed = _support_candidates_2p(tensors)
     games = np.concatenate([pure[:, 0], mixed[0]])
     X = np.concatenate([np.eye(m)[pure[:, 1]], mixed[1]])
     Y = np.concatenate([np.eye(n)[pure[:, 2]], mixed[2]])
     items = [[] for _ in tables]
     for c, (g, r) in enumerate(zip(games.tolist(), _regrets_2p(tables, games, X, Y).tolist())):
-        if c < len(pure) or r <= tol:
+        if c < len(pure) or r <= EXACT_EQ_TOL:
             items[g].append(Equilibrium((X[c], Y[c]), True, r))
     return items
 
@@ -246,7 +248,7 @@ def _equilibrium_set(aux: AuxiliaryGame, items: list) -> EquilibriumSet:
     return EquilibriumSet(aux.state, ordered, notes)
 
 
-def _equilibrium_sets(tables: np.ndarray, counts: tuple, exact_tol: float) -> list:
+def _equilibrium_sets(tables: np.ndarray, counts: tuple) -> list:
     """The EquilibriumSet of every game of the stack `tables` (G, A, I),
     with action counts `counts`, game g as state g (`_equilibrium_set`).
     Two players list their exact equilibria by `_two_player_items`; one
@@ -254,18 +256,17 @@ def _equilibrium_sets(tables: np.ndarray, counts: tuple, exact_tol: float) -> li
     equilibrium's regret by `regret` on its own table."""
     games = [AuxiliaryGame(s, table, counts) for s, table in enumerate(tables)]
     if len(counts) == 2:
-        found = _two_player_items(tables, counts, exact_tol)
+        found = _two_player_items(tables, counts)
     else:
         found = [[] for _ in tables]
         tensors = tables.reshape((len(tables),) + counts + tables.shape[2:])
-        for g, *profile in _pure_equilibria(tensors, exact_tol).tolist():
+        for g, *profile in _pure_equilibria(tensors).tolist():
             mixes = tuple(np.eye(k)[a] for k, a in zip(counts, profile))
             found[g].append(Equilibrium(mixes, True, regret(games[g], mixes)))
     return [_equilibrium_set(aux, items) for aux, items in zip(games, found)]
 
 
-def enumerate_all_states(game: StochasticGame, v1: np.ndarray,
-                         exact_tol: float = EXACT_EQ_TOL) -> list:
+def enumerate_all_states(game: StochasticGame, v1: np.ndarray) -> list:
     """EquilibriumSet for every state, in state order, from the tables of
     one `transitions @ v1` (`_equilibrium_sets`).  Pure equilibria come
     from an exact scan, and two players add regular mixed ones by support
@@ -273,4 +274,4 @@ def enumerate_all_states(game: StochasticGame, v1: np.ndarray,
     0) add approximate ones, within APPROX_EQ_TOL, for three or more
     players or as a two-player fallback.  An empty result is reported as
     such, never fabricated."""
-    return _equilibrium_sets(game.transitions @ v1, game.action_counts, exact_tol)
+    return _equilibrium_sets(game.transitions @ v1, game.action_counts)

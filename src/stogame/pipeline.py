@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import VALUE_SPREAD_TOL, json_ready
+from ._util import json_ready
 from .builder import (
     assemble_profile,
     build_correlated_stationary,
@@ -15,7 +15,7 @@ from .builder import (
 )
 from .game import StochasticGame, validate_game
 from .minmax import MinMaxReport, solve_uniform_minmax
-from .oneshot import EXACT_EQ_TOL, continuation_values, enumerate_all_states
+from .oneshot import continuation_values, enumerate_all_states
 from .structure import Decomposition, decompose
 from .verify import (
     DEFAULT_LAMBDA_GRID,
@@ -101,9 +101,8 @@ class PipelineResult:
         })
 
 
-def classify_game(game: StochasticGame, eps: float = DEFAULT_EPS, schedule=None,
-                  tol_v: float = VALUE_SPREAD_TOL,
-                  eq_tol: float = EXACT_EQ_TOL) -> PipelineResult:
+def classify_game(game: StochasticGame, eps: float = DEFAULT_EPS,
+                  schedule=None) -> PipelineResult:
     """Solve, decompose and classify one game: the stages up to, not
     including, the profile build.
 
@@ -118,13 +117,13 @@ def classify_game(game: StochasticGame, eps: float = DEFAULT_EPS, schedule=None,
     problems = validate_game(game)
     minmax = solve_uniform_minmax(game, schedule=schedule)
     v1 = minmax.uniform_values
-    eq_sets = enumerate_all_states(game, v1, exact_tol=eq_tol)
+    eq_sets = enumerate_all_states(game, v1)
     result = PipelineResult(game, eps, minmax, v1, eq_sets, None, [])
     if problems:
         result.errors.append(f"invalid game: {len(problems)} violations, "
                              f"first {problems[0]}")
     try:
-        result.decomposition = decompose(game, eq_sets, v1, tol_v=tol_v)
+        result.decomposition = decompose(game, eq_sets, v1)
     except RuntimeError as exc:
         result.errors.append(f"decomposition: {exc}")
     if result.errors:
@@ -136,8 +135,7 @@ def classify_game(game: StochasticGame, eps: float = DEFAULT_EPS, schedule=None,
 
 
 def run_pipeline(game: StochasticGame, eps: float = DEFAULT_EPS, schedule=None,
-                 tol_v: float = VALUE_SPREAD_TOL, lam_grid=DEFAULT_LAMBDA_GRID,
-                 eq_tol: float = EXACT_EQ_TOL) -> PipelineResult:
+                 lam_grid=DEFAULT_LAMBDA_GRID) -> PipelineResult:
     """Run the full chain on one game: `classify_game`, then build both the
     machine profile and the stationary correlated variant, and judge each on
     its own product chain.
@@ -146,7 +144,7 @@ def run_pipeline(game: StochasticGame, eps: float = DEFAULT_EPS, schedule=None,
     raised, so callers can report partial results.  An invalid game, or one
     whose decomposition stalls, stops after `classify_game`, with its error.
     """
-    result = classify_game(game, eps, schedule, tol_v, eq_tol)
+    result = classify_game(game, eps, schedule)
     if result.errors:
         return result
     v1, decomposition, classifications = (

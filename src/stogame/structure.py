@@ -16,11 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import DIST_TOL, VALUE_SPREAD_TOL, json_ready
+from ._util import DIST_TOL, json_ready
 from .chains import reach_probability, strongly_connected_components
 from .game import StochasticGame
 
 CLOSED_TOL = 1e-9
+# Equality of extrapolated per-state values (communicating-set condition).
+VALUE_SPREAD_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +145,11 @@ class Decomposition:
         })
 
 
-def value_classes(v1: np.ndarray, tol_v: float) -> list:
+def value_classes(v1: np.ndarray) -> list:
     """States grouped by single linkage: two states share a class when a
-    chain of states joins them, each step within `tol_v` for every player."""
-    near = np.max(np.abs(v1[:, None, :] - v1[None, :, :]), axis=2) <= tol_v
+    chain of states joins them, each step within VALUE_SPREAD_TOL for every
+    player."""
+    near = np.max(np.abs(v1[:, None, :] - v1[None, :, :]), axis=2) <= VALUE_SPREAD_TOL
     return strongly_connected_components([np.nonzero(row)[0].tolist() for row in near])
 
 
@@ -161,8 +164,7 @@ def _safe_support_graph(game: StochasticGame, region: list) -> list:
     ]
 
 
-def maximal_communicating_sets(game: StochasticGame, eq_sets, v1,
-                               tol_v: float = VALUE_SPREAD_TOL):
+def maximal_communicating_sets(game: StochasticGame, eq_sets, v1):
     """Maximal communicating sets by end-component refinement.
 
     Starting from the value classes, repeat until no candidate changes: drop
@@ -171,13 +173,13 @@ def maximal_communicating_sets(game: StochasticGame, eq_sets, v1,
     Every communicating set survives inside one candidate, and every fixpoint
     is closed under E and strongly connected under its own safe profiles,
     hence mutually leading: the fixpoints are exactly the maximal sets.
-    Single linkage can chain a value class wider than `tol_v`; each such
-    class is reported in the returned notes.
+    Single linkage can chain a value class wider than VALUE_SPREAD_TOL;
+    each such class is reported in the returned notes.
     """
-    work = value_classes(v1, tol_v)
+    work = value_classes(v1)
     notes = [
-        f"value class {cls} spreads {value_spread(v1, cls):.3g} > tol_v {tol_v:g}"
-        for cls in work if value_spread(v1, cls) > tol_v
+        f"value class {cls} spreads {value_spread(v1, cls):.3g} > tol_v {VALUE_SPREAD_TOL:g}"
+        for cls in work if value_spread(v1, cls) > VALUE_SPREAD_TOL
     ]
     found = []
     while work:
@@ -246,11 +248,10 @@ def transient_reach_probability(game: StochasticGame, choice, union) -> float:
     return float(min(h[s] for s in choice))
 
 
-def decompose(game: StochasticGame, eq_sets, v1,
-              tol_v: float = VALUE_SPREAD_TOL) -> Decomposition:
+def decompose(game: StochasticGame, eq_sets, v1) -> Decomposition:
     """Full decomposition: maximal communicating sets, transient states and
     the transient stationary profile."""
-    sets, notes = maximal_communicating_sets(game, eq_sets, v1, tol_v)
+    sets, notes = maximal_communicating_sets(game, eq_sets, v1)
     union = tuple(sorted(s for c in sets for s in c.states))
     choice = transient_profile(game, eq_sets, union)
     reach = transient_reach_probability(game, choice, union)

@@ -163,21 +163,20 @@ def test_simulate_command(tmp_path):
     assert set(doc["results"]) == {"low", "mid", "high"}
 
 
-_PIPELINE_FLAGS = {"--game", "--epsilon", "--lambda-grid", "--schedule-depth", "--out",
-                   "--tol-v", "--eq-tol"}
+_PIPELINE_FLAGS = {"--game", "--epsilon", "--lambda-grid", "--schedule-depth", "--out"}
 # The flags each command reads, and so takes.
 READS = {
     "validate": {"--game", "--out"},
     "solve": {"--game", "--schedule-depth", "--out"},
-    "decompose": {"--game", "--epsilon", "--schedule-depth", "--out", "--tol-v",
-                  "--eq-tol"},
+    "decompose": {"--game", "--epsilon", "--schedule-depth", "--out"},
     "build": _PIPELINE_FLAGS,
     "build-correlated": _PIPELINE_FLAGS,
     "verify": _PIPELINE_FLAGS,
     "simulate": _PIPELINE_FLAGS | {"--lam", "--replications", "--seed"},
     "demo-sorin": {"--epsilon", "--lambda-grid", "--schedule-depth", "--out"},
 }
-# A value for each flag, and the value it parses to.
+# A value for each flag, and the value it parses to.  `--tol-v` and
+# `--eq-tol` are no flags any more: every command rejects them.
 FLAG_VALUES = {
     "--game": ("builtin:mdp3", "builtin:mdp3"),
     "--epsilon": ("0.1", 0.1),
@@ -199,7 +198,7 @@ def test_seed_is_a_simulate_flag_only():
     # not pass either (`--lam` for `--lambda-grid`).
     assert build_parser().parse_args(["simulate", "--seed", "3"]).seed == 3
     assert set(READS) == set(COMMANDS)
-    assert sum(len(flags) for flags in READS.values()) == 46
+    assert sum(len(flags) for flags in READS.values()) == 36
     for command, reads in READS.items():
         for flag, (text, value) in FLAG_VALUES.items():
             argv = [command, flag, text]
@@ -243,10 +242,6 @@ def test_lambda_grid_flag_validation(tmp_path):
     ["demo-sorin", "--epsilon", "nan"],
     ["verify", "--epsilon", "nan", "--game", "builtin:sorin"],
     ["decompose", "--epsilon", "inf", "--game", "builtin:sorin"],
-    ["decompose", "--eq-tol", "-1", "--game", "builtin:sorin"],
-    ["decompose", "--eq-tol", "nan", "--game", "builtin:sorin"],
-    ["decompose", "--tol-v", "-1", "--game", "builtin:sorin"],
-    ["build", "--tol-v", "inf", "--game", "builtin:sorin"],
     ["simulate", "--seed", "-1", "--game", "builtin:sorin"],
     ["simulate", "--replications", "-1", "--game", "builtin:sorin"],
     ["simulate", "--replications", "0", "--game", "builtin:sorin"],

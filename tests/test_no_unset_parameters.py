@@ -149,9 +149,10 @@ def test_the_scan_sees_calls_by_keyword_position_and_method():
     set_by = _set_by_calls(functions)
     assert {"schedule"} <= set_by["minmax.uniform_minmax"]          # keyword
     assert {"k_max"} <= set_by["minmax.default_schedule"]           # position
-    assert {"exact_tol"} <= set_by["oneshot.enumerate_all_states"]  # keyword
+    assert {"lam_grid"} <= set_by["pipeline.run_pipeline"]          # keyword
+    assert {"replications"} <= set_by["simulate.simulate"]          # keyword
     total = sum(len(defaulted) for *_, defaulted in functions)
-    assert 0 < total <= 28
+    assert 0 < total <= 20
     defined = dict(_defined_names())
     assert {"discounted_minmax", "_policy_iteration", "uniform_values"} <= set(defined)
     assert "__init__" not in defined

@@ -31,7 +31,7 @@ from stogame.oneshot import (
 
 def _one_game(aux):
     """`aux`'s EquilibriumSet from the stacked stage, as a one-game stack."""
-    return _equilibrium_sets(aux.table[None], aux.action_counts, EXACT_EQ_TOL)[0]
+    return _equilibrium_sets(aux.table[None], aux.action_counts)[0]
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +186,7 @@ def _assert_same_equilibria(aux):
     per-pair support enumeration's equilibria, in the same order, with the
     regrets `regret` gives them, bit for bit.  Returns the number of mixed
     ones."""
-    got = _two_player_items(aux.table[None], aux.action_counts, EXACT_EQ_TOL)[0]
+    got = _two_player_items(aux.table[None], aux.action_counts)[0]
     mixed = support_enumeration_oracle(aux, EXACT_EQ_TOL)
     want = pure_equilibria_oracle(aux, EXACT_EQ_TOL) + mixed
     assert len(got) == len(want)
@@ -303,7 +303,7 @@ def test_stacked_stage_matches_the_per_state_enumeration(case):
     # One stacked pass over every game against each game's own pure scan,
     # support pairs and regrets: the same JSON, bit for bit.
     tables, counts = case
-    got = _equilibrium_sets(tables, counts, EXACT_EQ_TOL)
+    got = _equilibrium_sets(tables, counts)
     want = [equilibria_oracle(AuxiliaryGame(s, t, counts), EXACT_EQ_TOL)
             for s, t in enumerate(tables)]
     assert json.dumps(json_ready(got)) == json.dumps(json_ready(want))
@@ -315,7 +315,7 @@ def test_stacked_pure_stage_matches_the_per_state_enumeration(case):
     # One player, or three: one pure scan over the stack and each regret on
     # its own table, against each game's own scan, bit for bit.
     tables, counts = case
-    got = _equilibrium_sets(tables, counts, EXACT_EQ_TOL)
+    got = _equilibrium_sets(tables, counts)
     want = [equilibria_oracle(AuxiliaryGame(s, t, counts), EXACT_EQ_TOL)
             for s, t in enumerate(tables)]
     assert json.dumps(json_ready(got)) == json.dumps(json_ready(want))
