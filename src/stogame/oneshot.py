@@ -6,11 +6,13 @@ enumerated, finite list of equilibria: all pure ones (exact scan), all
 regular mixed ones for two players (support enumeration), and damped
 best-response fixed points for three or more players (tagged approximate).
 
-A state's games are a few entries each, so numpy's fixed cost per call, not
+The tables of every state are one array, u* = `transitions @ v1`
+(`continuation_values`, the only routine that forms u*: the profile build
+prices exits with it, and the verifiers form their own copy with it).  A
+state's games are a few entries each, so numpy's fixed cost per call, not
 the arithmetic, sets the stage's time.  So every player count takes one
-stacked pass over all states (`enumerate_all_states`): one `transitions @
-v1` for the tables and one array comparison per player for the pure scan.
-Two players add one LAPACK stack per kernel size for every state's bordered
+stacked pass over all states (`enumerate_all_states`), with one array
+comparison per player for the pure scan.  Two players add one LAPACK stack per kernel size for every state's bordered
 systems and one stacked regret computation for every candidate, whose
 products keep the shapes and strides of `regret`'s own; one player, or
 three or more, take each pure equilibrium's regret from `regret` on its
@@ -50,11 +52,12 @@ class AuxiliaryGame:
 
 
 def continuation_values(game: StochasticGame, v1: np.ndarray) -> np.ndarray:
-    """Expected next-state value of every (state, profile) pair, (S, A, I).
+    """u*, the expected next-state value of every (state, profile) pair,
+    (S, A, I), as one `transitions @ v1`.
 
     Entry [s, a] is the value vector a one-shot deviation is priced at:
     the auxiliary-game payoff table at s is exactly the slice [s]."""
-    return np.einsum("sat,ti->sai", game.transitions, v1)
+    return game.transitions @ v1
 
 
 def profile_value(aux: AuxiliaryGame, mixes) -> np.ndarray:
@@ -266,12 +269,12 @@ def _equilibrium_sets(tables: np.ndarray, counts: tuple) -> list:
     return [_equilibrium_set(aux, items) for aux, items in zip(games, found)]
 
 
-def enumerate_all_states(game: StochasticGame, v1: np.ndarray) -> list:
-    """EquilibriumSet for every state, in state order, from the tables of
-    one `transitions @ v1` (`_equilibrium_sets`).  Pure equilibria come
+def enumerate_all_states(game: StochasticGame, u_star: np.ndarray) -> list:
+    """EquilibriumSet for every state, in state order, from the tables
+    `u_star` of `continuation_values` (`_equilibrium_sets`).  Pure equilibria come
     from an exact scan, and two players add regular mixed ones by support
     enumeration.  Damped best-response dynamics from random restarts (seed
     0) add approximate ones, within APPROX_EQ_TOL, for three or more
     players or as a two-player fallback.  An empty result is reported as
     such, never fabricated."""
-    return _equilibrium_sets(game.transitions @ v1, game.action_counts)
+    return _equilibrium_sets(u_star, game.action_counts)

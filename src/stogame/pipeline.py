@@ -117,7 +117,8 @@ def classify_game(game: StochasticGame, eps: float = DEFAULT_EPS,
     problems = validate_game(game)
     minmax = solve_uniform_minmax(game, schedule=schedule)
     v1 = minmax.uniform_values
-    eq_sets = enumerate_all_states(game, v1)
+    u_star = continuation_values(game, v1)
+    eq_sets = enumerate_all_states(game, u_star)
     result = PipelineResult(game, eps, minmax, v1, eq_sets, None, [])
     if problems:
         result.errors.append(f"invalid game: {len(problems)} violations, "
@@ -128,7 +129,6 @@ def classify_game(game: StochasticGame, eps: float = DEFAULT_EPS,
         result.errors.append(f"decomposition: {exc}")
     if result.errors:
         return result
-    u_star = continuation_values(game, v1)
     result.classifications = [classify_set(game, cset, eps, u_star)
                               for cset in result.decomposition.sets]
     return result

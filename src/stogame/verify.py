@@ -203,12 +203,11 @@ def check_submartingale(chain: ProductModel, v1: np.ndarray,
     set ends the process, so no constraint applies there.  `chain` is the
     product chain of `builder.assemble_profile`'s machine.
     """
-    game = chain.game
+    u_star = continuation_values(chain.game, v1)
     entries = []
     for s in decomposition.transient:
         row = decomposition.transient_profile[s].correlated_row()
-        nxt = row @ game.transitions[s]
-        expected = nxt @ v1
+        expected = row @ u_star[s]
         drift = float(np.min(expected - v1[s]))
         entries.append(BlockDriftEntry("transient", s, drift, {
             "expected_next": json_ready(expected)}))

@@ -900,7 +900,7 @@ def pure_equilibria_oracle(aux, tol: float) -> list:
 
 def auxiliary_game(game, s: int, v1: np.ndarray) -> AuxiliaryGame:
     """The auxiliary game at state s on its own, its table by one
-    `transitions[s] @ v1`; `oneshot.enumerate_all_states` stacks every
+    `transitions[s] @ v1`; `oneshot.continuation_values` stacks every
     state's product."""
     return AuxiliaryGame(s, game.transitions[s] @ v1, game.action_counts)
 

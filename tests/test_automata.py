@@ -26,9 +26,9 @@ from stogame.verify import DEFAULT_LAMBDA_GRID, product_chain
 def sorin_profile():
     g = sorin_game()
     v1 = solve_uniform_minmax(g).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
-    d = decompose(g, eq_sets, v1)
     u_star = continuation_values(g, v1)
+    eq_sets = enumerate_all_states(g, u_star)
+    d = decompose(g, eq_sets, v1)
     cls = [classify_set(g, c, 0.05, u_star) for c in d.sets]
     return g, assemble_profile(g, d, cls, 0.05)
 
@@ -86,9 +86,9 @@ def test_joint_and_per_player_paths_identical(sorin_profile):
 def test_joint_and_per_player_paths_identical_with_travel():
     g = random_banded_exit_game(4005)   # two-core set: exercises travel
     v1 = solve_uniform_minmax(g).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
-    d = decompose(g, eq_sets, v1)
     u_star = continuation_values(g, v1)
+    eq_sets = enumerate_all_states(g, u_star)
+    d = decompose(g, eq_sets, v1)
     cls = [classify_set(g, c, 0.05, u_star) for c in d.sets]
     prof = assemble_profile(g, d, cls, 0.05)
     for seed in range(3):

@@ -44,9 +44,9 @@ from stogame.verify import product_chain
 def sorin_ctx():
     g = sorin_game()
     v1 = solve_uniform_minmax(g).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
-    d = decompose(g, eq_sets, v1)
     u_star = continuation_values(g, v1)
+    eq_sets = enumerate_all_states(g, u_star)
+    d = decompose(g, eq_sets, v1)
     cls = [classify_set(g, c, 0.05, u_star) for c in d.sets]
     return g, v1, d, cls
 
@@ -228,9 +228,10 @@ def test_delta_sweep_payoff_convergence():
     # Use a dense game where the best mixture may need several atoms.
     g = random_dense_game(1004, n_states=4)
     v1 = solve_uniform_minmax(g).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
+    u_star = continuation_values(g, v1)
+    eq_sets = enumerate_all_states(g, u_star)
     d = decompose(g, eq_sets, v1)
-    cls = classify_set(g, d.sets[0], 0.05, continuation_values(g, v1))
+    cls = classify_set(g, d.sets[0], 0.05, u_star)
     plan = cls.sustain
     if len(plan.atoms) >= 2:
         target = plan.achieved
@@ -246,10 +247,11 @@ def test_delta_sweep_payoff_convergence():
 def test_classify_dense_is_sustainable():
     g = random_dense_game(1007, n_states=3)
     v1 = solve_uniform_minmax(g).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
+    u_star = continuation_values(g, v1)
+    eq_sets = enumerate_all_states(g, u_star)
     d = decompose(g, eq_sets, v1)
     assert len(d.sets) == 1
-    cls = classify_set(g, d.sets[0], 0.05, continuation_values(g, v1))
+    cls = classify_set(g, d.sets[0], 0.05, u_star)
     assert cls.kind == "A"
     assert np.all(cls.sustain.achieved >= d.sets[0].value - 0.025)
 
@@ -284,11 +286,11 @@ def test_correlated_sorin_exit_law(sorin_ctx):
 def test_multi_state_departing_set_machinery():
     g = random_banded_exit_game(4003)   # two-core symmetric variant
     v1 = solve_uniform_minmax(g).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
+    u_star = continuation_values(g, v1)
+    eq_sets = enumerate_all_states(g, u_star)
     d = decompose(g, eq_sets, v1)
     two_state = [c for c in d.sets if len(c.states) == 2]
     assert two_state, "expected a two-state departing set"
-    u_star = continuation_values(g, v1)
     cls = classify_set(g, two_state[0], 0.05, u_star)
     assert cls.kind == "B"
     law = exit_play_law(g, two_state[0].states, cls.exit_plan)
@@ -316,9 +318,9 @@ def partial_exit_game():
 def test_partial_mass_exits_end_to_end():
     g = partial_exit_game()
     v1 = solve_uniform_minmax(g).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
-    d = decompose(g, eq_sets, v1)
     u_star = continuation_values(g, v1)
+    eq_sets = enumerate_all_states(g, u_star)
+    d = decompose(g, eq_sets, v1)
     cls = [classify_set(g, c, 0.05, u_star) for c in d.sets]
     core = [k for k, c in enumerate(d.sets) if 0 in c.states]
     assert core and cls[core[0]].kind == "B"
@@ -349,9 +351,10 @@ def test_absorbing_state_with_action_dependent_payoffs():
     g = StochasticGame(("arena",), (("h", "t"), ("H", "T")), payoffs, transitions)
     v1 = solve_uniform_minmax(g).uniform_values
     np.testing.assert_allclose(v1[0], [0.0, 0.0], atol=1e-8)
-    eq_sets = enumerate_all_states(g, v1)
+    u_star = continuation_values(g, v1)
+    eq_sets = enumerate_all_states(g, u_star)
     d = decompose(g, eq_sets, v1)
-    cls = classify_set(g, d.sets[0], 0.05, continuation_values(g, v1))
+    cls = classify_set(g, d.sets[0], 0.05, u_star)
     assert cls.kind == "A"
     assert np.all(cls.sustain.achieved >= -1e-9)
 
@@ -377,10 +380,11 @@ def test_opposed_cycles_delta_sweep():
     g = opposed_cycles_game()
     v1 = solve_uniform_minmax(g).uniform_values
     np.testing.assert_allclose(v1, -0.2, atol=1e-8)
-    eq_sets = enumerate_all_states(g, v1)
+    u_star = continuation_values(g, v1)
+    eq_sets = enumerate_all_states(g, u_star)
     d = decompose(g, eq_sets, v1)
     assert [c.states for c in d.sets] == [(0, 1)]
-    cls = classify_set(g, d.sets[0], 0.05, continuation_values(g, v1))
+    cls = classify_set(g, d.sets[0], 0.05, u_star)
     assert cls.kind == "A"
     plan = cls.sustain
     np.testing.assert_allclose(plan.weights, [0.5, 0.5], atol=1e-9)
@@ -399,9 +403,10 @@ def test_opposed_cycles_correlated_multichain_tuner():
     g = opposed_cycles_game()
     res_rows = None
     v1 = solve_uniform_minmax(g).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
+    u_star = continuation_values(g, v1)
+    eq_sets = enumerate_all_states(g, u_star)
     d = decompose(g, eq_sets, v1)
-    cls = classify_set(g, d.sets[0], 0.05, continuation_values(g, v1))
+    cls = classify_set(g, d.sets[0], 0.05, u_star)
     from stogame.builder import _correlated_type_a_rows
 
     rows = _correlated_type_a_rows(g, (0, 1), cls.sustain, 0.05,
@@ -431,7 +436,7 @@ def test_degenerate_exit_law_ends_the_correlated_tuner():
     # (round 24, residual 3.8e-9).
     g = random_banded_exit_game(4003)
     v1 = solve_uniform_minmax(g).uniform_values
-    d = decompose(g, enumerate_all_states(g, v1), v1)
+    d = decompose(g, enumerate_all_states(g, continuation_values(g, v1)), v1)
     region = next(c.states for c in d.sets if len(c.states) == 2)
     exits = [(0, 2), (1, 2)]
     found = [companion_action(g, safe_profiles(g, region)[s], a) for s, a in exits]

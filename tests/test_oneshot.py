@@ -54,11 +54,13 @@ def test_deterministic_transition_copies_value(sorin_v1):
     np.testing.assert_allclose(aux.table[3], [2.0, 0.0], atol=1e-9)
 
 
-def test_continuation_values_match_aux_tables(sorin_v1):
-    g, v1 = sorin_v1
-    u_star = continuation_values(g, v1)
-    for s in range(g.n_states):
-        np.testing.assert_allclose(u_star[s], auxiliary_game(g, s, v1).table)
+def test_continuation_values_match_aux_tables(suite_results):
+    # u* is one product for the one-shot stage, the exit prices and the
+    # verifiers: each state's slice has the bits of its own table.
+    for g, res in suite_results[1]:
+        u_star = continuation_values(g, res.v1)
+        for s in range(g.n_states):
+            np.testing.assert_array_equal(u_star[s], auxiliary_game(g, s, res.v1).table)
 
 
 def test_dominant_strategy_game_unique_pure():
@@ -111,7 +113,7 @@ def test_random_2x2_equilibria_match_grid_scan(seed):
 def test_equilibrium_regret_bound_under_tol():
     g = random_dense_game(9, n_states=3)
     v1 = solve_uniform_minmax(g).uniform_values
-    for eq_set in enumerate_all_states(g, v1):
+    for eq_set in enumerate_all_states(g, continuation_values(g, v1)):
         assert eq_set.items
         for eq in eq_set.items:
             aux = auxiliary_game(g, eq_set.state, v1)
@@ -131,7 +133,7 @@ def test_value_inequality_absorbing_margin_zero(sorin_v1):
 def test_value_inequality_over_random_game():
     g = random_dense_game(23, n_states=4)
     v1 = solve_uniform_minmax(g).uniform_values
-    for eq_set in enumerate_all_states(g, v1):
+    for eq_set in enumerate_all_states(g, continuation_values(g, v1)):
         aux = auxiliary_game(g, eq_set.state, v1)
         for eq in eq_set.items:
             ok, margins = check_value_inequality(aux, eq.mixes, v1)
@@ -325,7 +327,7 @@ def test_stacked_pure_stage_matches_the_per_state_enumeration(case):
 def test_bundled_stage_of_one_or_three_players_matches_the_per_state_enumeration(make):
     g = make()
     v1 = solve_uniform_minmax(g, schedule=default_schedule(8)).uniform_values
-    got = enumerate_all_states(g, v1)
+    got = enumerate_all_states(g, continuation_values(g, v1))
     want = [equilibria_oracle(auxiliary_game(g, s, v1), EXACT_EQ_TOL)
             for s in range(g.n_states)]
     assert json.dumps(json_ready(got)) == json.dumps(json_ready(want))
@@ -340,7 +342,7 @@ def test_workload_stage_matches_the_per_state_enumeration(suite_results):
               _two_by_three(random_dense_game(6005, n_states=3, n_actions=3))):
         games.append((g, solve_uniform_minmax(g, schedule=default_schedule(8)).uniform_values))
     for g, v1 in games:
-        got = enumerate_all_states(g, v1)
+        got = enumerate_all_states(g, continuation_values(g, v1))
         want = [equilibria_oracle(auxiliary_game(g, s, v1), EXACT_EQ_TOL)
                 for s in range(g.n_states)]
         assert json.dumps(json_ready(got)) == json.dumps(json_ready(want)), g.name

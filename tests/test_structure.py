@@ -30,7 +30,7 @@ from stogame.generators import (
     sorin_game,
 )
 from stogame.minmax import solve_uniform_minmax
-from stogame.oneshot import enumerate_all_states
+from stogame.oneshot import continuation_values, enumerate_all_states
 from stogame.pipeline import classify_game
 from stogame.structure import (
     CLOSED_TOL,
@@ -106,7 +106,7 @@ def test_leads_witness_avoids_risky_action():
 def test_leads_matches_policy_enumeration(seed):
     g = random_banded_exit_game(seed + 4100)
     v1 = solve_uniform_minmax(g).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
+    eq_sets = enumerate_all_states(g, continuation_values(g, v1))
     n = g.n_states
     for region in ([0], list(range(n))):
         for s in region:
@@ -129,7 +129,7 @@ def test_travel_infeasible_raises():
 
 def test_minimal_closed_sets_all_absorbing(sorin):
     v1 = solve_uniform_minmax(sorin).uniform_values
-    eq_sets = enumerate_all_states(sorin, v1)
+    eq_sets = enumerate_all_states(sorin, continuation_values(sorin, v1))
     assert minimal_closed_sets_under_E(sorin, eq_sets) == [(0,), (1,), (2,)]
 
 
@@ -137,7 +137,7 @@ def test_minimal_closed_sets_all_absorbing(sorin):
 def test_minimal_closed_sets_match_support_chain_scan(seed):
     g = random_dense_game(seed + 70, n_states=4)
     v1 = solve_uniform_minmax(g).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
+    eq_sets = enumerate_all_states(g, continuation_values(g, v1))
     adj = equilibrium_support_chain(g, eq_sets)
     P = np.zeros((4, 4))
     for s, succ in enumerate(adj):
@@ -148,7 +148,7 @@ def test_minimal_closed_sets_match_support_chain_scan(seed):
 
 def test_sets_with_different_values_never_merge(sorin):
     v1 = solve_uniform_minmax(sorin).uniform_values
-    eq_sets = enumerate_all_states(sorin, v1)
+    eq_sets = enumerate_all_states(sorin, continuation_values(sorin, v1))
     sets, _ = maximal_communicating_sets(sorin, eq_sets, v1)
     assert [c.states for c in sets] == [(0,), (1,), (2,)]
 
@@ -164,7 +164,7 @@ def test_maximal_sets_match_brute_force(seed):
     else:
         g = random_dense_game(seed, n_states=4)
     v1 = solve_uniform_minmax(g).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
+    eq_sets = enumerate_all_states(g, continuation_values(g, v1))
     sets, _ = maximal_communicating_sets(g, eq_sets, v1)
     expected = maximal_communicating_oracle(g, eq_sets, v1)
     assert [c.states for c in sets] == list(expected)
@@ -181,7 +181,7 @@ def test_decomposition_invariants_on_suite_samples():
         else:
             g = random_dense_game(seed, n_states=4)
         v1 = solve_uniform_minmax(g).uniform_values
-        eq_sets = enumerate_all_states(g, v1)
+        eq_sets = enumerate_all_states(g, continuation_values(g, v1))
         d = decompose(g, eq_sets, v1)
         seen = set()
         for c in d.sets:
@@ -194,7 +194,7 @@ def test_decomposition_invariants_on_suite_samples():
 
 def test_transient_profile_no_transients(sorin):
     v1 = solve_uniform_minmax(sorin).uniform_values
-    eq_sets = enumerate_all_states(sorin, v1)
+    eq_sets = enumerate_all_states(sorin, continuation_values(sorin, v1))
     choice = transient_profile(sorin, eq_sets, (0, 1, 2))
     assert choice == {}
 
@@ -204,7 +204,7 @@ def test_transient_chain_absorbs():
 
     g = random_layered_game(3000)
     v1 = solve_uniform_minmax(g).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
+    eq_sets = enumerate_all_states(g, continuation_values(g, v1))
     d = decompose(g, eq_sets, v1)
     assert d.transient
     assert transient_reach_probability(g, d.transient_profile,
@@ -222,7 +222,7 @@ def test_transient_induction_stall_reported():
     transitions[1, 0, 1] = 1.0
     g = StochasticGame(("a", "b"), (("x",),), payoffs, transitions)
     v1 = solve_uniform_minmax(g).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
+    eq_sets = enumerate_all_states(g, continuation_values(g, v1))
     with pytest.raises(RuntimeError):
         transient_profile(g, eq_sets, (1,))
 
@@ -240,7 +240,7 @@ def test_two_disjoint_cycles_are_minimal_closed_sets():
     P[0, 1] = P[1, 0] = P[2, 3] = P[3, 2] = 1.0
     g = single_action_chain(P)
     v1 = solve_uniform_minmax(g).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
+    eq_sets = enumerate_all_states(g, continuation_values(g, v1))
     assert minimal_closed_sets_under_E(g, eq_sets) == [(0, 1), (2, 3)]
     prof = pure_profile(g, [(0,)] * 4)
     assert [i.states for i in irreducible_sets(g, prof)] == [(0, 1), (2, 3)]
@@ -276,7 +276,7 @@ def two_block_game():
 def test_six_state_nested_decomposition_matches_brute_force():
     g = two_block_game()
     v1 = solve_uniform_minmax(g).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
+    eq_sets = enumerate_all_states(g, continuation_values(g, v1))
     d = decompose(g, eq_sets, v1)
     assert [c.states for c in d.sets] == [(1, 2), (3, 4, 5)]
     assert d.transient == (0,)
@@ -289,7 +289,7 @@ def test_six_state_nested_decomposition_matches_brute_force():
 def test_decomposition_members_are_plain_ints():
     g = random_dense_game(5016, n_states=16)
     v1 = solve_uniform_minmax(g).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
+    eq_sets = enumerate_all_states(g, continuation_values(g, v1))
     d = decompose(g, eq_sets, v1)
     assert d.sets
     assert all(type(s) is int for c in d.sets for s in c.states)
@@ -302,7 +302,7 @@ def test_value_class_spread_beyond_tolerance_is_noted():
     # decomposition reports the spread instead of hiding it.
     g = single_action_chain([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     v1 = np.array([[0.0], [0.8e-4], [1.6e-4]])
-    eq_sets = enumerate_all_states(g, v1)
+    eq_sets = enumerate_all_states(g, continuation_values(g, v1))
     sets, notes = maximal_communicating_sets(g, eq_sets, v1)
     assert [c.states for c in sets] == [(0, 1, 2)]
     assert len(notes) == 1 and "spreads" in notes[0]

@@ -37,9 +37,9 @@ from test_pipeline import stalled_induction_game
 def sorin_ctx():
     g = sorin_game()
     v1 = solve_uniform_minmax(g).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
-    d = decompose(g, eq_sets, v1)
     u_star = continuation_values(g, v1)
+    eq_sets = enumerate_all_states(g, u_star)
+    d = decompose(g, eq_sets, v1)
     cls = [classify_set(g, c, 0.05, u_star) for c in d.sets]
     prof = assemble_profile(g, d, cls, 0.05)
     return g, v1, d, cls, prof
@@ -192,9 +192,9 @@ def test_submartingale_layered_transients():
 
     g = random_layered_game(3001)
     v1 = solve_uniform_minmax(g, schedule=default_schedule(24)).uniform_values
-    eq_sets = enumerate_all_states(g, v1)
-    d = decompose(g, eq_sets, v1)
     u_star = continuation_values(g, v1)
+    eq_sets = enumerate_all_states(g, u_star)
+    d = decompose(g, eq_sets, v1)
     cls = [classify_set(g, c, 0.05, u_star) for c in d.sets]
     prof = assemble_profile(g, d, cls, 0.05)
     report = check_submartingale(product_chain(g, prof), v1, d, cls)
