@@ -34,9 +34,9 @@ DEFAULT_EPS = 0.05
 class PipelineResult:
     game: StochasticGame
     eps: float
-    minmax: MinMaxReport
-    v1: np.ndarray
-    eq_sets: list
+    minmax: MinMaxReport | None
+    v1: np.ndarray | None
+    eq_sets: list | None
     decomposition: Decomposition | None
     classifications: list
     profile: object = None
@@ -66,7 +66,7 @@ class PipelineResult:
         extrapolation without a clean certificate.  A curve closed by the
         direct solve is certified by its bracket.  Reported, not gated."""
         lines = []
-        for curve in self.minmax.curves:
+        for curve in [] if self.minmax is None else self.minmax.curves:
             if curve.method == "direct":
                 continue
             stalled = sum(curve.stalled)
@@ -82,7 +82,7 @@ class PipelineResult:
             "game": self.game.name,
             "eps": self.eps,
             "uniform_values": self.v1,
-            "adversary_mode": self.minmax.adversary_mode,
+            "adversary_mode": None if self.minmax is None else self.minmax.adversary_mode,
             "sets": None if self.decomposition is None
             else [list(c.states) for c in self.decomposition.sets],
             "kinds": [c.kind for c in self.classifications],
@@ -109,20 +109,25 @@ def classify_game(game: StochasticGame, eps: float = DEFAULT_EPS,
     A game that fails `validate_game` (say, a negative transition
     probability) gets its values and decomposition but no classification,
     and its result carries the error: its product chain would not be a
-    Markov chain, and no check on it would mean anything.  A decomposition
-    that stalls is an error too, and the result has none (`None`).
+    Markov chain, and no check on it would mean anything.  A game with a
+    NaN or infinite payoff or transition probability stops before min-max,
+    with that error and no values (`minmax`, `v1` and `eq_sets` are
+    `None`).  A decomposition that stalls is an error too, and the result
+    has none (`None`).
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
     problems = validate_game(game)
+    errors = []
+    if problems:
+        errors.append(f"invalid game: {len(problems)} violations, first {problems[0]}")
+    if not (np.isfinite(game.payoffs).all() and np.isfinite(game.transitions).all()):
+        return PipelineResult(game, eps, None, None, None, None, [], errors=errors)
     minmax = solve_uniform_minmax(game, schedule=schedule)
     v1 = minmax.uniform_values
     u_star = continuation_values(game, v1)
     eq_sets = enumerate_all_states(game, u_star)
-    result = PipelineResult(game, eps, minmax, v1, eq_sets, None, [])
-    if problems:
-        result.errors.append(f"invalid game: {len(problems)} violations, "
-                             f"first {problems[0]}")
+    result = PipelineResult(game, eps, minmax, v1, eq_sets, None, [], errors=errors)
     try:
         result.decomposition = decompose(game, eq_sets, v1)
     except RuntimeError as exc:

@@ -186,6 +186,39 @@ def test_pipeline_gives_no_verdict_on_a_nan_payoff_bound():
                           "finite non-negative number"]
 
 
+@pytest.mark.parametrize("where", ["transition", "payoff"])
+def test_pipeline_stops_before_minmax_on_non_finite_data(monkeypatch, where):
+    # A NaN transition entry or an infinite payoff used to end min-max in a
+    # `ValueError` traceback from the matrix-game solver.
+    import stogame.pipeline
+    from stogame.generators import random_dense_game
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a game with non-finite data")
+
+    monkeypatch.setattr(stogame.pipeline, "solve_uniform_minmax", no_solve)
+    base = random_dense_game(1003, n_states=3)
+    payoffs, transitions = base.payoffs.copy(), base.transitions.copy()
+    if where == "transition":
+        transitions[1, 2, 0] = np.nan
+        first = "non-finite transition probability at (s1, "
+    else:
+        payoffs[2, 0, 1] = np.inf
+        first = f"non-finite payoff {payoffs[2, 0].tolist()} at (s2, "
+    game = StochasticGame(base.state_names, base.action_names, payoffs, transitions,
+                          name="non-finite")
+    res = run_pipeline(game, eps=0.05, schedule=default_schedule(18))
+    assert len(res.errors) == 1
+    assert res.errors[0].startswith("invalid game: 1 violations, first " + first)
+    assert (res.minmax, res.v1, res.eq_sets, res.decomposition) == (None, None, None, None)
+    assert not res.ok and res.classifications == [] and res.profile is None
+    assert res.warnings == []
+    summ = res.summary()
+    assert summ["uniform_values"] is None and summ["adversary_mode"] is None
+    assert summ["errors"] == res.errors and summ["ok"] is False
+    json.dumps(summ)
+
+
 def test_stalled_minmax_solves_are_warned_not_gated():
     from stogame.generators import random_banded_exit_game
 
