@@ -45,8 +45,8 @@ FLAGS = {
     "--schedule-depth": dict(type=int, default=DEFAULT_SCHEDULE_DEPTH,
                              help="discount schedule length for the uniform solve"),
     "--out": dict(default="out", help="artifact directory"),
-    "--lam": dict(type=float, default=None,
-                  help="simulation discount factor (default 0.99)"),
+    "--lam": dict(type=float, default=0.99,
+                  help="simulation discount factor (default %(default)s)"),
     "--replications": dict(type=int, default=2000),
     "--seed": dict(type=int, default=0, help="simulation random seed (default 0)"),
 }
@@ -227,23 +227,22 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    lam = 0.99 if args.lam is None else args.lam
-    if not 0.0 <= lam < 1.0:
-        raise GameFormatError(f"--lam must lie in [0, 1), got {lam}")
+    if not 0.0 <= args.lam < 1.0:
+        raise GameFormatError(f"--lam must lie in [0, 1), got {args.lam}")
     if args.replications < 1:
         raise GameFormatError(f"--replications must be at least 1, got {args.replications}")
     if args.seed < 0:
         raise GameFormatError(f"--seed must be at least 0, got {args.seed}")
     game, res = _run(args)
     if res.profile is None:
-        dump_json({"lam": lam, "errors": res.errors},
+        dump_json({"lam": args.lam, "errors": res.errors},
                   os.path.join(_outdir(args), "simulate.json"))
         print("build failed:", "; ".join(res.errors))
         return 1
-    results = {game.state_names[s]: simulate(game, s, res.profile, lam, seed=args.seed,
-                                             replications=args.replications)
+    results = {game.state_names[s]: simulate(game, s, res.profile, args.lam,
+                                             seed=args.seed, replications=args.replications)
                for s in range(game.n_states)}
-    dump_json({"lam": lam, "results": results},
+    dump_json({"lam": args.lam, "results": results},
               os.path.join(_outdir(args), "simulate.json"))
     for name, sim in results.items():
         print(f"{name}: mean {np.round(sim.mean, 5).tolist()} "

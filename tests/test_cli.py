@@ -9,7 +9,7 @@ import pytest
 
 import stogame.cli
 import stogame.pipeline
-from stogame.cli import COMMANDS, build_parser, main
+from stogame.cli import COMMANDS, FLAGS, build_parser, main
 from stogame.game import game_to_dict, save_game
 from stogame.generators import sorin_game
 from test_pipeline import STALLED_ERROR, stalled_induction_game
@@ -161,6 +161,15 @@ def test_simulate_command(tmp_path):
     doc = json.loads((tmp_path / "simulate.json").read_text())
     assert doc["lam"] == 0.9
     assert set(doc["results"]) == {"low", "mid", "high"}
+
+
+def test_simulate_lam_defaults_to_its_flag_value(tmp_path):
+    # The default is stated once, in `FLAGS`, and the artifact records it.
+    assert FLAGS["--lam"]["default"] == 0.99
+    assert build_parser().parse_args(["simulate"]).lam == 0.99
+    assert run(["simulate", "--game", "builtin:mdp3", "--out", str(tmp_path),
+                "--replications", "20"]) == 0
+    assert json.loads((tmp_path / "simulate.json").read_text())["lam"] == 0.99
 
 
 _PIPELINE_FLAGS = {"--game", "--epsilon", "--lambda-grid", "--schedule-depth", "--out"}
