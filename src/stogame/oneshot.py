@@ -12,11 +12,11 @@ prices exits with it, and the verifiers form their own copy with it).  A
 state's games are a few entries each, so numpy's fixed cost per call, not
 the arithmetic, sets the stage's time.  So every player count takes one
 stacked pass over all states (`enumerate_all_states`), with one array
-comparison per player for the pure scan.  Two players add one LAPACK stack per kernel size for every state's bordered
-systems and one stacked regret computation for every candidate, whose
-products keep the shapes and strides of `regret`'s own; one player, or
-three or more, take each pure equilibrium's regret from `regret` on its
-state's table.  The lists are those of a state by state enumeration, bit
+comparison per player for the pure scan.  Two players add one LAPACK
+stack per kernel size for every state's bordered systems and one stacked
+regret computation for every candidate, whose products keep the shapes
+and strides of `regret`'s own; one player, or three or more, take each
+pure equilibrium's regret from `regret` on its state's table.  The lists are those of a state by state enumeration, bit
 for bit (`tests/oracles.py` keeps it).  Dedupe and sorting stay per state,
 and so do best-response dynamics, which three or more players and a
 two-player state with no pure or regular equilibrium fall back to.

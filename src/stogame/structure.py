@@ -178,7 +178,8 @@ def maximal_communicating_sets(game: StochasticGame, eq_sets, v1):
     """
     work = value_classes(v1)
     notes = [
-        f"value class {cls} spreads {value_spread(v1, cls):.3g} > tol_v {VALUE_SPREAD_TOL:g}"
+        f"value class {cls} spreads {value_spread(v1, cls):.3g} "
+        f"> VALUE_SPREAD_TOL {VALUE_SPREAD_TOL:g}"
         for cls in work if value_spread(v1, cls) > VALUE_SPREAD_TOL
     ]
     found = []
