@@ -198,9 +198,12 @@ def _two_player_items(tables: np.ndarray, counts: tuple) -> list:
     return items
 
 
-def _best_response_dynamics(aux: AuxiliaryGame, tol: float, rng):
-    """Damped best-response dynamics from BR_RESTARTS random starts, drawn
-    restart by restart and run side by side as (restarts, actions) mixes."""
+def _best_response_dynamics(aux: AuxiliaryGame):
+    """Damped best-response dynamics from BR_RESTARTS random starts (seed
+    0), drawn restart by restart and run side by side as (restarts,
+    actions) mixes: the final profiles within APPROX_EQ_TOL of no regret,
+    with their regrets."""
+    rng = np.random.default_rng(0)
     counts = aux.action_counts
     starts = [[rng.dirichlet(np.ones(k)) for k in counts] for _ in range(BR_RESTARTS)]
     mixes = [np.stack(column) for column in zip(*starts)]
@@ -216,7 +219,7 @@ def _best_response_dynamics(aux: AuxiliaryGame, tol: float, rng):
     for j in restarts:
         final = tuple(m[j] for m in mixes)
         r = regret(aux, final)
-        if r <= tol:
+        if r <= APPROX_EQ_TOL:
             found.append((final, r))
     return found
 
@@ -233,9 +236,7 @@ def _equilibrium_set(aux: AuxiliaryGame, items: list) -> EquilibriumSet:
     notes = []
     n_players = len(aux.action_counts)
     if n_players >= 3 or not items:
-        rng = np.random.default_rng(0)
-        approx = _best_response_dynamics(aux, APPROX_EQ_TOL, rng)
-        for mixes, r in approx:
+        for mixes, r in _best_response_dynamics(aux):
             items.append(Equilibrium(mixes, False, r))
         if n_players >= 3 and not items:
             notes.append("no equilibrium found by pure scan or best-response restarts")

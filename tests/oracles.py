@@ -116,7 +116,6 @@ from stogame.minmax import (
     _Stage,
 )
 from stogame.oneshot import (
-    APPROX_EQ_TOL,
     AuxiliaryGame,
     Equilibrium,
     EquilibriumSet,
@@ -919,7 +918,7 @@ def equilibria_oracle(aux, tol: float) -> EquilibriumSet:
     items = [Equilibrium(mixes, True, regret(aux, mixes)) for mixes in found]
     notes = []
     if n_players >= 3 or not items:
-        for mixes, r in _best_response_dynamics(aux, APPROX_EQ_TOL, np.random.default_rng(0)):
+        for mixes, r in _best_response_dynamics(aux):
             items.append(Equilibrium(mixes, False, r))
         if n_players >= 3 and not items:
             notes.append("no equilibrium found by pure scan or best-response restarts")
