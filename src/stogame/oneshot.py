@@ -12,14 +12,15 @@ prices exits with it, and the verifiers form their own copy with it).  A
 state's games are a few entries each, so numpy's fixed cost per call, not
 the arithmetic, sets the stage's time.  So every player count takes one
 stacked pass over all states (`enumerate_all_states`), with one array
-comparison per player for the pure scan.  Two players add one LAPACK
-stack per kernel size for every state's bordered systems and one stacked
-regret computation for every candidate, whose products keep the shapes
-and strides of `regret`'s own; one player, or three or more, take each
-pure equilibrium's regret from `regret` on its state's table.  The lists are those of a state by state enumeration, bit
-for bit (`tests/oracles.py` keeps it).  Dedupe and sorting stay per state,
-and so do best-response dynamics, which three or more players and a
-two-player state with no pure or regular equilibrium fall back to.
+comparison per player for the pure scan.  Two players add one LAPACK stack
+per kernel size for every state's bordered systems and one stacked regret
+computation for every candidate, whose products keep the shapes and strides
+of `regret`'s own; one player, or three or more, take each pure
+equilibrium's regret from `regret` on its state's table.  The lists are
+those of a state by state enumeration, bit for bit (`tests/oracles.py`
+keeps it).  Dedupe and sorting stay per state, and so do best-response
+dynamics, which three or more players and a two-player state with no pure
+or regular equilibrium fall back to.
 """
 
 from __future__ import annotations
@@ -272,10 +273,10 @@ def _equilibrium_sets(tables: np.ndarray, counts: tuple) -> list:
 
 def enumerate_all_states(game: StochasticGame, u_star: np.ndarray) -> list:
     """EquilibriumSet for every state, in state order, from the tables
-    `u_star` of `continuation_values` (`_equilibrium_sets`).  Pure equilibria come
-    from an exact scan, and two players add regular mixed ones by support
-    enumeration.  Damped best-response dynamics from random restarts (seed
-    0) add approximate ones, within APPROX_EQ_TOL, for three or more
-    players or as a two-player fallback.  An empty result is reported as
-    such, never fabricated."""
+    `u_star` of `continuation_values` (`_equilibrium_sets`).  Pure
+    equilibria come from an exact scan, and two players add regular mixed
+    ones by support enumeration.  Damped best-response dynamics from
+    random restarts (seed 0) add approximate ones, within APPROX_EQ_TOL,
+    for three or more players or as a two-player fallback.  An empty
+    result is reported as such, never fabricated."""
     return _equilibrium_sets(u_star, game.action_counts)
