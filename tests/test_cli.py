@@ -251,6 +251,10 @@ def test_lambda_grid_flag_validation(tmp_path):
     ["demo-sorin", "--epsilon", "nan"],
     ["verify", "--epsilon", "nan", "--game", "builtin:sorin"],
     ["decompose", "--epsilon", "inf", "--game", "builtin:sorin"],
+    ["build", "--schedule-depth", "0", "--game", "builtin:sorin"],
+    ["build-correlated", "--epsilon", "-1", "--game", "builtin:sorin"],
+    ["simulate", "--lam", "1", "--game", "builtin:sorin"],
+    ["simulate", "--lam", "nan", "--game", "builtin:sorin"],
     ["simulate", "--seed", "-1", "--game", "builtin:sorin"],
     ["simulate", "--replications", "-1", "--game", "builtin:sorin"],
     ["simulate", "--replications", "0", "--game", "builtin:sorin"],
