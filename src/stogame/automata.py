@@ -11,7 +11,7 @@ Exact evaluation never materializes histories: play under an automaton is a
 Markov chain over (game state, machine state) nodes, expanded only at the
 game states of its start nodes: every state for the verifiers, a set's own
 states for its analysis.  Any other node reached keeps a zero row, which
-`first_play_law` and `exit_values` read as play having left.
+`first_play_law` reads as play having left.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import DIST_TOL, json_ready
-from .chains import limit_average_values
+from .chains import first_passage, limit_average_values
 from .game import StationaryProfile, StochasticGame, as_correlated_table
 
 
@@ -201,33 +201,13 @@ def build_product_model(game: StochasticGame, automaton: JointAutomaton,
 
 def discounted_value(model: ProductModel, grid) -> np.ndarray:
     """Exact discounted payoffs per node at every discount factor of `grid`,
-    shape (len(grid), N, I).  The systems (I - lam P) x = (1 - lam) r of
-    the whole grid go to LAPACK as one stack, and each gets the bits of its
-    own `np.linalg.solve`."""
+    shape (len(grid), N, I): the first passages x = (1 - lam) r + lam P x of
+    the whole grid, one stack for `chains.first_passage`."""
     lams = np.asarray(grid, dtype=float)
     outside = lams[(lams < 0.0) | (lams >= 1.0)]
     if len(outside):
         raise ValueError(f"discount factor {outside[0]} outside [0, 1)")
-    A = np.eye(model.n_nodes) - lams[:, None, None] * model.P
-    return np.linalg.solve(A, (1.0 - lams)[:, None, None] * model.r)
-
-
-def exit_values(model: ProductModel, inside, values: np.ndarray) -> np.ndarray:
-    """Expected `values` at the game state of the first node outside the node
-    set `inside`, per node of `inside` (rows in its order); play must leave
-    `inside` almost surely."""
-    pos = {n: j for j, n in enumerate(inside)}
-    T = np.zeros((len(inside), len(inside)))
-    b = np.zeros((len(inside),) + values.shape[1:])
-    for n in inside:
-        for n2 in np.nonzero(model.P[n] > 0)[0]:
-            n2 = int(n2)
-            p = model.P[n, n2]
-            if n2 in pos:
-                T[pos[n], pos[n2]] += p
-            else:
-                b[pos[n]] += p * values[model.nodes[n2][0]]
-    return np.linalg.solve(np.eye(len(inside)) - T, b)
+    return first_passage(lams[:, None, None] * model.P, (1.0 - lams)[:, None, None] * model.r)
 
 
 def first_play_law(model: ProductModel, inside, marked: dict,
@@ -247,4 +227,4 @@ def first_play_law(model: ProductModel, inside, marked: dict,
                 M[j] += model.alpha[n, a] * K[n, a, inside]
             else:
                 R[j, col] += model.alpha[n, a]
-    return np.linalg.solve(np.eye(len(inside)) - M, R)
+    return first_passage(M, R)

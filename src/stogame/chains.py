@@ -1,9 +1,13 @@
 """Finite Markov chains: recurrent classes and their stationary laws,
-reach, and the multichain average-reward solver (Puterman 1994, ch. 8-9).
-`_gain` is the one gain computation: the verifiers read it through
-`limit_average_values`, Howard's loop (`optimal_average_policy`) through
-`_gain` and `_bias`, the two halves of `gain_bias`.  `recurrent_laws` reads
-the classes and laws off the same plan and stacked solves.
+first passages, and the multichain average-reward solver (Puterman 1994,
+ch. 8-9).  `_gain` is the one gain computation: the verifiers read it
+through `limit_average_values`, Howard's loop (`optimal_average_policy`)
+through `_gain` and `_bias`, the two halves of `gain_bias`.
+`recurrent_laws` reads the classes and laws off the same plan and stacked
+solves.  `first_passage` is the one solve of X = B + QX: `_gain`'s
+absorption, the acceptability grid's discounted payoffs and the first
+marked play (`automata`), a departing set's departure values (`verify`)
+and the transient states' reach (`structure`).
 
 P is row-stochastic of shape (n, n), or leaks mass out of its states.
 Support is decided with a small positive cutoff so that numerically-zero
@@ -195,6 +199,19 @@ def _solved(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def first_passage(Q: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The X of X = B + QX: the expected payout collected before play stops
+    or leaves, where Q (..., k, k) holds the substochastic steps among k
+    states and B (k,) or (..., k, d) what each state pays; mass that a row
+    of Q leaks pays nothing more.  A stack of systems goes to LAPACK in one
+    call, and each gets the bits of its own `np.linalg.solve`.  Raises
+    LinAlgError where play cannot leave (I - Q singular)."""
+    A = _eye(Q.shape[-1]) - Q
+    if B.ndim == 1:
+        return _solved(_lapack_solve1(A, B, signature="dd->d"))
+    return _solved(_lapack_solve(A, B, signature="dd->d"))
+
+
 def recurrent_laws(P: np.ndarray) -> list:
     """(states, stationary law) of each recurrent class (bottom SCC) of P,
     by first state, as fresh lists and arrays: `_gain`'s laws (`_group_laws`),
@@ -228,24 +245,6 @@ def _group_laws(P: np.ndarray, groups) -> list:
     return laws
 
 
-def reach_probability(P: np.ndarray, targets) -> np.ndarray:
-    """Probability of ever hitting `targets`, per start state (targets made
-    absorbing)."""
-    n = P.shape[0]
-    targets = set(targets)
-    rest = [s for s in range(n) if s not in targets]
-    h = np.zeros(n)
-    for t in targets:
-        h[t] = 1.0
-    if rest:
-        Q = P[np.ix_(rest, rest)]
-        r = P[np.ix_(rest, sorted(targets))].sum(axis=1) if targets else np.zeros(len(rest))
-        sol = np.linalg.solve(np.eye(len(rest)) - Q, r)
-        for row, s in enumerate(rest):
-            h[s] = sol[row]
-    return h
-
-
 def _gain(P: np.ndarray, r: np.ndarray):
     """Multichain gain of stage values r (shape (n,) or (n, d)) under P, and
     the plan (`_Plan`) it was read from: each class's stationary average,
@@ -267,8 +266,7 @@ def _gain(P: np.ndarray, r: np.ndarray):
         rhs = np.zeros((len(plan.rows), len(plan.firsts)))
         for positions, idx in plan.sizes:
             rhs[:, positions] = rows[:, idx].sum(axis=-1)  # each class's rows[:, cls].sum(1)
-        absorb[plan.rows] = _solved(_lapack_solve(_eye(len(plan.rows)) - rows[:, plan.rows],
-                                                  rhs, signature="dd->d"))
+        absorb[plan.rows] = first_passage(rows[:, plan.rows], rhs)
     class_vals = np.zeros((len(plan.firsts), rv.shape[1]))
     for (positions, idx), laws in zip(plan.sizes, _group_laws(P, plan.sizes)):
         class_vals[positions] = (laws[:, None, :] @ rv[idx])[:, 0]  # each law @ rv[cls]

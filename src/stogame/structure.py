@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import DIST_TOL, json_ready
-from .chains import reach_probability, strongly_connected_components
+from .chains import first_passage, strongly_connected_components
 from .game import StochasticGame
 
 CLOSED_TOL = 1e-9
@@ -235,18 +235,14 @@ def transient_profile(game: StochasticGame, eq_sets, union):
 
 
 def transient_reach_probability(game: StochasticGame, choice, union) -> float:
-    """Min over transient states of the probability of reaching `union`."""
+    """Min over transient states of the probability of reaching `union`
+    under the selection `choice`, which covers every state outside it."""
     if not choice:
         return 1.0
-    n = game.n_states
-    P = np.zeros((n, n))
-    for s in range(n):
-        if s in choice:
-            P[s] = choice[s].correlated_row() @ game.transitions[s]
-        else:
-            P[s, s] = 1.0
-    h = reach_probability(P, set(union))
-    return float(min(h[s] for s in choice))
+    transient = sorted(choice)
+    rows = np.stack([choice[s].correlated_row() @ game.transitions[s] for s in transient])
+    reach = first_passage(rows[:, transient], rows.take(sorted(union), axis=1).sum(axis=1))
+    return float(reach.min())
 
 
 def decompose(game: StochasticGame, eq_sets, v1) -> Decomposition:

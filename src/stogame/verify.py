@@ -21,8 +21,8 @@ from .automata import (
     as_automaton,
     build_product_model,
     discounted_value,
-    exit_values,
 )
+from .chains import first_passage
 from .game import StationaryCorrelated, StationaryProfile, StochasticGame
 from .oneshot import continuation_values
 from .structure import Decomposition
@@ -204,6 +204,7 @@ def check_submartingale(chain: ProductModel, v1: np.ndarray,
     product chain of `builder.assemble_profile`'s machine.
     """
     u_star = continuation_values(chain.game, v1)
+    node_states = np.array([s for s, _ in chain.nodes])
     entries = []
     for s in decomposition.transient:
         row = decomposition.transient_profile[s].correlated_row()
@@ -215,11 +216,13 @@ def check_submartingale(chain: ProductModel, v1: np.ndarray,
         if cls.kind != "B":
             continue
         # Every node at the set's states runs the set's machine, since an
-        # edge that leaves a set re-dispatches.
-        region = set(cset.states)
-        inside = [n for n, (s, _) in enumerate(chain.nodes) if s in region]
-        pos = {n: j for j, n in enumerate(inside)}
-        W = exit_values(chain, inside, v1)
+        # edge that leaves a set re-dispatches.  The block pays v1 at the game
+        # state of the first node outside the set.
+        at_set = np.isin(node_states, cset.states)
+        inside, outside = np.flatnonzero(at_set), np.flatnonzero(~at_set)
+        pos = {n: j for j, n in enumerate(inside.tolist())}
+        rows = chain.P[inside]
+        W = first_passage(rows[:, inside], rows[:, outside] @ v1[node_states[outside]])
         for s in cset.states:
             w = W[pos[chain.node_of(s)]]
             drift = float(np.min(w - cset.value))

@@ -52,16 +52,20 @@ reachable node (`node_margins`), long-run node frequencies and a simulation
 of the exit-cycling scheme.  The
 per-set analyses read a set machine's exit law, departure values and
 long-run payoff off its standalone product chain, through `builder`'s own
-`_set_model`.  `whole_game_chain` is the reference that set chain must
-equal on the set's block: the chain closed from every game state, with
-every node expanded; `hub_game` lays games behind a fan-out state to make
-many sets in one game.  Next to them sit the cyclic scheme's closed-form
-exit law, the type-A mixture over given recurrent points and the one-shot
-value inequality.  The last section holds the irreducible sets of a
-stationary strategy (`recurrent_classes_oracle`), the leads-to test and the
-hitting probability of a travel strategy, built on the library's reach
-routines, the hitting probability of a set's C.2 witness by repeated
-squaring, without them (`witness_hitting`), and the minimal closed sets of
+`_set_model`; the departure values come from `exit_values`, which builds
+the block's system entry by entry, the reference of
+`chains.first_passage`.  `whole_game_chain` is the reference that set
+chain must equal on the set's block: the chain closed from every game
+state, with every node expanded; `hub_game` lays games behind a fan-out
+state to make many sets in one game.  Next to them sit the cyclic scheme's
+closed-form exit law, the type-A mixture over given recurrent points and
+the one-shot value inequality.  The last section holds the irreducible sets
+of a stationary strategy (`recurrent_classes_oracle`), the leads-to test
+and the hitting probability of a travel strategy, built on
+`reach_probability` (one `np.linalg.solve` with the targets absorbing, the
+reference of the transient-reach certificate's first passage), the hitting
+probability of a set's C.2 witness by repeated squaring, without them
+(`witness_hitting`), and the minimal closed sets of
 the equilibrium support chain.  Next to them,
 `almost_sure_reach_two_pass` is the pruning-then-layering reach that the
 library's one-pass `almost_sure_reach` must equal, witness order included.
@@ -84,7 +88,6 @@ from stogame.automata import (
     ProductModel,
     build_product_model,
     discounted_value,
-    exit_values,
     first_play_law,
 )
 from stogame.builder import (
@@ -95,7 +98,7 @@ from stogame.builder import (
     build_type_a_fragment,
     build_type_b_fragment,
 )
-from stogame.chains import reach_probability, strongly_connected_components
+from stogame.chains import strongly_connected_components
 from stogame.frequencies import (
     SustainPlan,
     _mixture_plan,
@@ -1336,6 +1339,25 @@ def exit_play_law(game, region, plan: ExitPlan) -> np.ndarray:
     return first_play_law(model, inside, marked, len(plan.exits))[:len(fragment.region)]
 
 
+def exit_values(model: ProductModel, inside, values: np.ndarray) -> np.ndarray:
+    """Expected `values` at the game state of the first node outside the node
+    set `inside`, per node of `inside` (rows in its order), with the system
+    built entry by entry; play must leave `inside` almost surely.  The
+    reference of `chains.first_passage` on a departing set's block."""
+    pos = {n: j for j, n in enumerate(inside)}
+    T = np.zeros((len(inside), len(inside)))
+    b = np.zeros((len(inside),) + values.shape[1:])
+    for n in inside:
+        for n2 in np.nonzero(model.P[n] > 0)[0]:
+            n2 = int(n2)
+            p = model.P[n, n2]
+            if n2 in pos:
+                T[pos[n], pos[n2]] += p
+            else:
+                b[pos[n]] += p * values[model.nodes[n2][0]]
+    return np.linalg.solve(np.eye(len(inside)) - T, b)
+
+
 def departure_values(game, region, plan: ExitPlan, v1: np.ndarray):
     """Expected uniform min-max value at the first state outside the set,
     per entry state, plus the probability of never leaving."""
@@ -1493,6 +1515,25 @@ def almost_sure_reach_two_pass(game, region, targets):
             break
         frontier = new
     return reachable, policy
+
+
+def reach_probability(P: np.ndarray, targets) -> np.ndarray:
+    """Probability of ever hitting `targets`, per start state (targets made
+    absorbing), by one `np.linalg.solve` over the other states: the
+    reference of `chains.first_passage` on a transient selection."""
+    n = P.shape[0]
+    targets = set(targets)
+    rest = [s for s in range(n) if s not in targets]
+    h = np.zeros(n)
+    for t in targets:
+        h[t] = 1.0
+    if rest:
+        Q = P[np.ix_(rest, rest)]
+        r = P[np.ix_(rest, sorted(targets))].sum(axis=1) if targets else np.zeros(len(rest))
+        sol = np.linalg.solve(np.eye(len(rest)) - Q, r)
+        for row, s in enumerate(rest):
+            h[s] = sol[row]
+    return h
 
 
 def verify_travel(game, region, targets, policy) -> float:
