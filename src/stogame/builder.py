@@ -137,14 +137,13 @@ class ExitPlan:
 
 
 def type_b_feasibility(game: StochasticGame, safe: dict, exits: list, value, eps: float,
-                       u_star: np.ndarray, counts: dict | None = None
-                       ) -> ExitPlan | None:
+                       u_star: np.ndarray, counts: dict) -> ExitPlan | None:
     """Departure plan meeting value - eps in expected continuation value, or
     None, over the `exits` of the region whose safe profiles are `safe`
     (`exit_options`).  Only exits admitting a companion switch are eligible.
     The exit mixture is `max_slack_mixture`'s, played at the per-cycle exit
-    scale EXIT_SCALE; when `counts` is given, its "master_lp" entry is
-    raised if that solve fell back to the LP."""
+    scale EXIT_SCALE; the "master_lp" entry of `counts` is raised if that
+    solve fell back to the LP."""
     admissible = []
     for s, a in exits:
         found = companion_action(game, safe[s], a)
@@ -155,8 +154,7 @@ def type_b_feasibility(game: StochasticGame, safe: dict, exits: list, value, eps
     target = np.asarray(value, dtype=float) - eps
     payoffs = np.stack([u_star[s, a] for s, a, _, _ in admissible])
     sol = max_slack_mixture(payoffs, target)
-    if counts is not None:
-        counts["master_lp"] += sol.method != "kernel"
+    counts["master_lp"] += sol.method != "kernel"
     found = plan_support(sol.row_strategy, payoffs, sol.value)
     if found is None:
         return None
@@ -205,7 +203,7 @@ def classify_set(game: StochasticGame, cset, eps: float,
             return Classification("A", sustain=plan_a, diagnostics=diagnostics)
     safe = safe_profiles(game, cset.states)
     exits, q_min = exit_options(game, safe)
-    plan_b = type_b_feasibility(game, safe, exits, cset.value, eps, u_star, counts=diagnostics)
+    plan_b = type_b_feasibility(game, safe, exits, cset.value, eps, u_star, diagnostics)
     if plan_b is not None:
         diagnostics["exit_slack"] = plan_b.slack
         return Classification("B", exit_plan=plan_b, diagnostics=diagnostics)

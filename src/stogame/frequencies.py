@@ -281,8 +281,7 @@ def _mixture_plan(points: list, beta: np.ndarray, slack: float,
     return SustainPlan([points[l] for l in support], weights, target, achieved, slack)
 
 
-def sustain_by_columns(game: StochasticGame, region, target,
-                       counts: dict | None = None) -> tuple:
+def sustain_by_columns(game: StochasticGame, region, target, counts: dict) -> tuple:
     """The type-A mixture by column generation.
 
     The master is `max_slack_mixture` over the recurrent points found so
@@ -290,9 +289,8 @@ def sustain_by_columns(game: StochasticGame, region, target,
     `best_recurrent_point`.  Generation stops once the priced point is
     already a column or does not beat the columns' best y . payoff, which is
     the master's optimality condition over all recurrent points.  Returns
-    (plan or None, number of columns generated).  When `counts` is given,
-    its "master_lp" entry is raised by each master solve that fell back to
-    the LP.
+    (plan or None, number of columns generated).  The "master_lp" entry of
+    `counts` is raised by each master solve that fell back to the LP.
     """
     target = np.asarray(target, dtype=float)
     mdp = safe_sub_mdp(game, region)
@@ -309,8 +307,7 @@ def sustain_by_columns(game: StochasticGame, region, target,
         columns.append(point)
         sol = max_slack_mixture(np.stack([p.payoff for p in columns]), target)
         y = sol.col_strategy
-        if counts is not None:
-            counts["master_lp"] += sol.method != "kernel"
+        counts["master_lp"] += sol.method != "kernel"
     # Atoms in the enumeration's order, whatever order pricing found them in.
     order = sorted(range(len(columns)),
                    key=lambda k: (columns[k].states, sorted(columns[k].actions.items())))

@@ -1431,7 +1431,7 @@ def type_a_feasibility(game, region, target, eps: float | None = None,
     if eps is not None:
         target = target - eps
     if points is None:
-        return sustain_by_columns(game, region, target)[0]
+        return sustain_by_columns(game, region, target, {"master_lp": 0})[0]
     if not points:
         return None
     sol = max_slack_mixture(np.stack([p.payoff for p in points]), target)

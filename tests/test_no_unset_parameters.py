@@ -152,7 +152,7 @@ def test_the_scan_sees_calls_by_keyword_position_and_method():
     assert {"lam_grid"} <= set_by["pipeline.run_pipeline"]          # keyword
     assert {"replications"} <= set_by["simulate.simulate"]          # keyword
     total = sum(len(defaulted) for *_, defaulted in functions)
-    assert 0 < total <= 20
+    assert 0 < total <= 18
     defined = dict(_defined_names())
     assert {"discounted_minmax", "_policy_iteration", "uniform_values"} <= set(defined)
     assert "__init__" not in defined
