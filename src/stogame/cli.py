@@ -43,7 +43,8 @@ FLAGS = {
     "--lambda-grid": dict(default=None,
                           help="comma-separated verification discount grid"),
     "--schedule-depth": dict(type=int, default=DEFAULT_SCHEDULE_DEPTH,
-                             help="discount schedule length for the uniform solve"),
+                             help="discount schedule length for the uniform solve, "
+                                  "1 to 53"),
     "--out": dict(default="out", help="artifact directory"),
     "--lam": dict(type=float, default=0.99,
                   help="simulation discount factor (default %(default)s)"),
@@ -77,9 +78,10 @@ def _grid(args):
 
 
 def _schedule(args) -> list:
-    if args.schedule_depth < 1:
+    # The schedule's last discount, 1 - 2^-depth, rounds to 1.0 past 53.
+    if not 1 <= args.schedule_depth <= 53:
         raise GameFormatError(
-            f"--schedule-depth must be at least 1, got {args.schedule_depth}")
+            f"--schedule-depth must be from 1 to 53, got {args.schedule_depth}")
     return default_schedule(args.schedule_depth)
 
 

@@ -264,6 +264,22 @@ def _finite(value, what: str) -> float:
     return number
 
 
+def _object(value, what: str) -> dict:
+    """`value`, a JSON object; GameFormatError, naming `what`, otherwise."""
+    if not isinstance(value, dict):
+        raise GameFormatError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _distinct(names, what: str) -> None:
+    """GameFormatError naming the first repeated name of `names`."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise GameFormatError(f"duplicate {what}: {name!r}")
+        seen.add(name)
+
+
 def game_from_dict(doc: dict) -> StochasticGame:
     try:
         n_players = int(doc["players"])
@@ -275,6 +291,9 @@ def game_from_dict(doc: dict) -> StochasticGame:
         raise GameFormatError(
             f"'actions' lists {len(action_names)} players, header says {n_players}"
         )
+    _distinct(state_names, "state name")
+    for i, acts in enumerate(action_names):
+        _distinct(acts, f"action name of player {i}")
     counts = tuple(len(a) for a in action_names)
     n_states = len(state_names)
     n_profiles = int(np.prod(counts)) if counts else 0
@@ -287,25 +306,30 @@ def game_from_dict(doc: dict) -> StochasticGame:
 
     payoffs = np.zeros((n_states, n_profiles, n_players))
     transitions = np.zeros((n_states, n_profiles, n_states))
-    pay_doc = doc.get("payoffs", {})
-    tr_doc = doc.get("transitions", {})
+    pay_doc = _object(doc.get("payoffs", {}), "'payoffs'")
+    tr_doc = _object(doc.get("transitions", {}), "'transitions'")
     for sname, s in state_index.items():
         s_pay = pay_doc.get(sname)
         if s_pay is None:
             raise GameFormatError(f"payoffs missing for state {sname!r}")
+        s_pay = _object(s_pay, f"payoffs of state {sname!r}")
         for key, a in key_index.items():
             entry = s_pay.get(key)
             if entry is None:
                 raise GameFormatError(f"payoff missing at state {sname!r}, profile {key!r}")
+            if not isinstance(entry, list):
+                raise GameFormatError(
+                    f"payoff at ({sname!r}, {key!r}) must be a JSON array, got {entry!r}")
             if len(entry) != n_players:
                 raise GameFormatError(
                     f"payoff at ({sname!r}, {key!r}) has {len(entry)} entries, expected {n_players}"
                 )
             payoffs[s, a] = [_finite(v, f"payoff at ({sname!r}, {key!r})") for v in entry]
         # Unspecified transition entries are zero; validation reports bad mass.
-        s_tr = tr_doc.get(sname, {})
+        s_tr = _object(tr_doc.get(sname, {}), f"transitions of state {sname!r}")
         for key, a in key_index.items():
-            for tname, p in s_tr.get(key, {}).items():
+            row = _object(s_tr.get(key, {}), f"transition row at ({sname!r}, {key!r})")
+            for tname, p in row.items():
                 t = state_index.get(tname)
                 if t is None:
                     raise GameFormatError(

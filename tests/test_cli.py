@@ -258,6 +258,8 @@ def test_lambda_grid_flag_validation(tmp_path):
     ["simulate", "--seed", "-1", "--game", "builtin:sorin"],
     ["simulate", "--replications", "-1", "--game", "builtin:sorin"],
     ["simulate", "--replications", "0", "--game", "builtin:sorin"],
+    ["solve", "--schedule-depth", "54", "--game", "builtin:sorin"],
+    ["demo-sorin", "--schedule-depth", "54"],
 ])
 def test_degenerate_solver_flags_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, argv):
     def no_solve(*args, **kwargs):
@@ -283,6 +285,41 @@ def test_non_finite_game_file_exits_2_before_any_solve(tmp_path, capsys, monkeyp
     wild.write_text(json.dumps(game_to_dict(sorin_game())).replace("[1.0, 0.0]", "[NaN, 0.0]", 1))
     assert run([command, "--game", str(wild), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: non-finite payoff at ('s0', 'T/L')")
+    assert not (tmp_path / "out").exists()
+
+
+def _malformed(edit):
+    """Sorin's game file with one edit applied to its document."""
+    doc = game_to_dict(sorin_game())
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_malformed(lambda d: d.update(payoffs=[])), "'payoffs' must be a JSON object"),
+    (_malformed(lambda d: d.update(payoffs={"s0": 5})),
+     "payoffs of state 's0' must be a JSON object"),
+    (_malformed(lambda d: d["transitions"]["s0"].update({"T/L": [["s0", 1.0]]})),
+     "transition row at ('s0', 'T/L') must be a JSON object"),
+    (_malformed(lambda d: d["payoffs"]["s0"].update({"T/L": 1.0})),
+     "payoff at ('s0', 'T/L') must be a JSON array"),
+    (_malformed(lambda d: d["states"].append("abs_0_1")), "duplicate state name: 'abs_0_1'"),
+    (_malformed(lambda d: d["actions"][1].__setitem__(1, "L")),
+     "duplicate action name of player 1: 'L'"),
+])
+def test_malformed_game_file_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, doc,
+                                                      message):
+    # Each document used to end in a traceback, or, with a duplicate name,
+    # to load a game whose lost rows validated as "transition mass 0.0".
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a malformed game")
+
+    monkeypatch.setattr(stogame.cli, "run_pipeline", no_solve)
+    monkeypatch.setattr(stogame.cli, "solve_uniform_minmax", no_solve)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", "--game", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "out").exists()
 
 
