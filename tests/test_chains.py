@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from oracles import (
     cesaro_doubling,
     eager_average_policy,
+    exit_values,
     per_class_gain,
+    reach_probability,
     recurrent_classes_oracle,
     stationary_law_oracle,
 )
@@ -16,11 +18,14 @@ from oracles import (
 from stogame import chains
 from stogame.chains import (
     CACHED_STATES,
+    first_passage,
     gain_bias,
     limit_average_values,
     optimal_average_policy,
     recurrent_laws,
 )
+from stogame.structure import transient_reach_probability
+from stogame.verify import DEFAULT_LAMBDA_GRID, product_chain
 
 # Rewards from a few levels, so that ties are common.
 _rewards = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-1, 1, allow_subnormal=False)
@@ -322,3 +327,69 @@ def test_cached_plans_are_read_only():
               chains._eye(3), chains._range(3)]
     assert all(not a.flags.writeable for a in arrays)
     assert [cls for cls, _ in recurrent_laws(P)] == [[0, 1]] and plan.rows.tolist() == [2]
+
+
+def test_first_passage_matches_the_entrywise_references(suite_results):
+    # On every departing set's block of the verifier's chain and every
+    # transient selection of the acceptance suite, the same bits as the
+    # systems built entry by entry and solved by np.linalg.solve: the
+    # departure values of v1 (as the submartingale audit reports them) and
+    # of ones (a vector payout), and the transient states' reach.
+    sets = selections = 0
+    for game, res in suite_results[1]:
+        d = res.decomposition
+        chain = product_chain(game, res.profile)
+        node_states = np.array([s for s, _ in chain.nodes])
+        reported = {(e.detail["set"], e.state): e.detail["expected_at_departure"]
+                    for e in res.submartingale.entries if e.kind == "departing-set"}
+        for k, (cset, cls) in enumerate(zip(d.sets, res.classifications)):
+            if cls.kind != "B":
+                continue
+            at_set = np.isin(node_states, cset.states)
+            inside, outside = np.flatnonzero(at_set), np.flatnonzero(~at_set)
+            rows = chain.P[inside]
+            want = exit_values(chain, inside.tolist(), res.v1)
+            for s in cset.states:
+                assert reported[k, s] == want[inside.tolist().index(chain.node_of(s))].tolist()
+            leave = first_passage(rows[:, inside], rows[:, outside].sum(axis=1))
+            assert _same_bits(leave, exit_values(chain, inside.tolist(),
+                                                 np.ones(game.n_states)))
+            sets += 1
+        if d.transient:
+            union = sorted(set(range(game.n_states)) - set(d.transient))
+            P = np.eye(game.n_states)
+            for s, eq in d.transient_profile.items():
+                P[s] = eq.correlated_row() @ game.transitions[s]
+            h = reach_probability(P, union)
+            got = first_passage(P[np.ix_(d.transient, d.transient)],
+                                P[np.ix_(d.transient, union)].sum(axis=1))
+            assert _same_bits(got, h[list(d.transient)])
+            assert transient_reach_probability(game, d.transient_profile, union) == got.min()
+            selections += 1
+    assert sets and selections
+
+
+def test_first_passage_gives_the_discounted_payoffs_of_np_linalg_solve(suite_results):
+    # The grid's stack, X = (1 - lam) r + lam P X, against np.linalg.solve on
+    # each discount of one suite game's product chain, bit for bit.
+    game, res = suite_results[1][0]
+    chain = product_chain(game, res.profile)
+    lams = np.array(DEFAULT_LAMBDA_GRID)
+    got = first_passage(lams[:, None, None] * chain.P, (1.0 - lams)[:, None, None] * chain.r)
+    for lam, x in zip(DEFAULT_LAMBDA_GRID, got):
+        want = np.linalg.solve(np.eye(chain.n_nodes) - lam * chain.P, (1.0 - lam) * chain.r)
+        assert _same_bits(x, want)
+
+
+def test_first_passage_leaked_mass_pays_nothing_and_a_closed_class_raises():
+    # State 0 leaks half its mass and sends half to state 1, which pays 1 and
+    # leaks the rest: 0.5 from state 0.  A state that keeps its mass can
+    # never leave, so its system is singular.
+    Q = np.array([[0.0, 0.5], [0.0, 0.0]])
+    assert first_passage(Q, np.array([0.0, 1.0])).tolist() == [0.5, 1.0]
+    assert first_passage(Q, np.array([[0.0, 2.0], [1.0, 4.0]])).tolist() == [[0.5, 4.0],
+                                                                               [1.0, 4.0]]
+    closed = np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        with pytest.raises(np.linalg.LinAlgError):
+            first_passage(closed, np.ones(3))
