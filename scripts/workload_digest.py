@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Four sha256 digests over the pipeline runs of a benchmark workload's games.
+"""Five sha256 digests over the pipeline runs of a benchmark workload's games.
 
 Usage, from the repository root:
 
@@ -8,7 +8,7 @@ Usage, from the repository root:
 For every slot in the inclusive range, in order, the workload's games are
 generated exactly as `perfbench/run.py` generates them, and each game goes
 through one `run_pipeline` call with the benchmark's eps and schedule.  The
-script prints four digests, each over all games in order:
+script prints five digests, each over all games in order:
 
 * min-max: over `json.dumps(json_ready(result.minmax))`.  Equal digests mean
   bit-identical min-max reports (values, the direct solve's brackets and
@@ -23,6 +23,11 @@ script prints four digests, each over all games in order:
   (acceptability of both variants, individual rationality, submartingale
   and size audit; `None` where a report is missing).  Equal digests mean
   bit-identical verdicts, payoffs and margins.
+* decompose: over each game's `json_ready` of its decomposition,
+  classifications and errors, as `stogame decompose` writes them to
+  `decompose.json`.  Equal digests mean bit-identical communicating sets,
+  travel witnesses, transient selections and their reach, and
+  classification plans.
 
 After the digests it checks every game against `perfbench/reference.json`
 as the benchmark does (`harness.compare`), and prints one line per game that
@@ -72,6 +77,7 @@ def main(argv=None) -> int:
     build_digest = hashlib.sha256()
     oneshot_digest = hashlib.sha256()
     verify_digest = hashlib.sha256()
+    decompose_digest = hashlib.sha256()
     n_games = 0
     checked = 0
     differing = []
@@ -103,6 +109,11 @@ def main(argv=None) -> int:
             reports = (res.acceptability, res.correlated_acceptability, res.ir_report,
                        res.submartingale, res.size_audit)
             verify_digest.update(json.dumps(json_ready(reports)).encode())
+            decompose_digest.update(json.dumps(json_ready({
+                "decomposition": res.decomposition,
+                "classifications": res.classifications,
+                "errors": res.errors,
+            })).encode())
             n_games += 1
     print(f"{args.workload} slots {args.slots.start}-{args.slots.stop - 1}: "
           f"{n_games} games in {time.monotonic() - start:.1f}s")
@@ -110,6 +121,7 @@ def main(argv=None) -> int:
     print(f"build {build_digest.hexdigest()}")
     print(f"oneshot {oneshot_digest.hexdigest()}")
     print(f"verify {verify_digest.hexdigest()}")
+    print(f"decompose {decompose_digest.hexdigest()}")
     for line in differing:
         print(line)
     print(f"reference: {len(differing)} of {checked} recorded games differ")
