@@ -390,6 +390,7 @@ def test_first_passage_leaked_mass_pays_nothing_and_a_closed_class_raises():
     assert first_passage(Q, np.array([[0.0, 2.0], [1.0, 4.0]])).tolist() == [[0.5, 4.0],
                                                                                [1.0, 4.0]]
     closed = np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    with pytest.warns(RuntimeWarning, match="invalid value"):
-        with pytest.raises(np.linalg.LinAlgError):
-            first_passage(closed, np.ones(3))
+    for payout in (np.ones(3), np.ones((3, 2))):
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            with pytest.raises(np.linalg.LinAlgError):
+                first_passage(closed, payout)
