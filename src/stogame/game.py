@@ -8,10 +8,11 @@ per-player action ranges.
 
 Validation reads NaN and infinite data as violations, since NaN compares
 false: a non-finite payoff or transition probability, and a payoff bound
-that is not a finite non-negative number.  A game file holding one, or an
-entry that is not a number, is a format error.  `distribution_faults` is
-the one check that transition rows are distributions; min-max's gate for
-the direct solve reads it too.
+that is not a finite non-negative number.  A game file holding one, an
+entry that is not a number, a field of the wrong JSON type or a repeated
+state name or player's action name is a format error.
+`distribution_faults` is the one check that transition rows are
+distributions; min-max's gate for the direct solve reads it too.
 """
 
 from __future__ import annotations
