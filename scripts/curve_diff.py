@@ -37,6 +37,14 @@ CATEGORIES = {
 }
 
 
+def _direct_try(report, player):
+    """The player's direct try, None where none ran: the curve's `direct`, or
+    the report's list of tries in a checkout that keeps them beside the
+    curves (`MinMaxReport.direct`, before the try moved into its curve)."""
+    tries = getattr(report, "direct", None)
+    return report.curves[player].direct if tries is None else tries[player]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True,
@@ -70,7 +78,7 @@ def main(argv=None) -> int:
                 entry = stats[old.method, new.method]
                 entry["curves"] += 1
                 for side in SIDES:
-                    direct = reports[side].direct[player]
+                    direct = _direct_try(reports[side], player)
                     entry["iterations"][side] += 0 if direct is None else direct.iterations
                 where = f"{slot}/{name}/{player}"
                 move = float(max(abs(a - b) for a, b in zip(old.v1, new.v1)))

@@ -13,7 +13,7 @@ rounds over the players and discounts of the curves that ran the schedule
 many of them took their mixes from a Newton step (newton=), the
 min-max one-shot games that left the stacked closed form for
 `solve_matrix_game` (lp=, expected 0 on the suite), the min-max warnings,
-one per player with an unconverged curve or a stalled solve (warn=), the
+one per player whose schedule curve has a stalled solve (warn=), the
 worst individual-rationality gain, the submartingale drift and the wall
 time; the summary line adds the suite's totals of rounds, closed curves,
 direct iterations, Newton steps, master LPs, one-shot LPs and warnings.
@@ -73,7 +73,7 @@ def main() -> int:
         cols = sum(c.diagnostics.get("sustain_columns", 0) for c in res.classifications)
         master_lp = sum(c.diagnostics.get("master_lp", 0) for c in res.classifications)
         scheduled = [curve for curve in res.minmax.curves if curve.method == "schedule"]
-        tries = [d for d in res.minmax.direct if d is not None]
+        tries = [c.direct for c in res.minmax.curves if c.direct is not None]
         rounds = sum(sum(curve.rounds) for curve in scheduled)
         closed = len(res.minmax.curves) - len(scheduled)
         direct = sum(d.iterations for d in tries)

@@ -34,10 +34,12 @@ as the benchmark does (`harness.compare`), and prints one line per game that
 differs: its slot, its name, the largest difference of its `v1` from the
 reference, each player's min-max method ("direct" where the average-reward
 bracket closed, "schedule" otherwise), the number of stalled discounted
-solves on each player's curve and the differences found.  A stalled solve's
-value is not certified, so a mismatch on a curve that has them may be the
-reference's error.  The last
-line counts the games that differ among those the reference records.
+solves on each player's curve, each player's bracket width (the widest
+`upper - lower` over the states; `inf` where no direct try ran) and the
+differences found.  A stalled solve's value is not certified, so a mismatch
+on a curve that has them may be the reference's error; the width says how
+far its bracket certifies it.  The last line counts the games that differ
+among those the reference records.
 
 The script imports `perfbench/env.py`, `perfbench/workloads.py`,
 `perfbench/harness.py` and `scripts/ab_time.py`'s `slot_range`; it pins the
@@ -96,9 +98,11 @@ def main(argv=None) -> int:
                     methods = [c.method for c in res.minmax.curves]
                     stalled = [sum(c.stalled) if c.method == "schedule" else 0
                                for c in res.minmax.curves]
+                    widths = [f"{np.max(c.upper - c.lower):.3e}" for c in res.minmax.curves]
                     differing.append(f"slot {slot} {game.name}: largest v1 difference "
                                      f"{off:.3e}, method per player {methods}, "
-                                     f"stalled solves per player {stalled}; "
+                                     f"stalled solves per player {stalled}, "
+                                     f"bracket width per player [{', '.join(widths)}]; "
                                      + "; ".join(problems))
             minmax_digest.update(json.dumps(json_ready(res.minmax)).encode())
             build_digest.update(json.dumps(json_ready({

@@ -128,18 +128,18 @@ def cmd_solve(args) -> int:
     report = solve_uniform_minmax(game, schedule=_schedule(args))
     dump_json(report, os.path.join(_outdir(args), "solve.json"))
     print(f"adversary mode: {report.adversary_mode}")
-    for curve, direct in zip(report.curves, report.direct):
+    for curve in report.curves:
         vals = ", ".join(f"{name}={v:.6f}" for name, v in zip(game.state_names, curve.v1))
-        flag = "" if curve.method == "direct" or curve.converged else "  [non-convergence flagged]"
-        print(f"player {curve.player}: {vals}{flag}")
+        print(f"player {curve.player}: {vals}")
+        direct = curve.direct
         if direct is None:
             print(f"  method {curve.method}; no direct solve: transition rows are not distributions")
         else:
             print(f"  method {curve.method}; direct solve: {direct.outcome}, "
                   f"{direct.iterations} iterations ({direct.newton_steps} Newton), "
                   f"bracket width {direct.width:.3g}, "
-                  f"lower {np.round(direct.lower, 9).tolist()}, "
-                  f"upper {np.round(direct.upper, 9).tolist()}")
+                  f"lower {np.round(curve.lower, 9).tolist()}, "
+                  f"upper {np.round(curve.upper, 9).tolist()}")
     return 0
 
 

@@ -91,13 +91,12 @@ which follow `v1`'s last bits, move with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import solve as _lapack_solve
 
-from ._util import json_ready
 from .chains import gain_bias, optimal_average_policy
 from .game import StochasticGame, distribution_faults
 from .matrixgame import closed_form_2x2, solve_matrix_game
@@ -386,6 +385,11 @@ class DirectSolve:
     def width(self) -> float:
         return float(np.max(self.upper - self.lower))
 
+    @property
+    def direct(self) -> DirectSolve:
+        """The direct try behind the curve: a closed curve is its own."""
+        return self
+
 
 def direct_minmax(game: StochasticGame, i: int) -> DirectSolve:
     """Player i's uniform min-max value by strategy iteration on the
@@ -482,40 +486,37 @@ class PlayerValueCurve:
     player: int
     schedule: list
     values: list          # one value vector per schedule point
-    extrapolated: np.ndarray
-    successive_diffs: list  # successive sup-norm differences
-    converged: bool
+    v1: np.ndarray        # Aitken's extrapolation, clipped to the payoff bound
     rounds: list          # strategy-iteration rounds per schedule point
     certified_gaps: list  # certificate of each schedule point's solve
     stalled: list         # whether each solve stopped on a stalled gap
     matrix_solves: list   # one-shot games sent to solve_matrix_game per point:
     #                       larger than 2x2, or 2x2 and failing both closed-form tries
     extrapolation_points: tuple | None  # schedule indices fed to Aitken
+    direct: DirectSolve | None  # the direct try that stayed open, None where none ran
 
     method = "schedule"
 
     @property
-    def v1(self) -> np.ndarray:
-        return self.extrapolated
+    def lower(self) -> np.ndarray:
+        """The direct try's lower ends, -inf where no try ran."""
+        return np.full(len(self.v1), -np.inf) if self.direct is None else self.direct.lower
+
+    @property
+    def upper(self) -> np.ndarray:
+        """The direct try's upper ends, +inf where no try ran."""
+        return np.full(len(self.v1), np.inf) if self.direct is None else self.direct.upper
 
 
 @dataclass
 class MinMaxReport:
     adversary_mode: str
     curves: list  # per player: the DirectSolve that closed, else the schedule's curve
-    direct: list  # per player: the DirectSolve, None where none ran
 
     @property
     def uniform_values(self) -> np.ndarray:
         """Matrix (S, I) of uniform min-max values."""
         return np.stack([c.v1 for c in self.curves], axis=1)
-
-    def to_dict(self) -> dict:
-        return json_ready({
-            "adversary_mode": self.adversary_mode,
-            "players": self.curves,
-            "direct": self.direct,
-        })
 
 
 def uniform_minmax(game: StochasticGame, i: int, schedule=None) -> PlayerValueCurve:
@@ -523,8 +524,8 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None) -> PlayerValueCu
 
     The estimate is the geometric extrapolation of the last three schedule
     points whose solves carry clean certificates (stalled, noise-floor points
-    are skipped); non-convergence (increasing tail differences) is flagged,
-    not raised.  An empty schedule raises ValueError.
+    are skipped).  The curve carries no direct try (`direct` is None); an
+    empty schedule raises ValueError.
     """
     schedule = _checked(schedule)
     values = []
@@ -541,8 +542,6 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None) -> PlayerValueCu
         rounds.append(info["rounds"])
         stalled.append(bool(info.get("stalled", False)))
         matrix_solves.append(info["matrix_solves"])
-    diffs = [float(np.max(np.abs(values[k + 1] - values[k])))
-             for k in range(len(values) - 1)]
     cert_cap = max(10.0 * CERT_TOL, 1e-8)
     last = len(values) - 1
     while last >= 2 and certs[last] > cert_cap:
@@ -559,14 +558,8 @@ def uniform_minmax(game: StochasticGame, i: int, schedule=None) -> PlayerValueCu
         extrap = aitken_extrapolate(*(values[k] for k in triple))
     bound = game.payoff_bound
     extrap = np.clip(extrap, -bound, bound)
-    tail = diffs[-4:]
-    # Diffs at the solver noise floor carry no trend information.
-    noise = max(1e-8, 10.0 * CERT_TOL)
-    converged = all(b <= max(a * 1.05, noise) for a, b in zip(tail, tail[1:]))
-    if diffs and diffs[-1] > 1e-2:
-        converged = False
-    return PlayerValueCurve(i, schedule, values, extrap, diffs, converged,
-                            rounds, certs, stalled, matrix_solves, triple)
+    return PlayerValueCurve(i, schedule, values, extrap, rounds, certs, stalled,
+                            matrix_solves, triple, None)
 
 
 def _checked(schedule) -> list:
@@ -579,12 +572,13 @@ def _checked(schedule) -> list:
 
 
 def solve_uniform_minmax(game: StochasticGame, schedule=None) -> MinMaxReport:
-    """Uniform min-max values of every player, bundled into a report.
+    """Uniform min-max values of every player, one curve per player.
 
-    Each player's value comes from `direct_minmax` when its bracket closes,
-    and otherwise from `uniform_minmax` along the schedule, which does not
-    see the direct try.  A game whose transition rows are not distributions
-    gets no direct try, since Howard's loop reads them as a Markov chain.
+    Each player's curve is `direct_minmax`'s when its bracket closes, and
+    otherwise `uniform_minmax`'s along the schedule, which does not see the
+    direct try, with that try as its `direct`.  A game whose transition rows
+    are not distributions gets no direct try, since Howard's loop reads them
+    as a Markov chain.
     """
     schedule = _checked(schedule)
     mode = "coalition-correlated (equals independent min-max for <= 2 players)"
@@ -594,6 +588,6 @@ def solve_uniform_minmax(game: StochasticGame, schedule=None) -> MinMaxReport:
     stochastic = _stochastic(game.transitions)
     direct = [direct_minmax(game, i) if stochastic else None for i in range(game.n_players)]
     curves = [d if d is not None and d.outcome == "closed"
-              else uniform_minmax(game, i, schedule=schedule)
+              else replace(uniform_minmax(game, i, schedule=schedule), direct=d)
               for i, d in enumerate(direct)]
-    return MinMaxReport(mode, curves, direct)
+    return MinMaxReport(mode, curves)

@@ -61,21 +61,14 @@ class PipelineResult:
 
     @property
     def warnings(self) -> list:
-        """One line per player whose schedule curve did not converge or has a
-        stalled discounted solve: that player's `v1` rests on an
-        extrapolation without a clean certificate.  A curve closed by the
-        direct solve is certified by its bracket.  Reported, not gated."""
-        lines = []
-        for curve in [] if self.minmax is None else self.minmax.curves:
-            if curve.method == "direct":
-                continue
-            stalled = sum(curve.stalled)
-            problems = [] if curve.converged else ["did not converge"]
-            if stalled:
-                problems.append(f"has {stalled} of {len(curve.stalled)} discounted solves stalled")
-            if problems:
-                lines.append(f"player {curve.player}: min-max curve " + " and ".join(problems))
-        return lines
+        """One line per player whose schedule curve has a stalled discounted
+        solve: that player's `v1` rests on an extrapolation without a clean
+        certificate.  A curve closed by the direct solve is certified by its
+        bracket.  Reported, not gated."""
+        curves = [] if self.minmax is None else self.minmax.curves
+        return [f"player {c.player}: min-max curve has {sum(c.stalled)} of "
+                f"{len(c.stalled)} discounted solves stalled"
+                for c in curves if c.method == "schedule" and any(c.stalled)]
 
     def summary(self) -> dict:
         return json_ready({

@@ -44,7 +44,7 @@ def test_validate_violations_exit_1(tmp_path):
 def test_solve_writes_values(tmp_path, capsys):
     assert run(["solve", "--game", "builtin:sorin", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "solve.json").read_text())
-    v1 = doc["players"][0]["extrapolated"]
+    v1 = doc["curves"][0]["v1"]
     assert v1[0] == pytest.approx(2 / 3, abs=1e-6)
     out = capsys.readouterr().out
     assert "adversary mode" in out
@@ -59,13 +59,17 @@ def test_solve_prints_each_players_method_and_bracket(tmp_path, capsys):
         out = capsys.readouterr().out
         assert out.count(f"method {method}; direct solve: {outcome}, ") == 2
         doc = json.loads((tmp_path / "solve.json").read_text())
-        assert [d["outcome"] for d in doc["direct"]] == [outcome] * 2
-        for direct, player in zip(doc["direct"], doc["players"]):
+        assert sorted(doc) == ["adversary_mode", "curves"]
+        for curve in doc["curves"]:
+            # Each curve is written once: a closed curve is its own try, and a
+            # schedule curve carries its try under `direct`.
+            direct = curve if method == "direct" else curve["direct"]
+            assert ("schedule" in curve) == ("direct" in curve) == (method == "schedule")
+            assert "direct" not in direct and direct["outcome"] == outcome
             assert all(lo <= hi for lo, hi in zip(direct["lower"], direct["upper"]))
             assert 0 <= direct["newton_steps"] < direct["iterations"]
             assert (f"{direct['iterations']} iterations "
                     f"({direct['newton_steps']} Newton), ") in out
-            assert (player == direct) == (method == "direct")
 
 
 def test_decompose_and_build(tmp_path):
@@ -328,7 +332,7 @@ def test_solve_artifact_keeps_solver_facts_and_is_byte_identical(tmp_path):
     for out in outs:
         assert run(["solve", "--game", "builtin:random2p_b", "--out", str(out)]) == 0
     assert (outs[0] / "solve.json").read_bytes() == (outs[1] / "solve.json").read_bytes()
-    player = json.loads((outs[0] / "solve.json").read_text())["players"][0]
+    player = json.loads((outs[0] / "solve.json").read_text())["curves"][0]
     n = len(player["schedule"])
     assert len(player["rounds"]) == len(player["certified_gaps"]) == len(player["stalled"]) == n
     assert len(player["extrapolation_points"]) == 3

@@ -1,5 +1,6 @@
 import functools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,7 +98,6 @@ def test_sorin_values_along_schedule(sorin):
 def test_sorin_uniform_values(sorin):
     report = solve_uniform_minmax(sorin)
     np.testing.assert_allclose(report.uniform_values[0], [2 / 3, 0.5], atol=1e-9)
-    assert all(c.converged for c in report.curves)
 
 
 def test_state_independent_payoffs_equal_matrix_value():
@@ -118,15 +118,14 @@ def test_state_independent_payoffs_equal_matrix_value():
         v, _ = discounted_minmax(g, 0, lam)
         np.testing.assert_allclose(v, [target, target], atol=1e-8)
     curve = uniform_minmax(g, 0)
-    np.testing.assert_allclose(curve.extrapolated, [target, target], atol=1e-8)
+    np.testing.assert_allclose(curve.v1, [target, target], atol=1e-8)
 
 
 def test_uniform_estimate_stable_between_schedule_depths():
     g = random_dense_game(31, n_states=3)
     short = uniform_minmax(g, 0, schedule=default_schedule(18))
     long = uniform_minmax(g, 0, schedule=default_schedule(20))
-    assert float(np.max(np.abs(short.extrapolated - long.extrapolated))) <= 1e-4
-    assert long.converged
+    assert float(np.max(np.abs(short.v1 - long.v1))) <= 1e-4
 
 
 def test_two_player_zero_sum_consistency():
@@ -179,7 +178,7 @@ def test_mdp_uniform_value_matches_average_oracle():
     g = random_mdp(17, n_states=3, n_actions=2)
     curve = uniform_minmax(g, 0, schedule=default_schedule(24))
     oracle = optimal_average_values(g)
-    np.testing.assert_allclose(curve.extrapolated, oracle, atol=1e-6)
+    np.testing.assert_allclose(curve.v1, oracle, atol=1e-6)
 
 
 def test_three_player_mode_flag():
@@ -394,7 +393,7 @@ def test_one_workspace_per_player_and_nothing_left_on_the_game(monkeypatch):
         built.clear()
         report = solve_uniform_minmax(game, default_schedule(6))
         # One per direct try, then one per schedule curve.
-        assert built == ([i for i, d in enumerate(report.direct) if d is not None]
+        assert built == ([c.player for c in report.curves if c.direct is not None]
                          + [c.player for c in report.curves if c.method == "schedule"])
         assert game.__dict__.keys() == before.keys()
         assert all(game.__dict__[key] is value for key, value in before.items())
@@ -508,7 +507,8 @@ def test_newton_steps_keep_every_cross_step_closure(suite_results):
     # differ by no more than the two brackets' half-widths.
     closed = newton = 0
     for game, res in suite_results[1]:
-        for i, direct in enumerate(res.minmax.direct):
+        for i, curve in enumerate(res.minmax.curves):
+            direct = curve.direct
             want = cross_direct_minmax(game, i)
             newton += direct.newton_steps
             if want.outcome != "closed":
@@ -538,11 +538,11 @@ def test_open_curves_are_the_schedules_own(game):
     # stays open and every curve is `uniform_minmax`'s, bit for bit.
     schedule = default_schedule(24)
     report = solve_uniform_minmax(game, schedule)
-    assert all(d.outcome != "closed" and d.width > 1e-3 for d in report.direct)
     for i, curve in enumerate(report.curves):
         assert curve.method == "schedule"
+        assert curve.direct.outcome != "closed" and curve.direct.width > 1e-3
         assert json.dumps(json_ready(curve)) == json.dumps(
-            json_ready(uniform_minmax(game, i, schedule)))
+            json_ready(replace(uniform_minmax(game, i, schedule), direct=curve.direct)))
 
 
 def test_closed_midpoints_agree_with_the_schedule(suite_results):
@@ -555,9 +555,29 @@ def test_closed_midpoints_agree_with_the_schedule(suite_results):
                 continue
             closed += 1
             assert curve.outcome == "closed" and curve.width <= DIRECT_WIDTH
-            want = uniform_minmax(game, curve.player, default_schedule(24)).extrapolated
+            want = uniform_minmax(game, curve.player, default_schedule(24)).v1
             assert np.max(np.abs(curve.v1 - want)) <= 1e-6, (game.name, curve.player)
     assert closed
+
+
+def test_every_curve_carries_its_bracket(suite_results):
+    # One record per player: a closed curve's bracket is its own and its v1
+    # the midpoint; a schedule curve's bracket is its open try's arrays.
+    # Every v1 lies within DIRECT_WIDTH of its bracket (the worst escape on
+    # the suite at depth 24 is 2.8e-10, by Aitken's noise).
+    methods = set()
+    for game, res in suite_results[1]:
+        for curve in res.minmax.curves:
+            methods.add(curve.method)
+            if curve.method == "direct":
+                assert curve.direct is curve
+                assert curve.v1.tobytes() == (0.5 * (curve.lower + curve.upper)).tobytes()
+            else:
+                assert curve.direct.outcome != "closed"
+                assert curve.lower is curve.direct.lower and curve.upper is curve.direct.upper
+            assert (curve.lower - DIRECT_WIDTH <= curve.v1).all(), (game.name, curve.player)
+            assert (curve.v1 <= curve.upper + DIRECT_WIDTH).all(), (game.name, curve.player)
+    assert methods == {"direct", "schedule"}
 
 
 @pytest.mark.parametrize("kind", ["none", "negative", "mass", "wild transition"])
@@ -582,8 +602,10 @@ def test_non_stochastic_transitions_run_the_schedule_only():
     game = StochasticGame(base.state_names, base.action_names, base.payoffs, transitions)
     schedule = default_schedule(8)
     report = solve_uniform_minmax(game, schedule)
-    assert report.direct == [None, None]
     for i, curve in enumerate(report.curves):
+        # No try ran, so no certificate bounds the curve.
+        assert curve.direct is None
+        assert (curve.lower == -np.inf).all() and (curve.upper == np.inf).all()
         assert json.dumps(json_ready(curve)) == json.dumps(
             json_ready(uniform_minmax(game, i, schedule)))
     with pytest.raises(ValueError, match="schedule is empty"):

@@ -266,7 +266,7 @@ def test_a_sub_tolerance_leak_out_of_a_set_re_dispatches():
     leaks = {(q, a): dist for (q, a, s_next), dist in joint.transitions.items()
              if s_next == 2 and q != joint.init[2]}
     assert leaks and all(dist == ((joint.init[2], 1.0),) for dist in leaks.values())
-    assert not res.v1.any() and [d.outcome for d in res.minmax.direct] == ["closed"] * 2
+    assert not res.v1.any() and [c.direct.outcome for c in res.minmax.curves] == ["closed"] * 2
     assert res.acceptability is not None and res.ok
     again = run_pipeline(game, eps=0.05)
     assert json.dumps(again.summary(), sort_keys=True) == json.dumps(res.summary(), sort_keys=True)
