@@ -236,13 +236,14 @@ def transient_profile(game: StochasticGame, eq_sets, union):
 
 def transient_reach_probability(game: StochasticGame, choice, union) -> float:
     """Min over transient states of the probability of reaching `union`
-    under the selection `choice`, which covers every state outside it."""
+    under the selection `choice`, which covers every state outside it,
+    clipped to [0, 1]: the first passage's rounding can carry it past 1."""
     if not choice:
         return 1.0
     transient = sorted(choice)
     rows = np.stack([choice[s].correlated_row() @ game.transitions[s] for s in transient])
     reach = first_passage(rows[:, transient], rows.take(sorted(union), axis=1).sum(axis=1))
-    return float(reach.min())
+    return float(np.clip(reach.min(), 0.0, 1.0))
 
 
 def decompose(game: StochasticGame, eq_sets, v1) -> Decomposition:

@@ -211,6 +211,14 @@ def test_transient_chain_absorbs():
                                        [s for c in d.sets for s in c.states]) >= 1.0 - 1e-9
 
 
+def test_transient_reach_stays_a_probability(suite_results):
+    # soft-absorbing-2005's first passage rounds to 1.0000000000000002; the
+    # certificate is clipped to [0, 1], so it reports exactly 1.
+    reach = {g.name: res.decomposition.transient_reach for g, res in suite_results[1]}
+    assert reach["soft-absorbing-2005"] == 1.0
+    assert all(0.0 <= r <= 1.0 for r in reach.values())
+
+
 def test_transient_induction_stall_reported():
     # Two isolated parts: equilibria at state 0 keep it at 0 (value there is
     # higher), so no equilibrium moves 0 toward state 1's set; the induction
