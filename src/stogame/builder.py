@@ -12,6 +12,10 @@ its common value v(C) lowered by the accepted loss eps:
   exits, travelling to each exit state and playing the exit profile with a
   tuned probability so the first exit played has exactly the planned law.
 
+Every set machine travels by the decomposition's witnesses
+(`CommunicatingSet.travel_witnesses`): to an exit state by that state's
+witness, to an atom's class by the witness of the class's first state.
+
 Each set's machine is written once, as a fragment: output factors and a
 transition table in local (phase, state) labels.  Tuning reads the entry
 payoffs off the product chain of the fragment's standalone machine through
@@ -54,7 +58,7 @@ from .frequencies import SustainPlan, max_slack_mixture, plan_support, sustain_b
 # its tests expect every hook to be found.
 from .frequencies import enumerate_recurrent_points  # noqa: F401
 from .game import StationaryCorrelated, StochasticGame, mixes_to_correlated_row
-from .structure import Decomposition, safe_profiles, travel_strategy
+from .structure import CommunicatingSet, Decomposition, safe_profiles
 
 # Total per-cycle exit-play probability of the cyclic departure scheme.
 EXIT_SCALE = 0.1
@@ -263,29 +267,25 @@ class SetFragment:
     table: dict                  # ((phase, state), a, s_next) -> ((label, prob), ...)
 
 
-def _travels_to_targets(game, region, target_sets):
-    return [travel_strategy(game, region, targets) for targets in target_sets]
-
-
-def build_type_a_fragment(game: StochasticGame, region, plan: SustainPlan,
+def build_type_a_fragment(game: StochasticGame, cset: CommunicatingSet, plan: SustainPlan,
                           delta: float) -> SetFragment:
     """Machine fragment of a sustainable set.
 
-    In phase l the machine travels to the atom's class and plays its profile;
-    while inside the class it advances the phase with probability
-    delta / weight_l per stage (single-atom plans advance never and are
-    exact).
+    In phase l the machine travels to the atom's class by the set's witness
+    of the class's first state and plays the atom's profile inside the
+    class; there it advances the phase with probability delta / weight_l per
+    stage (single-atom plans advance never and are exact).
     """
-    region = tuple(sorted(region))
+    region = cset.states
     L = len(plan.atoms)
-    travels = _travels_to_targets(game, region, [p.states for p in plan.atoms])
     factors = {}
     table = {}
     for l, atom in enumerate(plan.atoms):
+        travel = cset.travel_witnesses[atom.states[0]]
         advance = 0.0 if L == 1 else delta / float(plan.weights[l])
         for s in region:
             in_class = s in atom.actions
-            a = atom.actions[s] if in_class else travels[l][s]
+            a = atom.actions[s] if in_class else travel[s]
             factors[(l, s)] = _pure_factors(game, a)
             for s_next, _ in game.successors[s][a]:
                 if in_class and advance > 0.0 and s_next in region:
@@ -297,25 +297,27 @@ def build_type_a_fragment(game: StochasticGame, region, plan: SustainPlan,
     return SetFragment(region, local, factors, table)
 
 
-def build_type_b_fragment(game: StochasticGame, region, plan: ExitPlan) -> SetFragment:
+def build_type_b_fragment(game: StochasticGame, cset: CommunicatingSet,
+                          plan: ExitPlan) -> SetFragment:
     """Machine fragment of a departing set.
 
-    In phase l the machine travels to the exit state and plays the companion
+    In phase l the machine travels to the exit state by the set's witness of
+    that state and there plays the companion
     profile tilted toward the exit profile with probability eta_l.  Once the
     exit profile is actually played the machine re-dispatches on the realized
     next state (phase 1 if play happens to stay in the set), so the
     first-played-exit law is exactly the planned one from every entry state.
     """
-    region = tuple(sorted(region))
+    region = cset.states
     L = len(plan.exits)
-    travels = _travels_to_targets(game, region, [{s} for s, _ in plan.exits])
     factors = {}
     table = {}
     for l, (exit_state, exit_profile) in enumerate(plan.exits):
         companion = plan.companions[l]
+        travel = cset.travel_witnesses[exit_state]
         for s in region:
             if s != exit_state:
-                a = travels[l][s]
+                a = travel[s]
                 factors[(l, s)] = _pure_factors(game, a)
                 for s_next, _ in game.successors[s][a]:
                     table[((l, s), a, s_next)] = _edge(region, (l, s_next))
@@ -362,23 +364,23 @@ def sustain_target(value, plan: SustainPlan, eps: float) -> np.ndarray:
     return np.minimum(target, plan.achieved - 1e-4)
 
 
-def tune_type_a(game: StochasticGame, region, plan: SustainPlan, eps: float, value):
+def tune_type_a(game: StochasticGame, cset: CommunicatingSet, plan: SustainPlan, eps: float):
     """Halve delta from weight/2 until every entry payoff clears the sustain
     target: (delta, entry payoffs, the fragment that earned them)."""
     if len(plan.atoms) == 1:
-        fragment = build_type_a_fragment(game, region, plan, 0.0)
+        fragment = build_type_a_fragment(game, cset, plan, 0.0)
         return 0.0, _entry_payoffs(game, fragment), fragment
-    target = sustain_target(value, plan, eps)
+    target = sustain_target(cset.value, plan, eps)
     delta = float(plan.weights.min()) / 2.0
     while True:
-        fragment = build_type_a_fragment(game, region, plan, delta)
+        fragment = build_type_a_fragment(game, cset, plan, delta)
         payoff = _entry_payoffs(game, fragment)
         if np.all(payoff >= target - 1e-9):
             return delta, payoff, fragment
         delta /= 2.0
         if delta < DELTA_FLOOR:
             raise RuntimeError(
-                f"sustainable-set tuning failed on region {list(region)}: "
+                f"sustainable-set tuning failed on region {list(cset.states)}: "
                 f"payoff {payoff.min(axis=0)} below target {target} at the delta floor"
             )
 
@@ -444,11 +446,10 @@ def assemble_profile(game: StochasticGame, decomposition: Decomposition,
     set_meta = []
     for cset, cls in zip(decomposition.sets, classifications):
         if cls.kind == "A":
-            delta, payoff, fragment = tune_type_a(game, cset.states, cls.sustain, eps,
-                                                  cset.value)
+            delta, payoff, fragment = tune_type_a(game, cset, cls.sustain, eps)
             set_meta.append({"delta": delta, "entry_payoffs": json_ready(payoff)})
         else:
-            fragment = build_type_b_fragment(game, cset.states, cls.exit_plan)
+            fragment = build_type_b_fragment(game, cset, cls.exit_plan)
             set_meta.append({})
         fragments.append(fragment)
     rest = {s: decomposition.transient_profile[s].mixes for s in decomposition.transient}
@@ -489,34 +490,33 @@ def _correlated_model(game: StochasticGame, region, rows: dict):
                                [(s, s) for s in region])
 
 
-def _correlated_type_a_rows(game: StochasticGame, region, plan: SustainPlan,
-                            eps: float, value) -> dict:
+def _correlated_type_a_rows(game: StochasticGame, cset: CommunicatingSet,
+                            plan: SustainPlan, eps: float) -> dict:
     """Stationary correlated rows sustaining the plan payoff inside the set.
 
     The plan's mixed frequency is itself invariant for its conditional kernel;
-    when that kernel splits into several recurrent classes, a small per-class
-    uniform-travel blend is tuned until the long-run payoff clears the target
-    from every entry state.
+    off its support the rows travel by the set's witness of the support's
+    first state.  When that kernel splits into several recurrent classes, a
+    small per-class uniform-travel blend is tuned until the long-run payoff
+    clears the target from every entry state.
     """
-    region = tuple(sorted(region))
+    region = cset.states
     rho = np.zeros((game.n_states, game.n_profiles))
     for atom, w in zip(plan.atoms, plan.weights):
         rho += w * atom.rho
     marginal = rho.sum(axis=1)
     travel_rows = _safe_profile_rows(game, region)
     support = [s for s in region if marginal[s] > 1e-12]
+    fill = cset.travel_witnesses[support[0]]
     base = {}
-    fill = None
     for s in region:
         if s in support:
             base[s] = rho[s] / marginal[s]
         else:
-            if fill is None:
-                fill = travel_strategy(game, region, support)
             row = np.zeros(game.n_profiles)
             row[fill[s]] = 1.0
             base[s] = row
-    target = sustain_target(value, plan, eps)
+    target = sustain_target(cset.value, plan, eps)
 
     # The region is closed under every candidate, as under a sustainable
     # set's machine, up to the safe profiles' leaks: judge its block.
@@ -560,19 +560,21 @@ def _correlated_type_a_rows(game: StochasticGame, region, plan: SustainPlan,
     )
 
 
-def _correlated_type_b_rows(game: StochasticGame, region, plan: ExitPlan) -> dict:
+def _correlated_type_b_rows(game: StochasticGame, cset: CommunicatingSet,
+                            plan: ExitPlan) -> dict:
     """Stationary correlated rows reproducing the planned exit law.
 
-    Non-exit states play the uniform mixture of the plan's travel profiles;
+    Non-exit states play the uniform mixture of the plan's travel profiles,
+    the set's witnesses of the exit states;
     exit states blend that mixture with the exit profiles.  Iterative scaling
     matches the first-played-exit law to the plan; entry dependence is driven
     out by shrinking the total exit weight.  The scaling stops early once no
     exit weight registers in the law or the weights are pinned at their
     clip, and the best rows seen are kept.
     """
-    region = tuple(sorted(region))
+    region = cset.states
     L = len(plan.exits)
-    travels = _travels_to_targets(game, region, [{s} for s, _ in plan.exits])
+    travels = [cset.travel_witnesses[s] for s, _ in plan.exits]
     safe_rows = _safe_profile_rows(game, region)
     z_rows = {}
     for s in region:
@@ -651,10 +653,9 @@ def build_correlated_stationary(game: StochasticGame,
         table[s] = decomposition.transient_profile[s].correlated_row()
     for cset, cls in zip(decomposition.sets, classifications):
         if cls.kind == "A":
-            rows = _correlated_type_a_rows(game, cset.states, cls.sustain, eps,
-                                           cset.value)
+            rows = _correlated_type_a_rows(game, cset, cls.sustain, eps)
         else:
-            rows = _correlated_type_b_rows(game, cset.states, cls.exit_plan)
+            rows = _correlated_type_b_rows(game, cset, cls.exit_plan)
         for s, row in rows.items():
             table[s] = row
     return StationaryCorrelated(table)

@@ -1,4 +1,4 @@
-"""State-space structure: communicating sets, travel strategies, transient states.
+"""State-space structure: communicating sets, travel witnesses, transient states.
 
 A set C is communicating (relative to the enumerated per-state equilibrium
 lists E) when it is closed under every listed equilibrium, every state can be
@@ -73,20 +73,6 @@ def almost_sure_reach(game: StochasticGame, region, targets):
         live = reach
 
 
-def travel_strategy(game: StochasticGame, region, targets) -> dict:
-    """Pure stationary profile driving play into `targets` without leaving
-    `region`: a flat profile index for each state of region minus targets."""
-    region = tuple(sorted(region))
-    targets = tuple(sorted(set(targets)))
-    reachable, policy = almost_sure_reach(game, region, targets)
-    missing = set(region) - set(targets) - reachable
-    if missing:
-        raise ValueError(
-            f"states {sorted(missing)} cannot reach {list(targets)} inside {list(region)}"
-        )
-    return {s: policy[s] for s in set(region) - set(targets)}
-
-
 # ---------------------------------------------------------------------------
 # Closedness and communication under the enumerated equilibrium lists
 
@@ -111,7 +97,9 @@ def mutually_leading(game: StochasticGame, states) -> dict:
     """C.2 witnesses: one travel policy per target state, leading every
     state of `states` to it without leaving `states`.  The end-component
     refinement that finds the sets guarantees every state leads to every
-    other, so each policy reaches its target from the whole set."""
+    other, so each policy reaches its target from the whole set.  These are
+    the only travel policies: every set machine of `builder` travels by
+    them."""
     states = sorted(states)
     return {target: almost_sure_reach(game, states, {target})[1] for target in states}
 
@@ -124,7 +112,7 @@ def mutually_leading(game: StochasticGame, states) -> dict:
 class CommunicatingSet:
     states: tuple
     value: np.ndarray            # common per-player value on the set
-    travel_witnesses: dict       # target state -> pure policy dict
+    travel_witnesses: dict       # target state -> {other state: flat profile}
 
 
 @dataclass

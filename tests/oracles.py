@@ -1327,10 +1327,11 @@ def simulate_first_exit(eta, trials: int, seed: int) -> np.ndarray:
 # closed-form exit law; the type-A mixture over given recurrent points; and
 # the one-shot value inequality.
 
-def exit_play_law(game, region, plan: ExitPlan) -> np.ndarray:
-    """Exact first-played-exit law per entry state (rows, one per region
-    state), with exit plays absorbing; every row should equal plan.beta."""
-    fragment = build_type_b_fragment(game, region, plan)
+def exit_play_law(game, cset, plan: ExitPlan) -> np.ndarray:
+    """Exact first-played-exit law per entry state (rows, one per state of
+    the set `cset`), with exit plays absorbing; every row should equal
+    plan.beta."""
+    fragment = build_type_b_fragment(game, cset, plan)
     model = _set_model(game, fragment)
     node = {lab: k for k, lab in enumerate(fragment.local_states)}
     marked = {(node[lab], a): lab[0] for (lab, a, _), dist in fragment.table.items()
@@ -1358,10 +1359,10 @@ def exit_values(model: ProductModel, inside, values: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.eye(len(inside)) - T, b)
 
 
-def departure_values(game, region, plan: ExitPlan, v1: np.ndarray):
-    """Expected uniform min-max value at the first state outside the set,
-    per entry state, plus the probability of never leaving."""
-    fragment = build_type_b_fragment(game, region, plan)
+def departure_values(game, cset, plan: ExitPlan, v1: np.ndarray):
+    """Expected uniform min-max value at the first state outside the set
+    `cset`, per entry state, plus the probability of never leaving."""
+    fragment = build_type_b_fragment(game, cset, plan)
     model = _set_model(game, fragment)
     inside = range(len(fragment.local_states))
     entry = len(fragment.region)
@@ -1370,9 +1371,10 @@ def departure_values(game, region, plan: ExitPlan, v1: np.ndarray):
     return W[:entry], float(1.0 - min(leave[:entry]))
 
 
-def sustain_payoff(game, region, plan: SustainPlan, delta: float) -> np.ndarray:
-    """Exact long-run payoff of the sustainable machine, per entry state."""
-    return _entry_payoffs(game, build_type_a_fragment(game, region, plan, delta))
+def sustain_payoff(game, cset, plan: SustainPlan, delta: float) -> np.ndarray:
+    """Exact long-run payoff of the sustainable machine of the set `cset`,
+    per entry state."""
+    return _entry_payoffs(game, build_type_a_fragment(game, cset, plan, delta))
 
 
 def whole_game_chain(game, automaton, nodes):

@@ -30,13 +30,16 @@ from stogame.builder import (
 )
 from stogame.game import StationaryCorrelated, StochasticGame
 from stogame.generators import (
+    BUNDLED,
+    bundled_game,
     random_banded_exit_game,
     random_dense_game,
     sorin_game,
 )
 from stogame.minmax import solve_uniform_minmax
 from stogame.oneshot import continuation_values, enumerate_all_states
-from stogame.structure import decompose, safe_profiles
+from stogame.pipeline import run_pipeline
+from stogame.structure import CommunicatingSet, decompose, mutually_leading, safe_profiles
 from stogame.verify import product_chain
 
 
@@ -180,9 +183,9 @@ def test_exit_plan_invariants(sorin_ctx):
 def test_type_b_machine_exit_law_and_departure(sorin_ctx):
     g, v1, d, cls = sorin_ctx
     plan = cls[0].exit_plan
-    law = exit_play_law(g, (0,), plan)
+    law = exit_play_law(g, d.sets[0], plan)
     assert float(np.max(np.abs(law - plan.beta))) <= 1e-9
-    W, stay = departure_values(g, (0,), plan, v1)
+    W, stay = departure_values(g, d.sets[0], plan, v1)
     assert stay <= 1e-12                                   # F.2
     assert np.all(W >= plan.target - 1e-6)                 # F.3
     np.testing.assert_allclose(W[0], [7 / 9, 11 / 18], atol=1e-9)
@@ -191,8 +194,7 @@ def test_type_b_machine_exit_law_and_departure(sorin_ctx):
 def test_type_a_single_atom_exact(sorin_ctx):
     g, v1, d, cls = sorin_ctx
     plan = cls[1].sustain
-    delta, payoff, _ = tune_type_a(g, d.sets[1].states, plan, 0.05,
-                                   value=d.sets[1].value)
+    delta, payoff, _ = tune_type_a(g, d.sets[1], plan, 0.05)
     assert delta == 0.0
     np.testing.assert_allclose(payoff, [[0.0, 1.0]], atol=1e-12)
 
@@ -220,7 +222,8 @@ def test_type_a_mixture_converges_with_delta():
     assert len(points) == 1    # single mixing class
     plan = type_a_feasibility(g, [0, 1], np.array([0.4, 0.4]), points=points)
     assert plan is not None
-    payoff = sustain_payoff(g, (0, 1), plan, 0.0)
+    cset = CommunicatingSet((0, 1), np.full(2, 0.5), mutually_leading(g, (0, 1)))
+    payoff = sustain_payoff(g, cset, plan, 0.0)
     np.testing.assert_allclose(payoff, [[0.5, 0.5]] * 2, atol=1e-9)
 
 
@@ -238,7 +241,7 @@ def test_delta_sweep_payoff_convergence():
         errs = []
         for delta in (0.1, 0.01, 0.001):
             delta = min(delta, float(plan.weights.min()) / 2)
-            payoff = sustain_payoff(g, d.sets[0].states, plan, delta)
+            payoff = sustain_payoff(g, d.sets[0], plan, delta)
             errs.append(float(np.max(np.abs(payoff - target))))
         assert errs[-1] <= max(errs[0], 1e-6)
         assert errs[-1] <= 0.01
@@ -293,9 +296,9 @@ def test_multi_state_departing_set_machinery():
     assert two_state, "expected a two-state departing set"
     cls = classify_set(g, two_state[0], 0.05, u_star)
     assert cls.kind == "B"
-    law = exit_play_law(g, two_state[0].states, cls.exit_plan)
+    law = exit_play_law(g, two_state[0], cls.exit_plan)
     assert float(np.max(np.abs(law - cls.exit_plan.beta))) <= 1e-9
-    W, stay = departure_values(g, two_state[0].states, cls.exit_plan, v1)
+    W, stay = departure_values(g, two_state[0], cls.exit_plan, v1)
     assert stay <= 1e-10
     assert np.all(W >= two_state[0].value - 1e-6)
 
@@ -328,9 +331,9 @@ def test_partial_mass_exits_end_to_end():
     ex, q_min = exit_options(g, safe_profiles(g, d.sets[core[0]].states))
     assert q_min == pytest.approx(0.5)
     # first-played law still exact (the coin process ignores where mass goes)
-    law = exit_play_law(g, d.sets[core[0]].states, plan)
+    law = exit_play_law(g, d.sets[core[0]], plan)
     assert float(np.max(np.abs(law - plan.beta))) <= 1e-9
-    W, stay = departure_values(g, d.sets[core[0]].states, plan, v1)
+    W, stay = departure_values(g, d.sets[core[0]], plan, v1)
     assert stay <= 1e-10
     assert np.all(W >= d.sets[core[0]].value - 1e-6)
     prof = assemble_profile(g, d, cls, 0.05)
@@ -393,7 +396,7 @@ def test_opposed_cycles_delta_sweep():
     # vanishes; at 1e-3 the frequency sits within 0.01 of it
     gaps = []
     for delta in (0.1, 0.01, 0.001):
-        payoff = sustain_payoff(g, (0, 1), plan, delta)
+        payoff = sustain_payoff(g, d.sets[0], plan, delta)
         gaps.append(float(np.max(np.abs(payoff - 0.5))))
     assert gaps[2] <= gaps[0] + 1e-12
     assert gaps[2] <= 0.01
@@ -409,8 +412,7 @@ def test_opposed_cycles_correlated_multichain_tuner():
     cls = classify_set(g, d.sets[0], 0.05, u_star)
     from stogame.builder import _correlated_type_a_rows
 
-    rows = _correlated_type_a_rows(g, (0, 1), cls.sustain, 0.05,
-                                   value=d.sets[0].value)
+    rows = _correlated_type_a_rows(g, d.sets[0], cls.sustain, 0.05)
     table = np.stack([rows[0], rows[1]])
     from stogame.verify import check_minmax_acceptable
 
@@ -437,7 +439,8 @@ def test_degenerate_exit_law_ends_the_correlated_tuner():
     g = random_banded_exit_game(4003)
     v1 = solve_uniform_minmax(g).uniform_values
     d = decompose(g, enumerate_all_states(g, continuation_values(g, v1)), v1)
-    region = next(c.states for c in d.sets if len(c.states) == 2)
+    cset = next(c for c in d.sets if len(c.states) == 2)
+    region = cset.states
     exits = [(0, 2), (1, 2)]
     found = [companion_action(g, safe_profiles(g, region)[s], a) for s, a in exits]
     beta = np.array([0.5, 0.5])
@@ -447,7 +450,7 @@ def test_degenerate_exit_law_ends_the_correlated_tuner():
                     achieved=np.zeros(2), slack=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rows = _correlated_type_b_rows(g, region, plan)
+        rows = _correlated_type_b_rows(g, cset, plan)
     best = np.array([0.9999999940395355, 0.0, 5.960464477539063e-09, 0.0])
     assert sorted(rows) == list(region)
     for s in region:
@@ -519,7 +522,7 @@ def test_tuning_certifies_the_shipped_machine(suite_results):
                 np.testing.assert_allclose(res.profile.meta["set_meta"][k]["entry_payoffs"],
                                            shipped, rtol=0, atol=1e-12)
             else:
-                W, _ = departure_values(game, cset.states, cls.exit_plan, res.v1)
+                W, _ = departure_values(game, cset, cls.exit_plan, res.v1)
                 checked = [at_departure[(k, s)] for s in cset.states]
                 np.testing.assert_allclose(W, checked, rtol=0, atol=1e-12)
     assert seen["A"] and seen["B"]
@@ -551,3 +554,61 @@ def test_every_node_at_a_set_state_runs_that_sets_machine(suite_results):
                   for s in region}
         for s, q in product_chain(game, joint).nodes:
             assert joint.labels[q][0] == set_of.get(s, "tr"), (game.name, s, joint.labels[q])
+
+
+def _travel_phases(res):
+    """Every (set machine, phase, off-target state, flat profile it plays,
+    witness profile) of `res`'s machine: a departing set's phase travels to
+    its exit state, a sustainable set's to its atom's class, both by the
+    witness of the phase's target (the exit state, the class's first
+    state)."""
+    joint = res.profile.joint
+    node = {lab: q for q, lab in enumerate(joint.labels)}
+    out = []
+    for k, (cset, cls) in enumerate(zip(res.decomposition.sets, res.classifications)):
+        assert cset.states == tuple(sorted(cset.states))
+        if cls.kind == "A":
+            phases = [(atom.states[0], set(atom.actions)) for atom in cls.sustain.atoms]
+        else:
+            phases = [(s, {s}) for s, _ in cls.exit_plan.exits]
+        for l, (target, arrived) in enumerate(phases):
+            for s in cset.states:
+                if s in arrived:
+                    continue
+                played = np.flatnonzero(joint.outputs[node[(k, l, s)]]).tolist()
+                out.append((k, l, s, played, [cset.travel_witnesses[target][s]]))
+    return out
+
+
+def test_set_machines_travel_by_the_decompositions_witnesses(suite_results):
+    # The travel actions shipped in `decompose.json` are the ones the
+    # machines play, on the acceptance suite (whose sustainable atoms cover
+    # their sets) and the bundled games (where mdp3's does not).
+    results = list(suite_results[1])
+    results += [(g, run_pipeline(g, eps=0.05)) for g in map(bundled_game, sorted(BUNDLED))]
+    seen = {"A": 0, "B": 0}
+    for game, res in results:
+        for k, l, s, played, witness in _travel_phases(res):
+            assert played == witness, (game.name, k, l, s)
+            seen[res.classifications[k].kind] += 1
+    assert seen["A"] and seen["B"]
+
+
+def test_a_multi_state_class_is_reached_by_its_first_states_witness():
+    # From "start", x moves to "right" and y to "left"; the sustain plan
+    # cycles on {left, right} with x.  The attractor of the whole class
+    # takes x at "start", the witness of its first state "left" takes y.
+    payoffs = np.zeros((3, 2, 2))
+    transitions = np.zeros((3, 2, 3))
+    transitions[0, 0, 2] = transitions[0, 1, 1] = 1.0
+    transitions[1, 0, 2] = transitions[1, 1, 0] = 1.0
+    transitions[2, 0, 1] = transitions[2, 1, 0] = 1.0
+    payoffs[1, 0] = payoffs[2, 0] = 1.0
+    g = StochasticGame(("start", "left", "right"), (("x", "y"), ("z",)), payoffs,
+                       transitions, name="two-door-cycle")
+    res = run_pipeline(g, eps=0.05)
+    assert res.ok
+    [cls] = res.classifications
+    assert cls.kind == "A" and [a.states for a in cls.sustain.atoms] == [(1, 2)]
+    assert _travel_phases(res) == [(0, 0, 0, [1], [1])]
+    assert res.correlated.table[0].tolist() == [0.0, 1.0]

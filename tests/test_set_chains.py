@@ -30,13 +30,13 @@ def _fragment(game, cset, cls, set_meta):
     """The set's shipped fragment; a sustainable set whose tuning failed
     gets the fragment of the tuner's first delta."""
     if cls.kind == "B":
-        return build_type_b_fragment(game, cset.states, cls.exit_plan)
+        return build_type_b_fragment(game, cset, cls.exit_plan)
     plan = cls.sustain
     if set_meta is not None:
         delta = set_meta["delta"]
     else:
         delta = 0.0 if len(plan.atoms) == 1 else float(plan.weights.min()) / 2.0
-    return build_type_a_fragment(game, cset.states, plan, delta)
+    return build_type_a_fragment(game, cset, plan, delta)
 
 
 def _check_fragment(game, fragment, kind):

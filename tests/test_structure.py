@@ -37,9 +37,9 @@ from stogame.structure import (
     almost_sure_reach,
     decompose,
     maximal_communicating_sets,
+    mutually_leading,
     transient_profile,
     transient_reach_probability,
-    travel_strategy,
 )
 
 
@@ -116,15 +116,10 @@ def test_leads_matches_policy_enumeration(seed):
 
 
 def test_travel_strategy_reaches_target():
+    # The set's witness of a target is its travel strategy there.
     g = single_action_chain([[0.3, 0.7], [0.6, 0.4]])
-    policy = travel_strategy(g, (0, 1), (1,))
+    policy = mutually_leading(g, (0, 1))[1]
     assert verify_travel(g, (0, 1), (1,), policy) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_travel_infeasible_raises():
-    g = single_action_chain(np.eye(2))
-    with pytest.raises(ValueError):
-        travel_strategy(g, (0, 1), (1,))
 
 
 def test_minimal_closed_sets_all_absorbing(sorin):
@@ -238,7 +233,9 @@ def test_transient_induction_stall_reported():
 def test_travel_actions_keep_play_inside():
     g = random_banded_exit_game(4003)   # two-core set
     region = (0, 1)
-    for s, a in travel_strategy(g, region, (1,)).items():
+    policy = mutually_leading(g, region)[1]
+    assert sorted(policy) == [0]
+    for s, a in policy.items():
         assert g.transitions[s, a, list(region)].sum() >= 1.0 - 1e-9
 
 
