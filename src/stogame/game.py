@@ -118,10 +118,6 @@ class StationaryProfile:
 
     mixes: tuple
 
-    @property
-    def n_players(self) -> int:
-        return len(self.mixes)
-
     def correlated_table(self) -> np.ndarray:
         """Product distribution over action profiles, shape (S, A)."""
         n_states = self.mixes[0].shape[0]

@@ -326,7 +326,7 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float,
     best = None  # (v_up, v_lo) of the round that set best_gap
     since_improved = 0
     while True:
-        Tv, rows, cols, solved = _one_shot(payoff, transitions, index, lam, v)
+        _, rows, cols, solved = _one_shot(payoff, transitions, index, lam, v)
         rounds += 1
         matrix_solves += solved
         v_up, v_lo = _stage.response_values(rows, cols)
@@ -340,10 +340,6 @@ def discounted_minmax(game: StochasticGame, i: int, lam: float,
         if gap <= 2.0 * CERT_TOL:
             return 0.5 * (v_up + v_lo), {"rounds": rounds, "matrix_solves": matrix_solves,
                                          "certified_gap": gap}
-        residual = float(_max(abs(Tv - v), axis=None))
-        if residual * lam / (1.0 - lam) <= CERT_TOL:
-            return Tv, {"rounds": rounds, "matrix_solves": matrix_solves,
-                        "certified_gap": residual * lam / (1.0 - lam)}
         if since_improved >= 8 or rounds >= 200:
             best_up, best_lo = best
             return 0.5 * (best_up + best_lo), {"rounds": rounds, "matrix_solves": matrix_solves,

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import json_ready
 from .game import StochasticGame, mixes_to_correlated_row
 from .matrixgame import kernel_equalizers
 
@@ -110,18 +109,11 @@ class Equilibrium:
 @dataclass
 class EquilibriumSet:
     state: int
-    items: list
+    equilibria: list
     notes: list
 
     def __len__(self) -> int:
-        return len(self.items)
-
-    def to_dict(self) -> dict:
-        return json_ready({
-            "state": self.state,
-            "equilibria": self.items,
-            "notes": self.notes,
-        })
+        return len(self.equilibria)
 
 
 def _pure_equilibria(tensors: np.ndarray) -> np.ndarray:

@@ -84,7 +84,7 @@ def states_closed_under_E(game: StochasticGame, eq_sets, states) -> list:
     return [
         s for s in idx
         if all(float(eq.correlated_row() @ stay[s]) >= 1.0 - CLOSED_TOL
-               for eq in eq_sets[s].items)
+               for eq in eq_sets[s].equilibria)
     ]
 
 
@@ -203,7 +203,7 @@ def transient_profile(game: StochasticGame, eq_sets, union):
         for s in range(game.n_states):
             if s in covered:
                 continue
-            for eq in eq_sets[s].items:
+            for eq in eq_sets[s].equilibria:
                 law = eq.correlated_row() @ game.transitions[s]
                 mass = float(sum(law[t] for t in covered))
                 if mass > DIST_TOL:

@@ -288,7 +288,7 @@ def communicating_oracle(game, eq_sets, v1, states, tol_v: float = 1e-4) -> bool
     """Direct check of the three communicating-set conditions."""
     states = sorted(states)
     for s in states:
-        for eq in eq_sets[s].items:
+        for eq in eq_sets[s].equilibria:
             row = eq.correlated_row() @ game.transitions[s]
             if row[states].sum() < 1.0 - 1e-9:
                 return False
@@ -770,18 +770,16 @@ def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=Non
     since_improved = 0
     while True:
         q_flat = (1.0 - lam) * game.payoffs[:, :, i] + lam * (game.transitions @ v)
-        Tv = np.empty(game.n_states)
         rows, cols = [], []
         for s in range(game.n_states):
             M = q_flat[s][index]
             ok = False
             if M.shape == (2, 2):
-                value, x, y, ok = solve_2x2_oracle(M)
+                _, x, y, ok = solve_2x2_oracle(M)
             if not ok:
                 matrix_solves += 1
                 sol = solve_matrix_game(M)
-                value, x, y = sol.value, sol.row_strategy, sol.col_strategy
-            Tv[s] = value
+                x, y = sol.row_strategy, sol.col_strategy
             rows.append(x)
             cols.append(y)
         rounds += 1
@@ -799,10 +797,6 @@ def discounted_minmax_oracle(game, i: int, lam: float, tol: float = 1e-9, v0=Non
         if gap <= 2.0 * tol:
             return 0.5 * (v_up + v_lo), {"rounds": rounds, "matrix_solves": matrix_solves,
                                          "certified_gap": gap}
-        residual = float(np.max(np.abs(Tv - v)))
-        if residual * lam / (1.0 - lam) <= tol:
-            return Tv, {"rounds": rounds, "matrix_solves": matrix_solves,
-                        "certified_gap": residual * lam / (1.0 - lam)}
         if since_improved >= 8 or rounds >= 200:
             return best_mid, {"rounds": rounds, "matrix_solves": matrix_solves,
                               "certified_gap": best_gap, "stalled": True}
@@ -1578,7 +1572,7 @@ def equilibrium_support_chain(game, eq_sets) -> list:
     adj = []
     for s in range(game.n_states):
         mass = np.zeros(game.n_states)
-        for eq in eq_sets[s].items:
+        for eq in eq_sets[s].equilibria:
             mass += eq.correlated_row() @ game.transitions[s]
         adj.append(np.nonzero(mass > DIST_TOL)[0].tolist())
     return adj

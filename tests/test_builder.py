@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,6 +165,31 @@ def test_sorin_classification(sorin_ctx):
     # gives b = 11/18 and value mix (7/9, 11/18).
     np.testing.assert_allclose(plan.beta, [11 / 18, 7 / 18], atol=1e-9)
     np.testing.assert_allclose(plan.achieved, [7 / 9, 11 / 18], atol=1e-9)
+
+
+def test_a_closed_set_above_its_best_payoff_keeps_a_thin_plan_or_none(sorin_ctx):
+    # Sorin's absorbing state (1,) has no exits and sustains exactly its
+    # value.  Raised by 0.75 eps, its value leaves the plan a slack of eps/4,
+    # short of the eps/2 an outright acceptance needs, and the departure
+    # test has no exit to try; raised by 2 eps, no plan meets it at all.
+    g, v1, d, cls = sorin_ctx
+    absorbing, eps = d.sets[1], 0.05
+    assert absorbing.states == (1,)
+    u_star = continuation_values(g, v1)
+    raised = replace(absorbing, value=absorbing.value + 0.75 * eps)
+    thin = classify_set(g, raised, eps, u_star)
+    assert thin.kind == "A" and thin.exit_plan is None
+    assert thin.diagnostics["note"] == ("sustain plan kept with thin slack; "
+                                        "departure test infeasible")
+    np.testing.assert_allclose(thin.sustain.achieved, absorbing.value, atol=1e-12)
+    assert thin.diagnostics["sustain_slack"] == pytest.approx(0.25 * eps, abs=1e-12)
+    raised = replace(absorbing, value=absorbing.value + 2.0 * eps)
+    none = classify_set(g, raised, eps, u_star)
+    assert none.kind == "unclassifiable"
+    assert none.sustain is None and none.exit_plan is None
+    assert none.diagnostics["sustain_slack"] is None
+    assert none.diagnostics["exit_count"] == 0 and none.diagnostics["min_exit_mass"] is None
+    assert none.diagnostics["note"] == "both feasibility tests failed at the requested slack"
 
 
 def test_exit_plan_invariants(sorin_ctx):

@@ -72,6 +72,21 @@ def test_solve_prints_each_players_method_and_bracket(tmp_path, capsys):
                     f"({direct['newton_steps']} Newton), ") in out
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+def test_a_schedule_too_short_to_extrapolate_keeps_its_last_point(tmp_path, depth):
+    # Aitken's extrapolation needs three points: with one or two, a
+    # schedule curve's v1 is its last point's values, clipped to the payoff
+    # bound.
+    argv = ["solve", "--game", "builtin:sorin", "--schedule-depth", str(depth)]
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "solve.json").read_text())
+    bound = sorin_game().payoff_bound
+    for curve in doc["curves"]:
+        assert curve["schedule"] == [1.0 - 0.5**k for k in range(1, depth + 1)]
+        assert len(curve["values"]) == depth and curve["extrapolation_points"] is None
+        assert curve["v1"] == np.clip(curve["values"][-1], -bound, bound).tolist()
+
+
 def test_decompose_and_build(tmp_path):
     assert run(["decompose", "--game", "builtin:sorin", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "decompose.json").read_text())

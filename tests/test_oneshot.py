@@ -67,17 +67,17 @@ def test_dominant_strategy_game_unique_pure():
     table = np.array([[3, 3], [1, 2], [2, 1], [0, 0]], dtype=float)
     aux = AuxiliaryGame(0, table, (2, 2))
     eqs = _one_game(aux)
-    assert len(eqs.items) == 1
-    np.testing.assert_allclose(eqs.items[0].mixes[0], [1, 0])
-    np.testing.assert_allclose(eqs.items[0].mixes[1], [1, 0])
+    assert len(eqs.equilibria) == 1
+    np.testing.assert_allclose(eqs.equilibria[0].mixes[0], [1, 0])
+    np.testing.assert_allclose(eqs.equilibria[0].mixes[1], [1, 0])
 
 
 def test_matching_pennies_mixed_equilibrium():
     table = np.array([[1, -1], [-1, 1], [-1, 1], [1, -1]], dtype=float)
     aux = AuxiliaryGame(0, table, (2, 2))
     eqs = _one_game(aux)
-    assert len(eqs.items) == 1
-    for m in eqs.items[0].mixes:
+    assert len(eqs.equilibria) == 1
+    for m in eqs.equilibria[0].mixes:
         np.testing.assert_allclose(m, [0.5, 0.5], atol=1e-9)
 
 
@@ -87,9 +87,9 @@ def test_random_2x2_equilibria_match_grid_scan(seed):
     table = rng.uniform(-1, 1, size=(4, 2))
     aux = AuxiliaryGame(0, table, (2, 2))
     eqs = _one_game(aux)
-    assert eqs.items, "two-player enumeration must find an equilibrium"
+    assert eqs.equilibria, "two-player enumeration must find an equilibrium"
     # Every reported equilibrium has grid-verified regret.
-    for eq in eqs.items:
+    for eq in eqs.equilibria:
         assert regret(aux, eq.mixes) <= 1e-8
     # Grid scan: every near-equilibrium grid point is close to a reported one
     # in payoff-regret terms, and best grid regret is tiny.
@@ -106,7 +106,7 @@ def test_random_2x2_equilibria_match_grid_scan(seed):
             y = np.zeros(2)
             y[j] = 1.0
             best = min(best, regret(aux, (x, y)))
-    found_pure_or_best = min(best, min(regret(aux, eq.mixes) for eq in eqs.items))
+    found_pure_or_best = min(best, min(regret(aux, eq.mixes) for eq in eqs.equilibria))
     assert found_pure_or_best <= 1e-3
 
 
@@ -114,8 +114,8 @@ def test_equilibrium_regret_bound_under_tol():
     g = random_dense_game(9, n_states=3)
     v1 = solve_uniform_minmax(g).uniform_values
     for eq_set in enumerate_all_states(g, continuation_values(g, v1)):
-        assert eq_set.items
-        for eq in eq_set.items:
+        assert eq_set.equilibria
+        for eq in eq_set.equilibria:
             aux = auxiliary_game(g, eq_set.state, v1)
             bound = 1e-9 if eq.exact else 1e-6
             assert regret(aux, eq.mixes) <= bound + 1e-12
@@ -125,7 +125,7 @@ def test_value_inequality_absorbing_margin_zero(sorin_v1):
     g, v1 = sorin_v1
     aux = auxiliary_game(g, 1, v1)
     eqs = _one_game(aux)
-    ok, margins = check_value_inequality(aux, eqs.items[0].mixes, v1)
+    ok, margins = check_value_inequality(aux, eqs.equilibria[0].mixes, v1)
     assert ok
     np.testing.assert_allclose(margins, [0, 0], atol=1e-9)
 
@@ -135,7 +135,7 @@ def test_value_inequality_over_random_game():
     v1 = solve_uniform_minmax(g).uniform_values
     for eq_set in enumerate_all_states(g, continuation_values(g, v1)):
         aux = auxiliary_game(g, eq_set.state, v1)
-        for eq in eq_set.items:
+        for eq in eq_set.equilibria:
             ok, margins = check_value_inequality(aux, eq.mixes, v1)
             assert ok, f"margin {margins} below tolerance at state {eq_set.state}"
             assert np.all(margins >= -1e-6)
@@ -155,8 +155,8 @@ def test_sorin_equilibria_stay_home(sorin_v1):
     g, v1 = sorin_v1
     aux = auxiliary_game(g, 0, v1)
     eqs = _one_game(aux)
-    assert eqs.items
-    for eq in eqs.items:
+    assert eqs.equilibria
+    for eq in eqs.equilibria:
         row = eq.correlated_row()
         # all staying mass: no weight on the quitting row
         assert row[2] == pytest.approx(0.0, abs=1e-9)
@@ -168,7 +168,7 @@ def test_three_player_path_reports_rather_than_fabricates():
     v1 = solve_uniform_minmax(g, schedule=default_schedule(8)).uniform_values
     aux = auxiliary_game(g, 0, v1)
     eqs = _one_game(aux)
-    for eq in eqs.items:
+    for eq in eqs.equilibria:
         bound = 1e-9 if eq.exact else 1e-6
         assert regret(aux, eq.mixes) <= bound + 1e-12
 
