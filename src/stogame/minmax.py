@@ -91,7 +91,7 @@ which follow `v1`'s last bits, move with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -363,9 +363,11 @@ class DirectSolve:
     stopped halving), "cap" (DIRECT_CAP iterations), "unsettled" (Howard's
     loop hit its cap) or "crossed" (lower exceeds upper by more than
     DIRECT_WIDTH).  `matrix_solves` counts the one-shot games sent to
-    `solve_matrix_game`.
+    `solve_matrix_game`.  `method` names the curve's kind in the artifacts;
+    no constructor takes it.
     """
 
+    method: str = field(default="direct", init=False)
     player: int
     v1: np.ndarray
     lower: np.ndarray
@@ -374,8 +376,6 @@ class DirectSolve:
     newton_steps: int
     matrix_solves: int
     outcome: str
-
-    method = "direct"
 
     @property
     def width(self) -> float:
@@ -479,6 +479,7 @@ def aitken_extrapolate(v2: np.ndarray, v1: np.ndarray, v0: np.ndarray) -> np.nda
 
 @dataclass
 class PlayerValueCurve:
+    method: str = field(default="schedule", init=False)
     player: int
     schedule: list
     values: list          # one value vector per schedule point
@@ -490,8 +491,6 @@ class PlayerValueCurve:
     #                       larger than 2x2, or 2x2 and failing both closed-form tries
     extrapolation_points: tuple | None  # schedule indices fed to Aitken
     direct: DirectSolve | None  # the direct try that stayed open, None where none ran
-
-    method = "schedule"
 
     @property
     def lower(self) -> np.ndarray:

@@ -61,11 +61,14 @@ def test_solve_prints_each_players_method_and_bracket(tmp_path, capsys):
         doc = json.loads((tmp_path / "solve.json").read_text())
         assert sorted(doc) == ["adversary_mode", "curves"]
         for curve in doc["curves"]:
-            # Each curve is written once: a closed curve is its own try, and a
-            # schedule curve carries its try under `direct`.
-            direct = curve if method == "direct" else curve["direct"]
+            # Each curve is written once and says its method: a closed curve
+            # is its own try, and a schedule curve carries its try under
+            # `direct`.
+            assert curve["method"] == method
             assert ("schedule" in curve) == ("direct" in curve) == (method == "schedule")
-            assert "direct" not in direct and direct["outcome"] == outcome
+            direct = curve if method == "direct" else curve["direct"]
+            assert direct["method"] == "direct" and "direct" not in direct
+            assert direct["outcome"] == outcome
             assert all(lo <= hi for lo, hi in zip(direct["lower"], direct["upper"]))
             assert 0 <= direct["newton_steps"] < direct["iterations"]
             assert (f"{direct['iterations']} iterations "
