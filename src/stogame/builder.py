@@ -302,11 +302,11 @@ def build_type_b_fragment(game: StochasticGame, cset: CommunicatingSet,
     """Machine fragment of a departing set.
 
     In phase l the machine travels to the exit state by the set's witness of
-    that state and there plays the companion
-    profile tilted toward the exit profile with probability eta_l.  Once the
-    exit profile is actually played the machine re-dispatches on the realized
-    next state (phase 1 if play happens to stay in the set), so the
-    first-played-exit law is exactly the planned one from every entry state.
+    that state and there plays the companion profile tilted toward the exit
+    profile with probability eta_l.  Once the exit profile is actually played
+    the machine re-dispatches on the realized next state (phase 1 if play
+    happens to stay in the set), so the first-played-exit law is exactly the
+    planned one from every entry state.
     """
     region = cset.states
     L = len(plan.exits)
@@ -565,12 +565,12 @@ def _correlated_type_b_rows(game: StochasticGame, cset: CommunicatingSet,
     """Stationary correlated rows reproducing the planned exit law.
 
     Non-exit states play the uniform mixture of the plan's travel profiles,
-    the set's witnesses of the exit states;
-    exit states blend that mixture with the exit profiles.  Iterative scaling
-    matches the first-played-exit law to the plan; entry dependence is driven
-    out by shrinking the total exit weight.  The scaling stops early once no
-    exit weight registers in the law or the weights are pinned at their
-    clip, and the best rows seen are kept.
+    the set's witnesses of the exit states; exit states blend that mixture
+    with the exit profiles.  Iterative scaling matches the first-played-exit
+    law to the plan; entry dependence is driven out by shrinking the total
+    exit weight.  The scaling stops early once no exit weight registers in
+    the law or the weights are pinned at their clip, and the best rows seen
+    are kept.
     """
     region = cset.states
     L = len(plan.exits)

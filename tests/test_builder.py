@@ -169,13 +169,17 @@ def test_sorin_classification(sorin_ctx):
 
 def test_a_closed_set_above_its_best_payoff_keeps_a_thin_plan_or_none(sorin_ctx):
     # Sorin's absorbing state (1,) has no exits and sustains exactly its
-    # value.  Raised by 0.75 eps, its value leaves the plan a slack of eps/4,
-    # short of the eps/2 an outright acceptance needs, and the departure
+    # value.  Raised by 0.4 eps, its value leaves the plan a slack of 0.6 eps,
+    # enough for an outright acceptance; raised by 0.75 eps, a slack of
+    # eps/4, short of the eps/2 that acceptance needs, and the departure
     # test has no exit to try; raised by 2 eps, no plan meets it at all.
     g, v1, d, cls = sorin_ctx
     absorbing, eps = d.sets[1], 0.05
     assert absorbing.states == (1,)
     u_star = continuation_values(g, v1)
+    raised = replace(absorbing, value=absorbing.value + 0.4 * eps)
+    kept = classify_set(g, raised, eps, u_star)
+    assert kept.kind == "A" and "note" not in kept.diagnostics
     raised = replace(absorbing, value=absorbing.value + 0.75 * eps)
     thin = classify_set(g, raised, eps, u_star)
     assert thin.kind == "A" and thin.exit_plan is None
